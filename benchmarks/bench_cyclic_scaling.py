@@ -3,12 +3,12 @@
 For cycle / clique / grid join graphs backed by real data
 (:mod:`repro.workloads.cyclic`), plans each query twice —
 
-* **joint** — the planner's spanning-tree + join-order search
-  (``tree_search="joint"``): candidate trees streamed in ascending
+* **joint** — the planner's spanning-tree + join-order search (the
+  default ``max_spanning_trees`` cap): candidate trees streamed in ascending
   estimated-output order, each priced by the full cost model (tree
   join + expansion + residual filters) with branch-and-bound pruning
   against the incumbent;
-* **greedy** — the historical baseline (``tree_search="greedy"``): the
+* **greedy** — the historical baseline (``max_spanning_trees=1``): the
   Kruskal minimum-selectivity tree only, order-optimized.
 
 and records both predicted plan costs and planning wall times to
@@ -67,7 +67,7 @@ def measure_case(shape, n, seed, mode, optimizer,
     greedy_planner = Planner(catalog, stats_cache=True)
     start = time.perf_counter()
     greedy = greedy_planner.plan(parsed, mode=mode, optimizer=optimizer,
-                                 tree_search="greedy",
+                                 max_spanning_trees=1,
                                  cyclic_execution=cyclic_execution)
     greedy_s = time.perf_counter() - start
 

@@ -24,8 +24,6 @@ from .diagnostics import (
     VerificationResult,
 )
 from .planlint import (
-    CACHE_EXEMPT_KNOBS,
-    CACHE_KEYED_KNOBS,
     PLAN_FINGERPRINT_COVERED,
     PLAN_FINGERPRINT_EXEMPT,
     PLAN_PASSES,
@@ -38,8 +36,6 @@ from .planlint import (
 )
 
 __all__ = [
-    "CACHE_EXEMPT_KNOBS",
-    "CACHE_KEYED_KNOBS",
     "DIAGNOSTIC_CODES",
     "Diagnostic",
     "PLAN_FINGERPRINT_COVERED",

@@ -94,8 +94,8 @@ DIAGNOSTIC_CODES: dict[str, str] = {
              "coverage registry (new knob missing from fingerprint())",
     "FP002": "PlanSpec field not accounted for in the spec coverage "
              "registry",
-    "FP003": "Planner knob not accounted for in the plan-cache-key "
-             "registry (new knob missing from the cache key)",
+    "FP003": "planner knob does not reach the plan-cache key the way "
+             "PlanOptions declares it (cache_token() sensitivity probe)",
     "FP004": "fingerprint() is insensitive to a semantic plan field "
              "(stripped or shadowed fingerprint component)",
     # --- PlanSpec-level checks ------------------------------------------

@@ -53,8 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..storage.table import Catalog, Table
 
 __all__ = [
-    "CACHE_EXEMPT_KNOBS",
-    "CACHE_KEYED_KNOBS",
     "PLAN_FINGERPRINT_COVERED",
     "PLAN_FINGERPRINT_EXEMPT",
     "PLAN_PASSES",
@@ -78,12 +76,14 @@ _RESOLVED_CYCLIC_STRATEGIES: Tuple[str, ...] = ("tree_filter", "wcoj")
 # ----------------------------------------------------------------------
 # Fingerprint / cache-key coverage registries
 # ----------------------------------------------------------------------
-# The completeness contract: every field of PhysicalPlan / PlanSpec and
-# every Planner knob must be *explicitly* classified as either covered
-# by the fingerprint / plan-cache key or exempt (derived metadata that
-# cannot change results given the covered fields).  A newly added field
-# or knob lands in neither set, and the fingerprint passes fail loudly
-# until its author decides which it is.
+# The completeness contract: every field of PhysicalPlan / PlanSpec must
+# be *explicitly* classified as either covered by the fingerprint or
+# exempt (derived metadata that cannot change results given the covered
+# fields).  A newly added field lands in neither set, and the
+# fingerprint passes fail loudly until its author decides which it is.
+# Planner knobs classify themselves: each repro.options.PlanOptions
+# field's metadata says how it enters the plan-cache key, and FP003
+# checks that cache_token() behaves accordingly.
 
 #: PhysicalPlan fields hashed by ``fingerprint()``
 PLAN_FINGERPRINT_COVERED: frozenset = frozenset({
@@ -109,45 +109,6 @@ SPEC_FINGERPRINT_COVERED: frozenset = frozenset({
 SPEC_FINGERPRINT_EXEMPT: frozenset = frozenset({
     "stats", "predicted_cost", "weights", "residual_selectivities",
     "prefix_bounds", "worst_case_bound",
-})
-
-#: Planner knobs (``__init__`` + ``plan()`` parameters) that are part
-#: of the service plan-cache key, mapped to the token that must appear
-#: in ``QuerySession._plan_options``'s source (knobs keyed through a
-#: *resolved* form — e.g. ``partitioning`` via ``resolved_shards`` —
-#: use the resolved token)
-CACHE_KEYED_KNOBS: dict[str, str] = {
-    "mode": "mode",
-    "optimizer": "optimizer",
-    "driver": "driver",
-    "stats": "stats",
-    "flat_output": "flat_output",
-    "eps": "eps",
-    "weights": "weights",
-    "idp_block_size": "idp_block_size",
-    "beam_width": "beam_width",
-    "partitioning": "resolved_shards",
-    "planning_budget_ms": "budget_ms",
-    "tree_search": "tree_search",
-    "max_spanning_trees": "max_spanning_trees",
-    "execution": "execution",
-    # keyed raw, not resolved: "auto" resolves per query by cost
-    "cyclic_execution": "cyclic_execution",
-    # keyed raw: postures annotate (and may reorder) plans differently
-    "robustness": "robustness",
-    # rides along with robustness: decides whether the regret gate swaps
-    "regret_factor": "regret_factor",
-    # keyed through their resolved forms: "auto" worker counts resolve
-    # per host, and plans are stamped with the resolution
-    "placement": "resolved_placement",
-    "num_workers": "resolved_workers",
-}
-#: Planner parameters that legitimately stay out of the cache key:
-#: the query and catalog are keyed separately (normalized query key +
-#: catalog fingerprint), ``stats_cache`` is pure memoization, and
-#: ``validate`` never changes which plan is produced
-CACHE_EXEMPT_KNOBS: frozenset = frozenset({
-    "query", "catalog", "stats_cache", "validate",
 })
 
 
@@ -748,8 +709,7 @@ def _pass_placement(plan: "PhysicalPlan", source: Optional[ParsedQuery],
     sound because placement is deterministic in (num_shards,
     num_workers): the pool and this pass see the same assignment.
     """
-    placement = getattr(plan, "placement", "local")
-    num_workers = getattr(plan, "num_workers", 0)
+    placement, num_workers = plan.placement, plan.num_workers
     if not _placement_knob_checks(placement, num_workers, emitter, "plan"):
         return
     if placement != "distributed":
@@ -777,13 +737,15 @@ def _pass_placement(plan: "PhysicalPlan", source: Optional[ParsedQuery],
 def _pass_fingerprint_registry(plan: "PhysicalPlan",
                                source: Optional[ParsedQuery],
                                emitter: _Emitter, level: str) -> None:
-    """FP001/FP003: every plan field and planner knob is classified.
+    """FP001/FP003: every plan field and planner knob is accounted for.
 
-    Introspects the live dataclass fields and ``Planner`` signatures so
-    a knob added by a future PR that reaches neither the fingerprint
-    registry nor the cache-key registry fails verification loudly —
-    the under-keyed-cache failure mode this subsystem exists to block.
+    Introspects the live dataclass fields so a plan field added by a
+    future PR that reaches neither fingerprint registry, or a knob that
+    does not reach the plan-cache key the way its declaration says,
+    fails verification loudly — the under-keyed-cache failure mode this
+    subsystem exists to block.
     """
+    from ..options import PlanOptions, ResolvedOptions
     from ..planner import Planner
 
     plan_fields = {f.name for f in dataclasses.fields(plan)}
@@ -803,33 +765,42 @@ def _pass_fingerprint_registry(plan: "PhysicalPlan",
             f"PhysicalPlan field (stale registry entry)",
         )
 
-    knobs: set[str] = set()
+    # knobs are declared once, on PlanOptions: a named Planner parameter
+    # that is not one of its fields bypasses the cache key entirely
+    knobs = {spec.name for spec in dataclasses.fields(PlanOptions)}
     for func in (Planner.__init__, Planner.plan):
-        knobs.update(inspect.signature(func).parameters)
-    knobs.discard("self")
-    for name in sorted(knobs - set(CACHE_KEYED_KNOBS)
-                       - CACHE_EXEMPT_KNOBS):
-        emitter.error(
-            "FP003",
-            f"Planner knob {name!r} is neither in the plan-cache-key "
-            f"registry (CACHE_KEYED_KNOBS) nor registered as exempt "
-            f"(CACHE_EXEMPT_KNOBS)",
-        )
-    try:
-        from ..service.session import QuerySession
-        options_source = inspect.getsource(QuerySession._plan_options)
-    except (ImportError, OSError, TypeError):  # pragma: no cover
-        options_source = None
-    if options_source is not None:
-        for knob in sorted(set(CACHE_KEYED_KNOBS) & knobs):
-            token = CACHE_KEYED_KNOBS[knob]
-            if token not in options_source:
+        parameters = inspect.signature(func).parameters
+        for name in parameters:
+            if parameters[name].kind is inspect.Parameter.VAR_KEYWORD \
+                    or name in ("self", "query", "catalog", "stats_cache"):
+                continue
+            if name not in knobs:
                 emitter.error(
                     "FP003",
-                    f"Planner knob {knob!r} (token {token!r}) does "
-                    f"not reach QuerySession._plan_options — the "
-                    f"plan cache would serve across {knob!r} changes",
+                    f"Planner parameter {name!r} is not a PlanOptions "
+                    f"field, so it cannot reach the plan-cache key",
                 )
+    # behavioural, like FP004: cache_token() must move for every keyed
+    # field of the resolved record and must not move for an exempt one
+    resolved = ResolvedOptions()
+    baseline = resolved.cache_token()
+    for spec in dataclasses.fields(resolved):
+        moved = dataclasses.replace(
+            resolved, **{spec.name: _FingerprintProbe()}
+        ).cache_token() != baseline
+        exempt = spec.metadata["key"] == "exempt"
+        if exempt and moved:
+            emitter.error(
+                "FP003",
+                f"cache_token() reacts to exempt knob {spec.name!r} — "
+                f"the plan cache would fragment across its values",
+            )
+        elif not exempt and not moved:
+            emitter.error(
+                "FP003",
+                f"cache_token() ignores keyed knob {spec.name!r} — the "
+                f"plan cache would serve across {spec.name!r} changes",
+            )
 
 
 def _pass_fingerprint_sensitivity(plan: "PhysicalPlan",
@@ -998,7 +969,7 @@ def verify_spec(spec: "PlanSpec",
             f"spec carries unresolved execution {spec.execution!r} "
             f"(expected one of {_RESOLVED_EXECUTIONS})",
         )
-    spec_strategy = getattr(spec, "cyclic_strategy", "tree_filter")
+    spec_strategy = spec.cyclic_strategy
     if spec_strategy not in _RESOLVED_CYCLIC_STRATEGIES:
         emitter.error(
             "WCOJ001",
@@ -1006,29 +977,23 @@ def verify_spec(spec: "PlanSpec",
             f"{spec_strategy!r} "
             f"(expected one of {_RESOLVED_CYCLIC_STRATEGIES})",
         )
-    elif spec_strategy == "tree_filter" \
-            and getattr(spec, "wcoj_variable_order", ()):
+    elif spec_strategy == "tree_filter" and spec.wcoj_variable_order:
         emitter.error(
             "WCOJ001",
             "tree_filter spec carries a wcoj variable order "
             "(stale strategy resolution)",
         )
-    elif spec_strategy == "wcoj" \
-            and not getattr(spec, "wcoj_variable_order", ()):
+    elif spec_strategy == "wcoj" and not spec.wcoj_variable_order:
         emitter.error(
             "WCOJ003",
             "wcoj spec carries an empty variable order",
         )
     _bound_annotation_checks(
-        getattr(spec, "robustness", "off"),
-        tuple(getattr(spec, "prefix_bounds", ())),
-        getattr(spec, "worst_case_bound", 0.0),
+        spec.robustness, tuple(spec.prefix_bounds), spec.worst_case_bound,
         len(spec.order), emitter, "spec",
     )
     _placement_knob_checks(
-        getattr(spec, "placement", "local"),
-        getattr(spec, "num_workers", 0),
-        emitter, "spec",
+        spec.placement, spec.num_workers, emitter, "spec",
     )
     if not isinstance(spec.num_shards, int) \
             or isinstance(spec.num_shards, bool) or spec.num_shards < 1:

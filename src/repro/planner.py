@@ -18,18 +18,11 @@ it:
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core.adaptive import (
-    adaptive_beam_width,
-    adaptive_block_size,
-    crossover_relations,
-    load_scaling_profile,
-)
 from .core.costmodel import (
     CostMemo,
     CostWeights,
@@ -37,7 +30,6 @@ from .core.costmodel import (
     plan_cost,
 )
 from .core.cyclic import (
-    CYCLIC_EXECUTION_CHOICES,
     CyclicPlan,
     ResidualPredicate,
     _rooted_tree,
@@ -53,19 +45,17 @@ from .core.cyclic import (
     tree_query_from_residuals,
     wcoj_cost,
 )
-from .analysis import VALIDATE_CHOICES, PlanVerifier
+from .analysis import PlanVerifier
 from .core.lru import LRUCache
 from .core.bounds import (
     bound_signature,
     bound_stats_for_rooting,
     max_frequencies_from_data,
     prefix_cardinality_bounds,
-    resolve_robustness,
 )
 from .core.optimizer import (
     PlanningBudgetExceeded,
     beam_order,
-    choose_optimizer,
     exhaustive_optimal,
     greedy_order,
     idp_order,
@@ -73,7 +63,6 @@ from .core.optimizer import (
     worst_case_cost,
 )
 from .core.parser import Contradiction, ParsedQuery, parse_query
-from .distributed.placement import DEFAULT_MAX_WORKERS, PLACEMENT_CHOICES
 from .core.query import JoinQuery
 from .core.stats import (
     EdgeStats,
@@ -84,24 +73,20 @@ from .core.stats import (
     stats_from_data,
 )
 from .engine.executor import execute
-from .engine.kernels import (
-    EXECUTION_CHOICES,
-    resolve_execution as _resolve_kernel_execution,
-)
 from .engine.wcoj import execute_wcoj, plan_variable_order, variable_classes
 from .modes import ExecutionMode
+from .options import (
+    AUTO_MAX_SHARDS,
+    AUTO_MIN_ROWS_PER_SHARD,
+    OPTIMIZER_CHOICES,
+    PlanOptions,
+    resolve_optimizer,
+)
 from .storage.partition import partition_replacements
 from .storage.table import Catalog, Table
 
 __all__ = ["AUTO_MAX_SHARDS", "AUTO_MIN_ROWS_PER_SHARD", "PhysicalPlan",
            "PlanSpec", "Planner", "filtered_table", "push_down_selections"]
-
-#: ``partitioning="auto"`` only shards when the largest probe target
-#: has at least this many rows per shard — below that, shard routing
-#: overhead outweighs the smaller per-shard sorts and probes
-AUTO_MIN_ROWS_PER_SHARD = 16_384
-#: cap for ``partitioning="auto"`` (explicit ints may exceed it)
-AUTO_MAX_SHARDS = 8
 
 
 def filtered_table(table, alias, predicate):
@@ -397,32 +382,17 @@ class PhysicalPlan:
         at planning time — the address a rehydrating process checks
         before trusting the spec.
         """
-        return PlanSpec(
-            root=self.query.root,
+        shared = _shared_fields(self)
+        shared.update(
             order=tuple(self.order),
             mode=str(self.mode),
-            stats=self.stats,
-            predicted_cost=self.predicted_cost,
             child_orders=tuple(sorted(
                 (relation, tuple(children))
                 for relation, children in (self.child_orders or {}).items()
             )),
-            weights=self.weights,
-            num_shards=self.num_shards,
-            catalog_fingerprint=catalog_fingerprint,
-            residuals=tuple(self.residuals),
-            residual_selectivities=tuple(self.residual_selectivities),
-            execution=self.execution,
-            cyclic_strategy=self.cyclic_strategy,
-            wcoj_variable_order=tuple(
-                tuple(member) for member in self.wcoj_variable_order
-            ),
-            robustness=self.robustness,
-            prefix_bounds=tuple(self.prefix_bounds),
-            worst_case_bound=self.worst_case_bound,
-            placement=self.placement,
-            num_workers=self.num_workers,
         )
+        return PlanSpec(root=self.query.root,
+                        catalog_fingerprint=catalog_fingerprint, **shared)
 
     def __repr__(self):
         residuals = (
@@ -468,30 +438,17 @@ class PlanSpec:
     weights: CostWeights
     num_shards: int
     catalog_fingerprint: str
+    # the remaining fields mean what the same-named PhysicalPlan fields
+    # mean (to_spec / rehydrate copy them by name)
     residuals: tuple = ()
     residual_selectivities: tuple = ()
-    #: resolved kernel path the plan executes with (defaults keep specs
-    #: pickled before this field existed rehydratable)
     execution: str = "vectorized"
-    #: resolved cyclic-core strategy; "tree_filter" default keeps older
-    #: pickled specs rehydratable
     cyclic_strategy: str = "tree_filter"
-    #: costed wcoj variable-elimination order (tuples of
-    #: ``(relation, attribute)`` member tuples); empty for tree_filter
     wcoj_variable_order: tuple = ()
-    #: resolved robustness knob; "off" default keeps older pickled
-    #: specs rehydratable
     robustness: str = "off"
-    #: guaranteed per-prefix cardinality bounds (aligned with ``order``;
-    #: empty when robustness="off") — derived metadata
     prefix_bounds: tuple = ()
-    #: guaranteed worst-case probe work of ``order`` (0.0 when
-    #: robustness="off") — derived metadata
     worst_case_bound: float = 0.0
-    #: resolved execution placement; "local" default keeps older
-    #: pickled specs rehydratable
     placement: str = "local"
-    #: resolved worker-process count (0 for local plans)
     num_workers: int = 0
 
     def __repr__(self):
@@ -503,6 +460,31 @@ class PlanSpec:
             f"order={list(self.order)}, "
             f"cost={self.predicted_cost:.4g}{residuals})"
         )
+
+
+def _parsed(query):
+    """SQL text parsed; a ParsedQuery / JoinQuery as given."""
+    if isinstance(query, str):
+        return parse_query(query)
+    if isinstance(query, (ParsedQuery, JoinQuery)):
+        return query
+    raise TypeError(
+        f"query must be SQL text, ParsedQuery or JoinQuery; "
+        f"got {type(query).__name__}"
+    )
+
+
+#: fields :meth:`PhysicalPlan.to_spec` and :meth:`Planner.rehydrate` copy
+#: by name (``order`` / ``mode`` / ``child_orders`` through canonicalizers)
+_SHARED_FIELDS = tuple(
+    spec.name for spec in fields(PlanSpec)
+    if spec.name in PhysicalPlan.__dataclass_fields__
+)
+
+
+def _shared_fields(record):
+    """The plan <-> spec fields of either record, by name."""
+    return {name: getattr(record, name) for name in _SHARED_FIELDS}
 
 
 @dataclass
@@ -524,10 +506,8 @@ class _PreparedQuery:
     effective_shards: int = 1
     #: push-down catalog before any partitioning (re-partition source)
     source_catalog: Catalog = None
-    #: resolved shard count / size floor / content token, kept so the
-    #: cyclic path can partition once its winning tree is known
-    num_shards: int = 1
-    partition_floor: int = 0
+    #: content token, kept so the cyclic path can partition once its
+    #: winning tree is known
     content_token: tuple = None
 
 
@@ -538,10 +518,6 @@ class Planner:
     ----------
     catalog:
         The :class:`~repro.storage.Catalog` holding base tables.
-    weights:
-        Operation weights used to compare strategies (Section 5.4).
-    eps:
-        Assumed bitvector false-positive rate for BVP costing.
     stats_cache:
         Optional :class:`~repro.core.stats.StatsCache` (or ``True`` for
         a default-sized one).  When set, statistics derived for a
@@ -549,142 +525,22 @@ class Planner:
         reused across ``plan()`` calls instead of being recomputed from
         data; the catalog fingerprint in the key invalidates entries
         automatically when the data changes.
-    idp_block_size, beam_width:
-        Tuning knobs for the scaling optimizers (``optimizer="idp"`` /
-        ``"beam"`` / ``"auto"``); see :func:`repro.core.idp_order` and
-        :func:`repro.core.beam_order`.  ``"auto"`` derives the value
-        from the measured crossover points in
-        ``benchmarks/results/BENCH_optimizer_scaling.json`` (falling
-        back to the historical constants when no benchmark record
-        exists); the resolved integer is what cache keys and planning
-        use.
-    planning_budget_ms:
-        Optional per-``plan()`` wall-time budget.  When set,
-        ``optimizer="auto"`` resolves its crossovers against the budget
-        (via the measured scaling profile) and the order search runs
-        under a deadline: an exhaustive DP that overruns falls back to
-        IDP, an IDP run that overruns falls back to beam search — the
-        anytime ladder.  ``None`` (default) keeps planning unbounded.
-    partitioning:
-        Default storage layout for planned queries: ``"off"`` (the
-        exact single-index behavior), an ``int`` shard count, or
-        ``"auto"`` (shard count from the largest probe target and the
-        core count; 1 when tables are small).  When the resolved count
-        exceeds 1, each non-root relation is replaced by a
-        :class:`~repro.storage.partition.PartitionedTable` hash-sharded
-        on its probe attribute, so index builds and probes fan out
-        shard-by-shard.  Plans, predicted costs and result sets are
-        identical across shard counts; only wall time changes.
-        Overridable per :meth:`plan` call.
-    max_spanning_trees:
-        Cap on the candidate spanning trees the *joint* cyclic search
-        evaluates (``tree_search="joint"``).  Candidates stream in
-        approximately ascending tree-output order starting from the
-        greedy Kruskal tree, each branch-and-bound pruned against the
-        incumbent total cost, so raising the cap only ever matches or
-        improves the chosen plan at more planning time.  Part of the
-        service layer's plan-cache key.
-    execution:
-        Default kernel path planned queries execute with:
-        ``"vectorized"`` (NumPy kernels), ``"interpreted"`` (the
-        pure-Python tuple-at-a-time oracle — bit-identical results and
-        counters, orders of magnitude slower) or ``"auto"`` (the
-        ``REPRO_EXECUTION`` environment override, else vectorized).
-        Resolved at plan time; the resolved value is stored on the
-        plan, covered by its fingerprint, and part of the service
-        layer's plan-cache key.  Overridable per :meth:`plan` call.
-    validate:
-        Static-verification level for produced plans: ``"off"``
-        (default), ``"basic"`` (structural + metadata passes) or
-        ``"full"`` (adds O(rows) data scans and the
-        fingerprint-sensitivity probe); see
-        :mod:`repro.analysis.planlint`.  Error findings raise
-        :class:`~repro.analysis.PlanVerificationError`; all findings
-        land on :attr:`PhysicalPlan.diagnostics`.  Verdicts are cached
-        per plan fingerprint, so repeat planning of a verified plan
-        (and rehydration of its spec) pays a dictionary lookup.  Never
-        part of cache keys — verification cannot change which plan is
-        produced.  Overridable per :meth:`plan` call.
+    **knobs:
+        The fields of :class:`~repro.options.PlanOptions` — the one
+        place every planning knob is declared and documented.  Held as
+        :attr:`options`; each knob also reads (and retunes, validated)
+        as a planner attribute, e.g. ``planner.beam_width``.
     """
 
-    #: optimizer choices exposed to ``plan()`` — ``"auto"`` resolves by
-    #: relation count via :func:`repro.core.choose_optimizer`
-    OPTIMIZERS = ("exhaustive", "idp", "beam", "auto",
-                  "survival", "rank", "result_size")
+    OPTIMIZERS = OPTIMIZER_CHOICES
+    resolve_optimizer = staticmethod(resolve_optimizer)
 
-    def __init__(self, catalog, weights=None, eps=0.01, stats_cache=None,
-                 idp_block_size=8, beam_width=8, planning_budget_ms=None,
-                 partitioning="off", max_spanning_trees=16,
-                 execution="auto", cyclic_execution="auto", validate="off",
-                 robustness="off", regret_factor=4.0,
-                 placement="local", num_workers=0):
+    def __init__(self, catalog, stats_cache=None, **knobs):
         self.catalog = catalog
-        self.weights = weights or CostWeights()
-        self.eps = eps
+        self.options = PlanOptions(**knobs)
         if stats_cache is True:
             stats_cache = StatsCache()
         self.stats_cache = stats_cache
-        if planning_budget_ms is not None and planning_budget_ms <= 0:
-            raise ValueError(
-                f"planning_budget_ms must be positive or None, "
-                f"got {planning_budget_ms}"
-            )
-        self.planning_budget_ms = planning_budget_ms
-        self.idp_block_size = self._resolve_knob(
-            "idp_block_size", idp_block_size, adaptive_block_size,
-            planning_budget_ms,
-        )
-        self.beam_width = self._resolve_knob(
-            "beam_width", beam_width, adaptive_beam_width, planning_budget_ms,
-        )
-        self.partitioning = self._check_partitioning(partitioning)
-        if not isinstance(max_spanning_trees, int) \
-                or isinstance(max_spanning_trees, bool) \
-                or max_spanning_trees < 1:
-            raise ValueError(
-                f"max_spanning_trees must be an int >= 1, "
-                f"got {max_spanning_trees!r}"
-            )
-        self.max_spanning_trees = max_spanning_trees
-        if execution not in EXECUTION_CHOICES:
-            raise ValueError(
-                f"execution must be one of {EXECUTION_CHOICES}, "
-                f"got {execution!r}"
-            )
-        self.execution = execution
-        if cyclic_execution not in CYCLIC_EXECUTION_CHOICES:
-            raise ValueError(
-                f"cyclic_execution must be one of "
-                f"{CYCLIC_EXECUTION_CHOICES}, got {cyclic_execution!r}"
-            )
-        self.cyclic_execution = cyclic_execution
-        if validate not in VALIDATE_CHOICES:
-            raise ValueError(
-                f"validate must be one of {VALIDATE_CHOICES}, "
-                f"got {validate!r}"
-            )
-        self.validate = validate
-        self.robustness = resolve_robustness(robustness)
-        if not isinstance(regret_factor, (int, float)) \
-                or isinstance(regret_factor, bool) or regret_factor < 1.0:
-            raise ValueError(
-                f"regret_factor must be a number >= 1.0, "
-                f"got {regret_factor!r}"
-            )
-        self.regret_factor = float(regret_factor)
-        if placement not in PLACEMENT_CHOICES:
-            raise ValueError(
-                f"placement must be one of {PLACEMENT_CHOICES}, "
-                f"got {placement!r}"
-            )
-        self.placement = placement
-        if not isinstance(num_workers, int) or isinstance(num_workers, bool) \
-                or num_workers < 0:
-            raise ValueError(
-                f"num_workers must be an int >= 0 (0 = auto), "
-                f"got {num_workers!r}"
-            )
-        self.num_workers = num_workers
         self._verifier = PlanVerifier()
         # Two levels of content-addressed partitioning reuse: whole
         # derived catalogs (so exact-repeat plan() calls share built
@@ -696,173 +552,25 @@ class Planner:
         self._partition_cache = LRUCache(8)
         self._replacement_cache = LRUCache(8)
 
-    @staticmethod
-    def _resolve_knob(name, value, derive, planning_budget_ms):
-        """Resolve a scaling knob: an explicit int, or ``"auto"``.
-
-        ``"auto"`` derives the value from the measured scaling profile
-        (:mod:`repro.core.adaptive`) at the configured planning budget;
-        the resolved *integer* is stored, so plan-cache keys and
-        workers always see a concrete value.
-        """
-        if value == "auto":
-            return derive(load_scaling_profile(), planning_budget_ms)
-        if isinstance(value, int) and not isinstance(value, bool):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            return value
-        raise ValueError(
-            f'{name} must be an int >= 1 or "auto", got {value!r}'
+    def __getattr__(self, name):
+        # only reached for names not set on the instance: the knobs
+        if name != "options" and name in PlanOptions.__dataclass_fields__:
+            return getattr(self.options, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
-    @staticmethod
-    def _check_partitioning(partitioning):
-        if partitioning == "off" or partitioning == "auto":
-            return partitioning
-        if isinstance(partitioning, int) and not isinstance(partitioning, bool):
-            if partitioning < 1:
-                raise ValueError(
-                    f"partitioning shard count must be >= 1, got {partitioning}"
-                )
-            return partitioning
-        raise ValueError(
-            f'partitioning must be "auto", "off" or a shard count, '
-            f"got {partitioning!r}"
-        )
+    def __setattr__(self, name, value):
+        if name in PlanOptions.__dataclass_fields__:
+            name, value = "options", replace(self.options, **{name: value})
+        super().__setattr__(name, value)
 
     def resolve_partitioning(self, partitioning=None, query=None):
-        """The concrete shard count a query will be planned with.
-
-        ``None`` falls back to the planner default; ``"off"`` resolves
-        to 1; an ``int`` to itself; ``"auto"`` scales with the largest
-        non-root base table (one shard per
-        :data:`AUTO_MIN_ROWS_PER_SHARD` rows) capped by the core count
-        and :data:`AUTO_MAX_SHARDS`.  The resolved count is part of the
-        service layer's plan-cache key, mirroring
-        :meth:`resolve_optimizer`.
-        """
-        if partitioning is None:
-            partitioning = self.partitioning
-        partitioning = self._check_partitioning(partitioning)
-        if partitioning == "off":
-            return 1
-        if isinstance(partitioning, int):
-            return partitioning
-        if isinstance(query, str):
-            query = parse_query(query)
-        if isinstance(query, ParsedQuery):
-            aliases = list(query.relations)
-            sizes = [
-                len(self.catalog.table(query.relations[alias]))
-                for alias in aliases[1:]
-                if query.relations[alias] in self.catalog
-            ]
-        elif isinstance(query, JoinQuery):
-            sizes = [
-                len(self.catalog.table(rel))
-                for rel in query.non_root_relations
-                if rel in self.catalog
-            ]
-        else:
-            sizes = []
-        max_rows = max(sizes, default=0)
-        cpus = os.cpu_count() or 1
-        return int(max(
-            1, min(AUTO_MAX_SHARDS, cpus, max_rows // AUTO_MIN_ROWS_PER_SHARD)
-        ))
-
-    def resolve_partition_floor(self, partitioning=None):
-        """Minimum (post-selection) table size worth re-clustering.
-
-        Non-zero only for ``"auto"`` — explicit shard counts always
-        apply.  Part of the service plan-cache key: the floor changes
-        which relations actually shard, so ``"auto"`` and an explicit
-        count that resolve to the same number must not share a plan.
-        """
-        if partitioning is None:
-            partitioning = self.partitioning
-        return AUTO_MIN_ROWS_PER_SHARD if partitioning == "auto" else 0
-
-    def resolve_execution(self, execution=None):
-        """The concrete kernel path a query will execute with.
-
-        ``None`` falls back to the planner default; ``"auto"`` resolves
-        via the ``REPRO_EXECUTION`` environment variable (else
-        vectorized); explicit choices resolve to themselves.  The
-        resolved name is part of the service layer's plan-cache key,
-        mirroring :meth:`resolve_optimizer` /
-        :meth:`resolve_partitioning`.
-        """
-        if execution is None:
-            execution = self.execution
-        return _resolve_kernel_execution(execution)
-
-    def resolve_placement(self, placement=None):
-        """The concrete execution placement a query will run under.
-
-        ``None`` falls back to the planner default; anything else must
-        be a member of
-        :data:`~repro.distributed.placement.PLACEMENT_CHOICES`.  The
-        resolved value is part of the service layer's plan-cache key
-        (and the plan fingerprint), mirroring the other resolve
-        helpers.
-        """
-        if placement is None:
-            placement = self.placement
-        if placement not in PLACEMENT_CHOICES:
-            raise ValueError(
-                f"placement must be one of {PLACEMENT_CHOICES}, "
-                f"got {placement!r}"
-            )
-        return placement
-
-    def resolve_num_workers(self, num_workers=None, placement=None):
-        """The concrete worker count a distributed plan will run with.
-
-        Local placements always resolve to 0 (no pool).  For
-        ``"distributed"``, ``0`` ("auto") resolves to the host's core
-        count capped at
-        :data:`~repro.distributed.placement.DEFAULT_MAX_WORKERS`;
-        explicit counts resolve to themselves.  Part of the plan-cache
-        key and the plan fingerprint.
-        """
-        if num_workers is None:
-            num_workers = self.num_workers
-        if not isinstance(num_workers, int) or isinstance(num_workers, bool) \
-                or num_workers < 0:
-            raise ValueError(
-                f"num_workers must be an int >= 0 (0 = auto), "
-                f"got {num_workers!r}"
-            )
-        if self.resolve_placement(placement) == "local":
-            return 0
-        if num_workers > 0:
-            return num_workers
-        return max(1, min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
-
-    @staticmethod
-    def resolve_optimizer(optimizer, num_relations, planning_budget_ms=None):
-        """The concrete algorithm ``plan()`` will run for a query size.
-
-        ``"auto"`` maps to ``"exhaustive"`` / ``"idp"`` / ``"beam"`` by
-        relation count; anything else resolves to itself.  The resolved
-        name is part of the service layer's plan-cache key, so cached
-        plans are keyed by the algorithm that actually produced them.
-
-        With a ``planning_budget_ms``, the ``"auto"`` crossovers come
-        from the measured scaling profile evaluated at that budget
-        (:func:`repro.core.adaptive.crossover_relations`) instead of
-        the static constants — a generous budget keeps the exhaustive
-        DP viable for larger queries, a tight one steps down earlier.
-        """
-        if optimizer != "auto":
-            return optimizer
-        if planning_budget_ms is not None:
-            exhaustive_max, idp_max = crossover_relations(
-                load_scaling_profile(), planning_budget_ms
-            )
-            return choose_optimizer(num_relations, exhaustive_max, idp_max)
-        return choose_optimizer(num_relations)
+        """The concrete shard count a query will be planned with
+        (:meth:`PlanOptions.shard_count` of the request)."""
+        return self.options.override(partitioning=partitioning).shard_count(
+            self.catalog, query
+        )
 
     # ------------------------------------------------------------------
     # Statistics
@@ -944,11 +652,15 @@ class Planner:
         "beam": ("beam",),
     }
 
-    def _order_for_mode(self, query, stats, mode, optimizer, memo=None,
-                        upper_bound=None, deadline=None):
+    def _order_for_mode(self, query, stats, mode, options, memo=None,
+                        upper_bound=None):
         """Best order (and SJ child orders) for one strategy.
 
-        ``memo`` is an optional shared
+        ``options`` is the request's resolved
+        :class:`~repro.options.PlanOptions`: its ``optimizer`` picks the
+        algorithm, its ``deadline`` activates the anytime ladder (a DP
+        that overruns falls down to the next cheaper algorithm instead
+        of failing).  ``memo`` is an optional shared
         :class:`~repro.core.costmodel.CostMemo` for this (query, stats,
         eps) so every strategy's optimization and costing reuse one set
         of subset tables.
@@ -957,19 +669,19 @@ class Planner:
         incumbent plan's cost (the ``driver="auto"`` search supplies
         it); the return is ``(None, {})`` when every candidate order
         was pruned — the incumbent cannot be beaten from here.
-        ``deadline`` activates the anytime ladder: a DP that overruns
-        falls down to the next cheaper algorithm instead of failing.
         """
+        eps, weights = options.eps, options.weights
         if mode.uses_semijoin:
             plan = optimize_sj(query, stats, factorized=mode.factorized,
-                               weights=self.weights)
+                               weights=weights)
             return plan.order, plan.child_orders
         memoize = memo if memo is not None else True
-        rungs = self._LADDER.get(optimizer)
+        rungs = self._LADDER.get(options.optimizer)
         if rungs is None:
-            plan = greedy_order(query, stats, optimizer, mode=mode,
-                                eps=self.eps, weights=self.weights)
+            plan = greedy_order(query, stats, options.optimizer, mode=mode,
+                                eps=eps, weights=weights)
             return plan.order, {}
+        deadline = options.deadline
         if deadline is None:
             rungs = rungs[:1]  # nothing can overrun: no fallback needed
         plan = None
@@ -977,22 +689,22 @@ class Planner:
             try:
                 if rung == "exhaustive":
                     plan = exhaustive_optimal(
-                        query, stats, mode=mode, eps=self.eps,
-                        weights=self.weights, memoize=memoize,
+                        query, stats, mode=mode, eps=eps,
+                        weights=weights, memoize=memoize,
                         upper_bound=upper_bound, deadline=deadline,
                     )
                 elif rung == "idp":
                     plan = idp_order(
-                        query, stats, mode=mode, eps=self.eps,
-                        weights=self.weights,
-                        block_size=self.idp_block_size, memoize=memoize,
+                        query, stats, mode=mode, eps=eps,
+                        weights=weights,
+                        block_size=options.idp_block_size, memoize=memoize,
                         upper_bound=upper_bound, deadline=deadline,
                     )
                 else:
                     plan = beam_order(
-                        query, stats, mode=mode, eps=self.eps,
-                        weights=self.weights,
-                        beam_width=self.beam_width, memoize=memoize,
+                        query, stats, mode=mode, eps=eps,
+                        weights=weights,
+                        beam_width=options.beam_width, memoize=memoize,
                         upper_bound=upper_bound,
                     )
             except PlanningBudgetExceeded:
@@ -1003,12 +715,11 @@ class Planner:
         return plan.order, {}
 
     def _cost(self, query, stats, order, mode, flat_output, memo=None):
-        return plan_cost(query, stats, order, mode, eps=self.eps,
+        return plan_cost(query, stats, order, mode, eps=self.options.eps,
                          flat_output=flat_output,
-                         memo=memo).total(self.weights)
+                         memo=memo).total(self.options.weights)
 
-    def _apply_partitioning(self, query, source_catalog, join_query,
-                            num_shards, partition_floor, content_token):
+    def _apply_partitioning(self, prep, join_query, options):
         """``(execution catalog, effective shards)`` for a rooted tree.
 
         The content-addressed partitioning step shared by
@@ -1019,6 +730,9 @@ class Planner:
         the full content token, so exact repeats reuse built sharded
         indexes and near-repeats reuse the expensive re-clustering.
         """
+        query, source_catalog = prep.query, prep.source_catalog
+        num_shards = options.partitioning
+        partition_floor = options.partition_floor
         if num_shards <= 1:
             return source_catalog, 1
         shard_spec = tuple(sorted(
@@ -1054,13 +768,13 @@ class Planner:
         if not replacements:
             return source_catalog, 1
         catalog = self._partition_cache.get_or_compute(
-            content_token + (shard_spec, num_shards, partition_floor),
+            prep.content_token + (shard_spec, num_shards, partition_floor),
             lambda: source_catalog.derived_with(replacements),
         )
         return catalog, num_shards
 
-    def _prepare(self, query, partitioning, stats="exact", tree=None):
-        """Parse + derive the execution catalog for a query.
+    def _prepare(self, query, options, tree=None):
+        """Derive the execution catalog for a parsed query.
 
         Shared by :meth:`plan` and :meth:`rehydrate`: selection
         push-down, hash-partitioning (both content-addressed and
@@ -1080,9 +794,6 @@ class Planner:
         like the acyclic path.
         """
         catalog = self.catalog
-        data_token = None
-        if isinstance(query, str):
-            query = parse_query(query)
         if isinstance(query, ParsedQuery):
             if query.num_placeholders:
                 raise ValueError(
@@ -1105,271 +816,83 @@ class Planner:
                     for column, literal in predicate.items()
                 )),
             )
-        elif isinstance(query, JoinQuery):
+        else:
             join_query = query
             token_extra = ()
-        else:
-            raise TypeError(
-                f"query must be SQL text, ParsedQuery or JoinQuery; "
-                f"got {type(query).__name__}"
-            )
 
-        num_shards = self.resolve_partitioning(partitioning, query)
-        # "auto" resolves from base-table sizes (cache keys must be
-        # computable before push-down); this floor keeps it from
-        # re-clustering a selection that kept only a few rows
-        partition_floor = self.resolve_partition_floor(partitioning)
         content_token = None
-        if num_shards > 1 or self.stats_cache is not None:
+        if options.partitioning > 1 or self.stats_cache is not None:
             # the base-catalog fingerprint (content-cached) anchors both
             # the partitioned-catalog reuse and the stats cache, so any
             # data change re-partitions and re-derives automatically
             content_token = (self.catalog.fingerprint(),) + token_extra
-        source_catalog = catalog
-        effective_shards = 1
+        prep = _PreparedQuery(
+            query=query,
+            join_query=join_query,
+            catalog=catalog,
+            stats_catalog=catalog,
+            source_catalog=catalog,
+            content_token=content_token,
+        )
         if join_query is not None:
-            catalog, effective_shards = self._apply_partitioning(
-                query, source_catalog, join_query, num_shards,
-                partition_floor, content_token,
+            prep.catalog, prep.effective_shards = self._apply_partitioning(
+                prep, join_query, options
             )
         # Sampling draws row *positions*, so it must see the layout-
         # independent source rows or the fixed-seed sample (and hence
         # the plan) would vary with the shard count; exact derivation
         # is bit-identical either way and runs on the partitioned
         # catalog to use (and warm) the sharded indexes.
-        stats_catalog = source_catalog if stats == "sampling" else catalog
+        if options.stats != "sampling":
+            prep.stats_catalog = prep.catalog
         if self.stats_cache is not None:
             # derived statistics are layout-independent by construction
             # (exact derivation sums the same integers shard by shard;
             # sampling reads the source catalog), so entries are shared
             # across shard counts instead of re-running an identical
             # O(data) scan every time the knob changes
-            data_token = content_token
-        return _PreparedQuery(
-            query=query,
-            join_query=join_query,
-            catalog=catalog,
-            stats_catalog=stats_catalog,
-            data_token=data_token,
-            effective_shards=effective_shards,
-            source_catalog=source_catalog,
-            num_shards=num_shards,
-            partition_floor=partition_floor,
-            content_token=content_token,
-        )
+            prep.data_token = content_token
+        return prep
 
-    def plan(
-        self,
-        query,
-        mode="auto",
-        optimizer="exhaustive",
-        driver="fixed",
-        stats="exact",
-        flat_output=True,
-        partitioning=None,
-        planning_budget_ms=None,
-        tree_search="joint",
-        execution=None,
-        cyclic_execution=None,
-        validate=None,
-        robustness=None,
-        placement=None,
-        num_workers=None,
-    ):
+    def plan(self, query, **overrides):
         """Build a :class:`PhysicalPlan`.
 
-        Parameters
-        ----------
-        query:
-            SQL text, a :class:`ParsedQuery`, or a rooted
-            :class:`JoinQuery`.
-        mode:
-            One of the six :class:`ExecutionMode` values, or ``"auto"``
-            to let the cost model choose the cheapest strategy.
-        optimizer:
-            ``"exhaustive"`` (Algorithm 1), ``"idp"`` (blockwise DP),
-            ``"beam"`` (beam search), ``"auto"`` (pick one of those
-            three by relation count), or a greedy heuristic name.
-        driver:
-            ``"fixed"`` keeps the given rooting; ``"auto"`` searches
-            every relation as the driver and keeps the cheapest plan.
-            The search derives statistics for *both directions* of
-            every edge once (instead of once per rooting), ranks the
-            rootings by a cheap greedy proxy plan, and prunes each
-            remaining rooting's DP against the incumbent cost
-            (branch-and-bound over the non-negative delta costs) — the
-            winning plan is the same one the exhaustive per-rooting
-            sweep would pick, found in a fraction of the time.
-        stats:
-            ``"exact"``, ``"sampling"``, or a prebuilt
-            :class:`QueryStats`.
-        partitioning:
-            ``"auto"``, ``"off"`` or a shard count; ``None`` (default)
-            uses the planner's configured default.  When the resolved
-            count exceeds 1 the plan executes against a hash-partitioned
-            derivative of the catalog; the partitioned layout is chosen
-            for the query's given rooting, so with ``driver="auto"`` a
-            rerooted winner still runs correctly (merged-view indexes)
-            but only probes matching the shard key fan out.
-        planning_budget_ms:
-            Per-call override of the planner's configured planning
-            budget (see the class docstring): order searches run under
-            a deadline and fall down the exhaustive -> IDP -> beam
-            ladder when they overrun it.  For a cyclic query the
-            deadline additionally bounds the candidate-tree sweep (the
-            greedy Kruskal tree is always fully evaluated, so a plan
-            exists at any budget).
-        tree_search:
-            Cyclic queries only.  ``"joint"`` (default) searches
-            spanning tree and join order together — candidate trees
-            stream in ascending estimated-output order, each priced by
-            the full cost model (tree join + expansion + residual
-            filters) with its order search branch-and-bound pruned
-            against the incumbent.  ``"greedy"`` evaluates only the
-            Kruskal minimum-selectivity tree (the historical
-            behaviour, exposed as the benchmark baseline).
-        execution:
-            ``"vectorized"``, ``"interpreted"`` or ``"auto"``; ``None``
-            (default) uses the planner's configured default.  Both
-            paths produce bit-identical results and counters — the
-            knob never changes the chosen plan, only the kernels it
-            runs on.
-        cyclic_execution:
-            Cyclic queries only.  ``"tree_filter"`` evaluates the
-            spanning tree and filters residuals; ``"wcoj"`` evaluates
-            the cyclic core with the worst-case-optimal operator
-            (:mod:`repro.engine.wcoj`); ``"auto"`` (the planner default
-            when ``None``) costs both —
-            :func:`~repro.core.cyclic.wcoj_cost` vs. tree join +
-            :func:`~repro.core.cyclic.residual_filter_cost` — and picks
-            the cheaper strategy per query.  The resolved strategy (and
-            the costed wcoj variable order) lands in the plan
-            fingerprint and :class:`PlanSpec`; both strategies return
-            bit-identical results.
-        validate:
-            ``"off"``, ``"basic"`` or ``"full"``; ``None`` (default)
-            uses the planner's configured default.  When on, the
-            produced plan is statically verified
-            (:mod:`repro.analysis.planlint`) before being returned:
-            error findings raise
-            :class:`~repro.analysis.PlanVerificationError`, and all
-            findings are attached as
-            :attr:`PhysicalPlan.diagnostics`.  Like ``execution``, the
-            knob never changes which plan is produced.
-        robustness:
-            ``"off"``, ``"bounded"`` or ``"auto"``; ``None`` (default)
-            uses the planner's configured default.  ``"bounded"``
-            derives guaranteed cardinality upper bounds
-            (:mod:`repro.core.bounds`) and, when the estimated-optimal
-            order's worst-case bound exceeds ``regret_factor`` times
-            the best achievable bound, swaps to the bound-optimal
-            order — capping worst-case regret at the configured factor.
-            ``"auto"`` additionally arms runtime cardinality-feedback
-            replanning (a :class:`~repro.service.session.QuerySession`
-            behavior; a bare ``plan()`` treats it like ``"bounded"``
-            plus the annotation).  The resolved value lands in the plan
-            fingerprint, :class:`PlanSpec` and the session plan-cache
-            key.
-        placement:
-            ``"local"`` or ``"distributed"``; ``None`` (default) uses
-            the planner's configured default.  ``"distributed"`` stamps
-            the plan for scatter/gather execution on a
-            :class:`~repro.distributed.WorkerPool` — the session layer
-            routes it there; a bare :meth:`PhysicalPlan.execute` still
-            runs in-process.  Bit-identical results and counters either
-            way.  Resolved into the fingerprint, :class:`PlanSpec` and
-            the session plan-cache key.
-        num_workers:
-            Worker-process count for ``placement="distributed"``
-            (``0`` = auto: core count capped at
-            :data:`~repro.distributed.placement.DEFAULT_MAX_WORKERS`);
-            ``None`` (default) uses the planner's configured default.
-            Always resolves to 0 under local placement.
+        ``query`` is SQL text, a :class:`ParsedQuery`, or a rooted
+        :class:`JoinQuery`.  ``overrides`` are per-call
+        :class:`~repro.options.PlanOptions` knobs (``mode``,
+        ``optimizer``, ``driver``, ...); anything not given keeps the
+        planner's configured value.
         """
-        if optimizer not in self.OPTIMIZERS:
-            raise ValueError(
-                f"optimizer must be one of {self.OPTIMIZERS}, got {optimizer!r}"
-            )
-        if tree_search not in ("joint", "greedy"):
-            raise ValueError(
-                f'tree_search must be "joint" or "greedy", got {tree_search!r}'
-            )
-        if cyclic_execution is None:
-            cyclic_execution = self.cyclic_execution
-        if cyclic_execution not in CYCLIC_EXECUTION_CHOICES:
-            raise ValueError(
-                f"cyclic_execution must be one of "
-                f"{CYCLIC_EXECUTION_CHOICES}, got {cyclic_execution!r}"
-            )
-        if validate is None:
-            validate = self.validate
-        if validate not in VALIDATE_CHOICES:
-            raise ValueError(
-                f"validate must be one of {VALIDATE_CHOICES}, "
-                f"got {validate!r}"
-            )
-        if robustness is None:
-            robustness = self.robustness
-        robustness = resolve_robustness(robustness)
-        if planning_budget_ms is None:
-            planning_budget_ms = self.planning_budget_ms
-        deadline = (
-            time.perf_counter() + planning_budget_ms / 1e3
-            if planning_budget_ms else None
-        )
-        execution = self.resolve_execution(execution)
-        placement = self.resolve_placement(placement)
-        num_workers = self.resolve_num_workers(num_workers, placement)
-        prep = self._prepare(query, partitioning, stats)
-        join_query = prep.join_query
-        num_relations = (
-            join_query.num_relations if join_query is not None
-            else len(prep.query.relations)
-        )
-        optimizer = self.resolve_optimizer(
-            optimizer, num_relations, planning_budget_ms
-        )
-        modes = (
-            ExecutionMode.all_modes()
-            if mode == "auto"
-            else [ExecutionMode(mode)]
-        )
-        if join_query is None:
-            return self._validated(
-                self._placed(
-                    self._plan_cyclic(
-                        prep, modes, optimizer, driver, stats, deadline,
-                        tree_search, execution, cyclic_execution, robustness,
-                    ),
-                    placement, num_workers,
-                ),
-                prep, validate,
-            )
-        if driver == "auto" and join_query.num_relations > 1:
-            return self._validated(
-                self._placed(
-                    self._plan_driver_auto(
-                        prep, modes, optimizer, stats, flat_output, deadline,
-                        execution, robustness,
-                    ),
-                    placement, num_workers,
-                ),
-                prep, validate,
-            )
-        best = None
-        rooted = join_query
-        rooted_stats = self.derive_stats(prep.stats_catalog, rooted, stats,
+        request = self.options.override(**overrides)
+        query = _parsed(query)
+        options = request.resolved(self.catalog, query)
+        prep = self._prepare(query, options)
+        if prep.join_query is None:
+            plan = self._plan_cyclic(prep, options)
+        elif options.driver == "auto" and prep.join_query.num_relations > 1:
+            plan = self._plan_driver_auto(prep, options)
+        else:
+            plan = self._plan_fixed_driver(prep, options)
+        plan.placement = options.placement
+        plan.num_workers = options.num_workers
+        return self._validated(plan, query, options.validate)
+
+    def _plan_fixed_driver(self, prep, options):
+        """Order + strategy search for the query's given rooting."""
+        rooted = prep.join_query
+        rooted_stats = self.derive_stats(prep.stats_catalog, rooted,
+                                         options.stats,
                                          data_token=prep.data_token)
         # One memo per rooting: every strategy's order search and
         # costing share the same survival/Eq. (1) subset tables.
         memo = CostMemo(rooted)
-        for candidate_mode in modes:
+        best = None
+        for candidate_mode in options.modes:
             order, child_orders = self._order_for_mode(
-                rooted, rooted_stats, candidate_mode, optimizer, memo,
-                deadline=deadline,
+                rooted, rooted_stats, candidate_mode, options, memo,
             )
             cost = self._cost(rooted, rooted_stats, order,
-                              candidate_mode, flat_output, memo)
+                              candidate_mode, options.flat_output, memo)
             if best is None or cost < best.predicted_cost:
                 best = PhysicalPlan(
                     catalog=prep.catalog,
@@ -1379,25 +902,14 @@ class Planner:
                     stats=rooted_stats,
                     predicted_cost=cost,
                     child_orders=child_orders,
-                    weights=self.weights,
+                    weights=self.options.weights,
                     num_shards=prep.effective_shards,
-                    execution=execution,
+                    execution=options.execution,
                 )
-        best = self._apply_robustness(
-            robustness, best, prep, modes, optimizer, deadline, flat_output,
-        )
-        best = self._placed(best, placement, num_workers)
-        return self._validated(best, prep, validate)
+        return self._apply_robustness(best, prep, options,
+                                      options.flat_output)
 
-    @staticmethod
-    def _placed(plan, placement, num_workers):
-        """Stamp the resolved placement knobs on a produced plan."""
-        if plan is not None:
-            plan.placement = placement
-            plan.num_workers = num_workers
-        return plan
-
-    def _validated(self, plan, prep, validate):
+    def _validated(self, plan, query, validate):
         """Apply the resolved ``validate`` level to a produced plan.
 
         Error findings raise
@@ -1407,13 +919,12 @@ class Planner:
         per plan fingerprint, so re-planning an already-verified plan
         (or rehydrating its spec) costs a dictionary lookup.
         """
-        if validate == "off" or plan is None:
-            return plan
-        source = prep.query if isinstance(prep.query, ParsedQuery) else None
-        result = self._verifier.verify_plan(
-            plan, source=source, level=validate
-        )
-        plan.diagnostics = tuple(result.diagnostics)
+        if validate != "off":
+            source = query if isinstance(query, ParsedQuery) else None
+            result = self._verifier.verify_plan(
+                plan, source=source, level=validate
+            )
+            plan.diagnostics = tuple(result.diagnostics)
         return plan
 
     # ------------------------------------------------------------------
@@ -1440,8 +951,8 @@ class Planner:
             max_freqs, sizes = derive()
         return bound_stats_for_rooting(rooted, max_freqs, sizes)
 
-    def _apply_robustness(self, robustness, plan, prep, modes, optimizer,
-                          deadline, flat_output, extra_cost=0.0):
+    def _apply_robustness(self, plan, prep, options, flat_output,
+                          extra_cost=0.0):
         """Tag, annotate and (possibly) re-order a winning plan.
 
         ``"off"`` tags the plan and returns it untouched.  Otherwise:
@@ -1469,30 +980,30 @@ class Planner:
         """
         if plan is None:
             return None
-        plan.robustness = robustness
-        if robustness == "off":
+        plan.robustness = options.robustness
+        if options.robustness == "off":
             return plan
         rooted = plan.query
         bound_stats = self._bound_stats(rooted, prep.stats_catalog,
                                         data_token=prep.data_token)
         memo_bound = CostMemo(rooted)
         current_bound = worst_case_cost(
-            rooted, bound_stats, plan.order, eps=self.eps,
-            weights=self.weights, memo=memo_bound,
+            rooted, bound_stats, plan.order, eps=self.options.eps,
+            weights=self.options.weights, memo=memo_bound,
         )
         robust_order, _ = self._order_for_mode(
-            rooted, bound_stats, ExecutionMode.STD, optimizer, memo_bound,
-            deadline=deadline,
+            rooted, bound_stats, ExecutionMode.STD, options, memo_bound,
         )
         optimal_bound = current_bound
         if robust_order is not None:
             optimal_bound = min(current_bound, worst_case_cost(
-                rooted, bound_stats, robust_order, eps=self.eps,
-                weights=self.weights, memo=memo_bound,
+                rooted, bound_stats, robust_order, eps=self.options.eps,
+                weights=self.options.weights, memo=memo_bound,
             ))
-        swap_modes = [m for m in modes if not m.uses_semijoin]
+        swap_modes = [m for m in options.modes if not m.uses_semijoin]
         if (robust_order is not None and swap_modes
-                and current_bound > self.regret_factor * optimal_bound):
+                and current_bound
+                > self.options.regret_factor * optimal_bound):
             best_mode = best_cost = None
             memo = CostMemo(rooted)
             for candidate_mode in swap_modes:
@@ -1511,8 +1022,7 @@ class Planner:
         plan.worst_case_bound = current_bound
         return plan
 
-    def replan(self, plan, corrected, mode="auto", optimizer="auto",
-               flat_output=True):
+    def replan(self, plan, corrected, options=None):
         """Re-optimize an acyclic plan against corrected statistics.
 
         The cold half of runtime cardinality feedback
@@ -1522,8 +1032,12 @@ class Planner:
         search with ``corrected`` — typically
         :func:`~repro.engine.feedback.corrected_stats` output built
         from a :class:`~repro.engine.feedback.ReplanSignal`'s
-        observations.  Pass the original ``mode`` knob so a forced mode
-        stays forced; ``"auto"`` re-picks the cheapest strategy.
+        observations.  ``options`` is the original request's
+        :meth:`~repro.options.PlanOptions.resolved` record, so the
+        replan honours what the cold plan did: a forced ``mode`` stays
+        forced, and the optimizer rung and anytime deadline come from
+        the request's ``planning_budget_ms`` (``None``: the planner's
+        configured options).
 
         Robustness bound annotations are recomputed when the original
         plan carried them, so a replanned plan passes the same BOUND
@@ -1537,21 +1051,16 @@ class Planner:
                 "not measure single edges)"
             )
         rooted = plan.query
-        modes = (
-            ExecutionMode.all_modes() if mode == "auto"
-            else [ExecutionMode(mode)]
-        )
-        optimizer = self.resolve_optimizer(
-            optimizer, rooted.num_relations, self.planning_budget_ms
-        )
+        if options is None:
+            options = self.options.resolved(self.catalog, rooted)
         memo = CostMemo(rooted)
         best = None
-        for candidate_mode in modes:
+        for candidate_mode in options.modes:
             order, child_orders = self._order_for_mode(
-                rooted, corrected, candidate_mode, optimizer, memo,
+                rooted, corrected, candidate_mode, options, memo,
             )
             cost = self._cost(rooted, corrected, order, candidate_mode,
-                              flat_output, memo)
+                              options.flat_output, memo)
             if best is None or cost < best[0]:
                 best = (cost, order, candidate_mode, child_orders)
         cost, order, new_mode, child_orders = best
@@ -1567,8 +1076,8 @@ class Planner:
                 bound_stats, replanned.order
             )
             replanned.worst_case_bound = worst_case_cost(
-                rooted, bound_stats, replanned.order, eps=self.eps,
-                weights=self.weights,
+                rooted, bound_stats, replanned.order, eps=self.options.eps,
+                weights=self.options.weights,
             )
         return replanned
 
@@ -1639,9 +1148,8 @@ class Planner:
         sizes = {rel: len(catalog.table(rel)) for rel in query.relations}
         return directed, sizes
 
-    def _plan_driver_auto(self, prep, modes, optimizer, stats, flat_output,
-                          deadline, execution, robustness="off"):
-        """The cross-rooting driver search (see :meth:`plan`).
+    def _plan_driver_auto(self, prep, options):
+        """The cross-rooting driver search (``driver="auto"``).
 
         Three coordinated optimizations over the naive
         once-per-rooting sweep:
@@ -1661,6 +1169,8 @@ class Planner:
            terms on top of the DP objective, so the bound is sound).
         """
         join_query = prep.join_query
+        stats, modes = options.stats, options.modes
+        flat_output = options.flat_output
         if isinstance(stats, QueryStats):
             # Edge statistics are directional: a prebuilt QueryStats
             # only describes the rooting it was derived for, so probing
@@ -1694,8 +1204,9 @@ class Planner:
             memo = CostMemo(rooted)
             if proxy_mode is not None:
                 greedy = beam_order(
-                    rooted, rooted_stats, mode=proxy_mode, eps=self.eps,
-                    weights=self.weights, beam_width=1, memoize=memo,
+                    rooted, rooted_stats, mode=proxy_mode,
+                    eps=self.options.eps, weights=self.options.weights,
+                    beam_width=1, memoize=memo,
                 )
                 proxy_cost = self._cost(rooted, rooted_stats, greedy.order,
                                         proxy_mode, flat_output, memo)
@@ -1722,14 +1233,14 @@ class Planner:
                     if flat_output or not candidate_mode.factorized:
                         slack = (
                             expected_output_size(rooted, rooted_stats)
-                            * self.weights.tuple_generation
+                            * self.options.weights.tuple_generation
                         )
                     upper_bound = best.predicted_cost - slack
                     if upper_bound <= 0.0:
                         continue  # the floor alone reaches the incumbent
                 order, child_orders = self._order_for_mode(
-                    rooted, rooted_stats, candidate_mode, optimizer, memo,
-                    upper_bound=upper_bound, deadline=deadline,
+                    rooted, rooted_stats, candidate_mode, options, memo,
+                    upper_bound=upper_bound,
                 )
                 if order is None:
                     continue  # pruned: cannot beat the incumbent
@@ -1744,13 +1255,11 @@ class Planner:
                         stats=rooted_stats,
                         predicted_cost=cost,
                         child_orders=child_orders,
-                        weights=self.weights,
+                        weights=self.options.weights,
                         num_shards=prep.effective_shards,
-                        execution=execution,
+                        execution=options.execution,
                     )
-        return self._apply_robustness(
-            robustness, best, prep, modes, optimizer, deadline, flat_output,
-        )
+        return self._apply_robustness(best, prep, options, flat_output)
 
     # ------------------------------------------------------------------
     # Cyclic queries: joint spanning-tree + join-order search
@@ -1848,9 +1357,7 @@ class Planner:
             )
         return derive()
 
-    def _plan_cyclic(self, prep, modes, optimizer, driver, stats, deadline,
-                     tree_search, execution, cyclic_execution,
-                     robustness="off"):
+    def _plan_cyclic(self, prep, options):
         """Joint spanning-tree + join-order search for a cyclic query.
 
         The cyclic analogue of :meth:`_plan_driver_auto`, one level up:
@@ -1889,6 +1396,7 @@ class Planner:
         set attribute-at-a-time instead.
         """
         parsed = prep.query
+        stats, modes, deadline = options.stats, options.modes, options.deadline
         if isinstance(stats, QueryStats):
             raise ValueError(
                 "cyclic planning derives per-tree statistics; pass "
@@ -1902,10 +1410,9 @@ class Planner:
             for predicate in predicates
         ]
         tree_weights = [log_pair_weight(s) for s in pair_sels]
-        max_trees = 1 if tree_search == "greedy" else self.max_spanning_trees
         relations = list(parsed.relations)
         roots = (
-            relations if driver == "auto" and len(relations) > 1
+            relations if options.driver == "auto" and len(relations) > 1
             else [relations[0]]
         )
         proxy_mode = next(
@@ -1913,7 +1420,8 @@ class Planner:
         )
         best = None
         candidate_trees = enumerate_spanning_trees(
-            relations, predicates, tree_weights, max_trees=max_trees
+            relations, predicates, tree_weights,
+            max_trees=options.max_spanning_trees,
         )
         for tree_index, tree in enumerate(candidate_trees):
             if tree_index and deadline is not None \
@@ -1952,8 +1460,9 @@ class Planner:
                 memo = CostMemo(rooted)
                 if len(roots) > 1 and proxy_mode is not None:
                     greedy = beam_order(
-                        rooted, rooted_stats, mode=proxy_mode, eps=self.eps,
-                        weights=self.weights, beam_width=1, memoize=memo,
+                        rooted, rooted_stats, mode=proxy_mode,
+                        eps=self.options.eps, weights=self.options.weights,
+                        beam_width=1, memoize=memo,
                     )
                     proxy_cost = self._cost(rooted, rooted_stats,
                                             greedy.order, proxy_mode, True,
@@ -1974,10 +1483,10 @@ class Planner:
                 candidates[0][2], candidates[0][3]
             )
             residual_cost = residual_filter_cost(
-                expected_out, residual_sels, self.weights
+                expected_out, residual_sels, self.options.weights
             )
             slack = residual_cost \
-                + expected_out * self.weights.tuple_generation
+                + expected_out * self.options.weights.tuple_generation
             if best is not None and slack >= best.predicted_cost:
                 continue  # the floor alone reaches the incumbent
 
@@ -1989,8 +1498,8 @@ class Planner:
                         if upper_bound <= 0.0:
                             continue
                     order, child_orders = self._order_for_mode(
-                        rooted, rooted_stats, candidate_mode, optimizer,
-                        memo, upper_bound=upper_bound, deadline=deadline,
+                        rooted, rooted_stats, candidate_mode, options,
+                        memo, upper_bound=upper_bound,
                     )
                     if order is None:
                         continue  # pruned: cannot beat the incumbent
@@ -2007,11 +1516,11 @@ class Planner:
                             stats=rooted_stats,
                             predicted_cost=total,
                             child_orders=child_orders,
-                            weights=self.weights,
+                            weights=self.options.weights,
                             num_shards=1,
                             residuals=residuals,
                             residual_selectivities=residual_sels,
-                            execution=execution,
+                            execution=options.execution,
                         )
         if best is not None:
             # Gate the winning *tree* order before strategy arbitration
@@ -2020,39 +1529,36 @@ class Planner:
             # order-invariant for the winning tree, so it rides along
             # as extra cost when the gate re-prices a swapped order.
             best = self._apply_robustness(
-                robustness, best, prep, modes, optimizer, deadline, True,
+                best, prep, options, True,
                 extra_cost=residual_filter_cost(
                     expected_output_size(best.query, best.stats),
-                    best.residual_selectivities, self.weights,
+                    best.residual_selectivities, self.options.weights,
                 ),
             )
-        if cyclic_execution != "tree_filter" and best.residuals:
+        if options.cyclic_execution != "tree_filter" and best.residuals:
             distincts = self._cyclic_distincts(prep)
             classes = variable_classes(predicates)
             variable_order = plan_variable_order(classes, distincts)
             strategy_cost = wcoj_cost(
-                variable_order, distincts, sizes, self.weights
+                variable_order, distincts, sizes, self.options.weights
             )
-            if cyclic_execution == "wcoj" \
+            if options.cyclic_execution == "wcoj" \
                     or strategy_cost < best.predicted_cost:
                 best.cyclic_strategy = "wcoj"
                 best.wcoj_variable_order = variable_order
                 best.predicted_cost = strategy_cost
         # Partitioning follows the winning tree's probe attributes, so
         # it is applied only now (content-addressed, like every plan).
-        catalog, effective_shards = self._apply_partitioning(
-            prep.query, prep.source_catalog, best.query, prep.num_shards,
-            prep.partition_floor, prep.content_token,
+        best.catalog, best.num_shards = self._apply_partitioning(
+            prep, best.query, options
         )
-        best.catalog = catalog
-        best.num_shards = effective_shards
         return best
 
     # ------------------------------------------------------------------
     # Plan-spec rehydration (process-pool planning)
     # ------------------------------------------------------------------
 
-    def rehydrate(self, spec, query, partitioning=None, validate=None):
+    def rehydrate(self, spec, query, **overrides):
         """A :class:`PhysicalPlan` from a :class:`PlanSpec` planned
         elsewhere (typically a planning-worker process).
 
@@ -2062,33 +1568,27 @@ class Planner:
         The execution catalog is derived locally through the same
         content-addressed caches :meth:`plan` uses, so rehydration costs
         a push-down plus cache lookups — never an order search.
+        ``overrides`` are the request's per-call knobs (only
+        ``partitioning`` and ``validate`` matter here).
 
-        With ``validate`` on (``None`` uses the planner's default), the
-        arriving spec is statically verified before rehydration and the
-        rehydrated plan after it; a worker-planned spec that survived
-        the trip fingerprints identically to a locally planned twin, so
-        the plan-level verdict is usually already cached.
+        With ``validate`` on, the arriving spec is statically verified
+        before rehydration and the rehydrated plan after it; a
+        worker-planned spec that survived the trip fingerprints
+        identically to a locally planned twin, so the plan-level
+        verdict is usually already cached.
         """
-        if validate is None:
-            validate = self.validate
-        if validate not in VALIDATE_CHOICES:
-            raise ValueError(
-                f"validate must be one of {VALIDATE_CHOICES}, "
-                f"got {validate!r}"
-            )
+        request = self.options.override(**overrides)
         if spec.catalog_fingerprint != self.catalog.fingerprint():
             raise ValueError(
                 "stale PlanSpec: the catalog content changed since it "
                 "was planned (fingerprint mismatch)"
             )
-        if isinstance(query, str):
-            query = parse_query(query)
-        if validate != "off":
+        query = _parsed(query)
+        if request.validate != "off":
             self._verifier.verify_spec(spec, query=query,
                                        catalog=self.catalog)
-        residuals = tuple(getattr(spec, "residuals", ()))
         tree = None
-        if residuals:
+        if spec.residuals:
             if not isinstance(query, ParsedQuery):
                 raise ValueError(
                     "a cyclic PlanSpec (with residuals) can only be "
@@ -2097,8 +1597,11 @@ class Planner:
             # The spec's residuals identify the resolved spanning tree:
             # the query's predicate multiset minus them, rooted at the
             # spec's driver.
-            tree = tree_query_from_residuals(query, residuals, spec.root)
-        prep = self._prepare(query, partitioning, tree=tree)
+            tree = tree_query_from_residuals(query, spec.residuals,
+                                             spec.root)
+        prep = self._prepare(
+            query, request.resolved(self.catalog, query), tree=tree
+        )
         rooted = tree if tree is not None \
             else prep.join_query.rerooted(spec.root)
         if prep.effective_shards != spec.num_shards:
@@ -2106,39 +1609,14 @@ class Planner:
                 f"PlanSpec was planned for {spec.num_shards} shard(s) "
                 f"but this planner derives {prep.effective_shards}"
             )
-        plan = PhysicalPlan(
-            catalog=prep.catalog,
-            query=rooted,
+        shared = _shared_fields(spec)
+        shared.update(
             order=list(spec.order),
             mode=ExecutionMode(spec.mode),
-            stats=spec.stats,
-            predicted_cost=spec.predicted_cost,
             child_orders={
                 relation: list(children)
                 for relation, children in spec.child_orders
             },
-            weights=spec.weights,
-            num_shards=spec.num_shards,
-            residuals=residuals,
-            residual_selectivities=tuple(
-                getattr(spec, "residual_selectivities", ())
-            ),
-            execution=getattr(spec, "execution", "vectorized"),
-            cyclic_strategy=getattr(spec, "cyclic_strategy", "tree_filter"),
-            wcoj_variable_order=tuple(
-                tuple(member)
-                for member in getattr(spec, "wcoj_variable_order", ())
-            ),
-            robustness=getattr(spec, "robustness", "off"),
-            prefix_bounds=tuple(getattr(spec, "prefix_bounds", ())),
-            worst_case_bound=getattr(spec, "worst_case_bound", 0.0),
-            placement=getattr(spec, "placement", "local"),
-            num_workers=getattr(spec, "num_workers", 0),
         )
-        if validate != "off":
-            source = query if isinstance(query, ParsedQuery) else None
-            result = self._verifier.verify_plan(
-                plan, source=source, level=validate
-            )
-            plan.diagnostics = tuple(result.diagnostics)
-        return plan
+        plan = PhysicalPlan(catalog=prep.catalog, query=rooted, **shared)
+        return self._validated(plan, query, request.validate)

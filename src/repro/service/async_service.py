@@ -317,38 +317,14 @@ class AsyncQueryService:
             if self._planning_pool is None:
                 from concurrent.futures import ProcessPoolExecutor
 
-                planner = self.session.planner
+                # workers plan under the session's full knob record, or
+                # their specs would land under the wrong cache key
                 self._planning_pool = ProcessPoolExecutor(
                     max_workers=self.planning_workers,
                     initializer=_init_planning_worker,
                     initargs=(
                         self.session.catalog,
-                        {
-                            "weights": planner.weights,
-                            "eps": planner.eps,
-                            "idp_block_size": planner.idp_block_size,
-                            "beam_width": planner.beam_width,
-                            "planning_budget_ms":
-                                planner.planning_budget_ms,
-                            "partitioning": planner.partitioning,
-                            "max_spanning_trees":
-                                planner.max_spanning_trees,
-                            "execution": planner.execution,
-                            "cyclic_execution": planner.cyclic_execution,
-                            # workers verify what they plan; the spec
-                            # additionally re-verifies on rehydration
-                            "validate": planner.validate,
-                            # workers must plan under the session's
-                            # robustness posture or their specs would
-                            # land under the wrong cache key
-                            "robustness": planner.robustness,
-                            "regret_factor": planner.regret_factor,
-                            # workers must stamp the session's placement
-                            # knobs on their specs or the spec would
-                            # fingerprint (and cache) as a local plan
-                            "placement": planner.placement,
-                            "num_workers": planner.num_workers,
-                        },
+                        self.session.planner.options.planner_config(),
                     ),
                 )
                 self._planning_pool_fingerprint = fingerprint
@@ -498,14 +474,12 @@ class AsyncQueryService:
                 report = await loop.run_in_executor(self._executor, run)
             if key is not None:
                 self._signals.observe(key, report)
-            replans = getattr(report, "replans", 0)
-            if replans:
-                self._bump("replans", replans)
-            if getattr(report, "workers_used", 0):
+            if report.replans:
+                self._bump("replans", report.replans)
+            if report.workers_used:
                 self._bump("distributed_executions")
-            retries = getattr(report, "worker_retries", 0)
-            if retries:
-                self._bump("worker_retries", retries)
+            if report.worker_retries:
+                self._bump("worker_retries", report.worker_retries)
             self._bump("completed")
             return report
 

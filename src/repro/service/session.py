@@ -150,7 +150,7 @@ def _reported_run(query, plan_phase, session=None):
     report = QueryReport(
         query=query, plan=plan, cache_hit=cache_hit,
         planning_seconds=t1 - t0,
-        diagnostics=tuple(getattr(plan, "diagnostics", ()) or ()),
+        diagnostics=tuple(plan.diagnostics),
     )
     try:
         report.result = run()
@@ -176,7 +176,7 @@ def _reported_run(query, plan_phase, session=None):
         report.worker_events = tuple(
             getattr(report.result, "worker_events", ())
         )
-        report.residual_predicates = tuple(getattr(plan, "residuals", ()))
+        report.residual_predicates = tuple(plan.residuals)
         report.replans = getattr(report.result, "replans", 0)
         report.observed_q_error = getattr(
             report.result, "observed_q_error", 0.0
@@ -203,111 +203,34 @@ class QuerySession:
     ----------
     catalog:
         The :class:`~repro.storage.Catalog` to serve queries against.
-    weights, eps:
-        Forwarded to the underlying :class:`~repro.planner.Planner`.
     plan_cache_size:
         LRU capacity of the plan cache (``None`` for unbounded).
     stats_cache_size:
         LRU capacity of the statistics cache.
-    idp_block_size, beam_width:
-        Scaling-optimizer knobs, forwarded to the
-        :class:`~repro.planner.Planner` (and part of the plan-cache
-        key).  ``"auto"`` derives them from the measured scaling
-        profile; the resolved integers are what the cache keys carry.
-    planning_budget_ms:
-        Optional per-query planning budget, forwarded to the
-        :class:`~repro.planner.Planner` (the anytime
-        exhaustive -> IDP -> beam ladder) and part of the plan-cache
-        key — a plan produced under a tight budget must not be served
-        to an unbudgeted request.
-    partitioning:
-        Default storage layout (``"auto"`` / ``"off"`` / shard count),
-        forwarded to the :class:`~repro.planner.Planner`; the
-        *resolved* shard count is part of the plan-cache key, so
-        retuning the layout misses instead of serving a plan pinned to
-        a differently-sharded catalog.
-    max_spanning_trees:
-        Candidate-tree cap for cyclic queries' joint spanning-tree +
-        join-order search, forwarded to the
-        :class:`~repro.planner.Planner` and part of the plan-cache key
-        (a plan found under a wider tree search must not be mistaken
-        for a narrower one's).
-    execution:
-        Default kernel path (``"vectorized"`` / ``"interpreted"`` /
-        ``"auto"``), forwarded to the :class:`~repro.planner.Planner`;
-        the *resolved* path is part of the plan-cache key, so switching
-        kernels misses instead of serving a plan pinned to the other
-        path.
-    cyclic_execution:
-        Default cyclic strategy knob (``"auto"`` / ``"tree_filter"`` /
-        ``"wcoj"``), forwarded to the :class:`~repro.planner.Planner`.
-        Keyed *raw* in the plan cache: ``"auto"`` resolves per query by
-        the cost model (data-dependent), so it cannot share entries
-        with a forced strategy the way resolution-stable knobs do.
-    validate:
-        Static-verification level for cold plans (``"off"`` /
-        ``"basic"`` / ``"full"``), forwarded to the
-        :class:`~repro.planner.Planner`.  Deliberately *not* part of
-        the plan-cache key: verification never changes which plan is
-        produced, and verdicts are cached per plan fingerprint so the
-        warm path pays nothing.  Findings surface on
-        :attr:`QueryReport.diagnostics`.
-    robustness:
-        Pessimistic-planning posture (``"off"`` / ``"bounded"`` /
-        ``"auto"``), forwarded to the :class:`~repro.planner.Planner`
-        and keyed *raw* in the plan cache (like ``cyclic_execution``:
-        the postures produce differently-annotated — and possibly
-        different — plans, so they must never share an entry).
-        ``"auto"`` additionally arms runtime cardinality feedback:
-        executions run monitored and replan mid-flight when the
-        observed-vs-estimated q-error crosses ``replan_threshold``.
-    regret_factor:
-        Worst-case regret cap for ``robustness != "off"`` (forwarded to
-        the :class:`~repro.planner.Planner`, part of the plan-cache
-        key): the served plan's guaranteed cardinality bound never
-        exceeds this multiple of the best achievable bound.
     replan_threshold:
-        Running q-error (>= 1.0) at which a monitored execution aborts
-        and replans with corrected statistics.  Runtime behaviour only
-        — never part of the plan-cache key.
+        Running q-error (>= 1.0) at which a monitored execution
+        (``robustness="auto"``) aborts and replans with corrected
+        statistics.  Runtime behaviour only — never part of the
+        plan-cache key.
     max_replans:
         Replan budget per execution; after this many trips the original
         signal's plan finishes unmonitored (no livelock).  Runtime
         behaviour only — never part of the plan-cache key.
-    placement:
-        Default execution placement (``"local"`` / ``"distributed"``),
-        forwarded to the :class:`~repro.planner.Planner` and part of
-        the plan-cache key.  ``"distributed"`` executions scatter the
-        driver rows across a lazily-started
+    **knobs:
+        The fields of :class:`~repro.options.PlanOptions`, forwarded to
+        the underlying :class:`~repro.planner.Planner` — the knob
+        documentation lives there, including how each knob enters the
+        plan-cache key.  ``placement="distributed"`` executions scatter
+        the driver rows across a lazily-started
         :class:`~repro.distributed.WorkerPool` (one per catalog
-        fingerprint and worker count; see :meth:`close`) and gather
-        bit-identical rows and counters back.
-    num_workers:
-        Worker-process count for distributed placement (``0`` = auto),
-        forwarded to the :class:`~repro.planner.Planner`; the
-        *resolved* count is part of the plan-cache key.
+        fingerprint and worker count; see :meth:`close`).
     """
 
-    def __init__(self, catalog, weights=None, eps=0.01, plan_cache_size=128,
-                 stats_cache_size=256, idp_block_size=8, beam_width=8,
-                 planning_budget_ms=None, partitioning="off",
-                 max_spanning_trees=16, execution="auto",
-                 cyclic_execution="auto", validate="off",
-                 robustness="off", regret_factor=4.0,
-                 replan_threshold=8.0, max_replans=2,
-                 placement="local", num_workers=0):
+    def __init__(self, catalog, plan_cache_size=128, stats_cache_size=256,
+                 replan_threshold=8.0, max_replans=2, **knobs):
         self.catalog = catalog
         self.planner = Planner(
-            catalog, weights=weights, eps=eps,
-            stats_cache=StatsCache(stats_cache_size),
-            idp_block_size=idp_block_size, beam_width=beam_width,
-            planning_budget_ms=planning_budget_ms,
-            partitioning=partitioning,
-            max_spanning_trees=max_spanning_trees,
-            execution=execution, cyclic_execution=cyclic_execution,
-            validate=validate, robustness=robustness,
-            regret_factor=regret_factor,
-            placement=placement, num_workers=num_workers,
+            catalog, stats_cache=StatsCache(stats_cache_size), **knobs
         )
         if isinstance(replan_threshold, bool) or not isinstance(
             replan_threshold, (int, float)
@@ -337,86 +260,24 @@ class QuerySession:
     # Cached planning
     # ------------------------------------------------------------------
 
-    def _plan_options(self, mode, resolved_optimizer, driver, stats,
-                      flat_output, resolved_shards, partition_floor,
-                      budget_ms, tree_search, resolved_execution,
-                      cyclic_execution, robustness, resolved_placement,
-                      resolved_workers):
-        # Keyed on the *resolved* algorithm and shard count (never the
-        # raw "auto"), so an auto-planned query and an explicit request
-        # for the same resolution share one cache entry.  The scaling
-        # knobs are part of the key: retuning block size / beam width
-        # changes the plan the algorithm produces, so it must miss, not
-        # serve stale; likewise the shard count pins the plan to the
-        # partitioned catalog it was built against, and the planning
-        # budget pins it to the anytime ladder that produced it.
-        return (
-            str(mode),
-            resolved_optimizer,
-            driver,
-            str(stats),
-            bool(flat_output),
-            self.planner.eps,
-            self.planner.weights,  # frozen dataclass: hashable as-is
-            self.planner.idp_block_size,
-            self.planner.beam_width,
-            resolved_shards,
-            # "auto" applies a post-selection size floor explicit
-            # counts don't, so equal resolutions may shard differently
-            partition_floor,
-            budget_ms,
-            # cyclic queries: the tree-search strategy and candidate cap
-            # determine which spanning tree the plan resolved to
-            tree_search,
-            self.planner.max_spanning_trees,
-            # resolved kernel path (never the raw "auto"): a plan pinned
-            # to one path must not serve a request for the other
-            resolved_execution,
-            # cyclic strategy knob, keyed RAW: "auto" resolves per query
-            # by data-dependent cost, so "auto" and a forced strategy
-            # must never share an entry even when they resolve alike
-            cyclic_execution,
-            # robustness posture, keyed RAW: "off" plans carry no bound
-            # annotations, "bounded"/"auto" may carry a *different order*
-            # (the regret gate is data-dependent), so postures must
-            # never share an entry; the regret_factor rides along
-            # because it decides whether the gate swaps the order
-            robustness,
-            self.planner.regret_factor,
-            # placement + resolved worker count: plans are stamped with
-            # both (they reach workers through PlanSpec), so a "local"
-            # plan must never serve a "distributed" request or
-            # vice versa, and retuning num_workers re-stamps
-            resolved_placement,
-            resolved_workers,
-        )
-
-    @staticmethod
-    def _num_relations(query):
-        """Relation count of any accepted query form (for ``"auto"``)."""
-        if isinstance(query, ParsedQuery):
-            return len(query.relations)
-        return query.num_relations
-
-    def cache_key(self, query, mode="auto", optimizer="exhaustive",
-                  driver="fixed", stats="exact", flat_output=True,
-                  partitioning=None, planning_budget_ms=None,
-                  tree_search="joint", execution=None,
-                  cyclic_execution=None, validate=None, robustness=None,
-                  placement=None, num_workers=None):
+    def cache_key(self, query, **overrides):
         """The plan-cache key :meth:`plan` would use for this request.
 
-        ``validate`` is accepted (so callers can forward uniform plan
-        kwargs) but never keyed: verification cannot change which plan
-        is produced.
+        Exposed for front ends that manage cache population themselves
+        — the async service peeks with it to route cache hits straight
+        to execution and inserts worker-planned specs under it.
+        ``query`` must already be parsed (a :class:`ParsedQuery` or
+        :class:`~repro.core.query.JoinQuery`); ``overrides`` are
+        per-call :class:`~repro.options.PlanOptions` knobs.
+        """
+        return self._key(query, self.planner.options.override(**overrides))
 
-        Also maintains the fingerprint guard (a catalog content change
-        clears entries pinned to superseded data).  Exposed for front
-        ends that manage cache population themselves — the async
-        service peeks with it to route cache hits straight to
-        execution and inserts worker-planned specs under it.  ``query``
-        must already be parsed (a :class:`ParsedQuery` or
-        :class:`~repro.core.query.JoinQuery`).
+    def _key(self, query, request):
+        """(normalized query, catalog fingerprint, the non-exempt fields
+        of the resolved request) — see :meth:`PlanOptions.cache_token`.
+
+        Also maintains the fingerprint guard: a catalog content change
+        clears entries pinned to superseded data.
         """
         fingerprint = self.catalog.fingerprint()
         if self._last_fingerprint != fingerprint:
@@ -426,76 +287,27 @@ class QuerySession:
             if self._last_fingerprint is not None:
                 self.plan_cache.clear()
             self._last_fingerprint = fingerprint
-        if planning_budget_ms is None:
-            planning_budget_ms = self.planner.planning_budget_ms
-        resolved = Planner.resolve_optimizer(
-            optimizer, self._num_relations(query), planning_budget_ms
-        )
-        resolved_shards = self.planner.resolve_partitioning(
-            partitioning, query
-        )
-        partition_floor = self.planner.resolve_partition_floor(
-            partitioning
-        )
-        resolved_execution = self.planner.resolve_execution(execution)
-        if cyclic_execution is None:
-            cyclic_execution = self.planner.cyclic_execution
-        if robustness is None:
-            robustness = self.planner.robustness
-        resolved_placement = self.planner.resolve_placement(placement)
-        resolved_workers = self.planner.resolve_num_workers(
-            num_workers, resolved_placement
-        )
         return self.plan_cache.key(
-            query,
-            fingerprint,
-            self._plan_options(mode, resolved, driver, stats,
-                               flat_output, resolved_shards,
-                               partition_floor, planning_budget_ms,
-                               tree_search, resolved_execution,
-                               cyclic_execution, robustness,
-                               resolved_placement, resolved_workers),
+            query, fingerprint,
+            request.resolved(self.catalog, query).cache_token(),
         )
 
-    def plan(self, query, mode="auto", optimizer="exhaustive", driver="fixed",
-             stats="exact", flat_output=True, use_cache=True,
-             partitioning=None, planning_budget_ms=None,
-             tree_search="joint", execution=None, cyclic_execution=None,
-             validate=None, robustness=None, placement=None,
-             num_workers=None):
+    def plan(self, query, use_cache=True, **overrides):
         """A :class:`~repro.planner.PhysicalPlan`, via the plan cache.
 
-        Accepts the same arguments as :meth:`Planner.plan` (including
-        ``optimizer="auto"``, which picks exhaustive / IDP / beam by
-        relation count, and ``partitioning``, which defaults to the
-        session's configured layout).  Plans are cached per (normalized
-        query structure, catalog fingerprint, planning options
-        **including the resolved algorithm, the scaling knobs, the
-        resolved shard count and the planning budget**) — so ``"auto"``
-        shares entries with an explicit request for the resolution it
-        maps to, while retuning ``idp_block_size`` / ``beam_width`` /
+        Accepts the same per-call knobs as :meth:`Planner.plan`.  Plans
+        are cached per (normalized query structure, catalog
+        fingerprint, :meth:`~repro.options.PlanOptions.cache_token` of
+        the resolved request) — so ``optimizer="auto"`` shares entries
+        with an explicit request for the algorithm it resolves to,
+        while retuning ``idp_block_size`` / ``beam_width`` /
         ``partitioning`` misses instead of serving a stale plan;
         prebuilt :class:`QueryStats` bypass the cache (they are caller
         state the key cannot see).
         """
-        return self._plan_with_hit(
-            query, mode=mode, optimizer=optimizer, driver=driver,
-            stats=stats, flat_output=flat_output, use_cache=use_cache,
-            partitioning=partitioning,
-            planning_budget_ms=planning_budget_ms,
-            tree_search=tree_search, execution=execution,
-            cyclic_execution=cyclic_execution, validate=validate,
-            robustness=robustness, placement=placement,
-            num_workers=num_workers,
-        )[0]
+        return self._plan_with_hit(query, use_cache, **overrides)[0]
 
-    def _plan_with_hit(self, query, mode="auto", optimizer="exhaustive",
-                       driver="fixed", stats="exact", flat_output=True,
-                       use_cache=True, partitioning=None,
-                       planning_budget_ms=None, tree_search="joint",
-                       execution=None, cyclic_execution=None,
-                       validate=None, robustness=None, placement=None,
-                       num_workers=None):
+    def _plan_with_hit(self, query, use_cache=True, **overrides):
         """``(plan, cache_hit)`` — :meth:`plan` plus a race-free hit flag.
 
         The flag comes from *this call's own* cache lookup, never from
@@ -506,39 +318,16 @@ class QuerySession:
         if isinstance(query, str):
             # parse once: the cache key and the planner share the result
             query = parse_query(query)
-        if use_cache and not isinstance(stats, QueryStats):
-            key = self.cache_key(
-                query, mode=mode, optimizer=optimizer, driver=driver,
-                stats=stats, flat_output=flat_output,
-                partitioning=partitioning,
-                planning_budget_ms=planning_budget_ms,
-                tree_search=tree_search, execution=execution,
-                cyclic_execution=cyclic_execution, robustness=robustness,
-                placement=placement, num_workers=num_workers,
-            )
-            plan = self.plan_cache.get(key)
-            if plan is not None:
-                return plan, True
-            plan = self.planner.plan(
-                query, mode=mode, optimizer=optimizer, driver=driver,
-                stats=stats, flat_output=flat_output,
-                partitioning=partitioning,
-                planning_budget_ms=planning_budget_ms,
-                tree_search=tree_search, execution=execution,
-                cyclic_execution=cyclic_execution, validate=validate,
-                robustness=robustness, placement=placement,
-                num_workers=num_workers,
-            )
-            self.plan_cache.put(key, plan)
-            return plan, False
-        return self.planner.plan(
-            query, mode=mode, optimizer=optimizer, driver=driver,
-            stats=stats, flat_output=flat_output, partitioning=partitioning,
-            planning_budget_ms=planning_budget_ms, tree_search=tree_search,
-            execution=execution, cyclic_execution=cyclic_execution,
-            validate=validate, robustness=robustness, placement=placement,
-            num_workers=num_workers,
-        ), False
+        request = self.planner.options.override(**overrides)
+        if not use_cache or isinstance(request.stats, QueryStats):
+            return self.planner.plan(query, **overrides), False
+        key = self._key(query, request)
+        plan = self.plan_cache.get(key)
+        if plan is not None:
+            return plan, True
+        plan = self.planner.plan(query, **overrides)
+        self.plan_cache.put(key, plan)
+        return plan, False
 
     def explain(self, query, **plan_kwargs):
         """The ``explain()`` text of the (possibly cached) plan."""
@@ -602,17 +391,21 @@ class QuerySession:
         cardinality monitor lives in the driver process and cannot
         observe fragments executing in workers.
         """
-        if getattr(plan, "placement", "local") == "distributed":
+        if plan.placement == "distributed":
             return self._execute_plan(
                 plan, query, flat_output, collect_output,
                 max_intermediate_tuples, plan_kwargs,
             )
-        if (getattr(plan, "robustness", "off") != "auto"
-                or plan.is_cyclic or not plan.order):
+        if plan.robustness != "auto" or plan.is_cyclic or not plan.order:
             return plan.execute(
                 flat_output=flat_output, collect_output=collect_output,
                 max_intermediate_tuples=max_intermediate_tuples,
             )
+        request = self.planner.options.override(
+            flat_output=flat_output,
+            **{name: value for name, value in plan_kwargs.items()
+               if name != "use_cache"},
+        )
         current = plan
         replans = 0
         observed_q = 1.0
@@ -640,9 +433,9 @@ class QuerySession:
                     current = self.planner.replan(
                         current,
                         corrected_stats(current.stats, signal.observed),
-                        mode=plan_kwargs.get("mode", "auto"),
-                        optimizer=plan_kwargs.get("optimizer", "exhaustive"),
-                        flat_output=flat_output,
+                        # resolved now: the request's budget starts a
+                        # fresh deadline for this replan
+                        request.resolved(self.catalog, current.query),
                     )
                 except Exception:
                     # replanning itself failed (e.g. a budget deadline):
@@ -656,11 +449,14 @@ class QuerySession:
             result.observed_q_error = observed_q
             if replans and current is not plan:
                 result.served_plan = current
-                key = self._feedback_cache_key(query, flat_output,
-                                               plan_kwargs)
-                if key is not None:
+                # same caching conditions as _plan_with_hit: requests
+                # that never touched the cache must not seed it
+                if plan_kwargs.get("use_cache", True) \
+                        and not isinstance(request.stats, QueryStats):
+                    if isinstance(query, str):
+                        query = parse_query(query)
                     # future warm traffic serves the corrected plan
-                    self.plan_cache.put(key, current)
+                    self.plan_cache.put(self._key(query, request), current)
             return result
 
     def _execute_plan(self, plan, query, flat_output, collect_output,
@@ -674,10 +470,8 @@ class QuerySession:
         envelope fall back to the in-process path, which is always
         correct — the plan itself executes identically either way.
         """
-        if (getattr(plan, "placement", "local") == "distributed"
-                and getattr(plan, "num_workers", 0) >= 1
-                and flat_output
-                and getattr(plan, "cyclic_strategy", None) != "wcoj"):
+        if (plan.placement == "distributed" and plan.num_workers >= 1
+                and flat_output and plan.cyclic_strategy != "wcoj"):
             pool = self._worker_pool_for(plan)
             if isinstance(query, str):
                 query = parse_query(query)
@@ -710,24 +504,10 @@ class QuerySession:
             self._worker_pool.close()
             self._worker_pool = None
         if self._worker_pool is None:
-            planner = self.planner
             factory = self._worker_pool_factory or WorkerPool
             self._worker_pool = factory(
                 self.catalog,
-                planner_config={
-                    "weights": planner.weights,
-                    "eps": planner.eps,
-                    "idp_block_size": planner.idp_block_size,
-                    "beam_width": planner.beam_width,
-                    "planning_budget_ms": planner.planning_budget_ms,
-                    "partitioning": planner.partitioning,
-                    "max_spanning_trees": planner.max_spanning_trees,
-                    "execution": planner.execution,
-                    "cyclic_execution": planner.cyclic_execution,
-                    "validate": planner.validate,
-                    "robustness": planner.robustness,
-                    "regret_factor": planner.regret_factor,
-                },
+                planner_config=self.planner.options.planner_config(),
                 num_workers=plan.num_workers,
             )
             self._worker_pool_key = key
@@ -743,22 +523,6 @@ class QuerySession:
             self._worker_pool.close()
             self._worker_pool = None
             self._worker_pool_key = None
-
-    def _feedback_cache_key(self, query, flat_output, plan_kwargs):
-        """The cache key a replanned plan should replace, or ``None``.
-
-        Mirrors :meth:`_plan_with_hit`'s caching conditions: requests
-        with ``use_cache=False`` or prebuilt :class:`QueryStats` never
-        touched the cache, so their corrected plans must not either.
-        """
-        kwargs = dict(plan_kwargs)
-        use_cache = kwargs.pop("use_cache", True)
-        kwargs.pop("validate", None)
-        if not use_cache or isinstance(kwargs.get("stats"), QueryStats):
-            return None
-        if isinstance(query, str):
-            query = parse_query(query)
-        return self.cache_key(query, flat_output=flat_output, **kwargs)
 
     def execute_many(self, queries, budgets=None,
                      max_intermediate_tuples=DEFAULT_BUDGET,

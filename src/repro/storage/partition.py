@@ -73,6 +73,18 @@ def _shared_pool():
     return _pool
 
 
+def _reset_pool_after_fork():
+    """A forked child inherits ``_pool`` but none of its threads (and a
+    lock possibly held by a thread that no longer exists), so the first
+    ``_parallel_map`` there would wait forever: start over."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_pool_after_fork)
+
+
 def _parallel_map(fn, items, parallel):
     """``[fn(x) for x in items]``, fanned out when worth it."""
     items = list(items)

@@ -264,6 +264,24 @@ def test_unregistered_planner_knob(acyclic_plan, monkeypatch):
     assert "FP003" in failing_codes(acyclic_plan, ACYCLIC_SQL)
 
 
+@pytest.mark.parametrize("knob, keyed", [("robustness", False),
+                                         ("validate", True)])
+def test_cache_token_disagreeing_with_the_knob_table(acyclic_plan,
+                                                     monkeypatch,
+                                                     knob, keyed):
+    """FP003 is behavioural: drop a keyed knob from ``cache_token()``
+    (or leak an exempt one into it) and verification names it."""
+    from repro import options
+
+    names = tuple(n for n in options._KEYED[options.ResolvedOptions]
+                  if n != knob)
+    monkeypatch.setitem(options._KEYED, options.ResolvedOptions,
+                        names + (knob,) if keyed else names)
+    result = verify_plan(acyclic_plan, source=ACYCLIC_SQL, level="basic")
+    assert [knob in d.message for d in result.errors
+            if d.code == "FP003"] == [True]
+
+
 # ----------------------------------------------------------------------
 # Key-hazard warnings (never errors: the engine handles them exactly)
 # ----------------------------------------------------------------------

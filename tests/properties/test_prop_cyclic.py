@@ -199,7 +199,7 @@ def test_planner_joint_tree_never_costlier_than_greedy(seed):
     planner = Planner(catalog, stats_cache=True)
     joint = planner.plan(parsed, mode="auto", optimizer="auto")
     greedy = planner.plan(parsed, mode="auto", optimizer="auto",
-                          tree_search="greedy")
+                          max_spanning_trees=1)
     assert joint.predicted_cost <= greedy.predicted_cost * (1 + 1e-9)
     expected = brute_force_parsed(catalog, parsed)
     relations = list(parsed.relations)

@@ -76,14 +76,14 @@ def test_report_carries_residual_fields(catalog):
     assert acyclic.residual_selectivity == 1.0
 
 
-def test_tree_search_is_part_of_the_cache_key(catalog):
+def test_spanning_tree_cap_is_part_of_the_cache_key(catalog):
     session = QuerySession(catalog)
     query = parse_query(TRIANGLE)
     joint_key = session.cache_key(query)
-    greedy_key = session.cache_key(query, tree_search="greedy")
+    greedy_key = session.cache_key(query, max_spanning_trees=1)
     assert joint_key != greedy_key
     session.execute(TRIANGLE)
-    greedy = session.execute(TRIANGLE, tree_search="greedy")
+    greedy = session.execute(TRIANGLE, max_spanning_trees=1)
     assert not greedy.cache_hit  # a different search must not share plans
 
 

@@ -128,17 +128,17 @@ class TestAutoResolution:
             64, AUTO_MIN_ROWS_PER_SHARD * 3, seed=1
         )
         planner = Planner(big)
-        monkeypatch.setattr("repro.planner.os.cpu_count", lambda: 8)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
         resolved = planner.resolve_partitioning("auto", scan_probe_query())
         assert resolved == 3
-        monkeypatch.setattr("repro.planner.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         assert planner.resolve_partitioning("auto", scan_probe_query()) == 2
 
     def test_auto_capped(self, monkeypatch):
         big = scan_probe_catalog(
             64, AUTO_MIN_ROWS_PER_SHARD * (AUTO_MAX_SHARDS + 5), seed=1
         )
-        monkeypatch.setattr("repro.planner.os.cpu_count", lambda: 64)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
         resolved = Planner(big).resolve_partitioning(
             "auto", scan_probe_query()
         )
@@ -570,7 +570,7 @@ def test_sampling_stats_cache_shared_across_shard_counts():
 def test_auto_mode_skips_reclustering_heavily_filtered_tables(monkeypatch):
     """auto sizes shards from base tables; a selective pushdown must not
     re-cluster the tiny filtered result (explicit ints still do)."""
-    monkeypatch.setattr("repro.planner.os.cpu_count", lambda: 8)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     catalog = scan_probe_catalog(64, AUTO_MIN_ROWS_PER_SHARD * 2, seed=15)
     planner = Planner(catalog, partitioning="auto")
     assert planner.resolve_partitioning("auto", scan_probe_query()) == 2
@@ -604,7 +604,7 @@ def test_held_partitioned_plan_rebuilds_after_invalidation():
 def test_auto_and_explicit_equal_resolutions_do_not_share_plans(monkeypatch):
     """auto applies a post-selection floor explicit counts don't, so an
     equal resolved count must still be a distinct plan-cache entry."""
-    monkeypatch.setattr("repro.planner.os.cpu_count", lambda: 8)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     catalog = scan_probe_catalog(64, AUTO_MIN_ROWS_PER_SHARD * 2, seed=19)
     session = QuerySession(catalog)
     sql = ("select * from driver, build "

@@ -243,3 +243,31 @@ def test_async_service_reports_and_counts_replans():
     assert result_tuples(report.result, query) == brute_force_join(
         catalog, query
     )
+
+
+def test_replan_keeps_the_requests_planning_budget(monkeypatch):
+    """Regression: a replan resolved the optimizer against the *planner
+    default* budget and searched with no deadline, so a request planned
+    under a tiny per-call budget (auto -> beam for 8 relations) was
+    replanned by the unbudgeted exhaustive DP."""
+    import repro.planner as planner_module
+    from repro.workloads.large_joins import chain_query, large_join_catalog
+
+    query = chain_query(8)
+    catalog = large_join_catalog(query, rows_per_relation=48,
+                                 key_domain=32, seed=3)
+    session = QuerySession(catalog, robustness="auto",
+                           replan_threshold=HAIR_TRIGGER)
+    searches = []
+    for name in ("exhaustive_optimal", "idp_order", "beam_order"):
+        def spy(*args, _name=name, _search=getattr(planner_module, name),
+                **kwargs):
+            searches.append(_name)
+            return _search(*args, **kwargs)
+        monkeypatch.setattr(planner_module, name, spy)
+    report = session.execute(query, mode="STD", optimizer="auto",
+                             planning_budget_ms=0.001)
+    assert report.ok
+    assert report.replans >= 1
+    # the cold plan and every replan ran the same ladder rung
+    assert set(searches) == {"beam_order"}

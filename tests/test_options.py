@@ -1,0 +1,179 @@
+"""The knob table is the single source: ``repro.options.PlanOptions``.
+
+Every check below is driven by ``dataclasses.fields(PlanOptions)``, so
+a knob added as a field is exercised here without touching this file
+(beyond one alternative value for it), and a knob threaded by hand
+anywhere else fails.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro import CostWeights, Planner, QuerySession, parse_query
+from repro.options import PlanOptions, ResolvedOptions
+
+from tests.helpers import make_small_catalog
+
+SQL = "select * from R1, R2, R5 where R1.B = R2.B and R1.E = R5.E"
+PARSED = parse_query(SQL)
+
+#: per knob: a valid value different from its default
+ALTERNATIVE = {
+    "mode": "COM",
+    "optimizer": "beam",
+    "driver": "auto",
+    "stats": "sampling",
+    "flat_output": False,
+    "weights": CostWeights(hash_probe=2.0),
+    "eps": 0.05,
+    "idp_block_size": 4,
+    "beam_width": 3,
+    "planning_budget_ms": 50.0,
+    "partitioning": 2,
+    "max_spanning_trees": 3,
+    "execution": "interpreted",
+    "cyclic_execution": "wcoj",
+    "validate": "basic",
+    "robustness": "bounded",
+    "regret_factor": 2.0,
+    "placement": "distributed",
+    "num_workers": 2,
+}
+
+#: per validated knob: an invalid value and the documented message
+INVALID = {
+    "mode": ("sideways", "not a valid ExecutionMode"),
+    "optimizer": ("simulated_annealing", "optimizer must be one of"),
+    "driver": ("R9", "driver must be one of"),
+    "idp_block_size": (0, "idp_block_size must be >= 1"),
+    "beam_width": ("wide", 'beam_width must be an int >= 1 or "auto"'),
+    "planning_budget_ms": (-1.0, "planning_budget_ms must be positive"),
+    "partitioning": (0, "partitioning shard count must be >= 1"),
+    "max_spanning_trees": (0, "max_spanning_trees must be an int >= 1"),
+    "execution": ("simd", "execution must be one of"),
+    "cyclic_execution": ("yannakakis", "cyclic_execution must be one of"),
+    "validate": ("loud", "validate must be one of"),
+    "robustness": ("never", "robustness must be one of"),
+    "regret_factor": (0.5, "regret_factor must be a number >= 1.0"),
+    "placement": ("cloud", "placement must be one of"),
+    "num_workers": (-1, "num_workers must be an int >= 0"),
+}
+
+
+@pytest.fixture
+def catalog():
+    return make_small_catalog()
+
+
+def test_every_knob_has_an_alternative_value():
+    names = {spec.name for spec in dataclasses.fields(PlanOptions)}
+    assert names == set(ALTERNATIVE)
+    assert set(INVALID) <= names
+
+
+@pytest.mark.parametrize("spec", dataclasses.fields(PlanOptions),
+                         ids=lambda spec: spec.name)
+def test_knob_is_declared_once(spec, catalog):
+    name, value = spec.name, ALTERNATIVE[spec.name]
+    assert value != spec.default
+    given = {name: value}
+
+    # both constructors take every field and hold it on the one record
+    planner = Planner(catalog, **given)
+    session = QuerySession(catalog, **given)
+    assert getattr(planner.options, name) == value
+    assert session.planner.options == planner.options
+    assert getattr(planner, name) == value  # attribute view
+
+    # ... which a worker process rebuilds from planner_config()
+    rebuilt = Planner(catalog, **planner.options.planner_config())
+    assert rebuilt.options == planner.options
+
+    # per-call knobs override on every entry point, the rest on none
+    base = QuerySession(catalog)
+    try:
+        if spec.metadata["per_call"]:
+            assert base.planner.plan(SQL, **given) is not None
+            assert base.cache_key(PARSED, **given) is not None
+            report = base.execute(SQL, **given)
+            assert report.ok, report.error
+        else:
+            with pytest.raises(TypeError, match=name):
+                base.planner.plan(SQL, **given)
+            with pytest.raises(TypeError, match=name):
+                base.cache_key(PARSED, **given)
+            assert isinstance(base.execute(SQL, **given).error, TypeError)
+    finally:
+        base.close()
+
+    # invalid values raise the documented error wherever they arrive
+    if name in INVALID:
+        bad, message = INVALID[name]
+        with pytest.raises(ValueError, match=message):
+            Planner(catalog, **{name: bad})
+        with pytest.raises(ValueError, match=message):
+            QuerySession(catalog, **{name: bad})
+        with pytest.raises(ValueError, match=message):
+            setattr(planner, name, bad)
+        if spec.metadata["per_call"]:
+            with pytest.raises(ValueError, match=message):
+                base.planner.plan(SQL, **{name: bad})
+
+    # the plan-cache token moves iff the knob is not exempt
+    resolved = PlanOptions().resolved(catalog, PARSED)
+    moved = dataclasses.replace(resolved, **given).cache_token() \
+        != resolved.cache_token()
+    assert moved == (spec.metadata["key"] != "exempt")
+
+
+def test_unknown_names_are_rejected_everywhere(catalog):
+    planner, session = Planner(catalog), QuerySession(catalog)
+    for unknown in ({"shiny": 1}, {"tree_search": "greedy"}):
+        with pytest.raises(TypeError):
+            Planner(catalog, **unknown)
+        with pytest.raises(TypeError):
+            QuerySession(catalog, **unknown)
+        with pytest.raises(TypeError):
+            planner.plan(SQL, **unknown)
+        with pytest.raises(TypeError):
+            session.plan(SQL, **unknown)
+        with pytest.raises(TypeError):
+            session.cache_key(PARSED, **unknown)
+        assert isinstance(session.execute(SQL, **unknown).error, TypeError)
+
+
+def test_none_override_keeps_the_configured_default(catalog):
+    options = PlanOptions(partitioning=4, planning_budget_ms=25.0)
+    assert options.override(partitioning=None,
+                            planning_budget_ms=None) is options
+    assert options.override(mode="COM").partitioning == 4
+
+
+def test_resolution_replaces_auto_with_what_will_run(catalog):
+    request = PlanOptions(optimizer="auto", partitioning="auto",
+                          execution="auto", placement="distributed")
+    resolved = request.resolved(catalog, PARSED)
+    assert isinstance(resolved, ResolvedOptions)
+    assert resolved.optimizer == "exhaustive"
+    assert resolved.partitioning == 1 and resolved.partition_floor > 0
+    assert resolved.execution in ("vectorized", "interpreted")
+    assert resolved.num_workers >= 1
+    assert resolved.deadline is None
+    # an explicit request for the same resolution shares the token
+    # except for the floor only "auto" partitioning applies
+    explicit = PlanOptions(
+        optimizer="exhaustive", partitioning="auto",
+        execution=resolved.execution, placement="distributed",
+        num_workers=resolved.num_workers,
+    ).resolved(catalog, PARSED)
+    assert explicit.cache_token() == resolved.cache_token()
+    assert PlanOptions(planning_budget_ms=5.0).resolved(
+        catalog, PARSED).deadline is not None
+
+
+def test_retuning_a_knob_on_the_planner_writes_through(catalog):
+    planner = Planner(catalog, beam_width=8)
+    planner.beam_width = 32
+    assert planner.options.beam_width == 32
+    assert planner.beam_width == 32

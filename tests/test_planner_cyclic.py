@@ -71,7 +71,7 @@ def test_cyclic_sql_plans_directly(triangle_catalog):
 def test_joint_never_costlier_than_greedy(triangle_catalog):
     planner = Planner(triangle_catalog, stats_cache=True)
     joint = planner.plan(TRIANGLE, mode="auto")
-    greedy = planner.plan(TRIANGLE, mode="auto", tree_search="greedy")
+    greedy = planner.plan(TRIANGLE, mode="auto", max_spanning_trees=1)
     assert joint.predicted_cost <= greedy.predicted_cost
     greedy_result = greedy.execute(collect_output=True)
     joint_result = joint.execute(collect_output=True)
@@ -138,9 +138,9 @@ def test_prebuilt_stats_rejected_for_cyclic(triangle_catalog):
         Planner(triangle_catalog).plan(TRIANGLE, stats=stats)
 
 
-def test_tree_search_validated(triangle_catalog):
-    with pytest.raises(ValueError, match="tree_search"):
-        Planner(triangle_catalog).plan(TRIANGLE, tree_search="exhaustive")
+def test_max_spanning_trees_validated(triangle_catalog):
+    with pytest.raises(ValueError, match="max_spanning_trees"):
+        Planner(triangle_catalog).plan(TRIANGLE, max_spanning_trees=0)
     with pytest.raises(ValueError, match="max_spanning_trees"):
         Planner(triangle_catalog, max_spanning_trees=0)
 
@@ -182,7 +182,7 @@ def test_larger_generated_shapes_plan_and_execute():
         planner = Planner(catalog, stats_cache=True)
         joint = planner.plan(parsed, mode="auto", optimizer="auto")
         greedy = planner.plan(parsed, mode="auto", optimizer="auto",
-                              tree_search="greedy")
+                              max_spanning_trees=1)
         assert joint.predicted_cost <= greedy.predicted_cost
         assert joint.execute().output_size == greedy.execute().output_size
         # the SQL text path resolves to the same fingerprint

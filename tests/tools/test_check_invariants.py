@@ -47,10 +47,9 @@ def synthetic_repo(tmp_path):
         "    def lookup(self, index, keys):\n"
         "        return index\n"
     )
-    (src / "planner.py").write_text(
-        "class Planner:\n"
-        "    def plan(self, query, mode='auto'):\n"
-        "        return None\n"
+    (src / "options.py").write_text(
+        "class PlanOptions:\n"
+        "    mode: str = 'auto'\n"
     )
     (tmp_path / "README.md").write_text(
         "## Planner / session knobs\n\n"
@@ -185,11 +184,11 @@ def test_kernel_surface_fires_on_counter_mismatch(synthetic_repo):
 
 
 def test_readme_knob_table_fires_on_undocumented_knob(synthetic_repo):
-    path = synthetic_repo / "src" / "repro" / "planner.py"
+    path = synthetic_repo / "src" / "repro" / "options.py"
     path.write_text(
-        "class Planner:\n"
-        "    def plan(self, query, mode='auto', shiny='off'):\n"
-        "        return None\n"
+        "class PlanOptions:\n"
+        "    mode: str = 'auto'\n"
+        "    shiny: str = 'off'\n"
     )
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["README_KNOB_TABLE"]

@@ -44,9 +44,9 @@ KERNEL_SURFACE
     changes observable behaviour beyond speed.
 
 README_KNOB_TABLE
-    Every public planner knob (keyword of ``Planner.plan``) must appear
-    in README's "Planner / session knobs" table — an undocumented knob
-    is indistinguishable from an unsupported one.
+    Every planner knob (field of ``repro.options.PlanOptions``) must
+    appear in README's "Planner / session knobs" table — an
+    undocumented knob is indistinguishable from an unsupported one.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def check_unlocked_cache_mutation():
 
 #: functions that assemble fingerprint / cache-key material
 _FINGERPRINT_FUNCS = re.compile(
-    r"fingerprint|cache_key|to_spec|_plan_options|_apply_partitioning"
+    r"fingerprint|cache_key|cache_token|to_spec|_apply_partitioning"
 )
 
 
@@ -320,17 +320,13 @@ def check_kernel_surface():
 
 def check_readme_knob_table():
     findings = []
-    planner = _parse(SRC / "planner.py")
-    plan = None
-    for node in ast.walk(planner):
-        if isinstance(node, ast.ClassDef) and node.name == "Planner":
-            plan = next(
-                item for item in node.body
-                if isinstance(item, ast.FunctionDef) and item.name == "plan"
-            )
+    options = next(
+        node for node in ast.walk(_parse(SRC / "options.py"))
+        if isinstance(node, ast.ClassDef) and node.name == "PlanOptions"
+    )
     knobs = [
-        arg.arg for arg in plan.args.args + plan.args.kwonlyargs
-        if arg.arg not in ("self", "query")
+        item.target.id for item in options.body
+        if isinstance(item, ast.AnnAssign)
     ]
     readme = REPO / "README.md"
     text = readme.read_text()
