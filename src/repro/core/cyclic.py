@@ -853,7 +853,8 @@ def execute_cyclic(
             catalog, plan.residuals, result.factorized,
             counters=result.counters, kernels=kernels,
         )
-        pre_filter = result.factorized.count_rows()
+        weights = result.factorized.subtree_weights()
+        pre_filter = result.factorized.count_rows(weights)
         if pre_filter > max_intermediate_tuples:
             raise BudgetExceededError(
                 str(mode), "<expansion>", pre_filter, max_intermediate_tuples
@@ -863,7 +864,7 @@ def execute_cyclic(
         result.counters.tuples_generated += pre_filter
         batches = result.factorized.expand(
             batch_entries=expansion_batch, max_rows=4_000_000,
-            kernels=kernels,
+            kernels=kernels, weights=weights,
         )
     else:
         # Flat pipelines materialize the full frame at their last join

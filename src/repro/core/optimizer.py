@@ -394,7 +394,8 @@ def worst_case_cost(query, bound_stats, order, eps=0.01,
     )
 
 
-def _greedy_block(query, stats, order, block_size, mode, eps, weights, memo):
+def _greedy_block(query, stats, order, block_size, mode, eps, weights, memo,
+                  upper_bound=None):
     """Select the next IDP block: up to ``block_size`` frontier
     relations, chosen one at a time by cheapest immediate delta cost.
 
@@ -402,6 +403,12 @@ def _greedy_block(query, stats, order, block_size, mode, eps, weights, memo):
     the optimal order within it — so a cheap greedy pick suffices, and
     every delta evaluated here lands in the shared memo for the DP to
     reuse.
+
+    Returns ``None`` when the cheapest *first* pick already costs
+    ``upper_bound`` or more: every completion starts with one of the
+    currently eligible relations and deltas are non-negative, so the
+    exact DP would prune its whole first level — there is no point in
+    paying for the rest of the block first.
     """
     block = []
     joined = {query.root, *order}
@@ -419,6 +426,8 @@ def _greedy_block(query, stats, order, block_size, mode, eps, weights, memo):
             )
             if best_key is None or key < best_key:
                 best_key, best_rel = key, relation
+        if not block and upper_bound is not None and best_key[0] >= upper_bound:
+            return None
         block.append(best_rel)
         joined.add(best_rel)
         extended.append(best_rel)
@@ -519,11 +528,13 @@ def idp_order(query, stats, mode=ExecutionMode.COM, eps=0.01,
     order = []
     cost = 0.0
     while len(order) < total:
-        block = _greedy_block(query, stats, order, block_size, mode, eps,
-                              weights, memo)
         remaining_bound = (
             None if upper_bound is None else upper_bound - cost
         )
+        block = _greedy_block(query, stats, order, block_size, mode, eps,
+                              weights, memo, upper_bound=remaining_bound)
+        if block is None:
+            return None  # the cheapest next join alone reaches the bound
         block_cost, block_order = _exact_block_order(
             query, stats, order, block, mode, eps, weights, memo,
             upper_bound=remaining_bound, deadline=deadline, algorithm="idp",

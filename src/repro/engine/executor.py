@@ -369,7 +369,10 @@ def execute(
             counters, max_intermediate_tuples, driver_rows, kernels,
             monitor=monitor,
         )
-        output_size = factorized.count_rows()
+        # one bottom-up pass serves the count and the row-capped
+        # expansion (the remap below rewrites row ids, not liveness)
+        weights = factorized.subtree_weights()
+        output_size = factorized.count_rows(weights)
         _remap_factorized_rows(factorized, catalog, kernels)
         if flat_output:
             # Expansion step: generate the flat result batch-at-a-time
@@ -385,6 +388,7 @@ def execute(
                 batch_entries=expansion_batch,
                 max_rows=4_000_000,
                 kernels=kernels,
+                weights=weights,
             ):
                 if collected is not None:
                     collected.append(batch)

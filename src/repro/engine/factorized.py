@@ -25,6 +25,29 @@ import numpy as np
 __all__ = ["FactorizedNode", "FactorizedResult"]
 
 
+def _weight_bounded_batches(weights, batch_entries, max_rows):
+    """``(begin, end)`` entry ranges capped by entry count and by weight.
+
+    The greedy grouping: a batch takes entries while it holds fewer than
+    ``batch_entries`` of them and their weights sum to at most
+    ``max_rows``; a single entry above the cap gets a batch of its own.
+    Weights are non-negative, so "the running sum still fits" is a
+    prefix property of one cumulative sum — each batch end is a binary
+    search, not a per-entry loop.
+    """
+    cumulative = np.cumsum(weights)
+    num_entries = len(cumulative)
+    begin = 0
+    taken = 0  # weight of the entries before ``begin``
+    while begin < num_entries:
+        fits = int(np.searchsorted(cumulative, taken + max_rows,
+                                   side="right"))
+        end = min(max(fits, begin + 1), begin + batch_entries, num_entries)
+        yield begin, end
+        taken = cumulative[end - 1]
+        begin = end
+
+
 class FactorizedNode:
     """Entries of one relation inside a factorized result."""
 
@@ -130,11 +153,14 @@ class FactorizedResult:
     # Counting and expansion
     # ------------------------------------------------------------------
 
-    def _subtree_weights(self):
+    def subtree_weights(self):
         """Per-entry count of flat result tuples below each entry.
 
         ``weights[rel][i]`` is the number of flat tuples the subtree of
         entry ``i`` of node ``rel`` represents (0 for dead entries).
+        One bottom-up pass over every node; :meth:`count_rows` and a
+        row-capped :meth:`expand` both need it, so a caller doing both
+        computes it once and hands it to each.
         """
         weights = {}
         for relation in reversed(self._joined_preorder()):
@@ -151,16 +177,19 @@ class FactorizedResult:
             weights[relation] = w
         return weights
 
-    def count_rows(self):
-        """Number of flat result tuples, without materializing them."""
-        weights = self._subtree_weights()
+    def count_rows(self, weights=None):
+        """Number of flat result tuples, without materializing them
+        (``weights``: a current :meth:`subtree_weights` result)."""
+        if weights is None:
+            weights = self.subtree_weights()
         return int(round(weights[self.query.root].sum()))
 
     def total_entries(self):
         """Total factorized entries (the compressed size)."""
         return sum(len(node) for node in self.nodes.values())
 
-    def expand(self, batch_entries=None, max_rows=None, kernels=None):
+    def expand(self, batch_entries=None, max_rows=None, kernels=None,
+               weights=None):
         """Yield flat result batches as ``{relation: row_index_array}``.
 
         Breadth-first expansion: driver entries are processed in batches
@@ -173,6 +202,8 @@ class FactorizedResult:
         driver entries are grouped so that each batch expands to at most
         ``max_rows`` tuples (single entries exceeding the cap get a
         batch of their own), bounding peak memory during expansion.
+        ``weights`` optionally supplies a current
+        :meth:`subtree_weights` result for that grouping.
 
         ``kernels`` selects the execution kernels the per-entry cross
         products run on (defaults to the vectorized set); the one-time
@@ -189,16 +220,22 @@ class FactorizedResult:
             return
         if batch_entries is None:
             batch_entries = max(1, len(alive_driver))
-        if max_rows is not None:
-            weights = self._subtree_weights()[self.query.root][alive_driver]
-            yield from self._expand_weight_bounded(
-                alive_driver, weights, batch_entries, max_rows, kernels
+        if max_rows is None:
+            bounds = (
+                (begin, begin + batch_entries)
+                for begin in range(0, len(alive_driver), batch_entries)
             )
-            return
+        else:
+            if weights is None:
+                weights = self.subtree_weights()
+            bounds = _weight_bounded_batches(
+                weights[self.query.root][alive_driver], batch_entries,
+                max_rows,
+            )
         grouped = self._grouped_children()
-        for begin in range(0, len(alive_driver), batch_entries):
-            batch = alive_driver[begin:begin + batch_entries]
-            yield self._expand_batch(batch, grouped, kernels)
+        for begin, end in bounds:
+            yield self._expand_batch(alive_driver[begin:end], grouped,
+                                     kernels)
 
     def _grouped_children(self):
         """Per node: alive entries grouped (sorted) by parent pointer."""
@@ -239,25 +276,6 @@ class FactorizedResult:
             rel: self.nodes[rel].rows[entries]
             for rel, entries in frame.items()
         }
-
-    def _expand_weight_bounded(self, alive_driver, weights, batch_entries,
-                               max_rows, kernels):
-        """Batches capped both by entry count and by expanded row count."""
-        grouped = self._grouped_children()
-        begin = 0
-        n = len(alive_driver)
-        while begin < n:
-            end = begin + 1
-            total = weights[begin]
-            while (
-                end < n
-                and end - begin < batch_entries
-                and total + weights[end] <= max_rows
-            ):
-                total += weights[end]
-                end += 1
-            yield self._expand_batch(alive_driver[begin:end], grouped, kernels)
-            begin = end
 
     def expand_all(self):
         """Materialize the full flat result as ``{relation: rows}``."""

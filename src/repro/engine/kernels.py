@@ -24,8 +24,10 @@ indexes, the partitioned layout, the factorized grouping tables) stay
 shared — they are built once per execution, not per tuple, and both
 paths must probe the same build-side structures for the counters to
 agree.  The interpreted kernels derive their dict views *from* those
-structures (:meth:`~repro.storage.hashindex.HashIndex.iter_groups`),
-then do every per-key probe in the interpreter.
+structures (:meth:`~repro.storage.hashindex.HashIndex.iter_groups`,
+which answers the same for the dense and the sorted index layout —
+the oracle never sees which one it was handed), then do every per-key
+probe in the interpreter.
 
 Selection is the ``execution`` knob (``"vectorized"`` /
 ``"interpreted"`` / ``"auto"``) threaded from

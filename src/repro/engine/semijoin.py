@@ -43,16 +43,19 @@ class ReductionResult:
     def reduced_index(self, catalog, relation, attribute):
         """Hash index on ``attribute`` over the *reduced* rows.
 
-        Built through :meth:`~repro.storage.Table.build_hash_index`, so
-        a partitioned relation reduced on its shard key yields a
-        sharded index (the surviving rows are re-routed shard by shard)
-        and the reduction probes against it fan out like phase 2.
+        Derived from the catalog's cached full index
+        (:meth:`~repro.storage.HashIndex.restricted`): the reduction's
+        row sets are ascending, so nothing is re-sorted per execution,
+        an unreduced relation (every leaf) reuses the full index as is,
+        and a sharded index stays sharded — the surviving rows are
+        masked shard by shard and the reduction probes against it fan
+        out like phase 2.
         """
         key = (relation, attribute)
         index = self._reduced_indexes.get(key)
         if index is None:
-            index = catalog.table(relation).build_hash_index(
-                attribute, rows=self.reduced_rows[relation]
+            index = catalog.hash_index(relation, attribute).restricted(
+                self.reduced_rows[relation]
             )
             self._reduced_indexes[key] = index
         return index

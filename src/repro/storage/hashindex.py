@@ -1,13 +1,43 @@
 """Vectorized hash index (the "build side" of a hash join).
 
 The paper's engine (Section 4.2) builds, per join operator, a pointer
-table plus a chained hash map that groups build-side tuples by join key.
-The numpy equivalent used here is a *group index*: rows are sorted by
-key once, and a lookup for a batch of probe keys is a vectorized binary
-search that yields, per key, the count of matches and (on demand) the
-flattened list of matching row indices.  The semantics relevant to the
-paper — one *probe* per input key, returning all matches — are
-identical; only the constant factors differ.
+table plus a chained hash map that groups build-side tuples by join key
+and answers a probe in O(1).  The NumPy equivalent here is a *group
+index*: ``_order`` lists the indexed row ids grouped by key (ascending
+row id within a key), and one of two physical layouts says where each
+key's group sits in it:
+
+* **dense** — a direct-address CSR table, the pointer table of the
+  paper: ``_offsets[k - _lo]`` / ``_offsets[k - _lo + 1]`` bound the
+  group of key ``k``.  A probe is one shift, one clamp and two gathers
+  — O(1) per key, no comparison of key values at all.  Probe keys
+  outside ``[lo, hi]`` are clamped onto a trailing sentinel slot that is
+  always empty.
+* **sorted** — ``_unique_keys`` / ``_starts`` / ``_counts``, probed by
+  a vectorized binary search (``np.searchsorted``) in the common dtype
+  of index and probe keys.
+
+The layout is chosen per index by :meth:`HashIndex._dense_fits`, a pure
+function of the indexed keys (dtype width, value span, row count,
+distinct count): dense exactly when the offsets table occupies **no
+more bytes** than the sorted arrays would for the same keys, so the
+fast layout can never cost memory.  Floats, bools, sparse integers and
+integers at or beyond ``2**62`` stay sorted.  A dense index
+materializes the sorted arrays lazily, and only for the callers that
+need key *values*: :meth:`~HashIndex.distinct_keys`,
+:meth:`~HashIndex.iter_groups` and probe batches whose comparison dtype
+is not an integer (float or bool probes, int64 against uint64) — those
+keep the ``searchsorted`` common-dtype semantics byte for byte.
+
+Builds are sort-free where NumPy allows it: the dense path counts slots
+with ``bincount`` and groups rows by radix passes over 16-bit digits,
+and :meth:`HashIndex.restricted` derives the index of a row subset from
+an existing index by masking ``_order`` and re-counting — O(n), which
+is what the semi-join reduction uses instead of re-sorting per query.
+
+The semantics relevant to the paper — one *probe* per input key,
+returning all matches — are identical in both layouts, and so are match
+order and every counter derived from them.
 """
 
 from __future__ import annotations
@@ -15,6 +45,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["HashIndex", "LookupResult", "concat_ranges"]
+
+#: integer keys must lie strictly inside ``(-2**62, 2**62)`` for the
+#: direct-address shift ``key - lo`` to be exact in 64-bit arithmetic
+_SHIFT_EXACT_LIMIT = 2**62
 
 
 def concat_ranges(starts, lengths):
@@ -26,14 +60,33 @@ def concat_ranges(starts, lengths):
     lengths = np.asarray(lengths, dtype=np.int64)
     if len(starts) == 0:
         return np.empty(0, dtype=np.int64)
-    total = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    total = int(ends[-1])
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # Position of each output element within its own range:
-    ends = np.cumsum(lengths)
-    offsets = np.repeat(ends - lengths, lengths)
-    within = np.arange(total, dtype=np.int64) - offsets
-    return np.repeat(starts, lengths) + within
+    # output position p of range i holds starts[i] + (p - first
+    # position of range i): one repeat of the per-range shift
+    shift = starts - (ends - lengths)
+    return np.repeat(shift, lengths) + np.arange(total, dtype=np.int64)
+
+
+def _grouping_order(slots):
+    """Stable argsort of unsigned slot ids, O(n) for up to 32 bits.
+
+    NumPy radix-sorts integers of at most 16 bits; wider slot ids are
+    grouped by two such passes (low digit, then high digit — an LSD
+    radix sort), which stays stable and several times faster than the
+    comparison sort ``kind="stable"`` falls back to.
+    """
+    if slots.dtype.itemsize != 4:
+        return np.argsort(slots, kind="stable")
+    by_low = np.argsort(slots.astype(np.uint16), kind="stable")
+    high = (slots >> 16).astype(np.uint16)[by_low]
+    return by_low[np.argsort(high, kind="stable")]
+
+
+def _strictly_ascending(rows):
+    return len(rows) < 2 or bool((rows[1:] > rows[:-1]).all())
 
 
 class LookupResult:
@@ -45,11 +98,13 @@ class LookupResult:
         int64 array, one entry per probed key: number of matches.
     """
 
-    __slots__ = ("_index", "_positions", "counts")
+    __slots__ = ("_order", "_starts", "counts")
 
-    def __init__(self, index, positions, counts):
-        self._index = index
-        self._positions = positions  # position in unique-key table, -1 if miss
+    def __init__(self, order, starts, counts):
+        self._order = order
+        #: per probed key, where its group starts in ``order``
+        #: (meaningless where ``counts`` is 0)
+        self._starts = starts
         self.counts = counts
 
     def __len__(self):
@@ -70,11 +125,7 @@ class LookupResult:
         ``[cumsum(counts)[i-1] : cumsum(counts)[i]]`` of the result.
         Keys with no match contribute nothing.
         """
-        hit = self._positions >= 0
-        starts = self._index._starts[self._positions[hit]]
-        lengths = self.counts[hit]
-        order_positions = concat_ranges(starts, lengths)
-        return self._index._order[order_positions]
+        return self._order[concat_ranges(self._starts, self.counts)]
 
 
 class HashIndex:
@@ -83,7 +134,7 @@ class HashIndex:
     Parameters
     ----------
     keys:
-        1-D integer array: the join-key column of the build relation.
+        1-D array: the join-key column of the build relation.
     rows:
         Optional row-index array; if given, the index covers only those
         rows (used for semi-join-reduced relations).
@@ -93,6 +144,9 @@ class HashIndex:
         reporting whole-table row ids — the per-shard build path of a
         :class:`~repro.storage.partition.PartitionedTable`.  Mutually
         exclusive with ``rows``.
+
+    The physical layout (see the module docstring) is decided by the
+    keys alone; there is deliberately no argument that selects it.
     """
 
     def __init__(self, keys, rows=None, row_offset=0):
@@ -102,25 +156,154 @@ class HashIndex:
                 raise ValueError("pass either rows or row_offset, not both")
             rows = np.asarray(rows, dtype=np.int64)
             keys = keys[rows]
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+        self._key_dtype = keys.dtype
+        order = self._group(keys)
         if rows is not None:
             order = rows[order]
         order = order.astype(np.int64, copy=False)
         if row_offset:
             order += row_offset
         self._order = order
-        if len(sorted_keys):
-            unique_keys, starts, counts = np.unique(
-                sorted_keys, return_index=True, return_counts=True
+
+    # -- layout ----------------------------------------------------------
+
+    @staticmethod
+    def _dense_fits(key_itemsize, span, rows, distinct):
+        """The layout rule: direct addressing only when it is free.
+
+        ``span`` slots plus the closing offset and the sentinel, in the
+        narrowest unsigned dtype that holds ``rows``, must occupy no
+        more bytes than the sorted layout's ``_unique_keys`` +
+        ``_starts`` + ``_counts`` for ``distinct`` keys.
+        """
+        dense_bytes = (span + 2) * np.min_scalar_type(rows).itemsize
+        return dense_bytes <= distinct * (key_itemsize + 16)
+
+    def _table_bounds(self, low, high, rows):
+        """``(low, span)`` as ints when a slot table over ``[low, high]``
+        is worth counting, else ``None``: integer keys inside the exact
+        shift range whose table would fit even if every row had its own
+        key (the rule's best case; the real distinct count decides)."""
+        if self._key_dtype.kind not in "iu":
+            return None
+        low, high = int(low), int(high)
+        if low <= -_SHIFT_EXACT_LIMIT or high >= _SHIFT_EXACT_LIMIT:
+            return None
+        span = high - low + 1
+        if not self._dense_fits(self._key_dtype.itemsize, span, rows, rows):
+            return None
+        return low, span
+
+    def _group(self, keys):
+        """Store the groups of ``keys``; return the grouping permutation
+        (stable: equal keys keep their original relative order)."""
+        rows = len(keys)
+        bounds = None
+        if rows and keys.dtype.kind in "iu":
+            bounds = self._table_bounds(keys.min(), keys.max(), rows)
+        if bounds is not None:
+            low, span = bounds
+            slots = (keys.astype(np.int64, copy=False) - low).astype(
+                np.min_scalar_type(span - 1), copy=False
             )
+            self._store_table(low, np.bincount(slots, minlength=span), rows)
+            return _grouping_order(slots)
+        order = np.argsort(keys, kind="stable")
+        if rows:
+            unique_keys, counts = np.unique(keys[order], return_counts=True)
         else:
-            unique_keys = sorted_keys
-            starts = np.empty(0, dtype=np.int64)
-            counts = np.empty(0, dtype=np.int64)
+            unique_keys, counts = keys, np.empty(0, dtype=np.int64)
+        self._store_sorted(unique_keys, counts.astype(np.int64, copy=False))
+        return order
+
+    def _store_table(self, low, table, rows):
+        """Adopt groups given as rows-per-slot over ``[low, low +
+        len(table))`` in the layout the byte rule picks."""
+        filled = table > 0
+        distinct = int(np.count_nonzero(filled))
+        if not distinct:
+            self._store_sorted(np.empty(0, dtype=self._key_dtype),
+                               np.empty(0, dtype=np.int64))
+            return
+        first = int(filled.argmax())
+        last = len(table) - 1 - int(filled[::-1].argmax())
+        span = last - first + 1
+        if not self._dense_fits(self._key_dtype.itemsize, span, rows,
+                                distinct):
+            occupied = np.flatnonzero(filled)
+            self._store_sorted(
+                (occupied + low).astype(self._key_dtype), table[occupied]
+            )
+            return
+        offsets = np.zeros(span + 2, dtype=np.min_scalar_type(rows))
+        np.cumsum(table[first:last + 1], out=offsets[1:span + 1])
+        offsets[span + 1] = rows  # sentinel slot: always empty
+        self._low = low + first
+        self._offsets = offsets
+        self._unique_keys = self._starts = self._counts = None
+        self._num_distinct = distinct
+        self._max_group_size = int(table.max())
+
+    def _store_groups(self, unique_keys, counts):
+        """Adopt groups given as ascending distinct keys + row counts."""
+        rows = int(counts.sum())
+        bounds = None
+        if rows:
+            bounds = self._table_bounds(unique_keys[0], unique_keys[-1], rows)
+        if bounds is None:
+            self._store_sorted(unique_keys, counts)
+            return
+        low, span = bounds
+        table = np.zeros(span, dtype=np.int64)
+        table[unique_keys.astype(np.int64, copy=False) - low] = counts
+        self._store_table(low, table, rows)
+
+    def _store_sorted(self, unique_keys, counts):
+        self._low = 0
+        self._offsets = None
         self._unique_keys = unique_keys
-        self._starts = starts.astype(np.int64, copy=False)
-        self._counts = counts.astype(np.int64, copy=False)
+        self._starts = np.cumsum(counts) - counts
+        self._counts = counts
+        self._num_distinct = len(unique_keys)
+        self._max_group_size = int(counts.max()) if len(counts) else 0
+
+    def _sorted_groups(self):
+        """``(distinct keys, group starts, group counts)``, keys
+        ascending — the sorted layout's arrays, which a dense index
+        derives from its offsets on first use and then keeps."""
+        unique_keys = self._unique_keys
+        if unique_keys is None:
+            offsets = self._offsets[:-1].astype(np.int64)
+            counts = np.diff(offsets)
+            occupied = np.flatnonzero(counts)
+            unique_keys = (occupied + self._low).astype(self._key_dtype)
+            # ``_unique_keys`` last: a concurrent prober that sees it
+            # set must find the other two in place
+            self._starts = offsets[occupied]
+            self._counts = counts[occupied]
+            self._unique_keys = unique_keys
+        return unique_keys, self._starts, self._counts
+
+    def _slots(self, keys):
+        """Offsets-table slot per probe key, or ``None`` when the batch
+        has to take the sorted path (sorted layout, or a probe dtype
+        whose comparison with the index keys is not an integer one).
+
+        The shift ``key - low`` runs after widening to 64 bits and is
+        read as unsigned, so keys below ``low`` wrap to huge values and
+        one ``minimum`` clamps every out-of-range key onto the sentinel.
+        """
+        if self._offsets is None or keys.dtype.kind not in "iu":
+            return None
+        common = np.result_type(self._key_dtype, keys.dtype)
+        if common.kind not in "iu":
+            return None
+        wide = np.int64 if common.kind == "i" else np.uint64
+        shifted = keys.astype(wide, copy=False) - wide(self._low)
+        sentinel = len(self._offsets) - 2
+        return np.minimum(shifted.view(np.uint64), sentinel).view(np.int64)
+
+    # -- structure -------------------------------------------------------
 
     def __len__(self):
         """Number of indexed rows."""
@@ -130,7 +313,15 @@ class HashIndex:
     def key_dtype(self):
         """Dtype of the indexed key column (probe batches are compared
         in ``np.result_type(key_dtype, probe dtype)``)."""
-        return self._unique_keys.dtype
+        return self._key_dtype
+
+    @property
+    def nbytes(self):
+        """Bytes held by the index arrays (lazily materialized sorted
+        views of a dense index included once they exist)."""
+        arrays = (self._order, self._offsets, self._unique_keys,
+                  self._starts, self._counts)
+        return sum(array.nbytes for array in arrays if array is not None)
 
     def iter_groups(self):
         """Yield ``(key, [row ids])`` per distinct key, keys ascending.
@@ -141,16 +332,15 @@ class HashIndex:
         to build their dict views of the index — plain Python scalars
         and lists, derived once from the vectorized structure.
         """
-        keys = self._unique_keys.tolist()
-        starts = self._starts.tolist()
-        counts = self._counts.tolist()
+        unique_keys, starts, counts = self._sorted_groups()
         order = self._order.tolist()
-        for key, start, count in zip(keys, starts, counts):
+        for key, start, count in zip(unique_keys.tolist(), starts.tolist(),
+                                     counts.tolist()):
             yield key, order[start:start + count]
 
     @property
     def num_distinct(self):
-        return len(self._unique_keys)
+        return self._num_distinct
 
     @property
     def max_group_size(self):
@@ -161,34 +351,95 @@ class HashIndex:
         max-frequency statistic the pessimistic bound derivation
         (:mod:`repro.core.bounds`) is built on.
         """
-        return int(self._counts.max()) if len(self._counts) else 0
+        return self._max_group_size
 
     def distinct_keys(self):
         """The distinct key values, ascending."""
-        return self._unique_keys
+        return self._sorted_groups()[0]
+
+    def restricted(self, rows):
+        """The index over a subset of the indexed rows, derived from
+        this one: equal to ``HashIndex(keys, rows=rows)`` observably.
+
+        Every row of ``rows`` must be indexed here.  For strictly
+        ascending ``rows`` (what the semi-join reduction produces)
+        nothing is sorted — ``_order`` is masked, which keeps "ascending
+        row id within a key", and groups are re-counted from a running
+        sum of the mask: O(rows + slots).  The result picks its own
+        layout by the same byte rule.  Any other row array (unordered,
+        repeated) is rebuilt from scratch over the key column recovered
+        from the groups.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if not _strictly_ascending(rows):
+            keys = np.zeros(self._row_limit(), dtype=self._key_dtype)
+            self._write_keys(keys)
+            return type(self)(keys, rows=rows)
+        if len(rows) == len(self._order):
+            return self
+        return self._masked(_row_mask(rows, self._row_limit()))
+
+    def _row_limit(self):
+        return int(self._order.max()) + 1 if len(self._order) else 0
+
+    def _write_keys(self, column):
+        """``column[r] = key of row r`` for every indexed row ``r``
+        (the key column, recovered from the groups)."""
+        unique_keys, _, counts = self._sorted_groups()
+        column[self._order] = np.repeat(unique_keys, counts)
+
+    def _masked(self, member):
+        """The index over the indexed rows ``r`` with ``member[r]``."""
+        keep = member.take(self._order)
+        if keep.all():
+            return self
+        kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        derived = object.__new__(type(self))
+        derived._key_dtype = self._key_dtype
+        derived._order = np.compress(keep, self._order)
+        if self._offsets is not None:
+            table = np.diff(kept_before.take(self._offsets[:-1]))
+            derived._store_table(self._low, table, len(derived._order))
+        else:
+            counts = (kept_before[self._starts + self._counts]
+                      - kept_before[self._starts])
+            alive = counts > 0
+            derived._store_groups(self._unique_keys[alive], counts[alive])
+        return derived
+
+    # -- probing ---------------------------------------------------------
 
     def lookup(self, keys):
         """Probe a batch of keys; one probe per entry of ``keys``."""
         keys = np.asarray(keys)
-        if len(self._unique_keys) == 0:
-            positions = np.full(len(keys), -1, dtype=np.int64)
+        slots = self._slots(keys)
+        if slots is not None:
+            starts = self._offsets.take(slots)
+            counts = (self._offsets[1:].take(slots) - starts).astype(np.int64)
+            return LookupResult(self._order, starts, counts)
+        unique_keys, group_starts, group_counts = self._sorted_groups()
+        if len(unique_keys) == 0:
             counts = np.zeros(len(keys), dtype=np.int64)
-            return LookupResult(self, positions, counts)
-        pos = np.searchsorted(self._unique_keys, keys)
-        pos_clipped = np.minimum(pos, len(self._unique_keys) - 1)
-        hit = self._unique_keys[pos_clipped] == keys
-        positions = np.where(hit, pos_clipped, -1)
-        counts = np.where(hit, self._counts[pos_clipped], 0).astype(np.int64)
-        return LookupResult(self, positions, counts)
+            return LookupResult(self._order, counts, counts)
+        pos = np.searchsorted(unique_keys, keys)
+        pos = np.minimum(pos, len(unique_keys) - 1)
+        hit = unique_keys[pos] == keys
+        counts = np.where(hit, group_counts[pos], 0)
+        return LookupResult(self._order, group_starts[pos], counts)
 
     def contains(self, keys):
         """Membership test per key (a semi-join probe)."""
         keys = np.asarray(keys)
-        if len(self._unique_keys) == 0:
+        slots = self._slots(keys)
+        if slots is not None:
+            return self._offsets[1:].take(slots) > self._offsets.take(slots)
+        unique_keys = self._sorted_groups()[0]
+        if len(unique_keys) == 0:
             return np.zeros(len(keys), dtype=bool)
-        pos = np.searchsorted(self._unique_keys, keys)
-        pos = np.minimum(pos, len(self._unique_keys) - 1)
-        return self._unique_keys[pos] == keys
+        pos = np.searchsorted(unique_keys, keys)
+        pos = np.minimum(pos, len(unique_keys) - 1)
+        return unique_keys[pos] == keys
 
     def probe_stats(self, keys):
         """``(matched, total_matches)`` for a probe batch.
@@ -199,10 +450,22 @@ class HashIndex:
         :class:`~repro.storage.partition.ShardedHashIndex` computes the
         same pair by summing per-shard contributions.
         """
-        result = self.lookup(keys)
-        return int(result.matched_mask.sum()), int(result.counts.sum())
+        keys = np.asarray(keys)
+        slots = self._slots(keys)
+        if slots is not None:
+            counts = self._offsets[1:].take(slots) - self._offsets.take(slots)
+        else:
+            counts = self.lookup(keys).counts
+        return int(np.count_nonzero(counts)), int(counts.sum(dtype=np.int64))
 
     def rows_for_key(self, key):
         """All build-side row indices matching a single key."""
         result = self.lookup(np.asarray([key]))
         return result.matching_rows()
+
+
+def _row_mask(rows, limit):
+    """Boolean membership array of ``rows`` over row ids ``[0, limit)``."""
+    member = np.zeros(limit, dtype=bool)
+    member[rows] = True
+    return member

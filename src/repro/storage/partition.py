@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .hashindex import HashIndex, concat_ranges
+from .hashindex import HashIndex, _row_mask, _strictly_ascending, concat_ranges
 from .table import Table
 
 __all__ = [
@@ -358,6 +358,33 @@ class ShardedHashIndex:
         merged = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
         merged.sort()
         return merged
+
+    @property
+    def nbytes(self):
+        """Bytes held by the per-shard index arrays."""
+        return sum(shard.nbytes for shard in self._shards)
+
+    def restricted(self, rows):
+        """The sharded index over a subset of the indexed rows, derived
+        shard by shard (see :meth:`HashIndex.restricted`): one shared
+        membership mask, no re-routing and no sort for strictly
+        ascending ``rows``; anything else is rebuilt from scratch."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if not _strictly_ascending(rows):
+            keys = np.zeros(self._row_limit(), dtype=self.key_dtype)
+            for shard in self._shards:
+                shard._write_keys(keys)
+            return ShardedHashIndex(keys, self.num_shards, rows=rows)
+        if len(rows) == len(self):
+            return self
+        member = _row_mask(rows, self._row_limit())
+        derived = object.__new__(ShardedHashIndex)
+        derived.num_shards = self.num_shards
+        derived._shards = [shard._masked(member) for shard in self._shards]
+        return derived
+
+    def _row_limit(self):
+        return max(shard._row_limit() for shard in self._shards)
 
     def sketches(self):
         """One :class:`ShardSketch` per shard."""

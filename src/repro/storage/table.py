@@ -184,9 +184,12 @@ class Table:
         The physical index type is the table's choice:
         :class:`~repro.storage.partition.PartitionedTable` returns a
         sharded index when ``attribute`` is its shard key.  The
-        :class:`Catalog` and the semi-join reduction both build through
-        this hook, which is what threads partition awareness into the
-        engine without the engine knowing about layouts.
+        :class:`Catalog` builds through this hook, which is what
+        threads partition awareness into the engine without the engine
+        knowing about layouts.  ``rows`` builds from scratch; a caller
+        that already holds the full index (the semi-join reduction
+        does, through :meth:`Catalog.hash_index`) derives the
+        restricted one with :meth:`HashIndex.restricted` instead.
         """
         return HashIndex(self.column(attribute), rows=rows)
 

@@ -180,3 +180,73 @@ class TestDriverAutoSearch:
         # new directed derivation) — only dictionary assembly runs
         assert planner.stats_cache.stats.misses == misses_after_first
         assert planner.stats_cache.stats.hits > 0
+
+
+class TestIdpEarlyExit:
+    """``idp_order`` under a bound it cannot beat gives up after the
+    first greedy pick's candidate scan, and never changes a plan."""
+
+    @staticmethod
+    def _count_delta_costs(monkeypatch):
+        from repro.core import optimizer
+
+        calls = []
+        real = optimizer._delta_cost
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_delta_cost", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", DP_MODES)
+    def test_losing_bound_costs_one_candidate_scan(self, monkeypatch, mode):
+        query = random_tree_query(14, seed=21)
+        stats = large_query_stats(query, seed=21)
+        free = idp_order(query, stats, mode=mode, block_size=4)
+        calls = self._count_delta_costs(monkeypatch)
+        assert idp_order(query, stats, mode=mode, block_size=4,
+                         upper_bound=free.cost * 1e-6) is None
+        assert 0 < len(calls) <= len(query.eligible_next([]))
+
+    def test_winning_bound_unaffected(self):
+        query = random_tree_query(14, seed=22)
+        stats = large_query_stats(query, seed=22)
+        free = idp_order(query, stats, block_size=4)
+        bounded = idp_order(query, stats, block_size=4,
+                            upper_bound=free.cost * (1 + 1e-9))
+        assert (bounded.order, bounded.cost) == (free.order, free.cost)
+        assert idp_order(query, stats, block_size=4,
+                         upper_bound=free.cost * 0.99) is None
+
+    def test_driver_auto_plans_bit_identical(self, monkeypatch):
+        # before/after on the scaling suite: the same searches with the
+        # early exit disabled (the greedy block ignores its bound, as it
+        # did before) must pick the same driver, order and cost float
+        from repro.core import optimizer
+        from repro.workloads.large_joins import scaling_suite
+
+        cases = scaling_suite((10, 16), seed=3)
+
+        def plans():
+            out = []
+            for _, _, query, _ in cases:
+                catalog = large_join_catalog(query, rows_per_relation=120,
+                                             seed=3)
+                planner = Planner(catalog, stats_cache=True,
+                                  idp_block_size=4)
+                plan = planner.plan(query, mode="COM", driver="auto",
+                                    optimizer="idp")
+                out.append((plan.query.root, tuple(plan.order),
+                            plan.predicted_cost))
+            return out
+
+        after = plans()
+        bounded_block = optimizer._greedy_block
+
+        def unbounded_block(*args, upper_bound=None):
+            return bounded_block(*args)
+
+        monkeypatch.setattr(optimizer, "_greedy_block", unbounded_block)
+        assert plans() == after

@@ -140,3 +140,60 @@ class TestCountingAndExpansion:
         unpropagated = result.count_rows()
         result.propagate_deaths()
         assert result.count_rows() == unpropagated
+
+
+class TestWeightBoundedBatches:
+    """The vectorized batch grouping reproduces the greedy loop it
+    replaced, boundary for boundary."""
+
+    @staticmethod
+    def greedy_batches(weights, batch_entries, max_rows):
+        """The per-entry loop ``expand`` used to run (kept as the
+        reference)."""
+        bounds = []
+        begin = 0
+        n = len(weights)
+        while begin < n:
+            end = begin + 1
+            total = weights[begin]
+            while (
+                end < n
+                and end - begin < batch_entries
+                and total + weights[end] <= max_rows
+            ):
+                total += weights[end]
+                end += 1
+            bounds.append((begin, end))
+            begin = end
+        return bounds
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_boundaries_as_greedy_loop(self, seed):
+        from repro.engine.factorized import _weight_bounded_batches
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 200))
+        scale = int(rng.choice([1, 5, 50, 10_000]))
+        weights = rng.integers(0, scale + 1, size=n).astype(np.float64)
+        # single entries far above any cap, and exact-fit runs
+        weights[rng.random(n) < 0.05] = 10.0 * scale * max(n, 1)
+        batch_entries = int(rng.choice([1, 2, 7, 64, 10_000]))
+        max_rows = int(rng.choice([1, scale, 3 * scale, 40 * scale]))
+        got = list(_weight_bounded_batches(weights, batch_entries, max_rows))
+        assert got == self.greedy_batches(weights, batch_entries, max_rows)
+        assert [b for b, _ in got] == [0, *(e for _, e in got)][:len(got)]
+        assert not got or got[-1][1] == n
+
+    def test_expand_uses_supplied_weights(self, chain_query):
+        result = make_two_level(chain_query)
+        result.add_node("C", rows=np.asarray([100, 101, 102]),
+                        parent_ptr=np.asarray([0, 0, 2]))
+        result.propagate_deaths()
+        weights = result.subtree_weights()
+        assert result.count_rows(weights) == result.count_rows()
+        with_weights = list(result.expand(max_rows=2, weights=weights))
+        without = list(result.expand(max_rows=2))
+        assert len(with_weights) == len(without)
+        for a, b in zip(with_weights, without):
+            assert {r: v.tolist() for r, v in a.items()} == \
+                {r: v.tolist() for r, v in b.items()}

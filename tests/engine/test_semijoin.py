@@ -101,3 +101,18 @@ def test_empty_survivor_set():
     query = JoinQuery("A", [JoinEdge("A", "B", "k", "k")])
     result = full_reduction(query, catalog)
     assert len(result.rows("A")) == 0
+
+
+def test_unreduced_relation_reuses_the_catalog_index(chain_catalog,
+                                                     chain_query):
+    # leaves are never reduced: their "reduced" index is the cached
+    # full index itself, and reduced ones are derived from it
+    result = full_reduction(chain_query, chain_catalog)
+    assert len(result.rows("C")) == len(chain_catalog.table("C"))
+    leaf_attr = chain_query.edge_to("C").child_attr
+    assert result.reduced_index(chain_catalog, "C", leaf_attr) is \
+        chain_catalog.hash_index("C", leaf_attr)
+    reduced = result.reduced_index(chain_catalog, "B", "k")
+    assert reduced is not chain_catalog.hash_index("B", "k")
+    assert sorted(rows for _, group in reduced.iter_groups()
+                  for rows in group) == sorted(result.rows("B").tolist())

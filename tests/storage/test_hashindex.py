@@ -169,3 +169,103 @@ def test_probe_stats_matches_lookup():
         int(result.matched_mask.sum()), int(result.counts.sum())
     )
     assert index.probe_stats([]) == (0, 0)
+
+
+# ----------------------------------------------------------------------
+# Physical layouts: chosen by the keys alone, invisible in the answers
+# ----------------------------------------------------------------------
+
+
+def is_dense(index):
+    return index._offsets is not None
+
+
+def sorted_layout_bytes(index):
+    """What ``_unique_keys`` + ``_starts`` + ``_counts`` would cost."""
+    return index.num_distinct * (index.key_dtype.itemsize + 16)
+
+
+def test_dense_keys_use_the_direct_address_table():
+    rng = np.random.default_rng(0)
+    index = HashIndex(rng.integers(100, 1100, size=1000))
+    assert is_dense(index)
+    assert index._unique_keys is None  # replaced, not kept beside
+    assert index._offsets.nbytes <= sorted_layout_bytes(index)
+    assert index._offsets.dtype == np.uint16  # narrowest for 1000 rows
+
+
+def test_sparse_float_and_huge_keys_stay_sorted():
+    rng = np.random.default_rng(1)
+    assert not is_dense(HashIndex(rng.integers(0, 10**9, size=1000)))
+    assert not is_dense(HashIndex(rng.integers(0, 50, size=100) / 2.0))
+    assert not is_dense(HashIndex(np.asarray([True, False, True])))
+    assert not is_dense(HashIndex(2**62 + rng.integers(0, 50, size=100)))
+    assert not is_dense(HashIndex(np.empty(0, dtype=np.int64)))
+
+
+def test_layout_rule_is_the_byte_budget():
+    # 1000 rows -> 2-byte offsets; int64 keys cost 24 bytes per
+    # distinct key sorted: dense up to span + 2 <= 12 * distinct
+    keys = np.arange(1000, dtype=np.int64)
+    assert is_dense(HashIndex(keys * 11))
+    assert not is_dense(HashIndex(keys * 13))
+    # 100_000 rows -> 4-byte offsets: the budget halves
+    keys = np.arange(100_000, dtype=np.int64)
+    assert is_dense(HashIndex(keys * 5))
+    assert not is_dense(HashIndex(keys * 7))
+
+
+def test_out_of_range_probes_hit_the_empty_sentinel():
+    index = HashIndex(np.asarray([10, 11, 11, 13], dtype=np.int64))
+    assert is_dense(index)
+    probes = np.asarray([9, 10, 11, 12, 13, 14, -2**63, 2**63 - 1])
+    assert index.lookup(probes).counts.tolist() == [0, 1, 2, 0, 1, 0, 0, 0]
+    assert index.lookup(probes).matching_rows().tolist() == [0, 1, 2, 3]
+    assert index.contains(probes).tolist() == [
+        False, True, True, False, True, False, False, False]
+    assert index.probe_stats(probes) == (3, 4)
+    # narrow and unsigned probe dtypes widen before the shift
+    assert index.lookup(np.asarray([-128, 11, 127], dtype=np.int8)
+                        ).counts.tolist() == [0, 2, 0]
+    assert index.lookup(np.asarray([2**64 - 1, 13], dtype=np.uint64)
+                        ).counts.tolist() == [0, 1]
+
+
+def test_sorted_views_of_a_dense_index_are_lazy():
+    index = HashIndex(np.asarray([3, 1, 3, 2], dtype=np.int64))
+    assert is_dense(index)
+    before = index.nbytes
+    index.lookup(np.asarray([1, 2, 3]))
+    assert index._unique_keys is None and index.nbytes == before
+    # a float probe batch compares in float64: the sorted path
+    assert index.lookup(np.asarray([3.0, 2.5, np.nan])
+                        ).counts.tolist() == [2, 0, 0]
+    assert index.distinct_keys().tolist() == [1, 2, 3]
+    assert index.nbytes > before
+    assert list(index.iter_groups()) == [(1, [1]), (2, [3]), (3, [0, 2])]
+
+
+def test_restricted_derives_without_rebuilding():
+    rng = np.random.default_rng(2)
+    keys = rng.integers(0, 400, size=1000)
+    base = HashIndex(keys)
+    rows = np.flatnonzero(rng.random(1000) < 0.3)
+    derived = base.restricted(rows)
+    scratch = HashIndex(keys, rows=rows)
+    probes = np.arange(-5, 405)
+    assert derived.lookup(probes).matching_rows().tolist() == \
+        scratch.lookup(probes).matching_rows().tolist()
+    assert list(derived.iter_groups()) == list(scratch.iter_groups())
+    assert is_dense(derived) == is_dense(scratch)
+    # every row kept: the base index itself, no copy
+    assert base.restricted(np.arange(1000)) is base
+    # a sliver of the rows is too sparse for the table: falls back
+    few = base.restricted(rows[:5])
+    assert not is_dense(few) and len(few) == 5
+
+
+def test_nbytes_counts_the_index_arrays():
+    index = HashIndex(np.asarray([0, 1, 1, 2], dtype=np.int64))
+    assert index.nbytes == index._order.nbytes + index._offsets.nbytes
+    sparse = HashIndex(np.asarray([0, 10**6], dtype=np.int64))
+    assert sparse.nbytes == 2 * 8 + 2 * 24

@@ -339,3 +339,36 @@ def test_empty_probe_batch_on_sharded_index():
     assert result.matching_rows().tolist() == []
     assert index.contains(empty).tolist() == []
     assert index.probe_stats(empty) == (0, 0)
+
+
+def test_each_shard_picks_its_own_layout():
+    # hash-sharding thins key density by the shard count: with 4-byte
+    # offsets a 4-shard index over a full key range still fits the
+    # byte budget, a 16-shard one does not — each shard decides alone
+    keys = np.random.default_rng(5).permutation(200_000).astype(np.int64)
+    few = PartitionedTable("t", {"k": keys}, "k", 4).build_hash_index("k")
+    many = PartitionedTable("t", {"k": keys}, "k", 16).build_hash_index("k")
+    assert all(shard._offsets is not None for shard in few.shards)
+    assert all(shard._offsets is None for shard in many.shards)
+    assert few.nbytes == sum(shard.nbytes for shard in few.shards)
+    assert few.nbytes < many.nbytes
+    probes = np.arange(-10, 200_010, 7)
+    assert few.lookup(probes).counts.tolist() == \
+        many.lookup(probes).counts.tolist()
+
+
+def test_sharded_restricted_matches_scratch_build():
+    rng = np.random.default_rng(6)
+    keys = rng.integers(0, 500, size=3000)
+    table = PartitionedTable("t", {"k": keys}, "k", 4)
+    column = table.column("k")
+    base = table.build_hash_index("k")
+    rows = np.flatnonzero(rng.random(3000) < 0.4)
+    derived = base.restricted(rows)
+    scratch = table.build_hash_index("k", rows=rows)
+    probes = np.arange(-3, 503)
+    assert derived.num_shards == 4 and len(derived) == len(rows)
+    assert derived.lookup(probes).matching_rows().tolist() == \
+        scratch.lookup(probes).matching_rows().tolist()
+    assert derived.probe_stats(column) == scratch.probe_stats(column)
+    assert base.restricted(np.arange(3000)) is base

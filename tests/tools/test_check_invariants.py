@@ -19,6 +19,15 @@ REPO = Path(__file__).resolve().parents[2]
 SCRIPT = REPO / "tools" / "check_invariants.py"
 
 
+HASH_INDEX_SOURCE = (
+    "__all__ = ['HashIndex']\n"
+    "_LIMIT = 2**62\n"
+    "class HashIndex:\n"
+    "    def __init__(self, keys, rows=None, row_offset=0):\n"
+    "        self.size = len(keys)\n"
+)
+
+
 def load_linter(repo_root):
     """Import the linter module rebased onto ``repo_root``."""
     spec = importlib.util.spec_from_file_location(
@@ -47,6 +56,7 @@ def synthetic_repo(tmp_path):
         "    def lookup(self, index, keys):\n"
         "        return index\n"
     )
+    (src / "storage" / "hashindex.py").write_text(HASH_INDEX_SOURCE)
     (src / "options.py").write_text(
         "class PlanOptions:\n"
         "    mode: str = 'auto'\n"
@@ -193,3 +203,55 @@ def test_readme_knob_table_fires_on_undocumented_knob(synthetic_repo):
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["README_KNOB_TABLE"]
     assert "`shiny`" in findings[0].message
+
+
+def _hash_index_path(repo):
+    return repo / "src" / "repro" / "storage" / "hashindex.py"
+
+
+def test_index_layout_selector_fires_on_constructor_flag(synthetic_repo):
+    _hash_index_path(synthetic_repo).write_text(HASH_INDEX_SOURCE.replace(
+        "row_offset=0", "row_offset=0, layout='auto'"
+    ))
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["INDEX_LAYOUT_SELECTOR"]
+    assert "layout" in findings[0].message
+
+
+def test_index_layout_selector_fires_on_public_constant(synthetic_repo):
+    _hash_index_path(synthetic_repo).write_text(
+        HASH_INDEX_SOURCE + "DENSE_MAX_SPAN_RATIO = 6\n"
+    )
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["INDEX_LAYOUT_SELECTOR"]
+    assert "DENSE_MAX_SPAN_RATIO" in findings[0].message
+
+
+def test_index_layout_selector_fires_on_environment(synthetic_repo):
+    _hash_index_path(synthetic_repo).write_text(
+        "import os\n" + HASH_INDEX_SOURCE
+    )
+    rules = [f.rule for f in run_all(load_linter(synthetic_repo))]
+    assert rules == ["INDEX_LAYOUT_SELECTOR"]
+
+
+def test_hash_index_has_no_layout_selector():
+    """The same contract, checked on the live class: the constructor
+    signature is the documented one and nothing public on the module or
+    the class names a layout."""
+    import inspect
+
+    from repro.storage import HashIndex, hashindex
+
+    assert list(inspect.signature(HashIndex.__init__).parameters) == [
+        "self", "keys", "rows", "row_offset"
+    ]
+    public = [name for name in vars(hashindex)
+              if not name.startswith("_") and name not in hashindex.__all__
+              and name not in ("annotations", "np")]
+    assert public == []
+    selectors = [name for name in dir(HashIndex)
+                 if not name.startswith("_")
+                 and any(word in name.lower()
+                         for word in ("layout", "dense", "sorted"))]
+    assert selectors == []

@@ -43,6 +43,15 @@ KERNEL_SURFACE
     assignments to the same attribute names), or ``execution="auto"``
     changes observable behaviour beyond speed.
 
+INDEX_LAYOUT_SELECTOR
+    ``HashIndex`` picks its physical layout (dense direct-address table
+    vs sorted arrays) from the indexed keys alone — that is what makes
+    the fast layout unable to cost memory or change answers.  So
+    ``storage/hashindex.py`` may expose nothing that selects it from
+    outside: ``HashIndex.__init__`` takes exactly ``(keys, rows,
+    row_offset)``, the module defines no public constant and reads no
+    environment.
+
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
@@ -67,11 +76,11 @@ _KEYISH = re.compile(r"^(keys?|.*_keys?)$")
 #: (file relative to src/repro, function name) pairs implementing the
 #: exactness layer itself — the only places a raw compare is the point
 RAW_KEY_EQ_ALLOWED = {
-    # sorted-array probes: keys are already normalized to the index
-    # dtype, searchsorted + == IS the exact lookup
+    # sorted-layout probes: searchsorted + == in the common dtype IS
+    # the exact lookup (the dense layout indexes a table and compares
+    # no key values, so it needs no entry here)
     ("storage/hashindex.py", "lookup"),
     ("storage/hashindex.py", "contains"),
-    ("storage/hashindex.py", "probe_stats"),
     # integral-representability test routing float probes to shards
     ("storage/partition.py", "_float_exact"),
     ("storage/partition.py", "_probe_shard_ids"),
@@ -318,6 +327,52 @@ def check_kernel_surface():
     return findings
 
 
+_HASH_INDEX_PARAMETERS = ["self", "keys", "rows", "row_offset"]
+
+
+def check_index_layout_selector():
+    findings = []
+    path = SRC / "storage" / "hashindex.py"
+    tree = _parse(path)
+
+    def finding(node, message):
+        findings.append(Finding("INDEX_LAYOUT_SELECTOR",
+                                path.relative_to(REPO), node.lineno, message))
+
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) \
+                        and not target.id.startswith("_"):
+                    finding(node, f"public module constant {target.id!r} — "
+                            "a tunable next to the layout rule is a knob")
+    for node in ast.walk(tree):
+        modules = []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        if any(name.split(".")[0] == "os" for name in modules):
+            finding(node, "imports os — the layout must not depend on "
+                    "the environment")
+    init = _class_methods(tree, "HashIndex").get("__init__")
+    if init is None:
+        return findings + [Finding(
+            "INDEX_LAYOUT_SELECTOR", path.relative_to(REPO), 0,
+            "HashIndex.__init__ not found")]
+    arguments = init.args
+    parameters = [a.arg for a in (*arguments.posonlyargs, *arguments.args,
+                                  *arguments.kwonlyargs)]
+    parameters += [a.arg for a in (arguments.vararg, arguments.kwarg) if a]
+    if parameters != _HASH_INDEX_PARAMETERS:
+        finding(init, f"HashIndex.__init__ takes {parameters[1:]}, expected "
+                f"{_HASH_INDEX_PARAMETERS[1:]} — no argument may select "
+                "the layout")
+    return findings
+
+
 def check_readme_knob_table():
     findings = []
     options = next(
@@ -352,6 +407,7 @@ CHECKS = (
     check_unlocked_cache_mutation,
     check_unsorted_fingerprint_iter,
     check_kernel_surface,
+    check_index_layout_selector,
     check_readme_knob_table,
 )
 
