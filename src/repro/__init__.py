@@ -36,6 +36,8 @@ from .core import (
     ParsedQuery,
     PlanCost,
     QueryStats,
+    StatsCache,
+    StatsReader,
     beam_order,
     best_driver,
     choose_optimizer,
@@ -107,6 +109,8 @@ __all__ = [
     "QueryStats",
     "Severity",
     "ShardedHashIndex",
+    "StatsCache",
+    "StatsReader",
     "Table",
     "VerificationResult",
     "beam_order",

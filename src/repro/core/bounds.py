@@ -39,26 +39,21 @@ have to issue, i.e. the STD probe objective evaluated under "bound
 statistics" (``m = 1``, ``fo = mf``).  Those deltas are exactly the
 set-determined increments the exhaustive / IDP / beam dynamic programs
 of :mod:`repro.core.optimizer` minimize, so handing them
-:func:`bound_stats_for_rooting` output with ``ExecutionMode.STD`` makes
-the existing machinery find the **bound-optimal** (minimal worst-case
-cost) join order with no new search code.
+:meth:`repro.core.stats.StatsReader.bound_stats` output with
+``ExecutionMode.STD`` makes the existing machinery find the
+**bound-optimal** (minimal worst-case cost) join order with no new
+search code.
 
-Derivation is O(edges) — one cached ``max_group_size`` read per
-endpoint — and cached through :class:`repro.core.stats.StatsCache`
-under the rooting-independent :func:`undirected_signature`, exactly
-like :func:`directed_stats_from_data`, so every candidate rooting of a
-``driver="auto"`` search shares one derivation.
+The bound statistics themselves are assembled in
+:mod:`repro.core.stats` — one cached ``max_group_size`` read per tree
+edge, a column entry of the same store the ``(m, fo)`` measurements
+live in.
 """
 
 from __future__ import annotations
 
-from .stats import EdgeStats, QueryStats, undirected_signature
-
 __all__ = [
     "ROBUSTNESS_CHOICES",
-    "bound_signature",
-    "bound_stats_for_rooting",
-    "max_frequencies_from_data",
     "prefix_cardinality_bounds",
     "resolve_robustness",
 ]
@@ -79,55 +74,6 @@ def resolve_robustness(robustness):
             f"got {robustness!r}"
         )
     return robustness
-
-
-def max_frequencies_from_data(catalog, query):
-    """Measure ``(max_freqs, sizes)`` for every edge endpoint at once.
-
-    ``max_freqs`` maps ``(relation, attribute) -> max_group_size`` for
-    both endpoints of every join edge, ``sizes`` maps relation name to
-    cardinality.  Both are direction-free, so one measurement covers
-    every rooting of the join graph (cache under
-    :func:`repro.core.stats.undirected_signature`).  Indexes are built
-    through :meth:`Catalog.hash_index` and therefore shared with
-    statistics derivation and execution.
-    """
-    max_freqs = {}
-    for edge in query.edges:
-        for relation, attribute in (
-            (edge.parent, edge.parent_attr),
-            (edge.child, edge.child_attr),
-        ):
-            if (relation, attribute) not in max_freqs:
-                index = catalog.hash_index(relation, attribute)
-                max_freqs[(relation, attribute)] = int(index.max_group_size)
-    sizes = {rel: len(catalog.table(rel)) for rel in query.relations}
-    return max_freqs, sizes
-
-
-def bound_signature(query):
-    """Cache signature for one join graph's max-frequency statistics."""
-    return ("max-frequency",) + undirected_signature(query)
-
-
-def bound_stats_for_rooting(rooted, max_freqs, sizes):
-    """Assemble a rooting's *bound statistics* (pure dictionary work).
-
-    A :class:`~repro.core.stats.QueryStats` whose per-edge selectivity
-    is the guaranteed worst case: ``m = 1`` (every probe may match),
-    ``fo = mf`` (each match may fan out to the heaviest key group).
-    Prefix products of these stats under the STD cost model are the
-    guaranteed cardinality upper bounds described in the module
-    docstring.
-    """
-    edge_stats = {}
-    for edge in rooted.edges:
-        mf = max_freqs[(edge.child, edge.child_attr)]
-        edge_stats[edge.child] = EdgeStats(m=1.0 if mf else 0.0,
-                                           fo=float(mf))
-    return QueryStats(
-        float(sizes[rooted.root]), edge_stats, relation_sizes=dict(sizes)
-    )
 
 
 def prefix_cardinality_bounds(bound_stats, order):

@@ -12,11 +12,11 @@ first-class optimization problem instead of a greedy bolt-on:
   approximately ascending tree-output order (best-first single-edge
   exchanges from the minimum tree), which is what lets the planner
   search spanning tree and join order *jointly*;
-* :func:`cyclic_directed_stats` measures ``(m, fo)`` for both probe
-  directions of every join predicate at once (the cyclic analogue of
-  :func:`repro.core.stats.directed_stats_from_data`), so every
-  candidate tree's :class:`~repro.core.stats.QueryStats` is assembled
-  with dictionary work;
+* candidate trees need no statistics code of their own: tree edges
+  and residuals are all directed predicates, which
+  :class:`repro.core.stats.StatsReader` measures once each, and
+  :func:`edge_pair_selectivity` turns one into the rooting-free pair
+  selectivity trees are ranked by;
 * :func:`residual_filter_cost` extends the cost model with the
   residual-filter term, so trees are compared on *total* cost (tree
   join + expansion + residual checks), not tree-join cost alone;
@@ -36,15 +36,11 @@ import numpy as np
 
 from ..modes import ExecutionMode
 from .query import JoinEdge, JoinQuery
-from .stats import QueryStats, _measure_edge
 
 __all__ = [
     "ResidualPredicate",
     "CyclicPlan",
     "CYCLIC_EXECUTION_CHOICES",
-    "cyclic_attr_distincts",
-    "cyclic_directed_stats",
-    "cyclic_signature",
     "decompose",
     "edge_pair_selectivity",
     "enumerate_spanning_trees",
@@ -53,7 +49,6 @@ __all__ = [
     "log_pair_weight",
     "residual_filter_cost",
     "spanning_tree_decomposition",
-    "stats_for_tree",
     "tree_query_from_residuals",
     "wcoj_cost",
 ]
@@ -120,24 +115,6 @@ class CyclicPlan:
 # ----------------------------------------------------------------------
 # Graph structure helpers
 # ----------------------------------------------------------------------
-
-
-def _undirected_key(predicate):
-    """Canonical (direction-free) rendering of one join predicate."""
-    rel_a, attr_a, rel_b, attr_b = predicate
-    return tuple(sorted([(rel_a, attr_a), (rel_b, attr_b)]))
-
-
-def cyclic_signature(parsed):
-    """A rooting-free structural signature of a (cyclic) join graph.
-
-    The multiset of canonical undirected predicates — the analogue of
-    :func:`repro.core.stats.undirected_signature` for graphs that are
-    not trees.  Statistics caches key cyclic directed-stats entries on
-    it, so every candidate tree (and every rooting of every tree) of
-    one query shares a single derivation.
-    """
-    return tuple(sorted(_undirected_key(p) for p in parsed.join_predicates))
 
 
 def _rooted_tree(relations, tree_predicates, driver):
@@ -373,69 +350,25 @@ def spanning_tree_decomposition(parsed, driver=None, stats_hint=None):
 
 
 # ----------------------------------------------------------------------
-# Statistics for tree candidates
+# Weights and cost terms for tree candidates
 # ----------------------------------------------------------------------
 
 
-def cyclic_directed_stats(catalog, parsed):
-    """Measure ``(m, fo)`` for both directions of every join predicate.
-
-    Returns ``(directed, sizes)`` where ``directed`` maps the full
-    directed predicate ``(parent, parent_attr, child, child_attr)`` to
-    :class:`~repro.core.stats.EdgeStats` — keys carry the attributes so
-    parallel predicates between one relation pair stay distinct —
-    and ``sizes`` maps alias to cardinality.  One O(predicates)
-    measurement pass covers every candidate spanning tree *and* every
-    rooting of each tree, plus the residual selectivities; candidate
-    stats are then assembled by :func:`stats_for_tree` with dictionary
-    work, exactly like the acyclic driver search's
-    :func:`~repro.core.stats.directed_stats_from_data`.
-    """
-    directed = {}
-    for rel_a, attr_a, rel_b, attr_b in parsed.join_predicates:
-        if (rel_a, attr_a, rel_b, attr_b) in directed:
-            continue  # duplicate predicate: same measurement
-        directed[(rel_a, attr_a, rel_b, attr_b)] = _measure_edge(
-            catalog, rel_a, attr_a, rel_b, attr_b
-        )
-        directed[(rel_b, attr_b, rel_a, attr_a)] = _measure_edge(
-            catalog, rel_b, attr_b, rel_a, attr_a
-        )
-    sizes = {alias: len(catalog.table(alias)) for alias in parsed.relations}
-    return directed, sizes
-
-
-def stats_for_tree(rooted, directed, sizes):
-    """Assemble a candidate tree's :class:`QueryStats`.
-
-    ``directed`` / ``sizes`` come from :func:`cyclic_directed_stats`;
-    pure dictionary work — no data access per candidate.
-    """
-    edge_stats = {
-        edge.child: directed[
-            (edge.parent, edge.parent_attr, edge.child, edge.child_attr)
-        ]
-        for edge in rooted.edges
-    }
-    return QueryStats(sizes[rooted.root], edge_stats, relation_sizes=sizes)
-
-
-def edge_pair_selectivity(directed, sizes, predicate):
+def edge_pair_selectivity(stats, child_size):
     """P(two independent tuples satisfy the predicate).
 
     For predicate ``a.x = b.y`` this is ``matching pairs / (|a|·|b|)``
-    = ``m·fo / |b|`` in either probe direction.  It is the quantity
-    that makes tree comparison rooting-free: a tree's expected join
-    output is ``prod(|R|) · prod(pair selectivities over tree edges)``
-    for *every* rooting, so candidate trees are ranked by the product
-    of their edges' pair selectivities.
+    = ``m·fo / |b|`` in either probe direction (``stats`` is the
+    :class:`~repro.core.stats.EdgeStats` of ``a -> b``, ``child_size``
+    is ``|b|``).  It is the quantity that makes tree comparison
+    rooting-free: a tree's expected join output is ``prod(|R|) ·
+    prod(pair selectivities over tree edges)`` for *every* rooting, so
+    candidate trees are ranked by the product of their edges' pair
+    selectivities.
     """
-    rel_a, attr_a, rel_b, attr_b = predicate
-    stats = directed[(rel_a, attr_a, rel_b, attr_b)]
-    size_b = sizes.get(rel_b, 0.0)
-    if not size_b:
+    if not child_size:
         return 0.0
-    return stats.m * stats.fo / float(size_b)
+    return stats.m * stats.fo / float(child_size)
 
 
 def log_pair_weight(selectivity):
@@ -465,23 +398,6 @@ def residual_filter_cost(expected_input, selectivities, weights):
     return cost
 
 
-def cyclic_attr_distincts(catalog, parsed):
-    """Distinct-value counts per ``(relation, attribute)`` in predicates.
-
-    The statistic :func:`wcoj_cost` consumes: one ``np.unique`` scan per
-    distinct predicate endpoint.  Layout-independent (the count ignores
-    physical row order), so the planner derives it once per data token
-    and caches it alongside the directed cyclic stats.
-    """
-    distincts = {}
-    for rel_a, attr_a, rel_b, attr_b in parsed.join_predicates:
-        for alias, attr in ((rel_a, attr_a), (rel_b, attr_b)):
-            if (alias, attr) not in distincts:
-                column = catalog.table(alias).column(attr)
-                distincts[(alias, attr)] = int(len(np.unique(column)))
-    return distincts
-
-
 def wcoj_cost(order, distincts, sizes, weights):
     """Expected weighted cost of worst-case-optimal evaluation.
 
@@ -505,9 +421,10 @@ def wcoj_cost(order, distincts, sizes, weights):
     * the final expansion re-probes each relation once per output-frame
       prefix and generates the flat tuples, mirroring the flat driver.
 
-    ``distincts`` comes from :func:`cyclic_attr_distincts`; ``sizes``
-    maps alias to cardinality (the same map
-    :func:`cyclic_directed_stats` returns).  The absolute value is
+    ``distincts`` maps each ``(relation, attribute)`` member to its
+    distinct-value count and ``sizes`` each alias to its cardinality
+    (:meth:`repro.core.stats.StatsReader.distinct` / ``sizes``).  The
+    absolute value is
     comparable with the tree+filter total the planner assembles, which
     is all ``cyclic_execution="auto"`` needs: on dense cyclic cores the
     tree join's expected output explodes while the wcoj frontier stays

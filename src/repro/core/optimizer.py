@@ -379,7 +379,7 @@ def worst_case_cost(query, bound_stats, order, eps=0.01,
     """Pessimistic (UES-style) objective: worst-case probe work.
 
     ``bound_stats`` must come from
-    :func:`repro.core.bounds.bound_stats_for_rooting` — per-edge
+    :meth:`repro.core.stats.StatsReader.bound_stats` — per-edge
     ``m = 1, fo = max_frequency`` — which makes each STD prefix product
     a *guaranteed* cardinality upper bound, and this sum of per-join
     delta costs the guaranteed worst-case work of running ``order``.

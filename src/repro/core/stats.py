@@ -7,27 +7,47 @@ tuple that does match), with ``s = m * fo``.  :class:`EdgeStats` holds
 that pair for one parent->child join; :class:`QueryStats` maps every
 non-root relation of a :class:`~repro.core.query.JoinQuery` to its
 stats, plus the driver cardinality and per-operator probe costs.
+
+This is also the one module that knows how statistics are *measured*
+and *keyed*.  Both numbers belong to a directed join predicate: they
+depend on the two relations' contents, the two join attributes and the
+measurement method — not on the query, rooting, spanning tree or shard
+count the predicate shows up in.  :class:`StatsCache` therefore stores
+one entry per directed predicate (and one per column statistic), and a
+:class:`StatsReader` *assembles* what each consumer needs — the
+:class:`QueryStats` of a rooting or candidate spanning tree, the
+pessimistic bound statistics, distinct counts — from those entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Hashable, Mapping, Optional, Tuple,
+                    TypeVar, Union)
 
 import numpy as np
 
-from .lru import LRUCache
+from .lru import CacheStats, LRUCache
 
 __all__ = [
     "EdgeStats",
     "QueryStats",
     "StatsCache",
-    "directed_stats_from_data",
+    "StatsReader",
     "edge_with_selectivity",
     "query_signature",
-    "stats_for_rooting",
+    "relation_tokens",
     "stats_from_data",
-    "undirected_signature",
 ]
+
+T = TypeVar("T")
+
+#: how a directed predicate is measured: ``"exact"`` (probe every
+#: parent key) or ``("sampling", sample_fraction, seed)``
+Method = Union[str, Tuple[str, float, int]]
+
+#: the measurement ``stats="sampling"`` stands for
+DEFAULT_SAMPLING: Method = ("sampling", 0.05, 0)
 
 
 @dataclass(frozen=True)
@@ -37,18 +57,18 @@ class EdgeStats:
     m: float
     fo: float
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if not 0.0 <= self.m <= 1.0:
             raise ValueError(f"match probability must be in [0, 1], got {self.m}")
         if self.fo < 0.0:
             raise ValueError(f"fanout must be non-negative, got {self.fo}")
 
     @property
-    def selectivity(self):
+    def selectivity(self) -> float:
         """Classical join selectivity ``s = m * fo`` (Section 3.1)."""
         return self.m * self.fo
 
-    def scaled(self, factor):
+    def scaled(self, factor: float) -> "EdgeStats":
         """Stats with the match probability scaled (clamped to [0, 1])."""
         return EdgeStats(m=min(max(self.m * factor, 0.0), 1.0), fo=self.fo)
 
@@ -73,7 +93,13 @@ class QueryStats:
         simulation uses equal-size relations).
     """
 
-    def __init__(self, driver_size, edge_stats, probe_costs=None, relation_sizes=None):
+    def __init__(
+        self,
+        driver_size: float,
+        edge_stats: Mapping[str, EdgeStats],
+        probe_costs: Optional[Mapping[str, float]] = None,
+        relation_sizes: Optional[Mapping[str, float]] = None,
+    ) -> None:
         if driver_size < 0:
             raise ValueError(f"driver_size must be non-negative, got {driver_size}")
         self.driver_size = float(driver_size)
@@ -81,7 +107,7 @@ class QueryStats:
         self.probe_costs = dict(probe_costs or {})
         self.relation_sizes = dict(relation_sizes or {})
 
-    def stats(self, relation):
+    def stats(self, relation: str) -> EdgeStats:
         """EdgeStats for probing from the parent into ``relation``."""
         try:
             return self.edge_stats[relation]
@@ -91,23 +117,23 @@ class QueryStats:
                 f"known: {sorted(self.edge_stats)}"
             ) from None
 
-    def m(self, relation):
+    def m(self, relation: str) -> float:
         return self.stats(relation).m
 
-    def fo(self, relation):
+    def fo(self, relation: str) -> float:
         return self.stats(relation).fo
 
-    def selectivity(self, relation):
+    def selectivity(self, relation: str) -> float:
         return self.stats(relation).selectivity
 
-    def probe_cost(self, relation):
+    def probe_cost(self, relation: str) -> float:
         return self.probe_costs.get(relation, 1.0)
 
-    def relation_size(self, relation):
+    def relation_size(self, relation: str) -> float:
         """Cardinality of ``relation`` (defaults to the driver size)."""
         return float(self.relation_sizes.get(relation, self.driver_size))
 
-    def with_edge(self, relation, stats):
+    def with_edge(self, relation: str, stats: EdgeStats) -> "QueryStats":
         """A copy with one relation's stats replaced."""
         new_stats = dict(self.edge_stats)
         new_stats[relation] = stats
@@ -115,7 +141,7 @@ class QueryStats:
             self.driver_size, new_stats, self.probe_costs, self.relation_sizes
         )
 
-    def perturbed(self, error_fraction, rng=None):
+    def perturbed(self, error_fraction: float, rng: Any = None) -> "QueryStats":
         """Simulate estimation error (Section 3.7 / Figure 6).
 
         Each ``m`` and ``fo`` is multiplied independently by a factor
@@ -134,14 +160,14 @@ class QueryStats:
             self.driver_size, new_stats, self.probe_costs, self.relation_sizes
         )
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         return (
             f"QueryStats(N={self.driver_size:g}, "
             f"edges={{{', '.join(sorted(self.edge_stats))}}})"
         )
 
 
-def edge_with_selectivity(edge, observed):
+def edge_with_selectivity(edge: EdgeStats, observed: float) -> EdgeStats:
     """``EdgeStats`` corrected to an observed selectivity ``s``.
 
     The runtime-feedback loop measures only the *combined* selectivity
@@ -157,7 +183,7 @@ def edge_with_selectivity(edge, observed):
     return EdgeStats(m=1.0, fo=observed)
 
 
-def query_signature(query):
+def query_signature(query: Any) -> Tuple[Any, ...]:
     """A hashable structural signature of a rooted join query.
 
     Two :class:`~repro.core.query.JoinQuery` instances with the same
@@ -175,83 +201,100 @@ def query_signature(query):
 
 
 class StatsCache:
-    """Memoizes derived :class:`QueryStats` across repeated planning.
+    """The statistics store: measurements that outlive one ``plan()``.
 
-    Statistics derivation (:func:`stats_from_data`, or sampling) scans
-    data and builds hash indexes — by far the dominant cost of planning
-    a repeated query.  Entries are keyed on a *data token* (typically
-    the catalog fingerprint plus any pushed-down selection constants —
-    see :meth:`repro.planner.Planner.plan`), the rooted query signature
-    and the derivation method, so any data change or different rooting
-    naturally misses.
+    One entry is one *measurement*, keyed on the data it read:
+
+    * a directed predicate ``(parent token, parent_attr, child token,
+      child_attr, method)`` -> :class:`EdgeStats`;
+    * a column statistic ``(relation token, attr, statistic)`` -> ``int``
+      (``"max_frequency"`` or ``"distinct"``).
+
+    A relation token (:func:`relation_tokens`) is the base table's
+    content fingerprint plus the selections pushed into that alias, so
+    an entry is found again by any query, rooting, spanning tree, alias
+    or shard count over the same two table contents, and a write to one
+    table strands only the entries that read it (they age out of the
+    LRU).  ``capacity`` counts measurements, not queries: an
+    ``n``-relation ``driver="auto"`` plan reads ``2 * (n - 1)`` of them.
+
+    Shared by concurrently planning threads: every mutation goes
+    through the locked, single-flight
+    :meth:`~repro.core.lru.LRUCache.get_or_compute`.
     """
 
-    def __init__(self, capacity=256):
+    def __init__(self, capacity: Optional[int] = 4096) -> None:
         self._cache = LRUCache(capacity)
 
     @property
-    def stats(self):
+    def stats(self) -> CacheStats:
         """Hit/miss/eviction counters (:class:`repro.core.lru.CacheStats`)."""
         return self._cache.stats
 
-    def __len__(self):
+    def __len__(self) -> int:
         return len(self._cache)
 
-    def get_or_derive(self, data_token, query, method, derive):
-        """Return cached stats for the key, deriving via ``derive()`` on miss."""
-        key = (data_token, query_signature(query), str(method))
-        return self._cache.get_or_compute(key, derive)
+    def lookup(self, key: Hashable, measure: Callable[[], T]) -> T:
+        """The entry under ``key``, measured via ``measure()`` on a miss."""
+        value: T = self._cache.get_or_compute(key, measure)
+        return value
 
-    def get_or_derive_directed(self, data_token, query, method, derive):
-        """Direction-complete stats for a join graph, any rooting.
-
-        Keyed on the *undirected* signature, so every rooting of one
-        graph (every ``driver="auto"`` candidate) shares a single
-        cached ``(directed, sizes)`` pair from
-        :func:`directed_stats_from_data`.
-        """
-        key = (data_token, undirected_signature(query),
-               f"directed:{method}")
-        return self._cache.get_or_compute(key, derive)
-
-    def get_or_derive_signature(self, data_token, signature, method, derive):
-        """Cache an arbitrary derivation under a precomputed signature.
-
-        For query shapes :func:`query_signature` cannot describe — the
-        planner's cyclic path keys its direction-complete predicate
-        statistics on :func:`repro.core.cyclic.cyclic_signature`, so
-        every candidate spanning tree (and every rooting of each)
-        shares one derivation.
-        """
-        key = (data_token, signature, str(method))
-        return self._cache.get_or_compute(key, derive)
-
-    def clear(self):
+    def clear(self) -> None:
         self._cache.clear()
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         return f"StatsCache({self._cache!r})"
 
 
-def undirected_signature(query):
-    """A rooting-independent structural signature of a join query.
+def relation_tokens(catalog: Any, query: Any) -> Dict[str, Hashable]:
+    """The store-key component of each relation of ``query``.
 
-    Every rooting of one join graph shares this signature (each edge is
-    canonicalized to its sorted endpoint rendering), so caches of
-    direction-complete statistics (:func:`directed_stats_from_data`)
-    are shared across the ``driver="auto"`` candidate rootings.
+    Maps alias -> ``(base table fingerprint, sorted selection items)``
+    against the *base* ``catalog`` (``query`` is a
+    :class:`~repro.core.parser.ParsedQuery`, or a
+    :class:`~repro.core.query.JoinQuery` whose relations are table
+    names).  Both parts are already-cached values — no data is hashed
+    here unless a table changed since its last fingerprint.
     """
-    return tuple(sorted(
-        tuple(sorted([
-            (edge.parent, edge.parent_attr),
-            (edge.child, edge.child_attr),
-        ]))
-        for edge in query.edges
-    ))
+    names = query.relations
+    if not isinstance(names, dict):
+        names = {name: name for name in names}
+    selections = getattr(query, "selections", {})
+    return {
+        alias: (
+            catalog.table(name).fingerprint(),
+            tuple(sorted(selections.get(alias, {}).items())),
+        )
+        for alias, name in names.items()
+    }
 
 
-def _measure_edge(catalog, parent, parent_attr, child, child_attr):
-    """Ground-truth ``EdgeStats`` for probing ``parent`` into ``child``."""
+def _measure_edge(catalog: Any, parent: str, parent_attr: str, child: str,
+                  child_attr: str, method: Method = "exact") -> EdgeStats:
+    """``EdgeStats`` for probing ``parent`` into ``child``.
+
+    The single producer of planning statistics.  ``"exact"`` goes
+    through ``probe_stats``, which returns the two integer summaries
+    (keys matched, total matches) without materializing match rows;
+    over a hash-partitioned relation the index aggregates per-shard
+    sketches — each probe key is routed to exactly one shard, so the
+    sums are *bit-identical* to the monolithic measurement and
+    statistics never depend on the physical layout.  Sampling draws row
+    *positions*, so callers hand it the unpartitioned source catalog.
+    """
+    if isinstance(method, tuple):
+        from ..estimation.sampling import CorrelatedSample
+
+        _, sample_fraction, seed = method
+        estimate = CorrelatedSample(
+            catalog.table(parent),
+            catalog.table(child),
+            parent_attr,
+            child_attr,
+            sample_fraction=sample_fraction,
+            seed=seed,
+        ).estimate()
+        return EdgeStats(m=estimate.m, fo=max(estimate.fo, 1e-9))
     parent_keys = catalog.table(parent).column(parent_attr)
     index = catalog.hash_index(child, child_attr)
     num_parents = len(parent_keys)
@@ -261,75 +304,128 @@ def _measure_edge(catalog, parent, parent_attr, child, child_attr):
     return EdgeStats(m=m, fo=fo)
 
 
-def directed_stats_from_data(catalog, query):
-    """Measure ``(m, fo)`` for *both directions* of every edge at once.
+class StatsReader:
+    """Assembles one query's statistics from per-predicate measurements.
 
-    Returns ``(directed, sizes)`` where ``directed`` maps
-    ``(parent, child) -> EdgeStats`` for each of the ``2 * (n - 1)``
-    probe directions and ``sizes`` maps relation name to cardinality.
-    Rerooting a join tree only flips edge directions, so this one
-    O(edges) measurement pass covers **every** candidate rooting of a
-    ``driver="auto"`` search — the per-rooting :class:`QueryStats` is
-    then assembled by :func:`stats_for_rooting` with pure dictionary
-    work, instead of re-scanning the data once per rooting (the O(n^2)
-    scans that dominated large-query driver search before).
-
-    Each direction's numbers are bit-identical to what
-    :func:`stats_from_data` measures on a query rooted that way: the
-    same probe of the same keys into the same (catalog-cached) index.
+    Parameters
+    ----------
+    catalog:
+        The catalog measurements read: selections already pushed down,
+        relations registered under the names the query uses.
+    method:
+        ``"exact"``, ``"sampling"`` (:data:`DEFAULT_SAMPLING`), an
+        explicit ``("sampling", sample_fraction, seed)``, or a prebuilt
+        :class:`QueryStats`, which :meth:`rooted_stats` returns as is.
+    store, tokens:
+        An optional shared :class:`StatsCache` and the
+        :func:`relation_tokens` of the query, which key it.  With or
+        without a store, each value is read at most once per reader, so
+        the rootings and candidate trees of one ``plan()`` share work
+        and the store's counters count reuse *across* plans.
     """
-    directed = {}
-    for edge in query.edges:
-        directed[(edge.parent, edge.child)] = _measure_edge(
-            catalog, edge.parent, edge.parent_attr, edge.child,
-            edge.child_attr,
+
+    def __init__(self, catalog: Any, method: Any = "exact",
+                 store: Optional[StatsCache] = None,
+                 tokens: Optional[Mapping[str, Hashable]] = None) -> None:
+        self._catalog = catalog
+        self._method = DEFAULT_SAMPLING if method == "sampling" else method
+        self._store = store
+        self._tokens = tokens
+        self._seen: Dict[Hashable, Any] = {}
+
+    def _read(self, key: Tuple[Any, ...], measure: Callable[[], T],
+              relation_slots: Tuple[int, ...] = (0,)) -> T:
+        """The value named ``key``, measured at most once per reader; in
+        the store the aliases at ``relation_slots`` become tokens."""
+        value: Optional[T] = self._seen.get(key)
+        if value is None:
+            if self._store is None or self._tokens is None:
+                value = measure()
+            else:
+                shared = list(key)
+                for slot in relation_slots:
+                    shared[slot] = self._tokens[key[slot]]
+                value = self._store.lookup(tuple(shared), measure)
+            self._seen[key] = value
+        return value
+
+    def edge(self, parent: str, parent_attr: str, child: str,
+             child_attr: str) -> EdgeStats:
+        """``(m, fo)`` of the directed predicate ``parent -> child``."""
+        return self._read(
+            (parent, parent_attr, child, child_attr, self._method),
+            lambda: _measure_edge(self._catalog, parent, parent_attr, child,
+                                  child_attr, self._method),
+            relation_slots=(0, 2),
         )
-        directed[(edge.child, edge.parent)] = _measure_edge(
-            catalog, edge.child, edge.child_attr, edge.parent,
-            edge.parent_attr,
-        )
-    sizes = {rel: len(catalog.table(rel)) for rel in query.relations}
-    return directed, sizes
+
+    def max_frequency(self, relation: str, attr: str) -> int:
+        """Largest number of ``relation`` rows sharing one ``attr`` value
+        (read off the catalog-cached hash index execution probes)."""
+        return self._read((relation, attr, "max_frequency"), lambda: int(
+            self._catalog.hash_index(relation, attr).max_group_size
+        ))
+
+    def distinct(self, relation: str, attr: str) -> int:
+        """Number of distinct ``attr`` values in ``relation``."""
+        return self._read((relation, attr, "distinct"), lambda: int(
+            self._catalog.table(relation).distinct_count(attr)
+        ))
+
+    def sizes(self, relations: Any) -> Dict[str, int]:
+        """Cardinality (after selections) of each of ``relations``."""
+        return {relation: len(self._catalog.table(relation))
+                for relation in relations}
+
+    def rooted_stats(self, rooted: Any) -> QueryStats:
+        """The :class:`QueryStats` of one rooted join tree.
+
+        Serves a fixed driver, every ``driver="auto"`` rooting and every
+        rooting of every candidate spanning tree alike: rerooting or
+        swapping a tree edge only changes *which* directed predicates
+        are read, never how one is measured.
+        """
+        if isinstance(self._method, QueryStats):
+            return self._method
+        edge_stats = {
+            edge.child: self.edge(edge.parent, edge.parent_attr, edge.child,
+                                  edge.child_attr)
+            for edge in rooted.edges
+        }
+        sizes = self.sizes(rooted.relations)
+        return QueryStats(sizes[rooted.root], edge_stats,
+                          relation_sizes=sizes)
+
+    def bound_stats(self, rooted: Any) -> QueryStats:
+        """The rooting's *bound statistics* (:mod:`repro.core.bounds`).
+
+        Per-edge selectivity is the guaranteed worst case: ``m = 1``
+        (every probe may match), ``fo = mf`` (each match may fan out to
+        the child's heaviest key group).  Prefix products of these under
+        the STD cost model are guaranteed cardinality upper bounds.
+        """
+        edge_stats = {}
+        for edge in rooted.edges:
+            mf = self.max_frequency(edge.child, edge.child_attr)
+            edge_stats[edge.child] = EdgeStats(m=1.0 if mf else 0.0,
+                                               fo=float(mf))
+        sizes = self.sizes(rooted.relations)
+        return QueryStats(sizes[rooted.root], edge_stats,
+                          relation_sizes=sizes)
 
 
-def stats_for_rooting(rooted, directed, sizes):
-    """Assemble a rooting's :class:`QueryStats` from directed edge stats.
-
-    ``directed`` / ``sizes`` come from :func:`directed_stats_from_data`
-    (measured on any rooting of the same join graph).  Pure dictionary
-    work — no data access.
-    """
-    edge_stats = {
-        edge.child: directed[(edge.parent, edge.child)]
-        for edge in rooted.edges
-    }
-    return QueryStats(sizes[rooted.root], edge_stats, relation_sizes=sizes)
-
-
-def stats_from_data(catalog, query):
+def stats_from_data(catalog: Any, query: Any,
+                    method: Any = "exact") -> QueryStats:
     """Measure the true ``(m, fo)`` for every edge of ``query``.
 
     For each edge ``p -> c``, every tuple of ``p`` is (conceptually)
     probed into ``c``: ``m`` is the fraction that find at least one
     match and ``fo`` the average match count among those that do.
     This is the ground truth that estimators (Section 3.2) approximate
-    and that the cost-model validation (Figure 14) uses.
+    and that the cost-model validation (Figure 14) uses.  ``method``
+    selects a sampled measurement instead (see :class:`StatsReader`).
 
-    Derivation goes through ``probe_stats``, which returns the two
-    integer summaries (keys matched, total matches) without
-    materializing match rows.  Over a hash-partitioned relation the
-    index computes those by aggregating per-shard sketches — each
-    probe key is routed to exactly one shard, so the shard-wise sums
-    are *bit-identical* to the monolithic measurement and derived
-    statistics never depend on the physical layout.
+    The uncached entry point: the same assembly the planner runs
+    through its :class:`StatsCache`, with no store behind it.
     """
-    edge_stats = {
-        edge.child: _measure_edge(
-            catalog, edge.parent, edge.parent_attr, edge.child,
-            edge.child_attr,
-        )
-        for edge in query.edges
-    }
-    driver_size = len(catalog.table(query.root))
-    sizes = {rel: len(catalog.table(rel)) for rel in query.relations}
-    return QueryStats(driver_size, edge_stats, relation_sizes=sizes)
+    return StatsReader(catalog, method).rooted_stats(query)

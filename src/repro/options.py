@@ -31,6 +31,7 @@ from .core.cyclic import CYCLIC_EXECUTION_CHOICES
 from .core.optimizer import choose_optimizer
 from .core.parser import ParsedQuery, parse_query
 from .core.query import JoinQuery
+from .core.stats import QueryStats
 from .distributed.placement import DEFAULT_MAX_WORKERS, PLACEMENT_CHOICES
 from .engine.kernels import EXECUTION_CHOICES, resolve_execution
 from .modes import ExecutionMode
@@ -123,6 +124,16 @@ def _check_partitioning(value: Any) -> Any:
         f'partitioning must be "auto", "off" or a shard count, '
         f"got {value!r}"
     )
+
+
+def _check_stats(value: Any) -> Any:
+    if not isinstance(value, QueryStats) \
+            and value not in ("exact", "sampling"):
+        raise ValueError(
+            f"stats method must be 'exact', 'sampling' or a QueryStats; "
+            f"got {value!r}"
+        )
+    return value
 
 
 def _check_regret_factor(value: Any) -> float:
@@ -278,7 +289,7 @@ class PlanOptions:
     optimizer: str = _knob("exhaustive", "resolved",
                            _one_of("optimizer", OPTIMIZER_CHOICES))
     driver: str = _knob("fixed", "raw", _one_of("driver", DRIVER_CHOICES))
-    stats: Any = _knob("exact", "raw")
+    stats: Any = _knob("exact", "raw", _check_stats)
     flat_output: bool = _knob(True, "raw", bool)
     weights: Any = _knob(None, "raw", lambda given: given or CostWeights(),
                          per_call=False)

@@ -5,8 +5,11 @@ it:
 
 1. parse the query (:mod:`repro.core.parser`) and push constant
    selections down to the relations (Section 2.1's assumption);
-2. derive statistics — exact (:func:`repro.core.stats.stats_from_data`)
-   or via correlated sampling (Section 3.2);
+2. read statistics — exact or via correlated sampling (Section 3.2) —
+   one directed join predicate at a time through
+   :class:`repro.core.stats.StatsReader`, which finds a predicate
+   measured for any earlier query in the planner's
+   :class:`~repro.core.stats.StatsCache`;
 3. pick the driver, the join order (Algorithm 1 or a greedy heuristic)
    and the execution strategy (the cost model prices all six; the
    paper: "our cost model ... can be used for making optimization
@@ -33,26 +36,17 @@ from .core.cyclic import (
     CyclicPlan,
     ResidualPredicate,
     _rooted_tree,
-    cyclic_attr_distincts,
-    cyclic_directed_stats,
-    cyclic_signature,
     edge_pair_selectivity,
     enumerate_spanning_trees,
     execute_cyclic,
     log_pair_weight,
     residual_filter_cost,
-    stats_for_tree,
     tree_query_from_residuals,
     wcoj_cost,
 )
 from .analysis import PlanVerifier
 from .core.lru import LRUCache
-from .core.bounds import (
-    bound_signature,
-    bound_stats_for_rooting,
-    max_frequencies_from_data,
-    prefix_cardinality_bounds,
-)
+from .core.bounds import prefix_cardinality_bounds
 from .core.optimizer import (
     PlanningBudgetExceeded,
     beam_order,
@@ -65,12 +59,10 @@ from .core.optimizer import (
 from .core.parser import Contradiction, ParsedQuery, parse_query
 from .core.query import JoinQuery
 from .core.stats import (
-    EdgeStats,
     QueryStats,
     StatsCache,
-    directed_stats_from_data,
-    stats_for_rooting,
-    stats_from_data,
+    StatsReader,
+    relation_tokens,
 )
 from .engine.executor import execute
 from .engine.wcoj import execute_wcoj, plan_variable_order, variable_classes
@@ -487,6 +479,11 @@ def _shared_fields(record):
     return {name: getattr(record, name) for name in _SHARED_FIELDS}
 
 
+def _no_floor(rooted, stats, mode):
+    """:meth:`Planner._search` cost floor of a single-rooting search."""
+    return 0.0
+
+
 @dataclass
 class _PreparedQuery:
     """Everything :meth:`Planner._prepare` derives for one query."""
@@ -498,17 +495,11 @@ class _PreparedQuery:
     join_query: JoinQuery
     #: execution catalog: selections pushed down, partitioning applied
     catalog: Catalog
-    #: catalog statistics derivation reads (source rows for sampling)
-    stats_catalog: Catalog
-    #: stats-cache token (``None`` when uncached)
-    data_token: tuple = None
+    #: push-down catalog before any partitioning: what sampling reads
+    #: and what the cyclic path partitions once its tree is known
+    source_catalog: Catalog
     #: resolved hash-shard fan-out of :attr:`catalog` (1 = off)
     effective_shards: int = 1
-    #: push-down catalog before any partitioning (re-partition source)
-    source_catalog: Catalog = None
-    #: content token, kept so the cyclic path can partition once its
-    #: winning tree is known
-    content_token: tuple = None
 
 
 class Planner:
@@ -520,11 +511,12 @@ class Planner:
         The :class:`~repro.storage.Catalog` holding base tables.
     stats_cache:
         Optional :class:`~repro.core.stats.StatsCache` (or ``True`` for
-        a default-sized one).  When set, statistics derived for a
-        (catalog contents, selections, rooted query, method) key are
-        reused across ``plan()`` calls instead of being recomputed from
-        data; the catalog fingerprint in the key invalidates entries
-        automatically when the data changes.
+        a default-sized one).  When set, every directed join predicate
+        (and column statistic) is measured once per (the two tables'
+        contents, pushed-down selections, method) and found again by
+        any later ``plan()`` — whatever its query, rooting, spanning
+        tree or shard count; a changed table re-measures only the
+        predicates touching it.
     **knobs:
         The fields of :class:`~repro.options.PlanOptions` — the one
         place every planning knob is declared and documented.  Held as
@@ -570,73 +562,6 @@ class Planner:
         (:meth:`PlanOptions.shard_count` of the request)."""
         return self.options.override(partitioning=partitioning).shard_count(
             self.catalog, query
-        )
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _stats_method_key(method, sample_fraction=0.05, seed=0):
-        """The stats-cache method component for a derivation request.
-
-        The single producer of this key string: :meth:`derive_stats`
-        and the driver search's per-rooting pre-registration must
-        agree byte-for-byte or entries written by one are unreadable
-        by the other.  The defaults here are :meth:`derive_stats`'s
-        defaults (the only configuration :meth:`plan` can reach).
-        """
-        if method == "sampling":
-            return f"sampling:{sample_fraction}:{seed}"
-        return method
-
-    def derive_stats(self, catalog, query, method="exact",
-                     sample_fraction=0.05, seed=0, data_token=None):
-        """QueryStats for a rooted query: exact or sampling-based.
-
-        ``data_token`` is an opaque hashable describing the data the
-        stats are derived from (catalog fingerprint + selections); when
-        both it and :attr:`stats_cache` are present, derivation is
-        memoized.
-        """
-        if isinstance(method, QueryStats):
-            return method
-        if self.stats_cache is not None and data_token is not None:
-            method_key = self._stats_method_key(method, sample_fraction,
-                                                seed)
-            return self.stats_cache.get_or_derive(
-                data_token,
-                query,
-                method_key,
-                lambda: self.derive_stats(
-                    catalog, query, method, sample_fraction, seed
-                ),
-            )
-        if method == "exact":
-            return stats_from_data(catalog, query)
-        if method == "sampling":
-            from .estimation.sampling import CorrelatedSample
-
-            edge_stats = {}
-            for edge in query.edges:
-                sample = CorrelatedSample(
-                    catalog.table(edge.parent),
-                    catalog.table(edge.child),
-                    edge.parent_attr,
-                    edge.child_attr,
-                    sample_fraction=sample_fraction,
-                    seed=seed,
-                )
-                estimate = sample.estimate()
-                edge_stats[edge.child] = EdgeStats(
-                    m=estimate.m, fo=max(estimate.fo, 1e-9)
-                )
-            sizes = {rel: len(catalog.table(rel)) for rel in query.relations}
-            return QueryStats(len(catalog.table(query.root)), edge_stats,
-                              relation_sizes=sizes)
-        raise ValueError(
-            f"stats method must be 'exact', 'sampling' or a QueryStats; "
-            f"got {method!r}"
         )
 
     # ------------------------------------------------------------------
@@ -738,28 +663,33 @@ class Planner:
         shard_spec = tuple(sorted(
             (edge.child, edge.child_attr) for edge in join_query.edges
         ))
-        children = {edge.child for edge in join_query.edges}
-        if isinstance(query, ParsedQuery):
-            # only the partitioned relations' identity + selections:
-            # a literal on the driver must not force a re-cluster
-            child_token = (
+
+        def token(aliases):
+            """Identity + selections of ``aliases``, anchored on the
+            base-catalog fingerprint (content-cached), so any data
+            change re-partitions automatically."""
+            if not isinstance(query, ParsedQuery):
+                return (self.catalog.fingerprint(),)
+            return (
+                self.catalog.fingerprint(),
                 tuple(sorted(
                     (alias, table_name)
                     for alias, table_name in query.relations.items()
-                    if alias in children
+                    if alias in aliases
                 )),
                 tuple(sorted(
                     (alias, column, literal)
                     for alias, predicate in query.selections.items()
-                    if alias in children
+                    if alias in aliases
                     for column, literal in predicate.items()
                 )),
             )
-        else:
-            child_token = ()
+
+        layout = (shard_spec, num_shards, partition_floor)
+        # only the partitioned relations' identity + selections: a
+        # literal on the driver must not force a re-cluster
         replacements = self._replacement_cache.get_or_compute(
-            (self.catalog.fingerprint(), child_token, shard_spec,
-             num_shards, partition_floor),
+            token({edge.child for edge in join_query.edges}) + layout,
             lambda: partition_replacements(
                 source_catalog, join_query, num_shards,
                 min_rows=partition_floor,
@@ -768,7 +698,7 @@ class Planner:
         if not replacements:
             return source_catalog, 1
         catalog = self._partition_cache.get_or_compute(
-            prep.content_token + (shard_spec, num_shards, partition_floor),
+            token(set(join_query.relations)) + layout,
             lambda: source_catalog.derived_with(replacements),
         )
         return catalog, num_shards
@@ -777,8 +707,8 @@ class Planner:
         """Derive the execution catalog for a parsed query.
 
         Shared by :meth:`plan` and :meth:`rehydrate`: selection
-        push-down, hash-partitioning (both content-addressed and
-        LRU-reused) and the stats/data tokens.  Returns a
+        push-down and hash-partitioning (both content-addressed and
+        LRU-reused).  Returns a
         :class:`_PreparedQuery`; the expensive steps hit the same
         caches from every entry point, which is what makes rehydrating
         a :class:`PlanSpec` cheap — the worker only ships decisions,
@@ -808,50 +738,18 @@ class Planner:
                 join_query = None  # cyclic: the joint search picks the tree
             else:
                 join_query = query.to_join_query()
-            token_extra = (
-                tuple(sorted(query.relations.items())),
-                tuple(sorted(
-                    (alias, column, literal)
-                    for alias, predicate in query.selections.items()
-                    for column, literal in predicate.items()
-                )),
-            )
         else:
             join_query = query
-            token_extra = ()
-
-        content_token = None
-        if options.partitioning > 1 or self.stats_cache is not None:
-            # the base-catalog fingerprint (content-cached) anchors both
-            # the partitioned-catalog reuse and the stats cache, so any
-            # data change re-partitions and re-derives automatically
-            content_token = (self.catalog.fingerprint(),) + token_extra
         prep = _PreparedQuery(
             query=query,
             join_query=join_query,
             catalog=catalog,
-            stats_catalog=catalog,
             source_catalog=catalog,
-            content_token=content_token,
         )
         if join_query is not None:
             prep.catalog, prep.effective_shards = self._apply_partitioning(
                 prep, join_query, options
             )
-        # Sampling draws row *positions*, so it must see the layout-
-        # independent source rows or the fixed-seed sample (and hence
-        # the plan) would vary with the shard count; exact derivation
-        # is bit-identical either way and runs on the partitioned
-        # catalog to use (and warm) the sharded indexes.
-        if options.stats != "sampling":
-            prep.stats_catalog = prep.catalog
-        if self.stats_cache is not None:
-            # derived statistics are layout-independent by construction
-            # (exact derivation sums the same integers shard by shard;
-            # sampling reads the source catalog), so entries are shared
-            # across shard counts instead of re-running an identical
-            # O(data) scan every time the knob changes
-            prep.data_token = content_token
         return prep
 
     def plan(self, query, **overrides):
@@ -867,46 +765,124 @@ class Planner:
         query = _parsed(query)
         options = request.resolved(self.catalog, query)
         prep = self._prepare(query, options)
+        # Sampling draws row *positions*, so it must see the layout-
+        # independent source rows or the fixed-seed sample (and hence
+        # the plan) would vary with the shard count; exact measurement
+        # sums the same integers shard by shard and runs on the
+        # partitioned catalog to use (and warm) the sharded indexes.
+        # Either way statistics are layout-independent, so store keys
+        # carry no shard count.
+        reader = StatsReader(
+            prep.source_catalog if options.stats == "sampling"
+            else prep.catalog,
+            options.stats, self.stats_cache,
+            relation_tokens(self.catalog, query)
+            if self.stats_cache is not None else None,
+        )
         if prep.join_query is None:
-            plan = self._plan_cyclic(prep, options)
+            plan = self._plan_cyclic(prep, reader, options)
         elif options.driver == "auto" and prep.join_query.num_relations > 1:
-            plan = self._plan_driver_auto(prep, options)
+            plan = self._plan_driver_auto(prep, reader, options)
         else:
-            plan = self._plan_fixed_driver(prep, options)
+            plan = self._plan_fixed_driver(prep, reader, options)
         plan.placement = options.placement
         plan.num_workers = options.num_workers
         return self._validated(plan, query, options.validate)
 
-    def _plan_fixed_driver(self, prep, options):
-        """Order + strategy search for the query's given rooting."""
-        rooted = prep.join_query
-        rooted_stats = self.derive_stats(prep.stats_catalog, rooted,
-                                         options.stats,
-                                         data_token=prep.data_token)
-        # One memo per rooting: every strategy's order search and
-        # costing share the same survival/Eq. (1) subset tables.
-        memo = CostMemo(rooted)
-        best = None
-        for candidate_mode in options.modes:
-            order, child_orders = self._order_for_mode(
-                rooted, rooted_stats, candidate_mode, options, memo,
+    def _candidates(self, rootings, reader, options, flat_output):
+        """``(rooted, stats, memo)`` per rooting, in evaluation order.
+
+        One :class:`CostMemo` per rooting (survival tables are
+        rooting-specific), shared by the proxy, every strategy's order
+        search and the final costing.  Several rootings are
+        proxy-ranked: each first gets a width-1 beam (greedy
+        minimum-delta) plan and they are returned in ascending proxy
+        cost (ties: given order), so a search over them meets a strong
+        incumbent early.  SJ-only requests are not ranked — their
+        order search is polynomial, there is nothing to prune.
+        """
+        proxy_mode = None
+        if len(rootings) > 1:
+            proxy_mode = next(
+                (mode for mode in options.modes if not mode.uses_semijoin),
+                None,
             )
-            cost = self._cost(rooted, rooted_stats, order,
-                              candidate_mode, options.flat_output, memo)
-            if best is None or cost < best.predicted_cost:
-                best = PhysicalPlan(
-                    catalog=prep.catalog,
-                    query=rooted,
-                    order=order,
-                    mode=candidate_mode,
-                    stats=rooted_stats,
-                    predicted_cost=cost,
-                    child_orders=child_orders,
-                    weights=self.options.weights,
-                    num_shards=prep.effective_shards,
-                    execution=options.execution,
+        ranked = []
+        for position, rooted in enumerate(rootings):
+            stats = reader.rooted_stats(rooted)
+            memo = CostMemo(rooted)
+            proxy_cost = 0.0
+            if proxy_mode is not None:
+                greedy = beam_order(
+                    rooted, stats, mode=proxy_mode, eps=self.options.eps,
+                    weights=self.options.weights, beam_width=1, memoize=memo,
                 )
-        return self._apply_robustness(best, prep, options,
+                proxy_cost = self._cost(rooted, stats, greedy.order,
+                                        proxy_mode, flat_output, memo)
+            ranked.append((proxy_cost, position, rooted, stats, memo))
+        ranked.sort(key=lambda entry: entry[:2])
+        return [entry[2:] for entry in ranked]
+
+    def _search(self, candidates, options, flat_output, floor, best=None,
+                fixed_cost=0.0, **plan_fields):
+        """The cheapest (rooting, mode, order) among ``candidates``.
+
+        The one order + strategy search behind a fixed driver (one
+        candidate), the ``driver="auto"`` sweep, every candidate
+        spanning tree of a cyclic query and :meth:`replan`.  Returns a
+        :class:`PhysicalPlan` (``plan_fields`` are the fields the
+        search does not decide), or ``best`` — the incumbent handed in
+        — when no candidate beats it; the first of equally cheap
+        choices wins.
+
+        Each order search is branch-and-bound pruned against the
+        incumbent: the DP objective counts probes only, while a plan's
+        full cost adds non-negative terms with a guaranteed
+        order-invariant floor — ``floor(rooted, stats, mode)`` — so
+        subtracting that floor converts the incumbent's full cost into
+        a sound, tight bound in DP units.  ``fixed_cost`` is an
+        order-invariant term of the caller's cost scale (a cyclic
+        tree's residual filters) added to every candidate's cost.
+        """
+        for rooted, stats, memo in candidates:
+            for mode in options.modes:
+                upper_bound = None
+                if best is not None:
+                    upper_bound = best.predicted_cost \
+                        - floor(rooted, stats, mode)
+                    if upper_bound <= 0.0:
+                        continue  # the floor alone reaches the incumbent
+                order, child_orders = self._order_for_mode(
+                    rooted, stats, mode, options, memo,
+                    upper_bound=upper_bound,
+                )
+                if order is None:
+                    continue  # pruned: cannot beat the incumbent
+                cost = self._cost(rooted, stats, order, mode, flat_output,
+                                  memo) + fixed_cost
+                if best is None or cost < best.predicted_cost:
+                    best = PhysicalPlan(
+                        query=rooted,
+                        order=order,
+                        mode=mode,
+                        stats=stats,
+                        predicted_cost=cost,
+                        child_orders=child_orders,
+                        weights=self.options.weights,
+                        execution=options.execution,
+                        **plan_fields,
+                    )
+        return best
+
+    def _plan_fixed_driver(self, prep, reader, options):
+        """Order + strategy search for the query's given rooting."""
+        best = self._search(
+            self._candidates([prep.join_query], reader, options,
+                             options.flat_output),
+            options, options.flat_output, _no_floor,
+            catalog=prep.catalog, num_shards=prep.effective_shards,
+        )
+        return self._apply_robustness(best, reader, options,
                                       options.flat_output)
 
     def _validated(self, plan, query, validate):
@@ -931,33 +907,13 @@ class Planner:
     # Pessimistic bounded-regret planning (the robustness knob)
     # ------------------------------------------------------------------
 
-    def _bound_stats(self, rooted, catalog, data_token=None):
-        """Bound statistics (``m=1, fo=max-frequency``) for a rooting.
-
-        Max-frequency derivation is O(edges) over catalog-cached hash
-        indexes and memoized through the stats cache under a
-        rooting-independent signature, exactly like
-        :func:`~repro.core.stats.directed_stats_from_data` — every
-        candidate rooting of one join graph shares a single derivation.
-        """
-        def derive():
-            return max_frequencies_from_data(catalog, rooted)
-
-        if self.stats_cache is not None and data_token is not None:
-            max_freqs, sizes = self.stats_cache.get_or_derive_signature(
-                data_token, bound_signature(rooted), "exact", derive,
-            )
-        else:
-            max_freqs, sizes = derive()
-        return bound_stats_for_rooting(rooted, max_freqs, sizes)
-
-    def _apply_robustness(self, plan, prep, options, flat_output,
+    def _apply_robustness(self, plan, reader, options, flat_output,
                           extra_cost=0.0):
         """Tag, annotate and (possibly) re-order a winning plan.
 
         ``"off"`` tags the plan and returns it untouched.  Otherwise:
 
-        1. derive bound statistics and find the **bound-optimal** order
+        1. read bound statistics and find the **bound-optimal** order
            — the existing order search under ``ExecutionMode.STD``
            minimizes the worst-case objective exactly (see
            :mod:`repro.core.bounds`);
@@ -978,14 +934,11 @@ class Planner:
         rides along when the caller's predicted cost includes an
         order-invariant term (a cyclic winner's residual filters).
         """
-        if plan is None:
-            return None
         plan.robustness = options.robustness
         if options.robustness == "off":
             return plan
         rooted = plan.query
-        bound_stats = self._bound_stats(rooted, prep.stats_catalog,
-                                        data_token=prep.data_token)
+        bound_stats = reader.bound_stats(rooted)
         memo_bound = CostMemo(rooted)
         current_bound = worst_case_cost(
             rooted, bound_stats, plan.order, eps=self.options.eps,
@@ -1053,25 +1006,18 @@ class Planner:
         rooted = plan.query
         if options is None:
             options = self.options.resolved(self.catalog, rooted)
-        memo = CostMemo(rooted)
-        best = None
-        for candidate_mode in options.modes:
-            order, child_orders = self._order_for_mode(
-                rooted, corrected, candidate_mode, options, memo,
-            )
-            cost = self._cost(rooted, corrected, order, candidate_mode,
-                              options.flat_output, memo)
-            if best is None or cost < best[0]:
-                best = (cost, order, candidate_mode, child_orders)
-        cost, order, new_mode, child_orders = best
+        best = self._search(
+            [(rooted, corrected, CostMemo(rooted))], options,
+            options.flat_output, _no_floor, catalog=plan.catalog,
+        )
         replanned = replace(
-            plan, order=list(order), mode=new_mode,
-            child_orders=child_orders, stats=corrected,
-            predicted_cost=cost, diagnostics=(),
+            plan, order=list(best.order), mode=best.mode,
+            child_orders=best.child_orders, stats=corrected,
+            predicted_cost=best.predicted_cost, diagnostics=(),
             prefix_bounds=(), worst_case_bound=0.0,
         )
         if plan.robustness != "off":
-            bound_stats = self._bound_stats(rooted, plan.catalog)
+            bound_stats = StatsReader(plan.catalog).bound_stats(rooted)
             replanned.prefix_bounds = prefix_cardinality_bounds(
                 bound_stats, replanned.order
             )
@@ -1085,93 +1031,27 @@ class Planner:
     # Driver choice at scale (cross-rooting search)
     # ------------------------------------------------------------------
 
-    def _directed_stats(self, prep, method, sample_fraction=0.05, seed=0):
-        """Direction-complete edge statistics for a driver search.
-
-        One measurement (or sampling) pass covers both probe directions
-        of every edge — every candidate rooting's :class:`QueryStats`
-        is then assembled with dictionary work.  Cached in the stats
-        cache under the *undirected* query signature, so repeated
-        ``driver="auto"`` plans (and plans over rerooted variants of
-        one graph) share a single derivation.
-        """
-        catalog, join_query = prep.stats_catalog, prep.join_query
-        if method == "exact":
-            def derive():
-                return directed_stats_from_data(catalog, join_query)
-        elif method == "sampling":
-            def derive():
-                return self._directed_sampling_stats(
-                    catalog, join_query, sample_fraction, seed
-                )
-        else:
-            raise ValueError(
-                f"stats method must be 'exact', 'sampling' or a QueryStats; "
-                f"got {method!r}"
-            )
-        if self.stats_cache is not None and prep.data_token is not None:
-            method_key = self._stats_method_key(method, sample_fraction,
-                                                seed)
-            return self.stats_cache.get_or_derive_directed(
-                prep.data_token, join_query, method_key, derive
-            )
-        return derive()
-
-    @staticmethod
-    def _directed_sampling_stats(catalog, query, sample_fraction, seed):
-        """Sampling-based :func:`directed_stats_from_data` equivalent.
-
-        Each direction's estimate is built exactly as
-        :meth:`derive_stats` would for a rooting that orients the edge
-        that way (same constructor arguments, same seed), so assembled
-        per-rooting stats are bit-identical to the per-rooting path.
-        """
-        from .estimation.sampling import CorrelatedSample
-
-        directed = {}
-        for rel_a, attr_a, rel_b, attr_b in query.undirected_edges():
-            for parent, parent_attr, child, child_attr in (
-                (rel_a, attr_a, rel_b, attr_b),
-                (rel_b, attr_b, rel_a, attr_a),
-            ):
-                estimate = CorrelatedSample(
-                    catalog.table(parent),
-                    catalog.table(child),
-                    parent_attr,
-                    child_attr,
-                    sample_fraction=sample_fraction,
-                    seed=seed,
-                ).estimate()
-                directed[(parent, child)] = EdgeStats(
-                    m=estimate.m, fo=max(estimate.fo, 1e-9)
-                )
-        sizes = {rel: len(catalog.table(rel)) for rel in query.relations}
-        return directed, sizes
-
-    def _plan_driver_auto(self, prep, options):
+    def _plan_driver_auto(self, prep, reader, options):
         """The cross-rooting driver search (``driver="auto"``).
 
         Three coordinated optimizations over the naive
         once-per-rooting sweep:
 
-        1. **shared statistics** — both directions of every edge are
-           measured once (:meth:`_directed_stats`); per-rooting stats
-           are assembled, not re-derived, turning O(n) data scans into
-           O(1);
-        2. **proxy ranking** — every rooting gets a width-1 beam
-           (greedy minimum-delta) plan first; rootings are evaluated
-           in ascending proxy cost so the incumbent is strong early;
+        1. **shared statistics** — rerooting only flips edge
+           directions, and the reader measures each directed predicate
+           once: per-rooting stats are assembled, not re-derived,
+           turning O(n) data scans per edge into O(1);
+        2. **proxy ranking** — rootings are evaluated in ascending
+           greedy-plan cost so the incumbent is strong early
+           (:meth:`_candidates`);
         3. **incumbent pruning** — each rooting's real order search
-           runs with ``upper_bound`` set to the best full plan cost so
-           far; DP states that reach it are dropped, and most losing
-           rootings exit without finishing (delta costs are
-           non-negative, and a plan's full cost only adds non-negative
-           terms on top of the DP objective, so the bound is sound).
+           runs bounded by the best full plan cost so far
+           (:meth:`_search`); most losing rootings exit without
+           finishing.
         """
         join_query = prep.join_query
-        stats, modes = options.stats, options.modes
         flat_output = options.flat_output
-        if isinstance(stats, QueryStats):
+        if isinstance(options.stats, QueryStats):
             # Edge statistics are directional: a prebuilt QueryStats
             # only describes the rooting it was derived for, so probing
             # other drivers with it would read edges that do not exist.
@@ -1180,191 +1060,39 @@ class Planner:
                 'stats="exact" or "sampling" (prebuilt QueryStats are '
                 "valid only for their own rooting)"
             )
-        directed, sizes = self._directed_stats(prep, stats)
-        proxy_mode = next(
-            (mode for mode in modes if not mode.uses_semijoin), None
+        tuple_generation = self.options.weights.tuple_generation
+
+        def floor(rooted, stats, mode):
+            # the expected flat output is generated whenever flat
+            # output is requested (the expansion step) or the mode
+            # materializes tuples (STD variants' last join emits it)
+            if flat_output or not mode.factorized:
+                return expected_output_size(rooted, stats) * tuple_generation
+            return 0.0
+
+        candidates = self._candidates(
+            [join_query.rerooted(root) for root in join_query.relations],
+            reader, options, flat_output,
         )
-        candidates = []
-        for position, root in enumerate(join_query.relations):
-            rooted = join_query.rerooted(root)
-            rooted_stats = stats_for_rooting(rooted, directed, sizes)
-            if self.stats_cache is not None and \
-                    prep.data_token is not None:
-                # register under the per-rooting key too (the same key
-                # derive_stats would use): later fixed-driver plans of
-                # any rooting reuse it
-                method_key = self._stats_method_key(stats)
-                rooted_stats = self.stats_cache.get_or_derive(
-                    prep.data_token, rooted, method_key,
-                    lambda built=rooted_stats: built,
-                )
-            # One memo per rooting (survival tables are
-            # rooting-specific); shared by the proxy, every strategy's
-            # order search, and the final costing.
-            memo = CostMemo(rooted)
-            if proxy_mode is not None:
-                greedy = beam_order(
-                    rooted, rooted_stats, mode=proxy_mode,
-                    eps=self.options.eps, weights=self.options.weights,
-                    beam_width=1, memoize=memo,
-                )
-                proxy_cost = self._cost(rooted, rooted_stats, greedy.order,
-                                        proxy_mode, flat_output, memo)
-            else:
-                proxy_cost = 0.0  # SJ-only: polynomial, nothing to prune
-            candidates.append(
-                (proxy_cost, position, rooted, rooted_stats, memo)
-            )
-        candidates.sort(key=lambda entry: (entry[0], entry[1]))
-        best = None
-        for _, _, rooted, rooted_stats, memo in candidates:
-            for candidate_mode in modes:
-                upper_bound = None
-                if best is not None:
-                    # The DP objective counts probes only; a plan's full
-                    # cost adds tuple-generation terms with a guaranteed
-                    # floor — the expected flat output size — whenever
-                    # flat output is requested (the expansion step) or
-                    # the mode materializes tuples (STD variants' last
-                    # join emits the full result).  Subtracting that
-                    # floor converts the incumbent's full cost into a
-                    # sound, *tight* bound in DP units.
-                    slack = 0.0
-                    if flat_output or not candidate_mode.factorized:
-                        slack = (
-                            expected_output_size(rooted, rooted_stats)
-                            * self.options.weights.tuple_generation
-                        )
-                    upper_bound = best.predicted_cost - slack
-                    if upper_bound <= 0.0:
-                        continue  # the floor alone reaches the incumbent
-                order, child_orders = self._order_for_mode(
-                    rooted, rooted_stats, candidate_mode, options, memo,
-                    upper_bound=upper_bound,
-                )
-                if order is None:
-                    continue  # pruned: cannot beat the incumbent
-                cost = self._cost(rooted, rooted_stats, order,
-                                  candidate_mode, flat_output, memo)
-                if best is None or cost < best.predicted_cost:
-                    best = PhysicalPlan(
-                        catalog=prep.catalog,
-                        query=rooted,
-                        order=order,
-                        mode=candidate_mode,
-                        stats=rooted_stats,
-                        predicted_cost=cost,
-                        child_orders=child_orders,
-                        weights=self.options.weights,
-                        num_shards=prep.effective_shards,
-                        execution=options.execution,
-                    )
-        return self._apply_robustness(best, prep, options, flat_output)
+        best = self._search(
+            candidates, options, flat_output, floor,
+            catalog=prep.catalog, num_shards=prep.effective_shards,
+        )
+        return self._apply_robustness(best, reader, options, flat_output)
 
     # ------------------------------------------------------------------
     # Cyclic queries: joint spanning-tree + join-order search
     # ------------------------------------------------------------------
 
-    def _cyclic_directed_stats(self, prep, method, sample_fraction=0.05,
-                               seed=0):
-        """Direction-complete predicate statistics for a cyclic query.
-
-        One measurement (or sampling) pass covers both probe directions
-        of *every* join predicate — tree edges and residuals alike — so
-        each candidate spanning tree's :class:`QueryStats`, every
-        rooting of it, and every residual selectivity are assembled
-        with dictionary work.  Cached under the rooting-free
-        :func:`~repro.core.cyclic.cyclic_signature`, so repeated cyclic
-        plans of one join graph share a single derivation.
-        """
-        catalog, parsed = prep.stats_catalog, prep.query
-        if method == "exact":
-            def derive():
-                return cyclic_directed_stats(catalog, parsed)
-        elif method == "sampling":
-            def derive():
-                return self._cyclic_sampling_stats(
-                    catalog, parsed, sample_fraction, seed
-                )
-        else:
-            raise ValueError(
-                f"stats method must be 'exact' or 'sampling' for a cyclic "
-                f"query; got {method!r}"
-            )
-        if self.stats_cache is not None and prep.data_token is not None:
-            method_key = self._stats_method_key(method, sample_fraction,
-                                                seed)
-            return self.stats_cache.get_or_derive_signature(
-                prep.data_token,
-                cyclic_signature(parsed),
-                f"cyclic-directed:{method_key}",
-                derive,
-            )
-        return derive()
-
-    @staticmethod
-    def _cyclic_sampling_stats(catalog, parsed, sample_fraction, seed):
-        """Sampling-based :func:`cyclic_directed_stats` equivalent.
-
-        Each direction's estimate is built exactly as
-        :meth:`derive_stats` would for a tree that orients the
-        predicate that way (same constructor arguments, same seed).
-        """
-        from .estimation.sampling import CorrelatedSample
-
-        directed = {}
-        for rel_a, attr_a, rel_b, attr_b in parsed.join_predicates:
-            if (rel_a, attr_a, rel_b, attr_b) in directed:
-                continue
-            for parent, parent_attr, child, child_attr in (
-                (rel_a, attr_a, rel_b, attr_b),
-                (rel_b, attr_b, rel_a, attr_a),
-            ):
-                estimate = CorrelatedSample(
-                    catalog.table(parent),
-                    catalog.table(child),
-                    parent_attr,
-                    child_attr,
-                    sample_fraction=sample_fraction,
-                    seed=seed,
-                ).estimate()
-                directed[(parent, parent_attr, child, child_attr)] = \
-                    EdgeStats(m=estimate.m, fo=max(estimate.fo, 1e-9))
-        sizes = {
-            alias: len(catalog.table(alias)) for alias in parsed.relations
-        }
-        return directed, sizes
-
-    def _cyclic_distincts(self, prep):
-        """Per-attribute distinct counts for the wcoj cost model.
-
-        Measured once per (data, join-graph) pair — the counts depend
-        on neither the spanning tree nor the rooting, so they share the
-        rooting-free :func:`~repro.core.cyclic.cyclic_signature` cache
-        slot family with the directed stats.
-        """
-        catalog, parsed = prep.stats_catalog, prep.query
-
-        def derive():
-            return cyclic_attr_distincts(catalog, parsed)
-
-        if self.stats_cache is not None and prep.data_token is not None:
-            return self.stats_cache.get_or_derive_signature(
-                prep.data_token,
-                cyclic_signature(parsed),
-                "cyclic-distincts",
-                derive,
-            )
-        return derive()
-
-    def _plan_cyclic(self, prep, options):
+    def _plan_cyclic(self, prep, reader, options):
         """Joint spanning-tree + join-order search for a cyclic query.
 
         The cyclic analogue of :meth:`_plan_driver_auto`, one level up:
 
-        1. **shared statistics** — both directions of every join
-           predicate are measured once; candidate-tree stats and
-           residual selectivities are assembled, not re-derived;
+        1. **shared statistics** — tree edges and residuals are all
+           directed predicates the reader measures once each;
+           candidate-tree stats and residual selectivities are
+           assembled, not re-derived;
         2. **ranked candidates** — spanning trees stream in
            approximately ascending estimated tree-output order (the
            greedy Kruskal minimum first, so the incumbent is strong
@@ -1396,27 +1124,25 @@ class Planner:
         set attribute-at-a-time instead.
         """
         parsed = prep.query
-        stats, modes, deadline = options.stats, options.modes, options.deadline
-        if isinstance(stats, QueryStats):
+        deadline, weights = options.deadline, self.options.weights
+        if isinstance(options.stats, QueryStats):
             raise ValueError(
                 "cyclic planning derives per-tree statistics; pass "
                 'stats="exact" or "sampling" (a prebuilt QueryStats only '
                 "describes one rooting of one spanning tree)"
             )
-        directed, sizes = self._cyclic_directed_stats(prep, stats)
         predicates = list(parsed.join_predicates)
+        relations = list(parsed.relations)
+        sizes = reader.sizes(relations)
         pair_sels = [
-            edge_pair_selectivity(directed, sizes, predicate)
+            edge_pair_selectivity(reader.edge(*predicate),
+                                  sizes[predicate[2]])
             for predicate in predicates
         ]
         tree_weights = [log_pair_weight(s) for s in pair_sels]
-        relations = list(parsed.relations)
         roots = (
             relations if options.driver == "auto" and len(relations) > 1
-            else [relations[0]]
-        )
-        proxy_mode = next(
-            (mode for mode in modes if not mode.uses_semijoin), None
+            else relations[:1]
         )
         best = None
         candidate_trees = enumerate_spanning_trees(
@@ -1429,119 +1155,56 @@ class Planner:
                 break  # anytime: the greedy tree is always evaluated
             in_tree = set(tree)
             tree_predicates = [predicates[index] for index in tree]
+            # applied most-reducing first, matching residual_filter_cost
             residual_pairs = sorted(
                 (pair_sels[index], index)
                 for index in range(len(predicates))
                 if index not in in_tree
             )
-            # applied most-reducing first, matching residual_filter_cost
-            residuals = tuple(
-                ResidualPredicate(*predicates[index])
-                for _, index in residual_pairs
-            )
             residual_sels = tuple(sel for sel, _ in residual_pairs)
-
-            # Same proxy-rank-then-prune shape as _plan_driver_auto's
-            # rooting loop, with two deliberate differences: the slack
-            # below adds the tree's residual term, and per-rooting stats
-            # are NOT pre-registered in the stats cache — every tree's
-            # rootings assemble from the one shared directed map, and
-            # registering up to max_spanning_trees x n per-rooting
-            # entries would churn the cache for keys no fixed-driver
-            # plan will ever ask for.
-            candidates = []
-            for position, root in enumerate(roots):
-                # root the already-materialized tree edges directly; the
-                # predicate-multiset subtraction behind
-                # tree_query_from_residuals is root-independent and
-                # would be redone once per rooting
-                rooted = _rooted_tree(relations, tree_predicates, root)
-                rooted_stats = stats_for_tree(rooted, directed, sizes)
-                memo = CostMemo(rooted)
-                if len(roots) > 1 and proxy_mode is not None:
-                    greedy = beam_order(
-                        rooted, rooted_stats, mode=proxy_mode,
-                        eps=self.options.eps, weights=self.options.weights,
-                        beam_width=1, memoize=memo,
-                    )
-                    proxy_cost = self._cost(rooted, rooted_stats,
-                                            greedy.order, proxy_mode, True,
-                                            memo)
-                else:
-                    proxy_cost = 0.0
-                candidates.append(
-                    (proxy_cost, position, rooted, rooted_stats, memo)
-                )
-            candidates.sort(key=lambda entry: (entry[0], entry[1]))
-
+            # root the already-materialized tree edges directly; the
+            # predicate-multiset subtraction behind
+            # tree_query_from_residuals is root-independent and would
+            # be redone once per rooting
+            candidates = self._candidates(
+                [_rooted_tree(relations, tree_predicates, root)
+                 for root in roots],
+                reader, options, True,
+            )
             # Order- and rooting-invariant cost floor of this tree: the
             # expansion of its expected flat output plus the residual
-            # filters over it.  Subtracted from the incumbent to form
-            # the order searches' branch-and-bound bound (the same
-            # soundness argument as the driver search's slack).
-            expected_out = expected_output_size(
-                candidates[0][2], candidates[0][3]
+            # filters over it (cyclic output is always flat).
+            expected_out = expected_output_size(*candidates[0][:2])
+            residual_cost = residual_filter_cost(expected_out, residual_sels,
+                                                 weights)
+            slack = residual_cost + expected_out * weights.tuple_generation
+            best = self._search(
+                candidates, options, True, lambda *_: slack, best,
+                fixed_cost=residual_cost,
+                catalog=prep.catalog, num_shards=prep.effective_shards,
+                residuals=tuple(ResidualPredicate(*predicates[index])
+                                for _, index in residual_pairs),
+                residual_selectivities=residual_sels,
             )
-            residual_cost = residual_filter_cost(
-                expected_out, residual_sels, self.options.weights
-            )
-            slack = residual_cost \
-                + expected_out * self.options.weights.tuple_generation
-            if best is not None and slack >= best.predicted_cost:
-                continue  # the floor alone reaches the incumbent
-
-            for _, _, rooted, rooted_stats, memo in candidates:
-                for candidate_mode in modes:
-                    upper_bound = None
-                    if best is not None:
-                        upper_bound = best.predicted_cost - slack
-                        if upper_bound <= 0.0:
-                            continue
-                    order, child_orders = self._order_for_mode(
-                        rooted, rooted_stats, candidate_mode, options,
-                        memo, upper_bound=upper_bound,
-                    )
-                    if order is None:
-                        continue  # pruned: cannot beat the incumbent
-                    total = self._cost(
-                        rooted, rooted_stats, order, candidate_mode, True,
-                        memo,
-                    ) + residual_cost
-                    if best is None or total < best.predicted_cost:
-                        best = PhysicalPlan(
-                            catalog=prep.source_catalog,
-                            query=rooted,
-                            order=order,
-                            mode=candidate_mode,
-                            stats=rooted_stats,
-                            predicted_cost=total,
-                            child_orders=child_orders,
-                            weights=self.options.weights,
-                            num_shards=1,
-                            residuals=residuals,
-                            residual_selectivities=residual_sels,
-                            execution=options.execution,
-                        )
-        if best is not None:
-            # Gate the winning *tree* order before strategy arbitration
-            # (wcoj keeps the tree order; only the strategy flag and
-            # cost change after this).  The residual-filter term is
-            # order-invariant for the winning tree, so it rides along
-            # as extra cost when the gate re-prices a swapped order.
-            best = self._apply_robustness(
-                best, prep, options, True,
-                extra_cost=residual_filter_cost(
-                    expected_output_size(best.query, best.stats),
-                    best.residual_selectivities, self.options.weights,
-                ),
-            )
+        # Gate the winning *tree* order before strategy arbitration
+        # (wcoj keeps the tree order; only the strategy flag and cost
+        # change after this).  The residual-filter term is
+        # order-invariant for the winning tree, so it rides along as
+        # extra cost when the gate re-prices a swapped order.
+        best = self._apply_robustness(
+            best, reader, options, True,
+            extra_cost=residual_filter_cost(
+                expected_output_size(best.query, best.stats),
+                best.residual_selectivities, weights,
+            ),
+        )
         if options.cyclic_execution != "tree_filter" and best.residuals:
-            distincts = self._cyclic_distincts(prep)
             classes = variable_classes(predicates)
+            distincts = {member: reader.distinct(*member)
+                         for members in classes for member in members}
             variable_order = plan_variable_order(classes, distincts)
-            strategy_cost = wcoj_cost(
-                variable_order, distincts, sizes, self.options.weights
-            )
+            strategy_cost = wcoj_cost(variable_order, distincts, sizes,
+                                      weights)
             if options.cyclic_execution == "wcoj" \
                     or strategy_cost < best.predicted_cost:
                 best.cyclic_strategy = "wcoj"

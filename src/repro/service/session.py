@@ -4,8 +4,9 @@
 server would: every ``plan()`` goes through an LRU **plan cache** keyed
 on normalized query structure + catalog fingerprint (so replanning a
 repeated query is a dictionary lookup, and any data change invalidates
-automatically), statistics derivation is memoized in a
-:class:`~repro.core.stats.StatsCache`, **prepared statements** plan a
+automatically), every directed join predicate is measured once and
+kept in a :class:`~repro.core.stats.StatsCache` that all queries over
+the same table contents share, **prepared statements** plan a
 parameterized query once and re-execute it with fresh constants, and
 ``execute_many()`` runs a batch under per-query budgets with timing.
 """
@@ -206,7 +207,14 @@ class QuerySession:
     plan_cache_size:
         LRU capacity of the plan cache (``None`` for unbounded).
     stats_cache_size:
-        LRU capacity of the statistics cache.
+        LRU capacity of the statistics store
+        (:class:`~repro.core.stats.StatsCache`), counted in
+        *measurements*: one entry per directed join predicate
+        ``(m, fo)`` or column statistic, shared by every query,
+        rooting, spanning tree and shard count over the same table
+        contents.  An ``n``-relation ``driver="auto"`` plan reads
+        ``2 * (n - 1)`` entries; the default holds about the bytes 256
+        whole-query entries of a 24-relation join used to.
     replan_threshold:
         Running q-error (>= 1.0) at which a monitored execution
         (``robustness="auto"``) aborts and replans with corrected
@@ -226,7 +234,7 @@ class QuerySession:
         fingerprint and worker count; see :meth:`close`).
     """
 
-    def __init__(self, catalog, plan_cache_size=128, stats_cache_size=256,
+    def __init__(self, catalog, plan_cache_size=128, stats_cache_size=4096,
                  replan_threshold=8.0, max_replans=2, **knobs):
         self.catalog = catalog
         self.planner = Planner(

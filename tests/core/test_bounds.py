@@ -18,9 +18,9 @@ from repro.core import (
     EdgeStats,
     JoinEdge,
     JoinQuery,
+    QueryStats,
     ROBUSTNESS_CHOICES,
-    bound_stats_for_rooting,
-    max_frequencies_from_data,
+    StatsReader,
     prefix_cardinality_bounds,
     resolve_robustness,
     worst_case_cost,
@@ -106,9 +106,11 @@ def test_planner_validates_robustness_and_regret_factor():
 def test_max_frequencies_match_numpy():
     catalog = make_small_catalog()
     query = make_running_example_query()
-    max_freqs, sizes = max_frequencies_from_data(catalog, query)
+    reader = StatsReader(catalog)
+    bound_stats = reader.bound_stats(query)
     for relation in query.relations:
-        assert sizes[relation] == len(catalog.table(relation))
+        assert bound_stats.relation_size(relation) \
+            == len(catalog.table(relation))
     for edge in query.edges:
         for relation, attr in (
             (edge.parent, edge.parent_attr),
@@ -116,7 +118,12 @@ def test_max_frequencies_match_numpy():
         ):
             column = catalog.table(relation).column(attr)
             _, counts = np.unique(column, return_counts=True)
-            assert max_freqs[(relation, attr)] == int(counts.max())
+            assert reader.max_frequency(relation, attr) == int(counts.max())
+        # bound statistics: every probe may match the heaviest key group
+        assert bound_stats.m(edge.child) == 1.0
+        assert bound_stats.fo(edge.child) == float(
+            reader.max_frequency(edge.child, edge.child_attr)
+        )
 
 
 @pytest.mark.parametrize("num_shards", [2, 8])
@@ -170,15 +177,13 @@ def test_peak_intermediate_tuples_within_bound():
 
 
 def test_prefix_bounds_are_nondecreasing_products():
-    stats = bound_stats_for_rooting(
-        make_running_example_query(),
-        {
-            ("R1", "B"): 2, ("R2", "B"): 3, ("R2", "C"): 1, ("R3", "C"): 2,
-            ("R2", "D"): 1, ("R4", "D"): 4, ("R1", "E"): 1, ("R5", "E"): 5,
-            ("R5", "F"): 1, ("R6", "F"): 2,
-        },
-        {"R1": 10, "R2": 8, "R3": 6, "R4": 5, "R5": 7, "R6": 4},
-    )
+    # bound statistics (m = 1, fo = mf) as StatsReader.bound_stats
+    # assembles them, for mf(R2..R6) = 3, 2, 4, 5, 2 and |R1| = 10
+    stats = QueryStats(10, {
+        relation: EdgeStats(m=1.0, fo=float(mf))
+        for relation, mf in
+        {"R2": 3, "R3": 2, "R4": 4, "R5": 5, "R6": 2}.items()
+    })
     bounds = prefix_cardinality_bounds(
         stats, ["R2", "R3", "R4", "R5", "R6"]
     )
@@ -194,8 +199,7 @@ def test_prefix_bounds_are_nondecreasing_products():
 def test_worst_case_cost_discriminates_orders():
     catalog = make_adversarial_catalog()
     query = adversarial_query()
-    max_freqs, sizes = max_frequencies_from_data(catalog, query)
-    bound_stats = bound_stats_for_rooting(query, max_freqs, sizes)
+    bound_stats = StatsReader(catalog).bound_stats(query)
     heavy_first = worst_case_cost(query, bound_stats, ["H", "S"])
     selective_first = worst_case_cost(query, bound_stats, ["S", "H"])
     assert heavy_first > REGRET_FACTOR * selective_first

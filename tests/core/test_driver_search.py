@@ -12,11 +12,7 @@ from repro.core import (
     stats_from_data,
 )
 from repro.core.costmodel import CostWeights, expected_output_size
-from repro.core.stats import (
-    directed_stats_from_data,
-    stats_for_rooting,
-    undirected_signature,
-)
+from repro.core.stats import StatsCache, StatsReader, relation_tokens
 from repro.modes import ExecutionMode
 from repro.planner import Planner
 from repro.workloads.large_joins import (
@@ -95,24 +91,33 @@ class TestDirectedStats:
     def test_both_directions_match_per_rooting_derivation(self):
         query = random_tree_query(7, seed=2)
         catalog = large_join_catalog(query, rows_per_relation=200, seed=3)
-        directed, sizes = directed_stats_from_data(catalog, query)
-        assert len(directed) == 2 * len(query.edges)
+        store = StatsCache()
+        reader = StatsReader(catalog, store=store,
+                             tokens=relation_tokens(catalog, query))
         for root in query.relations:
             rooted = query.rerooted(root)
-            assembled = stats_for_rooting(rooted, directed, sizes)
+            assembled = reader.rooted_stats(rooted)
             reference = stats_from_data(catalog, rooted)
             assert assembled.driver_size == reference.driver_size
             for relation in rooted.non_root_relations:
                 assert assembled.m(relation) == reference.m(relation)
                 assert assembled.fo(relation) == reference.fo(relation)
+        # every rooting assembled from one measurement per direction
+        assert len(store) == store.stats.misses == 2 * len(query.edges)
 
-    def test_undirected_signature_rooting_invariant(self):
+    def test_store_keys_rooting_invariant(self):
         query = random_tree_query(7, seed=4)
-        signatures = {
-            undirected_signature(query.rerooted(root))
-            for root in query.relations
-        }
-        assert len(signatures) == 1
+        catalog = large_join_catalog(query, rows_per_relation=50, seed=4)
+        store = StatsCache()
+        for root in query.relations:
+            rooted = query.rerooted(root)
+            # a fresh reader per rooting: only the store is shared
+            StatsReader(
+                catalog, store=store,
+                tokens=relation_tokens(catalog, rooted),
+            ).rooted_stats(rooted)
+        # no rooting keyed an edge differently from another
+        assert len(store) == 2 * len(query.edges)
 
 
 class TestDriverAutoSearch:

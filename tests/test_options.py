@@ -46,6 +46,8 @@ INVALID = {
     "mode": ("sideways", "not a valid ExecutionMode"),
     "optimizer": ("simulated_annealing", "optimizer must be one of"),
     "driver": ("R9", "driver must be one of"),
+    "stats": ("exat", "stats method must be 'exact', 'sampling' or a "
+                      "QueryStats"),
     "idp_block_size": (0, "idp_block_size must be >= 1"),
     "beam_width": ("wide", 'beam_width must be an int >= 1 or "auto"'),
     "planning_budget_ms": (-1.0, "planning_budget_ms must be positive"),

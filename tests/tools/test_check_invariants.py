@@ -235,6 +235,37 @@ def test_index_layout_selector_fires_on_environment(synthetic_repo):
     assert rules == ["INDEX_LAYOUT_SELECTOR"]
 
 
+@pytest.mark.parametrize("relative, source", [
+    ("core/sidecar.py",
+     "def measure(index, keys):\n    return index.probe_stats(keys)\n"),
+    ("service/sidecar.py",
+     "def sample(a, b):\n    return CorrelatedSample(a, b, 'x', 'x')\n"),
+    ("planner.py", "def guess():\n    return EdgeStats(m=1.0, fo=1.0)\n"),
+])
+def test_stats_single_producer_fires(synthetic_repo, relative, source):
+    path = synthetic_repo / "src" / "repro" / relative
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(source)
+    rules = [f.rule for f in run_all(load_linter(synthetic_repo))]
+    assert rules == ["STATS_SINGLE_PRODUCER"]
+
+
+@pytest.mark.parametrize("relative", [
+    "core/stats.py", "estimation/sampling.py", "storage/partition.py",
+    "bench/fig04.py",
+])
+def test_stats_single_producer_exempts_the_producers(synthetic_repo,
+                                                     relative):
+    path = synthetic_repo / "src" / "repro" / relative
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(
+        "def measure(index, keys, a, b):\n"
+        "    CorrelatedSample(a, b, 'x', 'x')\n"
+        "    return index.probe_stats(keys)\n"
+    )
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
 def test_hash_index_has_no_layout_selector():
     """The same contract, checked on the live class: the constructor
     signature is the documented one and nothing public on the module or

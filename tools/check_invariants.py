@@ -52,6 +52,17 @@ INDEX_LAYOUT_SELECTOR
     row_offset)``, the module defines no public constant and reads no
     environment.
 
+STATS_SINGLE_PRODUCER
+    Planning statistics have one producer, ``core/stats.py``: it alone
+    measures a directed join predicate (``index.probe_stats(...)`` or a
+    ``CorrelatedSample(...)``) and keys the result in the statistics
+    store, so a measurement made anywhere else is one the store cannot
+    share or invalidate.  No other module under ``src/repro`` may make
+    either call (the estimator's own package, the storage layer that
+    implements ``probe_stats`` and the figure drivers that *evaluate*
+    estimators are exempt), and ``planner.py`` may not construct
+    ``EdgeStats`` — it assembles what the reader hands it.
+
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
@@ -373,6 +384,32 @@ def check_index_layout_selector():
     return findings
 
 
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) \
+        else getattr(func, "id", None)
+
+
+def check_stats_single_producer():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "core/stats.py" or rel.startswith(
+                ("estimation/", "storage/", "bench/fig")):
+            continue
+        banned = {"probe_stats", "CorrelatedSample"} \
+            | ({"EdgeStats"} if rel == "planner.py" else set())
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call) and _called_name(node) in banned:
+                findings.append(Finding(
+                    "STATS_SINGLE_PRODUCER", path.relative_to(REPO),
+                    node.lineno,
+                    f"{_called_name(node)}(...) outside core/stats.py — "
+                    "read statistics through repro.core.stats.StatsReader",
+                ))
+    return findings
+
+
 def check_readme_knob_table():
     findings = []
     options = next(
@@ -408,6 +445,7 @@ CHECKS = (
     check_unsorted_fingerprint_iter,
     check_kernel_surface,
     check_index_layout_selector,
+    check_stats_single_producer,
     check_readme_knob_table,
 )
 
