@@ -96,7 +96,7 @@ PLAN_FINGERPRINT_COVERED: frozenset = frozenset({
 #: the covered fields plus the cost model, or purely observational
 PLAN_FINGERPRINT_EXEMPT: frozenset = frozenset({
     "stats", "predicted_cost", "weights", "residual_selectivities",
-    "diagnostics", "prefix_bounds", "worst_case_bound",
+    "diagnostics", "prefix_bounds", "worst_case_bound", "search_tally",
 })
 
 #: PlanSpec fields a rehydrated plan's fingerprint covers

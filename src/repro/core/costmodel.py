@@ -48,6 +48,8 @@ __all__ = [
     "bvp_plan_cost",
     "expected_output_size",
     "plan_cost",
+    "order_invariant_floor",
+    "cost_lower_bound",
 ]
 
 
@@ -123,7 +125,7 @@ class CostMemo:
     """
 
     __slots__ = ("bit", "subtree_mask", "survival", "eq1", "frontier",
-                 "parent_of", "non_root", "m_eff", "selprod")
+                 "parent_of", "non_root", "m_eff", "selprod", "reduction")
 
     def __init__(self, query):
         self.bit = {}
@@ -148,6 +150,9 @@ class CostMemo:
         self.m_eff = {}
         #: joined-set mask -> prod of selectivities over the set
         self.selprod = {}
+        #: the SJ phase-1 pass (``reduction_ratios``), shared by SJ+STD
+        #: and SJ+COM; filled by :func:`repro.core.optimizer.optimize_sj`
+        self.reduction = None
 
     def mask_of(self, names):
         """Bitmask of a collection of node names (new bits on demand)."""
@@ -511,3 +516,48 @@ def plan_cost(query, stats, order, mode, eps=0.01, flat_output=True,
     return sj_plan_cost(
         query, stats, order, factorized=mode.factorized, flat_output=flat_output
     )
+
+
+def order_invariant_floor(query, stats, mode, weights=CostWeights(),
+                          flat_output=True, expected_output=None):
+    """The part of ``plan_cost(...).total(weights)`` that no join order
+    avoids and no search objective contains.
+
+    An order search is bounded by an incumbent's *full* cost, but its
+    objective (:func:`repro.core.optimizer.incremental_order_cost`)
+    counts only join probes and the bitvector checks a join triggers.
+    For any valid order ``total >= objective / max(1, largest probe
+    cost) + floor``, the floor being: the expected flat output's tuple
+    generation (the expansion step, or an STD variant's last join); for
+    BVP the first scan-time bitvector check, which touches every driver
+    row; for SJ — no objective, the floor is their only exit — each
+    internal node's first semi-join child, probed with the whole
+    relation.  ``expected_output``: a precomputed
+    :func:`expected_output_size`.
+    """
+    mode = ExecutionMode(mode)
+    floor = 0.0
+    if flat_output or not mode.factorized:
+        if expected_output is None:
+            expected_output = expected_output_size(query, stats)
+        floor = expected_output * weights.tuple_generation
+    if mode.uses_bitvectors and query.edges:
+        floor += stats.driver_size * weights.bitvector_probe
+    elif mode.uses_semijoin:
+        floor += weights.semijoin_probe * sum(
+            stats.relation_size(node) for node in query.internal_relations()
+        )
+    return floor
+
+
+def cost_lower_bound(query, stats, mode, weights=CostWeights(),
+                     flat_output=True, expected_output=None):
+    """A lower bound on the *whole* cost of any order under ``mode``:
+    :func:`order_invariant_floor` plus, for STD / COM, the first join —
+    whichever child of the root it is, every driver row probes it."""
+    mode = ExecutionMode(mode)
+    bound = order_invariant_floor(query, stats, mode, weights, flat_output,
+                                  expected_output)
+    if mode in (ExecutionMode.STD, ExecutionMode.COM) and query.edges:
+        bound += stats.driver_size * weights.hash_probe
+    return bound

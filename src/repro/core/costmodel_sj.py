@@ -82,17 +82,18 @@ def reduction_ratios(query, stats):
     return ratios, m_primes
 
 
-def sj_phase1_cost(query, stats, child_orders=None):
+def sj_phase1_cost(query, stats, child_orders=None, reduction=None):
     """Semi-join probe counts of the bottom-up reduction pass.
 
     For each internal node ``p`` its children are probed in sequence;
     after probing child ``c`` only an ``m'_{p->c}`` fraction of ``p``'s
     tuples remain to probe the next child.  ``child_orders`` optionally
     maps an internal relation to the order of its children; the default
-    (optimal, Section 3.6) is increasing ``m'``.
-    Returns ``(PlanCost, ratios)``.
+    (optimal, Section 3.6) is increasing ``m'``.  ``reduction`` is an
+    already computed :func:`reduction_ratios` result for this
+    (query, stats).  Returns ``(PlanCost, ratios)``.
     """
-    ratios, m_primes = reduction_ratios(query, stats)
+    ratios, m_primes = reduction or reduction_ratios(query, stats)
     child_orders = child_orders or {}
     cost = PlanCost()
     for node in query.postorder():
@@ -124,7 +125,8 @@ def sj_phase2_fanouts(query, stats, ratios=None):
     return fanouts
 
 
-def sj_plan_cost(query, stats, order, factorized, flat_output=True, child_orders=None):
+def sj_plan_cost(query, stats, order, factorized, flat_output=True,
+                 child_orders=None, reduction=None):
     """PlanCost for SJ+STD or SJ+COM executing phase 2 in ``order``.
 
     Phase-1 semi-join probes are charged at the semi-join weight.  In
@@ -132,10 +134,10 @@ def sj_plan_cost(query, stats, order, factorized, flat_output=True, child_orders
     every probe matches; STD pays one probe per intermediate tuple with
     the adjusted fanouts, while COM pays one probe per surviving parent
     entry — which makes its phase-2 cost order-independent
-    (Theorem 3.5).
+    (Theorem 3.5).  ``reduction`` as in :func:`sj_phase1_cost`.
     """
     query.validate_order(order)
-    cost, ratios = sj_phase1_cost(query, stats, child_orders=child_orders)
+    cost, ratios = sj_phase1_cost(query, stats, child_orders, reduction)
     fanouts = sj_phase2_fanouts(query, stats, ratios)
     reduced_driver = stats.driver_size * ratios[query.root]
 

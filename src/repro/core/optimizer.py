@@ -49,7 +49,7 @@ from .costmodel import (
     _survival,
     plan_cost,
 )
-from .costmodel_sj import reduction_ratios, sj_phase2_fanouts
+from .costmodel_sj import reduction_ratios, sj_phase2_fanouts, sj_plan_cost
 
 __all__ = [
     "OptimizedPlan",
@@ -451,10 +451,13 @@ def _exact_block_order(query, stats, committed_order, block, mode, eps,
     the bound can never complete into an order cheaper than it — such
     states are dropped.  When *every* completion is pruned the return
     is ``(None, None)``: the caller's incumbent plan is at least as
-    cheap as anything this search could find.  Pruning never changes a
-    returned result (a sub-bound optimum's own prefixes all cost less
-    than it, so its DP path always survives) — it only turns
-    guaranteed-losing searches into early exits.
+    cheap as anything this search could find.  Pruning never changes
+    the returned cost (a sub-bound optimum's own prefixes all cost less
+    than it, so its DP path always survives; among *exactly* tied
+    orders a different one may be kept) — it only turns guaranteed-
+    losing searches into early exits.  The bound is in this objective's
+    units, probe costs multiplied in: a caller bounding by a full plan
+    cost, which has none, scales it by the largest one.
 
     ``deadline`` (a ``time.perf_counter()`` timestamp) aborts the
     search with :class:`PlanningBudgetExceeded` once passed; checked
@@ -673,7 +676,7 @@ def greedy_order(query, stats, heuristic="survival", mode=ExecutionMode.COM,
 
 
 def optimize_sj(query, stats, factorized, weights=CostWeights(),
-                flat_output=False):
+                flat_output=False, memo=None):
     """Optimal plan for SJ+STD / SJ+COM with the driver fixed.
 
     Decisions (Section 3.6): semi-join children in increasing adjusted
@@ -681,8 +684,17 @@ def optimize_sj(query, stats, factorized, weights=CostWeights(),
     (rank ordering, STD) or increasing root-to-relation fanout product
     (COM, where the cost is order-independent by Theorem 3.5 and the
     sort keeps intermediate factorized results small).
+
+    The phase-1 pass (:func:`reduction_ratios`) runs once and prices the
+    plan too; with a :class:`CostMemo` for this (query, stats) it is
+    kept there, so the other SJ variant of the same rooting reuses it.
     """
-    ratios, m_primes = reduction_ratios(query, stats)
+    reduction = memo.reduction if memo is not None else None
+    if reduction is None:
+        reduction = reduction_ratios(query, stats)
+        if memo is not None:
+            memo.reduction = reduction
+    ratios, m_primes = reduction
     child_orders = {
         node: sorted(query.children(node), key=m_primes.__getitem__)
         for node in query.internal_relations()
@@ -702,8 +714,8 @@ def optimize_sj(query, stats, factorized, weights=CostWeights(),
         candidates = query.eligible_next(order)
         order.append(min(candidates, key=lambda rel: (sort_key(rel), rel)))
     mode = ExecutionMode.SJ_COM if factorized else ExecutionMode.SJ_STD
-    cost = plan_cost(query, stats, order, mode,
-                     flat_output=flat_output).total(weights)
+    cost = sj_plan_cost(query, stats, order, factorized, flat_output,
+                        reduction=reduction).total(weights)
     return OptimizedPlan(query=query, order=order, cost=cost, mode=mode,
                          child_orders=child_orders)
 

@@ -47,17 +47,25 @@ class JoinQuery:
         once and the edges must form a tree rooted at ``root``.
     """
 
+    #: undirected adjacency map, built by the first :meth:`rerooted` call
+    _adjacency: dict | None = None
+
     def __init__(self, root, edges):
         self.root = root
         self.edges = list(edges)
         self._edge_by_child = {}
         self._children = {root: []}
+        # the tree is immutable after construction: the structure the
+        # order searches read per DP state is derived once, here
+        self._parent = {root: None}
+        self._non_root = tuple(edge.child for edge in self.edges)
         for edge in self.edges:
             if edge.child in self._edge_by_child:
                 raise ValueError(f"relation {edge.child!r} has two parents")
             if edge.child == root:
                 raise ValueError(f"root {root!r} cannot be a child")
             self._edge_by_child[edge.child] = edge
+            self._parent[edge.child] = edge.parent
             self._children.setdefault(edge.parent, []).append(edge.child)
             self._children.setdefault(edge.child, [])
         self._validate_tree()
@@ -105,9 +113,10 @@ class JoinQuery:
 
     def parent(self, relation):
         """Parent relation name (``None`` for the root)."""
-        if relation == self.root:
-            return None
-        return self.edge_to(relation).parent
+        try:
+            return self._parent[relation]
+        except KeyError:
+            raise KeyError(f"{relation!r} is not a non-root relation") from None
 
     def children(self, relation):
         """Child relation names, in declaration order."""
@@ -168,11 +177,11 @@ class JoinQuery:
 
     def is_valid_order(self, order):
         """Check that ``order`` is a precedence-respecting permutation."""
-        if sorted(order) != sorted(self.non_root_relations):
+        if sorted(order) != sorted(self._non_root):
             return False
         seen = {self.root}
         for relation in order:
-            if self.parent(relation) not in seen:
+            if self._parent[relation] not in seen:
                 return False
             seen.add(relation)
         return True
@@ -188,11 +197,12 @@ class JoinQuery:
 
     def eligible_next(self, prefix):
         """Relations joinable after ``prefix`` (precedence frontier)."""
-        joined = {self.root} | set(prefix)
+        joined = {self.root, *prefix}
+        parent = self._parent
         return [
             rel
-            for rel in self.non_root_relations
-            if rel not in joined and self.parent(rel) in joined
+            for rel in self._non_root
+            if rel not in joined and parent[rel] in joined
         ]
 
     def random_order(self, rng=None):
@@ -233,10 +243,12 @@ class JoinQuery:
         """The same join graph rooted at a different driver relation."""
         if new_root == self.root:
             return self
-        adjacency = {}
-        for rel_a, attr_a, rel_b, attr_b in self.undirected_edges():
-            adjacency.setdefault(rel_a, []).append((rel_b, attr_a, attr_b))
-            adjacency.setdefault(rel_b, []).append((rel_a, attr_b, attr_a))
+        adjacency = self._adjacency
+        if adjacency is None:
+            adjacency = self._adjacency = {}
+            for rel_a, attr_a, rel_b, attr_b in self.undirected_edges():
+                adjacency.setdefault(rel_a, []).append((rel_b, attr_a, attr_b))
+                adjacency.setdefault(rel_b, []).append((rel_a, attr_b, attr_a))
         if new_root not in adjacency and self.num_relations > 1:
             raise KeyError(f"unknown relation {new_root!r}")
         edges = []

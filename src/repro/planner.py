@@ -21,6 +21,7 @@ it:
 from __future__ import annotations
 
 import hashlib
+import heapq
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -29,7 +30,9 @@ import numpy as np
 from .core.costmodel import (
     CostMemo,
     CostWeights,
+    cost_lower_bound,
     expected_output_size,
+    order_invariant_floor,
     plan_cost,
 )
 from .core.cyclic import (
@@ -78,7 +81,8 @@ from .storage.partition import partition_replacements
 from .storage.table import Catalog, Table
 
 __all__ = ["AUTO_MAX_SHARDS", "AUTO_MIN_ROWS_PER_SHARD", "PhysicalPlan",
-           "PlanSpec", "Planner", "filtered_table", "push_down_selections"]
+           "PlanSpec", "Planner", "SearchTally", "filtered_table",
+           "push_down_selections"]
 
 
 def filtered_table(table, alias, predicate):
@@ -137,6 +141,27 @@ def push_down_selections(catalog, parsed):
     # an acknowledged in-place mutation invalidates this catalog's
     # indexes too (plans pin their derived catalog and may be re-run)
     return catalog.register_derived(derived)
+
+
+@dataclass
+class SearchTally:
+    """What finding a plan took and what spared it the rest: exact
+    counts from :meth:`Planner._search`, summed over a cyclic plan's
+    candidate trees.  Observational — never fingerprinted, shipped in a
+    :class:`PlanSpec` or cache-keyed."""
+
+    rootings: int = 0            #: candidate rootings seen
+    rootings_floored: int = 0    #: dropped unranked by their lower bound
+    proxies: int = 0             #: width-1 beam proxies run to rank them
+    modes_floored: int = 0       #: strategies skipped by their floor
+    searches_pruned: int = 0     #: order searches the bound pruned out
+    searches_completed: int = 0  #: order searches that returned an order
+    sj_pricings: int = 0         #: SJ strategies ordered + priced at once
+
+    @property
+    def order_searches(self):
+        return (self.searches_pruned + self.searches_completed
+                + self.sj_pricings)
 
 
 @dataclass
@@ -200,6 +225,9 @@ class PhysicalPlan:
     #: resolved worker-process count of a distributed plan (0 for local
     #: plans) — part of the fingerprint and the plan-cache key
     num_workers: int = 0
+    #: what the order + strategy search ran and pruned (``None`` on a
+    #: rehydrated plan, which ran none) — never fingerprinted
+    search_tally: SearchTally | None = None
 
     @property
     def is_cyclic(self):
@@ -365,6 +393,11 @@ class PhysicalPlan:
                 for members in self.wcoj_variable_order
             )
             lines.append(f"  STRATEGY wcoj variables: {rendered}")
+        if self.search_tally is not None:
+            lines.append("  SEARCH " + " ".join(
+                f"{name}={count}"
+                for name, count in vars(self.search_tally).items()
+            ))
         return "\n".join(lines)
 
     def to_spec(self, catalog_fingerprint):
@@ -479,11 +512,6 @@ def _shared_fields(record):
     return {name: getattr(record, name) for name in _SHARED_FIELDS}
 
 
-def _no_floor(rooted, stats, mode):
-    """:meth:`Planner._search` cost floor of a single-rooting search."""
-    return 0.0
-
-
 @dataclass
 class _PreparedQuery:
     """Everything :meth:`Planner._prepare` derives for one query."""
@@ -579,7 +607,7 @@ class Planner:
 
     def _order_for_mode(self, query, stats, mode, options, memo=None,
                         upper_bound=None):
-        """Best order (and SJ child orders) for one strategy.
+        """Best order for one non-semi-join strategy.
 
         ``options`` is the request's resolved
         :class:`~repro.options.PlanOptions`: its ``optimizer`` picks the
@@ -590,54 +618,35 @@ class Planner:
         eps) so every strategy's optimization and costing reuse one set
         of subset tables.
 
-        ``upper_bound`` enables branch-and-bound pruning against an
-        incumbent plan's cost (the ``driver="auto"`` search supplies
-        it); the return is ``(None, {})`` when every candidate order
-        was pruned — the incumbent cannot be beaten from here.
+        ``upper_bound`` (in the search objective's units) enables
+        branch-and-bound pruning against an incumbent plan; the return
+        is ``None`` when every candidate order was pruned — the
+        incumbent cannot be beaten from here.
         """
-        eps, weights = options.eps, options.weights
-        if mode.uses_semijoin:
-            plan = optimize_sj(query, stats, factorized=mode.factorized,
-                               weights=weights)
-            return plan.order, plan.child_orders
-        memoize = memo if memo is not None else True
+        shared = dict(mode=mode, eps=options.eps, weights=options.weights)
         rungs = self._LADDER.get(options.optimizer)
         if rungs is None:
-            plan = greedy_order(query, stats, options.optimizer, mode=mode,
-                                eps=eps, weights=weights)
-            return plan.order, {}
+            return greedy_order(query, stats, options.optimizer,
+                                **shared).order
+        shared.update(memoize=memo if memo is not None else True,
+                      upper_bound=upper_bound)
         deadline = options.deadline
         if deadline is None:
             rungs = rungs[:1]  # nothing can overrun: no fallback needed
-        plan = None
+        searches = {
+            "exhaustive": (exhaustive_optimal, {"deadline": deadline}),
+            "idp": (idp_order, {"deadline": deadline,
+                                "block_size": options.idp_block_size}),
+            "beam": (beam_order, {"beam_width": options.beam_width}),
+        }
         for rung in rungs:
+            search, own = searches[rung]
             try:
-                if rung == "exhaustive":
-                    plan = exhaustive_optimal(
-                        query, stats, mode=mode, eps=eps,
-                        weights=weights, memoize=memoize,
-                        upper_bound=upper_bound, deadline=deadline,
-                    )
-                elif rung == "idp":
-                    plan = idp_order(
-                        query, stats, mode=mode, eps=eps,
-                        weights=weights,
-                        block_size=options.idp_block_size, memoize=memoize,
-                        upper_bound=upper_bound, deadline=deadline,
-                    )
-                else:
-                    plan = beam_order(
-                        query, stats, mode=mode, eps=eps,
-                        weights=weights,
-                        beam_width=options.beam_width, memoize=memoize,
-                        upper_bound=upper_bound,
-                    )
+                plan = search(query, stats, **shared, **own)
             except PlanningBudgetExceeded:
                 continue  # fall down the ladder
-            break
-        if plan is None:
-            return None, {}  # pruned out: incumbent is at least as good
-        return plan.order, {}
+            # None: pruned out, the incumbent is at least as good
+            return plan.order if plan is not None else None
 
     def _cost(self, query, stats, order, mode, flat_output, memo=None):
         return plan_cost(query, stats, order, mode, eps=self.options.eps,
@@ -781,85 +790,119 @@ class Planner:
         )
         if prep.join_query is None:
             plan = self._plan_cyclic(prep, reader, options)
-        elif options.driver == "auto" and prep.join_query.num_relations > 1:
-            plan = self._plan_driver_auto(prep, reader, options)
         else:
-            plan = self._plan_fixed_driver(prep, reader, options)
+            plan = self._plan_acyclic(prep, reader, options)
         plan.placement = options.placement
         plan.num_workers = options.num_workers
         return self._validated(plan, query, options.validate)
 
-    def _candidates(self, rootings, reader, options, flat_output):
-        """``(rooted, stats, memo)`` per rooting, in evaluation order.
+    def _search(self, rootings, stats_for, options, flat_output, best=None,
+                residual_selectivities=(), **plan_fields):
+        """The cheapest (rooting, mode, order) among ``rootings``.
 
-        One :class:`CostMemo` per rooting (survival tables are
-        rooting-specific), shared by the proxy, every strategy's order
-        search and the final costing.  Several rootings are
-        proxy-ranked: each first gets a width-1 beam (greedy
-        minimum-delta) plan and they are returned in ascending proxy
-        cost (ties: given order), so a search over them meets a strong
-        incumbent early.  SJ-only requests are not ranked — their
-        order search is polynomial, there is nothing to prune.
+        The one order + strategy search behind a fixed driver (one
+        rooting), the ``driver="auto"`` sweep, every candidate spanning
+        tree of a cyclic query and :meth:`replan`.  ``stats_for(rooted)``
+        supplies a rooting's statistics.  Returns a :class:`PhysicalPlan`
+        (``plan_fields`` are the fields the search does not decide), or
+        ``best`` — the incumbent handed in — when nothing beats it; the
+        first of equally cheap choices wins.
+
+        *Floor -> lazy proxy -> bounded search.*  Rootings wait in a
+        heap keyed by the least ``costmodel.cost_lower_bound`` over the
+        requested strategies.  One popped while that bound reaches the
+        incumbent is dropped: the incumbent only gets cheaper, so at its
+        turn every strategy would have been skipped or pruned out.
+        Otherwise it gets its :class:`~repro.core.costmodel.CostMemo`
+        and a width-1 beam plan and re-enters keyed by that proxy's full
+        cost; no proxy is below its rooting's bound, so a popped entry
+        *with* a proxy is next in ``(proxy cost, given position)`` order
+        — rootings are searched exactly as if all had been ranked up
+        front.  Each strategy's search is then bounded by the incumbent
+        minus ``costmodel.order_invariant_floor`` (times the largest
+        probe cost, which only the search objective multiplies in); a
+        floor that alone reaches the incumbent skips the strategy — the
+        SJ variants' only exit.
+
+        One rooting, or SJ-only strategies (polynomial: nothing to
+        prune), are searched in the given order.  A cyclic tree's
+        ``residual_selectivities`` add the residual-filter cost of the
+        first-ranked rooting's expected output to every candidate;
+        nothing is dropped before that rooting is known.
         """
+        eps, weights = self.options.eps, self.options.weights
+        tally = best.search_tally if best is not None else SearchTally()
+        tally.rootings += len(rootings)
         proxy_mode = None
         if len(rootings) > 1:
             proxy_mode = next(
                 (mode for mode in options.modes if not mode.uses_semijoin),
                 None,
             )
-        ranked = []
+        heap = []
         for position, rooted in enumerate(rootings):
-            stats = reader.rooted_stats(rooted)
-            memo = CostMemo(rooted)
-            proxy_cost = 0.0
-            if proxy_mode is not None:
-                greedy = beam_order(
-                    rooted, stats, mode=proxy_mode, eps=self.options.eps,
-                    weights=self.options.weights, beam_width=1, memoize=memo,
-                )
-                proxy_cost = self._cost(rooted, stats, greedy.order,
-                                        proxy_mode, flat_output, memo)
-            ranked.append((proxy_cost, position, rooted, stats, memo))
-        ranked.sort(key=lambda entry: entry[:2])
-        return [entry[2:] for entry in ranked]
-
-    def _search(self, candidates, options, flat_output, floor, best=None,
-                fixed_cost=0.0, **plan_fields):
-        """The cheapest (rooting, mode, order) among ``candidates``.
-
-        The one order + strategy search behind a fixed driver (one
-        candidate), the ``driver="auto"`` sweep, every candidate
-        spanning tree of a cyclic query and :meth:`replan`.  Returns a
-        :class:`PhysicalPlan` (``plan_fields`` are the fields the
-        search does not decide), or ``best`` — the incumbent handed in
-        — when no candidate beats it; the first of equally cheap
-        choices wins.
-
-        Each order search is branch-and-bound pruned against the
-        incumbent: the DP objective counts probes only, while a plan's
-        full cost adds non-negative terms with a guaranteed
-        order-invariant floor — ``floor(rooted, stats, mode)`` — so
-        subtracting that floor converts the incumbent's full cost into
-        a sound, tight bound in DP units.  ``fixed_cost`` is an
-        order-invariant term of the caller's cost scale (a cyclic
-        tree's residual filters) added to every candidate's cost.
-        """
-        for rooted, stats, memo in candidates:
+            stats = stats_for(rooted)
+            expected = expected_output_size(rooted, stats)
+            if proxy_mode is None:
+                key, memo = 0.0, CostMemo(rooted)
+            else:
+                key, memo = min(
+                    cost_lower_bound(rooted, stats, mode, weights,
+                                     flat_output, expected)
+                    for mode in options.modes
+                ), None
+            heap.append((key, position, rooted, stats, expected, memo))
+        heapq.heapify(heap)
+        fixed_cost = None  # known once the first-ranked rooting is
+        while heap:
+            key, position, rooted, stats, expected, memo = heapq.heappop(heap)
+            if memo is None:
+                if fixed_cost is not None \
+                        and key + fixed_cost >= best.predicted_cost:
+                    tally.rootings_floored += 1
+                    continue
+                memo = CostMemo(rooted)
+                greedy = beam_order(rooted, stats, mode=proxy_mode, eps=eps,
+                                    weights=weights, beam_width=1,
+                                    memoize=memo)
+                tally.proxies += 1
+                key = self._cost(rooted, stats, greedy.order, proxy_mode,
+                                 flat_output, memo)
+                heapq.heappush(
+                    heap, (key, position, rooted, stats, expected, memo))
+                continue
+            if fixed_cost is None:
+                fixed_cost = residual_filter_cost(
+                    expected, residual_selectivities, weights)
+            probe_scale = max([1.0, *stats.probe_costs.values()])
             for mode in options.modes:
                 upper_bound = None
                 if best is not None:
-                    upper_bound = best.predicted_cost \
-                        - floor(rooted, stats, mode)
+                    upper_bound = best.predicted_cost - (
+                        fixed_cost + order_invariant_floor(
+                            rooted, stats, mode, weights, flat_output,
+                            expected))
                     if upper_bound <= 0.0:
-                        continue  # the floor alone reaches the incumbent
-                order, child_orders = self._order_for_mode(
-                    rooted, stats, mode, options, memo,
-                    upper_bound=upper_bound,
-                )
-                if order is None:
-                    continue  # pruned: cannot beat the incumbent
-                cost = self._cost(rooted, stats, order, mode, flat_output,
-                                  memo) + fixed_cost
+                        tally.modes_floored += 1
+                        continue
+                    upper_bound *= probe_scale
+                if mode.uses_semijoin:
+                    found = optimize_sj(rooted, stats, mode.factorized,
+                                        weights, flat_output, memo)
+                    tally.sj_pricings += 1
+                    order, cost = found.order, found.cost
+                    child_orders = found.child_orders
+                else:
+                    order = self._order_for_mode(
+                        rooted, stats, mode, options, memo, upper_bound)
+                    if order is None:
+                        tally.searches_pruned += 1
+                        continue
+                    tally.searches_completed += 1
+                    cost = self._cost(rooted, stats, order, mode,
+                                      flat_output, memo)
+                    child_orders = {}
+                cost += fixed_cost
                 if best is None or cost < best.predicted_cost:
                     best = PhysicalPlan(
                         query=rooted,
@@ -868,22 +911,13 @@ class Planner:
                         stats=stats,
                         predicted_cost=cost,
                         child_orders=child_orders,
-                        weights=self.options.weights,
+                        weights=weights,
                         execution=options.execution,
+                        residual_selectivities=residual_selectivities,
+                        search_tally=tally,
                         **plan_fields,
                     )
         return best
-
-    def _plan_fixed_driver(self, prep, reader, options):
-        """Order + strategy search for the query's given rooting."""
-        best = self._search(
-            self._candidates([prep.join_query], reader, options,
-                             options.flat_output),
-            options, options.flat_output, _no_floor,
-            catalog=prep.catalog, num_shards=prep.effective_shards,
-        )
-        return self._apply_robustness(best, reader, options,
-                                      options.flat_output)
 
     def _validated(self, plan, query, validate):
         """Apply the resolved ``validate`` level to a produced plan.
@@ -944,7 +978,7 @@ class Planner:
             rooted, bound_stats, plan.order, eps=self.options.eps,
             weights=self.options.weights, memo=memo_bound,
         )
-        robust_order, _ = self._order_for_mode(
+        robust_order = self._order_for_mode(
             rooted, bound_stats, ExecutionMode.STD, options, memo_bound,
         )
         optimal_bound = current_bound
@@ -1007,14 +1041,15 @@ class Planner:
         if options is None:
             options = self.options.resolved(self.catalog, rooted)
         best = self._search(
-            [(rooted, corrected, CostMemo(rooted))], options,
-            options.flat_output, _no_floor, catalog=plan.catalog,
+            [rooted], lambda _: corrected, options, options.flat_output,
+            catalog=plan.catalog,
         )
         replanned = replace(
             plan, order=list(best.order), mode=best.mode,
             child_orders=best.child_orders, stats=corrected,
             predicted_cost=best.predicted_cost, diagnostics=(),
             prefix_bounds=(), worst_case_bound=0.0,
+            search_tally=best.search_tally,
         )
         if plan.robustness != "off":
             bound_stats = StatsReader(plan.catalog).bound_stats(rooted)
@@ -1028,57 +1063,39 @@ class Planner:
         return replanned
 
     # ------------------------------------------------------------------
-    # Driver choice at scale (cross-rooting search)
+    # Acyclic queries: fixed driver, or the cross-rooting driver search
     # ------------------------------------------------------------------
 
-    def _plan_driver_auto(self, prep, reader, options):
-        """The cross-rooting driver search (``driver="auto"``).
+    def _plan_acyclic(self, prep, reader, options):
+        """Order + strategy search over the query's given rooting or,
+        with ``driver="auto"``, over every relation as the driver.
 
-        Three coordinated optimizations over the naive
-        once-per-rooting sweep:
-
-        1. **shared statistics** — rerooting only flips edge
-           directions, and the reader measures each directed predicate
-           once: per-rooting stats are assembled, not re-derived,
-           turning O(n) data scans per edge into O(1);
-        2. **proxy ranking** — rootings are evaluated in ascending
-           greedy-plan cost so the incumbent is strong early
-           (:meth:`_candidates`);
-        3. **incumbent pruning** — each rooting's real order search
-           runs bounded by the best full plan cost so far
-           (:meth:`_search`); most losing rootings exit without
-           finishing.
+        Every relation is a candidate driver, but few are searched:
+        rerooting only flips edge directions and the reader measures
+        each directed predicate once, so per-rooting statistics are
+        assembled, not re-derived; and :meth:`_search` drops a rooting
+        whose cost lower bound already loses, ranks the rest lazily by
+        a greedy proxy and bounds each real order search by the
+        incumbent (floor -> lazy proxy -> bounded search).
         """
-        join_query = prep.join_query
-        flat_output = options.flat_output
-        if isinstance(options.stats, QueryStats):
-            # Edge statistics are directional: a prebuilt QueryStats
-            # only describes the rooting it was derived for, so probing
-            # other drivers with it would read edges that do not exist.
-            raise ValueError(
-                'driver="auto" needs per-rooting statistics; pass '
-                'stats="exact" or "sampling" (prebuilt QueryStats are '
-                "valid only for their own rooting)"
-            )
-        tuple_generation = self.options.weights.tuple_generation
-
-        def floor(rooted, stats, mode):
-            # the expected flat output is generated whenever flat
-            # output is requested (the expansion step) or the mode
-            # materializes tuples (STD variants' last join emits it)
-            if flat_output or not mode.factorized:
-                return expected_output_size(rooted, stats) * tuple_generation
-            return 0.0
-
-        candidates = self._candidates(
-            [join_query.rerooted(root) for root in join_query.relations],
-            reader, options, flat_output,
-        )
+        rootings = [prep.join_query]
+        if options.driver == "auto" and prep.join_query.num_relations > 1:
+            if isinstance(options.stats, QueryStats):
+                # Edge statistics are directional: a prebuilt QueryStats
+                # only describes the rooting it was derived for.
+                raise ValueError(
+                    'driver="auto" needs per-rooting statistics; pass '
+                    'stats="exact" or "sampling" (prebuilt QueryStats are '
+                    "valid only for their own rooting)"
+                )
+            rootings = [prep.join_query.rerooted(root)
+                        for root in prep.join_query.relations]
         best = self._search(
-            candidates, options, flat_output, floor,
+            rootings, reader.rooted_stats, options, options.flat_output,
             catalog=prep.catalog, num_shards=prep.effective_shards,
         )
-        return self._apply_robustness(best, reader, options, flat_output)
+        return self._apply_robustness(best, reader, options,
+                                      options.flat_output)
 
     # ------------------------------------------------------------------
     # Cyclic queries: joint spanning-tree + join-order search
@@ -1087,31 +1104,24 @@ class Planner:
     def _plan_cyclic(self, prep, reader, options):
         """Joint spanning-tree + join-order search for a cyclic query.
 
-        The cyclic analogue of :meth:`_plan_driver_auto`, one level up:
-
-        1. **shared statistics** — tree edges and residuals are all
-           directed predicates the reader measures once each;
-           candidate-tree stats and residual selectivities are
-           assembled, not re-derived;
-        2. **ranked candidates** — spanning trees stream in
-           approximately ascending estimated tree-output order (the
-           greedy Kruskal minimum first, so the incumbent is strong
-           immediately and the search can only match or beat greedy);
-        3. **incumbent pruning** — each tree's fixed cost floor (the
-           expansion of its expected output plus its residual-filter
-           term, both order- and rooting-invariant) is subtracted from
-           the incumbent's total cost to form the ``upper_bound`` for
-           the tree's order searches; trees whose floor alone reaches
-           the incumbent are skipped without any order search.
+        :meth:`_plan_acyclic` one level up: tree edges and residuals
+        are all directed predicates the reader measures once each;
+        spanning trees stream in approximately ascending estimated
+        tree-output order (the greedy Kruskal minimum first, so the
+        search can only match or beat greedy); and one incumbent runs
+        through every tree's :meth:`_search`, where the tree's
+        residual-filter term (order- and rooting-invariant) rides on
+        the per-strategy cost floor — a tree whose floor alone reaches
+        the incumbent runs no order search.
 
         Every candidate tree is priced by the *total* cost model —
         tree-join cost (flat output: residual filtering always pays the
         expansion) plus :func:`~repro.core.cyclic.residual_filter_cost`
         — so a tree with a slightly larger join output still wins when
         its probe structure or residuals are cheaper.  ``driver="auto"``
-        re-roots each candidate tree (proxy-ranked, as in the acyclic
-        driver search); a ``deadline`` bounds the candidate sweep after
-        the greedy tree, which is always fully evaluated.
+        re-roots each candidate tree; a ``deadline`` bounds the
+        candidate sweep after the greedy tree, which is always fully
+        evaluated.
 
         ``cyclic_execution`` arbitrates the execution *strategy* on top
         of the winning tree: ``"auto"`` prices the worst-case-optimal
@@ -1165,26 +1175,14 @@ class Planner:
             # root the already-materialized tree edges directly; the
             # predicate-multiset subtraction behind
             # tree_query_from_residuals is root-independent and would
-            # be redone once per rooting
-            candidates = self._candidates(
+            # be redone once per rooting (cyclic output is always flat)
+            best = self._search(
                 [_rooted_tree(relations, tree_predicates, root)
                  for root in roots],
-                reader, options, True,
-            )
-            # Order- and rooting-invariant cost floor of this tree: the
-            # expansion of its expected flat output plus the residual
-            # filters over it (cyclic output is always flat).
-            expected_out = expected_output_size(*candidates[0][:2])
-            residual_cost = residual_filter_cost(expected_out, residual_sels,
-                                                 weights)
-            slack = residual_cost + expected_out * weights.tuple_generation
-            best = self._search(
-                candidates, options, True, lambda *_: slack, best,
-                fixed_cost=residual_cost,
+                reader.rooted_stats, options, True, best, residual_sels,
                 catalog=prep.catalog, num_shards=prep.effective_shards,
                 residuals=tuple(ResidualPredicate(*predicates[index])
                                 for _, index in residual_pairs),
-                residual_selectivities=residual_sels,
             )
         # Gate the winning *tree* order before strategy arbitration
         # (wcoj keeps the tree order; only the strategy flag and cost

@@ -266,6 +266,30 @@ def test_stats_single_producer_exempts_the_producers(synthetic_repo,
     assert run_all(load_linter(synthetic_repo)) == []
 
 
+@pytest.mark.parametrize("source", [
+    # the three shapes the rule replaced: a nested floor closure, a
+    # floor lambda handed to _search, a floor term priced in place
+    "def plan(self):\n    def floor(rooted, stats, mode):\n"
+    "        return 0.0\n    return floor\n",
+    "def plan(self, slack):\n"
+    "    return self._search([], floor=lambda *_: slack)\n",
+    "def plan(self, size):\n"
+    "    return size * self.options.weights.tuple_generation\n",
+])
+def test_cost_floor_single_producer_fires(synthetic_repo, source):
+    (synthetic_repo / "src" / "repro" / "planner.py").write_text(source)
+    rules = [f.rule for f in run_all(load_linter(synthetic_repo))]
+    assert rules == ["COST_FLOOR_SINGLE_PRODUCER"]
+
+
+def test_cost_floor_single_producer_allows_the_producer(synthetic_repo):
+    (synthetic_repo / "src" / "repro" / "planner.py").write_text(
+        "def search(rooted, stats, mode, weights, partition_floor):\n"
+        "    return order_invariant_floor(rooted, stats, mode, weights)\n"
+    )
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
 def test_hash_index_has_no_layout_selector():
     """The same contract, checked on the live class: the constructor
     signature is the documented one and nothing public on the module or

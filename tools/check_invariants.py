@@ -63,6 +63,16 @@ STATS_SINGLE_PRODUCER
     estimators are exempt), and ``planner.py`` may not construct
     ``EdgeStats`` — it assembles what the reader hands it.
 
+COST_FLOOR_SINGLE_PRODUCER
+    What no join order can avoid paying is computed in one place,
+    ``core/costmodel.order_invariant_floor`` (and ``cost_lower_bound``
+    on top of it); the incumbent pruning in ``Planner._search`` is only
+    sound while every floor it subtracts is that function's.  So
+    ``planner.py`` defines no function or lambda named ``floor`` /
+    ``*_floor``, passes no ``floor=`` argument, and never reads the
+    operation weights floors are made of (``tuple_generation``,
+    ``bitvector_probe``, ``semijoin_probe``).
+
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
@@ -410,6 +420,33 @@ def check_stats_single_producer():
     return findings
 
 
+def check_cost_floor_single_producer():
+    path = SRC / "planner.py"
+    findings = []
+    for node in ast.walk(_parse(path)) if path.exists() else ():
+        if isinstance(node, ast.Attribute):
+            bad = node.attr in ("tuple_generation", "bitvector_probe",
+                                "semijoin_probe")
+        else:
+            name = ""
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif isinstance(node, ast.keyword):
+                name = node.arg or ""
+            elif isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Lambda):
+                name = getattr(node.targets[0], "id", "")
+            bad = name == "floor" or name.endswith("_floor")
+        if bad:
+            findings.append(Finding(
+                "COST_FLOOR_SINGLE_PRODUCER", path.relative_to(REPO),
+                node.lineno,
+                "a cost floor built in planner.py — use "
+                "repro.core.costmodel.order_invariant_floor",
+            ))
+    return findings
+
+
 def check_readme_knob_table():
     findings = []
     options = next(
@@ -446,6 +483,7 @@ CHECKS = (
     check_kernel_surface,
     check_index_layout_selector,
     check_stats_single_producer,
+    check_cost_floor_single_producer,
     check_readme_knob_table,
 )
 
