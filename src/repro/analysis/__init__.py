@@ -24,12 +24,8 @@ from .diagnostics import (
     VerificationResult,
 )
 from .planlint import (
-    PLAN_FINGERPRINT_COVERED,
-    PLAN_FINGERPRINT_EXEMPT,
     PLAN_PASSES,
     PlanVerifier,
-    SPEC_FINGERPRINT_COVERED,
-    SPEC_FINGERPRINT_EXEMPT,
     VALIDATE_CHOICES,
     verify_plan,
     verify_spec,
@@ -38,13 +34,9 @@ from .planlint import (
 __all__ = [
     "DIAGNOSTIC_CODES",
     "Diagnostic",
-    "PLAN_FINGERPRINT_COVERED",
-    "PLAN_FINGERPRINT_EXEMPT",
     "PLAN_PASSES",
     "PlanVerificationError",
     "PlanVerifier",
-    "SPEC_FINGERPRINT_COVERED",
-    "SPEC_FINGERPRINT_EXEMPT",
     "Severity",
     "VALIDATE_CHOICES",
     "VerificationResult",

@@ -48,7 +48,9 @@ class Severity(str, Enum):
 
 #: every diagnostic code the verifier can emit, with a one-line
 #: description.  Codes are stable across releases — tests and callers
-#: match on them — so entries may be added but never renamed.
+#: match on them — so entries may be added or retired but never renamed
+#: or reused.  Knob legality has no code: an illegal plan fails
+#: :class:`~repro.planner.PlanSpec` construction instead.
 DIAGNOSTIC_CODES: dict[str, str] = {
     # --- plan structure -------------------------------------------------
     "PLAN001": "join tree malformed: duplicate child, root as child, "
@@ -58,8 +60,6 @@ DIAGNOSTIC_CODES: dict[str, str] = {
     "PLAN003": "semi-join child_orders inconsistent with the rooted tree "
                "(unknown relation or not a permutation of its children)",
     "PLAN004": "residual_selectivities not aligned with residuals",
-    "PLAN005": "invalid resolved knob on the plan (mode / execution / "
-               "num_shards)",
     # --- predicate accounting (needs the parsed source query) ----------
     "PRED001": "parsed join predicate covered by neither a spanning-tree "
                "edge nor a residual (dropped predicate)",
@@ -90,33 +90,21 @@ DIAGNOSTIC_CODES: dict[str, str] = {
     "SHARD002": "plan claims an unpartitioned layout but its catalog "
                 "holds partitioned relations",
     # --- fingerprint / cache-key completeness ---------------------------
-    "FP001": "PhysicalPlan field not accounted for in the fingerprint "
-             "coverage registry (new knob missing from fingerprint())",
-    "FP002": "PlanSpec field not accounted for in the spec coverage "
-             "registry",
     "FP003": "planner knob does not reach the plan-cache key the way "
              "PlanOptions declares it (cache_token() sensitivity probe)",
     "FP004": "fingerprint() is insensitive to a semantic plan field "
              "(stripped or shadowed fingerprint component)",
     # --- PlanSpec-level checks ------------------------------------------
-    "SPEC001": "PlanSpec carries an invalid execution mode",
-    "SPEC002": "PlanSpec carries an invalid resolved execution path",
-    "SPEC003": "PlanSpec carries an invalid shard count",
     "SPEC004": "PlanSpec is stale: catalog content fingerprint mismatch",
     "SPEC005": "PlanSpec residuals do not identify a spanning tree of "
                "the query (tree reconstruction failed)",
     # --- worst-case-optimal (wcoj) strategy ------------------------------
-    "WCOJ001": "invalid cyclic strategy on the plan or spec (unknown "
-               "value, or a tree_filter plan carrying a wcoj variable "
-               "order)",
     "WCOJ002": "wcoj variable order does not cover exactly the "
                "predicate attributes (a residual attribute would go "
                "unjoined, or the order names an unknown member)",
     "WCOJ003": "wcoj strategy on a plan without residuals, or with an "
                "empty variable order (nothing to eliminate)",
     # --- pessimistic bounds / robustness ---------------------------------
-    "BOUND001": "invalid robustness posture on the plan or spec "
-                "(unknown value)",
     "BOUND002": "bound-annotation completeness violated: a robust plan "
                 "must carry one prefix bound per join step, an off-mode "
                 "plan must carry none",
@@ -125,9 +113,6 @@ DIAGNOSTIC_CODES: dict[str, str] = {
     # --- distributed placement -------------------------------------------
     "PLACE001": "shard placement does not cover every shard exactly "
                 "once (a shard would execute twice or not at all)",
-    "PLACE002": "invalid placement knobs on the plan or spec (unknown "
-                "placement value, or a worker count inconsistent with "
-                "it)",
 }
 
 
@@ -244,6 +229,3 @@ class _Emitter:
 
     def warning(self, code: str, message: str) -> None:
         self.emit(code, Severity.WARNING, message)
-
-    def info(self, code: str, message: str) -> None:
-        self.emit(code, Severity.INFO, message)

@@ -1,15 +1,17 @@
 """Static plan/spec verifier: pass-based checks over resolved plans.
 
-Six PRs of growth made correctness rest on informal invariants — every
-semantic knob must reach ``PhysicalPlan.fingerprint()`` and the plan
-cache key, every parsed join predicate must be exactly one spanning-tree
-edge XOR one residual, the resolved tree must actually be a tree rooted
-at the driver.  This module checks those invariants *statically*:
-:func:`verify_plan` walks a :class:`~repro.planner.PhysicalPlan` (and,
-when available, the :class:`~repro.core.parser.ParsedQuery` it was
-planned from) without executing anything, and :func:`verify_spec` does
-the same for a shipped :class:`~repro.planner.PlanSpec` before
-rehydration.
+Correctness rests on invariants no single constructor can see — every
+parsed join predicate is exactly one spanning-tree edge XOR one
+residual, the resolved tree is a tree rooted at the driver, the join
+order respects it, every planner knob reaches the plan-cache key.  This
+module checks them *statically*: :func:`verify_plan` walks a
+:class:`~repro.planner.PhysicalPlan` (and, when available, the
+:class:`~repro.core.parser.ParsedQuery` it was planned from) without
+executing anything, and :func:`verify_spec` does the same for a shipped
+:class:`~repro.planner.PlanSpec` before rehydration.  Knob legality and
+fingerprint coverage are not checked here: ``PlanSpec`` construction
+enforces both (every field declares its role), so a plan violating
+them cannot exist.
 
 Checks are organized as passes (see :data:`PLAN_PASSES`); each pass
 emits :class:`~repro.analysis.diagnostics.Diagnostic` values with stable
@@ -27,38 +29,31 @@ verified once, and every warm-path repeat is a dictionary hit.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+                    Optional, Tuple)
 
 import numpy as np
 
-from ..core.bounds import ROBUSTNESS_CHOICES
-from ..core.cyclic import ResidualPredicate, tree_query_from_residuals
+from ..core.cyclic import tree_query_from_residuals
 from ..core.lru import LRUCache
 from ..core.parser import Contradiction, ParsedQuery, Placeholder, parse_query
 from ..core.query import JoinQuery
-from ..distributed.placement import PLACEMENT_CHOICES, ShardPlacement
-from ..modes import ExecutionMode
+from ..distributed.placement import ShardPlacement
 from ..storage.partition import FLOAT_EXACT_MAX
-from .diagnostics import (
-    PlanVerificationError,
-    VerificationResult,
-    _Emitter,
-)
+from ..storage.table import Catalog
+from .diagnostics import VerificationResult, _Emitter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..planner import PhysicalPlan, PlanSpec
-    from ..storage.table import Catalog, Table
+    from ..storage.table import Table
 
 __all__ = [
-    "PLAN_FINGERPRINT_COVERED",
-    "PLAN_FINGERPRINT_EXEMPT",
     "PLAN_PASSES",
     "PlanVerifier",
-    "SPEC_FINGERPRINT_COVERED",
-    "SPEC_FINGERPRINT_EXEMPT",
     "VALIDATE_CHOICES",
     "verify_plan",
     "verify_spec",
@@ -66,51 +61,6 @@ __all__ = [
 
 #: accepted values of the ``validate`` knob
 VALIDATE_CHOICES: Tuple[str, ...] = ("off", "basic", "full")
-
-#: resolved execution paths a plan may carry (never the raw ``"auto"``)
-_RESOLVED_EXECUTIONS: Tuple[str, ...] = ("vectorized", "interpreted")
-
-#: resolved cyclic strategies a plan may carry (never the raw ``"auto"``)
-_RESOLVED_CYCLIC_STRATEGIES: Tuple[str, ...] = ("tree_filter", "wcoj")
-
-# ----------------------------------------------------------------------
-# Fingerprint / cache-key coverage registries
-# ----------------------------------------------------------------------
-# The completeness contract: every field of PhysicalPlan / PlanSpec must
-# be *explicitly* classified as either covered by the fingerprint or
-# exempt (derived metadata that cannot change results given the covered
-# fields).  A newly added field lands in neither set, and the
-# fingerprint passes fail loudly until its author decides which it is.
-# Planner knobs classify themselves: each repro.options.PlanOptions
-# field's metadata says how it enters the plan-cache key, and FP003
-# checks that cache_token() behaves accordingly.
-
-#: PhysicalPlan fields hashed by ``fingerprint()``
-PLAN_FINGERPRINT_COVERED: frozenset = frozenset({
-    "query", "order", "mode", "child_orders", "residuals",
-    "num_shards", "execution", "catalog",
-    "cyclic_strategy", "wcoj_variable_order", "robustness",
-    "placement", "num_workers",
-})
-#: PhysicalPlan fields that are derived metadata: fully determined by
-#: the covered fields plus the cost model, or purely observational
-PLAN_FINGERPRINT_EXEMPT: frozenset = frozenset({
-    "stats", "predicted_cost", "weights", "residual_selectivities",
-    "diagnostics", "prefix_bounds", "worst_case_bound", "search_tally",
-})
-
-#: PlanSpec fields a rehydrated plan's fingerprint covers
-SPEC_FINGERPRINT_COVERED: frozenset = frozenset({
-    "root", "order", "mode", "child_orders", "residuals",
-    "num_shards", "execution", "catalog_fingerprint",
-    "cyclic_strategy", "wcoj_variable_order", "robustness",
-    "placement", "num_workers",
-})
-SPEC_FINGERPRINT_EXEMPT: frozenset = frozenset({
-    "stats", "predicted_cost", "weights", "residual_selectivities",
-    "prefix_bounds", "worst_case_bound",
-})
-
 
 # ----------------------------------------------------------------------
 # Shared helpers
@@ -122,108 +72,6 @@ def _undirected(rel_a: str, attr_a: str, rel_b: str, attr_b: str) -> tuple:
     if (rel_a, attr_a) <= (rel_b, attr_b):
         return (rel_a, attr_a, rel_b, attr_b)
     return (rel_b, attr_b, rel_a, attr_a)
-
-
-def _tree_shape(root: str, edges: Iterable[Any]) -> tuple:
-    """``(parent_of, children, relations)`` recomputed from raw edges.
-
-    Deliberately ignores ``JoinQuery``'s internal maps so corrupted
-    queries (built around the constructor's validation) are judged on
-    the edge list alone.
-    """
-    parent_of: dict[str, str] = {}
-    children: dict[str, list[str]] = {root: []}
-    for edge in edges:
-        parent_of.setdefault(edge.child, edge.parent)
-        children.setdefault(edge.parent, []).append(edge.child)
-        children.setdefault(edge.child, [])
-    relations = {root} | set(parent_of)
-    return parent_of, children, relations
-
-
-def _check_tree(root: str, edges: list, emitter: _Emitter) -> bool:
-    """PLAN001: the edge list forms a tree rooted at ``root``."""
-    ok = True
-    seen_children: set[str] = set()
-    for edge in edges:
-        if edge.child == root:
-            emitter.error(
-                "PLAN001",
-                f"root {root!r} appears as the child of "
-                f"{edge.parent!r}",
-            )
-            ok = False
-        elif edge.child in seen_children:
-            emitter.error(
-                "PLAN001",
-                f"relation {edge.child!r} has two parents",
-            )
-            ok = False
-        seen_children.add(edge.child)
-    _, children, relations = _tree_shape(root, edges)
-    visited: set[str] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node in visited:
-            emitter.error(
-                "PLAN001", f"cycle through relation {node!r}"
-            )
-            return False
-        visited.add(node)
-        stack.extend(children.get(node, ()))
-    unreachable = relations - visited
-    if unreachable:
-        emitter.error(
-            "PLAN001",
-            f"relations not reachable from root {root!r}: "
-            f"{sorted(unreachable)}",
-        )
-        ok = False
-    return ok
-
-
-def _check_order(root: str, edges: list, order: Iterable[str],
-                 emitter: _Emitter) -> None:
-    """PLAN002: precedence-respecting permutation of the non-root set."""
-    parent_of, _, _ = _tree_shape(root, edges)
-    order = list(order)
-    if Counter(order) != Counter(parent_of.keys()):
-        emitter.error(
-            "PLAN002",
-            f"order {order!r} is not a permutation of the non-root "
-            f"relations {sorted(parent_of)}",
-        )
-        return
-    placed = {root}
-    for relation in order:
-        parent = parent_of[relation]
-        if parent not in placed:
-            emitter.error(
-                "PLAN002",
-                f"{relation!r} is ordered before its parent {parent!r}",
-            )
-            return
-        placed.add(relation)
-
-
-def _check_child_orders(root: str, edges: list, child_orders: dict,
-                        emitter: _Emitter) -> None:
-    """PLAN003: child_orders consistent with the rooted tree."""
-    _, children, relations = _tree_shape(root, edges)
-    for relation, declared in (child_orders or {}).items():
-        if relation not in relations:
-            emitter.error(
-                "PLAN003",
-                f"child_orders names unknown relation {relation!r}",
-            )
-        elif Counter(declared) != Counter(children.get(relation, [])):
-            emitter.error(
-                "PLAN003",
-                f"child_orders[{relation!r}] = {list(declared)!r} is "
-                f"not a permutation of its children "
-                f"{children.get(relation, [])!r}",
-            )
 
 
 def _dtype_kind(dtype: np.dtype) -> str:
@@ -259,35 +107,72 @@ def _predicate_sides(plan: "PhysicalPlan") -> list:
 
 def _pass_structure(plan: "PhysicalPlan", source: Optional[ParsedQuery],
                     emitter: _Emitter, level: str) -> None:
-    """Tree shape, join order, child_orders, resolved-knob validity."""
-    edges = list(plan.query.edges)
+    """PLAN001-004: the edges form a tree rooted at the driver, the join
+    order is a precedence-respecting permutation of the non-root
+    relations, ``child_orders`` permute each relation's children and
+    residual selectivities align with the residuals.
+
+    Judged on the edge list alone — ``JoinQuery``'s internal maps are
+    ignored, so a query corrupted around its constructor's validation
+    cannot hide.
+    """
     root = plan.query.root
-    if _check_tree(root, edges, emitter):
-        _check_order(root, edges, plan.order, emitter)
-    _check_child_orders(root, edges, plan.child_orders or {}, emitter)
+    parent_of: dict[str, str] = {}
+    children: dict[str, list[str]] = {root: []}
+    is_tree = True
+    for edge in plan.query.edges:
+        if edge.child == root:
+            emitter.error("PLAN001", f"root {root!r} appears as the child "
+                                     f"of {edge.parent!r}")
+            is_tree = False
+        elif edge.child in parent_of:
+            emitter.error("PLAN001", f"relation {edge.child!r} has two "
+                                     f"parents")
+            is_tree = False
+        parent_of.setdefault(edge.child, edge.parent)
+        children.setdefault(edge.parent, []).append(edge.child)
+        children.setdefault(edge.child, [])
+    relations = {root} | set(parent_of)
+    visited: set[str] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in visited:
+            emitter.error("PLAN001", f"cycle through relation {node!r}")
+            is_tree = False
+            break
+        visited.add(node)
+        stack.extend(children.get(node, ()))
+    else:
+        if relations - visited:
+            emitter.error("PLAN001", f"relations not reachable from root "
+                                     f"{root!r}: {sorted(relations - visited)}")
+            is_tree = False
+    order, placed = plan.order, {root}
+    if is_tree and Counter(order) != Counter(parent_of.keys()):
+        emitter.error("PLAN002", f"order {order!r} is not a permutation of "
+                                 f"the non-root relations {sorted(parent_of)}")
+    elif is_tree:
+        for relation in order:
+            if parent_of[relation] not in placed:
+                emitter.error("PLAN002", f"{relation!r} is ordered before "
+                                         f"its parent {parent_of[relation]!r}")
+                break
+            placed.add(relation)
+    for relation, declared in plan.child_orders.items():
+        if relation not in relations:
+            emitter.error("PLAN003", f"child_orders names unknown relation "
+                                     f"{relation!r}")
+        elif Counter(declared) != Counter(children.get(relation, [])):
+            emitter.error("PLAN003", f"child_orders[{relation!r}] = "
+                                     f"{declared!r} is not a permutation of "
+                                     f"its children {children[relation]!r}")
     if plan.residual_selectivities and \
             len(plan.residual_selectivities) != len(plan.residuals):
         emitter.error(
             "PLAN004",
             f"{len(plan.residual_selectivities)} residual "
             f"selectivities for {len(plan.residuals)} residuals",
-        )
-    try:
-        ExecutionMode(plan.mode)
-    except ValueError:
-        emitter.error(
-            "PLAN005", f"invalid execution mode {plan.mode!r}"
-        )
-    if plan.execution not in _RESOLVED_EXECUTIONS:
-        emitter.error(
-            "PLAN005",
-            f"plan carries unresolved execution {plan.execution!r} "
-            f"(expected one of {_RESOLVED_EXECUTIONS})",
-        )
-    if not isinstance(plan.num_shards, int) \
-            or isinstance(plan.num_shards, bool) or plan.num_shards < 1:
-        emitter.error(
-            "PLAN005", f"invalid num_shards {plan.num_shards!r}"
         )
 
 
@@ -337,7 +222,7 @@ def _pass_predicates(plan: "PhysicalPlan", source: Optional[ParsedQuery],
 
 def _pass_wcoj(plan: "PhysicalPlan", source: Optional[ParsedQuery],
                emitter: _Emitter, level: str) -> None:
-    """WCOJ001-003: cyclic-strategy validity and variable-order coverage.
+    """WCOJ002/003: a wcoj plan's variable-order coverage.
 
     A wcoj plan replaces tree-probe + residual-filter evaluation with
     attribute-at-a-time elimination, so its variable order must cover
@@ -346,21 +231,7 @@ def _pass_wcoj(plan: "PhysicalPlan", source: Optional[ParsedQuery],
     misses would leave its predicate unjoined; an invented member would
     make the operator probe a column no predicate constrains.
     """
-    strategy = plan.cyclic_strategy
-    if strategy not in _RESOLVED_CYCLIC_STRATEGIES:
-        emitter.error(
-            "WCOJ001",
-            f"plan carries unresolved cyclic strategy {strategy!r} "
-            f"(expected one of {_RESOLVED_CYCLIC_STRATEGIES})",
-        )
-        return
-    if strategy == "tree_filter":
-        if plan.wcoj_variable_order:
-            emitter.error(
-                "WCOJ001",
-                "tree_filter plan carries a wcoj variable order "
-                "(stale strategy resolution)",
-            )
+    if plan.cyclic_strategy != "wcoj":
         return
     if not plan.residuals:
         emitter.error(
@@ -405,31 +276,33 @@ def _pass_wcoj(plan: "PhysicalPlan", source: Optional[ParsedQuery],
         )
 
 
-def _bound_annotation_checks(robustness: Any, prefix_bounds: Any,
-                             worst_case_bound: Any, order_length: int,
-                             emitter: _Emitter, subject: str) -> None:
-    """BOUND001-003 over either a plan's or a spec's bound annotations."""
-    if robustness not in ROBUSTNESS_CHOICES:
-        emitter.error(
-            "BOUND001",
-            f"{subject} carries invalid robustness posture "
-            f"{robustness!r} (expected one of {ROBUSTNESS_CHOICES})",
-        )
-        return
-    if robustness == "off":
+def _pass_bounds(plan: "PhysicalPlan", source: Optional[ParsedQuery],
+                 emitter: _Emitter, level: str) -> None:
+    """BOUND002/003: bound-annotation hygiene.
+
+    A plan produced under ``robustness != "off"`` promises one
+    guaranteed cardinality upper bound per join step (what the regret
+    gate reasoned about and what ``explain()`` prints); an off-mode
+    plan promises it carries none (annotations there would be stale —
+    nothing maintained them).  Bounds are products of max-frequencies,
+    so a negative or non-finite value can only mean corrupted
+    derivation.
+    """
+    prefix_bounds, worst_case_bound = plan.prefix_bounds, plan.worst_case_bound
+    if plan.robustness == "off":
         if prefix_bounds or worst_case_bound:
             emitter.error(
                 "BOUND002",
-                f"off-mode {subject} carries bound annotations "
-                f"(stale robustness resolution)",
+                "off-mode plan carries bound annotations "
+                "(stale robustness resolution)",
             )
         return
-    if len(prefix_bounds) != order_length:
+    if len(prefix_bounds) != len(plan.order):
         emitter.error(
             "BOUND002",
-            f"robust {subject} carries {len(prefix_bounds)} prefix "
-            f"bounds for {order_length} join steps (one guaranteed "
-            f"cardinality bound per step is required)",
+            f"robust plan carries {len(prefix_bounds)} prefix bounds for "
+            f"{len(plan.order)} join steps (one guaranteed cardinality "
+            f"bound per step is required)",
         )
     for position, bound in enumerate(prefix_bounds, start=1):
         if not np.isfinite(bound) or bound < 0:
@@ -444,24 +317,6 @@ def _bound_annotation_checks(robustness: Any, prefix_bounds: Any,
             f"worst-case bound {worst_case_bound!r} is not a finite "
             f"non-negative cost",
         )
-
-
-def _pass_bounds(plan: "PhysicalPlan", source: Optional[ParsedQuery],
-                 emitter: _Emitter, level: str) -> None:
-    """BOUND001-003: robustness posture and bound-annotation hygiene.
-
-    A plan produced under ``robustness != "off"`` promises one
-    guaranteed cardinality upper bound per join step (what the regret
-    gate reasoned about and what ``explain()`` prints); an off-mode
-    plan promises it carries none (annotations there would be stale —
-    nothing maintained them).  Bounds are products of max-frequencies,
-    so a negative or non-finite value can only mean corrupted
-    derivation.
-    """
-    _bound_annotation_checks(
-        plan.robustness, plan.prefix_bounds, plan.worst_case_bound,
-        len(plan.order), emitter, "plan",
-    )
 
 
 def _pass_schema(plan: "PhysicalPlan", source: Optional[ParsedQuery],
@@ -654,74 +509,40 @@ def _pass_row_ids(plan: "PhysicalPlan", source: Optional[ParsedQuery],
 
 
 class _FingerprintProbe:
-    """Stand-in catalog whose fingerprint no real catalog produces."""
+    """Stand-in value no real plan produces — as a catalog (its
+    fingerprint), a residual (its key) or a wcoj variable (its
+    members)."""
+
+    key = "__planlint_probe__"
 
     @staticmethod
     def fingerprint() -> str:
         return "__planlint_catalog_probe__"
 
-
-def _placement_knob_checks(placement: Any, num_workers: Any,
-                           emitter: _Emitter, subject: str) -> bool:
-    """PLACE002 over either a plan's or a spec's placement knobs."""
-    if placement not in PLACEMENT_CHOICES:
-        emitter.error(
-            "PLACE002",
-            f"{subject} carries invalid placement {placement!r} "
-            f"(expected one of {PLACEMENT_CHOICES})",
-        )
-        return False
-    if not isinstance(num_workers, int) or isinstance(num_workers, bool) \
-            or num_workers < 0:
-        emitter.error(
-            "PLACE002",
-            f"{subject} carries invalid num_workers {num_workers!r} "
-            f"(expected a non-negative int)",
-        )
-        return False
-    if placement == "local" and num_workers != 0:
-        emitter.error(
-            "PLACE002",
-            f"local {subject} carries num_workers={num_workers} "
-            f"(stale worker-count resolution)",
-        )
-        return False
-    if placement == "distributed" and num_workers < 1:
-        emitter.error(
-            "PLACE002",
-            f"distributed {subject} carries num_workers={num_workers} "
-            f"(an unresolved auto count — plans must be stamped with "
-            f"the resolution)",
-        )
-        return False
-    return True
+    def __iter__(self) -> Iterator[str]:
+        return iter((self.key,))
 
 
 def _pass_placement(plan: "PhysicalPlan", source: Optional[ParsedQuery],
                     emitter: _Emitter, level: str) -> None:
-    """PLACE001/PLACE002: placement knobs and shard-coverage hygiene.
+    """PLACE001: shard-coverage hygiene of a distributed plan.
 
-    A distributed plan must carry a resolved worker count, and the
-    placements the pool would derive from it — rendezvous over the
-    plan's shards and the striped fallback — must partition their
-    shard ids (every shard owned by exactly one worker; a violation
-    would execute a shard twice or not at all).  Re-deriving here is
-    sound because placement is deterministic in (num_shards,
-    num_workers): the pool and this pass see the same assignment.
+    The placements the pool would derive from a distributed plan —
+    rendezvous over the plan's shards and the striped fallback — must
+    partition their shard ids (every shard owned by exactly one worker;
+    a violation would execute a shard twice or not at all).
+    Re-deriving here is sound because placement is deterministic in
+    (num_shards, num_workers): the pool and this pass see the same
+    assignment.
     """
-    placement, num_workers = plan.placement, plan.num_workers
-    if not _placement_knob_checks(placement, num_workers, emitter, "plan"):
+    if plan.placement != "distributed":
         return
-    if placement != "distributed":
-        return
-    candidates = [ShardPlacement.striped(num_workers)]
-    if isinstance(plan.num_shards, int) \
-            and not isinstance(plan.num_shards, bool) \
-            and plan.num_shards >= 1:
-        candidates.append(ShardPlacement.rendezvous(
-            plan.num_shards, tuple(range(num_workers))
-        ))
-    for candidate in candidates:
+    num_workers = plan.num_workers
+    for candidate in (
+        ShardPlacement.striped(num_workers),
+        ShardPlacement.rendezvous(plan.num_shards,
+                                  tuple(range(num_workers))),
+    ):
         try:
             candidate.validate()
         except ValueError as exc:
@@ -734,36 +555,14 @@ def _pass_placement(plan: "PhysicalPlan", source: Optional[ParsedQuery],
             )
 
 
-def _pass_fingerprint_registry(plan: "PhysicalPlan",
-                               source: Optional[ParsedQuery],
-                               emitter: _Emitter, level: str) -> None:
-    """FP001/FP003: every plan field and planner knob is accounted for.
-
-    Introspects the live dataclass fields so a plan field added by a
-    future PR that reaches neither fingerprint registry, or a knob that
-    does not reach the plan-cache key the way its declaration says,
-    fails verification loudly — the under-keyed-cache failure mode this
-    subsystem exists to block.
+def _pass_cache_key(plan: "PhysicalPlan", source: Optional[ParsedQuery],
+                    emitter: _Emitter, level: str) -> None:
+    """FP003: every planner knob reaches the plan-cache key the way its
+    :class:`~repro.options.PlanOptions` declaration says — the
+    under-keyed-cache failure mode this subsystem exists to block.
     """
     from ..options import PlanOptions, ResolvedOptions
     from ..planner import Planner
-
-    plan_fields = {f.name for f in dataclasses.fields(plan)}
-    for name in sorted(plan_fields - PLAN_FINGERPRINT_COVERED
-                       - PLAN_FINGERPRINT_EXEMPT):
-        emitter.error(
-            "FP001",
-            f"PhysicalPlan field {name!r} is neither covered by "
-            f"fingerprint() nor registered as exempt "
-            f"(PLAN_FINGERPRINT_COVERED / PLAN_FINGERPRINT_EXEMPT)",
-        )
-    for name in sorted((PLAN_FINGERPRINT_COVERED
-                        | PLAN_FINGERPRINT_EXEMPT) - plan_fields):
-        emitter.error(
-            "FP001",
-            f"fingerprint registry names {name!r}, which is not a "
-            f"PhysicalPlan field (stale registry entry)",
-        )
 
     # knobs are declared once, on PlanOptions: a named Planner parameter
     # that is not one of its fields bypasses the cache key entirely
@@ -803,65 +602,48 @@ def _pass_fingerprint_registry(plan: "PhysicalPlan",
             )
 
 
+def _perturbed(value: Any) -> Any:
+    """A value of the same shape as ``value`` that differs from it."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):  # ExecutionMode included
+        return value + "~"
+    if isinstance(value, tuple) and value:
+        return value[:-1]
+    return (_FingerprintProbe(),)
+
+
 def _pass_fingerprint_sensitivity(plan: "PhysicalPlan",
                                   source: Optional[ParsedQuery],
                                   emitter: _Emitter, level: str) -> None:
     """FP004 (full): fingerprint() reacts to every semantic field.
 
-    Behavioral probe: perturb each covered field on a copy and demand a
+    Behavioral probe: perturb the rooted tree, the catalog and each
+    field the spec declares a *decision* on a copy (bypassing
+    construction checks — only the digest matters) and demand a
     different digest.  Catches a fingerprint that silently stopped
-    hashing a component (e.g. a refactor dropping ``execution`` from
-    the payload) — the registry pass alone cannot see that.
+    hashing a component (an overridden ``fingerprint()``, or a
+    canonicalizer that collapses distinct values).
     """
     try:
         baseline = plan.fingerprint()
     except Exception:  # structurally broken; other passes report it
         return
-
-    def _perturbations() -> Iterable[tuple]:
+    mutations: list[tuple[str, dict[str, Any]]] = [
+        ("catalog", {"catalog": _FingerprintProbe()})]
+    if plan.query.num_relations >= 2:
+        mutations.append(("query", {
+            "query": plan.query.rerooted(plan.query.edges[0].child)
+        }))
+    for spec_field in dataclasses.fields(plan.spec):
+        if spec_field.metadata["role"] == "decision":
+            spec = copy.copy(plan.spec)
+            object.__setattr__(spec, spec_field.name, _perturbed(
+                getattr(spec, spec_field.name)))
+            mutations.append((spec_field.name, {"spec": spec}))
+    for field_name, changes in mutations:
         try:
-            yield "mode", next(
-                mode for mode in ExecutionMode.all_modes()
-                if mode is not ExecutionMode(plan.mode)
-            )
-        except ValueError:
-            pass
-        yield "execution", (
-            "interpreted" if plan.execution != "interpreted"
-            else "vectorized"
-        )
-        if isinstance(plan.num_shards, int) \
-                and not isinstance(plan.num_shards, bool):
-            yield "num_shards", plan.num_shards + 1
-        if len(plan.order) >= 2:
-            yield "order", list(reversed(plan.order))
-        yield "child_orders", {"__planlint_probe__": ("__x__",)}
-        yield "residuals", tuple(plan.residuals) + (
-            ResidualPredicate("__planlint__", "a", "__planlint__", "b"),
-        )
-        if plan.query.num_relations >= 2:
-            yield "query", plan.query.rerooted(plan.query.edges[0].child)
-        yield "cyclic_strategy", (
-            "wcoj" if plan.cyclic_strategy != "wcoj" else "tree_filter"
-        )
-        yield "wcoj_variable_order", tuple(plan.wcoj_variable_order) + (
-            (("__planlint__", "a"),),
-        )
-        yield "robustness", (
-            "bounded" if plan.robustness != "bounded" else "off"
-        )
-        yield "placement", (
-            "distributed" if plan.placement != "distributed" else "local"
-        )
-        if isinstance(plan.num_workers, int) \
-                and not isinstance(plan.num_workers, bool):
-            yield "num_workers", plan.num_workers + 1
-        yield "catalog", _FingerprintProbe()
-
-    for field_name, value in _perturbations():
-        try:
-            mutated = dataclasses.replace(plan, **{field_name: value})
-            digest = mutated.fingerprint()
+            digest = dataclasses.replace(plan, **changes).fingerprint()
         except Exception:
             continue  # unbuildable perturbation proves nothing
         if digest == baseline:
@@ -873,20 +655,38 @@ def _pass_fingerprint_sensitivity(plan: "PhysicalPlan",
             )
 
 
+#: the passes that read only the spec and the rooted tree — all a
+#: shipped spec has (:func:`verify_spec`): (name, function)
+_TREE_PASSES: Tuple[Tuple[str, Callable], ...] = (
+    ("structure", _pass_structure),
+    ("predicates", _pass_predicates),
+    ("wcoj", _pass_wcoj),
+    ("bounds", _pass_bounds),
+    ("placement", _pass_placement),
+)
+
 #: the plan passes, in execution order: (name, function, minimum level)
-PLAN_PASSES: Tuple[Tuple[str, Callable, str], ...] = (
-    ("structure", _pass_structure, "basic"),
-    ("predicates", _pass_predicates, "basic"),
-    ("wcoj", _pass_wcoj, "basic"),
-    ("bounds", _pass_bounds, "basic"),
-    ("placement", _pass_placement, "basic"),
+PLAN_PASSES: Tuple[Tuple[str, Callable, str], ...] = tuple(
+    (name, pass_func, "basic") for name, pass_func in _TREE_PASSES
+) + (
     ("schema", _pass_schema, "basic"),
     ("shards", _pass_shards, "basic"),
-    ("fingerprint-registry", _pass_fingerprint_registry, "basic"),
+    ("cache-key", _pass_cache_key, "basic"),
     ("selections", _pass_selections, "full"),
     ("row-ids", _pass_row_ids, "full"),
     ("fingerprint-sensitivity", _pass_fingerprint_sensitivity, "full"),
 )
+
+
+def _run_passes(passes: Iterable[tuple], plan: "PhysicalPlan",
+                source: Optional[ParsedQuery], level: str,
+                fingerprint: Optional[str]) -> list:
+    diagnostics = []
+    for name, pass_func, *_ in passes:
+        emitter = _Emitter(pass_name=name, plan_fingerprint=fingerprint)
+        pass_func(plan, source, emitter, level)
+        diagnostics.extend(emitter.diagnostics)
+    return diagnostics
 
 
 def verify_plan(plan: "PhysicalPlan",
@@ -911,13 +711,9 @@ def verify_plan(plan: "PhysicalPlan",
         fingerprint: Optional[str] = plan.fingerprint()
     except Exception:
         fingerprint = None  # structural passes will say why
-    diagnostics = []
-    for name, pass_func, min_level in PLAN_PASSES:
-        if min_level == "full" and level != "full":
-            continue
-        emitter = _Emitter(pass_name=name, plan_fingerprint=fingerprint)
-        pass_func(plan, source, emitter, level)
-        diagnostics.extend(emitter.diagnostics)
+    passes = [entry for entry in PLAN_PASSES
+              if entry[2] == "basic" or level == "full"]
+    diagnostics = _run_passes(passes, plan, source, level, fingerprint)
     return VerificationResult(
         tuple(diagnostics), level=level, plan_fingerprint=fingerprint
     )
@@ -930,76 +726,23 @@ def verify_plan(plan: "PhysicalPlan",
 
 def verify_spec(spec: "PlanSpec",
                 query: Optional[ParsedQuery | JoinQuery | str] = None,
-                catalog: Optional["Catalog"] = None) -> VerificationResult:
+                catalog: Optional[Catalog] = None) -> VerificationResult:
     """Statically validate a shipped :class:`PlanSpec` before rehydration.
 
-    Checks the resolved knobs, the field-coverage registry, staleness
-    against ``catalog`` (when given), and — when the source ``query``
-    is given — that the spec's residuals identify a spanning tree of
-    that query and that order / child_orders are consistent with it.
-    Specs carry no data, so there is no basic/full split.
+    Checks staleness against ``catalog`` (when given) and — when the
+    source ``query`` is given — that the spec's residuals identify a
+    spanning tree of that query; over the spec bound to that tree it
+    then runs the plan passes that need no data (:data:`_TREE_PASSES`:
+    tree shape, order, child orders, predicate accounting, wcoj
+    coverage, bound annotations, shard placement).  Knob legality needs
+    no check — an illegal spec cannot be constructed.  Specs carry no
+    data, so there is no basic/full split.
     """
+    from ..planner import PhysicalPlan
+
     if isinstance(query, str):
         query = parse_query(query)
     emitter = _Emitter(pass_name="spec")
-    spec_fields = {f.name for f in dataclasses.fields(spec)}
-    for name in sorted(spec_fields - SPEC_FINGERPRINT_COVERED
-                       - SPEC_FINGERPRINT_EXEMPT):
-        emitter.error(
-            "FP002",
-            f"PlanSpec field {name!r} is neither covered by the "
-            f"rehydrated fingerprint nor registered as exempt",
-        )
-    for name in sorted((SPEC_FINGERPRINT_COVERED
-                        | SPEC_FINGERPRINT_EXEMPT) - spec_fields):
-        emitter.error(
-            "FP002",
-            f"spec registry names {name!r}, which is not a PlanSpec "
-            f"field (stale registry entry)",
-        )
-    try:
-        ExecutionMode(spec.mode)
-    except ValueError:
-        emitter.error(
-            "SPEC001", f"invalid execution mode {spec.mode!r}"
-        )
-    if spec.execution not in _RESOLVED_EXECUTIONS:
-        emitter.error(
-            "SPEC002",
-            f"spec carries unresolved execution {spec.execution!r} "
-            f"(expected one of {_RESOLVED_EXECUTIONS})",
-        )
-    spec_strategy = spec.cyclic_strategy
-    if spec_strategy not in _RESOLVED_CYCLIC_STRATEGIES:
-        emitter.error(
-            "WCOJ001",
-            f"spec carries unresolved cyclic strategy "
-            f"{spec_strategy!r} "
-            f"(expected one of {_RESOLVED_CYCLIC_STRATEGIES})",
-        )
-    elif spec_strategy == "tree_filter" and spec.wcoj_variable_order:
-        emitter.error(
-            "WCOJ001",
-            "tree_filter spec carries a wcoj variable order "
-            "(stale strategy resolution)",
-        )
-    elif spec_strategy == "wcoj" and not spec.wcoj_variable_order:
-        emitter.error(
-            "WCOJ003",
-            "wcoj spec carries an empty variable order",
-        )
-    _bound_annotation_checks(
-        spec.robustness, tuple(spec.prefix_bounds), spec.worst_case_bound,
-        len(spec.order), emitter, "spec",
-    )
-    _placement_knob_checks(
-        spec.placement, spec.num_workers, emitter, "spec",
-    )
-    if not isinstance(spec.num_shards, int) \
-            or isinstance(spec.num_shards, bool) or spec.num_shards < 1:
-        emitter.error(
-            "SPEC003", f"invalid num_shards {spec.num_shards!r}"
-        )
     if catalog is not None and \
             spec.catalog_fingerprint != catalog.fingerprint():
         emitter.error(
@@ -1025,15 +768,15 @@ def verify_spec(spec: "PlanSpec",
                 f"spec does not identify a spanning tree of the "
                 f"query: {exc}",
             )
+    diagnostics = emitter.diagnostics
     if tree is not None:
-        edges = list(tree.edges)
-        if _check_tree(spec.root, edges, emitter):
-            _check_order(spec.root, edges, spec.order, emitter)
-        _check_child_orders(
-            spec.root, edges, dict(spec.child_orders or ()), emitter
-        )
+        source = query if isinstance(query, ParsedQuery) else None
+        # the tree passes read no data: an empty catalog stands in
+        diagnostics += _run_passes(_TREE_PASSES,
+                                   PhysicalPlan(spec, Catalog(), tree),
+                                   source, "basic", None)
     return VerificationResult(
-        tuple(emitter.diagnostics), level="basic", plan_fingerprint=None
+        tuple(diagnostics), level="basic", plan_fingerprint=None
     )
 
 
@@ -1086,20 +829,3 @@ class PlanVerifier:
         if key is not None:
             self._verdicts.put(key, result)
         return result.raise_if_errors()
-
-    def verify_spec(self, spec: "PlanSpec",
-                    query: Optional[ParsedQuery | JoinQuery | str] = None,
-                    catalog: Optional["Catalog"] = None,
-                    ) -> VerificationResult:
-        """Uncached :func:`verify_spec` (specs are verified pre-rehydration,
-        once per arrival); raises on error findings."""
-        return verify_spec(
-            spec, query=query, catalog=catalog
-        ).raise_if_errors()
-
-    def cache_info(self) -> dict:
-        return {"size": len(self._verdicts)}
-
-
-# re-exported for callers that catch the verification failure
-_ = PlanVerificationError

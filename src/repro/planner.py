@@ -24,6 +24,7 @@ import hashlib
 import heapq
 import time
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -47,9 +48,9 @@ from .core.cyclic import (
     tree_query_from_residuals,
     wcoj_cost,
 )
-from .analysis import PlanVerifier
+from .analysis import PlanVerifier, verify_spec
 from .core.lru import LRUCache
-from .core.bounds import prefix_cardinality_bounds
+from .core.bounds import ROBUSTNESS_CHOICES, prefix_cardinality_bounds
 from .core.optimizer import (
     PlanningBudgetExceeded,
     beam_order,
@@ -67,6 +68,7 @@ from .core.stats import (
     StatsReader,
     relation_tokens,
 )
+from .distributed.placement import PLACEMENT_CHOICES
 from .engine.executor import execute
 from .engine.wcoj import execute_wcoj, plan_variable_order, variable_classes
 from .modes import ExecutionMode
@@ -164,70 +166,199 @@ class SearchTally:
                 + self.sj_pricings)
 
 
-@dataclass
-class PhysicalPlan:
-    """An optimized, executable plan.
+#: the roles a :class:`PlanSpec` field plays (see :func:`_spec_field`)
+_ROLES = ("anchor", "decision", "derived")
 
-    For a cyclic query, :attr:`query` is the spanning tree the joint
-    search selected and :attr:`residuals` the join predicates left for
-    residual filtering (applied in this exact order — ascending
-    estimated selectivity); :attr:`predicted_cost` then includes the
-    residual-filter term, so cyclic plans are comparable on the same
-    scale as acyclic ones.
+
+def _spec_field(role, canonical=None, **kwargs):
+    """A :class:`PlanSpec` field, declared with its role.
+
+    ``"decision"``: what the optimizer decided — hashed by
+    :meth:`PhysicalPlan.fingerprint` (as ``canonical(value)`` when a
+    canonicalizer is given) and shipped.  ``"derived"``: shipped, never
+    hashed — fixed by the decisions plus the cost model.  ``"anchor"``:
+    pins a shipped spec to its tree and base catalog, which the
+    fingerprint hashes directly.
+    """
+    return field(metadata={"role": role, "canonical": canonical}, **kwargs)
+
+
+class _RoleDeclared:
+    """Base of :class:`PlanSpec`: a field declared without a
+    :func:`_spec_field` role fails when its class is defined."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in vars(cls).get("__annotations__", {}):
+            role = getattr(vars(cls).get(name), "metadata", {}).get("role")
+            if role not in _ROLES:
+                raise TypeError(f"{cls.__name__}.{name} is declared without "
+                                f"a role (one of {_ROLES})")
+
+
+#: legal values of a spec's enumerated knobs (resolved: never "auto")
+_KNOB_CHOICES = (
+    ("execution", ("vectorized", "interpreted")),
+    ("cyclic_strategy", ("tree_filter", "wcoj")),
+    ("robustness", ROBUSTNESS_CHOICES),
+    ("placement", PLACEMENT_CHOICES),
+)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PlanSpec(_RoleDeclared):
+    """Everything the optimizer decided for one query — the one
+    declaration of a plan; picklable and catalog-free.
+
+    A :class:`PhysicalPlan` is a spec bound to its derived catalog and
+    rooted join tree; a planning worker ships only the spec and
+    :meth:`Planner.rehydrate` binds it to a locally derived (cached)
+    catalog.  Each field declares its role once (:func:`_spec_field`).
+    Construction checks knob legality — an illegal mode, execution
+    path, cyclic strategy, robustness, shard count or placement /
+    worker combination cannot exist — and stores ``order`` and
+    ``child_orders`` canonically (tuples, sorted by relation).
+
+    ``catalog_fingerprint`` is the base-catalog digest a shipped spec
+    was planned against (``None`` until :meth:`PhysicalPlan.to_spec`):
+    rehydration refuses a stale one.  For a cyclic query ``root`` and
+    ``residuals`` identify the spanning tree — the query's predicates
+    minus the residuals
+    (:func:`~repro.core.cyclic.tree_query_from_residuals`).
     """
 
+    root: str = _spec_field("anchor")  # the driver
+    order: tuple = _spec_field("decision", tuple)
+    mode: ExecutionMode = _spec_field("decision", str)
+    #: semi-join child orders, ``((relation, (child, ...)), ...)``
+    child_orders: tuple = _spec_field("decision", default=())
+    #: residual predicates of a cyclic plan, in application order
+    residuals: tuple = _spec_field(
+        "decision", lambda residuals: tuple(r.key for r in residuals),
+        default=())
+    #: hash-shard fan-out of the plan's catalog (1 = off)
+    num_shards: int = _spec_field("decision", default=1)
+    execution: str = _spec_field("decision", default="vectorized")
+    #: always "tree_filter" for acyclic plans
+    cyclic_strategy: str = _spec_field("decision", default="tree_filter")
+    #: a wcoj plan's variables, each a tuple of (relation, attribute)
+    wcoj_variable_order: tuple = _spec_field(
+        "decision", lambda order: tuple(tuple(var) for var in order),
+        default=())
+    robustness: str = _spec_field("decision", default="off")
+    placement: str = _spec_field("decision", default="local")
+    #: worker processes of a distributed plan (0 for local plans)
+    num_workers: int = _spec_field("decision", default=0)
+    stats: QueryStats = _spec_field("derived")
+    predicted_cost: float = _spec_field("derived")
+    weights: CostWeights = _spec_field("derived", default_factory=CostWeights)
+    #: estimated selectivity per residual
+    residual_selectivities: tuple = _spec_field("derived", default=())
+    #: robust plans: guaranteed cardinality bound after each join of
+    #: ``order`` and the guaranteed worst-case probe work of running it
+    prefix_bounds: tuple = _spec_field("derived", default=())
+    worst_case_bound: float = _spec_field("derived", default=0.0)
+    catalog_fingerprint: str | None = _spec_field("anchor", default=None)
+
+    def __post_init__(self):
+        pin, child_orders = object.__setattr__, self.child_orders
+        pin(self, "mode", ExecutionMode(self.mode))
+        pin(self, "order", tuple(self.order))
+        if isinstance(child_orders, dict):
+            child_orders = child_orders.items()
+        pin(self, "child_orders", tuple(sorted(
+            (relation, tuple(children)) for relation, children in child_orders
+        )))
+        for name, choices in _KNOB_CHOICES:
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got "
+                                 f"{getattr(self, name)!r}")
+        shards, workers = self.num_shards, self.num_workers
+        if any(isinstance(n, bool) or not isinstance(n, int)
+               for n in (shards, workers)) or shards < 1 or workers < 0 \
+                or (self.placement == "distributed") != (workers >= 1):
+            raise ValueError(
+                f"illegal {self.placement} plan with num_shards={shards!r}, "
+                f"num_workers={workers!r} (shards >= 1; workers 0 local, "
+                f">= 1 distributed)"
+            )
+        if self.cyclic_strategy == "tree_filter" and self.wcoj_variable_order:
+            raise ValueError("a tree_filter plan has no wcoj variable order")
+
+    def __repr__(self):
+        residuals = (
+            f", residuals={len(self.residuals)}" if self.residuals else ""
+        )
+        return (
+            f"PlanSpec(driver={self.root!r}, mode={self.mode}, "
+            f"order={list(self.order)}, "
+            f"cost={self.predicted_cost:.4g}{residuals})"
+        )
+
+
+#: ``(name, canonicalizer)`` of every decision field, in declaration
+#: order — what :meth:`PhysicalPlan.fingerprint` hashes
+_DECISIONS = tuple(
+    (spec_field.name, spec_field.metadata["canonical"])
+    for spec_field in fields(PlanSpec)
+    if spec_field.metadata["role"] == "decision"
+)
+
+
+@dataclass(frozen=True)
+class PhysicalPlan:
+    """An optimized, executable plan: a :class:`PlanSpec` bound to the
+    derived ``catalog`` it executes against and the rooted ``query``.
+
+    Every non-anchor spec field reads as a plan attribute (``plan.mode``,
+    ``plan.stats``, ...; ``order`` / ``child_orders`` as the list / dict
+    the engine takes), through an explicit read-only property.
+    Decisions are immutable — a changed plan is a new plan
+    (``dataclasses.replace`` on its spec) — so a cached plan can be
+    served to any number of callers.  ``diagnostics`` (verifier
+    findings) and ``search_tally`` (what the search ran and pruned;
+    ``None`` on a rehydrated plan) are observational: never
+    fingerprinted or shipped.
+
+    A cyclic plan's ``query`` is the spanning tree the joint search
+    selected, ``residuals`` the predicates left to filter (applied in
+    ascending estimated selectivity) and ``predicted_cost`` includes
+    the residual-filter term, comparable with acyclic plans.
+    """
+
+    spec: PlanSpec
     catalog: Catalog
     query: JoinQuery
-    order: list
-    mode: ExecutionMode
-    stats: QueryStats
-    predicted_cost: float
-    child_orders: dict = field(default_factory=dict)
-    weights: CostWeights = field(default_factory=CostWeights)
-    #: resolved hash-shard fan-out of the plan's catalog (1 = off)
-    num_shards: int = 1
-    #: residual predicates of a cyclic plan, in application order
-    residuals: tuple = ()
-    #: estimated selectivity per residual (aligned with :attr:`residuals`)
-    residual_selectivities: tuple = ()
-    #: resolved kernel path ("vectorized" / "interpreted") the plan
-    #: executes with — part of the fingerprint and the plan-cache key
-    execution: str = "vectorized"
-    #: resolved cyclic-core strategy ("tree_filter" / "wcoj") the
-    #: ``cyclic_execution`` knob selected — always "tree_filter" for
-    #: acyclic plans; part of the fingerprint
-    cyclic_strategy: str = "tree_filter"
-    #: costed variable-elimination order for a wcoj plan: a tuple of
-    #: variables, each a tuple of ``(relation, attribute)`` members —
-    #: empty for tree_filter plans; part of the fingerprint
-    wcoj_variable_order: tuple = ()
-    #: static-verifier findings (``validate="basic"|"full"``), in
-    #: emission order — observational metadata, never fingerprinted
     diagnostics: tuple = ()
-    #: resolved ``robustness`` knob the plan was produced under ("off" /
-    #: "bounded" / "auto") — part of the fingerprint (and, via the
-    #: session, the plan-cache key)
-    robustness: str = "off"
-    #: guaranteed cardinality upper bound after each join of
-    #: :attr:`order` (:func:`repro.core.bounds.prefix_cardinality_bounds`;
-    #: empty when ``robustness="off"``) — derived metadata, never
-    #: fingerprinted
-    prefix_bounds: tuple = ()
-    #: guaranteed worst-case probe work of running :attr:`order`
-    #: (:func:`repro.core.optimizer.worst_case_cost`; 0.0 when
-    #: ``robustness="off"``) — derived metadata, never fingerprinted
-    worst_case_bound: float = 0.0
-    #: resolved execution placement ("local" / "distributed") — part of
-    #: the fingerprint and the plan-cache key; "distributed" routes
-    #: session executions through the scatter/gather worker pool
-    #: (:mod:`repro.distributed`)
-    placement: str = "local"
-    #: resolved worker-process count of a distributed plan (0 for local
-    #: plans) — part of the fingerprint and the plan-cache key
-    num_workers: int = 0
-    #: what the order + strategy search ran and pruned (``None`` on a
-    #: rehydrated plan, which ran none) — never fingerprinted
     search_tally: SearchTally | None = None
+
+    # the spec's fields read through as plan attributes (a test keeps
+    # this list complete); order / child_orders as the engine takes them
+    mode = property(attrgetter("spec.mode"))
+    residuals = property(attrgetter("spec.residuals"))
+    num_shards = property(attrgetter("spec.num_shards"))
+    execution = property(attrgetter("spec.execution"))
+    cyclic_strategy = property(attrgetter("spec.cyclic_strategy"))
+    wcoj_variable_order = property(attrgetter("spec.wcoj_variable_order"))
+    robustness = property(attrgetter("spec.robustness"))
+    placement = property(attrgetter("spec.placement"))
+    num_workers = property(attrgetter("spec.num_workers"))
+    stats = property(attrgetter("spec.stats"))
+    predicted_cost = property(attrgetter("spec.predicted_cost"))
+    weights = property(attrgetter("spec.weights"))
+    residual_selectivities = property(
+        attrgetter("spec.residual_selectivities"))
+    prefix_bounds = property(attrgetter("spec.prefix_bounds"))
+    worst_case_bound = property(attrgetter("spec.worst_case_bound"))
+
+    @property
+    def order(self):
+        return list(self.spec.order)
+
+    @property
+    def child_orders(self):
+        return {relation: list(children)
+                for relation, children in self.spec.child_orders}
 
     @property
     def is_cyclic(self):
@@ -238,13 +369,13 @@ class PhysicalPlan:
                 driver_rows=None):
         """Run the plan on the engine.
 
-        Cyclic plans route by :attr:`cyclic_strategy`: ``tree_filter``
+        Cyclic plans route by ``cyclic_strategy``: ``tree_filter``
         runs :func:`~repro.core.cyclic.execute_cyclic` (tree join +
         residual filters, with root-to-leaf residuals pushed into
         factorized expansion), ``wcoj`` runs
         :func:`~repro.engine.wcoj.execute_wcoj` (attribute-at-a-time
         variable elimination over the costed
-        :attr:`wcoj_variable_order`).  Either way cyclic output is
+        ``wcoj_variable_order``).  Either way cyclic output is
         always flat — residual predicates break factorization, so
         ``flat_output`` is moot for them.
 
@@ -260,85 +391,58 @@ class PhysicalPlan:
         pool can call it without recursing; the session layer is what
         routes distributed plans to the pool.
         """
+        shared = dict(collect_output=collect_output, execution=self.execution,
+                      max_intermediate_tuples=max_intermediate_tuples)
         if self.residuals:
-            if self.cyclic_strategy == "wcoj":
-                if driver_rows is not None:
-                    raise ValueError(
-                        "wcoj plans are not driver-decomposable; "
-                        "driver_rows is only supported for tree pipelines"
-                    )
-                _, result, _ = execute_wcoj(
-                    self.catalog,
-                    CyclicPlan(self.query, list(self.residuals)),
-                    mode=self.mode,
-                    order=self.order,
-                    collect_output=collect_output,
-                    max_intermediate_tuples=max_intermediate_tuples,
-                    variable_order=self.wcoj_variable_order or None,
-                    execution=self.execution,
+            cyclic = CyclicPlan(self.query, list(self.residuals))
+            if self.cyclic_strategy != "wcoj":
+                _, result, _ = execute_cyclic(
+                    self.catalog, cyclic, mode=self.mode, order=self.order,
+                    child_orders=self.child_orders or None,
+                    driver_rows=driver_rows, **shared,
                 )
-                return result
-            _, result, _ = execute_cyclic(
-                self.catalog,
-                CyclicPlan(self.query, list(self.residuals)),
-                mode=self.mode,
-                order=self.order,
-                collect_output=collect_output,
-                max_intermediate_tuples=max_intermediate_tuples,
-                child_orders=self.child_orders or None,
-                execution=self.execution,
-                driver_rows=driver_rows,
-            )
+            elif driver_rows is not None:
+                raise ValueError(
+                    "wcoj plans are not driver-decomposable; "
+                    "driver_rows is only supported for tree pipelines"
+                )
+            else:
+                _, result, _ = execute_wcoj(
+                    self.catalog, cyclic, mode=self.mode, order=self.order,
+                    variable_order=self.wcoj_variable_order or None,
+                    **shared,
+                )
             return result
         return execute(
-            self.catalog,
-            self.query,
-            self.order,
-            self.mode,
-            flat_output=flat_output,
-            collect_output=collect_output,
-            child_orders=self.child_orders or None,
-            max_intermediate_tuples=max_intermediate_tuples,
-            execution=self.execution,
-            monitor=monitor,
-            driver_rows=driver_rows,
+            self.catalog, self.query, self.order, self.mode,
+            flat_output=flat_output, child_orders=self.child_orders or None,
+            monitor=monitor, driver_rows=driver_rows, **shared,
         )
 
     def fingerprint(self):
         """A stable content digest of the resolved plan (hex string).
 
-        Covers everything the optimizer decided — driver, tree edges,
-        join order, mode, semi-join child orders, residuals, shard
-        fan-out, kernel path, cyclic strategy and its wcoj variable
-        order, the resolved robustness knob — plus the catalog content
-        it was planned against, so
-        two planning passes that resolved identically (e.g. a cache hit
-        and the plan it was seeded from, or a worker-planned spec and
-        its rehydration) fingerprint identically.
+        Covers the rooted tree (driver and edges), every decision field
+        of the spec (:data:`_DECISIONS`, in declaration order) and the
+        catalog content it was planned against, so two planning passes
+        that resolved identically (e.g. a cache hit and the plan it was
+        seeded from, or a worker-planned spec and its rehydration)
+        fingerprint identically.
         """
-        payload = repr((
+        spec = self.spec
+        payload = (
             self.query.root,
             tuple(sorted(
                 (edge.parent, edge.child, edge.parent_attr, edge.child_attr)
                 for edge in self.query.edges
             )),
-            tuple(self.order),
-            str(self.mode),
-            tuple(sorted(
-                (relation, tuple(children))
-                for relation, children in (self.child_orders or {}).items()
-            )),
-            tuple(residual.key for residual in self.residuals),
-            self.num_shards,
-            self.execution,
-            self.cyclic_strategy,
-            tuple(tuple(member) for member in self.wcoj_variable_order),
-            self.robustness,
-            self.placement,
-            self.num_workers,
+            *(getattr(spec, name) if canonical is None
+              else canonical(getattr(spec, name))
+              for name, canonical in _DECISIONS),
             self.catalog.fingerprint(),
-        ))
-        return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
+        )
+        return hashlib.blake2b(repr(payload).encode(),
+                               digest_size=16).hexdigest()
 
     def explain(self):
         """A human-readable plan tree with per-join statistics."""
@@ -401,23 +505,13 @@ class PhysicalPlan:
         return "\n".join(lines)
 
     def to_spec(self, catalog_fingerprint):
-        """A :class:`PlanSpec` snapshot of this plan (catalog-free).
+        """The plan's :class:`PlanSpec`, pinned for shipping.
 
         ``catalog_fingerprint`` is the *base* catalog's content digest
         at planning time — the address a rehydrating process checks
         before trusting the spec.
         """
-        shared = _shared_fields(self)
-        shared.update(
-            order=tuple(self.order),
-            mode=str(self.mode),
-            child_orders=tuple(sorted(
-                (relation, tuple(children))
-                for relation, children in (self.child_orders or {}).items()
-            )),
-        )
-        return PlanSpec(root=self.query.root,
-                        catalog_fingerprint=catalog_fingerprint, **shared)
+        return replace(self.spec, catalog_fingerprint=catalog_fingerprint)
 
     def __repr__(self):
         residuals = (
@@ -426,64 +520,6 @@ class PhysicalPlan:
         return (
             f"PhysicalPlan(mode={self.mode}, driver={self.query.root!r}, "
             f"order={self.order}, cost={self.predicted_cost:.4g}{residuals})"
-        )
-
-
-@dataclass(frozen=True)
-class PlanSpec:
-    """A picklable, catalog-free snapshot of a :class:`PhysicalPlan`.
-
-    Everything the optimizer *decided* — driver, join order, execution
-    mode, semi-join child orders, statistics, predicted cost — without
-    the derived catalog the plan executes against.  A process-pool
-    planning worker returns one of these (pickling a whole partitioned
-    catalog per query would swamp the planning speedup); the service
-    process rehydrates it against its own copy of the data with
-    :meth:`Planner.rehydrate`, which re-derives the (content-addressed,
-    LRU-cached) execution catalog locally.
-
-    ``catalog_fingerprint`` pins the spec to the base-catalog content it
-    was planned for: rehydration refuses a spec whose fingerprint no
-    longer matches, exactly like the plan cache misses on data changes.
-
-    For a cyclic query the spec additionally ships the ``residuals``
-    (picklable :class:`~repro.core.cyclic.ResidualPredicate` tuples, in
-    application order): together with ``root`` they identify the
-    resolved spanning tree — rehydration reconstructs it as the query's
-    predicate multiset minus the residuals
-    (:func:`~repro.core.cyclic.tree_query_from_residuals`).
-    """
-
-    root: str
-    order: tuple
-    mode: str
-    stats: QueryStats
-    predicted_cost: float
-    child_orders: tuple
-    weights: CostWeights
-    num_shards: int
-    catalog_fingerprint: str
-    # the remaining fields mean what the same-named PhysicalPlan fields
-    # mean (to_spec / rehydrate copy them by name)
-    residuals: tuple = ()
-    residual_selectivities: tuple = ()
-    execution: str = "vectorized"
-    cyclic_strategy: str = "tree_filter"
-    wcoj_variable_order: tuple = ()
-    robustness: str = "off"
-    prefix_bounds: tuple = ()
-    worst_case_bound: float = 0.0
-    placement: str = "local"
-    num_workers: int = 0
-
-    def __repr__(self):
-        residuals = (
-            f", residuals={len(self.residuals)}" if self.residuals else ""
-        )
-        return (
-            f"PlanSpec(driver={self.root!r}, mode={self.mode}, "
-            f"order={list(self.order)}, "
-            f"cost={self.predicted_cost:.4g}{residuals})"
         )
 
 
@@ -499,17 +535,20 @@ def _parsed(query):
     )
 
 
-#: fields :meth:`PhysicalPlan.to_spec` and :meth:`Planner.rehydrate` copy
-#: by name (``order`` / ``mode`` / ``child_orders`` through canonicalizers)
-_SHARED_FIELDS = tuple(
-    spec.name for spec in fields(PlanSpec)
-    if spec.name in PhysicalPlan.__dataclass_fields__
-)
+@dataclass
+class _Choice:
+    """:meth:`Planner._search`'s incumbent, priced; becomes a
+    :class:`PlanSpec` once the search is over."""
 
-
-def _shared_fields(record):
-    """The plan <-> spec fields of either record, by name."""
-    return {name: getattr(record, name) for name in _SHARED_FIELDS}
+    predicted_cost: float
+    query: JoinQuery
+    stats: QueryStats
+    order: list
+    mode: ExecutionMode
+    child_orders: dict
+    search_tally: SearchTally
+    residuals: tuple = ()
+    residual_selectivities: tuple = ()
 
 
 @dataclass
@@ -792,19 +831,31 @@ class Planner:
             plan = self._plan_cyclic(prep, reader, options)
         else:
             plan = self._plan_acyclic(prep, reader, options)
-        plan.placement = options.placement
-        plan.num_workers = options.num_workers
         return self._validated(plan, query, options.validate)
 
+    def _spec(self, choice, options, num_shards):
+        """The :class:`PlanSpec` of a search winner — built once per
+        :meth:`plan`, after the search."""
+        return PlanSpec(
+            root=choice.query.root, order=choice.order, mode=choice.mode,
+            child_orders=choice.child_orders, residuals=choice.residuals,
+            num_shards=num_shards, execution=options.execution,
+            robustness=options.robustness, placement=options.placement,
+            num_workers=options.num_workers, stats=choice.stats,
+            predicted_cost=choice.predicted_cost,
+            weights=self.options.weights,
+            residual_selectivities=choice.residual_selectivities,
+        )
+
     def _search(self, rootings, stats_for, options, flat_output, best=None,
-                residual_selectivities=(), **plan_fields):
+                residual_selectivities=(), residuals=()):
         """The cheapest (rooting, mode, order) among ``rootings``.
 
         The one order + strategy search behind a fixed driver (one
         rooting), the ``driver="auto"`` sweep, every candidate spanning
-        tree of a cyclic query and :meth:`replan`.  ``stats_for(rooted)``
-        supplies a rooting's statistics.  Returns a :class:`PhysicalPlan`
-        (``plan_fields`` are the fields the search does not decide), or
+        tree of a cyclic query (whose ``residuals`` ride on its
+        :class:`_Choice`) and :meth:`replan`.  ``stats_for(rooted)``
+        supplies a rooting's statistics.  Returns a :class:`_Choice`, or
         ``best`` — the incumbent handed in — when nothing beats it; the
         first of equally cheap choices wins.
 
@@ -904,19 +955,9 @@ class Planner:
                     child_orders = {}
                 cost += fixed_cost
                 if best is None or cost < best.predicted_cost:
-                    best = PhysicalPlan(
-                        query=rooted,
-                        order=order,
-                        mode=mode,
-                        stats=stats,
-                        predicted_cost=cost,
-                        child_orders=child_orders,
-                        weights=weights,
-                        execution=options.execution,
-                        residual_selectivities=residual_selectivities,
-                        search_tally=tally,
-                        **plan_fields,
-                    )
+                    best = _Choice(cost, rooted, stats, order, mode,
+                                   child_orders, tally, residuals,
+                                   residual_selectivities)
         return best
 
     def _validated(self, plan, query, validate):
@@ -925,27 +966,29 @@ class Planner:
         Error findings raise
         :class:`~repro.analysis.PlanVerificationError`; otherwise all
         findings (warnings, infos) are attached as
-        :attr:`PhysicalPlan.diagnostics`.  The verifier caches verdicts
-        per plan fingerprint, so re-planning an already-verified plan
-        (or rehydrating its spec) costs a dictionary lookup.
+        :attr:`PhysicalPlan.diagnostics` of a copy — ``plan`` itself may
+        be a cached plan and is never mutated.  The verifier caches
+        verdicts per plan fingerprint, so re-planning an
+        already-verified plan (or rehydrating its spec, or serving it
+        from the plan cache) costs a dictionary lookup.
         """
-        if validate != "off":
-            source = query if isinstance(query, ParsedQuery) else None
-            result = self._verifier.verify_plan(
-                plan, source=source, level=validate
-            )
-            plan.diagnostics = tuple(result.diagnostics)
-        return plan
+        if validate == "off":
+            return plan
+        source = query if isinstance(query, ParsedQuery) else None
+        result = self._verifier.verify_plan(plan, source=source,
+                                            level=validate)
+        return replace(plan, diagnostics=tuple(result.diagnostics))
 
     # ------------------------------------------------------------------
     # Pessimistic bounded-regret planning (the robustness knob)
     # ------------------------------------------------------------------
 
-    def _apply_robustness(self, plan, reader, options, flat_output,
+    def _apply_robustness(self, spec, rooted, reader, options, flat_output,
                           extra_cost=0.0):
-        """Tag, annotate and (possibly) re-order a winning plan.
+        """Annotate and (possibly) re-order a winning plan's spec (over
+        the rooted tree ``rooted``); returns the replacement spec.
 
-        ``"off"`` tags the plan and returns it untouched.  Otherwise:
+        ``"off"`` returns the spec untouched.  Otherwise:
 
         1. read bound statistics and find the **bound-optimal** order
            — the existing order search under ``ExecutionMode.STD``
@@ -968,14 +1011,12 @@ class Planner:
         rides along when the caller's predicted cost includes an
         order-invariant term (a cyclic winner's residual filters).
         """
-        plan.robustness = options.robustness
-        if options.robustness == "off":
-            return plan
-        rooted = plan.query
+        if spec.robustness == "off":
+            return spec
         bound_stats = reader.bound_stats(rooted)
         memo_bound = CostMemo(rooted)
         current_bound = worst_case_cost(
-            rooted, bound_stats, plan.order, eps=self.options.eps,
+            rooted, bound_stats, spec.order, eps=self.options.eps,
             weights=self.options.weights, memo=memo_bound,
         )
         robust_order = self._order_for_mode(
@@ -988,26 +1029,27 @@ class Planner:
                 weights=self.options.weights, memo=memo_bound,
             ))
         swap_modes = [m for m in options.modes if not m.uses_semijoin]
+        swapped = {}
         if (robust_order is not None and swap_modes
                 and current_bound
                 > self.options.regret_factor * optimal_bound):
             best_mode = best_cost = None
             memo = CostMemo(rooted)
             for candidate_mode in swap_modes:
-                cost = self._cost(rooted, plan.stats, robust_order,
+                cost = self._cost(rooted, spec.stats, robust_order,
                                   candidate_mode, flat_output, memo)
                 if best_cost is None or cost < best_cost:
                     best_mode, best_cost = candidate_mode, cost
-            plan.order = list(robust_order)
-            plan.mode = best_mode
-            plan.child_orders = {}
-            plan.predicted_cost = best_cost + extra_cost
+            swapped = dict(order=robust_order, mode=best_mode,
+                           child_orders=(),
+                           predicted_cost=best_cost + extra_cost)
             current_bound = optimal_bound
-        plan.prefix_bounds = prefix_cardinality_bounds(
-            bound_stats, plan.order
+        return replace(
+            spec, **swapped,
+            prefix_bounds=prefix_cardinality_bounds(
+                bound_stats, swapped.get("order", spec.order)),
+            worst_case_bound=current_bound,
         )
-        plan.worst_case_bound = current_bound
-        return plan
 
     def replan(self, plan, corrected, options=None):
         """Re-optimize an acyclic plan against corrected statistics.
@@ -1042,25 +1084,23 @@ class Planner:
             options = self.options.resolved(self.catalog, rooted)
         best = self._search(
             [rooted], lambda _: corrected, options, options.flat_output,
-            catalog=plan.catalog,
         )
-        replanned = replace(
-            plan, order=list(best.order), mode=best.mode,
-            child_orders=best.child_orders, stats=corrected,
-            predicted_cost=best.predicted_cost, diagnostics=(),
-            prefix_bounds=(), worst_case_bound=0.0,
-            search_tally=best.search_tally,
-        )
+        prefix_bounds, worst_case_bound = (), 0.0
         if plan.robustness != "off":
             bound_stats = StatsReader(plan.catalog).bound_stats(rooted)
-            replanned.prefix_bounds = prefix_cardinality_bounds(
-                bound_stats, replanned.order
-            )
-            replanned.worst_case_bound = worst_case_cost(
-                rooted, bound_stats, replanned.order, eps=self.options.eps,
+            prefix_bounds = prefix_cardinality_bounds(bound_stats, best.order)
+            worst_case_bound = worst_case_cost(
+                rooted, bound_stats, best.order, eps=self.options.eps,
                 weights=self.options.weights,
             )
-        return replanned
+        spec = replace(
+            plan.spec, order=best.order, mode=best.mode,
+            child_orders=best.child_orders, stats=corrected,
+            predicted_cost=best.predicted_cost, prefix_bounds=prefix_bounds,
+            worst_case_bound=worst_case_bound,
+        )
+        return replace(plan, spec=spec, diagnostics=(),
+                       search_tally=best.search_tally)
 
     # ------------------------------------------------------------------
     # Acyclic queries: fixed driver, or the cross-rooting driver search
@@ -1092,10 +1132,13 @@ class Planner:
                         for root in prep.join_query.relations]
         best = self._search(
             rootings, reader.rooted_stats, options, options.flat_output,
-            catalog=prep.catalog, num_shards=prep.effective_shards,
         )
-        return self._apply_robustness(best, reader, options,
-                                      options.flat_output)
+        spec = self._apply_robustness(
+            self._spec(best, options, prep.effective_shards), best.query,
+            reader, options, options.flat_output,
+        )
+        return PhysicalPlan(spec, prep.catalog, best.query,
+                            search_tally=best.search_tally)
 
     # ------------------------------------------------------------------
     # Cyclic queries: joint spanning-tree + join-order search
@@ -1180,23 +1223,28 @@ class Planner:
                 [_rooted_tree(relations, tree_predicates, root)
                  for root in roots],
                 reader.rooted_stats, options, True, best, residual_sels,
-                catalog=prep.catalog, num_shards=prep.effective_shards,
-                residuals=tuple(ResidualPredicate(*predicates[index])
-                                for _, index in residual_pairs),
+                tuple(ResidualPredicate(*predicates[index])
+                      for _, index in residual_pairs),
             )
+        # Partitioning follows the winning tree's probe attributes, so
+        # it is applied only now (content-addressed, like every plan).
+        catalog, num_shards = self._apply_partitioning(
+            prep, best.query, options
+        )
         # Gate the winning *tree* order before strategy arbitration
         # (wcoj keeps the tree order; only the strategy flag and cost
         # change after this).  The residual-filter term is
         # order-invariant for the winning tree, so it rides along as
         # extra cost when the gate re-prices a swapped order.
-        best = self._apply_robustness(
-            best, reader, options, True,
+        spec = self._apply_robustness(
+            self._spec(best, options, num_shards), best.query, reader,
+            options, True,
             extra_cost=residual_filter_cost(
                 expected_output_size(best.query, best.stats),
                 best.residual_selectivities, weights,
             ),
         )
-        if options.cyclic_execution != "tree_filter" and best.residuals:
+        if options.cyclic_execution != "tree_filter" and spec.residuals:
             classes = variable_classes(predicates)
             distincts = {member: reader.distinct(*member)
                          for members in classes for member in members}
@@ -1204,16 +1252,12 @@ class Planner:
             strategy_cost = wcoj_cost(variable_order, distincts, sizes,
                                       weights)
             if options.cyclic_execution == "wcoj" \
-                    or strategy_cost < best.predicted_cost:
-                best.cyclic_strategy = "wcoj"
-                best.wcoj_variable_order = variable_order
-                best.predicted_cost = strategy_cost
-        # Partitioning follows the winning tree's probe attributes, so
-        # it is applied only now (content-addressed, like every plan).
-        best.catalog, best.num_shards = self._apply_partitioning(
-            prep, best.query, options
-        )
-        return best
+                    or strategy_cost < spec.predicted_cost:
+                spec = replace(spec, cyclic_strategy="wcoj",
+                               wcoj_variable_order=variable_order,
+                               predicted_cost=strategy_cost)
+        return PhysicalPlan(spec, catalog, best.query,
+                            search_tally=best.search_tally)
 
     # ------------------------------------------------------------------
     # Plan-spec rehydration (process-pool planning)
@@ -1246,8 +1290,7 @@ class Planner:
             )
         query = _parsed(query)
         if request.validate != "off":
-            self._verifier.verify_spec(spec, query=query,
-                                       catalog=self.catalog)
+            verify_spec(spec, query, self.catalog).raise_if_errors()
         tree = None
         if spec.residuals:
             if not isinstance(query, ParsedQuery):
@@ -1270,14 +1313,5 @@ class Planner:
                 f"PlanSpec was planned for {spec.num_shards} shard(s) "
                 f"but this planner derives {prep.effective_shards}"
             )
-        shared = _shared_fields(spec)
-        shared.update(
-            order=list(spec.order),
-            mode=ExecutionMode(spec.mode),
-            child_orders={
-                relation: list(children)
-                for relation, children in spec.child_orders
-            },
-        )
-        plan = PhysicalPlan(catalog=prep.catalog, query=rooted, **shared)
-        return self._validated(plan, query, request.validate)
+        return self._validated(PhysicalPlan(spec, prep.catalog, rooted),
+                               query, request.validate)

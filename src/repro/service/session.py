@@ -85,8 +85,8 @@ class QueryReport:
     #: no residuals or nothing reached them)
     residual_selectivity: float = 1.0
     #: static-verifier findings attached to the served plan
-    #: (:mod:`repro.analysis`; empty when ``validate="off"`` or the
-    #: plan was a cache hit from an unvalidated entry)
+    #: (:mod:`repro.analysis`; empty when ``validate="off"`` — cache
+    #: hits are verified at the request's level too)
     diagnostics: tuple = ()
     #: runtime-feedback replans performed during this execution
     #: (``robustness="auto"`` only; 0 otherwise)
@@ -332,7 +332,10 @@ class QuerySession:
         key = self._key(query, request)
         plan = self.plan_cache.get(key)
         if plan is not None:
-            return plan, True
+            # validate is cache-key exempt: verify what is served (a
+            # verdict-cache lookup; the cached entry is never mutated)
+            return self.planner._validated(plan, query,
+                                           request.validate), True
         plan = self.planner.plan(query, **overrides)
         self.plan_cache.put(key, plan)
         return plan, False

@@ -7,7 +7,6 @@ silently weakens a pass fails here by name.
 """
 
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from repro.analysis import (
 from repro.core.cyclic import ResidualPredicate
 from repro.core.parser import parse_query
 from repro.core.query import JoinEdge, JoinQuery
-from repro.planner import PhysicalPlan
+from repro.planner import PlanSpec
 from repro.storage import Catalog
 
 ACYCLIC_SQL = (
@@ -74,6 +73,13 @@ def failing_codes(plan, sql, level="full"):
     return set(d.code for d in result.errors)
 
 
+def with_spec(plan, **changes):
+    """``plan`` with some spec fields replaced (a new plan; knob
+    legality is still checked, so only structure can be corrupted)."""
+    return dataclasses.replace(
+        plan, spec=dataclasses.replace(plan.spec, **changes))
+
+
 # ----------------------------------------------------------------------
 # The seeded corruption matrix (acceptance: >= 8 distinct codes)
 # ----------------------------------------------------------------------
@@ -108,40 +114,36 @@ def test_corrupt_tree_two_parents(acyclic_plan):
 
 
 def test_order_violating_precedence(acyclic_plan):
-    bad = dataclasses.replace(
-        acyclic_plan, order=list(reversed(acyclic_plan.order))
+    bad = with_spec(acyclic_plan, order=list(reversed(acyclic_plan.order))
     )
     assert "PLAN002" in failing_codes(bad, ACYCLIC_SQL)
 
 
 def test_order_not_a_permutation(acyclic_plan):
-    bad = dataclasses.replace(acyclic_plan, order=["s", "s"])
+    bad = with_spec(acyclic_plan, order=["s", "s"])
     assert "PLAN002" in failing_codes(bad, ACYCLIC_SQL)
 
 
 def test_mismatched_child_orders(acyclic_plan):
-    bad = dataclasses.replace(
-        acyclic_plan, child_orders={"r": ["t"], "nope": []}
+    bad = with_spec(acyclic_plan, child_orders={"r": ["t"], "nope": []}
     )
     assert "PLAN003" in failing_codes(bad, ACYCLIC_SQL)
 
 
 def test_misaligned_residual_selectivities(cyclic_plan):
-    bad = dataclasses.replace(
-        cyclic_plan,
+    bad = with_spec(cyclic_plan,
         residual_selectivities=cyclic_plan.residual_selectivities + (0.5,),
     )
     assert "PLAN004" in failing_codes(bad, CYCLIC_SQL)
 
 
 def test_unresolved_execution_knob(acyclic_plan):
-    bad = dataclasses.replace(acyclic_plan, execution="auto")
-    assert "PLAN005" in failing_codes(bad, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="execution"):
+        with_spec(acyclic_plan, execution="auto")
 
 
 def test_dropped_residual(cyclic_plan):
-    bad = dataclasses.replace(
-        cyclic_plan, residuals=(), residual_selectivities=()
+    bad = with_spec(cyclic_plan, residuals=(), residual_selectivities=()
     )
     assert "PRED001" in failing_codes(bad, CYCLIC_SQL)
 
@@ -151,8 +153,7 @@ def test_duplicated_tree_edge_as_residual(cyclic_plan):
     duplicate = ResidualPredicate(
         edge.parent, edge.parent_attr, edge.child, edge.child_attr
     )
-    bad = dataclasses.replace(
-        cyclic_plan,
+    bad = with_spec(cyclic_plan,
         residuals=cyclic_plan.residuals + (duplicate,),
         residual_selectivities=cyclic_plan.residual_selectivities + (1.0,),
     )
@@ -160,8 +161,7 @@ def test_duplicated_tree_edge_as_residual(cyclic_plan):
 
 
 def test_invented_predicate(acyclic_plan):
-    bad = dataclasses.replace(
-        acyclic_plan,
+    bad = with_spec(acyclic_plan,
         residuals=(ResidualPredicate("r", "x", "t", "c"),),
         residual_selectivities=(1.0,),
     )
@@ -197,14 +197,14 @@ def test_missing_relation(acyclic_plan):
 
 
 def test_shard_count_lie(acyclic_plan):
-    bad = dataclasses.replace(acyclic_plan, num_shards=4)
+    bad = with_spec(acyclic_plan, num_shards=4)
     assert "SHARD001" in failing_codes(bad, ACYCLIC_SQL)
 
 
 def test_shard_count_mismatch(catalog):
     plan = Planner(catalog, partitioning=2).plan(ACYCLIC_SQL)
     assert plan.num_shards == 2
-    bad = dataclasses.replace(plan, num_shards=8)
+    bad = with_spec(plan, num_shards=8)
     assert "SHARD001" in failing_codes(bad, ACYCLIC_SQL)
 
 
@@ -223,35 +223,28 @@ def test_corrupted_base_row_ids(catalog):
         sharded._base_rows[:] = original
 
 
-def test_stripped_fingerprint_component(acyclic_plan):
-    class StrippedFingerprint(PhysicalPlan):
-        def fingerprint(self):
-            payload = repr((
-                self.query.root,
-                tuple(self.order),
-                str(self.mode),
-            ))  # drops execution, shards, residuals, catalog, ...
-            return hashlib.blake2b(
-                payload.encode(), digest_size=16
-            ).hexdigest()
+def test_stripped_fingerprint_component(acyclic_plan, monkeypatch):
+    """FP004 reads the decision fields from the spec's metadata, so a
+    fingerprint that stops hashing one of them is named."""
+    from repro import planner
 
-    stripped = StrippedFingerprint(**{
-        f.name: getattr(acyclic_plan, f.name)
-        for f in dataclasses.fields(acyclic_plan)
-    })
-    assert "FP004" in failing_codes(stripped, ACYCLIC_SQL)
+    monkeypatch.setattr(planner, "_DECISIONS", tuple(
+        (name, canonical) for name, canonical in planner._DECISIONS
+        if name != "execution"))
+    result = verify_plan(acyclic_plan, source=ACYCLIC_SQL, level="full")
+    assert [d.message for d in result.errors if d.code == "FP004"] == [
+        "fingerprint() is insensitive to field 'execution': perturbing "
+        "it left the digest unchanged"]
 
 
-def test_unregistered_plan_field(acyclic_plan):
-    @dataclasses.dataclass
-    class PlanWithNewKnob(PhysicalPlan):
-        shiny_new_knob: int = 0
-
-    extended = PlanWithNewKnob(**{
-        f.name: getattr(acyclic_plan, f.name)
-        for f in dataclasses.fields(acyclic_plan)
-    })
-    assert "FP001" in failing_codes(extended, ACYCLIC_SQL)
+def test_unregistered_plan_field():
+    """A plan field declared without a role cannot exist: the class
+    definition itself fails."""
+    with pytest.raises(TypeError, match="shiny_new_knob is declared "
+                                        "without a role"):
+        @dataclasses.dataclass(frozen=True, kw_only=True)
+        class PlanSpecWithNewKnob(PlanSpec):
+            shiny_new_knob: int = 0
 
 
 def test_unregistered_planner_knob(acyclic_plan, monkeypatch):
@@ -360,13 +353,28 @@ def test_spec_with_foreign_residual(catalog, cyclic_plan):
     assert "SPEC005" in set(result.codes())
 
 
+ILLEGAL_KNOBS = (
+    {"mode": "WAT"},
+    {"execution": "auto"},
+    {"num_shards": 0},
+    {"num_shards": True},
+    {"cyclic_strategy": "auto"},
+    {"wcoj_variable_order": ((("r", "a"),),)},  # on a tree_filter plan
+    {"robustness": "paranoid"},
+    {"placement": "sharded"},
+    {"num_workers": -1},
+)
+
+
 def test_spec_invalid_knobs(catalog, acyclic_plan):
+    """Knob legality is a construction invariant, for specs and plans
+    alike: the verifier has nothing left to re-check."""
     spec = acyclic_plan.to_spec(catalog.fingerprint())
-    bad = dataclasses.replace(
-        spec, mode="WAT", execution="auto", num_shards=0
-    )
-    codes = set(verify_spec(bad).codes())
-    assert {"SPEC001", "SPEC002", "SPEC003"} <= codes
+    for knob in ILLEGAL_KNOBS:
+        with pytest.raises(ValueError):
+            dataclasses.replace(spec, **knob)
+        with pytest.raises(ValueError):
+            with_spec(acyclic_plan, **knob)
 
 
 # ----------------------------------------------------------------------
@@ -387,8 +395,7 @@ def test_verifier_raises_and_caches(acyclic_plan):
     # second call is a verdict-cache hit returning the same object
     again = verifier.verify_plan(acyclic_plan, source=ACYCLIC_SQL)
     assert again is result
-    bad = dataclasses.replace(
-        acyclic_plan, order=list(reversed(acyclic_plan.order))
+    bad = with_spec(acyclic_plan, order=list(reversed(acyclic_plan.order))
     )
     with pytest.raises(PlanVerificationError) as excinfo:
         verifier.verify_plan(bad, source=ACYCLIC_SQL)
@@ -414,48 +421,40 @@ def test_clean_bounded_plan_verifies_clean(bounded_plan):
 
 
 def test_invalid_robustness_posture(acyclic_plan):
-    bad = dataclasses.replace(acyclic_plan, robustness="paranoid")
-    assert "BOUND001" in failing_codes(bad, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="robustness"):
+        with_spec(acyclic_plan, robustness="paranoid")
 
 
 def test_off_plan_carrying_bounds(acyclic_plan):
-    bad = dataclasses.replace(
-        acyclic_plan, prefix_bounds=(10.0,), worst_case_bound=5.0
+    bad = with_spec(acyclic_plan, prefix_bounds=(10.0,), worst_case_bound=5.0
     )
     assert "BOUND002" in failing_codes(bad, ACYCLIC_SQL)
 
 
 def test_robust_plan_missing_a_bound(bounded_plan):
-    bad = dataclasses.replace(
-        bounded_plan, prefix_bounds=bounded_plan.prefix_bounds[:-1]
+    bad = with_spec(bounded_plan, prefix_bounds=bounded_plan.prefix_bounds[:-1]
     )
     assert "BOUND002" in failing_codes(bad, ACYCLIC_SQL)
 
 
 def test_non_finite_bound(bounded_plan):
-    bad = dataclasses.replace(
-        bounded_plan, worst_case_bound=float("inf")
+    bad = with_spec(bounded_plan, worst_case_bound=float("inf")
     )
     assert "BOUND003" in failing_codes(bad, ACYCLIC_SQL)
-    negative = dataclasses.replace(
-        bounded_plan,
+    negative = with_spec(bounded_plan,
         prefix_bounds=(-1.0,) + bounded_plan.prefix_bounds[1:],
     )
     assert "BOUND003" in failing_codes(negative, ACYCLIC_SQL)
 
 
 def test_fingerprint_sensitive_to_robustness(bounded_plan):
-    flipped = dataclasses.replace(bounded_plan, robustness="off")
+    flipped = with_spec(bounded_plan, robustness="off")
     assert flipped.fingerprint() != bounded_plan.fingerprint()
 
 
 def test_spec_bound_checks(catalog, bounded_plan):
     spec = bounded_plan.to_spec(catalog.fingerprint())
     assert verify_spec(spec, ACYCLIC_SQL, catalog).ok
-    bad = dataclasses.replace(spec, robustness="paranoid")
-    assert "BOUND001" in {
-        d.code for d in verify_spec(bad, ACYCLIC_SQL, catalog).errors
-    }
     short = dataclasses.replace(
         spec, prefix_bounds=tuple(spec.prefix_bounds)[:-1]
     )
@@ -467,12 +466,15 @@ def test_spec_bound_checks(catalog, bounded_plan):
 def test_distinct_corruption_codes_covered():
     """Acceptance guard: the corruption matrix spans >= 8 codes."""
     corrupted = {
-        "PLAN001", "PLAN002", "PLAN003", "PLAN004", "PLAN005",
+        "PLAN001", "PLAN002", "PLAN003", "PLAN004",
         "PRED001", "PRED002", "PRED003", "PRED004",
         "SCHEMA001", "SCHEMA002", "SHARD001", "ROWID001",
-        "FP001", "FP003", "FP004",
-        "SPEC001", "SPEC002", "SPEC003", "SPEC004", "SPEC005",
-        "BOUND001", "BOUND002", "BOUND003",
+        "FP003", "FP004", "SPEC004", "SPEC005",
+        "BOUND002", "BOUND003",
     }
     assert len(corrupted) >= 8
     assert corrupted <= set(DIAGNOSTIC_CODES)
+    # knob legality and field roles are construction invariants now
+    retired = {"PLAN005", "FP001", "FP002", "SPEC001", "SPEC002",
+               "SPEC003", "WCOJ001", "BOUND001", "PLACE002"}
+    assert not retired & set(DIAGNOSTIC_CODES)

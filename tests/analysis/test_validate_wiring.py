@@ -97,6 +97,28 @@ def test_session_surfaces_diagnostics_and_warm_path(catalog):
     assert isinstance(cold.diagnostics, tuple)
 
 
+def test_cache_hit_is_verified_at_the_requested_level():
+    """``validate`` is cache-key exempt, so a ``validate="full"`` request
+    can hit an entry planned with ``validate="off"``: it must still be
+    verified — and the cached plan must not be mutated by it."""
+    def nan_catalog():
+        hazard = Catalog()
+        hazard.add(Table("R", {"a": np.array([1.0, np.nan, 3.0])}))
+        hazard.add(Table("S", {"a": np.array([np.nan, 1.0, 2.0])}))
+        return hazard
+
+    sql = "SELECT * FROM R, S WHERE R.a = S.a"
+    session = QuerySession(nan_catalog())
+    assert session.execute(sql).diagnostics == ()
+    warm = session.execute(sql, validate="full")
+    cold = QuerySession(nan_catalog()).execute(sql, validate="full")
+    assert warm.cache_hit and not cold.cache_hit
+    assert [d.code for d in warm.diagnostics] == ["KEY002", "KEY002"]
+    assert [d.code for d in warm.diagnostics] \
+        == [d.code for d in cold.diagnostics]
+    assert session.plan(sql).diagnostics == ()  # the entry is untouched
+
+
 def test_session_cache_key_ignores_validate(catalog):
     from repro.core.parser import parse_query
 

@@ -104,26 +104,21 @@ class TestPlanlintPlacement:
         assert plan.num_workers == 2
         assert verify_plan(plan, source=SQL).ok
 
-    def test_place002_on_bogus_placement(self):
+    def test_bogus_placement_cannot_be_constructed(self):
         plan = QuerySession(make_small_catalog()).plan(SQL)
-        broken = dataclasses.replace(plan, placement="sharded")
-        result = verify_plan(broken, source=SQL)
-        assert not result.ok
-        assert "PLACE002" in {d.code for d in result.diagnostics}
+        with pytest.raises(ValueError, match="placement"):
+            dataclasses.replace(plan.spec, placement="sharded")
 
-    def test_place002_on_unresolved_worker_count(self):
+    def test_unresolved_worker_count_cannot_be_constructed(self):
         plan = QuerySession(make_small_catalog()).plan(SQL)
-        broken = dataclasses.replace(
-            plan, placement="distributed", num_workers=0
-        )
-        result = verify_plan(broken, source=SQL)
-        assert "PLACE002" in {d.code for d in result.diagnostics}
+        with pytest.raises(ValueError, match="num_workers=0"):
+            dataclasses.replace(plan.spec, placement="distributed",
+                                num_workers=0)
 
-    def test_place002_on_local_plan_with_workers(self):
+    def test_local_plan_with_workers_cannot_be_constructed(self):
         plan = QuerySession(make_small_catalog()).plan(SQL)
-        broken = dataclasses.replace(plan, num_workers=3)
-        result = verify_plan(broken, source=SQL)
-        assert "PLACE002" in {d.code for d in result.diagnostics}
+        with pytest.raises(ValueError, match="num_workers=3"):
+            dataclasses.replace(plan.spec, num_workers=3)
 
     def test_spec_carries_and_checks_placement(self):
         session = QuerySession(
@@ -134,9 +129,8 @@ class TestPlanlintPlacement:
         assert spec.placement == "distributed"
         assert spec.num_workers == 2
         assert verify_spec(spec, query=SQL).ok
-        broken = dataclasses.replace(spec, num_workers=-1)
-        result = verify_spec(broken, query=SQL)
-        assert "PLACE002" in {d.code for d in result.diagnostics}
+        with pytest.raises(ValueError, match="num_workers"):
+            dataclasses.replace(spec, num_workers=-1)
 
     def test_placement_choices_are_closed(self):
         assert PLACEMENT_CHOICES == ("local", "distributed")

@@ -146,7 +146,8 @@ class TestPlanSpec:
         reversed_orders = dict(
             reversed(list(plan.child_orders.items()))
         )
-        shuffled = dataclasses.replace(plan, child_orders=reversed_orders)
+        shuffled = dataclasses.replace(plan, spec=dataclasses.replace(
+            plan.spec, child_orders=reversed_orders))
         fp = catalog.fingerprint()
         assert plan.to_spec(fp) == shuffled.to_spec(fp)
         assert plan.to_spec(fp).child_orders == tuple(

@@ -1,0 +1,110 @@
+"""One plan record: a :class:`PhysicalPlan` is its :class:`PlanSpec`
+bound to a catalog and a rooted tree.
+
+Shipping a plan is therefore lossless by construction: every pool query
+of the six benchmark workloads comes back from ``to_spec`` -> pickle ->
+``rehydrate`` with the same fingerprint, the same ``repr`` of its
+predicted cost and an equal spec.  And a plan's decisions are frozen,
+so a cached plan can be served to any number of callers.
+"""
+
+import dataclasses
+import pickle
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import Catalog, QuerySession
+from repro.core.parser import parse_query
+
+REPO = Path(__file__).resolve().parents[1]
+SEED, OPS = 11, 400
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's own generator, imported read-only."""
+    sys.path.insert(0, str(REPO / "benchmarks" / "e2e"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(REPO / "benchmarks" / "e2e"))
+    return {name: generator(SEED, OPS)
+            for name, generator in gen.GENERATORS.items()}
+
+
+def shipped_fields(spec):
+    """Every spec field by name (``QueryStats`` by content)."""
+    return {spec_field.name: getattr(spec, spec_field.name)
+            if spec_field.name != "stats" else vars(spec.stats)
+            for spec_field in dataclasses.fields(spec)}
+
+
+@pytest.mark.parametrize("name", [
+    "warm_serving", "cold_planning", "cyclic_skew", "distributed_scatter",
+    "live_mutation", "open_arrivals",
+])
+def test_pool_plans_survive_the_spec_round_trip(workloads, name):
+    workload = workloads[name]
+    catalog = Catalog()
+    for table, columns in workload.tables.items():
+        catalog.add_table(table, dict(columns))
+    session = QuerySession(catalog, **workload.session)
+    knobs = {knob: value for knob, value in workload.execute.items()
+             if knob != "collect_output"}
+    fingerprint = catalog.fingerprint()
+    try:
+        for query in workload.pool:
+            parsed = parse_query(query.sql())
+            plan = session.plan(parsed, **knobs)
+            spec = pickle.loads(pickle.dumps(plan.to_spec(fingerprint)))
+            back = session.planner.rehydrate(spec, parsed, **knobs)
+            assert back.fingerprint() == plan.fingerprint(), query.sql()
+            assert repr(back.predicted_cost) == repr(plan.predicted_cost)
+            assert shipped_fields(back.spec) \
+                == shipped_fields(plan.to_spec(fingerprint))
+            assert back.query.edges == plan.query.edges
+    finally:
+        session.close()
+
+
+def test_cached_plan_decisions_are_immutable(workloads):
+    workload = workloads["warm_serving"]
+    catalog = Catalog()
+    for table, columns in workload.tables.items():
+        catalog.add_table(table, dict(columns))
+    session = QuerySession(catalog)
+    sql = workload.pool[0].sql()
+    plan = session.plan(sql)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.spec.order = tuple(reversed(plan.spec.order))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.diagnostics = ("tampered",)
+    with pytest.raises(AttributeError):
+        plan.order = list(reversed(plan.order))
+    # the read views are copies: editing one changes nothing cached
+    plan.order.reverse()
+    plan.child_orders.clear()
+    assert session.plan(sql) is plan
+    assert session.plan(sql).order == list(plan.spec.order)
+
+
+def test_plan_fields_read_through_from_the_spec(workloads):
+    workload = workloads["cyclic_skew"]
+    catalog = Catalog()
+    for table, columns in workload.tables.items():
+        catalog.add_table(table, dict(columns))
+    plan = QuerySession(catalog, **workload.session).plan(
+        workload.pool[0].sql())
+    for spec_field in dataclasses.fields(plan.spec):
+        if spec_field.metadata["role"] == "anchor":
+            continue
+        value = getattr(plan, spec_field.name)
+        if spec_field.name == "order":
+            assert value == list(plan.spec.order)
+        elif spec_field.name == "child_orders":
+            assert tuple(sorted((r, tuple(c)) for r, c in value.items())) \
+                == plan.spec.child_orders
+        else:
+            assert value is getattr(plan.spec, spec_field.name)

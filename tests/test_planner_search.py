@@ -27,7 +27,7 @@ from repro.core.costmodel import (
     order_invariant_floor,
 )
 from repro.core.cyclic import residual_filter_cost
-from repro.planner import PhysicalPlan, Planner, SearchTally
+from repro.planner import Planner, SearchTally, _Choice
 from repro.workloads.cyclic import cyclic_scaling_suite
 from repro.workloads.large_joins import (
     large_join_catalog,
@@ -37,10 +37,11 @@ from repro.workloads.large_joins import (
 
 
 def eager_search(self, rootings, stats_for, options, flat_output, best=None,
-                 residual_selectivities=(), **plan_fields):
+                 residual_selectivities=(), residuals=()):
     """The reference: PR 14's ``_candidates`` + ``_search`` — proxy every
     rooting up front, search them all in (proxy cost, position) order."""
     eps, weights = self.options.eps, self.options.weights
+    tally = best.search_tally if best is not None else SearchTally()
     proxy_mode = None
     if len(rootings) > 1:
         proxy_mode = next(
@@ -84,12 +85,9 @@ def eager_search(self, rootings, stats_for, options, flat_output, best=None,
                                   memo)
             cost += fixed_cost
             if best is None or cost < best.predicted_cost:
-                best = PhysicalPlan(
-                    query=rooted, order=order, mode=mode, stats=stats,
-                    predicted_cost=cost, child_orders=child_orders,
-                    weights=weights, execution=options.execution,
-                    residual_selectivities=residual_selectivities,
-                    **plan_fields)
+                best = _Choice(cost, rooted, stats, order, mode,
+                               child_orders, tally, residuals,
+                               residual_selectivities)
     return best
 
 

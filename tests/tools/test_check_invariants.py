@@ -310,3 +310,50 @@ def test_hash_index_has_no_layout_selector():
                  and any(word in name.lower()
                          for word in ("layout", "dense", "sorted"))]
     assert selectors == []
+
+
+PLANNER_SOURCE = (
+    "class PlanSpec(_RoleDeclared):\n"
+    "    root: str = _spec_field('anchor')\n"
+    "    order: tuple = _spec_field('decision', tuple)\n"
+    "    stats: object = _spec_field('derived')\n"
+    "class PhysicalPlan:\n"
+    "    spec: PlanSpec\n"
+    "    def fingerprint(self):\n"
+    "        payload = (self.spec.root, *decided(self.spec))\n"
+    "        return repr(payload)\n"
+)
+
+
+def test_plan_field_single_declaration_allows_declared_fields(
+        synthetic_repo):
+    (synthetic_repo / "src" / "repro" / "planner.py").write_text(
+        PLANNER_SOURCE)
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
+@pytest.mark.parametrize("relative, source, named", [
+    # a field without a role
+    ("planner.py", PLANNER_SOURCE.replace(
+        "    stats: object = _spec_field('derived')\n",
+        "    stats: object = _spec_field('derived')\n"
+        "    shiny: int = 0\n"), "PlanSpec.shiny"),
+    # a role that is not one of the three
+    ("planner.py", PLANNER_SOURCE.replace("'derived'", "'observed'"),
+     "PlanSpec.stats"),
+    # the hand-written fingerprint payload
+    ("planner.py", PLANNER_SOURCE.replace(
+        "return repr(payload)",
+        "return repr((self.spec.root, self.spec.order))"), "repr((...))"),
+    # a second registry of plan fields beside the declaration
+    ("analysis/registry.py",
+     "COVERED = frozenset({'order', 'root'})\n", "['order', 'root']"),
+])
+def test_plan_field_single_declaration_fires(synthetic_repo, relative,
+                                             source, named):
+    planner = synthetic_repo / "src" / "repro" / "planner.py"
+    planner.write_text(PLANNER_SOURCE)
+    (synthetic_repo / "src" / "repro" / relative).write_text(source)
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["PLAN_FIELD_SINGLE_DECLARATION"]
+    assert named in findings[0].message

@@ -73,6 +73,15 @@ COST_FLOOR_SINGLE_PRODUCER
     operation weights floors are made of (``tuple_generation``,
     ``bitvector_probe``, ``semijoin_probe``).
 
+PLAN_FIELD_SINGLE_DECLARATION
+    A plan field is declared once, as a ``PlanSpec`` field whose
+    ``_spec_field(role, ...)`` states its role (``anchor`` /
+    ``decision`` / ``derived``); fingerprint, shipping and the verifier
+    derive from it.  So no ``PlanSpec`` field lacks a literal role,
+    ``planner.py``'s ``fingerprint`` ``repr`` s no hand-written tuple,
+    and ``src/repro/analysis`` keeps no module-level ``frozenset`` of
+    plan field names.
+
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
@@ -447,6 +456,56 @@ def check_cost_floor_single_producer():
     return findings
 
 
+def _class_fields(tree, class_name):
+    """``{name: AnnAssign}`` of a class body's annotated fields."""
+    return next(({item.target.id: item for item in node.body
+                  if isinstance(item, ast.AnnAssign)}
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef)
+                 and node.name == class_name), {})
+
+
+def check_plan_field_single_declaration():
+    path = SRC / "planner.py"
+    tree = _attach_parents(_parse(path)) if path.exists() \
+        else ast.Module(body=[])
+    findings = []
+
+    def finding(file, node, message):
+        findings.append(Finding("PLAN_FIELD_SINGLE_DECLARATION",
+                                file.relative_to(REPO), node.lineno, message))
+
+    spec_fields = _class_fields(tree, "PlanSpec")
+    for name, item in spec_fields.items():
+        call = item.value
+        role = call.args[0] if isinstance(call, ast.Call) and call.args \
+            and _called_name(call) == "_spec_field" else None
+        if getattr(role, "value", None) not in ("anchor", "decision",
+                                                "derived"):
+            finding(path, item, f"PlanSpec.{name} declares no role — use "
+                    "_spec_field(role), role anchor / decision / derived")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) == "repr" \
+                and node.args and isinstance(node.args[0], ast.Tuple) \
+                and getattr(_enclosing_function(node), "name",
+                            "") == "fingerprint":
+            finding(path, node, "fingerprint() hashes a hand-written "
+                    "repr((...)) payload — derive it from PlanSpec")
+    plan_fields = set(spec_fields) | set(_class_fields(tree, "PhysicalPlan"))
+    for module in sorted((SRC / "analysis").rglob("*.py")):
+        for node in _parse(module).body:
+            value = getattr(node, "value", None)
+            if isinstance(value, ast.Call) \
+                    and _called_name(value) == "frozenset":
+                named = plan_fields & {c.value for c in ast.walk(value)
+                                       if isinstance(c, ast.Constant)}
+                if named:
+                    finding(module, node, "module-level frozenset naming "
+                            f"plan fields {sorted(named)} — a second "
+                            "registry of what PlanSpec declares")
+    return findings
+
+
 def check_readme_knob_table():
     findings = []
     options = next(
@@ -484,6 +543,7 @@ CHECKS = (
     check_index_layout_selector,
     check_stats_single_producer,
     check_cost_floor_single_producer,
+    check_plan_field_single_declaration,
     check_readme_knob_table,
 )
 
