@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -159,6 +160,7 @@ class SearchTally:
     searches_pruned: int = 0     #: order searches the bound pruned out
     searches_completed: int = 0  #: order searches that returned an order
     sj_pricings: int = 0         #: SJ strategies ordered + priced at once
+    trees_floored: int = 0       #: cyclic trees the wcoj price left unsearched
 
     @property
     def order_searches(self):
@@ -453,12 +455,15 @@ class PhysicalPlan:
         else:
             probes = std_probes_per_join(self.query, self.stats, self.order)
         shards = f" shards={self.num_shards}" if self.num_shards > 1 else ""
-        lines = [
-            f"PhysicalPlan mode={self.mode} driver={self.query.root} "
-            f"predicted_cost={self.predicted_cost:,.0f}{shards}",
-            f"  SCAN {self.query.root} "
-            f"(N={self.stats.driver_size:,.0f})",
-        ]
+        cost = f"predicted_cost={self.predicted_cost:,.0f}{shards}"
+        tree = f"mode={self.mode} driver={self.query.root}"
+        lines = [f"PhysicalPlan {tree} {cost}"]
+        if self.cyclic_strategy == "wcoj":
+            lines = [f"PhysicalPlan strategy=wcoj {cost}",
+                     f"  recorded spanning tree (the residual split, not "
+                     f"executed): {tree}"]
+        lines.append(f"  SCAN {self.query.root} "
+                     f"(N={self.stats.driver_size:,.0f})")
         for position, relation in enumerate(self.order, start=1):
             edge = self.query.edge_to(relation)
             stats = self.stats.stats(relation)
@@ -848,7 +853,7 @@ class Planner:
         )
 
     def _search(self, rootings, stats_for, options, flat_output, best=None,
-                residual_selectivities=(), residuals=()):
+                incumbent=math.inf, residual_selectivities=(), residuals=()):
         """The cheapest (rooting, mode, order) among ``rootings``.
 
         The one order + strategy search behind a fixed driver (one
@@ -856,8 +861,9 @@ class Planner:
         tree of a cyclic query (whose ``residuals`` ride on its
         :class:`_Choice`) and :meth:`replan`.  ``stats_for(rooted)``
         supplies a rooting's statistics.  Returns a :class:`_Choice`, or
-        ``best`` — the incumbent handed in — when nothing beats it; the
-        first of equally cheap choices wins.
+        ``best`` — the choice handed in — when nothing beats both its
+        cost and ``incumbent`` (a plain cost to beat, e.g. another
+        operator's price); the first of equally cheap choices wins.
 
         *Floor -> lazy proxy -> bounded search.*  Rootings wait in a
         heap keyed by the least ``costmodel.cost_lower_bound`` over the
@@ -883,6 +889,8 @@ class Planner:
         """
         eps, weights = self.options.eps, self.options.weights
         tally = best.search_tally if best is not None else SearchTally()
+        if best is not None:
+            incumbent = min(incumbent, best.predicted_cost)
         tally.rootings += len(rootings)
         proxy_mode = None
         if len(rootings) > 1:
@@ -908,8 +916,7 @@ class Planner:
         while heap:
             key, position, rooted, stats, expected, memo = heapq.heappop(heap)
             if memo is None:
-                if fixed_cost is not None \
-                        and key + fixed_cost >= best.predicted_cost:
+                if fixed_cost is not None and key + fixed_cost >= incumbent:
                     tally.rootings_floored += 1
                     continue
                 memo = CostMemo(rooted)
@@ -928,8 +935,8 @@ class Planner:
             probe_scale = max([1.0, *stats.probe_costs.values()])
             for mode in options.modes:
                 upper_bound = None
-                if best is not None:
-                    upper_bound = best.predicted_cost - (
+                if incumbent < math.inf:
+                    upper_bound = incumbent - (
                         fixed_cost + order_invariant_floor(
                             rooted, stats, mode, weights, flat_output,
                             expected))
@@ -954,7 +961,8 @@ class Planner:
                                       flat_output, memo)
                     child_orders = {}
                 cost += fixed_cost
-                if best is None or cost < best.predicted_cost:
+                if cost < incumbent or best is None and incumbent == math.inf:
+                    incumbent = cost
                     best = _Choice(cost, rooted, stats, order, mode,
                                    child_orders, tally, residuals,
                                    residual_selectivities)
@@ -1170,11 +1178,18 @@ class Planner:
         of the winning tree: ``"auto"`` prices the worst-case-optimal
         operator (:func:`~repro.core.cyclic.wcoj_cost` over the greedy
         variable order) against the winning tree+filter plan and keeps
-        the cheaper; ``"wcoj"`` / ``"tree_filter"`` force one side.  A
-        wcoj plan still records the winning spanning tree — its
+        the cheaper; ``"wcoj"`` / ``"tree_filter"`` force one side.
+        Unless ``tree_filter`` is forced, that price is computed once,
+        *before* the sweep: the greedy tree is searched unbounded, and
+        from the second tree on the price is an incumbent, so a tree
+        whose floor cannot beat it runs no order search.  A wcoj plan
+        records the greedy tree unless some tree beat the price — its
         residual split is what the edge-XOR-residual invariant and
         rehydration key on — but executes the full cyclic predicate
-        set attribute-at-a-time instead.
+        set attribute-at-a-time instead.  The strategy decision is the
+        one an unbounded sweep makes: a floored tree costs more than
+        the price, so it could only have won the sweep to lose the
+        arbitration, and a tree that ties the price is never floored.
         """
         parsed = prep.query
         deadline, weights = options.deadline, self.options.weights
@@ -1197,6 +1212,18 @@ class Planner:
             relations if options.driver == "auto" and len(relations) > 1
             else relations[:1]
         )
+        wcoj_bound = math.inf
+        if options.cyclic_execution != "tree_filter":
+            classes = variable_classes(predicates)
+            distincts = {member: reader.distinct(*member)
+                         for members in classes for member in members}
+            variable_order = plan_variable_order(classes, distincts)
+            strategy_cost = wcoj_cost(variable_order, distincts, sizes,
+                                      weights)
+            # the arbitration below keeps a tree that exactly ties the
+            # price (strict <), so such a tree must survive the sweep:
+            # only a tree costing *more* than the price may be floored
+            wcoj_bound = math.nextafter(strategy_cost, math.inf)
         best = None
         candidate_trees = enumerate_spanning_trees(
             relations, predicates, tree_weights,
@@ -1219,13 +1246,18 @@ class Planner:
             # predicate-multiset subtraction behind
             # tree_query_from_residuals is root-independent and would
             # be redone once per rooting (cyclic output is always flat)
+            searched = best.search_tally.order_searches if tree_index else -1
             best = self._search(
                 [_rooted_tree(relations, tree_predicates, root)
                  for root in roots],
-                reader.rooted_stats, options, True, best, residual_sels,
+                reader.rooted_stats, options, True, best,
+                wcoj_bound if tree_index else math.inf, residual_sels,
                 tuple(ResidualPredicate(*predicates[index])
                       for _, index in residual_pairs),
             )
+            if best.search_tally.order_searches == searched \
+                    and wcoj_bound < best.predicted_cost:
+                best.search_tally.trees_floored += 1
         # Partitioning follows the winning tree's probe attributes, so
         # it is applied only now (content-addressed, like every plan).
         catalog, num_shards = self._apply_partitioning(
@@ -1244,18 +1276,12 @@ class Planner:
                 best.residual_selectivities, weights,
             ),
         )
-        if options.cyclic_execution != "tree_filter" and spec.residuals:
-            classes = variable_classes(predicates)
-            distincts = {member: reader.distinct(*member)
-                         for members in classes for member in members}
-            variable_order = plan_variable_order(classes, distincts)
-            strategy_cost = wcoj_cost(variable_order, distincts, sizes,
-                                      weights)
-            if options.cyclic_execution == "wcoj" \
-                    or strategy_cost < spec.predicted_cost:
-                spec = replace(spec, cyclic_strategy="wcoj",
-                               wcoj_variable_order=variable_order,
-                               predicted_cost=strategy_cost)
+        if options.cyclic_execution != "tree_filter" and spec.residuals and (
+                options.cyclic_execution == "wcoj"
+                or strategy_cost < spec.predicted_cost):
+            spec = replace(spec, cyclic_strategy="wcoj",
+                           wcoj_variable_order=variable_order,
+                           predicted_cost=strategy_cost)
         return PhysicalPlan(spec, catalog, best.query,
                             search_tally=best.search_tally)
 

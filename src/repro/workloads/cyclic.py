@@ -211,13 +211,14 @@ def to_sql(parsed):
 
 
 def cyclic_scaling_suite(sizes, shapes=("cycle", "clique", "grid"), seed=0,
-                         rows_per_relation=256, key_domain=(64, 512)):
+                         rows_per_relation=256, key_domain=(64, 512),
+                         skew=None):
     """Generate ``(shape, n, parsed, catalog)`` cases for a sweep.
 
     One data-backed case per (shape, size); the data seed varies per
     case so sweeps do not accidentally reuse one selectivity draw.
     Clique sizes grow ``O(n^2)`` predicates — pass smaller sizes for
-    that shape, as :mod:`benchmarks.bench_cyclic_scaling` does.
+    that shape.  ``skew`` is :func:`cyclic_catalog`'s.
     """
     cases = []
     for shape in shapes:
@@ -227,7 +228,7 @@ def cyclic_scaling_suite(sizes, shapes=("cycle", "clique", "grid"), seed=0,
             parsed = build(n)
             catalog = cyclic_catalog(
                 parsed, rows_per_relation=rows_per_relation,
-                key_domain=key_domain, seed=case_seed,
+                key_domain=key_domain, seed=case_seed, skew=skew,
             )
             cases.append((shape, n, parsed, catalog))
     return cases

@@ -4,9 +4,14 @@ The lazy best-first rooting loop must pick exactly the plan an eager
 "rank every rooting, then search them in order" loop picks — same
 first-wins ties — while running a fraction of its order searches; the
 :class:`SearchTally` on the plan is the exact, repeatable record of
-that fraction.
+that fraction.  On a cyclic query the wcoj price is an incumbent from
+the second candidate spanning tree on, and must floor trees without
+moving the strategy decision.
 """
 
+import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,11 +42,14 @@ from repro.workloads.large_joins import (
 
 
 def eager_search(self, rootings, stats_for, options, flat_output, best=None,
-                 residual_selectivities=(), residuals=()):
+                 incumbent=math.inf, residual_selectivities=(), residuals=()):
     """The reference: PR 14's ``_candidates`` + ``_search`` — proxy every
-    rooting up front, search them all in (proxy cost, position) order."""
+    rooting up front, search them all in (proxy cost, position) order,
+    bounded by the cheaper of ``best`` and the ``incumbent`` cost."""
     eps, weights = self.options.eps, self.options.weights
     tally = best.search_tally if best is not None else SearchTally()
+    if best is not None:
+        incumbent = min(incumbent, best.predicted_cost)
     proxy_mode = None
     if len(rootings) > 1:
         proxy_mode = next(
@@ -63,8 +71,8 @@ def eager_search(self, rootings, stats_for, options, flat_output, best=None,
         scale = max([1.0, *stats.probe_costs.values()])
         for mode in options.modes:
             upper_bound = None
-            if best is not None:
-                upper_bound = best.predicted_cost - (
+            if incumbent < math.inf:
+                upper_bound = incumbent - (
                     fixed_cost + order_invariant_floor(
                         rooted, stats, mode, weights, flat_output))
                 if upper_bound <= 0.0:
@@ -84,7 +92,8 @@ def eager_search(self, rootings, stats_for, options, flat_output, best=None,
                 cost = self._cost(rooted, stats, order, mode, flat_output,
                                   memo)
             cost += fixed_cost
-            if best is None or cost < best.predicted_cost:
+            if cost < incumbent or best is None and incumbent == math.inf:
+                incumbent = cost
                 best = _Choice(cost, rooted, stats, order, mode,
                                child_orders, tally, residuals,
                                residual_selectivities)
@@ -259,3 +268,89 @@ def test_bounded_search_is_sound_with_probe_costs():
             if unbounded is None or cost < unbounded[0]:
                 unbounded = (cost, mode)
         assert (plan.predicted_cost, plan.mode) == unbounded, trial
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def cyclic_skew_pool():
+    """The ``cyclic_skew`` catalog and ``(shape tag, sql)`` of every pool
+    query (seed 11): the benchmark's own generator, imported read-only."""
+    sys.path.insert(0, str(REPO / "benchmarks" / "e2e"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(REPO / "benchmarks" / "e2e"))
+    workload = gen.cyclic_skew(11, 1)
+    catalog = Catalog()
+    for table, columns in workload.tables.items():
+        catalog.add_table(table, dict(columns))
+    # relations are "<shape><copy>_R<i>", one digit of copy number
+    return catalog, [(query.relations[0].split("_")[0][:-1], query.sql())
+                     for query in workload.pool]
+
+
+#: exact tallies of the ``cyclic_skew`` pool plans by shape.  The grid
+#: and the cliques resolve to wcoj: the greedy tree is searched (6
+#: strategies), then the wcoj price floors the other 15 candidate trees
+#: strategy by strategy — no order search, no SJ pricing.  The triangle
+#: and the 4-cycle resolve to tree_filter and search all 3 / 4 trees.
+POOL_TALLIES = {
+    "tri": ("tree_filter", SearchTally(
+        rootings=3, searches_pruned=6, searches_completed=6, sj_pricings=6)),
+    "c4": ("tree_filter", SearchTally(
+        rootings=4, searches_pruned=8, searches_completed=8, sj_pricings=8)),
+    "g33": ("wcoj", SearchTally(
+        rootings=16, modes_floored=90, searches_pruned=2,
+        searches_completed=2, sj_pricings=2, trees_floored=15)),
+    "k4": ("wcoj", SearchTally(
+        rootings=16, modes_floored=90, searches_pruned=1,
+        searches_completed=3, sj_pricings=2, trees_floored=15)),
+    "k8": ("wcoj", SearchTally(
+        rootings=16, modes_floored=90, searches_pruned=1,
+        searches_completed=3, sj_pricings=2, trees_floored=15)),
+}
+
+
+def test_wcoj_price_floors_every_tree_but_the_greedy_one(cyclic_skew_pool):
+    catalog, pool = cyclic_skew_pool
+    planner = Planner(catalog, cyclic_execution="auto")
+    searches = auto_searches = 0
+    for tag, sql in pool:
+        plan = planner.plan(sql)
+        strategy, tally = POOL_TALLIES[tag]
+        assert (plan.cyclic_strategy, plan.search_tally) == (strategy, tally)
+        if strategy == "wcoj":
+            assert tally.order_searches == 6
+            assert tally.modes_floored == 6 * (tally.rootings - 1)
+        searches += tally.order_searches
+        auto_searches += planner.plan(
+            sql, driver="auto").search_tally.order_searches
+    # 1194 and 8502 when wcoj was priced after the sweep
+    assert (searches, auto_searches) == (114, 672)
+
+
+@pytest.mark.parametrize("robustness", ["off", "bounded"])
+@pytest.mark.parametrize("driver", ["fixed", "auto"])
+@pytest.mark.parametrize("skew", [None, 1.0], ids=["uniform", "skewed"])
+def test_auto_resolves_to_wcoj_iff_its_price_beats_the_tree(
+        skew, driver, robustness):
+    """The wcoj price bounds the tree sweep but never changes the
+    strategy decision: ``auto`` is exactly "the cheaper of the forced
+    tree_filter plan and the wcoj price", and whichever it resolves to is
+    bit-identical to forcing that strategy."""
+    strategies = set()
+    for shape, n, parsed, catalog in cyclic_scaling_suite(
+            (4, 6), rows_per_relation=48, key_domain=(8, 24), seed=3,
+            skew=skew):
+        planner = Planner(catalog, driver=driver, robustness=robustness)
+        auto, tree, wcoj = (planner.plan(parsed, cyclic_execution=knob)
+                            for knob in ("auto", "tree_filter", "wcoj"))
+        strategies.add(auto.cyclic_strategy)
+        assert (auto.cyclic_strategy == "wcoj") \
+            == (wcoj.predicted_cost < tree.predicted_cost), (shape, n)
+        forced = wcoj if auto.cyclic_strategy == "wcoj" else tree
+        assert decided(auto) == decided(forced), (shape, n)
+    # skewed keys make wcoj win everywhere; uniform ones resolve both ways
+    assert strategies == ({"wcoj"} if skew else {"tree_filter", "wcoj"})

@@ -357,3 +357,39 @@ def test_plan_field_single_declaration_fires(synthetic_repo, relative,
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["PLAN_FIELD_SINGLE_DECLARATION"]
     assert named in findings[0].message
+
+
+WCOJ_PLANNER_SOURCE = (
+    "def plan(self, classes, distincts, sizes, trees):\n"
+    "    order = plan_variable_order(classes, distincts)\n"
+    "    price = wcoj_cost(order, distincts, sizes)\n"
+    "    return [self._search(tree, price) for tree in trees]\n"
+)
+
+
+def test_wcoj_priced_once_allows_one_pricing(synthetic_repo):
+    (synthetic_repo / "src" / "repro" / "planner.py").write_text(
+        WCOJ_PLANNER_SOURCE)
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
+@pytest.mark.parametrize("source, named", [
+    # a second, post-sweep pricing (the arbitration re-prices)
+    (WCOJ_PLANNER_SOURCE.replace(
+        "    return", "    again = wcoj_cost(order, distincts, sizes)\n"
+                     "    return"), "wcoj_cost"),
+    # a forced-wcoj fork with its own variable order
+    (WCOJ_PLANNER_SOURCE.replace(
+        "    return", "    forced = plan_variable_order(classes, {})\n"
+                     "    return"), "plan_variable_order"),
+    # imported but never priced
+    ("from .engine.wcoj import plan_variable_order\n"
+     "def plan(self, classes, distincts, sizes):\n"
+     "    return wcoj_cost(classes, distincts, sizes)\n",
+     "plan_variable_order"),
+])
+def test_wcoj_priced_once_fires(synthetic_repo, source, named):
+    (synthetic_repo / "src" / "repro" / "planner.py").write_text(source)
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["WCOJ_PRICED_ONCE"]
+    assert findings[0].message.startswith(named)

@@ -73,6 +73,12 @@ COST_FLOOR_SINGLE_PRODUCER
     operation weights floors are made of (``tuple_generation``,
     ``bitvector_probe``, ``semijoin_probe``).
 
+WCOJ_PRICED_ONCE
+    ``planner.py`` calls ``wcoj_cost`` and ``plan_variable_order`` (each
+    one it names) exactly once: wcoj is priced before the spanning-tree
+    sweep, whose incumbent the price is, on the one path ``auto`` and a
+    forced ``"wcoj"`` share — a second site is a second, unbounded path.
+
 PLAN_FIELD_SINGLE_DECLARATION
     A plan field is declared once, as a ``PlanSpec`` field whose
     ``_spec_field(role, ...)`` states its role (``anchor`` /
@@ -456,6 +462,19 @@ def check_cost_floor_single_producer():
     return findings
 
 
+def check_wcoj_priced_once():
+    path = SRC / "planner.py"
+    source = path.read_text() if path.exists() else ""
+    calls = [_called_name(node) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)]
+    return [Finding("WCOJ_PRICED_ONCE", path.relative_to(REPO), 0,
+                    f"{name}(...) is called {calls.count(name)} times in "
+                    "planner.py — price wcoj exactly once, before the tree "
+                    "sweep")
+            for name in ("wcoj_cost", "plan_variable_order")
+            if name in source and calls.count(name) != 1]
+
+
 def _class_fields(tree, class_name):
     """``{name: AnnAssign}`` of a class body's annotated fields."""
     return next(({item.target.id: item for item in node.body
@@ -543,6 +562,7 @@ CHECKS = (
     check_index_layout_selector,
     check_stats_single_producer,
     check_cost_floor_single_producer,
+    check_wcoj_priced_once,
     check_plan_field_single_declaration,
     check_readme_knob_table,
 )

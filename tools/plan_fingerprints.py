@@ -9,6 +9,9 @@ same check in tier-1).  A change that must keep plans bit-identical
 writes the file on its parent commit and checks on its own.
 ``live_mutation``'s writes are applied as the stream issues them; a
 query re-planned after ``n`` of them is keyed ``...|after n writes``.
+Every ``cyclic_skew`` pool query is also planned under each of
+``VARIANTS`` (the cyclic strategy and search paths the workload's own
+knobs do not reach), keyed ``cyclic_skew|sql|knob=value``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "data" / "plan_fingerprints.json"
 SEED, OPS = 11, 400
+VARIANTS = (("cyclic_execution", "wcoj"), ("cyclic_execution", "tree_filter"),
+            ("driver", "auto"), ("robustness", "bounded"))
 
 
 def collect():
@@ -39,18 +44,25 @@ def collect():
         session = QuerySession(catalog, **workload.session)
         knobs = {knob: value for knob, value in workload.execute.items()
                  if knob != "collect_output"}
+
+        def record(sql, suffix="", **variant):
+            key = f"{name}|{sql}{suffix}"
+            if key not in golden:
+                plan = session.plan(sql, **knobs, **variant)
+                golden[key] = [plan.fingerprint(), repr(plan.predicted_cost),
+                               str(plan.mode), plan.query.root]
+
+        for query in workload.pool:
+            record(query.sql())
+            for knob, value in VARIANTS if workload.cyclic else ():
+                record(query.sql(), f"|{knob}={value}", **{knob: value})
         writes = 0
-        for op in [("read", query) for query in workload.pool] + workload.ops:
+        for op in workload.ops:
             if op[0] != "read":
                 apply_write(catalog, op)
                 writes += 1
                 continue
-            sql = op[1].sql()
-            key = f"{name}|{sql}" + (f"|after {writes} writes" if writes else "")
-            if key not in golden:
-                plan = session.plan(sql, **knobs)
-                golden[key] = [plan.fingerprint(), repr(plan.predicted_cost),
-                               str(plan.mode), plan.query.root]
+            record(op[1].sql(), f"|after {writes} writes" if writes else "")
         session.close()
     return golden
 
