@@ -19,12 +19,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Optional, Tuple
 
 from .analysis import VALIDATE_CHOICES
-from .core.adaptive import (
-    adaptive_beam_width,
-    adaptive_block_size,
-    crossover_relations,
-    load_scaling_profile,
-)
 from .core.bounds import resolve_robustness
 from .core.costmodel import CostWeights
 from .core.cyclic import CYCLIC_EXECUTION_CHOICES
@@ -80,22 +74,6 @@ def _integer(name: str, floor: int, note: str = "") -> Check:
                 f"{name} must be an int >= {floor}{note}, got {value!r}"
             )
         return value
-    return check
-
-
-def _scaling(name: str) -> Check:
-    """An explicit int >= 1, or ``"auto"`` (resolved in ``__post_init__``
-    against the configured planning budget)."""
-    def check(value: Any) -> Any:
-        if value == "auto":
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            return value
-        raise ValueError(
-            f'{name} must be an int >= 1 or "auto", got {value!r}'
-        )
     return check
 
 
@@ -160,26 +138,17 @@ def _knob(default: Any, key: str, check: Optional[Check] = None,
     })
 
 
-def resolve_optimizer(optimizer: str, num_relations: int,
-                      planning_budget_ms: Optional[float] = None) -> str:
+def resolve_optimizer(optimizer: str, num_relations: int) -> str:
     """The concrete algorithm ``plan()`` will run for a query size.
 
     ``"auto"`` maps to ``"exhaustive"`` / ``"idp"`` / ``"beam"`` by
-    relation count; anything else resolves to itself.  With a
-    ``planning_budget_ms``, the ``"auto"`` crossovers come from the
-    measured scaling profile evaluated at that budget
-    (:func:`repro.core.adaptive.crossover_relations`) instead of the
-    static constants — a generous budget keeps the exhaustive DP viable
-    for larger queries, a tight one steps down earlier.
+    relation count alone (:func:`repro.core.choose_optimizer`); anything
+    else resolves to itself.  A ``planning_budget_ms`` does not move the
+    crossovers — it arms the deadline that steps an overrunning search
+    down the ladder on the host that runs it.
     """
-    if optimizer != "auto":
-        return optimizer
-    if planning_budget_ms is not None:
-        exhaustive_max, idp_max = crossover_relations(
-            load_scaling_profile(), planning_budget_ms
-        )
-        return choose_optimizer(num_relations, exhaustive_max, idp_max)
-    return choose_optimizer(num_relations)
+    return choose_optimizer(num_relations) if optimizer == "auto" \
+        else optimizer
 
 
 @dataclass(frozen=True)
@@ -196,12 +165,10 @@ class PlanOptions:
         Assumed bitvector false-positive rate for BVP costing.
     idp_block_size, beam_width:
         Tuning knobs of the scaling optimizers (:func:`repro.core.idp_order`
-        / :func:`repro.core.beam_order`).  ``"auto"`` derives the value
-        from the measured crossover points in
-        ``benchmarks/results/BENCH_optimizer_scaling.json`` at the
-        configured ``planning_budget_ms`` (historical constants when no
-        record exists); the resolved integer is what is stored, keyed
-        and shipped to workers.
+        / :func:`repro.core.beam_order`): ints >= 1, default 8 each.
+        A block of 8 is solved exactly by the Algorithm 1 recurrence
+        well inside interactive latency even on stars, and beam time is
+        linear in the width.
     regret_factor:
         Worst-case regret cap for ``robustness != "off"``: the served
         plan's guaranteed cardinality bound never exceeds this multiple
@@ -232,12 +199,15 @@ class PlanOptions:
         Whether the caller wants flat tuples (the expansion step is
         priced in) or accepts factorized output.
     planning_budget_ms:
-        Optional wall-time budget per ``plan()``.  ``optimizer="auto"``
-        resolves its crossovers against it and order searches run under
-        a deadline, falling down the exhaustive -> IDP -> beam ladder
-        when they overrun; for a cyclic query the deadline additionally
-        bounds the candidate-tree sweep (the greedy Kruskal tree is
-        always fully evaluated).  ``None`` keeps planning unbounded.
+        Optional wall-time budget per ``plan()``.  Order searches run
+        under a deadline measured on this host's clock, falling down the
+        exhaustive -> IDP -> beam ladder when they overrun (beam search
+        never checks it, so planning ends by the deadline plus one beam
+        search); a DP that fits returns the exact optimum.  For a cyclic
+        query the deadline additionally bounds the candidate-tree sweep
+        (the greedy Kruskal tree is always fully evaluated).  It never
+        changes which rung ``optimizer="auto"`` starts on.  ``None``
+        keeps planning unbounded.
     partitioning:
         ``"off"`` (the exact single-index behavior), a shard count, or
         ``"auto"`` (shard count from the largest probe target and the
@@ -294,9 +264,9 @@ class PlanOptions:
     weights: Any = _knob(None, "raw", lambda given: given or CostWeights(),
                          per_call=False)
     eps: float = _knob(0.01, "raw", per_call=False)
-    idp_block_size: Any = _knob(8, "raw", _scaling("idp_block_size"),
+    idp_block_size: int = _knob(8, "raw", _integer("idp_block_size", 1),
                                 per_call=False)
-    beam_width: Any = _knob(8, "raw", _scaling("beam_width"),
+    beam_width: int = _knob(8, "raw", _integer("beam_width", 1),
                             per_call=False)
     planning_budget_ms: Optional[float] = _knob(None, "raw", _check_budget)
     partitioning: Any = _knob("off", "resolved", _check_partitioning)
@@ -319,12 +289,6 @@ class PlanOptions:
     def __post_init__(self) -> None:
         for name, check in _CHECKS:
             object.__setattr__(self, name, check(getattr(self, name)))
-        for name, derive in (("idp_block_size", adaptive_block_size),
-                             ("beam_width", adaptive_beam_width)):
-            if getattr(self, name) == "auto":
-                object.__setattr__(self, name, derive(
-                    load_scaling_profile(), self.planning_budget_ms
-                ))
 
     def override(self, **overrides: Any) -> "PlanOptions":
         """The request record for one ``plan()`` / ``execute()`` call.
@@ -385,7 +349,7 @@ class PlanOptions:
 
         ``query`` is a :class:`~repro.core.ParsedQuery` or
         :class:`~repro.core.JoinQuery`.  The optimizer resolves by
-        relation count and budget, ``partitioning`` to a shard count
+        relation count, ``partitioning`` to a shard count
         (plus the size floor only ``"auto"`` applies), ``execution`` to
         a kernel path, ``num_workers`` to a process count (0 under
         local placement); the planning deadline starts now.
@@ -402,7 +366,7 @@ class PlanOptions:
         budget = self.planning_budget_ms
         values = dict(vars(self))
         values.update(
-            optimizer=resolve_optimizer(self.optimizer, num_relations, budget),
+            optimizer=resolve_optimizer(self.optimizer, num_relations),
             partitioning=self.shard_count(catalog, query),
             # "auto" resolves from base-table sizes (cache keys must be
             # computable before push-down); the floor keeps it from

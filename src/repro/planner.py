@@ -1072,9 +1072,9 @@ class Planner:
         observations.  ``options`` is the original request's
         :meth:`~repro.options.PlanOptions.resolved` record, so the
         replan honours what the cold plan did: a forced ``mode`` stays
-        forced, and the optimizer rung and anytime deadline come from
-        the request's ``planning_budget_ms`` (``None``: the planner's
-        configured options).
+        forced, the optimizer rung is the request's, and the anytime
+        deadline comes from its ``planning_budget_ms`` (``None``: the
+        planner's configured options).
 
         Robustness bound annotations are recomputed when the original
         plan carried them, so a replanned plan passes the same BOUND

@@ -22,10 +22,9 @@ from repro.workloads.large_joins import (
 from repro.workloads.random_trees import random_join_tree, random_stats
 
 #: loose quality envelope for the default knobs on n <= 12 queries; the
-#: measured ratios (benchmarks/results/BENCH_optimizer_scaling.json)
-#: are far tighter (mean ~1.0, worst ~2.0 over thousands of seeded
-#: cases), this guards against regressions to arbitrarily bad
-#: stitching.
+#: measured ratios are far tighter (mean ~1.0, worst ~2.0 over
+#: thousands of seeded cases), this guards against regressions to
+#: arbitrarily bad stitching.
 MAX_SMALL_QUERY_RATIO = 4.0
 
 

@@ -48,8 +48,8 @@ INVALID = {
     "driver": ("R9", "driver must be one of"),
     "stats": ("exat", "stats method must be 'exact', 'sampling' or a "
                       "QueryStats"),
-    "idp_block_size": (0, "idp_block_size must be >= 1"),
-    "beam_width": ("wide", 'beam_width must be an int >= 1 or "auto"'),
+    "idp_block_size": (0, "idp_block_size must be an int >= 1"),
+    "beam_width": ("auto", "beam_width must be an int >= 1"),
     "planning_budget_ms": (-1.0, "planning_budget_ms must be positive"),
     "partitioning": (0, "partitioning shard count must be >= 1"),
     "max_spanning_trees": (0, "max_spanning_trees must be an int >= 1"),

@@ -393,3 +393,35 @@ def test_wcoj_priced_once_fires(synthetic_repo, source, named):
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["WCOJ_PRICED_ONCE"]
     assert findings[0].message.startswith(named)
+
+
+@pytest.mark.parametrize("relative, source", [
+    # the deleted run-time read: a path assembled from a record name
+    ("core/profile.py",
+     "from pathlib import Path\n"
+     "RECORD = Path(__file__).parents[3] / 'benchmarks' / 'results' / "
+     "'BENCH_optimizer_scaling.json'\n"),
+    # the results directory spelled as one path
+    ("options.py", "class PlanOptions:\n    mode: str = 'auto'\n"
+     "def limits():\n    return open('benchmarks/results/x.json').read()\n"),
+    # a record name inside an f-string
+    ("service/tuning.py",
+     "def record(name):\n    return f'BENCH_{name}.json'\n"),
+])
+def test_product_reads_no_benchmark_files_fires(synthetic_repo, relative,
+                                                source):
+    path = synthetic_repo / "src" / "repro" / relative
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(source)
+    rules = [f.rule for f in run_all(load_linter(synthetic_repo))]
+    assert rules == ["PRODUCT_READS_NO_BENCHMARK_FILES"]
+
+
+def test_product_reads_no_benchmark_files_exempts_docstrings(synthetic_repo):
+    (synthetic_repo / "src" / "repro" / "core" / "optimizer.py").write_text(
+        '"""Crossovers once measured into benchmarks/results/."""\n'
+        "def choose(n):\n"
+        '    """Not read from BENCH_optimizer_scaling.json."""\n'
+        "    return 'exhaustive' if n <= 12 else 'idp'\n"
+    )
+    assert run_all(load_linter(synthetic_repo)) == []

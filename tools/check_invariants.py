@@ -88,6 +88,13 @@ PLAN_FIELD_SINGLE_DECLARATION
     and ``src/repro/analysis`` keeps no module-level ``frozenset`` of
     plan field names.
 
+PRODUCT_READS_NO_BENCHMARK_FILES
+    The library's behaviour is stated by its code, never loaded from a
+    measurement artefact: two installs of one commit must plan alike
+    whether or not a benchmark record sits on disk.  So no string
+    constant under ``src/repro`` (docstrings exempt) names a
+    ``BENCH_*`` record or ``benchmarks/results``.
+
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
@@ -525,6 +532,33 @@ def check_plan_field_single_declaration():
     return findings
 
 
+_BENCHMARK_FILE = re.compile(r"BENCH_|benchmarks/results")
+
+
+def _is_docstring(node):
+    statement = getattr(node, "_parent", None)
+    owner = getattr(statement, "_parent", None)
+    return isinstance(statement, ast.Expr) and isinstance(
+        owner, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                ast.AsyncFunctionDef)) and owner.body[0] is statement
+
+
+def check_product_reads_no_benchmark_files():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(_attach_parents(_parse(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and _BENCHMARK_FILE.search(node.value) \
+                    and not _is_docstring(node):
+                findings.append(Finding(
+                    "PRODUCT_READS_NO_BENCHMARK_FILES",
+                    path.relative_to(REPO), node.lineno,
+                    f"string {node.value!r} names a benchmark record — "
+                    "state the constant in code instead of loading it",
+                ))
+    return findings
+
+
 def check_readme_knob_table():
     findings = []
     options = next(
@@ -564,6 +598,7 @@ CHECKS = (
     check_cost_floor_single_producer,
     check_wcoj_priced_once,
     check_plan_field_single_declaration,
+    check_product_reads_no_benchmark_files,
     check_readme_knob_table,
 )
 
