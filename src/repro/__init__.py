@@ -71,7 +71,6 @@ from .service import (
 from .storage import (
     Catalog,
     PartitionedTable,
-    ShardedHashIndex,
     Table,
     load_catalog,
     partitioned_catalog,
@@ -108,7 +107,6 @@ __all__ = [
     "QuerySession",
     "QueryStats",
     "Severity",
-    "ShardedHashIndex",
     "StatsCache",
     "StatsReader",
     "Table",

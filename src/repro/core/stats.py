@@ -275,11 +275,10 @@ def _measure_edge(catalog: Any, parent: str, parent_attr: str, child: str,
 
     The single producer of planning statistics.  ``"exact"`` goes
     through ``probe_stats``, which returns the two integer summaries
-    (keys matched, total matches) without materializing match rows;
-    over a hash-partitioned relation the index aggregates per-shard
-    sketches — each probe key is routed to exactly one shard, so the
-    sums are *bit-identical* to the monolithic measurement and
-    statistics never depend on the physical layout.  Sampling draws row
+    (keys matched, total matches) without materializing match rows.
+    Both are counts over key groups, which re-clustering a
+    hash-partitioned relation does not change, so statistics never
+    depend on the physical layout.  Sampling draws row
     *positions*, so callers hand it the unpartitioned source catalog.
     """
     if isinstance(method, tuple):

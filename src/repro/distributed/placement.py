@@ -18,7 +18,7 @@ Two routing flavors exist:
     :class:`~repro.storage.partition.PartitionedTable` join child;
     driver rows route to shards via
     :func:`~repro.storage.partition._probe_shard_ids` on the root join
-    column, so each worker probes (mostly) its own shards' keys.
+    column, so each worker's driver rows (mostly) match its own shards.
 ``"stripe"``
     No root-attached shardable edge exists (unpartitioned catalog, or
     the first join is not on the shard key); the driver row range is
@@ -38,7 +38,7 @@ process-pool machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
@@ -101,9 +101,6 @@ class ShardPlacement:
     #: shards (hash routing only)
     routing_relation: Optional[str] = None
     routing_attr: Optional[str] = None
-    #: per-shard (num_rows, num_distinct) summaries of the routing
-    #: relation, exchanged from the workers that own each shard
-    sketches: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # construction
@@ -190,21 +187,6 @@ class ShardPlacement:
             routing=self.routing,
             routing_relation=self.routing_relation,
             routing_attr=self.routing_attr,
-            sketches=dict(self.sketches),
-        )
-
-    def with_sketches(
-        self, sketches: Dict[int, Tuple[int, int]]
-    ) -> "ShardPlacement":
-        """The same placement annotated with per-shard summaries."""
-        return ShardPlacement(
-            num_shards=self.num_shards,
-            workers=self.workers,
-            assignment=self.assignment,
-            routing=self.routing,
-            routing_relation=self.routing_relation,
-            routing_attr=self.routing_attr,
-            sketches=dict(sketches),
         )
 
     def validate(self) -> None:
@@ -242,9 +224,4 @@ class ShardPlacement:
         if self.routing_relation is not None:
             descriptor["routing_relation"] = self.routing_relation
             descriptor["routing_attr"] = self.routing_attr
-        if self.sketches:
-            descriptor["shard_sketches"] = {
-                shard: {"num_rows": rows, "num_distinct": distinct}
-                for shard, (rows, distinct) in sorted(self.sketches.items())
-            }
         return descriptor

@@ -15,10 +15,12 @@ inner-join pipeline decomposes over any disjoint cover of the driver
 rows.  Routing follows :class:`~repro.distributed.placement.ShardPlacement`:
 when the query's first root-attached join child is hash-partitioned on
 the join key, driver rows route to that child's shards via the same
-splitmix64 probe hash the sharded indexes use — so each worker mostly
-probes its own shards — and shards map to workers by rendezvous
-hashing.  Otherwise driver rows are cut into contiguous stripes, one
-per worker.
+splitmix64 hash that laid the child out — so each worker's driver rows
+mostly match rows of its own shards — and shards map to workers by
+rendezvous hashing.  Otherwise driver rows are cut into contiguous
+stripes, one per worker.  Either way each worker holds and reduces
+over its full replica: the shards decide only which driver rows it
+runs.
 
 The gather reconstructs the single-process result bit-identically:
 
@@ -150,29 +152,6 @@ def _execute_fragment(token, spec, query, partitioning, driver_rows, options):
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _fragment_sketches(token, spec, query, partitioning, relation, shards):
-    """Per-shard summaries of the shards this worker owns.
-
-    The distributed semi-join exchange: each worker summarizes its own
-    shards of the routing relation from its worker-local sharded index
-    (building it here also warms the index the fragment execution is
-    about to probe), and the driver merges the summaries into the
-    placement descriptor.
-    """
-    try:
-        plan = _plan_for(token, spec, query, partitioning)
-        table = plan.catalog.table(relation)
-        index = plan.catalog.hash_index(relation, table.shard_key)
-        sketches = index.sketches()
-        return {
-            int(shard): (sketches[shard].num_rows, sketches[shard].num_distinct)
-            for shard in shards
-            if shard < len(sketches)
-        }
-    except Exception as exc:  # noqa: BLE001 — sketches are advisory
-        return {"error": f"{type(exc).__name__}: {exc}"}
-
-
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
@@ -248,7 +227,6 @@ class WorkerPool:
         self.num_workers = num_workers
         self.max_retries = max_retries
         self._executors = [None] * num_workers
-        self._sketches_cache = {}
 
     # -- worker lifecycle ----------------------------------------------
 
@@ -282,7 +260,6 @@ class WorkerPool:
             if executor is not None:
                 executor.shutdown(wait=False)
             self._executors[worker] = None
-        self._sketches_cache.clear()
 
     # -- scatter --------------------------------------------------------
 
@@ -329,38 +306,6 @@ class WorkerPool:
         }
         return placement, shard_rows
 
-    def _exchange_sketches(self, placement, task_args):
-        """Gather per-shard summaries from the workers that own them."""
-        token = task_args[0]
-        cached = self._sketches_cache.get(token)
-        if cached is not None:
-            return cached
-        futures = []
-        for worker in sorted(placement.workers):
-            shards = placement.shards_of(worker)
-            if not shards:
-                continue
-            try:
-                futures.append(self._submit(
-                    worker, _fragment_sketches,
-                    *task_args, placement.routing_relation, shards,
-                ))
-            except BrokenProcessPool:
-                return {}
-        merged = {}
-        for future in futures:
-            try:
-                part = future.result()
-            except BrokenProcessPool:
-                # advisory only — the execution path detects and
-                # handles the death with its own retry budget
-                return {}
-            if "error" in part:
-                return {}
-            merged.update(part)
-        self._sketches_cache[token] = merged
-        return merged
-
     # -- execute --------------------------------------------------------
 
     def run(self, plan, spec, query, *, partitioning=None,
@@ -370,10 +315,6 @@ class WorkerPool:
         placement, shard_rows = self._scatter(plan)
         placement.validate()
         task_args = (plan.fingerprint(), spec, query, partitioning)
-        if placement.routing == "hash":
-            sketches = self._exchange_sketches(placement, task_args)
-            if sketches:
-                placement = placement.with_sketches(sketches)
         options = {
             "collect_output": collect_output,
             "max_intermediate_tuples": int(max_intermediate_tuples),

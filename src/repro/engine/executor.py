@@ -126,11 +126,12 @@ class ExecutionResult:
     output_rows: dict = None
     #: the factorized result object (COM variants) if kept
     factorized: FactorizedResult = None
-    #: wall time of the phase-2 hash-index build (sharded or merged)
+    #: wall time of the phase-2 hash-index build
     index_build_seconds: float = 0.0
     #: wall time of the phase-1 semi-join reduction (SJ variants)
     reduction_seconds: float = 0.0
-    #: max shard fan-out among the build-side indexes (1 = unpartitioned)
+    #: largest shard count among the probe targets partitioned on the
+    #: attribute they are probed on (1 = none is)
     shards_used: int = 1
     #: resolved kernel path the run used ("vectorized" / "interpreted")
     execution: str = "vectorized"
@@ -194,6 +195,17 @@ def _build_indexes(query, catalog, reduction=None):
         else:
             indexes[edge.child] = catalog.hash_index(edge.child, edge.child_attr)
     return indexes
+
+
+def _shards_used(query, catalog):
+    """Largest shard count among the probe targets partitioned on the
+    attribute they are probed on (1 when none is)."""
+    shards = 1
+    for edge in query.edges:
+        table = catalog.table(edge.child)
+        if getattr(table, "shard_key", None) == edge.child_attr:
+            shards = max(shards, table.num_shards)
+    return shards
 
 
 # ----------------------------------------------------------------------
@@ -337,10 +349,7 @@ def execute(
     build_start = time.perf_counter()
     indexes = _build_indexes(query, catalog, reduction)
     index_build_seconds = time.perf_counter() - build_start
-    shards_used = max(
-        (getattr(index, "num_shards", 1) for index in indexes.values()),
-        default=1,
-    )
+    shards_used = _shards_used(query, catalog)
     bitvectors = None
     checks_after = None
     if mode.uses_bitvectors:

@@ -46,10 +46,8 @@ class ReductionResult:
         Derived from the catalog's cached full index
         (:meth:`~repro.storage.HashIndex.restricted`): the reduction's
         row sets are ascending, so nothing is re-sorted per execution,
-        an unreduced relation (every leaf) reuses the full index as is,
-        and a sharded index stays sharded — the surviving rows are
-        masked shard by shard and the reduction probes against it fan
-        out like phase 2.
+        and an unreduced relation (every leaf) reuses the full index as
+        is.
         """
         key = (relation, attribute)
         index = self._reduced_indexes.get(key)

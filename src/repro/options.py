@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 #: ``partitioning="auto"`` only shards when the largest probe target
-#: has at least this many rows per shard — below that, shard routing
-#: overhead outweighs the smaller per-shard sorts and probes
+#: has at least this many rows per shard — below that, re-clustering
+#: costs more than the shard-routed distributed scatter it enables
 AUTO_MIN_ROWS_PER_SHARD = 16_384
 #: cap for ``partitioning="auto"`` (explicit ints may exceed it)
 AUTO_MAX_SHARDS = 8
@@ -209,12 +209,14 @@ class PlanOptions:
         changes which rung ``optimizer="auto"`` starts on.  ``None``
         keeps planning unbounded.
     partitioning:
-        ``"off"`` (the exact single-index behavior), a shard count, or
+        ``"off"`` (tables keep their base layout), a shard count, or
         ``"auto"`` (shard count from the largest probe target and the
         core count; 1 when tables are small).  When the resolved count
-        exceeds 1, each non-root relation is hash-sharded on its probe
-        attribute for the query's given rooting.  Plans, predicted
-        costs and result sets are identical across shard counts.
+        exceeds 1, each non-root relation is re-clustered into hash
+        shards on its probe attribute for the query's given rooting;
+        every table is still probed through one index per attribute.
+        Plans, predicted costs and result sets are identical across
+        shard counts.
     max_spanning_trees:
         Cyclic queries only: cap on the candidate spanning trees the
         joint tree + order search evaluates.  Candidates stream in

@@ -608,7 +608,7 @@ class Planner:
         self._verifier = PlanVerifier()
         # Two levels of content-addressed partitioning reuse: whole
         # derived catalogs (so exact-repeat plan() calls share built
-        # sharded indexes) and the re-clustered replacement tables
+        # indexes) and the re-clustered replacement tables
         # alone, keyed only on the *partitioned* relations' content —
         # queries differing elsewhere (e.g. a driver-side selection
         # constant) reuse the expensive re-clustering and only pay a
@@ -705,8 +705,8 @@ class Planner:
         the cyclic joint search (which partitions once its winning tree
         is known): re-clustered replacement tables are keyed only on
         the partitioned relations' content, whole derived catalogs on
-        the full content token, so exact repeats reuse built sharded
-        indexes and near-repeats reuse the expensive re-clustering.
+        the full content token, so exact repeats reuse built indexes
+        and near-repeats reuse the expensive re-clustering.
         """
         query, source_catalog = prep.query, prep.source_catalog
         num_shards = options.partitioning
@@ -821,8 +821,8 @@ class Planner:
         # Sampling draws row *positions*, so it must see the layout-
         # independent source rows or the fixed-seed sample (and hence
         # the plan) would vary with the shard count; exact measurement
-        # sums the same integers shard by shard and runs on the
-        # partitioned catalog to use (and warm) the sharded indexes.
+        # counts the same key groups in any layout and runs on the
+        # partitioned catalog to use (and warm) its indexes.
         # Either way statistics are layout-independent, so store keys
         # carry no shard count.
         reader = StatsReader(

@@ -1,14 +1,13 @@
 """Throughput-oriented asyncio front end over one :class:`QuerySession`.
 
 A synchronous :class:`~repro.service.QuerySession` serves one query at
-a time: planning holds the client's thread and the shard worker pool
-idles between queries.  :class:`AsyncQueryService` multiplexes many
-concurrent clients over a single session so the hardware stays busy:
+a time: planning holds the client's thread between executions.
+:class:`AsyncQueryService` multiplexes many concurrent clients over a
+single session so the hardware stays busy:
 
 * **cache-hit fast path** — queries whose plan is already cached skip
-  planning entirely and go straight to an execution thread, where the
-  engine's shard fan-out (and numpy's GIL-releasing kernels) overlap
-  across in-flight queries;
+  planning entirely and go straight to an execution thread, where
+  numpy's GIL-releasing kernels overlap across in-flight queries;
 * **process-pool planning** — cold, CPU-bound planning (the optimizer
   DP) is offloaded to a :class:`~concurrent.futures.ProcessPoolExecutor`
   whose workers hold a content-addressed copy of the catalog (shipped
@@ -17,17 +16,13 @@ concurrent clients over a single session so the hardware stays busy:
   is rehydrated locally and inserted into the session's plan cache, so
   the *executed* path is always the session's own and results are
   bit-identical to the synchronous path by construction;
-* **signal-driven admission** — per-query ``shards_used`` and
-  ``index_build_seconds`` / ``reduction_seconds`` from past
-  :class:`~repro.service.QueryReport` s classify each cached plan as
-  heavy or light.  Heavy queries (sharded fan-out, expensive index
-  builds) are serialized through a small number of slots so they don't
-  oversubscribe the shard worker pool; light queries flow freely up to
-  the global concurrency limit.
-
-Executions run on a dedicated thread pool, *not* the shard pool: an
-execution blocks on per-shard futures, so running it on the pool those
-futures need is a nested-fan-out deadlock waiting for saturation.
+* **signal-driven admission** — per-query ``index_build_seconds`` /
+  ``reduction_seconds`` from past :class:`~repro.service.QueryReport` s
+  classify each cached plan as heavy or light.  Heavy queries
+  (expensive index builds and reductions) are serialized through a
+  small number of slots so they don't oversubscribe the execution
+  threads; light queries flow freely up to the global concurrency
+  limit.
 """
 
 from __future__ import annotations
@@ -92,18 +87,18 @@ def _plan_spec_in_worker(query, plan_kwargs):
 class _AdmissionSignals:
     """Per-plan-key heaviness classification from past reports.
 
-    ``shards_used > 1`` or a sustained (EWMA) index-build + reduction
-    time above the threshold marks a plan heavy.  Unknown keys are
-    light — the first execution measures them.  Bounded LRU: cold
-    traffic mints a fresh plan-cache key per distinct literal, so an
-    unbounded map would leak one entry per query ever served.
+    A sustained (EWMA) index-build + reduction time above the
+    threshold marks a plan heavy.  Unknown keys are light — the first
+    execution measures them.  Bounded LRU: cold traffic mints a fresh
+    plan-cache key per distinct literal, so an unbounded map would leak
+    one entry per query ever served.
     """
 
     __slots__ = ("_entries", "_lock", "threshold", "alpha", "max_entries")
 
     def __init__(self, threshold=DEFAULT_HEAVY_BUILD_SECONDS, alpha=0.3,
                  max_entries=4096):
-        #: key -> (build-seconds EWMA, sharded?), LRU-ordered
+        #: key -> build-seconds EWMA, LRU-ordered
         self._entries = OrderedDict()
         self._lock = threading.Lock()
         self.threshold = threshold
@@ -112,12 +107,11 @@ class _AdmissionSignals:
 
     def is_heavy(self, key):
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            ewma = self._entries.get(key)
+            if ewma is None:
                 return False
             self._entries.move_to_end(key)
-            ewma, sharded = entry
-            return sharded or ewma > self.threshold
+            return ewma > self.threshold
 
     def observe(self, key, report):
         if report.result is None:
@@ -126,8 +120,8 @@ class _AdmissionSignals:
         with self._lock:
             previous = self._entries.get(key)
             if previous is not None:
-                build = self.alpha * build + (1.0 - self.alpha) * previous[0]
-            self._entries[key] = (build, report.shards_used > 1)
+                build = self.alpha * build + (1.0 - self.alpha) * previous
+            self._entries[key] = build
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -152,8 +146,6 @@ class AsyncQueryService:
         semaphores are loop-bound).  Same for ``heavy_slots``.
     executor_workers:
         Threads executing queries (default: CPU count, capped at 16).
-        Separate from the storage layer's shard pool by design — see
-        the module docstring.
     planning_workers:
         Process-pool workers for cold planning.  ``0`` (default) plans
         inline on execution threads, which is right for single-core

@@ -52,7 +52,8 @@ class QueryReport:
     cache_hit: bool = False
     planning_seconds: float = 0.0
     execution_seconds: float = 0.0
-    #: hash-shard fan-out the execution ran with (1 = unpartitioned)
+    #: shard count of the execution's partitioned probe targets
+    #: (1 = unpartitioned)
     shards_used: int = 1
     #: wall time the engine spent building phase-2 hash indexes
     #: (per-phase breakdown of ``execution_seconds``; benchmark and
@@ -677,7 +678,7 @@ class PreparedStatement:
         proportional to the parameterized tables only.  A re-filtered
         relation the template holds hash-partitioned is re-clustered
         into the same layout, so every binding — not just the first —
-        keeps the sharded fan-out.
+        keeps the plan's shard layout.
         """
         replacements = {}
         for alias in self._dynamic_aliases:
@@ -690,8 +691,8 @@ class PreparedStatement:
             if isinstance(current, PartitionedTable) and \
                     PartitionedTable.can_shard(table.column(current.shard_key)):
                 # same shardability gate as partition_replacements: a
-                # binding admitting e.g. keys >= 2**53 falls back to
-                # the merged index instead of failing
+                # binding admitting e.g. keys >= 2**53 keeps the base
+                # layout instead of failing
                 table = PartitionedTable.from_table(
                     table, current.shard_key, current.num_shards
                 )

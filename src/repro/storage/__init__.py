@@ -7,9 +7,6 @@ from .io import load_catalog, save_catalog, table_from_csv, table_to_csv
 from .partition import (
     FLOAT_EXACT_MAX,
     PartitionedTable,
-    ShardSketch,
-    ShardedHashIndex,
-    ShardedLookupResult,
     partition_replacements,
     partitioned_catalog,
     shard_ids,
@@ -24,9 +21,6 @@ __all__ = [
     "HashIndex",
     "LookupResult",
     "PartitionedTable",
-    "ShardSketch",
-    "ShardedHashIndex",
-    "ShardedLookupResult",
     "Table",
     "VectorColumn",
     "concat_ranges",

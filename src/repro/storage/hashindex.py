@@ -38,6 +38,12 @@ is what the semi-join reduction uses instead of re-sorting per query.
 The semantics relevant to the paper — one *probe* per input key,
 returning all matches — are identical in both layouts, and so are match
 order and every counter derived from them.
+
+This is the storage layer's only index class.  A
+:class:`~repro.storage.partition.PartitionedTable` is indexed like any
+other table, over its physical (re-clustered) column: hash routing
+keeps every occurrence of a key in one shard, so a key's group is the
+same rows in the same ascending order a per-shard index would report.
 """
 
 from __future__ import annotations
@@ -138,32 +144,21 @@ class HashIndex:
     rows:
         Optional row-index array; if given, the index covers only those
         rows (used for semi-join-reduced relations).
-    row_offset:
-        Constant added to the reported row ids; lets a caller index a
-        contiguous slice ``keys[start:stop]`` (a view, no gather) while
-        reporting whole-table row ids — the per-shard build path of a
-        :class:`~repro.storage.partition.PartitionedTable`.  Mutually
-        exclusive with ``rows``.
 
     The physical layout (see the module docstring) is decided by the
     keys alone; there is deliberately no argument that selects it.
     """
 
-    def __init__(self, keys, rows=None, row_offset=0):
+    def __init__(self, keys, rows=None):
         keys = np.asarray(keys)
         if rows is not None:
-            if row_offset:
-                raise ValueError("pass either rows or row_offset, not both")
             rows = np.asarray(rows, dtype=np.int64)
             keys = keys[rows]
         self._key_dtype = keys.dtype
         order = self._group(keys)
         if rows is not None:
             order = rows[order]
-        order = order.astype(np.int64, copy=False)
-        if row_offset:
-            order += row_offset
-        self._order = order
+        self._order = order.astype(np.int64, copy=False)
 
     # -- layout ----------------------------------------------------------
 
@@ -446,9 +441,7 @@ class HashIndex:
 
         The scalar summary statistics derivation needs — how many probe
         keys found a match, and how many matches in total — without
-        materializing the matching rows.  A
-        :class:`~repro.storage.partition.ShardedHashIndex` computes the
-        same pair by summing per-shard contributions.
+        materializing the matching rows.
         """
         keys = np.asarray(keys)
         slots = self._slots(keys)

@@ -181,15 +181,13 @@ class Table:
     def build_hash_index(self, attribute, rows=None):
         """A hash index on ``attribute`` (optionally row-restricted).
 
-        The physical index type is the table's choice:
-        :class:`~repro.storage.partition.PartitionedTable` returns a
-        sharded index when ``attribute`` is its shard key.  The
-        :class:`Catalog` builds through this hook, which is what
-        threads partition awareness into the engine without the engine
-        knowing about layouts.  ``rows`` builds from scratch; a caller
-        that already holds the full index (the semi-join reduction
-        does, through :meth:`Catalog.hash_index`) derives the
-        restricted one with :meth:`HashIndex.restricted` instead.
+        Row ids are physical positions, so over a
+        :class:`~repro.storage.partition.PartitionedTable` the index
+        reports re-clustered rows (``original_rows`` maps them back).
+        ``rows`` builds from scratch; a caller that already holds the
+        full index (the semi-join reduction does, through
+        :meth:`Catalog.hash_index`) derives the restricted one with
+        :meth:`HashIndex.restricted` instead.
         """
         return HashIndex(self.column(attribute), rows=rows)
 
@@ -320,11 +318,8 @@ class Catalog:
     def hash_index(self, table_name, attribute):
         """Return (building if necessary) the hash index on an attribute.
 
-        The index type is delegated to
-        :meth:`Table.build_hash_index`, so a
-        :class:`~repro.storage.partition.PartitionedTable` transparently
-        serves a sharded index on its shard key and a merged view on
-        every other attribute.
+        One :class:`HashIndex` per ``(table, attribute)``, partitioned
+        tables included (see :meth:`Table.build_hash_index`).
         """
         key = (table_name, attribute)
         index = self._indexes.get(key)

@@ -3,8 +3,8 @@
 Produces the build/probe shapes the sharding benchmark and tests
 exercise: one large build relation with a (optionally skewed) integer
 join key, and probe-key batches with a controllable hit rate.  Scaled
-down, the same generator drives the property tests comparing sharded
-and monolithic execution.
+down, the same generator drives the property tests comparing
+partitioned and unpartitioned execution.
 """
 
 from __future__ import annotations

@@ -84,13 +84,6 @@ class TestDistributedExecution:
             got = dist.execute(FOUR_RELATION_SQL, collect_output=True)
             assert_reports_identical(want, got)
             assert got.result.placement["routing"] == "hash"
-            # the semi-join exchange annotated the routing relation
-            sketches = got.result.placement.get("shard_sketches")
-            if sketches:
-                assert all(
-                    entry["num_rows"] >= entry["num_distinct"] >= 0
-                    for entry in sketches.values()
-                )
         finally:
             dist.close()
 

@@ -79,14 +79,11 @@ class TestRendezvous:
     def test_describe_is_explainable(self):
         placement = ShardPlacement.rendezvous(
             4, (0, 1), routing_relation="R2", routing_attr="B"
-        ).with_sketches({0: (10, 3), 1: (12, 4)})
+        )
         descriptor = placement.describe()
         assert descriptor["routing"] == "hash"
         assert descriptor["routing_relation"] == "R2"
         assert sorted(descriptor["assignment"]) == [0, 1, 2, 3]
-        assert descriptor["shard_sketches"][0] == {
-            "num_rows": 10, "num_distinct": 3
-        }
         covered = sorted(
             shard for shards in descriptor["shards_by_worker"].values()
             for shard in shards

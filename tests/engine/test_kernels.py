@@ -21,7 +21,7 @@ from repro.engine.kernels import (
     resolve_execution,
 )
 from repro.storage.hashindex import HashIndex
-from repro.storage.partition import PartitionedTable, ShardedHashIndex
+from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 
 
@@ -83,7 +83,8 @@ def test_lookup_agreement_int_keys():
     rng = np.random.default_rng(0)
     keys = rng.integers(0, 25, 300)
     probes = rng.integers(-5, 30, 200)
-    for index in (HashIndex(keys), ShardedHashIndex(keys, 4)):
+    partitioned = PartitionedTable("t", {"k": keys}, "k", 4)
+    for index in (HashIndex(keys), partitioned.build_hash_index("k")):
         _assert_lookup_agreement(index, probes)
 
 

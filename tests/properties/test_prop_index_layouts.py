@@ -7,8 +7,8 @@ key densities from "every slot taken" to sparse, the index as built
 (dense wherever the byte rule allows), the same index forced into the
 sorted layout, and a plain dict reference must agree on every public
 observable.  The same holds for row-restricted indexes, whether built
-from scratch or derived with ``restricted()``, for ``row_offset``
-slices and for sharded indexes.
+from scratch or derived with ``restricted()``, and for the index of a
+hash-partitioned table once its rows are mapped back to base ids.
 
 The forced-sorted variant is a test-only subclass: the layout has no
 outside selector by design (``tools/check_invariants.py`` enforces it).
@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import HashIndex, PartitionedTable, ShardedHashIndex
+from repro.storage import HashIndex, PartitionedTable
 
 KEY_DTYPES = ("int8", "int16", "int32", "int64", "uint8", "uint32",
               "uint64", "bool", "float64")
@@ -233,18 +233,6 @@ def test_row_restrictions_agree(case, how):
                                  DictIndex(keys, again), probes, context)
 
 
-@given(case=index_cases(), cut=st.tuples(st.floats(0, 1), st.floats(0, 1)))
-@settings(max_examples=100, deadline=None)
-def test_row_offset_slices_agree(case, cut):
-    _, keys, probes = case
-    start, stop = sorted(int(f * len(keys)) for f in cut)
-    reference = DictIndex(keys, np.arange(start, stop))
-    for cls in (HashIndex, SortedLayoutIndex):
-        index = cls(keys[start:stop], row_offset=start)
-        assert_index_matches(index, reference, probes,
-                             (cls.__name__, start, stop))
-
-
 def _shardable(keys):
     return len(keys) and PartitionedTable.can_shard(keys)
 
@@ -253,39 +241,34 @@ def _shardable(keys):
                                     "uint32", "uint64")))
 @settings(max_examples=150, deadline=None)
 def test_sharded_indexes_agree(case):
+    """A partitioned table is indexed by a plain ``HashIndex`` over its
+    re-clustered column; mapped through ``original_rows`` it answers
+    exactly like the base column's index, restricted or not."""
     rng, keys, probes = case
     if not _shardable(keys):
         return
-    everything = np.arange(len(keys))
     rows = np.flatnonzero(rng.random(len(keys)) < 0.6)
     for num_shards in SHARD_COUNTS:
-        context = (num_shards, keys.dtype, probes.dtype)
-        sharded = ShardedHashIndex(keys, num_shards)
-        assert_sharded_matches(sharded, DictIndex(keys, everything), probes,
-                               context)
-        for subset in (rows, rng.permutation(rows), rows[:0], everything):
-            reference = DictIndex(keys, subset)
-            assert_sharded_matches(
-                ShardedHashIndex(keys, num_shards, rows=subset), reference,
-                probes, context,
-            )
-            assert_sharded_matches(sharded.restricted(subset), reference,
-                                   probes, context)
-        # the contiguous (re-clustered) layout, through the table hook
         table = PartitionedTable("t", {"k": keys}, "k", num_shards)
-        physical = table.build_hash_index("k")
-        base = table.original_rows(physical.lookup(probes).matching_rows())
-        assert base.tolist() == [
-            r for rows_ in DictIndex(keys, everything).answers(probes)
-            for r in rows_
-        ], context
+        full = table.build_hash_index("k")
+        for subset in (np.arange(len(keys)), rows, rows[:0]):
+            context = (num_shards, len(subset), keys.dtype, probes.dtype)
+            physical = np.sort(table.physical_rows(subset))
+            for index in (full.restricted(physical),
+                          table.build_hash_index("k", rows=physical)):
+                assert type(index) is HashIndex, context
+                assert_partitioned_matches(index, table,
+                                           DictIndex(keys, subset), probes,
+                                           context)
 
 
-def assert_sharded_matches(index, reference, probes, context):
-    """Sharded observables: per-key answers are exact; group
-    enumeration order is by shard, so it is compared as a mapping."""
+def assert_partitioned_matches(index, table, reference, probes, context):
+    """Every observable of ``index``, its row ids mapped to base ids:
+    a key's rows share one shard, in base order, so even group and
+    match order are the base index's."""
     groups = reference.iter_groups()
-    assert dict(index.iter_groups()) == dict(groups), context
+    assert [(_tag(k), table.original_rows(rows).tolist())
+            for k, rows in index.iter_groups()] == groups, context
     assert index.distinct_keys().tolist() == [k for k, _ in groups], context
     assert index.num_distinct == len(groups), context
     assert index.max_group_size == max(
@@ -295,7 +278,7 @@ def assert_sharded_matches(index, reference, probes, context):
     counts = [len(rows) for rows in answers]
     result = index.lookup(probes)
     assert result.counts.tolist() == counts, context
-    assert result.matching_rows().tolist() == \
+    assert table.original_rows(result.matching_rows()).tolist() == \
         [r for rows in answers for r in rows], context
     assert index.contains(probes).tolist() == [c > 0 for c in counts], context
     assert index.probe_stats(probes) == (

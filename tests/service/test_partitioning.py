@@ -371,11 +371,15 @@ def test_sampling_stats_are_layout_independent():
 def test_bool_probe_keys_route_like_merged_index():
     import numpy as np
 
-    from repro.storage import HashIndex, ShardedHashIndex
+    from repro.storage import HashIndex
+    from repro.storage.partition import _probe_shard_ids
 
     keys = np.asarray([0, 1, 1, 2, 0])
     probes = np.asarray([True, False, True])
-    sharded = ShardedHashIndex(keys, 4)
+    # a bool probe routes to the shard of its integer value
+    assert (_probe_shard_ids(probes, 4)
+            == _probe_shard_ids(probes.astype(np.int64), 4)).all()
+    sharded = PartitionedTable("b", {"k": keys}, "k", 4).build_hash_index("k")
     merged = HashIndex(keys)
     assert (sharded.lookup(probes).counts
             == merged.lookup(probes).counts).all()
@@ -385,22 +389,16 @@ def test_bool_probe_keys_route_like_merged_index():
 def test_keys_beyond_float_exact_range_stay_unpartitioned():
     """int64 keys >= 2**53 make float probes ambiguous under float64
     comparison (several ints collapse onto one float), so such
-    relations are never sharded: the planner keeps the merged view and
-    direct sharding is rejected with a clear error."""
+    relations are never sharded: the planner keeps the base layout."""
     import numpy as np
 
     from repro.core.query import JoinEdge, JoinQuery
-    from repro.storage import (
-        Catalog,
-        HashIndex,
-        PartitionedTable,
-        ShardedHashIndex,
-        partitioned_catalog,
-    )
+    from repro.storage import Catalog, HashIndex, partitioned_catalog
 
     big = 2**53 + 1
-    with pytest.raises(ValueError, match="2\\*\\*53"):
-        ShardedHashIndex(np.asarray([big, 5], dtype=np.int64), 4)
+    assert not PartitionedTable.can_shard(np.asarray([big, 5]))
+    assert not PartitionedTable.can_shard(np.asarray([-big, 5]))
+    assert PartitionedTable.can_shard(np.asarray([2**53 - 1, 5]))
 
     catalog = Catalog()
     catalog.add_table("d", {"key": np.asarray([float(big), 5.0])})
@@ -409,7 +407,7 @@ def test_keys_beyond_float_exact_range_stay_unpartitioned():
     query = JoinQuery("d", [JoinEdge("d", "b", "key", "key")])
     derived = partitioned_catalog(catalog, query, 4)
     assert not isinstance(derived.table("b"), PartitionedTable)
-    # planner path: merged view, identical to unpartitioned execution
+    # planner path: base layout, identical to unpartitioned execution
     base = Planner(catalog).plan(query, mode=ExecutionMode.COM)
     part = Planner(catalog, partitioning=4).plan(query, mode=ExecutionMode.COM)
     assert isinstance(part.catalog.hash_index("b", "key"), HashIndex)
@@ -424,15 +422,19 @@ def test_keys_beyond_float_exact_range_stay_unpartitioned():
 def test_float_safe_huge_probes_still_miss_cleanly():
     import numpy as np
 
-    from repro.storage import HashIndex, ShardedHashIndex
+    from repro.storage import HashIndex, shard_ids
+    from repro.storage.partition import _probe_shard_ids
 
     keys = np.asarray([0, 5, 2**52], dtype=np.int64)
     probes = np.asarray([5.0, float(2**52), 2.0**53, 2.0**63, -(2.0**63)])
-    sharded = ShardedHashIndex(keys, 4)
+    # integral probes route with their key; the rest go to shard 0
+    assert _probe_shard_ids(probes, 4).tolist() == \
+        shard_ids(keys[1:], 4).tolist() + [0, 0, 0]
+    sharded = PartitionedTable("b", {"k": keys}, "k", 4).build_hash_index("k")
     merged = HashIndex(keys)
     assert (sharded.lookup(probes).counts
             == merged.lookup(probes).counts).all()
-    assert sharded.lookup(probes).counts.tolist()[:2] == [1, 1]
+    assert sharded.lookup(probes).counts.tolist() == [1, 1, 0, 0, 0]
 
 
 def test_recluster_reused_across_driver_side_literals():

@@ -1,4 +1,4 @@
-"""Unit tests for hash-partitioned tables and sharded hash indexes."""
+"""Unit tests for hash-partitioned tables and the indexes over them."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.storage import (
     Catalog,
     HashIndex,
     PartitionedTable,
-    ShardedHashIndex,
     Table,
     partitioned_catalog,
     shard_ids,
@@ -31,13 +30,11 @@ def make_partitioned(rows=500, domain=40, num_shards=4, seed=0):
 
 def test_shards_are_contiguous_and_cover_table():
     _, table = make_partitioned()
-    bounds = table.shard_bounds
-    assert bounds[0] == 0 and bounds[-1] == len(table)
-    assert (np.diff(bounds) >= 0).all()
     ids = shard_ids(table.column("key"), table.num_shards)
-    for shard in range(table.num_shards):
-        start, stop = table.shard_slice(shard)
-        assert (ids[start:stop] == shard).all()
+    # physical order visits shard 0's rows, then shard 1's, ...
+    assert (np.diff(ids) >= 0).all()
+    assert set(ids.tolist()) <= set(range(table.num_shards))
+    assert len(ids) == len(table)
 
 
 def test_original_rows_is_the_inverse_permutation():
@@ -52,9 +49,9 @@ def test_original_rows_is_the_inverse_permutation():
 
 def test_stable_permutation_preserves_order_within_shard():
     _, table = make_partitioned()
+    ids = shard_ids(table.column("key"), table.num_shards)
     for shard in range(table.num_shards):
-        start, stop = table.shard_slice(shard)
-        base = table.original_rows(np.arange(start, stop))
+        base = table.original_rows(np.flatnonzero(ids == shard))
         assert (np.diff(base) > 0).all()
 
 
@@ -63,7 +60,6 @@ def test_single_shard_is_identity_layout():
     assert (table.original_rows(np.arange(len(table)))
             == np.arange(len(table))).all()
     assert (table.column("key") == columns["key"]).all()
-    # single-shard index is the plain merged HashIndex
     assert isinstance(table.build_hash_index("key"), HashIndex)
 
 
@@ -72,7 +68,6 @@ def test_empty_table_partitions():
         "t", {"key": np.empty(0, dtype=np.int64)}, "key", 4
     )
     assert len(table) == 0
-    assert table.shard_bounds.tolist() == [0, 0, 0, 0, 0]
     index = table.build_hash_index("key")
     assert len(index) == 0
     assert index.lookup(np.asarray([3])).counts.tolist() == [0]
@@ -109,8 +104,15 @@ def test_from_table_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Sharded index equivalence with the monolithic index
+# The index of a partitioned table answers like the base table's
 # ----------------------------------------------------------------------
+
+
+def physical_and_base(keys, num_shards):
+    """(index over the partitioned column, partitioned table, index over
+    the base column)."""
+    table = PartitionedTable("t", {"k": keys}, "k", num_shards)
+    return table.build_hash_index("k"), table, HashIndex(keys)
 
 
 @pytest.mark.parametrize("num_shards", [1, 2, 3, 8])
@@ -118,74 +120,40 @@ def test_sharded_lookup_matches_merged(num_shards):
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 30, 400)
     probes = rng.integers(-10, 40, 300)
-    sharded = ShardedHashIndex(keys, num_shards)
-    merged = HashIndex(keys)
+    index, table, merged = physical_and_base(keys, num_shards)
     expected = merged.lookup(probes)
-    got = sharded.lookup(probes)
+    got = index.lookup(probes)
     assert (got.counts == expected.counts).all()
     assert (got.matched_mask == expected.matched_mask).all()
-    assert got.total_matches() == expected.total_matches()
-    # per-probe-key match groups agree as sets
-    offsets = np.concatenate([[0], np.cumsum(expected.counts)])
-    got_rows, exp_rows = got.matching_rows(), expected.matching_rows()
-    for i in range(len(probes)):
-        lo, hi = offsets[i], offsets[i + 1]
-        assert sorted(got_rows[lo:hi].tolist()) == sorted(
-            exp_rows[lo:hi].tolist()
-        )
+    # a key's rows sit in one shard in base order, so mapped back they
+    # are the base index's group, in the base index's order
+    assert table.original_rows(got.matching_rows()).tolist() == \
+        expected.matching_rows().tolist()
 
 
 def test_sharded_contains_and_probe_stats_match_merged():
     rng = np.random.default_rng(11)
     keys = rng.integers(0, 25, 350)
     probes = rng.integers(-5, 30, 200)
-    sharded = ShardedHashIndex(keys, 5)
-    merged = HashIndex(keys)
-    assert (sharded.contains(probes) == merged.contains(probes)).all()
-    assert sharded.probe_stats(probes) == merged.probe_stats(probes)
+    index, _, merged = physical_and_base(keys, 5)
+    assert (index.contains(probes) == merged.contains(probes)).all()
+    assert index.probe_stats(probes) == merged.probe_stats(probes)
 
 
 def test_sharded_structure_aggregates():
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 20, 240)
-    sharded = ShardedHashIndex(keys, 4)
-    merged = HashIndex(keys)
-    assert len(sharded) == len(merged) == 240
-    assert sharded.num_distinct == merged.num_distinct
-    assert (sharded.distinct_keys() == merged.distinct_keys()).all()
-    sketches = sharded.sketches()
-    assert sum(s.num_rows for s in sketches) == 240
-    assert sum(s.num_distinct for s in sketches) == merged.num_distinct
-
-
-def test_sharded_row_restriction_routes_by_key():
-    rng = np.random.default_rng(5)
-    keys = rng.integers(0, 15, 120)
-    rows = np.flatnonzero(keys % 2 == 0)
-    sharded = ShardedHashIndex(keys, 3, rows=rows)
-    merged = HashIndex(keys, rows=rows)
-    probes = np.arange(-2, 20)
-    assert (sharded.contains(probes) == merged.contains(probes)).all()
-    assert sorted(sharded.lookup(probes).matching_rows().tolist()) == sorted(
-        merged.lookup(probes).matching_rows().tolist()
-    )
-
-
-def test_sharded_empty_probe_batch():
-    sharded = ShardedHashIndex(np.arange(50), 4)
-    result = sharded.lookup(np.empty(0, dtype=np.int64))
-    assert len(result) == 0
-    assert result.total_matches() == 0
-    assert result.matching_rows().tolist() == []
-    assert sharded.contains(np.empty(0, dtype=np.int64)).tolist() == []
-    assert sharded.probe_stats(np.empty(0, dtype=np.int64)) == (0, 0)
+    index, _, merged = physical_and_base(keys, 4)
+    assert len(index) == len(merged) == 240
+    assert index.num_distinct == merged.num_distinct
+    assert index.max_group_size == merged.max_group_size
+    assert (index.distinct_keys() == merged.distinct_keys()).all()
 
 
 def test_sharded_rows_for_key():
-    keys = np.asarray([4, 9, 4, 4, 9])
-    sharded = ShardedHashIndex(keys, 2)
-    assert sorted(sharded.rows_for_key(4).tolist()) == [0, 2, 3]
-    assert sharded.rows_for_key(123).tolist() == []
+    index, table, _ = physical_and_base(np.asarray([4, 9, 4, 4, 9]), 2)
+    assert table.original_rows(index.rows_for_key(4)).tolist() == [0, 2, 3]
+    assert index.rows_for_key(123).tolist() == []
 
 
 def test_shard_ids_deterministic_and_in_range():
@@ -204,14 +172,23 @@ def test_shard_ids_deterministic_and_in_range():
 
 
 def test_catalog_serves_sharded_index_on_shard_key_only():
+    """One plain index per (table, attribute), shard key or not: mapped
+    through ``original_rows`` its matches are the base table's."""
     columns, table = make_partitioned(num_shards=4)
     catalog = Catalog()
     catalog.add(table)
-    on_key = catalog.hash_index("t", "key")
-    on_other = catalog.hash_index("t", "payload")
-    assert isinstance(on_key, ShardedHashIndex)
-    assert isinstance(on_other, HashIndex)  # merged-view fallback
-    assert on_key.num_shards == 4
+    base = Catalog()
+    base.add_table("t", columns)
+    for attribute, probes in (("key", np.arange(-2, 42)),
+                              ("payload", np.arange(-2, 502, 3))):
+        index = catalog.hash_index("t", attribute)
+        assert type(index) is HashIndex
+        assert catalog.hash_index("t", attribute) is index  # cached
+        expected = base.hash_index("t", attribute).lookup(probes)
+        got = index.lookup(probes)
+        assert got.counts.tolist() == expected.counts.tolist()
+        assert sorted(table.original_rows(got.matching_rows()).tolist()) == \
+            sorted(expected.matching_rows().tolist())
 
 
 def test_partitioned_catalog_replaces_probe_targets_only():
@@ -241,27 +218,6 @@ def test_partitioned_catalog_skips_unshardable_tables():
     assert derived is catalog  # nothing shardable -> no derivation
 
 
-def test_thread_pool_fanout_path_matches_serial(monkeypatch):
-    """Force the ThreadPoolExecutor branch (single-core CI skips it)."""
-    import repro.storage.partition as partition
-
-    monkeypatch.setattr(partition, "_MAX_WORKERS", 4)
-    monkeypatch.setattr(partition, "PARALLEL_MIN_KEYS", 1)
-    rng = np.random.default_rng(13)
-    keys = rng.integers(0, 40, 600)
-    probes = rng.integers(-10, 50, 400)
-    sharded = ShardedHashIndex(keys, 4)  # parallel build
-    merged = HashIndex(keys)
-    got = sharded.lookup(probes)        # parallel probe
-    expected = merged.lookup(probes)
-    assert (got.counts == expected.counts).all()
-    assert sorted(got.matching_rows().tolist()) == sorted(
-        expected.matching_rows().tolist()
-    )
-    assert (sharded.contains(probes) == merged.contains(probes)).all()
-    assert sharded.probe_stats(probes) == merged.probe_stats(probes)
-
-
 def test_deep_derivation_sharing_partitioned_table_refreshes_from_origin():
     """A grandchild catalog sharing a PartitionedTable by identity must
     refresh from the *originally mutated* table, not re-cluster the
@@ -282,38 +238,14 @@ def test_deep_derivation_sharing_partitioned_table_refreshes_from_origin():
 
 
 # ----------------------------------------------------------------------
-# Single-key vs batch probe agreement (degenerate batches)
+# Degenerate batches
 # ----------------------------------------------------------------------
-
-
-def test_single_key_probes_agree_with_batch_on_empty_shards():
-    """An index whose keys all route to a few shards leaves the rest
-    empty; single-key probes and batch lookups must agree anyway."""
-    keys = np.asarray([7, 7, 7, 7], dtype=np.int64)  # one distinct key
-    index = ShardedHashIndex(keys, 8)
-    assert sum(len(s) == 0 for s in index.shards) >= 6
-    probes = np.asarray([7, 8, 9, -1, 0], dtype=np.int64)
-    batch = index.lookup(probes)
-    merged = HashIndex(keys)
-    expected = merged.lookup(probes)
-    assert batch.counts.tolist() == expected.counts.tolist()
-    assert batch.matched_mask.tolist() == expected.matched_mask.tolist()
-    assert sorted(batch.matching_rows().tolist()) == \
-        sorted(expected.matching_rows().tolist())
-    for key in probes.tolist():
-        single = index.lookup(np.asarray([key], dtype=np.int64))
-        position = probes.tolist().index(key)
-        assert single.counts.tolist() == [batch.counts[position]], key
-        assert sorted(index.rows_for_key(key).tolist()) == \
-            sorted(merged.rows_for_key(key).tolist()), key
-        assert index.contains(np.asarray([key]))[0] == \
-            merged.contains(np.asarray([key]))[0], key
 
 
 def test_all_miss_batch_agrees_with_single_key_probes():
     rng = np.random.default_rng(5)
     keys = rng.integers(0, 100, 300)
-    index = ShardedHashIndex(keys, 4)
+    index, _, _ = physical_and_base(keys, 4)
     misses = np.asarray([-3, 100, 250, 10**9], dtype=np.int64)
     batch = index.lookup(misses)
     assert batch.counts.tolist() == [0, 0, 0, 0]
@@ -331,7 +263,7 @@ def test_all_miss_batch_agrees_with_single_key_probes():
 
 def test_empty_probe_batch_on_sharded_index():
     keys = np.asarray([1, 2, 3], dtype=np.int64)
-    index = ShardedHashIndex(keys, 2)
+    index, _, _ = physical_and_base(keys, 2)
     empty = np.asarray([], dtype=np.int64)
     result = index.lookup(empty)
     assert len(result) == 0
@@ -342,19 +274,21 @@ def test_empty_probe_batch_on_sharded_index():
 
 
 def test_each_shard_picks_its_own_layout():
-    # hash-sharding thins key density by the shard count: with 4-byte
-    # offsets a 4-shard index over a full key range still fits the
-    # byte budget, a 16-shard one does not — each shard decides alone
+    """The layout is a function of the key multiset, which
+    re-clustering does not change: whatever the shard count, the
+    partitioned index picks the layout, and the bytes, of the base
+    index, and answers alike."""
     keys = np.random.default_rng(5).permutation(200_000).astype(np.int64)
-    few = PartitionedTable("t", {"k": keys}, "k", 4).build_hash_index("k")
-    many = PartitionedTable("t", {"k": keys}, "k", 16).build_hash_index("k")
-    assert all(shard._offsets is not None for shard in few.shards)
-    assert all(shard._offsets is None for shard in many.shards)
-    assert few.nbytes == sum(shard.nbytes for shard in few.shards)
-    assert few.nbytes < many.nbytes
+    base = HashIndex(keys)
     probes = np.arange(-10, 200_010, 7)
-    assert few.lookup(probes).counts.tolist() == \
-        many.lookup(probes).counts.tolist()
+    for num_shards in (4, 16):
+        index, table, _ = physical_and_base(keys, num_shards)
+        assert (index._offsets is None) == (base._offsets is None)
+        assert index.nbytes == base.nbytes
+        assert index.lookup(probes).counts.tolist() == \
+            base.lookup(probes).counts.tolist()
+        assert table.original_rows(index.lookup(probes).matching_rows()) \
+            .tolist() == base.lookup(probes).matching_rows().tolist()
 
 
 def test_sharded_restricted_matches_scratch_build():
@@ -367,8 +301,42 @@ def test_sharded_restricted_matches_scratch_build():
     derived = base.restricted(rows)
     scratch = table.build_hash_index("k", rows=rows)
     probes = np.arange(-3, 503)
-    assert derived.num_shards == 4 and len(derived) == len(rows)
+    assert type(derived) is HashIndex and len(derived) == len(rows)
     assert derived.lookup(probes).matching_rows().tolist() == \
         scratch.lookup(probes).matching_rows().tolist()
     assert derived.probe_stats(column) == scratch.probe_stats(column)
     assert base.restricted(np.arange(3000)) is base
+    # the same rows restricted on the base layout answer alike
+    base_rows = np.sort(table.original_rows(rows))
+    merged = HashIndex(keys).restricted(base_rows)
+    assert table.original_rows(derived.lookup(probes).matching_rows()) \
+        .tolist() == merged.lookup(probes).matching_rows().tolist()
+
+
+def test_partitioned_execution_starts_no_thread(monkeypatch):
+    """Executing a partitioned plan whose probe batches are far above
+    16 384 keys runs on the calling thread: no thread is started, and
+    every index probe (statistics included) happens on the caller."""
+    import threading
+
+    from repro import QuerySession
+
+    probing_threads = set()
+    for name in ("lookup", "contains", "probe_stats"):
+        def spy(self, keys, _probe=getattr(HashIndex, name)):
+            probing_threads.add(threading.get_ident())
+            return _probe(self, keys)
+        monkeypatch.setattr(HashIndex, name, spy)
+
+    rows = 3 * 16_384
+    catalog = Catalog()
+    catalog.add_table("R", {"k": np.arange(rows) % (rows // 2)})
+    catalog.add_table("S", {"k": np.arange(rows // 2)})
+    before = set(threading.enumerate())
+    session = QuerySession(catalog, partitioning=8)
+    report = session.execute("select * from R, S where R.k = S.k")
+    assert report.ok, report.error
+    assert report.shards_used == 8
+    assert report.result.output_size == rows
+    assert set(threading.enumerate()) - before == set()
+    assert probing_threads == {threading.get_ident()}

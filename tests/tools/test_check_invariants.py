@@ -23,7 +23,7 @@ HASH_INDEX_SOURCE = (
     "__all__ = ['HashIndex']\n"
     "_LIMIT = 2**62\n"
     "class HashIndex:\n"
-    "    def __init__(self, keys, rows=None, row_offset=0):\n"
+    "    def __init__(self, keys, rows=None):\n"
     "        self.size = len(keys)\n"
 )
 
@@ -211,7 +211,7 @@ def _hash_index_path(repo):
 
 def test_index_layout_selector_fires_on_constructor_flag(synthetic_repo):
     _hash_index_path(synthetic_repo).write_text(HASH_INDEX_SOURCE.replace(
-        "row_offset=0", "row_offset=0, layout='auto'"
+        "rows=None", "rows=None, layout='auto'"
     ))
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["INDEX_LAYOUT_SELECTOR"]
@@ -233,6 +233,64 @@ def test_index_layout_selector_fires_on_environment(synthetic_repo):
     )
     rules = [f.rule for f in run_all(load_linter(synthetic_repo))]
     assert rules == ["INDEX_LAYOUT_SELECTOR"]
+
+
+def test_index_layout_selector_fires_on_second_probe_structure(
+        synthetic_repo):
+    (synthetic_repo / "src" / "repro" / "storage" / "partition.py").write_text(
+        "class ShardedHashIndex:\n"
+        "    def lookup(self, keys):\n"
+        "        return keys\n"
+    )
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["INDEX_LAYOUT_SELECTOR"]
+    assert "ShardedHashIndex" in findings[0].message
+
+
+@pytest.mark.parametrize("source, named", [
+    # a lazily created process-wide pool behind a `global` rebinding
+    ("import threading\n"
+     "from concurrent.futures import ThreadPoolExecutor\n"
+     "_pool = None\n"
+     "_pool_lock = threading.Lock()\n"
+     "def _shared_pool():\n"
+     "    global _pool\n"
+     "    if _pool is None:\n"
+     "        with _pool_lock:\n"
+     "            if _pool is None:\n"
+     "                _pool = ThreadPoolExecutor(max_workers=4)\n"
+     "    return _pool\n", "_pool"),
+    # a pool created at import time
+    ("import concurrent.futures\n"
+     "POOL = concurrent.futures.ProcessPoolExecutor(max_workers=2)\n",
+     "POOL"),
+    # an aliased import, annotated binding
+    ("from concurrent.futures import ThreadPoolExecutor as Pool\n"
+     "_workers: object = Pool()\n", "_workers"),
+], ids=["global_rebinding", "import_time", "aliased_annotated"])
+def test_no_module_executor_fires(synthetic_repo, source, named):
+    (synthetic_repo / "src" / "repro" / "core" / "pools.py").write_text(source)
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["NO_MODULE_EXECUTOR"]
+    assert repr(named) in findings[0].message
+
+
+def test_no_module_executor_allows_owned_pools(synthetic_repo):
+    (synthetic_repo / "src" / "repro" / "core" / "pools.py").write_text(
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "_planner = None\n"
+        "def _init(planner):\n"
+        "    global _planner\n"
+        "    _planner = planner\n"
+        "    local = ThreadPoolExecutor()\n"
+        "    local.shutdown()\n"
+        "class Service:\n"
+        "    def __init__(self):\n"
+        "        self._executor = ThreadPoolExecutor(max_workers=2)\n"
+        "    def close(self):\n"
+        "        self._executor.shutdown()\n"
+    )
+    assert run_all(load_linter(synthetic_repo)) == []
 
 
 @pytest.mark.parametrize("relative, source", [
@@ -299,7 +357,7 @@ def test_hash_index_has_no_layout_selector():
     from repro.storage import HashIndex, hashindex
 
     assert list(inspect.signature(HashIndex.__init__).parameters) == [
-        "self", "keys", "rows", "row_offset"
+        "self", "keys", "rows"
     ]
     public = [name for name in vars(hashindex)
               if not name.startswith("_") and name not in hashindex.__all__

@@ -48,9 +48,20 @@ INDEX_LAYOUT_SELECTOR
     vs sorted arrays) from the indexed keys alone — that is what makes
     the fast layout unable to cost memory or change answers.  So
     ``storage/hashindex.py`` may expose nothing that selects it from
-    outside: ``HashIndex.__init__`` takes exactly ``(keys, rows,
-    row_offset)``, the module defines no public constant and reads no
-    environment.
+    outside: ``HashIndex.__init__`` takes exactly ``(keys, rows)``, the
+    module defines no public constant and reads no environment.  And
+    ``HashIndex`` is the storage layer's only probe structure: no other
+    class under ``storage/`` defines ``lookup`` — a partitioned table is
+    a row layout indexed like any other, not a second probe path.
+
+NO_MODULE_EXECUTOR
+    No module under ``src/repro`` binds a ``ThreadPoolExecutor`` /
+    ``ProcessPoolExecutor`` to a module global, by a module-level
+    assignment or a ``global`` rebinding inside a function.  A pool
+    lives on the instance that owns its lifecycle (``close`` /
+    ``shutdown``): a process-wide pool outlives its users, and a forked
+    worker inherits the pool object without its threads, so the first
+    task submitted there waits forever.
 
 STATS_SINGLE_PRODUCER
     Planning statistics have one producer, ``core/stats.py``: it alone
@@ -127,8 +138,6 @@ RAW_KEY_EQ_ALLOWED = {
     # integral-representability test routing float probes to shards
     ("storage/partition.py", "_float_exact"),
     ("storage/partition.py", "_probe_shard_ids"),
-    # compares attribute *names* against the shard key, not key values
-    ("storage/partition.py", "build_hash_index"),
 }
 
 
@@ -370,7 +379,7 @@ def check_kernel_surface():
     return findings
 
 
-_HASH_INDEX_PARAMETERS = ["self", "keys", "rows", "row_offset"]
+_HASH_INDEX_PARAMETERS = ["self", "keys", "rows"]
 
 
 def check_index_layout_selector():
@@ -413,6 +422,57 @@ def check_index_layout_selector():
         finding(init, f"HashIndex.__init__ takes {parameters[1:]}, expected "
                 f"{_HASH_INDEX_PARAMETERS[1:]} — no argument may select "
                 "the layout")
+    for module in sorted((SRC / "storage").rglob("*.py")):
+        for node in ast.walk(_parse(module)):
+            if isinstance(node, ast.ClassDef) and "lookup" in {
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)} \
+                    and (module, node.name) != (path, "HashIndex"):
+                findings.append(Finding(
+                    "INDEX_LAYOUT_SELECTOR", module.relative_to(REPO),
+                    node.lineno, f"{node.name} defines lookup() — HashIndex "
+                    "is the storage layer's one probe structure"))
+    return findings
+
+
+_EXECUTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+
+
+def check_no_module_executor():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = _attach_parents(_parse(path))
+        executors = set(_EXECUTORS)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                executors |= {alias.asname for alias in node.names
+                              if alias.name in _EXECUTORS and alias.asname}
+
+        def makes_executor(value):
+            return value is not None and any(
+                isinstance(call, ast.Call) and _called_name(call) in executors
+                for call in ast.walk(value))
+
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign,
+                                     ast.NamedExpr)) \
+                    or not makes_executor(node.value):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = {target.id for target in targets
+                     if isinstance(target, ast.Name)}
+            function = _enclosing_function(node)
+            if function is not None:
+                names &= {name for statement in ast.walk(function)
+                          if isinstance(statement, ast.Global)
+                          for name in statement.names}
+            for name in sorted(names):
+                findings.append(Finding(
+                    "NO_MODULE_EXECUTOR", path.relative_to(REPO), node.lineno,
+                    f"executor bound to module global {name!r} — keep pools "
+                    "on the instance that owns their lifecycle",
+                ))
     return findings
 
 
@@ -594,6 +654,7 @@ CHECKS = (
     check_unsorted_fingerprint_iter,
     check_kernel_surface,
     check_index_layout_selector,
+    check_no_module_executor,
     check_stats_single_producer,
     check_cost_floor_single_producer,
     check_wcoj_priced_once,
