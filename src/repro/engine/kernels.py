@@ -40,7 +40,6 @@ otherwise; explicit choices are never overridden by the environment.
 
 from __future__ import annotations
 
-import bisect
 import os
 import weakref
 
@@ -115,6 +114,27 @@ def get_kernels(execution=None):
 # ----------------------------------------------------------------------
 
 
+def _find_positions(sorted_unique, values):
+    """Position of each value in an ascending unique array, ``-1`` for
+    misses.
+
+    Comparison happens in the searchsorted common dtype — the same
+    hash-index probe semantics as :meth:`VectorizedKernels.lookup` (a
+    :class:`~repro.storage.hashindex.HashIndex` over ``sorted_unique``
+    answers exactly these positions): a lossy float64 upcast collision
+    resolves to the leftmost colliding position (``side="left"``), NaN
+    probes and NaN array entries never match.
+    """
+    out = np.full(len(values), -1, dtype=np.int64)
+    if not len(sorted_unique) or not len(values):
+        return out
+    pos = np.searchsorted(sorted_unique, values)
+    clipped = np.minimum(pos, len(sorted_unique) - 1)
+    hit = sorted_unique[clipped] == values
+    out[hit] = clipped[hit]
+    return out
+
+
 class VectorizedKernels:
     """NumPy data plane: delegates to the storage layer's batch APIs."""
 
@@ -142,26 +162,6 @@ class VectorizedKernels:
         """Concatenated ``arange(s, s + l)`` ranges (match expansion)."""
         return _np_concat_ranges(starts, lengths)
 
-    def find_positions(self, sorted_unique, values):
-        """Position of each value in an ascending unique array, ``-1``
-        for misses.
-
-        Comparison happens in the searchsorted common dtype — the same
-        hash-index probe semantics as :meth:`lookup`: a lossy float64
-        upcast collision resolves to the leftmost colliding position
-        (``side="left"``), NaN probes and NaN array entries never match.
-        """
-        sorted_unique = np.asarray(sorted_unique)
-        values = np.asarray(values)
-        out = np.full(len(values), -1, dtype=np.int64)
-        if not len(sorted_unique) or not len(values):
-            return out
-        pos = np.searchsorted(sorted_unique, values)
-        clipped = np.minimum(pos, len(sorted_unique) - 1)
-        hit = sorted_unique[clipped] == values
-        out[hit] = clipped[hit]
-        return out
-
     def find_positions_exact(self, sorted_unique, values):
         """Position of each value under exact numeric-key semantics.
 
@@ -186,12 +186,12 @@ class VectorizedKernels:
         if a_int == b_int:
             # same numeric family: the searchsorted comparison is
             # already exact (float/float NaN probes miss the == check)
-            return self.find_positions(sorted_unique, values)
+            return _find_positions(sorted_unique, values)
         if b_int:
             # int probes into a float array: an int can only equal its
             # exact float64 representation, which must round-trip back
             as_float = sorted_unique.astype(np.float64)
-            pos = self.find_positions(as_float, values.astype(np.float64))
+            pos = _find_positions(as_float, values.astype(np.float64))
             hit = np.flatnonzero(pos >= 0)
             if len(hit):
                 found = as_float[pos[hit]]
@@ -220,24 +220,12 @@ class VectorizedKernels:
             as_int = values[convertible].astype(np.int64)
             integral = as_int.astype(values.dtype) == values[convertible]
             idx = convertible[integral]
-            pos = self.find_positions(
+            pos = _find_positions(
                 sorted_unique.astype(np.int64), as_int[integral]
             )
             keep = pos >= 0
             out[idx[keep]] = pos[keep]
         return out
-
-    def bounded_ranges(self, sorted_codes, lows, highs):
-        """Per bound pair, the ``[start, start + count)`` slice of an
-        ascending int64 code array falling inside ``[low, high)`` (the
-        prefix-extension scan of the wcoj operator)."""
-        sorted_codes = np.asarray(sorted_codes)
-        starts = np.searchsorted(sorted_codes, np.asarray(lows),
-                                 side="left")
-        stops = np.searchsorted(sorted_codes, np.asarray(highs),
-                                side="left")
-        return (starts.astype(np.int64),
-                (stops - starts).astype(np.int64))
 
     def original_rows(self, table, rows):
         """Physical row ids mapped to base-table ids (identity for
@@ -408,26 +396,6 @@ class InterpretedKernels:
             out.extend(range(start, start + length))
         return np.asarray(out, dtype=np.int64)
 
-    def find_positions(self, sorted_unique, values):
-        # Dict of array entries cast to the searchsorted common dtype;
-        # first position wins on a lossy-cast collision, matching
-        # side="left" resolution, and NaN entries/probes never match —
-        # the same semantics as the vectorized searchsorted probe.
-        sorted_unique = np.asarray(sorted_unique)
-        values = np.asarray(values)
-        common = np.result_type(sorted_unique.dtype, values.dtype)
-        cast = np.dtype(common).type
-        table = {}
-        for position, value in enumerate(sorted_unique.tolist()):
-            value = cast(value).item()
-            if value != value:
-                continue
-            table.setdefault(value, position)
-        out = []
-        for value in values.astype(common, copy=False).tolist():
-            out.append(-1 if value != value else table.get(value, -1))
-        return np.asarray(out, dtype=np.int64)
-
     def find_positions_exact(self, sorted_unique, values):
         # Python numeric equality is exact across int/float/bool (no
         # lossy upcast, equal numbers hash equal) and NaN-propagating —
@@ -441,18 +409,6 @@ class InterpretedKernels:
         for value in np.asarray(values).tolist():
             out.append(-1 if value != value else table.get(value, -1))
         return np.asarray(out, dtype=np.int64)
-
-    def bounded_ranges(self, sorted_codes, lows, highs):
-        codes = np.asarray(sorted_codes).tolist()
-        starts = []
-        counts = []
-        for low, high in zip(np.asarray(lows).tolist(),
-                             np.asarray(highs).tolist()):
-            start = bisect.bisect_left(codes, low)
-            starts.append(start)
-            counts.append(bisect.bisect_left(codes, high) - start)
-        return (np.asarray(starts, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64))
 
     # -- base-row-id remapping and value gather --------------------------
 

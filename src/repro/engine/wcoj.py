@@ -19,26 +19,37 @@ structures and kernel split:
 * per relation, a *chain index* binds its attributes in the global
   variable order: after binding attribute ``k`` every row carries a
   dense group id for its value combination over the first ``k`` bound
-  attributes, and the sorted code array ``group_id * d + value_rank``
-  supports both prefix-extension scans
-  (:meth:`~repro.engine.kernels.VectorizedKernels.bounded_ranges`) and
-  membership probes
-  (:meth:`~repro.engine.kernels.VectorizedKernels.find_positions`) —
-  the intersection work of the generic join, vectorized;
+  attributes, coded ``group_id * d + value_rank``.  Read as a CSR over
+  the previous step's group ids, the codes answer prefix-extension
+  scans; indexed by code, they answer membership probes — the
+  intersection work of the generic join, vectorized and by direct
+  address (one take per probe, no binary search);
 * every per-candidate step routes through the kernel object, so the
   operator has the same two data planes as the rest of the engine: the
   NumPy path and the pure-Python interpreted oracle produce
   bit-identical results and :class:`~repro.engine.executor.ExecutionCounters`.
 
+The structures depend only on table contents and the plan's binding
+sequence, so they are built once and cached on the catalog beside its
+hash indexes (:meth:`~repro.storage.Catalog.table_structure`): per
+``(relation, attribute)`` the sorted distinct values (the *domain*) and,
+for members probed for their rank, a
+:class:`~repro.storage.hashindex.HashIndex` over them; per ``(relation,
+binding sequence)`` the chain index.  Their keys start with the table
+name, so every write path that drops the table's hash indexes drops
+them too.  A warm execution builds nothing.
+
 Exactness mirrors the tree+filter strategy predicate for predicate:
 a predicate the spanning tree covers compares keys with hash-index
-probe semantics (``find_positions``: the searchsorted common dtype,
-lossy collisions resolve leftmost), a residual predicate compares with
-exact numeric semantics (``find_positions_exact`` /
-:func:`~repro.core.cyclic.exact_equal`), and values *propagate* — a
-membership hit assigns the matched relation its own stored value, which
-is what later predicates compare against.  That is what makes results
-bit-identical to tree+filter even on NaN / bool / ``>= 2**53`` keys.
+probe semantics (a ``HashIndex`` lookup on the domain: the searchsorted
+common dtype, lossy collisions resolve leftmost, NaN never matches), a
+residual predicate compares with exact numeric semantics (the same
+lookup when both sides are integers, ``find_positions_exact`` /
+:func:`~repro.core.cyclic.exact_equal` otherwise), and values
+*propagate* — a membership hit assigns the matched relation its own
+stored value, which is what later predicates compare against.  That is
+what makes results bit-identical to tree+filter even on NaN / bool /
+``>= 2**53`` keys.
 
 All structures are built from base-row-ordered columns
 (:meth:`~repro.storage.Table.gather`), so results and counters are
@@ -246,6 +257,112 @@ def _base_column(table, attr):
     )[attr]
 
 
+class _Step:
+    """One step of a chain index: a relation binding its next attribute.
+
+    Each row's code ``prefix group * d + value rank`` (``d`` is the
+    attribute's distinct count) is re-densified into the step's group
+    ids — group ``j`` is the ``j``-th smallest distinct code — so codes
+    never exceed ``|R| ** 2`` and int64 never overflows.  The step keeps
+    only the view of those codes its binding probes, by direct address
+    either way:
+
+    * an *assigned* attribute keeps ``codes``, a :class:`HashIndex`
+      keyed by code: a membership probe answers the group id of a
+      (prefix group, rank) pair, or a miss;
+    * an *expanded* attribute keeps ``offsets``, the code table read as
+      a CSR over the previous step's group ids — group ``g`` extends
+      into groups ``offsets[g] … offsets[g + 1]``, the code table's
+      offsets at ``g * d`` and ``(g + 1) * d`` (group ids are dense, so
+      :meth:`HashIndex._dense_fits` always admits this table) — and
+      ``ranks``, each group's value rank (``code % d``).
+    """
+
+    __slots__ = ("codes", "offsets", "ranks")
+
+    def __init__(self, codes, distinct, groups_before, expanded):
+        self.codes = self.offsets = self.ranks = None
+        if not expanded:
+            self.codes = HashIndex(codes)
+            return
+        prefixes, ranks = np.divmod(codes, max(distinct, 1))
+        self.offsets = np.zeros(groups_before + 1,
+                                dtype=np.min_scalar_type(len(codes)))
+        np.cumsum(np.bincount(prefixes, minlength=groups_before),
+                  out=self.offsets[1:])
+        self.ranks = ranks.astype(np.min_scalar_type(max(distinct - 1, 0)))
+
+
+class _Chain:
+    """A relation's chain index for one binding sequence: one
+    :class:`_Step` per bound attribute, then the base rows grouped by
+    their final group id (``rows``, the expansion probe) and the row
+    count per final group (``counts``)."""
+
+    __slots__ = ("steps", "rows", "counts")
+
+    def __init__(self, steps, groups):
+        self.steps = steps
+        self.rows = HashIndex(groups)
+        counts = np.bincount(groups)
+        self.counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
+
+
+def _build_chain(table, binding):
+    groups = np.zeros(len(table), dtype=np.int64)
+    groups_before = 1
+    steps = []
+    for attr, op in binding:
+        values, ranks = np.unique(_base_column(table, attr),
+                                  return_inverse=True)
+        codes_per_row = groups * np.int64(len(values)) + ranks
+        codes = np.unique(codes_per_row)
+        groups = np.searchsorted(codes, codes_per_row)
+        steps.append(_Step(codes, len(values), groups_before,
+                           op == "expand"))
+        groups_before = len(codes)
+    return _Chain(tuple(steps), groups)
+
+
+def _domain(catalog, rel, attr):
+    """The sorted distinct values of ``rel.attr`` (cached); a member's
+    value rank is its position here."""
+    return catalog.table_structure(
+        rel, ("wcoj.domain", attr),
+        lambda table: np.unique(_base_column(table, attr)),
+    )
+
+
+def _rank_index(catalog, rel, attr):
+    """A :class:`HashIndex` over the domain of ``rel.attr`` (cached),
+    built only for members whose values are probed for their rank."""
+    return catalog.table_structure(
+        rel, ("wcoj.ranks", attr),
+        lambda table: HashIndex(_domain(catalog, rel, attr)),
+    )
+
+
+def _chain(catalog, rel, binding):
+    """The cached :class:`_Chain` of ``rel`` for ``binding``, its
+    ``(attribute, "expand" | "assign")`` pairs in binding order."""
+    return catalog.table_structure(
+        rel, ("wcoj.chain", binding),
+        lambda table: _build_chain(table, binding),
+    )
+
+
+def _positions(kernels, index, keys):
+    """Per key, its position among a sorted-unique index's keys, ``-1``
+    on a miss — hash-index probe semantics (the searchsorted common
+    dtype, a lossy-cast collision resolves to the leftmost key, NaN
+    never matches).  Every group holds one row, and row ``j`` is the
+    ``j``-th key, so a hit's single matching row *is* its position."""
+    lookup = kernels.lookup(index, keys)
+    positions = np.full(len(lookup), -1, dtype=np.int64)
+    positions[lookup.matched_mask] = lookup.matching_rows()
+    return positions
+
+
 def execute_wcoj(
     catalog,
     plan,
@@ -282,6 +399,11 @@ def execute_wcoj(
     accounting.  ``peak_intermediate_tuples`` tracks the widest
     candidate pool / frontier / expansion batch — the quantity the
     strategy exists to shrink.
+
+    Value domains and chain indexes come from the catalog's cache and
+    are built only on a miss; ``index_build_seconds`` is the time spent
+    fetching them — that miss's build time, and next to nothing on a
+    warm execution.
     """
     mode = ExecutionMode(mode)
     execution = resolve_execution(execution)
@@ -298,19 +420,14 @@ def execute_wcoj(
     predicates += [(residual.key, "residual") for residual in plan.residuals]
     classes = variable_classes(key for key, _ in predicates)
 
-    # -- phase A: per-attribute value ranks (shared structure build) ---
+    # -- value domains and chain indexes (cached on the catalog) -------
     build_start = time.perf_counter()
-    uniques = {}
-    ranks = {}
-    for members in classes:
-        for rel, attr in members:
-            if (rel, attr) in uniques:
-                continue
-            column = _base_column(catalog.table(rel), attr)
-            uniques[(rel, attr)], ranks[(rel, attr)] = np.unique(
-                column, return_inverse=True
-            )
-    distincts = {member: len(values) for member, values in uniques.items()}
+    domains = {
+        member: _domain(catalog, *member)
+        for members in classes for member in members
+    }
+    index_build_seconds = time.perf_counter() - build_start
+    distincts = {member: len(domain) for member, domain in domains.items()}
 
     if variable_order is not None:
         supplied = [tuple(tuple(member) for member in members)
@@ -325,43 +442,32 @@ def execute_wcoj(
         resolved_order = plan_variable_order(classes, distincts)
     levels = _plan_levels(resolved_order, predicates, distincts)
 
-    # -- phase B: per-relation chain indexes in binding order ----------
-    # After binding attribute k of a relation, every row carries a dense
-    # group id over its first k bound values; the sorted code array
-    # ``group * d + rank`` is re-densified per step, so codes never
-    # exceed |R|**2 and int64 never overflows.
-    binding_sequence = []
+    # each relation binds its attributes in the order the levels value
+    # them; its chain index is keyed by that binding sequence.  Assigned
+    # members and tree-checked children are probed for their rank.
+    bindings = {}
+    probed = set()
     for level in levels:
         for op in level.ops:
-            if op[0] == "expand":
-                binding_sequence.append(op[1])
-            elif op[0] == "assign":
-                binding_sequence.append(op[3])
-    row_groups = {}
-    step_codes = {}
-    for rel, attr in binding_sequence:
-        if rel not in row_groups:
-            row_groups[rel] = np.zeros(
-                len(catalog.table(rel)), dtype=np.int64
-            )
-        codes_per_row = (
-            row_groups[rel] * np.int64(distincts[(rel, attr)])
-            + ranks[(rel, attr)]
-        )
-        codes = np.unique(codes_per_row)
-        row_groups[rel] = np.searchsorted(codes, codes_per_row)
-        step_codes[(rel, attr)] = codes
-    last_step = {}
-    for rel, attr in binding_sequence:
-        last_step[rel] = (rel, attr)
-    final_index = {
-        rel: HashIndex(groups) for rel, groups in row_groups.items()
+            if op[0] != "check":
+                rel, attr = op[1] if op[0] == "expand" else op[3]
+                bindings.setdefault(rel, []).append((attr, op[0]))
+            if op[0] == "assign" or op[:2] == ("check", "tree"):
+                probed.add(op[3])
+    build_start = time.perf_counter()
+    chains = {
+        rel: _chain(catalog, rel, tuple(binding))
+        for rel, binding in bindings.items()
     }
-    group_counts = {
-        rel: np.bincount(groups, minlength=len(step_codes[last_step[rel]]))
-        for rel, groups in row_groups.items()
+    rank_indexes = {
+        member: _rank_index(catalog, *member) for member in probed
     }
-    index_build_seconds = time.perf_counter() - build_start
+    index_build_seconds += time.perf_counter() - build_start
+    steps = {
+        (rel, attr): step
+        for rel, binding in bindings.items()
+        for (attr, _), step in zip(binding, chains[rel].steps)
+    }
 
     # -- variable elimination ------------------------------------------
     frontier = {}  # relation -> dense group id per frontier prefix
@@ -383,31 +489,21 @@ def execute_wcoj(
             if op[0] == "expand":
                 member = op[1]
                 rel = member[0]
-                codes = step_codes[member]
-                d = np.int64(distincts[member])
+                step = steps[member]
                 counters.count_hash_probes(rel, len(parent))
                 groups = current_group(rel)
-                if groups is not None:
-                    starts, counts = kernels.bounded_ranges(
-                        codes, groups * d, (groups + 1) * d
-                    )
-                    positions = kernels.concat_ranges(starts, counts)
-                    spread = kernels.repeat_rows(
-                        np.arange(len(parent), dtype=np.int64), counts
-                    )
-                    rank = codes[positions] % d
-                else:
-                    # first binding of this relation: step codes are the
-                    # value ranks themselves, every candidate extends
-                    # with all of them
-                    fanout = np.full(len(parent), int(d), dtype=np.int64)
-                    positions = kernels.concat_ranges(
-                        np.zeros(len(parent), dtype=np.int64), fanout
-                    )
-                    spread = kernels.repeat_rows(
-                        np.arange(len(parent), dtype=np.int64), fanout
-                    )
-                    rank = positions
+                if groups is None:
+                    # first binding of this relation: one prefix group
+                    groups = np.zeros(len(parent), dtype=np.int64)
+                starts = step.offsets.take(groups)
+                counts = (step.offsets.take(groups + 1) - starts).astype(
+                    np.int64
+                )
+                positions = kernels.concat_ranges(starts, counts)
+                spread = kernels.repeat_rows(
+                    np.arange(len(parent), dtype=np.int64), counts
+                )
+                rank = step.ranks[positions]
                 parent = parent[spread]
                 new_groups = {
                     r: g[spread] for r, g in new_groups.items()
@@ -417,7 +513,7 @@ def execute_wcoj(
                     m: r[spread] for m, r in value_ranks.items()
                 }
                 new_groups[rel] = positions
-                values[member] = uniques[member][rank]
+                values[member] = domains[member][rank]
                 value_ranks[member] = rank
                 counters.tuples_generated += len(parent)
                 counters.note_intermediate(len(parent))
@@ -428,22 +524,26 @@ def execute_wcoj(
             elif op[0] == "assign":
                 _, kind, source, target = op
                 source_values = values[source]
+                domain = domains[target]
                 if kind == "tree":
                     counters.semijoin_probes += len(source_values)
-                    rank = kernels.find_positions(
-                        uniques[target], source_values
-                    )
                 else:
                     counters.residual_checks += len(source_values)
-                    rank = kernels.find_positions_exact(
-                        uniques[target], source_values
-                    )
+                if kind == "residual" and not (
+                        domain.dtype.kind in "biu"
+                        and source_values.dtype.kind in "biu"):
+                    # an int/float mix: the probe's common-dtype compare
+                    # is lossy where exact numeric equality is not
+                    rank = kernels.find_positions_exact(domain, source_values)
+                else:
+                    rank = _positions(kernels, rank_indexes[target],
+                                      source_values)
                 target_rel = target[0]
                 previous = current_group(target_rel)
                 if previous is None:
                     previous = np.zeros(len(parent), dtype=np.int64)
                 code = previous * np.int64(distincts[target]) + rank
-                support = kernels.find_positions(step_codes[target], code)
+                support = _positions(kernels, steps[target].codes, code)
                 keep = np.flatnonzero((rank >= 0) & (support >= 0))
                 parent = parent[keep]
                 new_groups = {
@@ -454,7 +554,7 @@ def execute_wcoj(
                     m: r[keep] for m, r in value_ranks.items()
                 }
                 new_groups[target_rel] = support[keep]
-                values[target] = uniques[target][rank[keep]]
+                values[target] = domain[rank[keep]]
                 value_ranks[target] = rank[keep]
             else:
                 _, kind, parent_member, child_member = op
@@ -464,8 +564,9 @@ def execute_wcoj(
                     # rank (a lossy-upcast collision resolves leftmost,
                     # exactly as a HashIndex probe would)
                     counters.semijoin_probes += len(parent)
-                    probe = kernels.find_positions(
-                        uniques[child_member], values[parent_member]
+                    probe = _positions(
+                        kernels, rank_indexes[child_member],
+                        values[parent_member],
                     )
                     keep = np.flatnonzero(
                         probe == value_ranks[child_member]
@@ -497,7 +598,7 @@ def execute_wcoj(
     expansion_order = sorted(frontier)
     weights = np.ones(width, dtype=np.float64)
     for rel in expansion_order:
-        weights *= group_counts[rel][frontier[rel]]
+        weights *= chains[rel].counts[frontier[rel]]
     total_estimate = float(weights.sum())
     if total_estimate > max_intermediate_tuples:
         raise BudgetExceededError(
@@ -524,7 +625,7 @@ def execute_wcoj(
         for rel in expansion_order:
             group_keys = frontier[rel][chunk][pointer]
             counters.count_hash_probes(rel, len(group_keys))
-            lookup = kernels.lookup(final_index[rel], group_keys)
+            lookup = kernels.lookup(chains[rel].rows, group_keys)
             matches = lookup.matching_rows()
             for other in frame:
                 frame[other] = kernels.repeat_rows(

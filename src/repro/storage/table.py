@@ -198,7 +198,9 @@ class Catalog:
     Hash indexes are keyed by ``(table_name, attribute)`` and built
     lazily on first use, mirroring the build phase of a hash join.  The
     cache can be restricted to a subset of rows (used by semi-join
-    reduction, which probes reduced relations).
+    reduction, which probes reduced relations).  Other structures
+    derived from one table's contents share that cache under
+    ``(table_name, key)`` (:meth:`table_structure`).
     """
 
     def __init__(self):
@@ -321,12 +323,29 @@ class Catalog:
         One :class:`HashIndex` per ``(table, attribute)``, partitioned
         tables included (see :meth:`Table.build_hash_index`).
         """
-        key = (table_name, attribute)
-        index = self._indexes.get(key)
-        if index is None:
-            index = self.table(table_name).build_hash_index(attribute)
-            self._indexes[key] = index
-        return index
+        return self.table_structure(
+            table_name, attribute,
+            lambda table: table.build_hash_index(attribute),
+        )
+
+    def table_structure(self, table_name, key, build):
+        """Return (building with ``build(table)`` if necessary) a
+        structure derived from one table's contents.
+
+        Cached beside the hash indexes under ``(table_name, key)`` — a
+        hash index's ``key`` is its attribute name, other structures
+        (the wcoj operator's value domains and chain indexes) use tuple
+        keys — so every write path that drops a table's hash indexes
+        (:meth:`add`, :meth:`invalidate_indexes` and its propagation to
+        derivative catalogs) drops them too, and :meth:`derived_with`
+        shares them for the tables it keeps.
+        """
+        full_key = (table_name, key)
+        structure = self._indexes.get(full_key)
+        if structure is None:
+            structure = build(self.table(table_name))
+            self._indexes[full_key] = structure
+        return structure
 
     def derived_with(self, replacements):
         """A shallow derivative catalog with some tables replaced.

@@ -17,12 +17,15 @@ from repro.engine.kernels import (
     REPRO_EXECUTION,
     VECTORIZED,
     InterpretedKernels,
+    _find_positions,
     get_kernels,
     resolve_execution,
 )
+from repro.engine.wcoj import _positions
 from repro.storage.hashindex import HashIndex
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
+from tests.properties.test_prop_index_layouts import SortedLayoutIndex
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +127,74 @@ def test_lookup_agreement_empty_index_and_empty_probes():
     _assert_lookup_agreement(empty, np.asarray([1, 2], dtype=np.int64))
     full = HashIndex(np.asarray([1, 2], dtype=np.int64))
     _assert_lookup_agreement(full, np.asarray([], dtype=np.int64))
+
+
+_U53 = 2 ** 53
+
+#: (sorted-unique build array, probe batch) per dtype pairing
+_POSITION_CASES = {
+    "int64_int64": (np.arange(-3, 40, 2, dtype=np.int64),
+                    np.arange(-6, 45, dtype=np.int64)),
+    "int64_float64_2_53": (
+        np.asarray([10, 11, _U53, _U53 + 1, _U53 + 3], dtype=np.int64),
+        np.asarray([10.0, 10.5, float(_U53), float(_U53 + 2),
+                    float(2 ** 54), -1.0])),
+    "dense_int64_float64": (np.arange(8, dtype=np.int64),
+                            np.asarray([0.0, 7.0, 3.5, 8.0, -1.0])),
+    "uint64_int64": (np.arange(0, 40, 3, dtype=np.uint64),
+                     np.asarray([3, -3, 39, 40, 0], dtype=np.int64)),
+    "int64_uint64": (np.asarray([-4, 0, 5, 2 ** 40], dtype=np.int64),
+                     np.asarray([5, 0, 2 ** 40, 2 ** 63 + 1],
+                                dtype=np.uint64)),
+    "bool_bool": (np.asarray([False, True]),
+                  np.asarray([True, False, True])),
+    "bool_int64": (np.asarray([False, True]),
+                   np.asarray([1, 0, 2, -1], dtype=np.int64)),
+    "nan_build": (np.unique(np.asarray([1.5, np.nan, -0.0, 2.0, np.nan])),
+                  np.asarray([0.0, 2.0, 1.5, 3.0])),
+    "nan_probe": (np.asarray([-1.0, 0.5, 2.0]),
+                  np.asarray([np.nan, 2.0, np.nan, -1.0])),
+    "nan_both": (np.asarray([0.5, np.nan]),
+                 np.asarray([np.nan, 0.5])),
+    "empty_build": (np.asarray([], dtype=np.int64),
+                    np.asarray([1, 2], dtype=np.int64)),
+    "empty_probe": (np.asarray([1, 2], dtype=np.int64),
+                    np.asarray([], dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POSITION_CASES))
+@pytest.mark.parametrize("kernels", [VECTORIZED, INTERPRETED],
+                         ids=["vectorized", "interpreted"])
+@pytest.mark.parametrize("layout", [HashIndex, SortedLayoutIndex],
+                         ids=["byte_rule", "sorted"])
+def test_index_lookup_positions_equal_find_positions(case, kernels, layout):
+    """The lemma behind wcoj's probes: over a sorted-unique array, a
+    ``HashIndex`` lookup's single matching row per hit is exactly the
+    searchsorted position ``_find_positions`` answers, on both planes
+    and in both layouts."""
+    build, probes = _POSITION_CASES[case]
+    index = layout(build)
+    assert _positions(kernels, index, probes).tolist() == \
+        _find_positions(build, probes).tolist()
+
+
+def test_positions_lemma_exercises_the_dense_layout():
+    for case in ("int64_int64", "dense_int64_float64", "uint64_int64"):
+        assert HashIndex(_POSITION_CASES[case][0])._offsets is not None
+
+
+def test_index_lookup_positions_uint64_int64_beyond_2_53():
+    # The float64 comparison dtype collides 2**53 and 2**53 + 1; NumPy 2
+    # then rejects the hit with an exact uint64/int64 ``==`` where the
+    # interpreted float64 dict view accepts it — a divergence of the
+    # probe semantics themselves (the same before wcoj used them), so
+    # only the vectorized plane is pinned to the searchsorted answer.
+    build = np.asarray([1, _U53, _U53 + 1], dtype=np.uint64)
+    probes = np.asarray([_U53 + 1, _U53, 1], dtype=np.int64)
+    for layout in (HashIndex, SortedLayoutIndex):
+        assert _positions(VECTORIZED, layout(build), probes).tolist() == \
+            _find_positions(build, probes).tolist()
 
 
 def test_interpreted_view_cached_per_dtype():

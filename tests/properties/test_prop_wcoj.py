@@ -13,7 +13,10 @@ inside elimination, never re-filtered on the output) and the planlint
 predicate-accounting pass stays clean for both strategies.
 """
 
+import collections
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,7 @@ from repro.core.cyclic import (
     execute_cyclic,
     tree_query_from_residuals,
 )
+from repro.engine import wcoj
 from repro.engine.wcoj import execute_wcoj
 from repro.modes import ExecutionMode
 from repro.planner import Planner
@@ -31,7 +35,11 @@ from repro.storage.partition import partitioned_catalog
 from repro.workloads.cyclic import CYCLIC_SHAPES, cyclic_catalog, to_sql
 
 from .test_prop_cyclic import TRIANGLE, brute_force, build_triangle_catalog
-from .test_prop_execution import SHARD_COUNTS, assert_counters_identical
+from .test_prop_execution import (
+    SHARD_COUNTS,
+    assert_counters_identical,
+    assert_rows_identical,
+)
 
 STRATEGIES = ("tree_filter", "wcoj")
 KERNELS = ("vectorized", "interpreted")
@@ -124,6 +132,90 @@ def test_counters_identical_across_shards_and_kernels(seed):
                 assert tuples == baseline[2], context
                 assert_counters_identical(baseline[1], result.counters,
                                           context)
+
+
+# ----------------------------------------------------------------------
+# Structures cached on the catalog: warm reads and every write path
+# ----------------------------------------------------------------------
+
+
+def _wcoj_run(catalog, plan, execution):
+    _, result, rows = execute_wcoj(catalog, plan, collect_output=True,
+                                   execution=execution)
+    return result, rows
+
+
+def _fresh_copy(catalog):
+    """A catalog holding copies of ``catalog``'s current data and no
+    cached structure."""
+    fresh = Catalog()
+    for name in catalog.table_names:
+        table = catalog.table(name)
+        fresh.add_table(name, {column: table.column(column).copy()
+                               for column in table.column_names})
+    return fresh
+
+
+@pytest.mark.parametrize("execution", KERNELS)
+@pytest.mark.parametrize("write", ["update_in_place", "add_table",
+                                   "parent_of_derived"])
+@given(seed=st.integers(0, 2_000))
+@settings(max_examples=10, deadline=None)
+def test_cached_structures_follow_every_write_path(write, execution, seed):
+    """After a write, the next read of a warmed wcoj plan returns the
+    rows, row order and counters a fresh catalog returns: the chain
+    indexes and value domains cached beside the hash indexes are
+    dropped by the same write paths — an acknowledged in-place update,
+    a table replacement, and a mutation on the parent of a derivative
+    catalog the plan reads."""
+    rng = np.random.default_rng(seed)
+    base = build_triangle_catalog(seed)
+    reader = base.derived_with({}) if write == "parent_of_derived" else base
+    plan = spanning_tree_decomposition(parse_query(TRIANGLE), driver="A")
+    _wcoj_run(reader, plan, execution)  # warm the cache
+    if write == "add_table":
+        size = int(rng.integers(1, 13))
+        base.add_table("C", {"y": rng.integers(0, 4, size),
+                             "z": rng.integers(0, 4, size)})
+    else:
+        for column in ("y", "z"):
+            values = base.table("C").column(column)
+            values[:] = rng.integers(0, 4, len(values))
+        base.invalidate_indexes("C")
+    got = _wcoj_run(reader, plan, execution)
+    want = _wcoj_run(_fresh_copy(reader), plan, execution)
+    assert_rows_identical(got[1], want[1], (write, execution))
+    assert_counters_identical(got[0].counters, want[0].counters,
+                              (write, execution))
+
+
+@pytest.mark.parametrize("execution", KERNELS)
+def test_warm_execution_builds_nothing(monkeypatch, execution):
+    """A second execution of the same plan reads every structure from
+    the catalog: no chain build, no column scan, no index build."""
+    calls = collections.Counter()
+
+    def count(name):
+        build = getattr(wcoj, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(wcoj, name, counted)
+
+    for name in ("_build_chain", "_base_column", "HashIndex"):
+        count(name)
+    catalog = build_triangle_catalog(7)
+    plan = spanning_tree_decomposition(parse_query(TRIANGLE), driver="A")
+    first = _wcoj_run(catalog, plan, execution)
+    assert calls["_build_chain"] == 3  # one chain per relation
+    built = dict(calls)
+    second = _wcoj_run(catalog, plan, execution)
+    assert dict(calls) == built
+    assert_rows_identical(second[1], first[1], execution)
+    assert_counters_identical(second[0].counters, first[0].counters,
+                              execution)
 
 
 # ----------------------------------------------------------------------

@@ -453,6 +453,42 @@ def test_wcoj_priced_once_fires(synthetic_repo, source, named):
     assert findings[0].message.startswith(named)
 
 
+def _write_wcoj(repo, body):
+    (repo / "src" / "repro" / "engine" / "wcoj.py").write_text(
+        "import numpy as np\n"
+        "def _build_chain(table, binding):\n"
+        "    codes = np.unique(table)\n"
+        "    return HashIndex(np.searchsorted(codes, table))\n"
+        "def execute_wcoj(catalog, plan, binding_sequence):\n" + body
+    )
+
+
+def test_wcoj_build_once_allows_cached_builders(synthetic_repo):
+    _write_wcoj(synthetic_repo,
+                "    return {rel: catalog.table_structure(\n"
+                "        rel, ('wcoj.chain', binding),\n"
+                "        lambda table: _build_chain(table, binding))\n"
+                "        for rel, binding in binding_sequence}\n")
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
+def test_wcoj_build_once_fires_on_per_execution_build(synthetic_repo):
+    # the phase-B loop that rebuilt every chain index per execution
+    _write_wcoj(synthetic_repo,
+                "    row_groups = {}\n"
+                "    for rel, attr in binding_sequence:\n"
+                "        codes_per_row = row_groups[rel] * 4 + ranks[attr]\n"
+                "        codes = np.unique(codes_per_row)\n"
+                "        row_groups[rel] = np.searchsorted(codes, "
+                "codes_per_row)\n"
+                "    return {rel: HashIndex(groups)\n"
+                "            for rel, groups in row_groups.items()}\n")
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["WCOJ_BUILD_ONCE"] * 3
+    assert [f.message.split("(")[0] for f in findings] == [
+        "unique", "searchsorted", "HashIndex"]
+
+
 @pytest.mark.parametrize("relative, source", [
     # the deleted run-time read: a path assembled from a record name
     ("core/profile.py",

@@ -90,6 +90,15 @@ WCOJ_PRICED_ONCE
     sweep, whose incumbent the price is, on the one path ``auto`` and a
     forced ``"wcoj"`` share — a second site is a second, unbounded path.
 
+WCOJ_BUILD_ONCE
+    ``engine/wcoj.py``'s ``execute_wcoj`` builds no structure: its body
+    calls no ``np.unique`` / ``searchsorted``, constructs no
+    ``HashIndex`` and gathers no base column (``_base_column``).  The
+    value domains and chain indexes depend only on table contents and
+    the plan's binding sequence, so they are built by the builders
+    ``Catalog.table_structure`` runs on a cache miss — a build in the
+    body runs again on every execution.
+
 PLAN_FIELD_SINGLE_DECLARATION
     A plan field is declared once, as a ``PlanSpec`` field whose
     ``_spec_field(role, ...)`` states its role (``anchor`` /
@@ -542,6 +551,25 @@ def check_wcoj_priced_once():
             if name in source and calls.count(name) != 1]
 
 
+_WCOJ_BUILDS = ("unique", "searchsorted", "HashIndex", "_base_column")
+
+
+def check_wcoj_build_once():
+    path = SRC / "engine" / "wcoj.py"
+    tree = _parse(path) if path.exists() else ast.Module(body=[])
+    return [
+        Finding("WCOJ_BUILD_ONCE", path.relative_to(REPO), node.lineno,
+                f"{_called_name(node)}(...) in execute_wcoj() — build wcoj "
+                "structures in the cached builders Catalog.table_structure "
+                "runs on a miss, not on every execution")
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and function.name == "execute_wcoj"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and _called_name(node) in _WCOJ_BUILDS
+    ]
+
+
 def _class_fields(tree, class_name):
     """``{name: AnnAssign}`` of a class body's annotated fields."""
     return next(({item.target.id: item for item in node.body
@@ -658,6 +686,7 @@ CHECKS = (
     check_stats_single_producer,
     check_cost_floor_single_producer,
     check_wcoj_priced_once,
+    check_wcoj_build_once,
     check_plan_field_single_declaration,
     check_product_reads_no_benchmark_files,
     check_readme_knob_table,
