@@ -253,10 +253,8 @@ def _run_factorized(query, catalog, order, indexes, bitvectors, checks_after,
             monitor.observe(relation, len(keys), total_matches)
         if total_matches > budget:
             raise BudgetExceededError("COM", relation, total_matches, budget)
-        matches = lookup.matching_rows()
-        parent_ptr = kernels.repeat_rows(alive_idx[matched],
-                                         lookup.counts[matched])
-        result.add_node(relation, matches, parent_ptr)
+        lineage, matches = lookup.fan_out()
+        result.add_node(relation, matches, alive_idx.take(lineage))
         counters.tuples_generated += len(matches)
         counters.note_intermediate(len(matches), stage=relation)
         result.propagate_deaths()
@@ -476,10 +474,8 @@ def _run_flat_driver(query, catalog, order, indexes, bitvectors, checks_after,
             monitor.observe(relation, len(keys), total_matches)
         if total_matches > budget:
             raise BudgetExceededError("STD", relation, total_matches, budget)
-        matches = lookup.matching_rows()
-        repeat = lookup.counts
-        frame = {rel: kernels.repeat_rows(rows, repeat)
-                 for rel, rows in frame.items()}
+        lineage, matches = lookup.fan_out()
+        frame = {rel: rows.take(lineage) for rel, rows in frame.items()}
         frame[relation] = matches
         counters.tuples_generated += len(matches)
         counters.note_intermediate(len(matches), stage=relation)

@@ -5,7 +5,8 @@ join tree.  Each :class:`FactorizedNode` holds, per entry:
 
 * ``rows`` — the base-table row index the entry refers to;
 * ``parent_ptr`` — the index of the entry of the *parent node* this
-  entry was generated from (``-1`` for the driver);
+  entry was generated from (``-1`` for the driver); non-decreasing, so
+  each parent entry's children are one contiguous run;
 * ``alive`` — the selection vector: cleared when a probe fails, and
   propagated both upward (a parent entry with no surviving children in
   some evaluated child node is dead) and downward (entries under a dead
@@ -15,7 +16,12 @@ join tree.  Each :class:`FactorizedNode` holds, per entry:
 The flat result is recovered by :meth:`FactorizedResult.expand`, a
 vectorized breadth-first expansion (Section 4.3's "Result Expansion",
 breadth-first variant), or merely counted by
-:meth:`FactorizedResult.count_rows` without materialization.
+:meth:`FactorizedResult.count_rows` without materialization.  The
+expansion pays one fan-out per joined node — a lineage pointer from
+each output position to the position it extends — and composes those
+pointers at the end, so every relation's ``rows`` is written once, by
+one gather at final size, instead of re-repeating every column built
+so far at every level.
 """
 
 from __future__ import annotations
@@ -105,10 +111,21 @@ class FactorizedResult:
             ) from None
 
     def add_node(self, relation, rows, parent_ptr):
-        """Attach a freshly joined relation's entries."""
+        """Attach a freshly joined relation's entries.
+
+        ``parent_ptr`` must be non-decreasing — entries grouped by parent
+        entry, in parent order, which is how the executor attaches
+        matches (in probe order).  Expansion reads each parent entry's
+        children as one contiguous run and relies on it.
+        """
         if relation in self.nodes:
             raise ValueError(f"relation {relation!r} already joined")
         node = FactorizedNode(relation, rows, parent_ptr)
+        if (node.parent_ptr[1:] < node.parent_ptr[:-1]).any():
+            raise ValueError(
+                f"parent_ptr of {relation!r} decreases: entries must be "
+                "grouped by parent entry, in parent order"
+            )
         self.nodes[relation] = node
         self.joined.append(relation)
         return node
@@ -196,7 +213,11 @@ class FactorizedResult:
         (``batch_entries`` alive driver entries per batch) and each
         batch is crossed with every joined node in pre-order.  The
         concatenation of batches is the full flat join result, one
-        row-index per relation per output tuple.
+        row-index per relation per output tuple, in the order of
+        :meth:`expand_depth_first`.  Crossing a node is one fan-out into
+        a lineage pointer; the pointers are composed after the last node
+        and each relation's rows gathered through them once, at final
+        size.
 
         ``max_rows`` additionally caps the *output rows* per batch:
         driver entries are grouped so that each batch expands to at most
@@ -205,10 +226,9 @@ class FactorizedResult:
         ``weights`` optionally supplies a current
         :meth:`subtree_weights` result for that grouping.
 
-        ``kernels`` selects the execution kernels the per-entry cross
-        products run on (defaults to the vectorized set); the one-time
-        grouping of child entries by parent pointer is structure work
-        and stays shared.
+        ``kernels`` selects the execution kernels the fan-outs run on
+        (defaults to the vectorized set); the one-time grouping of child
+        entries by parent pointer is structure work and stays shared.
         """
         if kernels is None:
             from .kernels import get_kernels
@@ -232,50 +252,73 @@ class FactorizedResult:
                 weights[self.query.root][alive_driver], batch_entries,
                 max_rows,
             )
-        grouped = self._grouped_children()
+        levels = self._expansion_levels()
         for begin, end in bounds:
-            yield self._expand_batch(alive_driver[begin:end], grouped,
+            yield self._expand_batch(alive_driver[begin:end], levels,
                                      kernels)
 
-    def _grouped_children(self):
-        """Per node: alive entries grouped (sorted) by parent pointer."""
-        grouped = {}
+    def _expansion_levels(self):
+        """One ``(relation, parent, entries, starts, counts)`` per joined
+        non-root node, in pre-order: its alive entries grouped by parent
+        entry, and where each parent entry's group starts in them and
+        how long it is.  ``parent_ptr`` is non-decreasing
+        (:meth:`add_node`), so the alive entries already are grouped."""
+        levels = []
         for relation in self._joined_preorder():
             if relation == self.query.root:
                 continue
             node = self.nodes[relation]
-            alive_idx = node.alive_indices()
-            sorter = np.argsort(node.parent_ptr[alive_idx], kind="stable")
-            sorted_entries = alive_idx[sorter]
-            sorted_parents = node.parent_ptr[sorted_entries]
-            parent_size = len(self.nodes[self.query.parent(relation)])
-            counts = np.bincount(sorted_parents, minlength=parent_size)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            grouped[relation] = (sorted_entries, starts, counts)
-        return grouped
-
-    def _expand_batch(self, driver_entries, grouped, kernels):
-        """Cross one batch of driver entries with every joined node."""
-        frame = {self.query.root: driver_entries}
-        for relation in self._joined_preorder():
-            if relation == self.query.root:
-                continue
-            parent_rel = self.query.parent(relation)
-            parent_entries = frame[parent_rel]
-            sorted_entries, starts, counts = grouped[relation]
-            per_tuple_counts = counts[parent_entries]
-            positions = kernels.concat_ranges(
-                starts[parent_entries], per_tuple_counts
+            parent = self.query.parent(relation)
+            entries = node.alive_indices()
+            counts = np.bincount(node.parent_ptr.take(entries),
+                                 minlength=len(self.nodes[parent]))
+            levels.append(
+                (relation, parent, entries, np.cumsum(counts) - counts, counts)
             )
-            frame = {
-                rel: kernels.repeat_rows(entries, per_tuple_counts)
-                for rel, entries in frame.items()
-            }
-            frame[relation] = sorted_entries[positions]
-        return {
-            rel: self.nodes[rel].rows[entries]
-            for rel, entries in frame.items()
-        }
+        return levels
+
+    def _expand_batch(self, driver_entries, levels, kernels):
+        """Cross one batch of driver entries with every joined node.
+
+        Each level fans the frame out once: ``kernels.fan_out`` returns
+        its lineage (output position → position in the previous frame)
+        and the positions of the child entries.  Only columns a later
+        level probes from are carried forward, by a gather through the
+        lineage; any other column is parked as ``rows`` at the size it
+        had.  At the end the lineages are composed from the last level
+        back, and each parked relation's ``rows`` is gathered once, at
+        final size.
+        """
+        last_probe = {parent: level
+                      for level, (_, parent, *_) in enumerate(levels)}
+        frame = {self.query.root: driver_entries}
+        parked = []  # (level, relation, rows sized before that level)
+        lineages = []
+        for level, (relation, parent, entries, starts, counts) in \
+                enumerate(levels):
+            parent_entries = frame[parent]
+            lineage, positions = kernels.fan_out(starts.take(parent_entries),
+                                                 counts.take(parent_entries))
+            lineages.append(lineage)
+            carried = {}
+            for rel, column in frame.items():
+                if last_probe.get(rel, -1) > level:
+                    carried[rel] = column.take(lineage)
+                else:
+                    parked.append(
+                        (level, rel, self.nodes[rel].rows.take(column)))
+            carried[relation] = entries.take(positions)
+            frame = carried
+        out = {rel: self.nodes[rel].rows.take(column)
+               for rel, column in frame.items()}
+        pointer = None  # final position -> position before ``lineages``
+        for level, rel, rows in reversed(parked):
+            while len(lineages) > level:
+                lineage = lineages.pop()
+                pointer = lineage if pointer is None else lineage.take(pointer)
+            out[rel] = rows.take(pointer)
+        return {rel: out[rel]
+                for rel in (self.query.root, *(level[0] for level in levels))}
 
     def expand_all(self):
         """Materialize the full flat result as ``{relation: rows}``."""

@@ -1,15 +1,16 @@
 """The execution-kernel layer: vectorized data plane, interpreted oracle.
 
 Every data-plane primitive the engine executes per tuple batch — hash
-probes, semi-join membership tests, bitvector probes, match expansion
-(repeat / range concatenation), residual-predicate key comparison, and
+probes, semi-join membership tests, bitvector probes, the fan-out of a
+join step (one lineage pointer per step; every other column follows by
+a gather through it), residual-predicate key comparison, and
 base-row-id gather/remap — is routed through a *kernel object* so the
 whole data plane can be swapped as a unit:
 
 * :class:`VectorizedKernels` (the default) delegates to the NumPy
   implementations that live with their data structures
   (:meth:`~repro.storage.hashindex.HashIndex.lookup`, ``np.repeat``,
-  :func:`~repro.storage.hashindex.concat_ranges`,
+  :func:`~repro.storage.hashindex.fan_out`,
   :func:`~repro.core.cyclic.exact_equal`, ...) — array in, array out,
   no per-tuple interpreter work;
 * :class:`InterpretedKernels` is the pure-Python tuple-at-a-time
@@ -45,7 +46,7 @@ import weakref
 
 import numpy as np
 
-from ..storage.hashindex import concat_ranges as _np_concat_ranges
+from ..storage.hashindex import fan_out as _np_fan_out
 
 __all__ = [
     "EXECUTION_CHOICES",
@@ -142,7 +143,8 @@ class VectorizedKernels:
 
     def lookup(self, index, keys):
         """Probe a key batch; a result with ``counts`` / ``matched_mask``
-        / ``matching_rows()`` grouped per probe key in probe order."""
+        / ``matching_rows()`` grouped per probe key in probe order, and
+        ``fan_out()`` — those matches with their probe positions."""
         return index.lookup(keys)
 
     def contains(self, index, keys):
@@ -154,13 +156,16 @@ class VectorizedKernels:
         return bitvector.might_contain(keys)
 
     def repeat_rows(self, values, counts):
-        """``values`` repeated elementwise ``counts`` times (the frame
-        fan-out of one join step)."""
+        """``values`` repeated elementwise ``counts`` times (over
+        ``arange(len(counts))``, the lineage half of :meth:`fan_out`)."""
         return np.repeat(values, counts)
 
-    def concat_ranges(self, starts, lengths):
-        """Concatenated ``arange(s, s + l)`` ranges (match expansion)."""
-        return _np_concat_ranges(starts, lengths)
+    def fan_out(self, starts, counts):
+        """``(lineage, positions)`` of the ranges ``arange(s, s + c)``:
+        the concatenated ranges, and per output position the range it
+        came from (one join step's fan-out; see
+        :func:`~repro.storage.hashindex.fan_out`)."""
+        return _np_fan_out(starts, counts)
 
     def find_positions_exact(self, sorted_unique, values):
         """Position of each value under exact numeric-key semantics.
@@ -260,8 +265,9 @@ class _InterpretedLookup:
 
     Same surface as :class:`~repro.storage.hashindex.LookupResult`:
     ``counts`` aligned with the probe batch, ``matched_mask``,
-    ``total_matches()`` and ``matching_rows()`` (flattened matches
-    grouped per probe key, in probe order).
+    ``total_matches()``, ``matching_rows()`` (flattened matches grouped
+    per probe key, in probe order) and ``fan_out()`` (those matches
+    with the probe position each one matched).
     """
 
     __slots__ = ("counts", "_groups")
@@ -281,10 +287,16 @@ class _InterpretedLookup:
         return int(self.counts.sum())
 
     def matching_rows(self):
-        out = []
-        for rows in self._groups:
-            out.extend(rows)
-        return np.asarray(out, dtype=np.int64)
+        return self.fan_out()[1]
+
+    def fan_out(self):
+        lineage = []
+        matches = []
+        for position, rows in enumerate(self._groups):
+            lineage.extend([position] * len(rows))
+            matches.extend(rows)
+        return (np.asarray(lineage, dtype=np.int64),
+                np.asarray(matches, dtype=np.int64))
 
 
 class InterpretedKernels:
@@ -389,12 +401,15 @@ class InterpretedKernels:
             out.extend([value] * count)
         return np.asarray(out, dtype=values.dtype)
 
-    def concat_ranges(self, starts, lengths):
-        out = []
-        for start, length in zip(np.asarray(starts).tolist(),
-                                 np.asarray(lengths).tolist()):
-            out.extend(range(start, start + length))
-        return np.asarray(out, dtype=np.int64)
+    def fan_out(self, starts, counts):
+        lineage = []
+        positions = []
+        for position, (start, count) in enumerate(zip(
+                np.asarray(starts).tolist(), np.asarray(counts).tolist())):
+            lineage.extend([position] * count)
+            positions.extend(range(start, start + count))
+        return (np.asarray(lineage, dtype=np.int64),
+                np.asarray(positions, dtype=np.int64))
 
     def find_positions_exact(self, sorted_unique, values):
         # Python numeric equality is exact across int/float/bool (no

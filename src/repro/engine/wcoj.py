@@ -65,6 +65,7 @@ import numpy as np
 from ..modes import ExecutionMode
 from ..storage.hashindex import HashIndex
 from .executor import BudgetExceededError, ExecutionCounters, ExecutionResult
+from .factorized import _weight_bounded_batches
 from .kernels import get_kernels, resolve_execution
 
 __all__ = [
@@ -499,10 +500,7 @@ def execute_wcoj(
                 counts = (step.offsets.take(groups + 1) - starts).astype(
                     np.int64
                 )
-                positions = kernels.concat_ranges(starts, counts)
-                spread = kernels.repeat_rows(
-                    np.arange(len(parent), dtype=np.int64), counts
-                )
+                spread, positions = kernels.fan_out(starts, counts)
                 rank = step.ranks[positions]
                 parent = parent[spread]
                 new_groups = {
@@ -608,37 +606,25 @@ def execute_wcoj(
 
     output_size = 0
     collected = [] if collect_output else None
-    begin = 0
-    while begin < width:
-        end = begin + 1
-        batch_rows = weights[begin]
-        while (
-            end < width
-            and end - begin < expansion_batch
-            and batch_rows + weights[end] <= 4_000_000
-        ):
-            batch_rows += weights[end]
-            end += 1
-        chunk = slice(begin, end)
+    for begin, end in _weight_bounded_batches(weights, expansion_batch,
+                                              4_000_000):
         frame = {}
         pointer = np.arange(end - begin, dtype=np.int64)
         for rel in expansion_order:
-            group_keys = frontier[rel][chunk][pointer]
+            group_keys = frontier[rel][begin:end][pointer]
             counters.count_hash_probes(rel, len(group_keys))
-            lookup = kernels.lookup(chains[rel].rows, group_keys)
-            matches = lookup.matching_rows()
-            for other in frame:
-                frame[other] = kernels.repeat_rows(
-                    frame[other], lookup.counts
-                )
-            pointer = kernels.repeat_rows(pointer, lookup.counts)
+            lineage, matches = kernels.lookup(
+                chains[rel].rows, group_keys
+            ).fan_out()
+            frame = {other: rows.take(lineage)
+                     for other, rows in frame.items()}
             frame[rel] = matches
+            pointer = pointer.take(lineage)
             counters.tuples_generated += len(matches)
             counters.note_intermediate(len(matches))
         output_size += len(pointer)
         if collected is not None and len(pointer):
             collected.append(frame)
-        begin = end
 
     output_rows = None
     if collect_output:

@@ -50,17 +50,39 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HashIndex", "LookupResult", "concat_ranges"]
+__all__ = ["HashIndex", "LookupResult", "concat_ranges", "fan_out"]
 
 #: integer keys must lie strictly inside ``(-2**62, 2**62)`` for the
 #: direct-address shift ``key - lo`` to be exact in 64-bit arithmetic
 _SHIFT_EXACT_LIMIT = 2**62
 
 
+def fan_out(starts, counts):
+    """``(lineage, positions)`` of the ranges ``arange(s, s + c)``.
+
+    The one fan-out of a join step: ``positions`` concatenates the
+    ranges (what :func:`concat_ranges` returns) and ``lineage[p]`` is
+    the range output position ``p`` came from — the input row it
+    repeats.  Every other column of the step then follows by a gather
+    through ``lineage``, so the step pays a single ``np.repeat``.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    lineage = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    # output position p of range i holds starts[i] + (p - first
+    # position of range i)
+    shift = starts - (np.cumsum(counts) - counts)
+    positions = shift.take(lineage)
+    positions += np.arange(len(lineage), dtype=np.int64)
+    return lineage, positions
+
+
 def concat_ranges(starts, lengths):
     """Concatenate ``[arange(s, s + l) for s, l in zip(starts, lengths)]``.
 
-    Fully vectorized; the workhorse of match expansion.
+    Fully vectorized; :meth:`LookupResult.matching_rows` uses it where
+    only the matches are wanted, and :func:`fan_out` is the variant that
+    also says which range each position came from.
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -132,6 +154,13 @@ class LookupResult:
         Keys with no match contribute nothing.
         """
         return self._order[concat_ranges(self._starts, self.counts)]
+
+    def fan_out(self):
+        """``(lineage, matches)``: :meth:`matching_rows` plus, per
+        match, the position of the probe key it matched (see
+        :func:`fan_out`)."""
+        lineage, positions = fan_out(self._starts, self.counts)
+        return lineage, self._order.take(positions)
 
 
 class HashIndex:

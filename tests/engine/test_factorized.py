@@ -41,6 +41,17 @@ class TestStructure:
         with pytest.raises(ValueError, match="already joined"):
             result.add_node("B", np.asarray([1]), np.asarray([0]))
 
+    def test_decreasing_parent_ptr_rejected(self, chain_query):
+        """Expansion reads each parent entry's children as one run, so
+        entries must arrive grouped by parent entry in parent order."""
+        result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
+        with pytest.raises(ValueError, match="parent_ptr of 'B' decreases"):
+            result.add_node("B", rows=np.asarray([10, 11, 12]),
+                            parent_ptr=np.asarray([0, 2, 1]))
+        assert "B" not in result.nodes
+        result.add_node("B", rows=np.asarray([10, 11, 12]),
+                        parent_ptr=np.asarray([0, 2, 2]))
+
     def test_total_entries(self, chain_query):
         result = make_two_level(chain_query)
         assert result.total_entries() == 6
@@ -107,9 +118,7 @@ class TestCountingAndExpansion:
                 for rel in full
             }
             for rel in full:
-                assert sorted(combined[rel].tolist()) == sorted(
-                    full[rel].tolist()
-                )
+                assert combined[rel].tolist() == full[rel].tolist()
 
     def test_expand_max_rows_bounds_batches(self, chain_query):
         result = make_two_level(chain_query)

@@ -22,7 +22,7 @@ from repro.engine.kernels import (
     resolve_execution,
 )
 from repro.engine.wcoj import _positions
-from repro.storage.hashindex import HashIndex
+from repro.storage.hashindex import HashIndex, concat_ranges
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 from tests.properties.test_prop_index_layouts import SortedLayoutIndex
@@ -78,6 +78,11 @@ def _assert_lookup_agreement(index, probes):
     assert vect.matched_mask.tolist() == interp.matched_mask.tolist()
     assert vect.total_matches() == interp.total_matches()
     assert vect.matching_rows().tolist() == interp.matching_rows().tolist()
+    # fan_out(): the same matches, each with the probe position it matched
+    lineage = np.repeat(np.arange(len(probes)), vect.counts).tolist()
+    for result in (vect, interp):
+        assert result.fan_out()[0].tolist() == lineage
+        assert result.fan_out()[1].tolist() == vect.matching_rows().tolist()
     assert VECTORIZED.contains(index, probes).tolist() == \
         INTERPRETED.contains(index, probes).tolist()
 
@@ -236,12 +241,28 @@ def test_repeat_rows_agreement():
     assert got.dtype == expected.dtype
 
 
-def test_concat_ranges_agreement():
-    starts = np.asarray([4, 0, 10], dtype=np.int64)
-    lengths = np.asarray([2, 0, 3], dtype=np.int64)
-    expected = [4, 5, 10, 11, 12]
-    assert VECTORIZED.concat_ranges(starts, lengths).tolist() == expected
-    assert INTERPRETED.concat_ranges(starts, lengths).tolist() == expected
+@pytest.mark.parametrize("starts, counts, lineage, positions", [
+    # zero-length runs between real ones
+    ([4, 0, 10, 7, 2], [2, 0, 3, 0, 1], [0, 0, 2, 2, 2, 4],
+     [4, 5, 10, 11, 12, 2]),
+    ([3, 9], [0, 0], [], []),  # all-zero counts
+    ([], [], [], []),  # empty input
+], ids=["zero_runs_between", "all_zero", "empty"])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16],
+                         ids=["int64", "narrow_offsets"])
+def test_fan_out_agreement(starts, counts, lineage, positions, dtype):
+    """Both planes return the same ``(lineage, positions)``: positions
+    are the concatenated ranges ``concat_ranges`` answers, lineage the
+    range each position came from (narrow unsigned starts are how the
+    wcoj CSR offsets arrive)."""
+    starts = np.asarray(starts, dtype=dtype)
+    counts = np.asarray(counts, dtype=np.int64)
+    assert concat_ranges(starts, counts).tolist() == positions
+    for kernels in (VECTORIZED, INTERPRETED):
+        got_lineage, got_positions = kernels.fan_out(starts, counts)
+        assert got_lineage.tolist() == lineage
+        assert got_positions.tolist() == positions
+        assert got_lineage.dtype == got_positions.dtype == np.int64
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import JoinEdge, JoinQuery
 from repro.engine import FactorizedResult
+from repro.engine.kernels import INTERPRETED, VECTORIZED
 
 
 @st.composite
@@ -33,6 +34,38 @@ def random_factorized(draw):
     result.add_node("C", rows_c, ptr_c)
     rows_d, ptr_d = attach(n_a, 2)
     result.add_node("D", rows_d, ptr_d)
+    return result
+
+
+@st.composite
+def chain_plus_branch(draw):
+    """A random 4-level chain ``A -> B -> C -> D`` plus the branch
+    ``A -> E``, with randomly dead entries (left un-propagated) and
+    possibly empty nodes.
+
+    Expansion crosses B, C, D, E in that order, so B leaves the carried
+    frame at D's level and A, C, D at E's — before the last level.
+    """
+    query = JoinQuery("A", [
+        JoinEdge("A", "B", "k", "k"),
+        JoinEdge("B", "C", "j", "j"),
+        JoinEdge("C", "D", "i", "i"),
+        JoinEdge("A", "E", "h", "h"),
+    ])
+    sizes = {"A": draw(st.integers(1, 5))}
+    result = FactorizedResult(query, 100 * np.arange(sizes["A"]) + 7)
+    for relation, parent in (("B", "A"), ("C", "B"), ("D", "C"), ("E", "A")):
+        parent_ptr = [p for p in range(sizes[parent])
+                      for _ in range(draw(st.integers(0, 3)))]
+        sizes[relation] = len(parent_ptr)
+        rows = 1000 * (ord(relation) - ord("A")) + np.arange(len(parent_ptr))
+        result.add_node(relation, rows, parent_ptr)
+    for relation in result.joined:
+        node = result.node(relation)
+        # about one entry in four dead
+        node.alive[:] = draw(st.lists(st.sampled_from([True, True, True,
+                                                       False]),
+                                      min_size=len(node), max_size=len(node)))
     return result
 
 
@@ -68,18 +101,39 @@ def test_expand_matches_count(result):
     assert len(flat["A"]) == result.count_rows()
 
 
+def flat_tuples(batches, relations):
+    """The tuples of expansion batches, in order."""
+    return [tuple(int(batch[rel][i]) for rel in relations)
+            for batch in batches for i in range(len(batch[relations[0]]))]
+
+
 @given(result=random_factorized(), batch=st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
 def test_expansion_batch_invariance(result, batch):
     full = result.expand_all()
     batches = list(result.expand(batch_entries=batch))
-    if batches:
-        combined = np.concatenate([b["A"] for b in batches])
-    else:
-        combined = np.empty(0, dtype=np.int64)
-    assert len(combined) == len(full["A"])
-    # Batch order preserves the driver grouping: sorted comparison.
-    assert sorted(combined.tolist()) == sorted(full["A"].tolist())
+    assert flat_tuples(batches, result.joined) == \
+        flat_tuples([full], result.joined)
+
+
+@given(result=chain_plus_branch(), batch=st.integers(1, 4),
+       max_rows=st.none() | st.integers(1, 12),
+       kernels=st.sampled_from([VECTORIZED, INTERPRETED]))
+@settings(max_examples=80, deadline=None)
+def test_expand_matches_depth_first_in_order(result, batch, max_rows,
+                                             kernels):
+    """Batched breadth-first expansion equals the tuple-at-a-time
+    depth-first walk tuple for tuple, in order, on both kernel planes —
+    dead entries, empty nodes and relations that leave the carried
+    frame before the last level included."""
+    relations = result.query.preorder()
+    batches = list(result.expand(batch_entries=batch, max_rows=max_rows,
+                                 kernels=kernels))
+    assert all(list(b) == relations for b in batches)
+    assert flat_tuples(batches, relations) == [
+        tuple(row[rel] for rel in relations)
+        for row in result.expand_depth_first()
+    ]
 
 
 @given(result=random_factorized(), max_rows=st.integers(1, 10))

@@ -519,3 +519,49 @@ def test_product_reads_no_benchmark_files_exempts_docstrings(synthetic_repo):
         "    return 'exhaustive' if n <= 12 else 'idp'\n"
     )
     assert run_all(load_linter(synthetic_repo)) == []
+
+
+def test_one_fanout_per_step_allows_lineage_gathers(synthetic_repo):
+    src = synthetic_repo / "src" / "repro"
+    (src / "engine" / "factorized.py").write_text(
+        "def _expand_batch(self, driver_entries, levels, kernels):\n"
+        "    frame = {self.query.root: driver_entries}\n"
+        "    for relation, parent, entries, starts, counts in levels:\n"
+        "        lineage, positions = kernels.fan_out(\n"
+        "            starts.take(frame[parent]), counts.take(frame[parent]))\n"
+        "        frame = {rel: column.take(lineage)\n"
+        "                 for rel, column in frame.items()}\n"
+        "        frame[relation] = entries.take(positions)\n"
+        "    return frame\n"
+    )
+    # the storage layer's match-only range expansion stays legal
+    _hash_index_path(synthetic_repo).write_text(
+        HASH_INDEX_SOURCE
+        + "def matching_rows(order, starts, counts):\n"
+        "    return order[concat_ranges(starts, counts)]\n"
+    )
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
+def test_one_fanout_per_step_fires_on_repeat_all(synthetic_repo):
+    # the expansion that re-repeated every column built so far per level
+    (synthetic_repo / "src" / "repro" / "engine" / "factorized.py").write_text(
+        "def _expand_batch(self, driver_entries, grouped, kernels):\n"
+        "    frame = {self.query.root: driver_entries}\n"
+        "    for relation in self._joined_preorder()[1:]:\n"
+        "        parent_entries = frame[self.query.parent(relation)]\n"
+        "        sorted_entries, starts, counts = grouped[relation]\n"
+        "        per_tuple_counts = counts[parent_entries]\n"
+        "        positions = kernels.concat_ranges(\n"
+        "            starts[parent_entries], per_tuple_counts)\n"
+        "        frame = {\n"
+        "            rel: kernels.repeat_rows(entries, per_tuple_counts)\n"
+        "            for rel, entries in frame.items()\n"
+        "        }\n"
+        "        frame[relation] = sorted_entries[positions]\n"
+        "    return frame\n"
+    )
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["ONE_FANOUT_PER_STEP"] * 2
+    assert sorted(f.message.split("(")[0] for f in findings) == [
+        "concat_ranges", "repeat_rows"]

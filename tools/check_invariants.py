@@ -99,6 +99,17 @@ WCOJ_BUILD_ONCE
     ``Catalog.table_structure`` runs on a cache miss — a build in the
     body runs again on every execution.
 
+ONE_FANOUT_PER_STEP
+    A join step or expansion level pays one ``np.repeat``, into a
+    lineage pointer (``kernels.fan_out`` / ``LookupResult.fan_out``);
+    every other column at that step is a gather through it.  So under
+    ``src/repro/engine`` (``kernels.py``, which implements the planes,
+    exempt) no ``repeat_rows(...)`` call sits inside a comprehension or
+    a loop body — that is one repeat per column — and no module but
+    ``storage/hashindex.py`` calls ``concat_ranges(...)`` (import
+    aliases followed): the engine takes ranges from the fan-out, which
+    returns the lineage with them.
+
 PLAN_FIELD_SINGLE_DECLARATION
     A plan field is declared once, as a ``PlanSpec`` field whose
     ``_spec_field(role, ...)`` states its role (``anchor`` /
@@ -570,6 +581,56 @@ def check_wcoj_build_once():
     ]
 
 
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def _in_loop(node):
+    """Whether ``node`` runs once per iteration of an enclosing loop or
+    comprehension of its own function (a ``for`` loop's iterable runs
+    once and does not count)."""
+    child, current = node, getattr(node, "_parent", None)
+    while current is not None and not isinstance(
+            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(current, _LOOPS) and not (
+                isinstance(current, (ast.For, ast.AsyncFor))
+                and child is current.iter):
+            return True
+        child, current = current, getattr(current, "_parent", None)
+    return False
+
+
+def check_one_fanout_per_step():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = _attach_parents(_parse(path))
+        ranges = {"concat_ranges"} | {
+            alias.asname for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name == "concat_ranges" and alias.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node)
+            if name in ranges and rel != "storage/hashindex.py":
+                message = (f"{name}(...) outside storage/hashindex.py — "
+                           "take ranges from kernels.fan_out / "
+                           "LookupResult.fan_out, which return the lineage "
+                           "every other column gathers through")
+            elif name == "repeat_rows" and rel.startswith("engine/") \
+                    and rel != "engine/kernels.py" and _in_loop(node):
+                message = ("repeat_rows(...) inside a loop or comprehension "
+                           "— one repeat per column; fan out once into a "
+                           "lineage pointer and gather the other columns")
+            else:
+                continue
+            findings.append(Finding("ONE_FANOUT_PER_STEP",
+                                    path.relative_to(REPO), node.lineno,
+                                    message))
+    return findings
+
+
 def _class_fields(tree, class_name):
     """``{name: AnnAssign}`` of a class body's annotated fields."""
     return next(({item.target.id: item for item in node.body
@@ -687,6 +748,7 @@ CHECKS = (
     check_cost_floor_single_producer,
     check_wcoj_priced_once,
     check_wcoj_build_once,
+    check_one_fanout_per_step,
     check_plan_field_single_declaration,
     check_product_reads_no_benchmark_files,
     check_readme_knob_table,
