@@ -24,6 +24,13 @@ This module implements:
   (semi-join variants are delegated to
   :mod:`repro.core.costmodel_sj`).
 
+Survival and Eq. (1) have one implementation each (:func:`_survival`,
+:func:`_eq1_probes`), over integer relation masks and the per-(query,
+stats, eps) tables of a :class:`CostMemo`; the order searches of
+:mod:`repro.core.optimizer` and every set- or order-taking entry point
+here read them, so a plan priced after a search hits the tables the
+search filled and gets the same float.
+
 All formulas assume the paper's uniformity and independence
 assumptions, plus the constant-fanout simplification (every matching
 tuple has exactly ``fo`` matches); Section 5.6 / Figure 15 evaluates the
@@ -32,9 +39,15 @@ impact of that simplification empirically.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from ..modes import ExecutionMode
+
+if TYPE_CHECKING:
+    from .query import JoinQuery
+    from .stats import QueryStats
 
 __all__ = [
     "CostMemo",
@@ -77,9 +90,9 @@ class PlanCost:
     semijoin_probes: float = 0.0
     tuples_generated: float = 0.0
     #: expected probes into each relation's hash table, by relation name
-    hash_probes_by_relation: dict = field(default_factory=dict)
+    hash_probes_by_relation: dict[str, float] = field(default_factory=dict)
 
-    def total(self, weights=CostWeights()):
+    def total(self, weights: CostWeights = CostWeights()) -> float:
         """Scalar cost under the given operation weights."""
         return (
             weights.hash_probe * self.hash_probes
@@ -88,7 +101,7 @@ class PlanCost:
             + weights.tuple_generation * self.tuples_generated
         )
 
-    def add(self, other):
+    def add(self, other: PlanCost) -> PlanCost:
         """Accumulate another PlanCost into this one (in place)."""
         self.hash_probes += other.hash_probes
         self.bitvector_probes += other.bitvector_probes
@@ -105,143 +118,200 @@ class PlanCost:
 # Survival probabilities and Equation (1)
 # ----------------------------------------------------------------------
 
+#: ``(name, bit)`` pairs, in a relation's declared child order
+Children = tuple[tuple[str, int], ...]
+
 
 class CostMemo:
-    """Memoization tables for repeated survival / Eq. (1) evaluations.
+    """Static tables and subset memos for one (query, stats, eps).
 
-    The exhaustive optimizer (Algorithm 1) evaluates ``_survival`` and
-    ``_eq1_probes`` for overlapping joined sets across the DP's
-    ``O(2^n)`` subsets; both quantities are pure functions of the
-    *subset* (not the order), so a DP table over relation subsets
-    eliminates the re-costing.  Subsets are encoded as integer
-    bitmasks (one bit per relation, pseudo bitvector nodes included
-    lazily) to keep key construction cheap.  A memo is only valid for
-    one fixed (query, stats, eps) combination — the optimizer creates a
-    fresh one per invocation.
+    Algorithm 1 evaluates :func:`_survival` and :func:`_eq1_probes` for
+    overlapping joined sets across the DP's ``O(2^n)`` subsets; both
+    are pure functions of the *subset* (not the order), so they are
+    tabulated by subset.  A subset is an integer bitmask, one bit per
+    relation in pre-order.  Bitvector pseudo nodes (Section 3.5) are a
+    second mask over the same bits — the checked-but-unjoined
+    relations — so survival is keyed ``(node, joined & subtree,
+    pseudo & subtree)`` (a node's survival reads only its own subtree)
+    and Eq. (1) ``(parent, joined, pseudo)``.
 
-    ``_survival`` for a node depends only on the membership restricted
-    to that node's subtree (plus pseudo bitvector nodes attached inside
-    it), so its keys are masked by the subtree for maximal reuse.
+    Everything else the costing reads is derived once, here: the
+    tree's bits, parent bits, declared-order children and subtree
+    masks; per possible Eq. (1) parent, the root-to-parent path steps;
+    per relation ``m``, ``fo``, ``m * fo``, probe cost, ``min(m + eps,
+    1)`` and the ascending-``m`` order its children's bitvectors are
+    checked in.  The tables are only valid for the (query, stats, eps)
+    the memo was built for; the cost functions refuse a memo built for
+    another.
     """
 
-    __slots__ = ("bit", "subtree_mask", "survival", "eq1", "frontier",
-                 "parent_of", "non_root", "m_eff", "selprod", "reduction")
+    __slots__ = (
+        "query", "stats", "eps", "root", "driver_size", "bit",
+        "parent_of", "non_root", "children", "subtree_mask", "path_steps",
+        "m", "fo", "mfo", "probe_cost", "m_eff", "check_order",
+        "survival", "eq1", "frontier", "selprod", "reduction",
+    )
 
-    def __init__(self, query):
-        self.bit = {}
-        for name in query.preorder():
-            self.bit[name] = 1 << len(self.bit)
-        self.subtree_mask = {}
+    def __init__(self, query: JoinQuery, stats: QueryStats,
+                 eps: float = 0.01) -> None:
+        self.query = query
+        self.stats = stats
+        self.eps = eps
+        root = self.root = query.root
+        self.driver_size: float = stats.driver_size
+        self.bit: dict[str, int] = {
+            name: 1 << index for index, name in enumerate(query.preorder())
+        }
+        bit = self.bit
+        self.parent_of: dict[str, str] = {
+            edge.child: edge.parent for edge in query.edges
+        }
+        #: ``(name, bit, parent bit)`` per non-root relation, in declared
+        #: edge order — the candidate order of every search
+        self.non_root: tuple[tuple[str, int, int], ...] = tuple(
+            (edge.child, bit[edge.child], bit[edge.parent])
+            for edge in query.edges
+        )
+        self.children: dict[str, Children] = {
+            name: tuple((child, bit[child]) for child in query.children(name))
+            for name in bit
+        }
+        self.subtree_mask: dict[str, int] = {}
         for node in query.postorder():
-            mask = self.bit[node]
-            for child in query.children(node):
+            mask = bit[node]
+            for child, _ in self.children[node]:
                 mask |= self.subtree_mask[child]
             self.subtree_mask[node] = mask
-        self.survival = {}
-        self.eq1 = {}
-        #: joined-set mask -> (pseudo, pseudo_children); used by the
-        #: optimizer's BVP costing (the frontier depends only on the set)
-        self.frontier = {}
-        # Static structure tables so hot per-subset loops avoid method
-        # calls (measurable on 50+-relation beam/IDP searches).
-        self.parent_of = {edge.child: edge.parent for edge in query.edges}
-        self.non_root = tuple(query.non_root_relations)
-        #: relation -> min(m + eps, 1.0); lazily filled (one eps per memo)
-        self.m_eff = {}
-        #: joined-set mask -> prod of selectivities over the set
-        self.selprod = {}
+        # the root takes part in the survival recursion as m = fo = 1
+        self.m: dict[str, float] = {root: 1.0}
+        self.fo: dict[str, float] = {root: 1.0}
+        self.mfo: dict[str, float] = {}
+        self.probe_cost: dict[str, float] = {}
+        self.m_eff: dict[str, float] = {}
+        for name in self.parent_of:
+            m, fo = stats.m(name), stats.fo(name)
+            self.m[name], self.fo[name] = m, fo
+            self.mfo[name] = m * fo
+            self.probe_cost[name] = stats.probe_cost(name)
+            self.m_eff[name] = min(m + eps, 1.0)
+        self.check_order: dict[str, tuple[str, ...]] = {
+            name: tuple(sorted((child for child, _ in children),
+                               key=self.m.__getitem__))
+            for name, children in self.children.items()
+        }
+        #: possible Eq. (1) parent -> one ``(m * fo or None for the root,
+        #: off-path children)`` step per node on the root-to-parent path
+        self.path_steps: dict[
+            str, tuple[tuple[float | None, Children], ...]
+        ] = {}
+        for parent in query.internal_relations():
+            path = list(reversed(query.path_to_root(parent)))
+            steps: list[tuple[float | None, Children]] = []
+            for depth, node in enumerate(path):
+                on_path = path[depth + 1] if depth + 1 < len(path) else None
+                steps.append((
+                    None if node == root else self.mfo[node],
+                    tuple(pair for pair in self.children[node]
+                          if pair[0] != on_path),
+                ))
+            self.path_steps[parent] = tuple(steps)
+        self.survival: dict[tuple[str, int, int], float] = {}
+        self.eq1: dict[tuple[str, int, int], float] = {}
+        #: joined mask -> (pseudo mask, ((bit, m_eff), ...) in declared
+        #: order): the BVP precedence frontier, filled by the optimizer
+        self.frontier: dict[int, tuple[int, tuple[tuple[int, float], ...]]] = {}
+        #: joined mask -> prod of selectivities over the set
+        self.selprod: dict[int, float] = {}
         #: the SJ phase-1 pass (``reduction_ratios``), shared by SJ+STD
         #: and SJ+COM; filled by :func:`repro.core.optimizer.optimize_sj`
-        self.reduction = None
-
-    def mask_of(self, names):
-        """Bitmask of a collection of node names (new bits on demand)."""
-        bit = self.bit
-        mask = 0
-        for name in names:
-            value = bit.get(name)
-            if value is None:
-                value = bit[name] = 1 << len(bit)
-            mask |= value
-        return mask
-
-    def pseudo_submask(self, pseudo, subtree_mask):
-        """Mask of pseudo nodes whose parent lies inside ``subtree_mask``."""
-        bit = self.bit
-        mask = 0
-        for name, (parent, _) in pseudo.items():
-            if bit[parent] & subtree_mask:
-                value = bit.get(name)
-                if value is None:
-                    value = bit[name] = 1 << len(bit)
-                mask |= value
-        return mask
+        self.reduction: Any = None
 
 
-def _node_m(query, stats, node, pseudo):
-    if node == query.root:
-        return 1.0
-    if node in pseudo:
-        return pseudo[node][1]
-    return stats.m(node)
+def _memo_for(query: JoinQuery, stats: QueryStats, memo: CostMemo | None,
+              eps: float | None = None) -> CostMemo:
+    """``memo``, checked against (query, stats, eps), or a fresh one.
 
-
-def _node_fo(query, stats, node, pseudo):
-    if node == query.root:
-        return 1.0
-    if node in pseudo:
-        return 1.0
-    return stats.fo(node)
-
-
-def _children_in(query, node, members, pseudo_children):
-    """Children of ``node`` restricted to ``members``, plus pseudo ones."""
-    real = [c for c in query.children(node) if c in members]
-    return real + pseudo_children.get(node, [])
-
-
-def _survival(query, stats, node, members, pseudo, pseudo_children,
-              memo=None, members_mask=None):
-    """``m_T`` for the subtree rooted at ``node`` restricted to members.
-
-    ``members_mask`` is the :class:`CostMemo` bitmask of ``members``
-    (computed by the caller so the recursion does not rebuild it).
+    ``eps=None``: the caller reads no eps-dependent table, so a memo
+    built for any eps serves.
     """
-    if node in pseudo:
-        # Bitvector pseudo-nodes are fanout-1 leaves (Section 3.5).
-        return pseudo[node][1]
-    key = None
-    if memo is not None:
-        if members_mask is None:
-            members_mask = memo.mask_of(members)
-        subtree = memo.subtree_mask[node]
-        key = (
-            node,
-            members_mask & subtree,
-            memo.pseudo_submask(pseudo, subtree) if pseudo else 0,
+    if memo is None:
+        return CostMemo(query, stats, 0.01 if eps is None else eps)
+    if memo.query is not query or memo.stats is not stats or (
+            eps is not None and memo.eps != eps):
+        raise ValueError(
+            "CostMemo was built for a different (query, stats, eps)"
         )
-        cached = memo.survival.get(key)
-        if cached is not None:
-            return cached
-    children = _children_in(query, node, members, pseudo_children)
-    m = _node_m(query, stats, node, pseudo)
-    if not children:
-        result = m
-    else:
-        child_product = 1.0
-        for child in children:
-            child_product *= _survival(
-                query, stats, child, members, pseudo, pseudo_children,
-                memo, members_mask
-            )
-        fo = _node_fo(query, stats, node, pseudo)
-        result = m * (1.0 - (1.0 - child_product) ** fo)
-    if key is not None:
-        memo.survival[key] = result
+    return memo
+
+
+def _survival(memo: CostMemo, node: str, joined: int, pseudo: int) -> float:
+    """``m_T`` for the subtree rooted at the joined relation ``node``.
+
+    Children multiply in the one canonical order: joined children in
+    declared order, then pseudo children (bitvector checks, Section 3.5:
+    fanout-1 leaves surviving with ``min(m + eps, 1)``) in declared
+    order.
+    """
+    subtree = memo.subtree_mask[node]
+    below = pseudo & subtree
+    key = (node, joined & subtree, below)
+    cached = memo.survival.get(key)
+    if cached is not None:
+        return cached
+    children = memo.children[node]
+    product = 1.0
+    found = False
+    for child, child_bit in children:
+        if joined & child_bit:
+            product *= _survival(memo, child, joined, pseudo)
+            found = True
+    if below:
+        m_eff = memo.m_eff
+        for child, child_bit in children:
+            if pseudo & child_bit:
+                product *= m_eff[child]
+                found = True
+    m = memo.m[node]
+    result = m * (1.0 - (1.0 - product) ** memo.fo[node]) if found else m
+    memo.survival[key] = result
     return result
 
 
-def survival_probability(query, stats, members, subtree_root=None):
+def _eq1_probes(memo: CostMemo, parent: str, joined: int,
+                pseudo: int) -> float:
+    """Equation (1): expected probes into a new child of ``parent``.
+
+    ``joined`` is the mask of already-joined relations (the connected
+    prefix, always containing the root), ``pseudo`` the mask of
+    checked-but-unjoined relations whose bitvectors act as fanout-1
+    filters (Section 3.5; ``0`` without bitvectors).  Fanouts multiply
+    along the root->parent path; every branch hanging off a path node
+    contributes its survival probability — joined branches in declared
+    order, then pseudo ones in declared order, at each node.
+    """
+    key = (parent, joined, pseudo)
+    cached = memo.eq1.get(key)
+    if cached is not None:
+        return cached
+    m_eff = memo.m_eff
+    probes = memo.driver_size
+    for mfo, off_path in memo.path_steps[parent]:
+        if mfo is not None:
+            probes *= mfo
+        for child, child_bit in off_path:
+            if joined & child_bit:
+                probes *= _survival(memo, child, joined, pseudo)
+        if pseudo:
+            for child, child_bit in off_path:
+                if pseudo & child_bit:
+                    probes *= m_eff[child]
+    memo.eq1[key] = probes
+    return probes
+
+
+def survival_probability(query: JoinQuery, stats: QueryStats,
+                         members: Collection[str],
+                         subtree_root: str | None = None) -> float:
     """``m_T`` for the connected node set ``members``.
 
     ``members`` must form a connected subtree; ``subtree_root`` defaults
@@ -252,72 +322,33 @@ def survival_probability(query, stats, members, subtree_root=None):
     root = subtree_root if subtree_root is not None else query.root
     if root not in members:
         raise ValueError(f"subtree root {root!r} not in members {sorted(members)}")
-    return _survival(query, stats, root, members, {}, {})
+    memo = CostMemo(query, stats)
+    return _survival(memo, root, sum(memo.bit[name] for name in members), 0)
 
 
-def _eq1_probes(query, stats, members, parent, pseudo=None,
-                pseudo_children=None, memo=None):
-    """Equation (1): expected probes into a new child of ``parent``.
-
-    ``members`` is the set of already-joined relations (the connected
-    prefix, always containing the root).  Fanouts multiply along the
-    root->parent path; every branch subtree hanging off a path node
-    contributes its survival probability.  ``pseudo`` maps pseudo-node
-    name -> (parent, match_probability) for BVP bitvector checks that
-    behave like fanout-1 filters (Section 3.5).  ``memo`` is an optional
-    :class:`CostMemo` valid for this (query, stats) combination.
-    """
-    pseudo = pseudo or {}
-    pseudo_children = pseudo_children or {}
-    key = members_mask = None
-    if memo is not None:
-        members_mask = memo.mask_of(members)
-        key = (
-            parent,
-            members_mask,
-            memo.mask_of(pseudo) if pseudo else 0,
-        )
-        cached = memo.eq1.get(key)
-        if cached is not None:
-            return cached
-    path = list(reversed(query.path_to_root(parent)))  # root ... parent
-    on_path = set(path)
-    probes = stats.driver_size
-    for node in path:
-        if node != query.root:
-            probes *= stats.m(node) * stats.fo(node)
-        for child in _children_in(query, node, members, pseudo_children):
-            if child in on_path:
-                continue
-            probes *= _survival(
-                query, stats, child, members, pseudo, pseudo_children,
-                memo, members_mask
-            )
-    if key is not None:
-        memo.eq1[key] = probes
-    return probes
-
-
-def com_probes_per_join(query, stats, order, memo=None):
+def com_probes_per_join(query: JoinQuery, stats: QueryStats,
+                        order: Sequence[str],
+                        memo: CostMemo | None = None) -> dict[str, float]:
     """Expected hash probes into each relation under COM, per Eq. (1).
 
-    ``memo`` is an optional :class:`CostMemo` valid for this
-    (query, stats) pair; sharing one across repeated costings of large
-    queries (e.g. the planner evaluating several strategies) reuses the
-    survival/Eq. (1) subset tables instead of recomputing them.
+    ``memo`` is an optional :class:`CostMemo` for this (query, stats);
+    sharing one across repeated costings of large queries (e.g. the
+    planner evaluating several strategies) reuses the survival/Eq. (1)
+    subset tables instead of recomputing them.
     """
     query.validate_order(order)
-    joined = {query.root}
+    memo = _memo_for(query, stats, memo)
+    joined = memo.bit[query.root]
     probes = {}
     for relation in order:
-        parent = query.parent(relation)
-        probes[relation] = _eq1_probes(query, stats, joined, parent,
-                                       memo=memo)
-        joined.add(relation)
+        probes[relation] = _eq1_probes(memo, memo.parent_of[relation],
+                                       joined, 0)
+        joined |= memo.bit[relation]
     return probes
 
 
-def std_probes_per_join(query, stats, order):
+def std_probes_per_join(query: JoinQuery, stats: QueryStats,
+                        order: Sequence[str]) -> dict[str, float]:
     """Expected hash probes per relation under STD.
 
     Every fully materialized intermediate tuple is probed, so probes
@@ -332,7 +363,7 @@ def std_probes_per_join(query, stats, order):
     return probes
 
 
-def expected_output_size(query, stats):
+def expected_output_size(query: JoinQuery, stats: QueryStats) -> float:
     """Expected flat join result size ``N * prod_i m_i fo_i``."""
     size = stats.driver_size
     for relation in query.non_root_relations:
@@ -345,7 +376,9 @@ def expected_output_size(query, stats):
 # ----------------------------------------------------------------------
 
 
-def com_plan_cost(query, stats, order, flat_output=True, memo=None):
+def com_plan_cost(query: JoinQuery, stats: QueryStats, order: Sequence[str],
+                  flat_output: bool = True,
+                  memo: CostMemo | None = None) -> PlanCost:
     """PlanCost for the factorized (COM) execution of ``order``.
 
     Probes follow Eq. (1).  Tuple generation counts the factorized
@@ -364,7 +397,8 @@ def com_plan_cost(query, stats, order, flat_output=True, memo=None):
     return cost
 
 
-def std_plan_cost(query, stats, order):
+def std_plan_cost(query: JoinQuery, stats: QueryStats,
+                  order: Sequence[str]) -> PlanCost:
     """PlanCost for the standard (STD) execution of ``order``.
 
     STD materializes every intermediate tuple, so generation cost
@@ -386,7 +420,8 @@ def std_plan_cost(query, stats, order):
 # ----------------------------------------------------------------------
 
 
-def _bvp_check_schedule(query, order):
+def _bvp_check_schedule(query: JoinQuery,
+                        order: Sequence[str]) -> dict[str, list[str]]:
     """When each relation's bitvector is checked on the probe side.
 
     Returns a list of pipeline *events*: ``("scan",)`` then, per joined
@@ -396,7 +431,7 @@ def _bvp_check_schedule(query, order):
     (Section 4.4).  Within one event, checks follow the join order.
     """
     position = {relation: i for i, relation in enumerate(order)}
-    checks_after = {"scan": []}
+    checks_after: dict[str, list[str]] = {"scan": []}
     for relation in order:
         checks_after[relation] = []
     for relation in sorted(order, key=position.__getitem__):
@@ -406,8 +441,9 @@ def _bvp_check_schedule(query, order):
     return checks_after
 
 
-def bvp_plan_cost(query, stats, order, eps, factorized, flat_output=True,
-                  memo=None):
+def bvp_plan_cost(query: JoinQuery, stats: QueryStats, order: Sequence[str],
+                  eps: float, factorized: bool, flat_output: bool = True,
+                  memo: CostMemo | None = None) -> PlanCost:
     """PlanCost under bitvector early pruning (BVP+STD or BVP+COM).
 
     ``eps`` is the bitvector false-positive probability.  Bitvector and
@@ -439,41 +475,34 @@ def bvp_plan_cost(query, stats, order, eps, factorized, flat_output=True,
                 count *= min(stats.m(pending) + eps, 1.0)
         return cost
 
-    # Factorized (BVP+COM): pseudo nodes for checked-but-unjoined
+    # Factorized (BVP+COM): a pseudo mask of checked-but-unjoined
     # relations; Eq. (1) computed over the augmented tree.
-    pseudo = {}
-    pseudo_children = {}
-    joined = {query.root}
+    tables = _memo_for(query, stats, memo, eps)
+    bit = tables.bit
+    joined = bit[query.root]
+    pseudo = 0
 
-    def run_checks(event_parent, relations):
+    def run_checks(event_parent: str, relations: list[str]) -> None:
         """Bitvector checks fire once per alive entry of the parent node."""
+        nonlocal pseudo
         for relation in relations:
-            alive = _eq1_probes(
-                query, stats, joined, event_parent, pseudo, pseudo_children,
-                memo
-            )
-            cost.bitvector_probes += alive
-            name = f"~bv:{relation}"
-            pseudo[name] = (event_parent, min(stats.m(relation) + eps, 1.0))
-            pseudo_children.setdefault(event_parent, []).append(name)
+            cost.bitvector_probes += _eq1_probes(tables, event_parent,
+                                                 joined, pseudo)
+            pseudo |= bit[relation]
 
     run_checks(query.root, checks_after["scan"])
     for relation in order:
-        parent = query.parent(relation)
-        # The relation's own bitvector pseudo-node stays in place for
-        # this computation: its (m + eps) factor applies to the hash
-        # probe count (tuples that failed the check were never probed).
-        probes = _eq1_probes(query, stats, joined, parent, pseudo,
-                             pseudo_children, memo)
+        # The relation's own pseudo bit stays set for this computation:
+        # its (m + eps) factor applies to the hash probe count (tuples
+        # that failed the check were never probed).
+        probes = _eq1_probes(tables, tables.parent_of[relation], joined,
+                             pseudo)
         cost.hash_probes += probes
         cost.hash_probes_by_relation[relation] = probes
         cost.tuples_generated += probes * stats.selectivity(relation)
         # The real join replaces the pseudo filter from here on.
-        name = f"~bv:{relation}"
-        if name in pseudo:
-            del pseudo[name]
-            pseudo_children[parent].remove(name)
-        joined.add(relation)
+        pseudo &= ~bit[relation]
+        joined |= bit[relation]
         run_checks(relation, checks_after[relation])
     if flat_output:
         cost.tuples_generated += expected_output_size(query, stats)
@@ -485,15 +514,17 @@ def bvp_plan_cost(query, stats, order, eps, factorized, flat_output=True,
 # ----------------------------------------------------------------------
 
 
-def plan_cost(query, stats, order, mode, eps=0.01, flat_output=True,
-              memo=None):
+def plan_cost(query: JoinQuery, stats: QueryStats, order: Sequence[str],
+              mode: ExecutionMode | str, eps: float = 0.01,
+              flat_output: bool = True,
+              memo: CostMemo | None = None) -> PlanCost:
     """Expected :class:`PlanCost` of executing ``order`` under ``mode``.
 
     Semi-join modes are computed by
     :func:`repro.core.costmodel_sj.sj_plan_cost`.  ``memo`` optionally
-    shares one :class:`CostMemo` (valid for this query/stats/eps) across
+    shares one :class:`CostMemo` (built for this query/stats/eps) across
     repeated costings — the planner uses this to price every strategy of
-    a large query against shared subset tables.
+    a large query against the subset tables its order searches filled.
     """
     mode = ExecutionMode(mode)
     if mode is ExecutionMode.STD:
@@ -513,13 +544,17 @@ def plan_cost(query, stats, order, mode, eps=0.01, flat_output=True,
         )
     from .costmodel_sj import sj_plan_cost
 
-    return sj_plan_cost(
+    result: PlanCost = sj_plan_cost(
         query, stats, order, factorized=mode.factorized, flat_output=flat_output
     )
+    return result
 
 
-def order_invariant_floor(query, stats, mode, weights=CostWeights(),
-                          flat_output=True, expected_output=None):
+def order_invariant_floor(query: JoinQuery, stats: QueryStats,
+                          mode: ExecutionMode | str,
+                          weights: CostWeights = CostWeights(),
+                          flat_output: bool = True,
+                          expected_output: float | None = None) -> float:
     """The part of ``plan_cost(...).total(weights)`` that no join order
     avoids and no search objective contains.
 
@@ -550,8 +585,11 @@ def order_invariant_floor(query, stats, mode, weights=CostWeights(),
     return floor
 
 
-def cost_lower_bound(query, stats, mode, weights=CostWeights(),
-                     flat_output=True, expected_output=None):
+def cost_lower_bound(query: JoinQuery, stats: QueryStats,
+                     mode: ExecutionMode | str,
+                     weights: CostWeights = CostWeights(),
+                     flat_output: bool = True,
+                     expected_output: float | None = None) -> float:
     """A lower bound on the *whole* cost of any order under ``mode``:
     :func:`order_invariant_floor` plus, for STD / COM, the first join —
     whichever child of the root it is, every driver row probes it."""

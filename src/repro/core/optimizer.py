@@ -33,23 +33,34 @@ queries):
 All three accumulate the same set-determined delta costs (and share one
 :class:`~repro.core.costmodel.CostMemo`), so their ``cost`` fields are
 directly comparable — :func:`incremental_order_cost` exposes that
-costing for arbitrary orders.
+costing for arbitrary orders.  The searches run on integer masks over
+the memo's relation bits: a DP or beam state *is* its joined mask, a
+candidate is an unjoined relation whose parent bit is set, and the
+delta (:func:`_delta_cost`) passes the mask straight to the memo's
+survival / Eq. (1) tables; names appear only in the returned order.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..modes import ExecutionMode
 from .costmodel import (
     CostMemo,
     CostWeights,
     _eq1_probes,
+    _memo_for,
     _survival,
     plan_cost,
 )
 from .costmodel_sj import reduction_ratios, sj_phase2_fanouts, sj_plan_cost
+
+if TYPE_CHECKING:
+    from .query import JoinQuery
+    from .stats import QueryStats
 
 __all__ = [
     "OptimizedPlan",
@@ -79,7 +90,7 @@ class PlanningBudgetExceeded(RuntimeError):
     ladder and never checks a deadline.
     """
 
-    def __init__(self, algorithm):
+    def __init__(self, algorithm: str) -> None:
         super().__init__(
             f"{algorithm}: planning budget exceeded before the order "
             f"search completed"
@@ -91,14 +102,14 @@ class PlanningBudgetExceeded(RuntimeError):
 class OptimizedPlan:
     """An optimizer's output: a join order plus its estimated cost."""
 
-    query: object
-    order: list
+    query: JoinQuery
+    order: list[str]
     cost: float
     mode: ExecutionMode = ExecutionMode.COM
     #: per-internal-relation semi-join child orders (SJ modes only)
-    child_orders: dict = field(default_factory=dict)
+    child_orders: dict[str, list[str]] = field(default_factory=dict)
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         return (
             f"OptimizedPlan(driver={self.query.root!r}, order={self.order}, "
             f"cost={self.cost:.4g}, mode={self.mode})"
@@ -110,157 +121,101 @@ class OptimizedPlan:
 # ----------------------------------------------------------------------
 
 
-def _frontier_pseudo(query, stats, joined, eps, memo=None):
+def _bvp_frontier(memo: CostMemo,
+                  joined: int) -> tuple[int, tuple[tuple[int, float], ...]]:
     """Pseudo bitvector nodes for every checked-but-unjoined relation.
 
     Under full bitvector push-down a relation's bitvector has been
-    applied as soon as its parent is joined; with the driver fixed the
-    set of applied bitvectors depends only on the *set* of joined
-    relations, which is why the principle of optimality holds
-    (Theorem 3.3).  With ``memo``, the static structure tables and the
-    per-relation ``min(m + eps, 1)`` values are read from it instead of
-    being re-derived per call (a hot path for beam/IDP on large
-    queries).
+    applied as soon as its parent is joined, so the pseudo set is the
+    precedence frontier of ``joined``; with the driver fixed it depends
+    only on the *set* of joined relations, which is why the principle of
+    optimality holds (Theorem 3.3).  Returns the frontier's mask and its
+    ``(bit, min(m + eps, 1))`` pairs in declared order, cached in the
+    memo by ``joined``.
     """
-    if memo is not None:
-        non_root, parent_of, m_eff = memo.non_root, memo.parent_of, memo.m_eff
-    else:
-        non_root, parent_of, m_eff = query.non_root_relations, None, {}
-    root = query.root
-    pseudo = {}
-    pseudo_children = {}
-    for relation in non_root:
-        if relation in joined:
-            continue
-        parent = (
-            parent_of[relation] if parent_of is not None
-            else query.parent(relation)
-        )
-        if parent == root or parent in joined:
-            value = m_eff.get(relation)
-            if value is None:
-                value = m_eff[relation] = min(stats.m(relation) + eps, 1.0)
-            name = f"~bv:{relation}"
-            pseudo[name] = (parent, value)
-            pseudo_children.setdefault(parent, []).append(name)
-    return pseudo, pseudo_children
-
-
-def _frontier_pseudo_memo(query, stats, joined, eps, memo):
-    """Memoized :func:`_frontier_pseudo` (the frontier is set-determined)."""
-    if memo is None:
-        return _frontier_pseudo(query, stats, joined, eps)
-    key = memo.mask_of(joined)
-    hit = memo.frontier.get(key)
+    hit = memo.frontier.get(joined)
     if hit is None:
-        hit = memo.frontier[key] = _frontier_pseudo(query, stats, joined,
-                                                    eps, memo)
+        m_eff = memo.m_eff
+        pairs = tuple(
+            (bit, m_eff[name]) for name, bit, parent_bit in memo.non_root
+            if not joined & bit and joined & parent_bit
+        )
+        hit = memo.frontier[joined] = (sum(bit for bit, _ in pairs), pairs)
     return hit
 
 
-def _prefix_selectivity(query, stats, joined, memo=None):
+def _prefix_selectivity(memo: CostMemo, joined: int) -> float:
     """``prod_{rel in joined, rel != root} s(rel)`` — set-determined.
 
-    Memoized by subset mask when a :class:`CostMemo` is supplied (the
-    STD / BVP+STD delta costs evaluate it for every candidate of every
-    prefix the search touches).  The product is accumulated in the
-    query's canonical relation order — never the set's iteration order,
-    which can vary between equal-content sets and would make memoized
-    and unmemoized costs differ in the last float ulp.
+    Cached by subset mask (the STD / BVP+STD delta costs evaluate it
+    for every candidate of every prefix the search touches).  The
+    product is accumulated in the query's declared relation order, so
+    equal sets give equal floats.
     """
-    if memo is not None:
-        key = memo.mask_of(joined)
-        hit = memo.selprod.get(key)
-        if hit is not None:
-            return hit
-        non_root = memo.non_root
-    else:
-        non_root = query.non_root_relations
-    product = 1.0
-    for rel in non_root:
-        if rel in joined:
-            product *= stats.selectivity(rel)
-    if memo is not None:
-        memo.selprod[key] = product
+    product = memo.selprod.get(joined)
+    if product is None:
+        product = 1.0
+        mfo = memo.mfo
+        for name, bit, _ in memo.non_root:
+            if joined & bit:
+                product *= mfo[name]
+        memo.selprod[joined] = product
     return product
 
 
-def _delta_cost(query, stats, joined, relation, mode, eps, weights,
-                memo=None):
-    """Additional expected cost of joining ``relation`` after ``joined``.
+def _delta_cost(memo: CostMemo, joined: int, relation: str,
+                mode: ExecutionMode, weights: CostWeights) -> float:
+    """Additional expected cost of joining ``relation`` after the
+    relations of the mask ``joined``.
 
     This is the quantity Algorithm 1 accumulates; for every supported
     mode it depends only on the joined *set*, not its order (the
-    principle of optimality, Sections 3.4 and 3.5).  ``memo`` is an
-    optional :class:`~repro.core.costmodel.CostMemo` shared across the
-    DP so overlapping subsets are costed once.
+    principle of optimality, Sections 3.4 and 3.5), which is why every
+    table it reads is keyed by mask in ``memo``.
     """
-    parent = query.parent(relation)
-    c = stats.probe_cost(relation)
+    c = memo.probe_cost[relation]
     if mode is ExecutionMode.STD:
-        tuples = stats.driver_size * _prefix_selectivity(
-            query, stats, joined, memo
-        )
+        tuples = memo.driver_size * _prefix_selectivity(memo, joined)
         return tuples * c * weights.hash_probe
     if mode is ExecutionMode.COM:
-        probes = _eq1_probes(query, stats, joined, parent, memo=memo)
+        probes = _eq1_probes(memo, memo.parent_of[relation], joined, 0)
         return probes * c * weights.hash_probe
     if mode in (ExecutionMode.BVP_STD, ExecutionMode.BVP_COM):
-        pseudo, pseudo_children = _frontier_pseudo_memo(
-            query, stats, joined, eps, memo
-        )
-        own = f"~bv:{relation}"
+        pseudo, pairs = _bvp_frontier(memo, joined)
+        own = memo.bit[relation]
         if mode is ExecutionMode.BVP_COM:
-            hash_probes = _eq1_probes(
-                query, stats, joined, parent, pseudo, pseudo_children, memo
-            )
+            hash_probes = _eq1_probes(memo, memo.parent_of[relation], joined,
+                                      pseudo)
         else:
-            hash_probes = stats.driver_size * _prefix_selectivity(
-                query, stats, joined, memo
-            )
-            for name, (_, m_eff) in pseudo.items():
+            hash_probes = memo.driver_size * _prefix_selectivity(memo, joined)
+            for _, m_eff in pairs:
                 hash_probes *= m_eff
         # Bitvector checks triggered by this join: the children of
         # ``relation`` become checkable.  Each check touches the alive
         # entries of ``relation`` (COM) or the expanded stream (STD).
         # The pseudo frontier *after* the join — minus the new checks
         # themselves, which hang off ``relation`` — is exactly the
-        # current frontier without ``relation``'s own pseudo node, so it
-        # is derived in place instead of recomputed from scratch (the
-        # dominant cost of large-query beam/IDP searches before).
+        # current frontier without ``relation``'s own bit.
         bv_probes = 0.0
-        new_checks = sorted(
-            (child for child in query.children(relation)),
-            key=lambda child: stats.m(child),
-        )
+        new_checks = memo.check_order[relation]
         if new_checks:
-            joined_after = joined | {relation}
+            joined_after = joined | own
             if mode is ExecutionMode.BVP_COM:
                 # Alive entries of ``relation`` just after its join,
                 # before its children's bitvectors are applied.
-                base_pseudo = {
-                    name: val
-                    for name, val in pseudo.items()
-                    if name != own
-                }
-                base_children = {
-                    node: [n for n in names if n != own]
-                    for node, names in pseudo_children.items()
-                }
-                alive = _eq1_probes(
-                    query, stats, joined_after, relation, base_pseudo,
-                    base_children, memo
-                )
+                alive = _eq1_probes(memo, relation, joined_after,
+                                    pseudo & ~own)
             else:
-                alive = stats.driver_size * _prefix_selectivity(
-                    query, stats, joined_after, memo
+                alive = memo.driver_size * _prefix_selectivity(
+                    memo, joined_after
                 )
-                for name, (_, m_eff) in pseudo.items():
-                    if name != own:
+                for bit, m_eff in pairs:
+                    if bit != own:
                         alive *= m_eff
+            m_eff_of = memo.m_eff
             for child in new_checks:
                 bv_probes += alive
-                alive *= min(stats.m(child) + eps, 1.0)
+                alive *= m_eff_of[child]
         return (
             hash_probes * c * weights.hash_probe
             + bv_probes * weights.bitvector_probe
@@ -268,21 +223,18 @@ def _delta_cost(query, stats, joined, relation, mode, eps, weights,
     raise ValueError(f"unsupported mode for incremental costing: {mode}")
 
 
-def _memo_from(memoize, query):
-    """Resolve a ``memoize`` argument (bool or CostMemo) to a memo."""
-    if isinstance(memoize, CostMemo):
-        return memoize
-    return CostMemo(query) if memoize else None
-
-
 # ----------------------------------------------------------------------
 # Algorithm 1: exhaustive dynamic program over connected prefixes
 # ----------------------------------------------------------------------
 
 
-def exhaustive_optimal(query, stats, mode=ExecutionMode.COM, eps=0.01,
-                       weights=CostWeights(), memoize=True,
-                       upper_bound=None, deadline=None):
+def exhaustive_optimal(query: JoinQuery, stats: QueryStats,
+                       mode: ExecutionMode | str = ExecutionMode.COM,
+                       eps: float = 0.01,
+                       weights: CostWeights = CostWeights(),
+                       memo: CostMemo | None = None,
+                       upper_bound: float | None = None,
+                       deadline: float | None = None) -> OptimizedPlan | None:
     """Algorithm 1: optimal join order for a fixed driver.
 
     Dynamic programming over connected subsets of the join tree that
@@ -291,14 +243,12 @@ def exhaustive_optimal(query, stats, mode=ExecutionMode.COM, eps=0.01,
     principle of optimality (every prefix of an optimal order is
     optimal for its set), so expanding frontiers suffices.
 
-    With ``memoize`` (the default) the survival-probability and
-    Eq. (1) evaluations underlying every delta cost are tabulated over
-    relation subsets in a :class:`~repro.core.costmodel.CostMemo`, so
-    overlapping prefixes share work instead of re-costing from scratch;
-    ``memoize=False`` recomputes everything (the original behaviour)
-    and returns bit-identical orders and costs.  Passing an existing
-    :class:`CostMemo` (valid for this (query, stats, eps)) reuses its
-    tables across optimizer invocations.
+    The survival-probability and Eq. (1) evaluations underlying every
+    delta cost are tabulated over relation subsets in a
+    :class:`~repro.core.costmodel.CostMemo`, so overlapping prefixes
+    share work instead of re-costing from scratch.  ``memo`` passes one
+    built for this (query, stats, eps) to reuse its tables across
+    optimizer invocations; ``None`` builds a fresh one.
 
     ``upper_bound`` prunes DP states whose accumulated cost already
     reaches it (see :func:`_exact_block_order`); the return is ``None``
@@ -312,15 +262,16 @@ def exhaustive_optimal(query, stats, mode=ExecutionMode.COM, eps=0.01,
     if mode.uses_semijoin:
         return optimize_sj(query, stats, factorized=mode.factorized,
                            weights=weights)
-    memo = _memo_from(memoize, query)
+    memo = _memo_for(query, stats, memo, eps)
     # One shared implementation of the Algorithm 1 recurrence: the
     # exhaustive DP is the block DP with everything in a single block.
-    total_cost, order = _exact_block_order(
-        query, stats, [], query.non_root_relations, mode, eps, weights, memo,
+    found = _exact_block_order(
+        memo, [], query.non_root_relations, mode, weights,
         upper_bound=upper_bound, deadline=deadline, algorithm="exhaustive",
     )
-    if order is None:
+    if found is None:
         return None
+    total_cost, order = found
     return OptimizedPlan(query=query, order=order, cost=total_cost, mode=mode)
 
 
@@ -336,9 +287,9 @@ AUTO_EXHAUSTIVE_MAX_RELATIONS = 12
 AUTO_IDP_MAX_RELATIONS = 40
 
 
-def choose_optimizer(num_relations,
-                     exhaustive_max=AUTO_EXHAUSTIVE_MAX_RELATIONS,
-                     idp_max=AUTO_IDP_MAX_RELATIONS):
+def choose_optimizer(num_relations: int,
+                     exhaustive_max: int = AUTO_EXHAUSTIVE_MAX_RELATIONS,
+                     idp_max: int = AUTO_IDP_MAX_RELATIONS) -> str:
     """The ``"auto"`` policy: pick an algorithm by relation count.
 
     Returns ``"exhaustive"``, ``"idp"`` or ``"beam"``.  The default
@@ -354,8 +305,12 @@ def choose_optimizer(num_relations,
     return "beam"
 
 
-def incremental_order_cost(query, stats, order, mode=ExecutionMode.COM,
-                           eps=0.01, weights=CostWeights(), memo=None):
+def incremental_order_cost(query: JoinQuery, stats: QueryStats,
+                           order: Sequence[str],
+                           mode: ExecutionMode | str = ExecutionMode.COM,
+                           eps: float = 0.01,
+                           weights: CostWeights = CostWeights(),
+                           memo: CostMemo | None = None) -> float:
     """The optimizer's objective evaluated on an arbitrary valid order.
 
     Accumulates the same set-determined delta costs that
@@ -367,17 +322,19 @@ def incremental_order_cost(query, stats, order, mode=ExecutionMode.COM,
     """
     mode = ExecutionMode(mode)
     query.validate_order(order)
-    joined = {query.root}
+    memo = _memo_for(query, stats, memo, eps)
+    joined = memo.bit[query.root]
     total = 0.0
     for relation in order:
-        total += _delta_cost(query, stats, joined, relation, mode, eps,
-                             weights, memo)
-        joined.add(relation)
+        total += _delta_cost(memo, joined, relation, mode, weights)
+        joined |= memo.bit[relation]
     return total
 
 
-def worst_case_cost(query, bound_stats, order, eps=0.01,
-                    weights=CostWeights(), memo=None):
+def worst_case_cost(query: JoinQuery, bound_stats: QueryStats,
+                    order: Sequence[str], eps: float = 0.01,
+                    weights: CostWeights = CostWeights(),
+                    memo: CostMemo | None = None) -> float:
     """Pessimistic (UES-style) objective: worst-case probe work.
 
     ``bound_stats`` must come from
@@ -396,8 +353,9 @@ def worst_case_cost(query, bound_stats, order, eps=0.01,
     )
 
 
-def _greedy_block(query, stats, order, block_size, mode, eps, weights, memo,
-                  upper_bound=None):
+def _greedy_block(memo: CostMemo, order: Sequence[str], block_size: int,
+                  mode: ExecutionMode, weights: CostWeights,
+                  upper_bound: float | None = None) -> list[str] | None:
     """Select the next IDP block: up to ``block_size`` frontier
     relations, chosen one at a time by cheapest immediate delta cost.
 
@@ -412,33 +370,36 @@ def _greedy_block(query, stats, order, block_size, mode, eps, weights, memo,
     exact DP would prune its whole first level — there is no point in
     paying for the rest of the block first.
     """
-    block = []
-    joined = {query.root, *order}
-    extended = list(order)
+    bit = memo.bit
+    joined = bit[memo.root]
+    for relation in order:
+        joined |= bit[relation]
+    block: list[str] = []
     while len(block) < block_size:
-        candidates = query.eligible_next(extended)
-        if not candidates:
-            break
-        best_key = best_rel = None
-        for relation in candidates:
-            key = (
-                _delta_cost(query, stats, joined, relation, mode, eps,
-                            weights, memo),
-                relation,
-            )
+        best_key: tuple[float, str] | None = None
+        for relation, relation_bit, parent_bit in memo.non_root:
+            if joined & relation_bit or not joined & parent_bit:
+                continue
+            key = (_delta_cost(memo, joined, relation, mode, weights),
+                   relation)
             if best_key is None or key < best_key:
-                best_key, best_rel = key, relation
+                best_key = key
+        if best_key is None:
+            break
         if not block and upper_bound is not None and best_key[0] >= upper_bound:
             return None
-        block.append(best_rel)
-        joined.add(best_rel)
-        extended.append(best_rel)
+        block.append(best_key[1])
+        joined |= bit[best_key[1]]
     return block
 
 
-def _exact_block_order(query, stats, committed_order, block, mode, eps,
-                       weights, memo, upper_bound=None, deadline=None,
-                       algorithm="exhaustive"):
+def _exact_block_order(memo: CostMemo, committed_order: Sequence[str],
+                       block: Sequence[str], mode: ExecutionMode,
+                       weights: CostWeights,
+                       upper_bound: float | None = None,
+                       deadline: float | None = None,
+                       algorithm: str = "exhaustive",
+                       ) -> tuple[float, list[str]] | None:
     """Optimal order of ``block`` appended after ``committed_order``.
 
     The one implementation of the Algorithm 1 connected-prefix DP,
@@ -448,11 +409,17 @@ def _exact_block_order(query, stats, committed_order, block, mode, eps,
     bit-identical to the exhaustive DP by construction.  Returns
     ``(cost_delta, block_order)`` relative to the committed prefix.
 
+    A DP state is the mask of its joined set, mapped to ``(cost, last
+    relation, predecessor mask)``; the order is rebuilt from those back
+    pointers once, at the end.  States expand in insertion order and
+    candidates in declared order, and a strictly cheaper cost replaces
+    a state, so among exactly tied orders the first found is kept.
+
     ``upper_bound`` enables branch-and-bound pruning: delta costs are
     non-negative, so a prefix whose accumulated cost already reaches
     the bound can never complete into an order cheaper than it — such
     states are dropped.  When *every* completion is pruned the return
-    is ``(None, None)``: the caller's incumbent plan is at least as
+    is ``None``: the caller's incumbent plan is at least as
     cheap as anything this search could find.  Pruning never changes
     the returned cost (a sub-bound optimum's own prefixes all cost less
     than it, so its DP path always survives; among *exactly* tied
@@ -466,42 +433,54 @@ def _exact_block_order(query, stats, committed_order, block, mode, eps,
     per expanded prefix, so the overrun is bounded by one frontier
     expansion.
     """
-    block_set = frozenset(block)
-    base = frozenset([query.root]) | frozenset(committed_order)
-    best = {base: (0.0, list(committed_order))}
-    frontier_sets = [base]
-    target = base | block_set
-    while frontier_sets:
-        next_level = {}
-        for prefix_set in frontier_sets:
+    bit = memo.bit
+    base = bit[memo.root]
+    for relation in committed_order:
+        base |= bit[relation]
+    block_mask = 0
+    for relation in block:
+        block_mask |= bit[relation]
+    candidates = [entry for entry in memo.non_root if entry[1] & block_mask]
+    best: dict[int, tuple[float, str, int]] = {base: (0.0, "", 0)}
+    frontier = [base]
+    while frontier:
+        next_level: dict[int, tuple[float, str, int]] = {}
+        for prefix in frontier:
             if deadline is not None and time.perf_counter() > deadline:
                 raise PlanningBudgetExceeded(algorithm)
-            prefix_cost, prefix_order = best[prefix_set]
-            joined = set(prefix_set)
-            for relation in query.eligible_next(prefix_order):
-                if relation not in block_set:
+            prefix_cost = best[prefix][0]
+            for relation, relation_bit, parent_bit in candidates:
+                if prefix & relation_bit or not prefix & parent_bit:
                     continue
-                delta = _delta_cost(
-                    query, stats, joined, relation, mode, eps, weights, memo
+                new_cost = prefix_cost + _delta_cost(
+                    memo, prefix, relation, mode, weights
                 )
-                new_cost = prefix_cost + delta
                 if upper_bound is not None and new_cost >= upper_bound:
                     continue  # cannot beat the incumbent: deltas are >= 0
-                new_set = prefix_set | {relation}
-                incumbent = next_level.get(new_set)
+                state = prefix | relation_bit
+                incumbent = next_level.get(state)
                 if incumbent is None or new_cost < incumbent[0]:
-                    next_level[new_set] = (new_cost, prefix_order + [relation])
+                    next_level[state] = (new_cost, relation, prefix)
         best.update(next_level)
-        frontier_sets = list(next_level)
+        frontier = list(next_level)
+    target = base | block_mask
     if target not in best:
-        return None, None  # pruned out: nothing under the bound
-    cost, order = best[target]
-    return cost, order[len(committed_order):]
+        return None  # pruned out: nothing under the bound
+    order: list[str] = []
+    state = target
+    while state != base:
+        _, relation, state = best[state]
+        order.append(relation)
+    order.reverse()
+    return best[target][0], order
 
 
-def idp_order(query, stats, mode=ExecutionMode.COM, eps=0.01,
-              weights=CostWeights(), block_size=8, memoize=True,
-              upper_bound=None, deadline=None):
+def idp_order(query: JoinQuery, stats: QueryStats,
+              mode: ExecutionMode | str = ExecutionMode.COM,
+              eps: float = 0.01, weights: CostWeights = CostWeights(),
+              block_size: int = 8, memo: CostMemo | None = None,
+              upper_bound: float | None = None,
+              deadline: float | None = None) -> OptimizedPlan | None:
     """IDP-style blockwise dynamic program (exhaustive-DP fallback).
 
     Repeatedly (1) grows a block of up to ``block_size`` frontier
@@ -516,7 +495,7 @@ def idp_order(query, stats, mode=ExecutionMode.COM, eps=0.01,
     covers the whole query and the result is bit-identical to
     :func:`exhaustive_optimal` (same order, same cost float).
 
-    ``upper_bound`` / ``deadline`` behave as in
+    ``memo``, ``upper_bound`` and ``deadline`` behave as in
     :func:`exhaustive_optimal`: a bounded search returns ``None`` when
     no completion can beat the bound (committed cost plus the current
     block's floor already reaches it), a deadline overrun raises
@@ -528,41 +507,45 @@ def idp_order(query, stats, mode=ExecutionMode.COM, eps=0.01,
                            weights=weights)
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    memo = _memo_from(memoize, query)
-    total = len(query.non_root_relations)
-    order = []
+    memo = _memo_for(query, stats, memo, eps)
+    total = len(memo.non_root)
+    order: list[str] = []
     cost = 0.0
     while len(order) < total:
         remaining_bound = (
             None if upper_bound is None else upper_bound - cost
         )
-        block = _greedy_block(query, stats, order, block_size, mode, eps,
-                              weights, memo, upper_bound=remaining_bound)
+        block = _greedy_block(memo, order, block_size, mode, weights,
+                              upper_bound=remaining_bound)
         if block is None:
             return None  # the cheapest next join alone reaches the bound
-        block_cost, block_order = _exact_block_order(
-            query, stats, order, block, mode, eps, weights, memo,
+        found = _exact_block_order(
+            memo, order, block, mode, weights,
             upper_bound=remaining_bound, deadline=deadline, algorithm="idp",
         )
-        if block_order is None:
+        if found is None:
             return None  # every completion already costs >= upper_bound
+        block_cost, block_order = found
         cost += block_cost
         order.extend(block_order)
     return OptimizedPlan(query=query, order=order, cost=cost, mode=mode)
 
 
-def beam_order(query, stats, mode=ExecutionMode.COM, eps=0.01,
-               weights=CostWeights(), beam_width=8, memoize=True,
-               upper_bound=None):
+def beam_order(query: JoinQuery, stats: QueryStats,
+               mode: ExecutionMode | str = ExecutionMode.COM,
+               eps: float = 0.01, weights: CostWeights = CostWeights(),
+               beam_width: int = 8, memo: CostMemo | None = None,
+               upper_bound: float | None = None) -> OptimizedPlan | None:
     """Beam search over connected prefixes, for very large queries.
 
     Keeps the ``beam_width`` cheapest prefixes per length (deduplicated
-    by joined *set*, exactly like the DP's state space, so the beam
-    never wastes slots on permutations of one set).  Runtime is
+    by joined *set* — its mask — exactly like the DP's state space, so
+    the beam never wastes slots on permutations of one set).  Runtime is
     ``O(n * beam_width * frontier)`` delta evaluations — linear in the
     relation count for fixed width.  ``beam_width=1`` degenerates to a
     greedy minimum-delta-cost order; wider beams trade time for
-    quality.  Deterministic: ties break on (cost, order).
+    quality.  Deterministic: ties break on (cost, order).  ``memo`` as
+    in :func:`exhaustive_optimal`.
 
     With ``upper_bound``, prefixes whose cost already reaches the bound
     are dropped before they can occupy a beam slot (their completions
@@ -579,29 +562,32 @@ def beam_order(query, stats, mode=ExecutionMode.COM, eps=0.01,
                            weights=weights)
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    memo = _memo_from(memoize, query)
-    total = len(query.non_root_relations)
-    beam = [(0.0, [])]
-    for _ in range(total):
-        expansions = {}
-        for prefix_cost, prefix_order in beam:
-            joined = {query.root, *prefix_order}
-            for relation in query.eligible_next(prefix_order):
-                delta = _delta_cost(
-                    query, stats, joined, relation, mode, eps, weights, memo
+    memo = _memo_for(query, stats, memo, eps)
+    #: (cost, order, joined mask) per surviving prefix
+    beam: list[tuple[float, list[str], int]] = [
+        (0.0, [], memo.bit[query.root])
+    ]
+    for _ in range(len(memo.non_root)):
+        expansions: dict[int, tuple[float, list[str], int]] = {}
+        for prefix_cost, prefix_order, joined in beam:
+            for relation, relation_bit, parent_bit in memo.non_root:
+                if joined & relation_bit or not joined & parent_bit:
+                    continue
+                new_cost = prefix_cost + _delta_cost(
+                    memo, joined, relation, mode, weights
                 )
-                new_cost = prefix_cost + delta
                 if upper_bound is not None and new_cost >= upper_bound:
                     continue
-                new_set = frozenset(joined) | {relation}
-                incumbent = expansions.get(new_set)
+                state = joined | relation_bit
+                incumbent = expansions.get(state)
                 if incumbent is None or new_cost < incumbent[0]:
-                    expansions[new_set] = (new_cost, prefix_order + [relation])
+                    expansions[state] = (new_cost, prefix_order + [relation],
+                                         state)
         beam = sorted(expansions.values(),
-                      key=lambda state: (state[0], state[1]))[:beam_width]
+                      key=lambda entry: (entry[0], entry[1]))[:beam_width]
         if not beam:
             return None  # everything under consideration reached the bound
-    cost, order = beam[0]
+    cost, order, _ = beam[0]
     return OptimizedPlan(query=query, order=order, cost=cost, mode=mode)
 
 
@@ -610,37 +596,39 @@ def beam_order(query, stats, mode=ExecutionMode.COM, eps=0.01,
 # ----------------------------------------------------------------------
 
 
-def _rank_key(query, stats, joined, relation):
+def _rank_key(memo: CostMemo, joined: int, relation: str) -> float:
     """Classical rank ordering: ascending ``(s - 1) / c``."""
-    return (stats.selectivity(relation) - 1.0) / stats.probe_cost(relation)
+    return (memo.mfo[relation] - 1.0) / memo.probe_cost[relation]
 
 
-def _result_size_key(query, stats, joined, relation):
+def _result_size_key(memo: CostMemo, joined: int, relation: str) -> float:
     """Minimize the intermediate result appended by the next join.
 
     Under the factorized model the result of joining ``relation`` adds
     ``probes * s`` entries (Eq. (1) probes, each fanning out ``s``).
     """
-    parent = query.parent(relation)
-    probes = _eq1_probes(query, stats, joined, parent)
-    return probes * stats.selectivity(relation)
+    probes = _eq1_probes(memo, memo.parent_of[relation], joined, 0)
+    return probes * memo.mfo[relation]
 
 
-def _survival_key(query, stats, joined, relation):
+def _survival_key(memo: CostMemo, joined: int, relation: str) -> float:
     """Minimize the total survival probability of the extended prefix."""
-    members = joined | {relation}
-    return _survival(query, stats, query.root, members, {}, {})
+    return _survival(memo, memo.root, joined | memo.bit[relation], 0)
 
 
-GREEDY_HEURISTICS = {
+#: heuristic name -> key over ``(memo, joined mask, candidate)``
+GREEDY_HEURISTICS: dict[str, Callable[[CostMemo, int, str], float]] = {
     "rank": _rank_key,
     "result_size": _result_size_key,
     "survival": _survival_key,
 }
 
 
-def greedy_order(query, stats, heuristic="survival", mode=ExecutionMode.COM,
-                 eps=0.01, weights=CostWeights(), flat_output=False):
+def greedy_order(query: JoinQuery, stats: QueryStats,
+                 heuristic: str = "survival",
+                 mode: ExecutionMode | str = ExecutionMode.COM,
+                 eps: float = 0.01, weights: CostWeights = CostWeights(),
+                 flat_output: bool = False) -> OptimizedPlan:
     """Greedy join ordering with one of the paper's three heuristics.
 
     ``heuristic`` is one of ``"rank"``, ``"result_size"``,
@@ -655,21 +643,23 @@ def greedy_order(query, stats, heuristic="survival", mode=ExecutionMode.COM,
             f"unknown heuristic {heuristic!r}; "
             f"choose from {sorted(GREEDY_HEURISTICS)}"
         ) from None
-    order = []
-    joined = {query.root}
-    while len(order) < len(query.non_root_relations):
+    memo = CostMemo(query, stats, eps)
+    order: list[str] = []
+    joined = memo.bit[query.root]
+    while len(order) < len(memo.non_root):
         candidates = query.eligible_next(order)
         scored = [
-            (key_fn(query, stats, joined, relation), relation)
+            (key_fn(memo, joined, relation), relation)
             for relation in candidates
         ]
         scored.sort(key=lambda pair: (pair[0], pair[1]))
         chosen = scored[0][1]
         order.append(chosen)
-        joined.add(chosen)
+        joined |= memo.bit[chosen]
     cost = plan_cost(query, stats, order, mode, eps=eps,
-                     flat_output=flat_output).total(weights)
-    return OptimizedPlan(query=query, order=order, cost=cost, mode=mode)
+                     flat_output=flat_output, memo=memo).total(weights)
+    return OptimizedPlan(query=query, order=order, cost=cost,
+                         mode=ExecutionMode(mode))
 
 
 # ----------------------------------------------------------------------
@@ -677,8 +667,10 @@ def greedy_order(query, stats, heuristic="survival", mode=ExecutionMode.COM,
 # ----------------------------------------------------------------------
 
 
-def optimize_sj(query, stats, factorized, weights=CostWeights(),
-                flat_output=False, memo=None):
+def optimize_sj(query: JoinQuery, stats: QueryStats, factorized: bool,
+                weights: CostWeights = CostWeights(),
+                flat_output: bool = False,
+                memo: CostMemo | None = None) -> OptimizedPlan:
     """Optimal plan for SJ+STD / SJ+COM with the driver fixed.
 
     Decisions (Section 3.6): semi-join children in increasing adjusted
@@ -702,6 +694,7 @@ def optimize_sj(query, stats, factorized, weights=CostWeights(),
         for node in query.internal_relations()
     }
     fanouts = sj_phase2_fanouts(query, stats, ratios)
+    sort_key: Callable[[str], float]
     if factorized:
         path_product = {query.root: 1.0}
         for relation in query.preorder():
@@ -711,7 +704,7 @@ def optimize_sj(query, stats, factorized, weights=CostWeights(),
         sort_key = path_product.__getitem__
     else:
         sort_key = fanouts.__getitem__
-    order = []
+    order: list[str] = []
     while len(order) < len(query.non_root_relations):
         candidates = query.eligible_next(order)
         order.append(min(candidates, key=lambda rel: (sort_key(rel), rel)))
@@ -727,8 +720,12 @@ def optimize_sj(query, stats, factorized, weights=CostWeights(),
 # ----------------------------------------------------------------------
 
 
-def best_driver(query, stats_for_root, mode=ExecutionMode.COM, eps=0.01,
-                weights=CostWeights(), optimizer=exhaustive_optimal):
+def best_driver(query: JoinQuery,
+                stats_for_root: Callable[[JoinQuery], QueryStats],
+                mode: ExecutionMode | str = ExecutionMode.COM,
+                eps: float = 0.01, weights: CostWeights = CostWeights(),
+                optimizer: Callable[..., OptimizedPlan | None]
+                = exhaustive_optimal) -> OptimizedPlan | None:
     """Optimize once per candidate driver and keep the best plan.
 
     ``stats_for_root`` is a callable mapping a rooted
@@ -736,7 +733,7 @@ def best_driver(query, stats_for_root, mode=ExecutionMode.COM, eps=0.01,
     (the stats are direction-dependent, so they must be derived per
     rooting — e.g. with :func:`repro.core.stats.stats_from_data`).
     """
-    best_plan = None
+    best_plan: OptimizedPlan | None = None
     for relation in query.relations:
         rooted = query.rerooted(relation)
         stats = stats_for_root(rooted)
@@ -744,6 +741,7 @@ def best_driver(query, stats_for_root, mode=ExecutionMode.COM, eps=0.01,
             plan = optimizer(rooted, stats, mode=mode, eps=eps, weights=weights)
         else:
             plan = optimizer(rooted, stats)
-        if best_plan is None or plan.cost < best_plan.cost:
+        if plan is not None and (best_plan is None
+                                 or plan.cost < best_plan.cost):
             best_plan = plan
     return best_plan

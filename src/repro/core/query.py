@@ -68,9 +68,14 @@ class JoinQuery:
             self._parent[edge.child] = edge.parent
             self._children.setdefault(edge.parent, []).append(edge.child)
             self._children.setdefault(edge.child, [])
-        self._validate_tree()
+        # traversals are walked once, here; accessors hand out copies
+        self._preorder = self._validate_tree()
+        self._postorder = self._walk_postorder()
+        self._internal = [rel for rel in self._preorder if self._children[rel]]
 
     def _validate_tree(self):
+        """Check the edges form one tree; returns its pre-order."""
+        order = []
         reachable = set()
         stack = [self.root]
         while stack:
@@ -78,6 +83,7 @@ class JoinQuery:
             if node in reachable:
                 raise ValueError(f"cycle detected at relation {node!r}")
             reachable.add(node)
+            order.append(node)
             stack.extend(self._children.get(node, []))
         declared = {self.root} | set(self._edge_by_child)
         if reachable != declared:
@@ -86,6 +92,7 @@ class JoinQuery:
                 f"relations not reachable from root {self.root!r}: "
                 f"{sorted(unreachable)}"
             )
+        return order
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -151,10 +158,13 @@ class JoinQuery:
 
     def preorder(self):
         """Relations in a deterministic pre-order traversal."""
-        return self.subtree(self.root)
+        return list(self._preorder)
 
     def postorder(self):
         """Relations with every child before its parent."""
+        return list(self._postorder)
+
+    def _walk_postorder(self):
         order = []
         stack = [(self.root, False)]
         while stack:
@@ -169,7 +179,7 @@ class JoinQuery:
 
     def internal_relations(self):
         """Relations with at least one child (including the root if so)."""
-        return [rel for rel in self.preorder() if self._children[rel]]
+        return list(self._internal)
 
     # ------------------------------------------------------------------
     # Join orders

@@ -672,8 +672,7 @@ class Planner:
         if rungs is None:
             return greedy_order(query, stats, options.optimizer,
                                 **shared).order
-        shared.update(memoize=memo if memo is not None else True,
-                      upper_bound=upper_bound)
+        shared.update(memo=memo, upper_bound=upper_bound)
         deadline = options.deadline
         if deadline is None:
             rungs = rungs[:1]  # nothing can overrun: no fallback needed
@@ -903,7 +902,7 @@ class Planner:
             stats = stats_for(rooted)
             expected = expected_output_size(rooted, stats)
             if proxy_mode is None:
-                key, memo = 0.0, CostMemo(rooted)
+                key, memo = 0.0, CostMemo(rooted, stats, eps)
             else:
                 key, memo = min(
                     cost_lower_bound(rooted, stats, mode, weights,
@@ -919,10 +918,9 @@ class Planner:
                 if fixed_cost is not None and key + fixed_cost >= incumbent:
                     tally.rootings_floored += 1
                     continue
-                memo = CostMemo(rooted)
+                memo = CostMemo(rooted, stats, eps)
                 greedy = beam_order(rooted, stats, mode=proxy_mode, eps=eps,
-                                    weights=weights, beam_width=1,
-                                    memoize=memo)
+                                    weights=weights, beam_width=1, memo=memo)
                 tally.proxies += 1
                 key = self._cost(rooted, stats, greedy.order, proxy_mode,
                                  flat_output, memo)
@@ -1022,7 +1020,7 @@ class Planner:
         if spec.robustness == "off":
             return spec
         bound_stats = reader.bound_stats(rooted)
-        memo_bound = CostMemo(rooted)
+        memo_bound = CostMemo(rooted, bound_stats, self.options.eps)
         current_bound = worst_case_cost(
             rooted, bound_stats, spec.order, eps=self.options.eps,
             weights=self.options.weights, memo=memo_bound,
@@ -1042,7 +1040,7 @@ class Planner:
                 and current_bound
                 > self.options.regret_factor * optimal_bound):
             best_mode = best_cost = None
-            memo = CostMemo(rooted)
+            memo = CostMemo(rooted, spec.stats, self.options.eps)
             for candidate_mode in swap_modes:
                 cost = self._cost(rooted, spec.stats, robust_order,
                                   candidate_mode, flat_output, memo)

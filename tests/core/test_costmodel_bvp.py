@@ -124,3 +124,23 @@ def test_bvp_com_flat_output_expansion(
     assert flat.tuples_generated - fact.tuples_generated == pytest.approx(
         expected_output_size(q, st)
     )
+
+
+def test_bvp_com_price_independent_of_memo_state():
+    """A BVP+COM plan's price must not depend on which subset tables a
+    search already filled: the search multiplies pseudo children in
+    declared order, so pricing must too, or a shared memo mixes two
+    orders (one ulp apart on e.g. seeds 183 and 269)."""
+    from repro.core import CostMemo, exhaustive_optimal, plan_cost
+    from repro.modes import ExecutionMode
+    from repro.workloads.random_trees import random_join_tree, random_stats
+
+    mode = ExecutionMode.BVP_COM
+    for seed in range(300):
+        query = random_join_tree(max_nodes=9, seed=seed)
+        stats = random_stats(query, (0.05, 0.9), seed=seed + 100)
+        memo = CostMemo(query, stats)
+        order = exhaustive_optimal(query, stats, mode=mode, memo=memo).order
+        fresh = plan_cost(query, stats, order, mode, memo=None)
+        shared = plan_cost(query, stats, order, mode, memo=memo)
+        assert shared == fresh, seed

@@ -198,9 +198,9 @@ class TestIdpEarlyExit:
         calls = []
         real = optimizer._delta_cost
 
-        def counting(*args, **kwargs):
-            calls.append(args[3])
-            return real(*args, **kwargs)
+        def counting(memo, joined, relation, *args):
+            calls.append(relation)
+            return real(memo, joined, relation, *args)
 
         monkeypatch.setattr(optimizer, "_delta_cost", counting)
         return calls

@@ -76,15 +76,17 @@ class TestExhaustiveDP:
         # Re-cost the DP's chosen order through the same incremental
         # machinery used during search, for every enumerated order.
         from repro.core.optimizer import _delta_cost
-        from repro.core.costmodel import CostWeights
+        from repro.core.costmodel import CostMemo, CostWeights
+
+        memo = CostMemo(query, stats, 0.02)
 
         def dp_cost(order):
-            joined = {query.root}
+            joined = memo.bit[query.root]
             total = 0.0
             for relation in order:
-                total += _delta_cost(query, stats, joined, relation, mode,
-                                     0.02, CostWeights())
-                joined.add(relation)
+                total += _delta_cost(memo, joined, relation, mode,
+                                     CostWeights())
+                joined |= memo.bit[relation]
             return total
 
         assert plan.cost == pytest.approx(dp_cost(plan.order))

@@ -1,25 +1,38 @@
-"""Memoized exhaustive enumeration must match the unmemoized DP exactly."""
+"""The memoized, mask-native DP must match an unmemoized reference exactly.
+
+The reference (``tests.helpers.reference_optimum``) evaluates every
+valid order over plain name sets, straight from Sections 3.3 / 3.5 in
+the cost model's canonical multiplication order, and keeps the first
+cheapest; Algorithm 1 must return the same ``(order, cost)`` bit for
+bit — not approximately.
+"""
 
 import pytest
 
-from repro.core.costmodel import CostMemo
+from repro.core.costmodel import CostMemo, plan_cost
 from repro.core.optimizer import exhaustive_optimal
 from repro.modes import ExecutionMode
 from repro.workloads.random_trees import random_join_tree, random_stats
-from repro.workloads.shapes import paper_snowflake_3_2, star
-from tests.helpers import make_running_example_query, make_running_example_stats
+from repro.workloads.shapes import star
+from tests.helpers import (
+    make_running_example_query,
+    make_running_example_stats,
+    reference_optimum,
+)
 
 NON_SJ_MODES = [m for m in ExecutionMode.all_modes() if not m.uses_semijoin]
 
 
+def assert_matches_reference(query, stats, mode, eps=0.01):
+    plan = exhaustive_optimal(query, stats, mode=mode, eps=eps)
+    order, cost = reference_optimum(query, stats, mode, eps)
+    assert (plan.order, plan.cost) == (order, cost)
+
+
 @pytest.mark.parametrize("mode", NON_SJ_MODES)
 def test_memo_identical_on_running_example(mode):
-    query = make_running_example_query()
-    stats = make_running_example_stats()
-    plain = exhaustive_optimal(query, stats, mode=mode, memoize=False)
-    memo = exhaustive_optimal(query, stats, mode=mode, memoize=True)
-    assert memo.order == plain.order
-    assert memo.cost == plain.cost  # bit-identical, not approximately
+    assert_matches_reference(make_running_example_query(),
+                             make_running_example_stats(), mode)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -27,49 +40,57 @@ def test_memo_identical_on_running_example(mode):
 def test_memo_identical_on_random_trees(seed, mode):
     query = random_join_tree(max_nodes=9, seed=seed)
     stats = random_stats(query, (0.05, 0.9), seed=seed + 100)
-    plain = exhaustive_optimal(query, stats, mode=mode, memoize=False)
-    memo = exhaustive_optimal(query, stats, mode=mode, memoize=True)
-    assert memo.order == plain.order
-    assert memo.cost == plain.cost
+    assert_matches_reference(query, stats, mode)
 
 
 def test_memo_identical_on_star():
-    query = star(8)
+    query = star(7)
     stats = random_stats(query, (0.1, 0.6), seed=7)
     for mode in NON_SJ_MODES:
-        plain = exhaustive_optimal(query, stats, mode=mode, memoize=False)
-        memo = exhaustive_optimal(query, stats, mode=mode, memoize=True)
-        assert (memo.order, memo.cost) == (plain.order, plain.cost)
+        assert_matches_reference(query, stats, mode)
 
 
 def test_memo_identical_with_custom_eps_and_probe_costs():
-    query = paper_snowflake_3_2()
-    stats = random_stats(query, (0.1, 0.5), seed=3)
+    query = random_join_tree(max_nodes=9, seed=6)
+    stats = random_stats(query, (0.05, 0.9), seed=106)
     stats.probe_costs.update(
         {rel: 1.0 + i for i, rel in enumerate(query.non_root_relations)}
     )
-    for eps in (0.0, 0.05):
-        plain = exhaustive_optimal(
-            query, stats, mode=ExecutionMode.BVP_COM, eps=eps, memoize=False
-        )
-        memo = exhaustive_optimal(
-            query, stats, mode=ExecutionMode.BVP_COM, eps=eps, memoize=True
-        )
-        assert (memo.order, memo.cost) == (plain.order, plain.cost)
+    for eps in (0.0, 0.01, 0.05):
+        for mode in NON_SJ_MODES:
+            assert_matches_reference(query, stats, mode, eps)
 
 
 def test_cost_memo_structure():
     query = make_running_example_query()
-    memo = CostMemo(query)
+    memo = CostMemo(query, make_running_example_stats())
     # one bit per relation, subtree masks contain the node's own bit
     assert len(memo.bit) == query.num_relations
+    assert len(set(memo.bit.values())) == query.num_relations
     for node in query.preorder():
         assert memo.subtree_mask[node] & memo.bit[node]
     # the root's subtree covers everything
     full = memo.subtree_mask[query.root]
     for node in query.preorder():
         assert memo.subtree_mask[node] & full == memo.subtree_mask[node]
-    # pseudo nodes are assigned fresh bits on demand
-    mask = memo.mask_of(["~bv:R3", "R2"])
-    assert mask & memo.bit["R2"]
-    assert memo.bit["~bv:R3"] not in (0, memo.bit["R2"])
+    # candidates in declared edge order, each with its parent's bit
+    assert [name for name, _, _ in memo.non_root] == query.non_root_relations
+    for name, bit, parent_bit in memo.non_root:
+        assert bit == memo.bit[name]
+        assert parent_bit == memo.bit[query.parent(name)]
+
+
+def test_memo_for_other_inputs_refused():
+    query, stats = make_running_example_query(), make_running_example_stats()
+    memo = CostMemo(query, stats, eps=0.01)
+    order = ["R2", "R3", "R5", "R4", "R6"]
+    with pytest.raises(ValueError, match="different"):
+        exhaustive_optimal(query, stats, mode=ExecutionMode.BVP_COM,
+                           eps=0.05, memo=memo)
+    with pytest.raises(ValueError, match="different"):
+        plan_cost(query, make_running_example_stats(), order,
+                  ExecutionMode.COM, memo=memo)
+    # COM reads no eps-dependent table: any eps's memo prices it
+    assert plan_cost(query, stats, order, ExecutionMode.COM, eps=0.05,
+                     memo=memo) == plan_cost(query, stats, order,
+                                             ExecutionMode.COM)

@@ -111,10 +111,10 @@ def test_beam_width_validated():
 def test_shared_memo_reuse_is_value_transparent():
     query = random_tree_query(9, seed=5)
     stats = large_query_stats(query, seed=5)
-    memo = CostMemo(query)
+    memo = CostMemo(query, stats)
     fresh = idp_order(query, stats, block_size=4)
-    shared = idp_order(query, stats, block_size=4, memoize=memo)
-    also_shared = beam_order(query, stats, beam_width=4, memoize=memo)
+    shared = idp_order(query, stats, block_size=4, memo=memo)
+    also_shared = beam_order(query, stats, beam_width=4, memo=memo)
     assert shared.order == fresh.order and shared.cost == fresh.cost
     assert also_shared.order == beam_order(query, stats, beam_width=4).order
 

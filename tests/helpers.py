@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import EdgeStats, JoinEdge, JoinQuery, QueryStats
+from repro.core.costmodel import CostWeights
+from repro.modes import ExecutionMode
 from repro.storage import Catalog
 
 #: repository src/ directory (the package lives in src-layout)
@@ -188,6 +190,128 @@ class StatsCorruptingCatalog:
         return StatsCorruptingCatalog(
             self._catalog.derived_with(replacements), self._factors
         )
+
+
+# ----------------------------------------------------------------------
+# Reference order objective: the optimizer's delta costs, unmemoized
+# ----------------------------------------------------------------------
+#
+# Written straight from Sections 3.3 / 3.5 over plain name sets, with no
+# memo and no masks, in the canonical multiplication order the cost
+# model promises: along the root -> parent path, at each node, joined
+# children in declared order, then bitvector-checked (pseudo) children
+# in declared order.  Equal arithmetic order means equal floats, so the
+# optimizers must match this reference exactly, not approximately.
+
+
+def _reference_m_eff(stats, relation, eps):
+    return min(stats.m(relation) + eps, 1.0)
+
+
+def _reference_survival(query, stats, node, joined, pseudo, eps):
+    """``m_T`` of ``node``'s joined subtree (Section 3.3 recursion)."""
+    children = query.children(node)
+    factors = [_reference_survival(query, stats, child, joined, pseudo, eps)
+               for child in children if child in joined]
+    factors += [_reference_m_eff(stats, child, eps)
+                for child in children if child in pseudo]
+    m = 1.0 if node == query.root else stats.m(node)
+    if not factors:
+        return m
+    product = 1.0
+    for factor in factors:
+        product *= factor
+    fo = 1.0 if node == query.root else stats.fo(node)
+    return m * (1.0 - (1.0 - product) ** fo)
+
+
+def _reference_eq1(query, stats, parent, joined, pseudo, eps):
+    """Equation (1), with bitvector pseudo children (Section 3.5)."""
+    path = list(reversed(query.path_to_root(parent)))
+    probes = stats.driver_size
+    for node in path:
+        if node != query.root:
+            probes *= stats.m(node) * stats.fo(node)
+        branches = [c for c in query.children(node) if c not in path]
+        for child in branches:
+            if child in joined:
+                probes *= _reference_survival(query, stats, child, joined,
+                                              pseudo, eps)
+        for child in branches:
+            if child in pseudo:
+                probes *= _reference_m_eff(stats, child, eps)
+    return probes
+
+
+def _reference_stream(query, stats, joined):
+    """STD's materialized stream: ``N * prod s`` in declared order."""
+    product = 1.0
+    for relation in query.non_root_relations:
+        if relation in joined:
+            product *= stats.selectivity(relation)
+    return stats.driver_size * product
+
+
+def reference_delta_cost(query, stats, joined, relation, mode, eps, weights):
+    """Cost of joining ``relation`` after the name set ``joined``."""
+    c = stats.probe_cost(relation)
+    parent = query.parent(relation)
+    if mode is ExecutionMode.STD:
+        return _reference_stream(query, stats, joined) * c * weights.hash_probe
+    if mode is ExecutionMode.COM:
+        probes = _reference_eq1(query, stats, parent, joined, set(), eps)
+        return probes * c * weights.hash_probe
+    # BVP: every unjoined relation whose parent is joined has been checked
+    pseudo = [r for r in query.non_root_relations
+              if r not in joined and query.parent(r) in joined]
+    if mode is ExecutionMode.BVP_COM:
+        hash_probes = _reference_eq1(query, stats, parent, joined,
+                                     set(pseudo), eps)
+    else:
+        hash_probes = _reference_stream(query, stats, joined)
+        for checked in pseudo:
+            hash_probes *= _reference_m_eff(stats, checked, eps)
+    checks = sorted(query.children(relation), key=stats.m)
+    bv_probes = 0.0
+    if checks:
+        after = joined | {relation}
+        rest = [r for r in pseudo if r != relation]
+        if mode is ExecutionMode.BVP_COM:
+            alive = _reference_eq1(query, stats, relation, after, set(rest),
+                                   eps)
+        else:
+            alive = _reference_stream(query, stats, after)
+            for checked in rest:
+                alive *= _reference_m_eff(stats, checked, eps)
+        for child in checks:
+            bv_probes += alive
+            alive *= _reference_m_eff(stats, child, eps)
+    return hash_probes * c * weights.hash_probe \
+        + bv_probes * weights.bitvector_probe
+
+
+def reference_optimum(query, stats, mode, eps=0.01, weights=CostWeights()):
+    """``(order, cost)`` minimizing the summed reference deltas over the
+    orders of ``all_orders()``, enumerated in the same depth-first
+    order (so a shared prefix is costed once); the first of exactly
+    tied orders wins."""
+    best = [None, None]
+    size = len(query.non_root_relations)
+
+    def extend(order, joined, cost):
+        if len(order) == size:
+            if best[1] is None or cost < best[1]:
+                best[:] = [list(order), cost]
+            return
+        for relation in query.eligible_next(order):
+            delta = reference_delta_cost(query, stats, joined, relation, mode,
+                                         eps, weights)
+            order.append(relation)
+            extend(order, joined | {relation}, cost + delta)
+            order.pop()
+
+    extend([], {query.root}, 0.0)
+    return tuple(best)
 
 
 # ----------------------------------------------------------------------

@@ -56,10 +56,11 @@ def eager_search(self, rootings, stats_for, options, flat_output, best=None,
             (m for m in options.modes if not m.uses_semijoin), None)
     ranked = []
     for position, rooted in enumerate(rootings):
-        stats, memo, proxy = stats_for(rooted), CostMemo(rooted), 0.0
+        stats, proxy = stats_for(rooted), 0.0
+        memo = CostMemo(rooted, stats, eps)
         if proxy_mode is not None:
             greedy = beam_order(rooted, stats, mode=proxy_mode, eps=eps,
-                                weights=weights, beam_width=1, memoize=memo)
+                                weights=weights, beam_width=1, memo=memo)
             proxy = self._cost(rooted, stats, greedy.order, proxy_mode,
                                flat_output, memo)
         ranked.append((proxy, position, rooted, stats, memo))

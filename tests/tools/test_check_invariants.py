@@ -565,3 +565,54 @@ def test_one_fanout_per_step_fires_on_repeat_all(synthetic_repo):
     assert [f.rule for f in findings] == ["ONE_FANOUT_PER_STEP"] * 2
     assert sorted(f.message.split("(")[0] for f in findings) == [
         "concat_ranges", "repeat_rows"]
+
+
+def test_order_search_on_masks_allows_mask_states(synthetic_repo):
+    core = synthetic_repo / "src" / "repro" / "core"
+    (core / "optimizer.py").write_text(
+        "def _exact_block_order(memo, committed_order, block, mode, weights):\n"
+        "    best = {memo.bit[memo.root]: (0.0, '', 0)}\n"
+        "    for prefix in list(best):\n"
+        "        for relation, bit, parent_bit in memo.non_root:\n"
+        "            if prefix & bit or not prefix & parent_bit:\n"
+        "                continue\n"
+        "            best[prefix | bit] = (0.0, relation, prefix)\n"
+        "    return best\n"
+        "def greedy_order(query, stats):\n"
+        "    return query.eligible_next([])\n"
+    )
+    (core / "costmodel.py").write_text(
+        '"""Pseudo nodes were once named "~bv:R"; now they are bits."""\n'
+        "class CostMemo:\n"
+        "    def __init__(self, query):\n"
+        "        self.bit = {name: 1 << i\n"
+        "                    for i, name in enumerate(query.preorder())}\n"
+    )
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
+def test_order_search_on_masks_fires_on_set_states(synthetic_repo):
+    # the frozenset DP, the name-set memo translation and the pseudo names
+    core = synthetic_repo / "src" / "repro" / "core"
+    (core / "optimizer.py").write_text(
+        "def _exact_block_order(query, committed_order, block, memo):\n"
+        "    block_set = frozenset(block)\n"
+        "    best = {frozenset([query.root]): (0.0, [])}\n"
+        "    for prefix_set, (cost, order) in list(best.items()):\n"
+        "        for relation in query.eligible_next(order):\n"
+        "            best[prefix_set | {relation}] = (cost, order + [relation])\n"
+        "    return best\n"
+        "def _frontier_pseudo(relation):\n"
+        "    return f'~bv:{relation}'\n"
+    )
+    (core / "costmodel.py").write_text(
+        "class CostMemo:\n"
+        "    def mask_of(self, names):\n"
+        "        return sum(self.bit[name] for name in names)\n"
+    )
+    findings = run_all(load_linter(synthetic_repo))
+    assert {f.rule for f in findings} == {"ORDER_SEARCH_ON_MASKS"}
+    assert sorted(f.message.split(" ")[0] for f in findings) == [
+        "a", "a", "eligible_next(...)", "frozenset(...)", "frozenset(...)",
+        "mask_of()",
+    ]

@@ -126,6 +126,19 @@ PRODUCT_READS_NO_BENCHMARK_FILES
     constant under ``src/repro`` (docstrings exempt) names a
     ``BENCH_*`` record or ``benchmarks/results``.
 
+ORDER_SEARCH_ON_MASKS
+    Algorithm 1's subset DP runs on integer masks from the frontier to
+    the memo key: a DP or beam state is its joined mask, a candidate a
+    relation whose parent bit is set, and bitvector pseudo nodes are a
+    second mask over the relations' own bits.  So in
+    ``core/optimizer.py`` the searches (``_exact_block_order``,
+    ``_greedy_block``, ``beam_order``) construct no ``set`` /
+    ``frozenset`` (call, literal or comprehension) and call no
+    ``eligible_next``; ``core/costmodel.py`` defines no ``mask_of``
+    (sets turned back into masks per DP state); and no string constant
+    under ``src/repro`` (docstrings exempt) spells a ``"~bv:"`` pseudo
+    node name.
+
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
@@ -708,6 +721,47 @@ def check_product_reads_no_benchmark_files():
     return findings
 
 
+_MASK_SEARCHES = ("_exact_block_order", "_greedy_block", "beam_order")
+
+
+def check_order_search_on_masks():
+    findings = []
+
+    def finding(path, node, message):
+        findings.append(Finding("ORDER_SEARCH_ON_MASKS",
+                                path.relative_to(REPO), node.lineno, message))
+
+    optimizer = SRC / "core" / "optimizer.py"
+    for function in ast.walk(_parse(optimizer)) if optimizer.exists() else ():
+        if not isinstance(function, ast.FunctionDef) \
+                or function.name not in _MASK_SEARCHES:
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Set, ast.SetComp)):
+                built = "a set display"
+            elif isinstance(node, ast.Call) and _called_name(node) in (
+                    "set", "frozenset", "eligible_next"):
+                built = f"{_called_name(node)}(...)"
+            else:
+                continue
+            finding(optimizer, node, f"{built} in {function.name}() — keep "
+                    "search states, candidates and pseudo nodes as "
+                    "integer masks over CostMemo.bit")
+    costmodel = SRC / "core" / "costmodel.py"
+    for node in ast.walk(_parse(costmodel)) if costmodel.exists() else ():
+        if isinstance(node, ast.FunctionDef) and node.name == "mask_of":
+            finding(costmodel, node, "mask_of() turns name sets back into "
+                    "masks — translate at the entry point, once per plan")
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(_attach_parents(_parse(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and "~bv:" in node.value and not _is_docstring(node):
+                finding(path, node, "a '~bv:' pseudo node name — a "
+                        "bitvector check is the relation's bit in the "
+                        "pseudo mask")
+    return findings
+
+
 def check_readme_knob_table():
     findings = []
     options = next(
@@ -751,6 +805,7 @@ CHECKS = (
     check_one_fanout_per_step,
     check_plan_field_single_declaration,
     check_product_reads_no_benchmark_files,
+    check_order_search_on_masks,
     check_readme_knob_table,
 )
 
