@@ -323,7 +323,10 @@ def survival_probability(query: JoinQuery, stats: QueryStats,
     if root not in members:
         raise ValueError(f"subtree root {root!r} not in members {sorted(members)}")
     memo = CostMemo(query, stats)
-    return _survival(memo, root, sum(memo.bit[name] for name in members), 0)
+    mask = 0
+    for name in members:
+        mask |= memo.bit[name]
+    return _survival(memo, root, mask, 0)
 
 
 def com_probes_per_join(query: JoinQuery, stats: QueryStats,

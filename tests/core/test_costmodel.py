@@ -59,6 +59,18 @@ class TestSurvivalProbability:
         expected = M["R2"] * (1 - (1 - M["R3"]) ** FO["R2"])
         assert got == pytest.approx(expected)
 
+    def test_repeated_member_counts_once(
+        self, running_example_query, running_example_stats
+    ):
+        members = ["R1", "R2", "R3", "R4"]
+        got = survival_probability(
+            running_example_query, running_example_stats,
+            members + ["R3", "R3", "R2"],
+        )
+        assert got == survival_probability(
+            running_example_query, running_example_stats, members
+        )
+
     def test_root_must_be_member(
         self, running_example_query, running_example_stats
     ):

@@ -1,19 +1,20 @@
 """The memoized, mask-native DP must match an unmemoized reference exactly.
 
-The reference (``tests.helpers.reference_optimum``) evaluates every
-valid order over plain name sets, straight from Sections 3.3 / 3.5 in
-the cost model's canonical multiplication order, and keeps the first
-cheapest; Algorithm 1 must return the same ``(order, cost)`` bit for
-bit — not approximately.
+The reference (``tests.helpers.reference_optimum``) prices joins over
+plain name sets, straight from Sections 3.3 / 3.5 in the cost model's
+canonical multiplication order, and minimizes over every valid order
+(a name-set-keyed DP, so trees of 9-10 relations stay fast);
+Algorithm 1 must return the same ``(order, cost)`` bit for bit — not
+approximately.
 """
 
 import pytest
 
 from repro.core.costmodel import CostMemo, plan_cost
-from repro.core.optimizer import exhaustive_optimal
+from repro.core.optimizer import exhaustive_optimal, incremental_order_cost
 from repro.modes import ExecutionMode
 from repro.workloads.random_trees import random_join_tree, random_stats
-from repro.workloads.shapes import star
+from repro.workloads.shapes import paper_snowflake_3_2, star
 from tests.helpers import (
     make_running_example_query,
     make_running_example_stats,
@@ -44,7 +45,7 @@ def test_memo_identical_on_random_trees(seed, mode):
 
 
 def test_memo_identical_on_star():
-    query = star(7)
+    query = star(8)
     stats = random_stats(query, (0.1, 0.6), seed=7)
     for mode in NON_SJ_MODES:
         assert_matches_reference(query, stats, mode)
@@ -59,6 +60,20 @@ def test_memo_identical_with_custom_eps_and_probe_costs():
     for eps in (0.0, 0.01, 0.05):
         for mode in NON_SJ_MODES:
             assert_matches_reference(query, stats, mode, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_memo_identical_on_snowflake_with_probe_costs(eps):
+    query = paper_snowflake_3_2()
+    stats = random_stats(query, (0.1, 0.5), seed=3)
+    stats.probe_costs.update(
+        {rel: 1.0 + i for i, rel in enumerate(query.non_root_relations)}
+    )
+    mode = ExecutionMode.BVP_COM
+    plan = exhaustive_optimal(query, stats, mode=mode, eps=eps)
+    order, cost = reference_optimum(query, stats, mode, eps)
+    assert (plan.order, plan.cost) == (order, cost)
+    assert incremental_order_cost(query, stats, order, mode, eps) == cost
 
 
 def test_cost_memo_structure():

@@ -292,26 +292,35 @@ def reference_delta_cost(query, stats, joined, relation, mode, eps, weights):
 
 def reference_optimum(query, stats, mode, eps=0.01, weights=CostWeights()):
     """``(order, cost)`` minimizing the summed reference deltas over the
-    orders of ``all_orders()``, enumerated in the same depth-first
-    order (so a shared prefix is costed once); the first of exactly
-    tied orders wins."""
-    best = [None, None]
-    size = len(query.non_root_relations)
+    orders of ``all_orders()``.
 
-    def extend(order, joined, cost):
-        if len(order) == size:
-            if best[1] is None or cost < best[1]:
-                best[:] = [list(order), cost]
-            return
-        for relation in query.eligible_next(order):
-            delta = reference_delta_cost(query, stats, joined, relation, mode,
-                                         eps, weights)
-            order.append(relation)
-            extend(order, joined | {relation}, cost + delta)
-            order.pop()
-
-    extend([], {query.root}, 0.0)
-    return tuple(best)
+    A reference delta depends only on the joined *set*, so the cheapest
+    completion of a prefix does not depend on the prefix's order: each
+    joined name set keeps only its cheapest prefix (the earlier one in
+    ``all_orders()`` order on a tie), keyed by a ``frozenset``.  That
+    is ``O(2^n)`` states instead of ``O(n!)`` orders, and the costs are
+    summed left to right exactly as an enumeration would sum them.
+    """
+    position = {rel: i for i, rel in enumerate(query.non_root_relations)}
+    # joined set -> (cost, order, order as all_orders() sort key)
+    level = {frozenset([query.root]): (0.0, [], ())}
+    for _ in query.non_root_relations:
+        following = {}
+        for joined, (cost, order, key) in level.items():
+            for relation in query.eligible_next(order):
+                total = cost + reference_delta_cost(
+                    query, stats, joined, relation, mode, eps, weights
+                )
+                entry = (total, order + [relation],
+                         key + (position[relation],))
+                after = joined | {relation}
+                held = following.get(after)
+                if held is None or entry[0] < held[0] or (
+                        entry[0] == held[0] and entry[2] < held[2]):
+                    following[after] = entry
+        level = following
+    ((cost, order, _),) = level.values()
+    return order, cost
 
 
 # ----------------------------------------------------------------------
