@@ -13,18 +13,15 @@ Public API highlights
   (Sections 3.3-3.6).
 * :func:`repro.execute`, :class:`repro.ExecutionMode` — the vectorized
   engine with all six strategies (Section 4).
+* :class:`repro.Planner`, :class:`repro.PhysicalPlan`,
+  :class:`repro.PlanSpec` — SQL in, executable plan out; a plan checks
+  its own invariants when it is built.
+* :func:`repro.verify_plan` — key-hazard warnings (:class:`Diagnostic`)
+  for a plan's join predicates over its data.
 * :mod:`repro.workloads` — synthetic benchmark, simulated CE datasets.
 """
 
-from .analysis import (
-    Diagnostic,
-    PlanVerificationError,
-    PlanVerifier,
-    Severity,
-    VerificationResult,
-    verify_plan,
-    verify_spec,
-)
+from .analysis import Diagnostic, verify_plan
 from .core import (
     Contradiction,
     CostWeights,
@@ -99,18 +96,14 @@ __all__ = [
     "PlanCache",
     "PlanCost",
     "PlanSpec",
-    "PlanVerificationError",
-    "PlanVerifier",
     "Planner",
     "PreparedStatement",
     "QueryReport",
     "QuerySession",
     "QueryStats",
-    "Severity",
     "StatsCache",
     "StatsReader",
     "Table",
-    "VerificationResult",
     "beam_order",
     "best_driver",
     "choose_optimizer",
@@ -131,6 +124,5 @@ __all__ = [
     "stats_from_data",
     "survival_probability",
     "verify_plan",
-    "verify_spec",
     "__version__",
 ]

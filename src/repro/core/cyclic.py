@@ -118,7 +118,19 @@ class CyclicPlan:
 
 
 def _rooted_tree(relations, tree_predicates, driver):
-    """Root an (acyclic, spanning) predicate subset at ``driver``."""
+    """Root a spanning-tree predicate subset at ``driver``.
+
+    Raises ``ValueError`` unless the predicates are exactly a spanning
+    tree — ``len(relations) - 1`` of them, reaching every relation —
+    since the walk would otherwise skip a cycle-closing predicate
+    without applying it.
+    """
+    if len(tree_predicates) >= len(relations):
+        raise ValueError(
+            f"PRED001: {len(tree_predicates)} tree predicates over "
+            f"{len(relations)} relations: a spanning tree has "
+            f"{len(relations) - 1}, so a predicate would go unapplied"
+        )
     adjacency = {alias: [] for alias in relations}
     for rel_a, attr_a, rel_b, attr_b in tree_predicates:
         adjacency[rel_a].append((rel_b, attr_a, attr_b))
@@ -134,6 +146,11 @@ def _rooted_tree(relations, tree_predicates, driver):
             visited.add(child)
             edges.append(JoinEdge(node, child, parent_attr, child_attr))
             stack.append(child)
+    if len(visited) < len(relations):
+        raise ValueError(
+            f"SPEC005: the tree predicates do not reach "
+            f"{sorted(set(relations) - visited)} from {driver!r}"
+        )
     return JoinQuery(driver, edges)
 
 
@@ -153,8 +170,7 @@ def decompose(parsed, tree_predicates, driver=None):
     consumes the plan (the tree join applies edges and the residual
     stage applies residuals under ``tree_filter``; the
     variable-elimination operator in :mod:`repro.engine.wcoj` applies
-    each predicate once with its strategy-appropriate semantics).  The
-    plan linter's edge-XOR-residual passes check exactly this split.
+    each predicate once with its strategy-appropriate semantics).
     """
     relations = list(parsed.relations)
     if driver is None:
@@ -181,12 +197,20 @@ def tree_query_from_residuals(parsed, residuals, driver):
     partitions the multiset, rehydrated plans keep the edge-XOR-residual
     invariant: no predicate can be applied twice (once as a tree edge
     and again as a residual) by either the tree+filter or the WCOJ
-    execution strategy.
+    execution strategy.  A residual the query does not state (or states
+    fewer times) raises ``ValueError``, as does a remainder that is not
+    a spanning tree (:func:`_rooted_tree`).
     """
     remaining = list(parsed.join_predicates)
     for residual in residuals:
         key = residual.key if isinstance(residual, ResidualPredicate) \
             else tuple(residual)
+        if key not in remaining:
+            rel_a, attr_a, rel_b, attr_b = key
+            raise ValueError(
+                f"PRED003: residual {rel_a}.{attr_a} = {rel_b}.{attr_b} "
+                f"matches no remaining join predicate of the query"
+            )
         remaining.remove(key)
     return _rooted_tree(list(parsed.relations), remaining, driver)
 

@@ -27,13 +27,12 @@ Two routing flavors exist:
 
 Either way the placement is a partition of the shard/stripe ids — every
 shard owned by exactly one worker — which :meth:`ShardPlacement.validate`
-checks and the planlint ``PLACE001`` pass re-checks statically.
+checks on every pool run.
 :meth:`ShardPlacement.describe` renders the explain-able descriptor that
 ends up on distributed :class:`~repro.engine.executor.ExecutionResult` s.
 
-This module is dependency-free (stdlib only) so the planner and the
-analysis layer can import :data:`PLACEMENT_CHOICES` without pulling in
-process-pool machinery.
+This module is dependency-free (stdlib only) so the planner can import
+:data:`PLACEMENT_CHOICES` without pulling in process-pool machinery.
 """
 
 from __future__ import annotations

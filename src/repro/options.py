@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Optional, Tuple
 
-from .analysis import VALIDATE_CHOICES
 from .core.bounds import resolve_robustness
 from .core.costmodel import CostWeights
 from .core.cyclic import CYCLIC_EXECUTION_CHOICES
@@ -233,12 +232,6 @@ class PlanOptions:
         residual filters), ``"wcoj"`` (:mod:`repro.engine.wcoj`) or
         ``"auto"`` (price both, keep the cheaper).  Keyed raw: ``"auto"``
         resolves per query by data-dependent cost.
-    validate:
-        Static verification of produced plans: ``"off"``, ``"basic"``
-        or ``"full"`` (:mod:`repro.analysis.planlint`).  Error findings
-        raise :class:`~repro.analysis.PlanVerificationError`; all
-        findings land on :attr:`PhysicalPlan.diagnostics`.  Never keyed
-        — verification cannot change which plan is produced.
     robustness:
         ``"off"``, ``"bounded"`` (swap to the bound-optimal order when
         the estimated-optimal order's worst case exceeds
@@ -278,8 +271,6 @@ class PlanOptions:
                            _one_of("execution", EXECUTION_CHOICES))
     cyclic_execution: str = _knob(
         "auto", "raw", _one_of("cyclic_execution", CYCLIC_EXECUTION_CHOICES))
-    validate: str = _knob("off", "exempt",
-                          _one_of("validate", VALIDATE_CHOICES))
     robustness: str = _knob("off", "raw", resolve_robustness)
     regret_factor: float = _knob(4.0, "raw", _check_regret_factor,
                                  per_call=False)

@@ -49,7 +49,6 @@ from .core.cyclic import (
     tree_query_from_residuals,
     wcoj_cost,
 )
-from .analysis import PlanVerifier, verify_spec
 from .core.lru import LRUCache
 from .core.bounds import ROBUSTNESS_CHOICES, prefix_cardinality_bounds
 from .core.optimizer import (
@@ -218,7 +217,10 @@ class PlanSpec(_RoleDeclared):
     catalog.  Each field declares its role once (:func:`_spec_field`).
     Construction checks knob legality — an illegal mode, execution
     path, cyclic strategy, robustness, shard count or placement /
-    worker combination cannot exist — and stores ``order`` and
+    worker combination cannot exist — plus the facts a spec states
+    alone: residual selectivities aligned with the residuals, one finite
+    non-negative bound per join step exactly when robust, and a wcoj
+    plan with residuals and a variable order.  It stores ``order`` and
     ``child_orders`` canonically (tuples, sorted by relation).
 
     ``catalog_fingerprint`` is the base-catalog digest a shipped spec
@@ -286,6 +288,28 @@ class PlanSpec(_RoleDeclared):
             )
         if self.cyclic_strategy == "tree_filter" and self.wcoj_variable_order:
             raise ValueError("a tree_filter plan has no wcoj variable order")
+        if self.cyclic_strategy == "wcoj" and not (
+                self.residuals and self.wcoj_variable_order):
+            raise ValueError("WCOJ003: a wcoj plan needs residuals and a "
+                             "non-empty variable order")
+        if self.residual_selectivities and \
+                len(self.residual_selectivities) != len(self.residuals):
+            raise ValueError(
+                f"PLAN004: {len(self.residual_selectivities)} residual "
+                f"selectivities for {len(self.residuals)} residuals")
+        bounds = self.prefix_bounds
+        if self.robustness == "off" and (bounds or self.worst_case_bound):
+            raise ValueError("BOUND002: an off-mode plan carries no bound "
+                             "annotations")
+        if self.robustness != "off" and len(bounds) != len(self.order):
+            raise ValueError(
+                f"BOUND002: a robust plan carries one prefix bound per "
+                f"join step: {len(bounds)} for {len(self.order)} joins")
+        if not all(math.isfinite(bound) and bound >= 0
+                   for bound in (*bounds, self.worst_case_bound)):
+            raise ValueError(
+                f"BOUND003: bounds must be finite and non-negative, got "
+                f"{bounds!r} and worst case {self.worst_case_bound!r}")
 
     def __repr__(self):
         residuals = (
@@ -317,10 +341,15 @@ class PhysicalPlan:
     the engine takes), through an explicit read-only property.
     Decisions are immutable — a changed plan is a new plan
     (``dataclasses.replace`` on its spec) — so a cached plan can be
-    served to any number of callers.  ``diagnostics`` (verifier
-    findings) and ``search_tally`` (what the search ran and pruned;
-    ``None`` on a rehydrated plan) are observational: never
-    fingerprinted or shipped.
+    served to any number of callers.  ``search_tally`` (what the search
+    ran and pruned; ``None`` on a rehydrated plan) is observational:
+    never fingerprinted or shipped.
+
+    Construction checks the spec against the tree and the catalog: the
+    order respects precedence, ``child_orders`` permute each relation's
+    children, a wcoj variable order covers exactly the endpoints of the
+    tree edges and residuals, and every relation and predicate column
+    exists in ``catalog``.
 
     A cyclic plan's ``query`` is the spanning tree the joint search
     selected, ``residuals`` the predicates left to filter (applied in
@@ -331,8 +360,45 @@ class PhysicalPlan:
     spec: PlanSpec
     catalog: Catalog
     query: JoinQuery
-    diagnostics: tuple = ()
     search_tally: SearchTally | None = None
+
+    def __post_init__(self):
+        spec, query, catalog = self.spec, self.query, self.catalog
+        if not query.is_valid_order(spec.order):
+            raise ValueError(
+                f"PLAN002: order {list(spec.order)} is not a precedence-"
+                f"respecting permutation of {query.non_root_relations} "
+                f"under root {query.root!r}")
+        # relation -> the attributes its tree edges and residuals join on
+        endpoints = {query.root: set()}
+        for rel_a, attr_a, rel_b, attr_b in query.undirected_edges() + [
+                residual.key for residual in spec.residuals]:
+            endpoints.setdefault(rel_a, set()).add(attr_a)
+            endpoints.setdefault(rel_b, set()).add(attr_b)
+        for relation, children in spec.child_orders:
+            if relation not in endpoints or \
+                    sorted(children) != sorted(query.children(relation)):
+                raise ValueError(
+                    f"PLAN003: child_orders[{relation!r}] = "
+                    f"{list(children)} does not permute {relation!r}'s "
+                    f"children in the rooted tree")
+        for relation, attrs in endpoints.items():
+            if relation not in catalog:
+                raise ValueError(f"SCHEMA001: relation {relation!r} is "
+                                 f"missing from the plan catalog")
+            absent = attrs.difference(catalog.table(relation).columns)
+            if absent:
+                raise ValueError(f"SCHEMA002: {relation!r} has no column "
+                                 f"{sorted(absent)}")
+        if spec.cyclic_strategy == "wcoj":
+            members = [tuple(member) for variable in spec.wcoj_variable_order
+                       for member in variable]
+            expected = {(relation, attr) for relation, attrs
+                        in endpoints.items() for attr in attrs}
+            if len(members) != len(expected) or set(members) != expected:
+                raise ValueError(
+                    f"WCOJ002: wcoj variable members {members} are not the "
+                    f"predicate attributes {sorted(expected)}, once each")
 
     # the spec's fields read through as plan attributes (a test keeps
     # this list complete); order / child_orders as the engine takes them
@@ -605,7 +671,6 @@ class Planner:
         if stats_cache is True:
             stats_cache = StatsCache()
         self.stats_cache = stats_cache
-        self._verifier = PlanVerifier()
         # Two levels of content-addressed partitioning reuse: whole
         # derived catalogs (so exact-repeat plan() calls share built
         # indexes) and the re-clustered replacement tables
@@ -832,10 +897,8 @@ class Planner:
             if self.stats_cache is not None else None,
         )
         if prep.join_query is None:
-            plan = self._plan_cyclic(prep, reader, options)
-        else:
-            plan = self._plan_acyclic(prep, reader, options)
-        return self._validated(plan, query, options.validate)
+            return self._plan_cyclic(prep, reader, options)
+        return self._plan_acyclic(prep, reader, options)
 
     def _spec(self, choice, options, num_shards):
         """The :class:`PlanSpec` of a search winner — built once per
@@ -844,7 +907,7 @@ class Planner:
             root=choice.query.root, order=choice.order, mode=choice.mode,
             child_orders=choice.child_orders, residuals=choice.residuals,
             num_shards=num_shards, execution=options.execution,
-            robustness=options.robustness, placement=options.placement,
+            placement=options.placement,
             num_workers=options.num_workers, stats=choice.stats,
             predicted_cost=choice.predicted_cost,
             weights=self.options.weights,
@@ -966,25 +1029,6 @@ class Planner:
                                    residual_selectivities)
         return best
 
-    def _validated(self, plan, query, validate):
-        """Apply the resolved ``validate`` level to a produced plan.
-
-        Error findings raise
-        :class:`~repro.analysis.PlanVerificationError`; otherwise all
-        findings (warnings, infos) are attached as
-        :attr:`PhysicalPlan.diagnostics` of a copy — ``plan`` itself may
-        be a cached plan and is never mutated.  The verifier caches
-        verdicts per plan fingerprint, so re-planning an
-        already-verified plan (or rehydrating its spec, or serving it
-        from the plan cache) costs a dictionary lookup.
-        """
-        if validate == "off":
-            return plan
-        source = query if isinstance(query, ParsedQuery) else None
-        result = self._verifier.verify_plan(plan, source=source,
-                                            level=validate)
-        return replace(plan, diagnostics=tuple(result.diagnostics))
-
     # ------------------------------------------------------------------
     # Pessimistic bounded-regret planning (the robustness knob)
     # ------------------------------------------------------------------
@@ -994,7 +1038,9 @@ class Planner:
         """Annotate and (possibly) re-order a winning plan's spec (over
         the rooted tree ``rooted``); returns the replacement spec.
 
-        ``"off"`` returns the spec untouched.  Otherwise:
+        ``options.robustness == "off"`` returns the spec untouched (a
+        spec is built off-mode: the posture arrives with its bounds).
+        Otherwise:
 
         1. read bound statistics and find the **bound-optimal** order
            — the existing order search under ``ExecutionMode.STD``
@@ -1017,7 +1063,7 @@ class Planner:
         rides along when the caller's predicted cost includes an
         order-invariant term (a cyclic winner's residual filters).
         """
-        if spec.robustness == "off":
+        if options.robustness == "off":
             return spec
         bound_stats = reader.bound_stats(rooted)
         memo_bound = CostMemo(rooted, bound_stats, self.options.eps)
@@ -1051,7 +1097,7 @@ class Planner:
                            predicted_cost=best_cost + extra_cost)
             current_bound = optimal_bound
         return replace(
-            spec, **swapped,
+            spec, **swapped, robustness=options.robustness,
             prefix_bounds=prefix_cardinality_bounds(
                 bound_stats, swapped.get("order", spec.order)),
             worst_case_bound=current_bound,
@@ -1076,8 +1122,8 @@ class Planner:
 
         Robustness bound annotations are recomputed when the original
         plan carried them, so a replanned plan passes the same BOUND
-        lint checks (the max-frequency read hits the catalog's index
-        cache — the executed plan already built those indexes).
+        construction checks (the max-frequency read hits the catalog's
+        index cache — the executed plan already built those indexes).
         """
         if plan.is_cyclic:
             raise ValueError(
@@ -1105,8 +1151,7 @@ class Planner:
             predicted_cost=best.predicted_cost, prefix_bounds=prefix_bounds,
             worst_case_bound=worst_case_bound,
         )
-        return replace(plan, spec=spec, diagnostics=(),
-                       search_tally=best.search_tally)
+        return replace(plan, spec=spec, search_tally=best.search_tally)
 
     # ------------------------------------------------------------------
     # Acyclic queries: fixed driver, or the cross-rooting driver search
@@ -1298,13 +1343,16 @@ class Planner:
         content-addressed caches :meth:`plan` uses, so rehydration costs
         a push-down plus cache lookups — never an order search.
         ``overrides`` are the request's per-call knobs (only
-        ``partitioning`` and ``validate`` matter here).
+        ``partitioning`` matters here).
 
-        With ``validate`` on, the arriving spec is statically verified
-        before rehydration and the rehydrated plan after it; a
-        worker-planned spec that survived the trip fingerprints
-        identically to a locally planned twin, so the plan-level
-        verdict is usually already cached.
+        A spec that does not fit ``query`` raises ``ValueError`` before
+        anything runs: its residuals must identify a spanning tree of
+        the query (:func:`~repro.core.cyclic.tree_query_from_residuals`
+        rejects a residual the query lacks and a predicate set that is
+        not a spanning tree), its shard count must be the one this
+        planner derives, and the rebuilt :class:`PhysicalPlan` checks
+        the order, child orders, wcoj variables and catalog columns
+        against that tree.
         """
         request = self.options.override(**overrides)
         if spec.catalog_fingerprint != self.catalog.fingerprint():
@@ -1313,20 +1361,19 @@ class Planner:
                 "was planned (fingerprint mismatch)"
             )
         query = _parsed(query)
-        if request.validate != "off":
-            verify_spec(spec, query, self.catalog).raise_if_errors()
         tree = None
-        if spec.residuals:
-            if not isinstance(query, ParsedQuery):
-                raise ValueError(
-                    "a cyclic PlanSpec (with residuals) can only be "
-                    "rehydrated against the ParsedQuery it was planned for"
-                )
-            # The spec's residuals identify the resolved spanning tree:
-            # the query's predicate multiset minus them, rooted at the
-            # spec's driver.
-            tree = tree_query_from_residuals(query, spec.residuals,
-                                             spec.root)
+        if isinstance(query, ParsedQuery):
+            if spec.residuals or not query.is_acyclic():
+                # The spec's residuals identify the resolved spanning
+                # tree: the query's predicate multiset minus them,
+                # rooted at the spec's driver.
+                tree = tree_query_from_residuals(query, spec.residuals,
+                                                 spec.root)
+        elif spec.residuals:
+            raise ValueError(
+                "a cyclic PlanSpec (with residuals) can only be "
+                "rehydrated against the ParsedQuery it was planned for"
+            )
         prep = self._prepare(
             query, request.resolved(self.catalog, query), tree=tree
         )
@@ -1337,5 +1384,4 @@ class Planner:
                 f"PlanSpec was planned for {spec.num_shards} shard(s) "
                 f"but this planner derives {prep.effective_shards}"
             )
-        return self._validated(PhysicalPlan(spec, prep.catalog, rooted),
-                               query, request.validate)
+        return PhysicalPlan(spec, prep.catalog, rooted)

@@ -85,10 +85,6 @@ class QueryReport:
     #: ``output_size / residual_input_tuples`` (1.0 when the query had
     #: no residuals or nothing reached them)
     residual_selectivity: float = 1.0
-    #: static-verifier findings attached to the served plan
-    #: (:mod:`repro.analysis`; empty when ``validate="off"`` — cache
-    #: hits are verified at the request's level too)
-    diagnostics: tuple = ()
     #: runtime-feedback replans performed during this execution
     #: (``robustness="auto"`` only; 0 otherwise)
     replans: int = 0
@@ -152,7 +148,6 @@ def _reported_run(query, plan_phase, session=None):
     report = QueryReport(
         query=query, plan=plan, cache_hit=cache_hit,
         planning_seconds=t1 - t0,
-        diagnostics=tuple(plan.diagnostics),
     )
     try:
         report.result = run()
@@ -333,10 +328,7 @@ class QuerySession:
         key = self._key(query, request)
         plan = self.plan_cache.get(key)
         if plan is not None:
-            # validate is cache-key exempt: verify what is served (a
-            # verdict-cache lookup; the cached entry is never mutated)
-            return self.planner._validated(plan, query,
-                                           request.validate), True
+            return plan, True
         plan = self.planner.plan(query, **overrides)
         self.plan_cache.put(key, plan)
         return plan, False

@@ -1,9 +1,13 @@
-"""Seeded plan corruptions: each must be caught with a stable code.
+"""Seeded plan corruptions: each is refused where the plan is built.
 
-The verifier's contract is the diagnostic-code registry — these tests
-hand-corrupt real planner output one invariant at a time and assert
-``validate="full"`` flags exactly the expected code, so a refactor that
-silently weakens a pass fails here by name.
+Every retired verifier code lives on as the prefix of the
+``ValueError`` its construction check raises, so these tests hand-
+corrupt real planner output one invariant at a time and match that
+code.  The checks on the planner's *code* (fingerprint coverage,
+predicate accounting, selection push-down, knob keying) are tier-1
+helpers in ``tests/helpers.py``; here each is shown to name a seeded
+violation.  What is left of :func:`verify_plan` — key-hazard warnings
+over the data — closes the file.
 """
 
 import dataclasses
@@ -12,20 +16,21 @@ import numpy as np
 import pytest
 
 from repro import Planner, Table
-from repro.analysis import (
-    DIAGNOSTIC_CODES,
-    Diagnostic,
-    PlanVerificationError,
-    PlanVerifier,
-    Severity,
-    verify_plan,
-    verify_spec,
-)
+from repro.analysis import DIAGNOSTIC_CODES, Diagnostic, verify_plan
 from repro.core.cyclic import ResidualPredicate
 from repro.core.parser import parse_query
 from repro.core.query import JoinEdge, JoinQuery
 from repro.planner import PlanSpec
 from repro.storage import Catalog
+
+from tests.helpers import (
+    cache_token_disagreements,
+    fingerprint_blind_fields,
+    predicate_coverage,
+    stated_predicates,
+    unkeyed_planner_parameters,
+    unpushed_selections,
+)
 
 ACYCLIC_SQL = (
     "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b AND r.x = 3"
@@ -60,7 +65,7 @@ def catalog():
 
 @pytest.fixture()
 def cyclic_plan(catalog):
-    return Planner(catalog).plan(CYCLIC_SQL)
+    return Planner(catalog, cyclic_execution="tree_filter").plan(CYCLIC_SQL)
 
 
 @pytest.fixture()
@@ -68,73 +73,63 @@ def acyclic_plan(catalog):
     return Planner(catalog).plan(ACYCLIC_SQL)
 
 
-def failing_codes(plan, sql, level="full"):
-    result = verify_plan(plan, source=sql, level=level)
-    return set(d.code for d in result.errors)
-
-
 def with_spec(plan, **changes):
-    """``plan`` with some spec fields replaced (a new plan; knob
-    legality is still checked, so only structure can be corrupted)."""
+    """``plan`` with some spec fields replaced: a new spec and a new
+    plan, so every construction check runs."""
     return dataclasses.replace(
         plan, spec=dataclasses.replace(plan.spec, **changes))
 
 
+def shipped(catalog, plan, **changes):
+    """``plan``'s shipped spec with some fields replaced."""
+    return dataclasses.replace(plan.to_spec(catalog.fingerprint()),
+                               **changes)
+
+
 # ----------------------------------------------------------------------
-# The seeded corruption matrix (acceptance: >= 8 distinct codes)
+# The seeded corruption matrix
 # ----------------------------------------------------------------------
 
 
 def test_clean_plans_verify_clean(acyclic_plan, cyclic_plan):
-    assert verify_plan(acyclic_plan, source=ACYCLIC_SQL).ok
-    assert verify_plan(cyclic_plan, source=CYCLIC_SQL).ok
+    assert verify_plan(acyclic_plan, source=ACYCLIC_SQL, level="full") == ()
+    assert verify_plan(cyclic_plan, source=CYCLIC_SQL, level="full") == ()
+    for plan, sql in ((acyclic_plan, ACYCLIC_SQL), (cyclic_plan, CYCLIC_SQL)):
+        assert predicate_coverage(plan) == stated_predicates(parse_query(sql))
 
 
-def test_corrupt_tree_root_as_child(acyclic_plan):
-    bad_query = JoinQuery.__new__(JoinQuery)  # bypass ctor validation
-    bad_query.root = "r"
-    bad_query.edges = [
-        JoinEdge("r", "s", "a", "a"),
-        JoinEdge("s", "r", "b", "b"),
-    ]
-    bad = dataclasses.replace(acyclic_plan, query=bad_query)
-    assert "PLAN001" in failing_codes(bad, ACYCLIC_SQL)
+def test_corrupt_tree_root_as_child():
+    with pytest.raises(ValueError, match="root 'r' cannot be a child"):
+        JoinQuery("r", [JoinEdge("r", "s", "a", "a"),
+                        JoinEdge("s", "r", "b", "b")])
 
 
-def test_corrupt_tree_two_parents(acyclic_plan):
-    bad_query = JoinQuery.__new__(JoinQuery)
-    bad_query.root = "r"
-    bad_query.edges = [
-        JoinEdge("r", "s", "a", "a"),
-        JoinEdge("r", "t", "x", "c"),
-        JoinEdge("s", "t", "b", "b"),
-    ]
-    bad = dataclasses.replace(acyclic_plan, query=bad_query)
-    assert "PLAN001" in failing_codes(bad, ACYCLIC_SQL)
+def test_corrupt_tree_two_parents():
+    with pytest.raises(ValueError, match="'t' has two parents"):
+        JoinQuery("r", [JoinEdge("r", "s", "a", "a"),
+                        JoinEdge("r", "t", "x", "c"),
+                        JoinEdge("s", "t", "b", "b")])
 
 
 def test_order_violating_precedence(acyclic_plan):
-    bad = with_spec(acyclic_plan, order=list(reversed(acyclic_plan.order))
-    )
-    assert "PLAN002" in failing_codes(bad, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="^PLAN002"):
+        with_spec(acyclic_plan, order=list(reversed(acyclic_plan.order)))
 
 
 def test_order_not_a_permutation(acyclic_plan):
-    bad = with_spec(acyclic_plan, order=["s", "s"])
-    assert "PLAN002" in failing_codes(bad, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="^PLAN002"):
+        with_spec(acyclic_plan, order=["s", "s"])
 
 
 def test_mismatched_child_orders(acyclic_plan):
-    bad = with_spec(acyclic_plan, child_orders={"r": ["t"], "nope": []}
-    )
-    assert "PLAN003" in failing_codes(bad, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="^PLAN003"):
+        with_spec(acyclic_plan, child_orders={"r": ["t"], "nope": []})
 
 
 def test_misaligned_residual_selectivities(cyclic_plan):
-    bad = with_spec(cyclic_plan,
-        residual_selectivities=cyclic_plan.residual_selectivities + (0.5,),
-    )
-    assert "PLAN004" in failing_codes(bad, CYCLIC_SQL)
+    with pytest.raises(ValueError, match="^PLAN004"):
+        with_spec(cyclic_plan, residual_selectivities=(
+            cyclic_plan.residual_selectivities + (0.5,)))
 
 
 def test_unresolved_execution_knob(acyclic_plan):
@@ -142,39 +137,46 @@ def test_unresolved_execution_knob(acyclic_plan):
         with_spec(acyclic_plan, execution="auto")
 
 
-def test_dropped_residual(cyclic_plan):
-    bad = with_spec(cyclic_plan, residuals=(), residual_selectivities=()
-    )
-    assert "PRED001" in failing_codes(bad, CYCLIC_SQL)
+def test_dropped_residual(catalog, cyclic_plan):
+    """A shipped spec missing its residual would leave four predicates
+    for a three-relation tree: one of them would go unapplied."""
+    spec = shipped(catalog, cyclic_plan, residuals=(),
+                   residual_selectivities=())
+    with pytest.raises(ValueError, match="^PRED001"):
+        Planner(catalog).rehydrate(spec, CYCLIC_SQL)
 
 
-def test_duplicated_tree_edge_as_residual(cyclic_plan):
+def test_duplicated_tree_edge_as_residual(catalog, cyclic_plan):
     edge = cyclic_plan.query.edges[0]
     duplicate = ResidualPredicate(
         edge.parent, edge.parent_attr, edge.child, edge.child_attr
     )
-    bad = with_spec(cyclic_plan,
+    spec = shipped(
+        catalog, cyclic_plan,
         residuals=cyclic_plan.residuals + (duplicate,),
         residual_selectivities=cyclic_plan.residual_selectivities + (1.0,),
     )
-    assert "PRED002" in failing_codes(bad, CYCLIC_SQL)
+    with pytest.raises(ValueError, match="^SPEC005"):
+        Planner(catalog).rehydrate(spec, CYCLIC_SQL)
 
 
-def test_invented_predicate(acyclic_plan):
-    bad = with_spec(acyclic_plan,
-        residuals=(ResidualPredicate("r", "x", "t", "c"),),
-        residual_selectivities=(1.0,),
-    )
-    assert "PRED003" in failing_codes(bad, ACYCLIC_SQL)
+def test_invented_predicate(catalog, acyclic_plan):
+    spec = shipped(catalog, acyclic_plan,
+                   residuals=(ResidualPredicate("r", "x", "t", "c"),),
+                   residual_selectivities=(1.0,))
+    with pytest.raises(ValueError, match="^PRED003"):
+        Planner(catalog).rehydrate(spec, ACYCLIC_SQL)
 
 
 def test_unpushed_selection(catalog, acyclic_plan):
     # swap in a catalog whose "r" still holds rows violating r.x = 3
+    parsed = parse_query(ACYCLIC_SQL)
+    assert unpushed_selections(acyclic_plan, parsed) == []
     unfiltered = Catalog()
     for name in ("r", "s", "t"):
         unfiltered.add(catalog.table(name))
     bad = dataclasses.replace(acyclic_plan, catalog=unfiltered)
-    assert "PRED004" in failing_codes(bad, ACYCLIC_SQL)
+    assert unpushed_selections(bad, parsed) == [("r", "x")]
 
 
 def test_predicate_against_missing_column(catalog):
@@ -184,57 +186,46 @@ def test_predicate_against_missing_column(catalog):
         broken.add(plan.catalog.table(name))
     s = plan.catalog.table("s")
     broken.add(Table("s", {"a": s.column("a")}))  # drop join column b
-    bad = dataclasses.replace(plan, catalog=broken)
-    assert "SCHEMA002" in failing_codes(bad, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="^SCHEMA002"):
+        dataclasses.replace(plan, catalog=broken)
 
 
 def test_missing_relation(acyclic_plan):
     sparse = Catalog()
     sparse.add(acyclic_plan.catalog.table("r"))
     sparse.add(acyclic_plan.catalog.table("s"))
-    bad = dataclasses.replace(acyclic_plan, catalog=sparse)
-    assert "SCHEMA001" in failing_codes(bad, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="^SCHEMA001: relation 't'"):
+        dataclasses.replace(acyclic_plan, catalog=sparse)
 
 
-def test_shard_count_lie(acyclic_plan):
-    bad = with_spec(acyclic_plan, num_shards=4)
-    assert "SHARD001" in failing_codes(bad, ACYCLIC_SQL)
+def test_shard_count_lie(catalog, acyclic_plan):
+    """A spec claiming shards its planner does not derive is refused
+    at rehydration."""
+    spec = shipped(catalog, acyclic_plan, num_shards=4)
+    with pytest.raises(ValueError, match="planned for 4 shard"):
+        Planner(catalog).rehydrate(spec, ACYCLIC_SQL)
 
 
 def test_shard_count_mismatch(catalog):
-    plan = Planner(catalog, partitioning=2).plan(ACYCLIC_SQL)
+    planner = Planner(catalog, partitioning=2)
+    plan = planner.plan(ACYCLIC_SQL)
     assert plan.num_shards == 2
-    bad = with_spec(plan, num_shards=8)
-    assert "SHARD001" in failing_codes(bad, ACYCLIC_SQL)
-
-
-def test_corrupted_base_row_ids(catalog):
-    plan = Planner(catalog, partitioning=2).plan(ACYCLIC_SQL)
-    assert verify_plan(plan, source=ACYCLIC_SQL).ok
-    sharded = next(
-        plan.catalog.table(rel) for rel in plan.query.relations
-        if getattr(plan.catalog.table(rel), "num_shards", 1) > 1
-    )
-    original = sharded._base_rows.copy()
-    try:
-        sharded._base_rows[0] = sharded._base_rows[1]  # no longer a bijection
-        assert "ROWID001" in failing_codes(plan, ACYCLIC_SQL)
-    finally:
-        sharded._base_rows[:] = original
+    spec = shipped(catalog, plan, num_shards=8)
+    with pytest.raises(ValueError, match="planned for 8 shard"):
+        planner.rehydrate(spec, ACYCLIC_SQL)
 
 
 def test_stripped_fingerprint_component(acyclic_plan, monkeypatch):
-    """FP004 reads the decision fields from the spec's metadata, so a
-    fingerprint that stops hashing one of them is named."""
+    """The ``FP004`` check reads the decision fields from the spec's
+    metadata, so a fingerprint that stops hashing one of them is
+    named."""
     from repro import planner
 
+    assert fingerprint_blind_fields(acyclic_plan) == []
     monkeypatch.setattr(planner, "_DECISIONS", tuple(
         (name, canonical) for name, canonical in planner._DECISIONS
         if name != "execution"))
-    result = verify_plan(acyclic_plan, source=ACYCLIC_SQL, level="full")
-    assert [d.message for d in result.errors if d.code == "FP004"] == [
-        "fingerprint() is insensitive to field 'execution': perturbing "
-        "it left the digest unchanged"]
+    assert fingerprint_blind_fields(acyclic_plan) == ["execution"]
 
 
 def test_unregistered_plan_field():
@@ -247,32 +238,31 @@ def test_unregistered_plan_field():
             shiny_new_knob: int = 0
 
 
-def test_unregistered_planner_knob(acyclic_plan, monkeypatch):
+def test_unregistered_planner_knob(monkeypatch):
     original = Planner.plan
 
     def plan_with_knob(self, query, shiny_new_knob=None, **kwargs):
         return original(self, query, **kwargs)
 
+    assert unkeyed_planner_parameters() == []
     monkeypatch.setattr(Planner, "plan", plan_with_knob)
-    assert "FP003" in failing_codes(acyclic_plan, ACYCLIC_SQL)
+    assert unkeyed_planner_parameters() == ["shiny_new_knob"]
 
 
 @pytest.mark.parametrize("knob, keyed", [("robustness", False),
-                                         ("validate", True)])
-def test_cache_token_disagreeing_with_the_knob_table(acyclic_plan,
-                                                     monkeypatch,
-                                                     knob, keyed):
-    """FP003 is behavioural: drop a keyed knob from ``cache_token()``
-    (or leak an exempt one into it) and verification names it."""
+                                         ("deadline", True)])
+def test_cache_token_disagreeing_with_the_knob_table(monkeypatch, knob,
+                                                     keyed):
+    """The ``FP003`` check is behavioural: drop a keyed field from
+    ``cache_token()`` (or leak an exempt one into it) and it is
+    named."""
     from repro import options
 
     names = tuple(n for n in options._KEYED[options.ResolvedOptions]
                   if n != knob)
     monkeypatch.setitem(options._KEYED, options.ResolvedOptions,
                         names + (knob,) if keyed else names)
-    result = verify_plan(acyclic_plan, source=ACYCLIC_SQL, level="basic")
-    assert [knob in d.message for d in result.errors
-            if d.code == "FP003"] == [True]
+    assert cache_token_disagreements() == [knob]
 
 
 # ----------------------------------------------------------------------
@@ -297,10 +287,10 @@ def test_exact_key_hazards_are_warned():
     catalog = hazard_catalog()
     sql = "SELECT * FROM r, s, t WHERE r.k = s.k AND s.f = t.f"
     plan = Planner(catalog).plan(sql)
-    result = verify_plan(plan, source=sql, level="full")
-    assert result.ok  # hazards warn, they don't reject
-    warned = {d.code for d in result.warnings}
-    assert {"KEY001", "KEY002", "KEY003"} <= warned
+    warned = {d.code for d in verify_plan(plan, source=sql, level="full")}
+    assert warned == {"KEY001", "KEY002", "KEY003"}
+    # without a source, the plan's own tree edges are the predicates
+    assert {d.code for d in verify_plan(plan, level="full")} == warned
 
 
 def test_string_numeric_join_is_warned():
@@ -309,8 +299,7 @@ def test_string_numeric_join_is_warned():
     catalog.add(Table("s", {"k": np.array([1, 2], dtype=np.int64)}))
     sql = "SELECT * FROM r, s WHERE r.k = s.k"
     plan = Planner(catalog).plan(sql)
-    result = verify_plan(plan, source=sql, level="full")
-    assert "SCHEMA003" in {d.code for d in result.warnings}
+    assert [d.code for d in verify_plan(plan, source=sql)] == ["SCHEMA003"]
 
 
 def test_basic_level_skips_data_scans():
@@ -318,39 +307,35 @@ def test_basic_level_skips_data_scans():
     sql = "SELECT * FROM r, s WHERE r.k = s.k"
     plan = Planner(catalog).plan(sql)
     basic = verify_plan(plan, source=sql, level="basic")
-    assert not {"KEY001", "KEY002"} & set(basic.codes())
+    assert not {"KEY001", "KEY002"} & {d.code for d in basic}
     full = verify_plan(plan, source=sql, level="full")
-    assert {"KEY001", "KEY002"} <= set(full.codes())
+    assert {"KEY001", "KEY002"} <= {d.code for d in full}
+    with pytest.raises(ValueError, match="level must be"):
+        verify_plan(plan, level="paranoid")
 
 
 # ----------------------------------------------------------------------
-# Spec-level verification
+# Shipped specs
 # ----------------------------------------------------------------------
 
 
 def test_spec_verifies_clean(catalog, cyclic_plan):
     spec = cyclic_plan.to_spec(catalog.fingerprint())
-    assert verify_spec(
-        spec, query=parse_query(CYCLIC_SQL), catalog=catalog
-    ).ok
+    back = Planner(catalog).rehydrate(spec, parse_query(CYCLIC_SQL))
+    assert back.fingerprint() == cyclic_plan.fingerprint()
 
 
 def test_stale_spec(catalog, cyclic_plan):
     spec = cyclic_plan.to_spec("not-the-fingerprint")
-    result = verify_spec(
-        spec, query=parse_query(CYCLIC_SQL), catalog=catalog
-    )
-    assert "SPEC004" in set(result.codes())
+    with pytest.raises(ValueError, match="stale PlanSpec"):
+        Planner(catalog).rehydrate(spec, CYCLIC_SQL)
 
 
 def test_spec_with_foreign_residual(catalog, cyclic_plan):
-    spec = cyclic_plan.to_spec(catalog.fingerprint())
-    bad = dataclasses.replace(
-        spec, residuals=(ResidualPredicate("r", "a", "t", "b"),)
-    )
-    result = verify_spec(bad, query=parse_query(CYCLIC_SQL),
-                         catalog=catalog)
-    assert "SPEC005" in set(result.codes())
+    spec = shipped(catalog, cyclic_plan,
+                   residuals=(ResidualPredicate("r", "a", "t", "b"),))
+    with pytest.raises(ValueError, match=r"^PRED003: residual r\.a = t\.b"):
+        Planner(catalog).rehydrate(spec, CYCLIC_SQL)
 
 
 ILLEGAL_KNOBS = (
@@ -368,13 +353,25 @@ ILLEGAL_KNOBS = (
 
 def test_spec_invalid_knobs(catalog, acyclic_plan):
     """Knob legality is a construction invariant, for specs and plans
-    alike: the verifier has nothing left to re-check."""
+    alike."""
     spec = acyclic_plan.to_spec(catalog.fingerprint())
     for knob in ILLEGAL_KNOBS:
         with pytest.raises(ValueError):
             dataclasses.replace(spec, **knob)
         with pytest.raises(ValueError):
             with_spec(acyclic_plan, **knob)
+
+
+def test_wcoj_plan_needs_residuals_and_variables(cyclic_plan):
+    with pytest.raises(ValueError, match="^WCOJ003"):
+        with_spec(cyclic_plan, cyclic_strategy="wcoj", wcoj_variable_order=())
+    # the tree edges' attributes alone: the residual's would go unjoined
+    variables = (tuple(sorted({
+        (rel, attr) for edge in cyclic_plan.query.undirected_edges()
+        for rel, attr in (edge[:2], edge[2:])})),)
+    with pytest.raises(ValueError, match="^WCOJ002"):
+        with_spec(cyclic_plan, cyclic_strategy="wcoj",
+                  wcoj_variable_order=variables)
 
 
 # ----------------------------------------------------------------------
@@ -384,29 +381,35 @@ def test_spec_invalid_knobs(catalog, acyclic_plan):
 
 def test_every_emitted_code_is_registered():
     with pytest.raises(ValueError, match="unregistered diagnostic code"):
-        Diagnostic(code="NOPE01", severity=Severity.ERROR, message="x")
+        Diagnostic(code="NOPE01", message="x")
     assert all(isinstance(v, str) and v for v in DIAGNOSTIC_CODES.values())
 
 
-def test_verifier_raises_and_caches(acyclic_plan):
-    verifier = PlanVerifier()
-    result = verifier.verify_plan(acyclic_plan, source=ACYCLIC_SQL)
-    assert result.ok
-    # second call is a verdict-cache hit returning the same object
-    again = verifier.verify_plan(acyclic_plan, source=ACYCLIC_SQL)
-    assert again is result
-    bad = with_spec(acyclic_plan, order=list(reversed(acyclic_plan.order))
-    )
-    with pytest.raises(PlanVerificationError) as excinfo:
-        verifier.verify_plan(bad, source=ACYCLIC_SQL)
-    assert "PLAN002" in excinfo.value.result.codes()
-    # the failing verdict is cached too, and still raises
-    with pytest.raises(PlanVerificationError):
-        verifier.verify_plan(bad, source=ACYCLIC_SQL)
+def test_verifier_raises_and_caches(acyclic_plan, catalog, monkeypatch):
+    """What the verdict cache was for, now by construction: a corrupt
+    plan raises when built, and a plan-cache hit builds nothing."""
+    from repro import QuerySession
+    from repro.planner import PhysicalPlan
+
+    with pytest.raises(ValueError, match="^PLAN002"):
+        with_spec(acyclic_plan, order=list(reversed(acyclic_plan.order)))
+    session = QuerySession(catalog)
+    cold = session.plan(ACYCLIC_SQL)
+    built, checks = [], PhysicalPlan.__post_init__
+
+    def counting(plan):
+        built.append(plan)
+        checks(plan)
+
+    monkeypatch.setattr(PhysicalPlan, "__post_init__", counting)
+    assert session.plan(ACYCLIC_SQL) is cold
+    assert built == []
+    session.plan(CYCLIC_SQL)  # a cold plan is built, and checked, once
+    assert len(built) == 1
 
 
 # ----------------------------------------------------------------------
-# Pessimistic-bound annotations (BOUND001-003)
+# Pessimistic-bound annotations (BOUND002-003)
 # ----------------------------------------------------------------------
 
 
@@ -417,7 +420,8 @@ def bounded_plan(catalog):
 
 def test_clean_bounded_plan_verifies_clean(bounded_plan):
     assert bounded_plan.robustness == "bounded"
-    assert verify_plan(bounded_plan, source=ACYCLIC_SQL).ok
+    assert len(bounded_plan.prefix_bounds) == len(bounded_plan.order)
+    assert verify_plan(bounded_plan, source=ACYCLIC_SQL) == ()
 
 
 def test_invalid_robustness_posture(acyclic_plan):
@@ -426,55 +430,52 @@ def test_invalid_robustness_posture(acyclic_plan):
 
 
 def test_off_plan_carrying_bounds(acyclic_plan):
-    bad = with_spec(acyclic_plan, prefix_bounds=(10.0,), worst_case_bound=5.0
-    )
-    assert "BOUND002" in failing_codes(bad, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="^BOUND002"):
+        with_spec(acyclic_plan, prefix_bounds=(10.0,), worst_case_bound=5.0)
 
 
 def test_robust_plan_missing_a_bound(bounded_plan):
-    bad = with_spec(bounded_plan, prefix_bounds=bounded_plan.prefix_bounds[:-1]
-    )
-    assert "BOUND002" in failing_codes(bad, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="^BOUND002"):
+        with_spec(bounded_plan,
+                  prefix_bounds=bounded_plan.prefix_bounds[:-1])
 
 
 def test_non_finite_bound(bounded_plan):
-    bad = with_spec(bounded_plan, worst_case_bound=float("inf")
-    )
-    assert "BOUND003" in failing_codes(bad, ACYCLIC_SQL)
-    negative = with_spec(bounded_plan,
-        prefix_bounds=(-1.0,) + bounded_plan.prefix_bounds[1:],
-    )
-    assert "BOUND003" in failing_codes(negative, ACYCLIC_SQL)
+    with pytest.raises(ValueError, match="^BOUND003"):
+        with_spec(bounded_plan, worst_case_bound=float("inf"))
+    with pytest.raises(ValueError, match="^BOUND003"):
+        with_spec(bounded_plan, prefix_bounds=(
+            (-1.0,) + bounded_plan.prefix_bounds[1:]))
 
 
 def test_fingerprint_sensitive_to_robustness(bounded_plan):
-    flipped = with_spec(bounded_plan, robustness="off")
+    flipped = with_spec(bounded_plan, robustness="off", prefix_bounds=(),
+                        worst_case_bound=0.0)
     assert flipped.fingerprint() != bounded_plan.fingerprint()
 
 
 def test_spec_bound_checks(catalog, bounded_plan):
     spec = bounded_plan.to_spec(catalog.fingerprint())
-    assert verify_spec(spec, ACYCLIC_SQL, catalog).ok
-    short = dataclasses.replace(
-        spec, prefix_bounds=tuple(spec.prefix_bounds)[:-1]
-    )
-    assert "BOUND002" in {
-        d.code for d in verify_spec(short, ACYCLIC_SQL, catalog).errors
-    }
+    back = Planner(catalog, robustness="bounded").rehydrate(spec,
+                                                            ACYCLIC_SQL)
+    assert back.prefix_bounds == bounded_plan.prefix_bounds
+    with pytest.raises(ValueError, match="^BOUND002"):
+        dataclasses.replace(
+            spec, prefix_bounds=tuple(spec.prefix_bounds)[:-1])
 
 
 def test_distinct_corruption_codes_covered():
-    """Acceptance guard: the corruption matrix spans >= 8 codes."""
-    corrupted = {
-        "PLAN001", "PLAN002", "PLAN003", "PLAN004",
+    """Only the data hazards are still codes; every other code retired
+    into a construction check (or a tier-1 check on the code)."""
+    assert set(DIAGNOSTIC_CODES) == {"SCHEMA003", "KEY001", "KEY002",
+                                     "KEY003"}
+    retired = {
+        "PLAN001", "PLAN002", "PLAN003", "PLAN004", "PLAN005",
         "PRED001", "PRED002", "PRED003", "PRED004",
-        "SCHEMA001", "SCHEMA002", "SHARD001", "ROWID001",
-        "FP003", "FP004", "SPEC004", "SPEC005",
-        "BOUND002", "BOUND003",
+        "SCHEMA001", "SCHEMA002", "ROWID001", "SHARD001", "SHARD002",
+        "FP001", "FP002", "FP003", "FP004",
+        "SPEC001", "SPEC002", "SPEC003", "SPEC004", "SPEC005",
+        "WCOJ001", "WCOJ002", "WCOJ003",
+        "BOUND001", "BOUND002", "BOUND003", "PLACE001", "PLACE002",
     }
-    assert len(corrupted) >= 8
-    assert corrupted <= set(DIAGNOSTIC_CODES)
-    # knob legality and field roles are construction invariants now
-    retired = {"PLAN005", "FP001", "FP002", "SPEC001", "SPEC002",
-               "SPEC003", "WCOJ001", "BOUND001", "PLACE002"}
     assert not retired & set(DIAGNOSTIC_CODES)

@@ -1,6 +1,7 @@
-"""The ``validate`` knob through Planner, QuerySession and the async
-service: cold plans verified, verdicts cached per fingerprint, findings
-surfaced on QueryReport, corrupt specs rejected at rehydration."""
+"""The retired ``validate`` knob, through Planner, QuerySession and the
+async service: ``validate=`` is an unknown knob everywhere, plans are
+checked when they are built, a cache hit builds (and checks) nothing,
+and key hazards are a caller's explicit :func:`verify_plan` call."""
 
 import asyncio
 import dataclasses
@@ -8,14 +9,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import (
-    AsyncQueryService,
-    Planner,
-    PlanVerificationError,
-    QuerySession,
-    Table,
-)
-from repro.analysis import planlint
+from repro import AsyncQueryService, Planner, QuerySession, Table, verify_plan
+from repro.core.parser import parse_query
+from repro.planner import PhysicalPlan
 from repro.storage import Catalog
 
 SQL = "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b AND r.x = 3"
@@ -43,126 +39,125 @@ def catalog():
     return catalog
 
 
+def nan_catalog():
+    hazard = Catalog()
+    hazard.add(Table("R", {"a": np.array([1.0, np.nan, 3.0])}))
+    hazard.add(Table("S", {"a": np.array([np.nan, 1.0, 2.0])}))
+    return hazard
+
+
 def test_planner_validate_default_and_override(catalog):
-    planner = Planner(catalog, validate="full")
-    plan = planner.plan(SQL)
-    assert plan.diagnostics == ()  # clean plan, no findings
-    off = planner.plan(SQL, validate="off")
-    assert off.diagnostics == ()
-    with pytest.raises(ValueError, match="validate must be one of"):
-        Planner(catalog, validate="loud")
-    with pytest.raises(ValueError, match="validate must be one of"):
-        Planner(catalog).plan(SQL, validate="loud")
+    """Neither a planner default nor a per-call override exists."""
+    with pytest.raises(TypeError):
+        Planner(catalog, validate="full")
+    with pytest.raises(TypeError, match="validate"):
+        Planner(catalog).plan(SQL, validate="full")
 
 
-def test_planner_validate_attaches_warnings(catalog):
+def test_planner_validate_attaches_warnings():
+    """Hazards are what :func:`verify_plan` returns; the plan carries
+    no findings of its own."""
     hazard = Catalog()
     hazard.add(Table("r", {"k": np.array([1.0, np.nan])}))
     hazard.add(Table("s", {"k": np.array([1, 2], dtype=np.int64)}))
-    plan = Planner(hazard, validate="full").plan(
-        "SELECT * FROM r, s WHERE r.k = s.k"
-    )
-    assert "KEY002" in {d.code for d in plan.diagnostics}
+    plan = Planner(hazard).plan("SELECT * FROM r, s WHERE r.k = s.k")
+    assert [d.code for d in verify_plan(plan, level="full")] == ["KEY002"]
+    assert not hasattr(plan, "diagnostics")
 
 
 def test_validate_does_not_change_the_plan(catalog):
-    baseline = Planner(catalog).plan(SQL)
-    validated = Planner(catalog, validate="full").plan(SQL)
-    assert baseline.fingerprint() == validated.fingerprint()
+    """The construction checks are pure: rebuilding a plan through
+    them changes nothing it decides."""
+    plan = Planner(catalog).plan(SQL)
+    rebuilt = dataclasses.replace(plan)
+    assert rebuilt.fingerprint() == plan.fingerprint()
+    assert rebuilt.spec == plan.spec
 
 
 def test_verdict_cached_per_fingerprint(catalog, monkeypatch):
-    planner = Planner(catalog, validate="full")
-    calls = []
-    original = planlint.verify_plan
+    """A plan-cache hit constructs nothing, so it checks nothing."""
+    built, checks = [], PhysicalPlan.__post_init__
 
-    def counting(plan, source=None, level="full"):
-        calls.append(level)
-        return original(plan, source=source, level=level)
+    def counting(plan):
+        built.append(plan)
+        checks(plan)
 
-    monkeypatch.setattr(planlint, "verify_plan", counting)
-    planner.plan(SQL)
-    planner.plan(SQL)  # same fingerprint: verdict-cache hit
-    assert len(calls) == 1
+    monkeypatch.setattr(PhysicalPlan, "__post_init__", counting)
+    session = QuerySession(catalog)
+    session.plan(SQL)
+    session.plan(SQL)
+    assert len(built) == 1
 
 
 def test_session_surfaces_diagnostics_and_warm_path(catalog):
-    session = QuerySession(catalog, validate="full", partitioning=2)
+    session = QuerySession(catalog, partitioning=2)
     cold = session.execute(SQL)
     assert cold.ok and not cold.cache_hit
     warm = session.execute(SQL)
     assert warm.ok and warm.cache_hit
     cyclic = session.execute(CYCLIC_SQL)
     assert cyclic.ok and cyclic.residual_predicates
-    assert isinstance(cold.diagnostics, tuple)
+    assert not hasattr(cold, "diagnostics")
 
 
 def test_cache_hit_is_verified_at_the_requested_level():
-    """``validate`` is cache-key exempt, so a ``validate="full"`` request
-    can hit an entry planned with ``validate="off"``: it must still be
-    verified — and the cached plan must not be mutated by it."""
-    def nan_catalog():
-        hazard = Catalog()
-        hazard.add(Table("R", {"a": np.array([1.0, np.nan, 3.0])}))
-        hazard.add(Table("S", {"a": np.array([np.nan, 1.0, 2.0])}))
-        return hazard
-
+    """A cached plan verifies like a cold one, and verifying it leaves
+    the cache entry untouched."""
     sql = "SELECT * FROM R, S WHERE R.a = S.a"
     session = QuerySession(nan_catalog())
-    assert session.execute(sql).diagnostics == ()
-    warm = session.execute(sql, validate="full")
-    cold = QuerySession(nan_catalog()).execute(sql, validate="full")
-    assert warm.cache_hit and not cold.cache_hit
-    assert [d.code for d in warm.diagnostics] == ["KEY002", "KEY002"]
-    assert [d.code for d in warm.diagnostics] \
-        == [d.code for d in cold.diagnostics]
-    assert session.plan(sql).diagnostics == ()  # the entry is untouched
+    cached = session.plan(sql)
+    warm = session.execute(sql)
+    cold = QuerySession(nan_catalog()).plan(sql)
+    assert warm.cache_hit and warm.plan is cached
+    assert [d.code for d in verify_plan(warm.plan, sql, level="full")] \
+        == [d.code for d in verify_plan(cold, sql, level="full")] \
+        == ["KEY002", "KEY002"]
+    assert session.plan(sql) is cached
 
 
 def test_session_cache_key_ignores_validate(catalog):
-    from repro.core.parser import parse_query
-
-    session = QuerySession(catalog, validate="off")
+    session = QuerySession(catalog)
     parsed = parse_query("SELECT * FROM r, s WHERE r.a = s.a")
-    key_off = session.cache_key(parsed, validate="off")
-    key_full = session.cache_key(parsed, validate="full")
-    assert key_off == key_full
+    with pytest.raises(TypeError):
+        QuerySession(catalog, validate="off")
+    with pytest.raises(TypeError, match="validate"):
+        session.cache_key(parsed, validate="off")
+    assert isinstance(session.execute(SQL, validate="full").error,
+                      TypeError)
 
 
 def test_rehydrate_rejects_corrupt_spec(catalog):
-    planner = Planner(catalog, validate="full")
+    planner = Planner(catalog)
     plan = planner.plan(CYCLIC_SQL)
     spec = plan.to_spec(catalog.fingerprint())
     roundtrip = planner.rehydrate(spec, CYCLIC_SQL)
     assert roundtrip.fingerprint() == plan.fingerprint()
     bad = dataclasses.replace(spec, order=tuple(reversed(spec.order)))
-    with pytest.raises(PlanVerificationError) as excinfo:
+    with pytest.raises(ValueError, match="^PLAN002"):
         planner.rehydrate(bad, CYCLIC_SQL)
-    assert "PLAN002" in excinfo.value.result.codes()
-    # validate="off" preserves the legacy behavior: structural checks
-    # only happen downstream, the spec itself is trusted
-    unvalidated = Planner(catalog)
-    hydrated = unvalidated.rehydrate(spec, CYCLIC_SQL)
-    assert hydrated.fingerprint() == plan.fingerprint()
 
 
 def test_async_service_with_validation(catalog):
     async def main():
-        session = QuerySession(catalog, validate="basic")
+        session = QuerySession(catalog)
         async with AsyncQueryService(session) as service:
             report = await service.execute(SQL)
             assert report.ok, report.error
-            again = await service.execute(SQL)
-            assert again.ok
+            with pytest.raises(TypeError, match="validate"):
+                await service.execute(SQL, validate="basic")
         return True
 
     assert asyncio.run(main())
 
 
 def test_async_worker_config_carries_validate(catalog):
-    session = QuerySession(catalog, validate="basic")
+    """Planning workers rebuild their planner from ``planner_config()``,
+    which carries no ``validate``."""
+    session = QuerySession(catalog)
     service = AsyncQueryService(session, planning_workers=0)
     try:
-        assert session.planner.validate == "basic"
+        config = session.planner.options.planner_config()
+        assert "validate" not in config
+        assert Planner(catalog, **config).options == session.planner.options
     finally:
         service.close()

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -148,9 +149,20 @@ def test_planner_resolve_optimizer():
 
 
 def _plan_with(optimizer, query, stats, mode="COM"):
+    """Plan ``query`` from prebuilt ``stats``: no row is read, but the
+    plan's catalog must hold every relation and join column (a plan
+    checks that when it is built), so one-row tables stand in."""
     from repro.storage import Catalog
 
-    planner = Planner(Catalog())
+    columns = {relation: {"id"} for relation in query.relations}
+    for edge in query.edges:
+        columns[edge.parent].add(edge.parent_attr)
+        columns[edge.child].add(edge.child_attr)
+    catalog = Catalog()
+    for relation, names in columns.items():
+        catalog.add_table(relation, {name: np.zeros(1, dtype=np.int64)
+                                     for name in sorted(names)})
+    planner = Planner(catalog)
     return planner.plan(query, mode=mode, optimizer=optimizer, stats=stats)
 
 

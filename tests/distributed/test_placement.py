@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import verify_plan, verify_spec
+from repro.analysis import verify_plan
 from repro.distributed import (
     PLACEMENT_CHOICES,
     ShardPlacement,
@@ -99,7 +99,7 @@ class TestPlanlintPlacement:
         plan = session.plan(SQL)
         assert plan.placement == "distributed"
         assert plan.num_workers == 2
-        assert verify_plan(plan, source=SQL).ok
+        assert verify_plan(plan, source=SQL, level="full") == ()
 
     def test_bogus_placement_cannot_be_constructed(self):
         plan = QuerySession(make_small_catalog()).plan(SQL)
@@ -125,7 +125,8 @@ class TestPlanlintPlacement:
         spec = plan.to_spec(session.catalog.fingerprint())
         assert spec.placement == "distributed"
         assert spec.num_workers == 2
-        assert verify_spec(spec, query=SQL).ok
+        assert session.planner.rehydrate(spec, SQL).fingerprint() \
+            == plan.fingerprint()
         with pytest.raises(ValueError, match="num_workers"):
             dataclasses.replace(spec, num_workers=-1)
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: the paper's running example, reference evaluators.
+"""Shared test helpers: the paper's running example, reference
+evaluators, and the checks every planner-produced plan must pass.
 
 Importable as ``tests.helpers`` from every test package (``tests`` is a
 regular package), replacing the former ``from ..conftest import ...``
@@ -8,13 +9,18 @@ Fixtures built on these factories live in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import EdgeStats, JoinEdge, JoinQuery, QueryStats
 from repro.core.costmodel import CostWeights
+from repro.core.parser import Contradiction
 from repro.modes import ExecutionMode
 from repro.storage import Catalog
 
@@ -414,3 +420,136 @@ def killing_pool_factory(victims, **overrides):
         return KillingWorkerPool(*args, victims=victims, **kwargs)
 
     return factory
+
+
+# ----------------------------------------------------------------------
+# Checks on the planner's code: what every plan it produces satisfies.
+# They run over the benchmark pools in tier-1, not on every request.
+# ----------------------------------------------------------------------
+
+
+def _undirected(rel_a, attr_a, rel_b, attr_b):
+    """Direction-free key of an equality predicate."""
+    ends = sorted([(rel_a, attr_a), (rel_b, attr_b)])
+    return ends[0] + ends[1]
+
+
+def stated_predicates(parsed):
+    """The parsed join predicates, as an undirected multiset."""
+    return Counter(_undirected(*p) for p in parsed.join_predicates)
+
+
+def predicate_coverage(plan):
+    """The plan's tree edges plus residuals, as an undirected multiset.
+
+    Equal to :func:`stated_predicates` of the planned query exactly when
+    no predicate is dropped (``PRED001``), covered twice (``PRED002``)
+    or invented (``PRED003``).
+    """
+    return Counter(
+        _undirected(*sides) for sides in plan.query.undirected_edges()
+        + [residual.key for residual in plan.residuals]
+    )
+
+
+def unpushed_selections(plan, parsed):
+    """``(alias, column)`` of every constant selection that some row of
+    the plan's derived catalog violates (``PRED004``); a
+    :class:`Contradiction` must have left its relation empty."""
+    found = []
+    for alias, predicate in sorted(parsed.selections.items()):
+        table = plan.catalog.table(alias)
+        for column, literal in sorted(predicate.items()):
+            if isinstance(literal, Contradiction):
+                holds = len(table) == 0
+            else:
+                holds = bool(np.all(table.column(column) == literal))
+            if not holds:
+                found.append((alias, column))
+    return found
+
+
+class _Probe:
+    """A value no real plan or request holds — as a catalog (by its
+    fingerprint), a residual (by its key) or a wcoj variable."""
+
+    key = "__probe__"
+
+    @staticmethod
+    def fingerprint():
+        return "__probe_catalog__"
+
+    def __iter__(self):
+        return iter((self.key,))
+
+
+def _perturbed(value):
+    """A value of the same shape as ``value`` that differs from it."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):  # ExecutionMode included
+        return value + "~"
+    if isinstance(value, tuple) and value:
+        return value[:-1]
+    return (_Probe(),)
+
+
+def _bypassing_checks(obj, **changes):
+    """A copy of a frozen dataclass with ``changes`` set directly, so no
+    construction check runs — only the digest is of interest."""
+    clone = copy.copy(obj)
+    for name, value in changes.items():
+        object.__setattr__(clone, name, value)
+    return clone
+
+
+def fingerprint_blind_fields(plan):
+    """The plan parts :meth:`PhysicalPlan.fingerprint` ignores
+    (``FP004``): the rooted tree, the catalog and each field the spec
+    declares a *decision* are perturbed in turn, and a part whose
+    perturbation leaves the digest unchanged is named."""
+    baseline = plan.fingerprint()
+    mutated = [("catalog", _bypassing_checks(plan, catalog=_Probe()))]
+    if plan.query.num_relations >= 2:
+        rerooted = plan.query.rerooted(plan.query.edges[0].child)
+        mutated.append(("query", _bypassing_checks(plan, query=rerooted)))
+    for spec_field in dataclasses.fields(plan.spec):
+        if spec_field.metadata["role"] == "decision":
+            value = _perturbed(getattr(plan.spec, spec_field.name))
+            spec = _bypassing_checks(plan.spec, **{spec_field.name: value})
+            mutated.append((spec_field.name,
+                            _bypassing_checks(plan, spec=spec)))
+    return [name for name, other in mutated
+            if other.fingerprint() == baseline]
+
+
+def unkeyed_planner_parameters():
+    """Named ``Planner.__init__`` / ``Planner.plan`` parameters that are
+    not :class:`~repro.options.PlanOptions` fields (``FP003``): a knob
+    taken that way bypasses the plan-cache key."""
+    from repro.options import PlanOptions
+    from repro.planner import Planner
+
+    allowed = {spec.name for spec in dataclasses.fields(PlanOptions)} \
+        | {"self", "catalog", "stats_cache", "query"}
+    return [
+        name for func in (Planner.__init__, Planner.plan)
+        for name, parameter in inspect.signature(func).parameters.items()
+        if parameter.kind is not inspect.Parameter.VAR_KEYWORD
+        and name not in allowed
+    ]
+
+
+def cache_token_disagreements():
+    """Fields of a resolved request whose :meth:`cache_token` reaction
+    disagrees with their declared key role (``FP003``): a keyed field
+    the token ignores, or an exempt one it reacts to."""
+    from repro.options import ResolvedOptions
+
+    resolved = ResolvedOptions()
+    baseline = resolved.cache_token()
+    return [
+        spec.name for spec in dataclasses.fields(resolved)
+        if (dataclasses.replace(resolved, **{spec.name: _Probe()})
+            .cache_token() != baseline) == (spec.metadata["key"] == "exempt")
+    ]

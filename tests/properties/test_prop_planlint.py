@@ -1,11 +1,15 @@
-"""Property: every plan the planner produces verifies clean.
+"""Property: every plan the planner produces passes every check.
 
 Sweeps acyclic and cyclic queries x shard counts {1, 2, 8} x all six
-execution modes (plus ``mode="auto"``) and asserts ``validate="full"``
-finds no error on any planner-produced plan — the verifier must reject
+execution modes (plus ``mode="auto"``): each plan was built through the
+construction checks, covers every parsed predicate exactly once, holds
+only rows its selections keep, warns about no key hazard, and its
+shipped spec rehydrates to the same plan — the checks must reject
 corruptions, never legitimate output.  Randomized catalogs come from
 hypothesis; the mode/shard grid is exhaustive.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,9 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExecutionMode, Planner, Table
-from repro.analysis import verify_plan, verify_spec
+from repro.analysis import verify_plan
 from repro.core.parser import parse_query
 from repro.storage import Catalog
+
+from tests.helpers import (
+    predicate_coverage,
+    stated_predicates,
+    unpushed_selections,
+)
 
 ACYCLIC_SQL = (
     "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b AND r.x = 2"
@@ -46,6 +56,13 @@ def build_catalog(seed, rows):
     return catalog
 
 
+def assert_clean(plan, sql):
+    parsed = parse_query(sql)
+    assert verify_plan(plan, source=parsed, level="full") == ()
+    assert predicate_coverage(plan) == stated_predicates(parsed)
+    assert unpushed_selections(plan, parsed) == []
+
+
 @pytest.mark.parametrize("partitioning", SHARD_GRID)
 @pytest.mark.parametrize("sql", [ACYCLIC_SQL, CYCLIC_SQL],
                          ids=["acyclic", "cyclic"])
@@ -54,19 +71,11 @@ def test_planner_output_verifies_clean_across_modes(sql, partitioning):
     planner = Planner(catalog, partitioning=partitioning)
     for mode in MODE_GRID:
         plan = planner.plan(sql, mode=mode)
-        result = verify_plan(plan, source=sql, level="full")
-        assert result.ok, (
-            f"mode={mode} shards={partitioning}: "
-            f"{[str(d) for d in result.errors]}"
-        )
+        assert_clean(plan, sql)
         spec = plan.to_spec(catalog.fingerprint())
-        spec_result = verify_spec(
-            spec, query=parse_query(sql), catalog=catalog
-        )
-        assert spec_result.ok, (
-            f"spec mode={mode} shards={partitioning}: "
-            f"{[str(d) for d in spec_result.errors]}"
-        )
+        back = planner.rehydrate(spec, parse_query(sql))
+        assert back.fingerprint() == plan.fingerprint(), (mode,
+                                                          partitioning)
 
 
 @settings(max_examples=15, deadline=None)
@@ -83,19 +92,18 @@ def test_random_catalogs_verify_clean(seed, rows, partitioning, cyclic,
     planner = Planner(catalog, partitioning=partitioning)
     sql = CYCLIC_SQL if cyclic else ACYCLIC_SQL
     plan = planner.plan(sql, driver=driver)
-    result = verify_plan(plan, source=sql, level="full")
-    assert result.ok, [str(d) for d in result.errors]
+    assert_clean(plan, sql)
 
 
 def test_validated_planner_matches_unvalidated_grid():
-    """``validate="full"`` never changes the produced plan."""
+    """The construction checks never change a plan: rebuilding each
+    grid plan through them keeps its spec and fingerprint."""
     catalog = build_catalog(seed=3, rows=300)
     for partitioning in SHARD_GRID:
-        baseline = Planner(catalog, partitioning=partitioning)
-        validated = Planner(catalog, partitioning=partitioning,
-                            validate="full")
+        planner = Planner(catalog, partitioning=partitioning)
         for sql in (ACYCLIC_SQL, CYCLIC_SQL):
             for mode in MODE_GRID:
-                a = baseline.plan(sql, mode=mode)
-                b = validated.plan(sql, mode=mode)
-                assert a.fingerprint() == b.fingerprint()
+                plan = planner.plan(sql, mode=mode)
+                rebuilt = dataclasses.replace(plan)
+                assert rebuilt.spec == plan.spec
+                assert rebuilt.fingerprint() == plan.fingerprint()

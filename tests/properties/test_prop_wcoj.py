@@ -9,8 +9,8 @@ on them); across strategies the counters legitimately differ — the two
 algorithms do different work — and what is pinned instead is the
 bookkeeping that proves no predicate is ever applied twice:
 ``residual_input_tuples`` stays zero under wcoj (residuals are joined
-inside elimination, never re-filtered on the output) and the planlint
-predicate-accounting pass stays clean for both strategies.
+inside elimination, never re-filtered on the output) and both
+strategies' plans cover the parsed predicate multiset exactly once.
 """
 
 import collections
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.planlint import verify_plan
+from repro.analysis import verify_plan
 from repro.core import parse_query, spanning_tree_decomposition
 from repro.core.cyclic import (
     execute_cyclic,
@@ -33,6 +33,8 @@ from repro.planner import Planner
 from repro.storage import Catalog
 from repro.storage.partition import partitioned_catalog
 from repro.workloads.cyclic import CYCLIC_SHAPES, cyclic_catalog, to_sql
+
+from tests.helpers import predicate_coverage, stated_predicates
 
 from .test_prop_cyclic import TRIANGLE, brute_force, build_triangle_catalog
 from .test_prop_execution import (
@@ -276,8 +278,8 @@ def test_exact_key_edge_cases_agree(seed, cast_a, cast_c, driver):
 @settings(max_examples=10, deadline=None)
 def test_planner_strategies_agree_and_lint_clean(case, data_seed):
     """End-to-end: both forced strategies return identical results,
-    both plans pass the full verifier (predicate accounting proves no
-    predicate is dropped or double-applied), and ``"auto"`` resolves to
+    both plans cover each parsed predicate exactly once (none dropped
+    or double-applied) with no key hazard, and ``"auto"`` resolves to
     the cheaper of the two predicted costs."""
     shape, n = case
     parsed = CYCLIC_SHAPES[shape](n)
@@ -291,8 +293,8 @@ def test_planner_strategies_agree_and_lint_clean(case, data_seed):
             sql, stats="exact"
         )
         assert plan.cyclic_strategy == strategy
-        report = verify_plan(plan, source=sql, level="full")
-        assert not report.diagnostics, (strategy, report.diagnostics)
+        assert predicate_coverage(plan) == stated_predicates(parsed)
+        assert verify_plan(plan, source=sql, level="full") == (), strategy
         result = plan.execute(collect_output=True)
         plans[strategy] = plan
         tuples[strategy] = _row_tuples(result.output_rows, relations)

@@ -13,7 +13,11 @@ import pytest
 from repro import CostWeights, Planner, QuerySession, parse_query
 from repro.options import PlanOptions, ResolvedOptions
 
-from tests.helpers import make_small_catalog
+from tests.helpers import (
+    cache_token_disagreements,
+    make_small_catalog,
+    unkeyed_planner_parameters,
+)
 
 SQL = "select * from R1, R2, R5 where R1.B = R2.B and R1.E = R5.E"
 PARSED = parse_query(SQL)
@@ -34,7 +38,6 @@ ALTERNATIVE = {
     "max_spanning_trees": 3,
     "execution": "interpreted",
     "cyclic_execution": "wcoj",
-    "validate": "basic",
     "robustness": "bounded",
     "regret_factor": 2.0,
     "placement": "distributed",
@@ -55,7 +58,6 @@ INVALID = {
     "max_spanning_trees": (0, "max_spanning_trees must be an int >= 1"),
     "execution": ("simd", "execution must be one of"),
     "cyclic_execution": ("yannakakis", "cyclic_execution must be one of"),
-    "validate": ("loud", "validate must be one of"),
     "robustness": ("never", "robustness must be one of"),
     "regret_factor": (0.5, "regret_factor must be a number >= 1.0"),
     "placement": ("cloud", "placement must be one of"),
@@ -129,9 +131,24 @@ def test_knob_is_declared_once(spec, catalog):
     assert moved == (spec.metadata["key"] != "exempt")
 
 
+def test_planner_takes_only_knob_parameters():
+    """``Planner.__init__`` / ``Planner.plan`` name no parameter besides
+    ``catalog``, ``stats_cache``, ``query`` and the knob fields: a knob
+    taken any other way would never reach the plan-cache key."""
+    assert unkeyed_planner_parameters() == []
+
+
+def test_cache_token_follows_the_knob_table():
+    """Every field of a resolved request — the knobs plus what
+    resolution derives — moves ``cache_token()`` iff it is not
+    declared exempt."""
+    assert cache_token_disagreements() == []
+
+
 def test_unknown_names_are_rejected_everywhere(catalog):
     planner, session = Planner(catalog), QuerySession(catalog)
-    for unknown in ({"shiny": 1}, {"tree_search": "greedy"}):
+    for unknown in ({"shiny": 1}, {"tree_search": "greedy"},
+                    {"validate": "basic"}):
         with pytest.raises(TypeError):
             Planner(catalog, **unknown)
         with pytest.raises(TypeError):

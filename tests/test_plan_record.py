@@ -6,6 +6,12 @@ of the six benchmark workloads comes back from ``to_spec`` -> pickle ->
 ``rehydrate`` with the same fingerprint, the same ``repr`` of its
 predicted cost and an equal spec.  And a plan's decisions are frozen,
 so a cached plan can be served to any number of callers.
+
+What construction cannot see is checked here, over the same pool plans,
+as checks on the planner's code rather than on every request: the
+fingerprint reacts to every decision, the plan covers each parsed join
+predicate exactly once, and the derived catalog holds only rows that
+pass the query's constant selections.
 """
 
 import dataclasses
@@ -17,6 +23,13 @@ import pytest
 
 from repro import Catalog, QuerySession
 from repro.core.parser import parse_query
+
+from tests.helpers import (
+    fingerprint_blind_fields,
+    predicate_coverage,
+    stated_predicates,
+    unpushed_selections,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SEED, OPS = 11, 400
@@ -41,30 +54,53 @@ def shipped_fields(spec):
             for spec_field in dataclasses.fields(spec)}
 
 
-@pytest.mark.parametrize("name", [
-    "warm_serving", "cold_planning", "cyclic_skew", "distributed_scatter",
-    "live_mutation", "open_arrivals",
-])
-def test_pool_plans_survive_the_spec_round_trip(workloads, name):
-    workload = workloads[name]
+WORKLOADS = ("warm_serving", "cold_planning", "cyclic_skew",
+             "distributed_scatter", "live_mutation", "open_arrivals")
+
+
+def pool_plans(workload):
+    """``(session, [(parsed, plan), ...])`` over a workload's pool."""
     catalog = Catalog()
     for table, columns in workload.tables.items():
         catalog.add_table(table, dict(columns))
     session = QuerySession(catalog, **workload.session)
     knobs = {knob: value for knob, value in workload.execute.items()
              if knob != "collect_output"}
-    fingerprint = catalog.fingerprint()
+    planned = []
+    for query in workload.pool:
+        parsed = parse_query(query.sql())
+        planned.append((parsed, session.plan(parsed, **knobs)))
+    return session, knobs, planned
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_pool_plans_survive_the_spec_round_trip(workloads, name):
+    session, knobs, planned = pool_plans(workloads[name])
+    fingerprint = session.catalog.fingerprint()
     try:
-        for query in workload.pool:
-            parsed = parse_query(query.sql())
-            plan = session.plan(parsed, **knobs)
+        for parsed, plan in planned:
             spec = pickle.loads(pickle.dumps(plan.to_spec(fingerprint)))
             back = session.planner.rehydrate(spec, parsed, **knobs)
-            assert back.fingerprint() == plan.fingerprint(), query.sql()
+            assert back.fingerprint() == plan.fingerprint(), parsed
             assert repr(back.predicted_cost) == repr(plan.predicted_cost)
             assert shipped_fields(back.spec) \
                 == shipped_fields(plan.to_spec(fingerprint))
             assert back.query.edges == plan.query.edges
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_pool_plans_keep_the_invariants_construction_cannot_see(workloads,
+                                                                name):
+    """``FP004``, ``PRED001–003`` and ``PRED004`` as checks on the
+    planner's code, over every pool plan."""
+    session, _, planned = pool_plans(workloads[name])
+    try:
+        for parsed, plan in planned:
+            assert fingerprint_blind_fields(plan) == [], parsed
+            assert predicate_coverage(plan) == stated_predicates(parsed)
+            assert unpushed_selections(plan, parsed) == [], parsed
     finally:
         session.close()
 
@@ -80,7 +116,7 @@ def test_cached_plan_decisions_are_immutable(workloads):
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.spec.order = tuple(reversed(plan.spec.order))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        plan.diagnostics = ("tampered",)
+        plan.catalog = None
     with pytest.raises(AttributeError):
         plan.order = list(reversed(plan.order))
     # the read views are copies: editing one changes nothing cached

@@ -260,3 +260,26 @@ def test_joint_search_beats_greedy_on_some_shape():
         assert joint.predicted_cost <= greedy.predicted_cost
         improved.append(joint.predicted_cost < greedy.predicted_cost)
     assert any(improved)
+
+
+def test_rehydrate_refuses_a_spec_that_drops_a_residual():
+    """A shipped spec missing one residual leaves four predicates for a
+    four-relation tree.  Rooting them used to skip the cycle-closing
+    one without a word (1 666 rows instead of 265); it is refused."""
+    import dataclasses
+
+    rng = np.random.default_rng(0)
+    catalog = Catalog()
+    for name in "abcd":
+        catalog.add_table(name, {col: rng.integers(0, 6, 60) for col in "xyz"})
+    sql = ("SELECT * FROM a, b, c, d WHERE a.x = b.x AND b.y = c.y "
+           "AND c.z = d.z AND d.x = a.y AND a.z = c.x AND b.z = d.y")
+    planner = Planner(catalog, cyclic_execution="tree_filter")
+    plan = planner.plan(sql)
+    assert plan.execute().output_size == 265
+    spec = dataclasses.replace(
+        plan.to_spec(catalog.fingerprint()), residuals=plan.residuals[1:],
+        residual_selectivities=plan.residual_selectivities[1:])
+    with pytest.raises(ValueError, match="^PRED001: 4 tree predicates over "
+                                         "4 relations"):
+        planner.rehydrate(spec, sql)

@@ -616,3 +616,40 @@ def test_order_search_on_masks_fires_on_set_states(synthetic_repo):
         "a", "a", "eligible_next(...)", "frozenset(...)", "frozenset(...)",
         "mask_of()",
     ]
+
+
+def test_plans_checked_at_construction_allows_the_reexport(synthetic_repo):
+    src = synthetic_repo / "src" / "repro"
+    (src / "__init__.py").write_text(
+        "from .analysis import Diagnostic, verify_plan\n")
+    (src / "analysis" / "__init__.py").write_text(
+        "from .planlint import verify_plan\n")
+    (src / "analysis" / "planlint.py").write_text(
+        "from ..core.parser import parse_query\n"
+        "from repro.analysis import planlint\n")
+    (src / "planner.py").write_text(
+        "from .core.cyclic import tree_query_from_residuals\n")
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
+@pytest.mark.parametrize("relative, source", [
+    # the verifier wired into the planner
+    ("planner.py", "from .analysis import PlanVerifier, verify_spec\n"),
+    # a knob choice list read from the analysis package
+    ("options.py", "from .analysis import VALIDATE_CHOICES\n"
+     "class PlanOptions:\n    mode: str = 'auto'\n"),
+    # from a subpackage, and absolute
+    ("service/session.py", "from ..analysis.planlint import verify_plan\n"),
+    ("service/report.py", "import repro.analysis\n"),
+    # signatures read at run time
+    ("analysis/planlint.py", "import inspect\n"),
+    ("core/query.py", "from inspect import signature\n"),
+])
+def test_plans_checked_at_construction_fires(synthetic_repo, relative,
+                                             source):
+    path = synthetic_repo / "src" / "repro" / relative
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(source)
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["PLANS_CHECKED_AT_CONSTRUCTION"]
+    assert str(path.relative_to(synthetic_repo)) in str(findings[0])

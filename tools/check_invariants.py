@@ -113,11 +113,11 @@ ONE_FANOUT_PER_STEP
 PLAN_FIELD_SINGLE_DECLARATION
     A plan field is declared once, as a ``PlanSpec`` field whose
     ``_spec_field(role, ...)`` states its role (``anchor`` /
-    ``decision`` / ``derived``); fingerprint, shipping and the verifier
-    derive from it.  So no ``PlanSpec`` field lacks a literal role,
-    ``planner.py``'s ``fingerprint`` ``repr`` s no hand-written tuple,
-    and ``src/repro/analysis`` keeps no module-level ``frozenset`` of
-    plan field names.
+    ``decision`` / ``derived``); fingerprint, shipping and the
+    construction checks derive from it.  So no ``PlanSpec`` field lacks
+    a literal role, ``planner.py``'s ``fingerprint`` ``repr`` s no
+    hand-written tuple, and ``src/repro/analysis`` keeps no module-level
+    ``frozenset`` of plan field names.
 
 PRODUCT_READS_NO_BENCHMARK_FILES
     The library's behaviour is stated by its code, never loaded from a
@@ -138,6 +138,16 @@ ORDER_SEARCH_ON_MASKS
     (sets turned back into masks per DP state); and no string constant
     under ``src/repro`` (docstrings exempt) spells a ``"~bv:"`` pseudo
     node name.
+
+PLANS_CHECKED_AT_CONSTRUCTION
+    A plan checks its own invariants when ``PlanSpec`` /
+    ``PhysicalPlan`` are built, and the checks on the code (knob
+    signatures, fingerprint coverage) are tier-1 tests.  So no module
+    under ``src/repro`` outside ``analysis/`` imports ``repro.analysis``
+    (the package ``__init__``'s re-export excepted) — a product path
+    that calls the hazard check makes every request pay for it — and no
+    module imports ``inspect``: reading signatures at run time is a
+    check on the code repeated per request.
 
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
@@ -762,6 +772,47 @@ def check_order_search_on_masks():
     return findings
 
 
+def _imported_modules(path, node):
+    """Absolute names an import statement in ``path`` reaches: the
+    module itself plus, for ``from X import y``, ``X.y``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module or ""
+    if node.level:
+        package = ["repro", *path.relative_to(SRC).parent.parts]
+        parts = package[:len(package) - node.level + 1]
+        base = ".".join(parts + ([node.module] if node.module else []))
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def check_plans_checked_at_construction():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        may_import_analysis = rel == "__init__.py" \
+            or rel.startswith("analysis/")
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            modules = _imported_modules(path, node)
+            if any(name.split(".")[0] == "inspect" for name in modules):
+                message = ("imports inspect — a check that reads signatures "
+                           "checks the code, so make it a tier-1 test")
+            elif not may_import_analysis and any(
+                    name == "repro.analysis"
+                    or name.startswith("repro.analysis.")
+                    for name in modules):
+                message = ("imports repro.analysis — plans are checked "
+                           "where PlanSpec / PhysicalPlan are built; the "
+                           "hazard check is a caller's tool")
+            else:
+                continue
+            findings.append(Finding("PLANS_CHECKED_AT_CONSTRUCTION",
+                                    path.relative_to(REPO), node.lineno,
+                                    message))
+    return findings
+
+
 def check_readme_knob_table():
     findings = []
     options = next(
@@ -806,6 +857,7 @@ CHECKS = (
     check_plan_field_single_declaration,
     check_product_reads_no_benchmark_files,
     check_order_search_on_masks,
+    check_plans_checked_at_construction,
     check_readme_knob_table,
 )
 
