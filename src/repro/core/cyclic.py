@@ -641,7 +641,8 @@ def _push_down_residuals(catalog, residuals, factorized, counters=None,
     spanning tree is decidable per factorized entry: every flat tuple
     containing descendant entry ``e`` reaches the same ancestor entry
     through the ``parent_ptr`` chain, so comparing the two base values
-    once per entry and clearing the descendant's ``alive`` bit filters
+    once per entry and killing the failing descendant entries
+    (:meth:`~repro.engine.factorized.FactorizedResult.kill`) filters
     the factorized result exactly — *before* the entries multiply out
     through expansion, which is where tree+filter used to pay for every
     doomed combination.  Comparison semantics are unchanged
@@ -664,7 +665,10 @@ def _push_down_residuals(catalog, residuals, factorized, counters=None,
         return chain
 
     remaining = []
-    pushed = False
+    # per descendant node, its alive mask less the entries the residuals
+    # so far failed: each residual checks the entries the ones before
+    # it kept, and the deaths are walked once per node after the loop
+    kept = {}
     for residual in residuals:
         rel_a, attr_a, rel_b, attr_b = residual.key
         if rel_b in ancestors(rel_a):
@@ -677,7 +681,9 @@ def _push_down_residuals(catalog, residuals, factorized, counters=None,
             remaining.append(residual)
             continue
         node = factorized.node(descendant)
-        entries = node.alive_indices()
+        if descendant not in kept:
+            kept[descendant] = node.alive.copy()
+        entries = np.flatnonzero(kept[descendant])
         if counters is not None:
             counters.residual_checks += len(entries)
         if not len(entries):
@@ -695,10 +701,10 @@ def _push_down_residuals(catalog, residuals, factorized, counters=None,
             factorized.node(ancestor).rows[pointer], kernels,
         )
         match = kernels.equal_mask(values_desc, values_anc)
-        node.alive[entries[~np.asarray(match, dtype=bool)]] = False
-        pushed = True
-    if pushed:
-        factorized.propagate_deaths()
+        kept[descendant][entries[~np.asarray(match, dtype=bool)]] = False
+    for descendant, mask in kept.items():
+        node = factorized.node(descendant)
+        factorized.kill(descendant, np.flatnonzero(node.alive & ~mask))
     return remaining
 
 

@@ -217,18 +217,30 @@ def _run_factorized(query, catalog, order, indexes, bitvectors, checks_after,
                     counters, budget, driver_rows, kernels, monitor=None):
     result = FactorizedResult(query, driver_rows)
 
+    def probe_keys(edge):
+        """The parent node's alive entries (``None``: all of them, in
+        order) and their join keys."""
+        parent_node = result.node(edge.parent)
+        probed, rows = None, parent_node.rows
+        if parent_node.dead:
+            probed = parent_node.alive_indices()
+            rows = rows.take(probed)
+        return probed, catalog.table(edge.parent).column(edge.parent_attr)[rows]
+
+    def kill_failed(edge, probed, passed):
+        """Kill the probed entries ``passed`` (aligned with the keys)
+        rejects."""
+        if not passed.all():
+            failed = np.flatnonzero(~passed)
+            result.kill(edge.parent,
+                        failed if probed is None else probed.take(failed))
+
     def apply_check(relation_checked):
         edge = query.edge_to(relation_checked)
-        parent_node = result.node(edge.parent)
-        alive_idx = parent_node.alive_indices()
-        keys = catalog.table(edge.parent).column(edge.parent_attr)[
-            parent_node.rows[alive_idx]
-        ]
+        probed, keys = probe_keys(edge)
         counters.bitvector_probes += len(keys)
-        keep = kernels.bitvector_contains(bitvectors[relation_checked], keys)
-        if not keep.all():
-            parent_node.alive[alive_idx[~keep]] = False
-            result.propagate_deaths()
+        kill_failed(edge, probed, kernels.bitvector_contains(
+            bitvectors[relation_checked], keys))
 
     if bitvectors is not None:
         for relation in checks_after["scan"]:
@@ -236,16 +248,9 @@ def _run_factorized(query, catalog, order, indexes, bitvectors, checks_after,
 
     for relation in order:
         edge = query.edge_to(relation)
-        parent_node = result.node(edge.parent)
-        alive_idx = parent_node.alive_indices()
-        keys = catalog.table(edge.parent).column(edge.parent_attr)[
-            parent_node.rows[alive_idx]
-        ]
+        probed, keys = probe_keys(edge)
         counters.count_hash_probes(relation, len(keys))
         lookup = kernels.lookup(indexes[relation], keys)
-        matched = lookup.matched_mask
-        if not matched.all():
-            parent_node.alive[alive_idx[~matched]] = False
         total_matches = int(lookup.counts.sum())
         if monitor is not None:
             # before the budget check: a blown-up join should trigger a
@@ -254,10 +259,14 @@ def _run_factorized(query, catalog, order, indexes, bitvectors, checks_after,
         if total_matches > budget:
             raise BudgetExceededError("COM", relation, total_matches, budget)
         lineage, matches = lookup.fan_out()
-        result.add_node(relation, matches, alive_idx.take(lineage))
+        result.add_node(
+            relation, matches,
+            lineage if probed is None else probed.take(lineage),
+            probed=probed, counts=lookup.counts,
+        )
         counters.tuples_generated += len(matches)
         counters.note_intermediate(len(matches), stage=relation)
-        result.propagate_deaths()
+        kill_failed(edge, probed, lookup.matched_mask)
         if bitvectors is not None:
             for pending in checks_after[relation]:
                 apply_check(pending)

@@ -7,16 +7,24 @@ join tree.  Each :class:`FactorizedNode` holds, per entry:
 * ``parent_ptr`` — the index of the entry of the *parent node* this
   entry was generated from (``-1`` for the driver); non-decreasing, so
   each parent entry's children are one contiguous run;
-* ``alive`` — the selection vector: cleared when a probe fails, and
-  propagated both upward (a parent entry with no surviving children in
-  some evaluated child node is dead) and downward (entries under a dead
-  parent entry are dead), so that later joins probe exactly the entries
-  that Eq. (1) prices.
+* ``alive`` — the selection vector, cleared when a probe fails.
+
+and, per entry of its parent node, ``live``: how many of that entry's
+children are alive.  Liveness is owned by :meth:`FactorizedResult.kill`,
+the only writer of any ``alive`` mask.  A death is walked only as far
+as it reaches — upward while a parent entry's ``live`` count drops to
+zero (a parent entry with no surviving children in some joined child
+node is dead), downward through the child runs of each newly dead entry
+(entries under a dead parent entry are dead) — so later joins probe
+exactly the entries that Eq. (1) prices, and a join step where nothing
+dies pays nothing for liveness.  A freshly joined node's ``live`` is
+the probe's own match counts, scattered onto the probed entries.
 
 The flat result is recovered by :meth:`FactorizedResult.expand`, a
 vectorized breadth-first expansion (Section 4.3's "Result Expansion",
 breadth-first variant), or merely counted by
-:meth:`FactorizedResult.count_rows` without materialization.  The
+:meth:`FactorizedResult.count_rows` without materialization.  Both read
+the grouping ``live`` already is instead of recounting it.  The
 expansion pays one fan-out per joined node — a lineage pointer from
 each output position to the position it extends — and composes those
 pointers at the end, so every relation's ``rows`` is written once, by
@@ -27,6 +35,8 @@ so far at every level.
 from __future__ import annotations
 
 import numpy as np
+
+from ..storage.hashindex import fan_out
 
 __all__ = ["FactorizedNode", "FactorizedResult"]
 
@@ -55,25 +65,33 @@ def _weight_bounded_batches(weights, batch_entries, max_rows):
 
 
 class FactorizedNode:
-    """Entries of one relation inside a factorized result."""
+    """Entries of one relation inside a factorized result.
 
-    __slots__ = ("relation", "rows", "parent_ptr", "alive")
+    ``live`` (``None`` for the driver) counts the alive children of
+    each parent entry; ``dead`` counts the cleared ``alive`` bits.
+    """
+
+    __slots__ = ("relation", "rows", "parent_ptr", "alive", "live", "dead")
 
     def __init__(self, relation, rows, parent_ptr):
         self.relation = relation
         self.rows = np.asarray(rows, dtype=np.int64)
         self.parent_ptr = np.asarray(parent_ptr, dtype=np.int64)
         self.alive = np.ones(len(self.rows), dtype=bool)
+        self.live = None
+        self.dead = 0
 
     def __len__(self):
         return len(self.rows)
 
     @property
     def num_alive(self):
-        return int(self.alive.sum())
+        return len(self) - self.dead
 
     def alive_indices(self):
-        return np.nonzero(self.alive)[0]
+        if not self.dead:
+            return np.arange(len(self), dtype=np.int64)
+        return np.flatnonzero(self.alive)
 
     def __repr__(self):
         return (
@@ -86,8 +104,8 @@ class FactorizedResult:
     """A factorized (compressed) intermediate or final query result.
 
     Nodes are added in join order by the executor; the driver node is
-    created at scan time.  ``materialized_children`` tracks which join
-    tree children of each node have been joined so far.
+    created at scan time.  Each node's ``parent`` must be joined before
+    it, so a node's materialized children are the joined ones.
     """
 
     def __init__(self, query, driver_rows):
@@ -110,57 +128,127 @@ class FactorizedResult:
                 f"joined so far: {self.joined}"
             ) from None
 
-    def add_node(self, relation, rows, parent_ptr):
+    def add_node(self, relation, rows, parent_ptr, probed=None, counts=None):
         """Attach a freshly joined relation's entries.
 
         ``parent_ptr`` must be non-decreasing — entries grouped by parent
         entry, in parent order, which is how the executor attaches
-        matches (in probe order).  Expansion reads each parent entry's
+        matches (in probe order) — and point into the parent node, which
+        must already be joined.  Expansion reads each parent entry's
         children as one contiguous run and relies on it.
+
+        ``counts``: how many matches each probed parent entry found —
+        the probe's own counts become the node's ``live`` without a
+        recount of ``parent_ptr``.  ``probed`` names those entries
+        (``None``: every parent entry, in order); they are alive and
+        the matches are exactly ``parent_ptr``'s runs.  Without
+        ``counts``, ``live`` is counted here, and entries under a dead
+        parent entry are born dead.
         """
         if relation in self.nodes:
             raise ValueError(f"relation {relation!r} already joined")
+        if relation not in self.query.non_root_relations:
+            raise ValueError(
+                f"relation {relation!r} is not a non-root relation of the "
+                "query"
+            )
+        parent_rel = self.query.parent(relation)
+        if parent_rel not in self.nodes:
+            raise ValueError(
+                f"parent {parent_rel!r} of {relation!r} has not been joined "
+                f"yet; joined so far: {self.joined}"
+            )
+        parent = self.nodes[parent_rel]
         node = FactorizedNode(relation, rows, parent_ptr)
-        if (node.parent_ptr[1:] < node.parent_ptr[:-1]).any():
+        ptr = node.parent_ptr
+        if (ptr[1:] < ptr[:-1]).any():
             raise ValueError(
                 f"parent_ptr of {relation!r} decreases: entries must be "
                 "grouped by parent entry, in parent order"
             )
+        # non-decreasing: the ends bound every pointer
+        if len(ptr) and (ptr[0] < 0 or ptr[-1] >= len(parent)):
+            raise ValueError(
+                f"parent_ptr of {relation!r} leaves [0, {len(parent)}): "
+                f"it spans [{ptr[0]}, {ptr[-1]}]"
+            )
+        node.live = np.zeros(len(parent), dtype=np.int64)
+        if counts is None:
+            if parent.dead:
+                node.alive = parent.alive.take(ptr)
+                node.dead = len(node) - int(np.count_nonzero(node.alive))
+            node.live[:] = np.bincount(ptr[node.alive], minlength=len(parent))
+        elif probed is None:
+            node.live[:] = counts
+        else:
+            node.live[probed] = counts
         self.nodes[relation] = node
         self.joined.append(relation)
         return node
 
     # ------------------------------------------------------------------
-    # Death propagation
+    # Liveness
     # ------------------------------------------------------------------
 
     def _materialized_children(self, relation):
         return [c for c in self.query.children(relation) if c in self.nodes]
 
-    def propagate_deaths(self):
-        """Restore up/down consistency of the alive masks.
+    def kill(self, relation, entries):
+        """Clear ``entries`` of ``relation``'s node, and every entry
+        their deaths reach.
 
-        Upward: a parent entry must have at least one alive child entry
-        in every *materialized* child node.  Downward: entries whose
-        parent entry is dead are dead.  Two sweeps suffice because the
-        structure is a tree.
+        The only writer of any ``alive`` mask, so between calls every
+        alive non-driver entry has an alive parent entry and ``live``
+        counts each parent entry's alive children.  Entries already dead
+        are dropped (and repeats); a call with none left does nothing.
+        The rest die, and their deaths walk upward — the parent's
+        ``live`` is decremented and the walk continues only from parent
+        entries it drops to zero — and downward, through the child runs
+        of every newly dead entry, except into the child the walk came
+        up from.  Entries that never had a child in some joined node
+        (a probe's misses) stay alive until killed themselves.
         """
-        # Upward sweep: children before parents.
-        for relation in reversed(self._joined_preorder()):
-            node = self.nodes[relation]
-            for child_rel in self._materialized_children(relation):
-                child = self.nodes[child_rel]
-                counts = np.bincount(
-                    child.parent_ptr[child.alive], minlength=len(node)
-                )
-                node.alive &= counts > 0
-        # Downward sweep: parents before children.
-        for relation in self._joined_preorder():
-            node = self.nodes[relation]
-            if relation == self.query.root:
+        node = self.node(relation)
+        entries = np.asarray(entries, dtype=np.int64)
+        if len(entries) > 1 and (entries[1:] <= entries[:-1]).any():
+            entries = np.unique(entries)
+        if len(entries) and (entries[0] < 0 or entries[-1] >= len(node)):
+            raise IndexError(
+                f"entries of {relation!r} leave [0, {len(node)}): they span "
+                f"[{entries[0]}, {entries[-1]}]"
+            )
+        entries = entries[node.alive.take(entries)]
+        if len(entries):
+            self._die(relation, entries, came_from=None)
+
+    def _die(self, relation, entries, came_from):
+        """Kill the alive, sorted, distinct ``entries`` of ``relation``
+        and walk their deaths on, except back into ``came_from``."""
+        node = self.nodes[relation]
+        node.alive[entries] = False
+        node.dead += len(entries)
+        if relation != self.query.root:
+            parent = self.query.parent(relation)
+            if parent != came_from:
+                # entries are sorted, so their parents come in runs
+                parents = node.parent_ptr.take(entries)
+                firsts = np.flatnonzero(np.diff(parents, prepend=-1))
+                distinct = parents.take(firsts)
+                node.live[distinct] -= np.diff(firsts, append=len(parents))
+                emptied = distinct[node.live.take(distinct) == 0]
+                if len(emptied):
+                    self._die(parent, emptied, came_from=relation)
+        for child_rel in self._materialized_children(relation):
+            if child_rel == came_from:
                 continue
-            parent = self.nodes[self.query.parent(relation)]
-            node.alive &= parent.alive[node.parent_ptr]
+            child = self.nodes[child_rel]
+            begins = np.searchsorted(child.parent_ptr, entries, side="left")
+            ends = np.searchsorted(child.parent_ptr, entries, side="right")
+            child.live[entries] = 0
+            _, below = fan_out(begins, ends - begins)
+            below = below[child.alive.take(below)]
+            if len(below):
+                self._die(child_rel, below, came_from=relation)
 
     def _joined_preorder(self):
         """Materialized relations, parents before children."""
@@ -185,12 +273,14 @@ class FactorizedResult:
             w = node.alive.astype(np.float64)
             for child_rel in self._materialized_children(relation):
                 child = self.nodes[child_rel]
-                child_sums = np.bincount(
-                    child.parent_ptr,
-                    weights=weights[child_rel],
-                    minlength=len(node),
-                )
-                w *= child_sums
+                if self._materialized_children(child_rel):
+                    w *= np.bincount(child.parent_ptr,
+                                     weights=weights[child_rel],
+                                     minlength=len(node))
+                else:
+                    # a leaf entry weighs its alive bit: the sums are
+                    # the live counts
+                    w *= child.live
             weights[relation] = w
         return weights
 
@@ -262,19 +352,20 @@ class FactorizedResult:
         non-root node, in pre-order: its alive entries grouped by parent
         entry, and where each parent entry's group starts in them and
         how long it is.  ``parent_ptr`` is non-decreasing
-        (:meth:`add_node`), so the alive entries already are grouped."""
+        (:meth:`add_node`), so the alive entries already are grouped and
+        the group lengths are ``live``; ``entries`` is ``None`` for a
+        node with no dead entry, whose alive entries are its
+        positions."""
         levels = []
         for relation in self._joined_preorder():
             if relation == self.query.root:
                 continue
             node = self.nodes[relation]
-            parent = self.query.parent(relation)
-            entries = node.alive_indices()
-            counts = np.bincount(node.parent_ptr.take(entries),
-                                 minlength=len(self.nodes[parent]))
-            levels.append(
-                (relation, parent, entries, np.cumsum(counts) - counts, counts)
-            )
+            entries = node.alive_indices() if node.dead else None
+            starts = np.cumsum(node.live)
+            starts -= node.live
+            levels.append((relation, self.query.parent(relation), entries,
+                           starts, node.live))
         return levels
 
     def _expand_batch(self, driver_entries, levels, kernels):
@@ -307,7 +398,8 @@ class FactorizedResult:
                 else:
                     parked.append(
                         (level, rel, self.nodes[rel].rows.take(column)))
-            carried[relation] = entries.take(positions)
+            carried[relation] = (positions if entries is None
+                                 else entries.take(positions))
             frame = carried
         out = {rel: self.nodes[rel].rows.take(column)
                for rel, column in frame.items()}

@@ -301,6 +301,56 @@ def test_residual_counters_match_across_pipelines(triangle_catalog,
         std.counters.peak_intermediate_tuples
 
 
+@pytest.mark.parametrize("execution", ["vectorized", "interpreted"])
+def test_pushed_down_residual_checks_are_pinned(execution):
+    """Three residuals push down on the tree A -u- B -y- C: A.x = B.x
+    onto B, then C.z = A.z and C.w = A.w onto C.  Each counts the
+    entries of its node the residuals before it kept — the second C
+    residual only C's survivors of the first — and the deaths are
+    walked only after all three ran, so no count sees another node's
+    deaths.  Pinned so the count cannot drift."""
+    rng = np.random.default_rng(7)
+    catalog = Catalog()
+    catalog.add_table("A", {"x": rng.integers(0, 4, 40),
+                            "u": rng.integers(0, 3, 40),
+                            "z": rng.integers(0, 3, 40),
+                            "w": rng.integers(0, 3, 40)})
+    catalog.add_table("B", {"x": rng.integers(0, 4, 30),
+                            "u": rng.integers(0, 3, 30),
+                            "y": rng.integers(0, 4, 30)})
+    catalog.add_table("C", {"y": rng.integers(0, 4, 25),
+                            "z": rng.integers(0, 3, 25),
+                            "w": rng.integers(0, 3, 25)})
+    plan = spanning_tree_decomposition(parse_query(
+        "select * from A, B, C where A.x = B.x and B.y = C.y "
+        "and C.z = A.z and C.w = A.w and A.u = B.u"), driver="A")
+    assert [(e.parent, e.child) for e in plan.query.edges] == \
+        [("A", "B"), ("B", "C")]
+    assert [r.key for r in plan.residuals] == [
+        ("A", "x", "B", "x"), ("C", "z", "A", "z"), ("C", "w", "A", "w")]
+    size, result, rows = execute_cyclic(
+        catalog, plan, mode=ExecutionMode.COM, collect_output=True,
+        execution=execution,
+    )
+    assert result.counters.residual_checks == 3519
+    assert result.counters.residual_input_tuples == 55
+    a, b, c = (catalog.table(rel) for rel in "ABC")
+    expected = sorted(
+        (i, j, k)
+        for i in range(len(a)) for j in range(len(b))
+        if a.column("x")[i] == b.column("x")[j]
+        and a.column("u")[i] == b.column("u")[j]
+        for k in range(len(c))
+        if b.column("y")[j] == c.column("y")[k]
+        and c.column("z")[k] == a.column("z")[i]
+        and c.column("w")[k] == a.column("w")[i]
+    )
+    got = list(zip(*(rows[rel].tolist() for rel in "ABC")))
+    assert size == 55
+    assert sorted(got) == expected
+    assert got[:4] == [(6, 2, 4), (6, 2, 11), (6, 3, 4), (6, 3, 11)]
+
+
 def test_counting_matches_collecting(triangle_catalog):
     parsed = parse_query(TRIANGLE)
     plan = spanning_tree_decomposition(parsed, driver="A")

@@ -20,9 +20,9 @@ def test_depth_first_matches_breadth_first_small():
                     parent_ptr=np.asarray([0, 0, 1]))
     result.add_node("C", rows=np.asarray([20, 21]),
                     parent_ptr=np.asarray([0, 2]))
+    result.kill("B", [1])  # the C probe's miss
     result.add_node("D", rows=np.asarray([30, 31]),
                     parent_ptr=np.asarray([0, 1]))
-    result.propagate_deaths()
     bf = result.expand_all()
     bf_tuples = sorted(zip(*(bf[rel].tolist() for rel in result.joined)))
     df_tuples = sorted(
@@ -52,7 +52,7 @@ def test_depth_first_empty_result():
     result = FactorizedResult(query, np.asarray([0, 1]))
     result.add_node("B", rows=np.empty(0, dtype=np.int64),
                     parent_ptr=np.empty(0, dtype=np.int64))
-    result.propagate_deaths()
+    result.kill("A", [0, 1])
     assert list(result.expand_depth_first()) == []
 
 

@@ -6,6 +6,8 @@ import pytest
 from repro.core import JoinEdge, JoinQuery
 from repro.engine import FactorizedResult
 
+from tests.helpers import live_recount, two_sweep_alive
+
 
 @pytest.fixture
 def chain_query():
@@ -20,6 +22,18 @@ def make_two_level(chain_query):
     result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
     result.add_node("B", rows=np.asarray([10, 11, 12]),
                     parent_ptr=np.asarray([0, 0, 2]))
+    return result
+
+
+def make_three_level(chain_query):
+    """:func:`make_two_level` plus C entries under B10 (x2) and B12 (x1),
+    with the probe misses killed as the executor kills them: A1 found
+    no B match, B11 no C match."""
+    result = make_two_level(chain_query)
+    result.kill("A", [1])
+    result.add_node("C", rows=np.asarray([100, 101, 102]),
+                    parent_ptr=np.asarray([0, 0, 2]))
+    result.kill("B", [1])
     return result
 
 
@@ -52,6 +66,57 @@ class TestStructure:
         result.add_node("B", rows=np.asarray([10, 11, 12]),
                         parent_ptr=np.asarray([0, 2, 2]))
 
+    def test_relation_outside_query_rejected(self, chain_query):
+        result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
+        with pytest.raises(ValueError, match="'Z' is not a non-root"):
+            result.add_node("Z", np.asarray([0]), np.asarray([0]))
+        assert result.joined == ["A"]
+
+    def test_unjoined_parent_rejected(self, chain_query):
+        """C's parent B is not joined: accepted, count_rows() would
+        silently count 3 rows and expand() raise KeyError: 'B'."""
+        result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
+        with pytest.raises(ValueError,
+                           match="parent 'B' of 'C' has not been joined"):
+            result.add_node("C", np.arange(2), np.asarray([0, 1]))
+        assert "C" not in result.nodes
+
+    @pytest.mark.parametrize("parent_ptr", [[0, 1, 5], [-1, 0, 1]])
+    def test_parent_ptr_out_of_range_rejected(self, chain_query,
+                                              parent_ptr):
+        """Pointers outside the parent node failed only later, inside
+        propagation (a broadcast error, a negative bincount)."""
+        result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
+        with pytest.raises(ValueError,
+                           match=r"parent_ptr of 'B' leaves \[0, 3\)"):
+            result.add_node("B", np.arange(3), np.asarray(parent_ptr))
+        assert "B" not in result.nodes
+
+    def test_live_counts_children_per_parent_entry(self, chain_query):
+        result = make_two_level(chain_query)
+        node = result.node("B")
+        assert node.live.tolist() == [2, 0, 1]
+        assert result.node("A").live is None
+
+    def test_probe_counts_become_live(self, chain_query):
+        """The executor hands the probe's own counts over instead of a
+        recount of ``parent_ptr``."""
+        result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
+        node = result.add_node("B", rows=np.asarray([10, 11, 12]),
+                               parent_ptr=np.asarray([0, 0, 2]),
+                               probed=np.asarray([0, 1, 2]),
+                               counts=np.asarray([2, 0, 1]))
+        assert node.live.tolist() == [2, 0, 1]
+
+    def test_children_of_dead_entries_born_dead(self, chain_query):
+        result = make_two_level(chain_query)
+        result.kill("B", [2])
+        node = result.add_node("C", rows=np.asarray([100, 101, 102]),
+                               parent_ptr=np.asarray([0, 1, 2]))
+        assert node.alive.tolist() == [True, True, False]
+        assert node.live.tolist() == [1, 1, 0]
+        assert node.num_alive == 2
+
     def test_total_entries(self, chain_query):
         result = make_two_level(chain_query)
         assert result.total_entries() == 6
@@ -59,57 +124,102 @@ class TestStructure:
 
 class TestDeathPropagation:
     def test_upward_kill(self, chain_query):
-        """A parent entry with no alive children in a joined child node
-        dies (A1 never produced a B entry, so dies after the B join)."""
+        """A parent entry dies with its last alive child in a joined
+        child node, not before."""
         result = make_two_level(chain_query)
-        result.propagate_deaths()
-        assert result.node("A").alive.tolist() == [True, False, True]
+        result.kill("B", [0])
+        assert result.node("A").alive.tolist() == [True, True, True]
+        assert result.node("B").live.tolist() == [1, 0, 1]
+        result.kill("B", [1])
+        assert result.node("A").alive.tolist() == [False, True, True]
+        assert result.node("B").live.tolist() == [0, 0, 1]
 
     def test_downward_kill(self, chain_query):
         result = make_two_level(chain_query)
-        result.node("A").alive[0] = False
-        result.propagate_deaths()
+        result.kill("A", [0])
         # B entries 0, 1 hang under dead A0.
         assert result.node("B").alive.tolist() == [False, False, True]
+        assert result.node("B").live.tolist() == [0, 0, 1]
+        assert result.node("B").dead == 2
 
     def test_cascade_through_levels(self, chain_query):
         result = make_two_level(chain_query)
+        result.kill("A", [1])
         result.add_node("C", rows=np.asarray([100]),
                         parent_ptr=np.asarray([2]))
-        result.propagate_deaths()
+        result.kill("B", [0, 1])
         # Only the chain A2 -> B(12) -> C(100) is fully alive; B entries
-        # 10, 11 die (no C children), so A0 dies too.
+        # 10, 11 found no C match, so A0 dies too.
         assert result.node("A").alive.tolist() == [False, False, True]
         assert result.node("B").alive.tolist() == [False, False, True]
         assert result.node("C").alive.tolist() == [True]
 
+    def test_walk_does_not_return_down_the_path_it_came_up(self,
+                                                           chain_query):
+        """C102 dies, B12 loses its last C child and dies, A2 loses its
+        last B child and dies — and the walk from A2 down skips B."""
+        result = make_three_level(chain_query)
+        result.kill("C", [2])
+        assert result.node("A").alive.tolist() == [True, False, False]
+        assert result.node("B").alive.tolist() == [True, False, False]
+        assert result.node("C").alive.tolist() == [True, True, False]
+        for relation in ("B", "C"):
+            assert result.node(relation).live.tolist() == \
+                live_recount(result, relation).tolist()
 
-class TestCountingAndExpansion:
-    def test_count_rows_matches_expand(self, chain_query):
+    def test_dead_duplicate_unsorted_and_empty_entries(self, chain_query):
+        result = make_three_level(chain_query)
+        before = {rel: node.alive.copy() for rel, node in result.nodes.items()}
+        result.kill("B", [1, 1])
+        result.kill("C", np.empty(0, dtype=np.int64))
+        for rel, node in result.nodes.items():
+            assert node.alive.tolist() == before[rel].tolist()
+        result.kill("C", [1, 0, 1])
+        assert result.node("C").alive.tolist() == [False, False, True]
+        assert result.node("C").dead == 2
+        assert result.node("B").live.tolist() == live_recount(result, "B").tolist()
+        assert result.node("A").alive.tolist() == [False, False, True]
+
+    def test_out_of_range_entries_rejected(self, chain_query):
+        result = make_two_level(chain_query)
+        with pytest.raises(IndexError, match=r"leave \[0, 3\)"):
+            result.kill("B", [3])
+        with pytest.raises(IndexError, match=r"leave \[0, 3\)"):
+            result.kill("A", [-1])
+
+    def test_matches_two_sweep_reference(self, chain_query):
         result = make_two_level(chain_query)
         result.add_node("C", rows=np.asarray([100, 101, 102]),
                         parent_ptr=np.asarray([0, 0, 2]))
-        result.propagate_deaths()
+        # the executor's protocol: probe misses die as they happen
+        result.kill("A", [1])
+        result.kill("B", [1])
+        expected = {rel: mask.copy()
+                    for rel, mask in two_sweep_alive(result).items()}
+        expected["C"][0] = False
+        expected = two_sweep_alive(result, expected)
+        result.kill("C", [0])
+        for rel, node in result.nodes.items():
+            assert node.alive.tolist() == expected[rel].tolist()
+
+
+class TestCountingAndExpansion:
+    def test_count_rows_matches_expand(self, chain_query):
+        result = make_three_level(chain_query)
         flat = result.expand_all()
         assert result.count_rows() == len(flat["A"])
         # A0 x {B10 x (C100, C101)} plus A2 x B12 x C102 = 3 tuples.
         assert result.count_rows() == 3
 
     def test_expand_rows_content(self, chain_query):
-        result = make_two_level(chain_query)
-        result.add_node("C", rows=np.asarray([100, 101, 102]),
-                        parent_ptr=np.asarray([0, 0, 2]))
-        result.propagate_deaths()
+        result = make_three_level(chain_query)
         flat = result.expand_all()
         tuples = sorted(zip(flat["A"].tolist(), flat["B"].tolist(),
                             flat["C"].tolist()))
         assert tuples == [(0, 10, 100), (0, 10, 101), (2, 12, 102)]
 
     def test_expand_batching_consistent(self, chain_query):
-        result = make_two_level(chain_query)
-        result.add_node("C", rows=np.asarray([100, 101, 102]),
-                        parent_ptr=np.asarray([0, 0, 2]))
-        result.propagate_deaths()
+        result = make_three_level(chain_query)
         full = result.expand_all()
         for batch_entries in (1, 2, 3):
             batches = list(result.expand(batch_entries=batch_entries))
@@ -121,10 +231,7 @@ class TestCountingAndExpansion:
                 assert combined[rel].tolist() == full[rel].tolist()
 
     def test_expand_max_rows_bounds_batches(self, chain_query):
-        result = make_two_level(chain_query)
-        result.add_node("C", rows=np.asarray([100, 101, 102]),
-                        parent_ptr=np.asarray([0, 0, 2]))
-        result.propagate_deaths()
+        result = make_three_level(chain_query)
         batches = list(result.expand(max_rows=2))
         assert sum(len(b["A"]) for b in batches) == result.count_rows()
         for batch in batches:
@@ -134,21 +241,22 @@ class TestCountingAndExpansion:
         result = FactorizedResult(chain_query, np.asarray([0, 1]))
         result.add_node("B", rows=np.empty(0, dtype=np.int64),
                         parent_ptr=np.empty(0, dtype=np.int64))
-        result.propagate_deaths()
+        result.kill("A", [0, 1])
         assert result.count_rows() == 0
         assert list(result.expand()) == []
         flat = result.expand_all()
         assert len(flat["A"]) == 0
 
     def test_count_without_propagation_still_correct(self, chain_query):
-        """Counting weights dead subtrees as zero, so an un-propagated
-        alive mask yields the same count."""
+        """Counting weights childless entries as zero, so the count is
+        the same before the probe misses are killed."""
         result = make_two_level(chain_query)
         result.add_node("C", rows=np.asarray([100]),
                         parent_ptr=np.asarray([2]))
         unpropagated = result.count_rows()
-        result.propagate_deaths()
-        assert result.count_rows() == unpropagated
+        result.kill("A", [1])
+        result.kill("B", [0, 1])
+        assert result.count_rows() == unpropagated == 1
 
 
 class TestWeightBoundedBatches:
@@ -194,10 +302,7 @@ class TestWeightBoundedBatches:
         assert not got or got[-1][1] == n
 
     def test_expand_uses_supplied_weights(self, chain_query):
-        result = make_two_level(chain_query)
-        result.add_node("C", rows=np.asarray([100, 101, 102]),
-                        parent_ptr=np.asarray([0, 0, 2]))
-        result.propagate_deaths()
+        result = make_three_level(chain_query)
         weights = result.subtree_weights()
         assert result.count_rows(weights) == result.count_rows()
         with_weights = list(result.expand(max_rows=2, weights=weights))

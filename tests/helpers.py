@@ -366,6 +366,41 @@ def result_tuples(result, query):
     return sorted(zip(*columns)) if columns and len(columns[0]) else []
 
 
+def two_sweep_alive(factorized, masks=None):
+    """The alive masks a whole-tree death propagation derives from
+    ``masks`` (default: the factorized result's own), without touching
+    the result — the reference :meth:`FactorizedResult.kill` answers to.
+
+    Upward: a parent entry must have at least one alive child entry in
+    every joined child node.  Downward: entries whose parent entry is
+    dead are dead.  Two sweeps suffice because the structure is a tree.
+    """
+    query = factorized.query
+    nodes = factorized.nodes
+    if masks is None:
+        masks = {rel: node.alive for rel, node in nodes.items()}
+    masks = {rel: np.array(mask, dtype=bool) for rel, mask in masks.items()}
+    joined = [rel for rel in query.preorder() if rel in nodes]
+    for rel in reversed(joined):
+        for child in query.children(rel):
+            if child in nodes:
+                counts = np.bincount(nodes[child].parent_ptr[masks[child]],
+                                     minlength=len(nodes[rel]))
+                masks[rel] &= counts > 0
+    for rel in joined:
+        if rel != query.root:
+            parent = masks[query.parent(rel)]
+            masks[rel] &= parent[nodes[rel].parent_ptr]
+    return masks
+
+
+def live_recount(factorized, relation):
+    """``live`` of ``relation``'s node, recounted from the masks."""
+    node = factorized.node(relation)
+    parent = factorized.node(factorized.query.parent(relation))
+    return np.bincount(node.parent_ptr[node.alive], minlength=len(parent))
+
+
 class KillingWorkerPool:
     """Fault-injection wrapper: a worker pool that murders chosen workers.
 

@@ -8,10 +8,26 @@ from repro.core import JoinEdge, JoinQuery
 from repro.engine import FactorizedResult
 from repro.engine.kernels import INTERPRETED, VECTORIZED
 
+from tests.helpers import live_recount, two_sweep_alive
+
+
+def kill_misses(result, relation):
+    """Kill the alive entries of ``relation``'s parent node that have
+    no child in it — what the executor does after each probe."""
+    node = result.node(relation)
+    parent = result.query.parent(relation)
+    missed = np.flatnonzero(result.node(parent).alive & (node.live == 0))
+    result.kill(parent, missed)
+
 
 @st.composite
-def random_factorized(draw):
-    """A random 3-level factorized result (A -> B -> C, A -> D)."""
+def random_factorized(draw, probe_misses_killed=False):
+    """A random 3-level factorized result (A -> B -> C, A -> D).
+
+    With ``probe_misses_killed`` each join's childless parent entries
+    are killed as the executor kills them, so the masks are consistent;
+    otherwise they stay alive.
+    """
     query = JoinQuery("A", [
         JoinEdge("A", "B", "k", "k"),
         JoinEdge("B", "C", "j", "j"),
@@ -20,28 +36,44 @@ def random_factorized(draw):
     n_a = draw(st.integers(1, 6))
     result = FactorizedResult(query, np.arange(n_a))
 
-    def attach(parent_len, max_children):
+    def attach(relation, max_children):
+        parent = result.node(query.parent(relation))
         parent_ptr = []
-        for parent_idx in range(parent_len):
+        for parent_idx in range(len(parent)):
             count = draw(st.integers(0, max_children))
-            parent_ptr.extend([parent_idx] * count)
+            if parent.alive[parent_idx]:
+                parent_ptr.extend([parent_idx] * count)
         rows = np.arange(len(parent_ptr), dtype=np.int64)
-        return rows, np.asarray(parent_ptr, dtype=np.int64)
+        result.add_node(relation, rows, np.asarray(parent_ptr, dtype=np.int64))
+        if probe_misses_killed:
+            kill_misses(result, relation)
 
-    rows_b, ptr_b = attach(n_a, 3)
-    result.add_node("B", rows_b, ptr_b)
-    rows_c, ptr_c = attach(len(rows_b), 2)
-    result.add_node("C", rows_c, ptr_c)
-    rows_d, ptr_d = attach(n_a, 2)
-    result.add_node("D", rows_d, ptr_d)
+    attach("B", 3)
+    attach("C", 2)
+    attach("D", 2)
     return result
+
+
+def random_kills(draw, result, count):
+    """``count`` random ``(relation, entries)`` kill calls over every
+    node — root, internal and leaf — with dead, repeated and no
+    entries among them."""
+    relations = result.joined
+    kills = []
+    for _ in range(count):
+        relation = draw(st.sampled_from(relations))
+        size = len(result.node(relation))
+        entries = draw(st.lists(st.integers(0, size - 1), max_size=3)) \
+            if size else []
+        kills.append((relation, np.asarray(entries, dtype=np.int64)))
+    return kills
 
 
 @st.composite
 def chain_plus_branch(draw):
     """A random 4-level chain ``A -> B -> C -> D`` plus the branch
-    ``A -> E``, with randomly dead entries (left un-propagated) and
-    possibly empty nodes.
+    ``A -> E``, with randomly killed entries, childless alive entries
+    and possibly empty nodes.
 
     Expansion crosses B, C, D, E in that order, so B leaves the carried
     frame at D's level and A, C, D at E's — before the last level.
@@ -62,10 +94,10 @@ def chain_plus_branch(draw):
         result.add_node(relation, rows, parent_ptr)
     for relation in result.joined:
         node = result.node(relation)
-        # about one entry in four dead
-        node.alive[:] = draw(st.lists(st.sampled_from([True, True, True,
-                                                       False]),
-                                      min_size=len(node), max_size=len(node)))
+        # about one entry in four killed
+        dead = draw(st.lists(st.sampled_from([False, False, False, True]),
+                             min_size=len(node), max_size=len(node)))
+        result.kill(relation, np.flatnonzero(dead))
     return result
 
 
@@ -144,25 +176,42 @@ def test_expansion_max_rows_invariance(result, max_rows):
     assert sum(len(b["A"]) for b in batches) == full_count
 
 
+def unproductive_entries(result, relation):
+    """Alive entries of ``relation`` with no child in some joined child
+    node."""
+    node = result.node(relation)
+    childless = np.zeros(len(node), dtype=bool)
+    for child in result.query.children(relation):
+        if child in result.nodes:
+            childless |= result.node(child).live == 0
+    return np.flatnonzero(node.alive & childless)
+
+
 @given(result=random_factorized())
 @settings(max_examples=40, deadline=None)
 def test_propagation_idempotent_and_count_preserving(result):
+    """Killing the childless entries matches the two-sweep reference,
+    keeps the count, and a second round kills nothing."""
     before = result.count_rows()
-    result.propagate_deaths()
-    mid = {rel: result.node(rel).alive.copy() for rel in result.joined}
-    result.propagate_deaths()
+    expected = two_sweep_alive(result)
+    for rel in result.query.preorder():
+        result.kill(rel, unproductive_entries(result, rel))
     for rel in result.joined:
-        assert np.array_equal(result.node(rel).alive, mid[rel])
+        assert np.array_equal(result.node(rel).alive, expected[rel])
+    for rel in result.query.preorder():
+        assert len(unproductive_entries(result, rel)) == 0
+        result.kill(rel, np.flatnonzero(~result.node(rel).alive))
+    for rel in result.joined:
+        assert np.array_equal(result.node(rel).alive, expected[rel])
     assert result.count_rows() == before
 
 
-@given(result=random_factorized())
+@given(result=random_factorized(probe_misses_killed=True))
 @settings(max_examples=40, deadline=None)
 def test_propagation_kills_unproductive_entries(result):
-    """After propagation, every alive non-root entry has an alive
-    parent, and every alive parent has an alive child in each
-    materialized child node."""
-    result.propagate_deaths()
+    """With each join's probe misses killed, every alive non-root entry
+    has an alive parent, and every alive parent has an alive child in
+    each materialized child node."""
     query = result.query
     for rel in result.joined:
         node = result.node(rel)
@@ -177,3 +226,39 @@ def test_propagation_kills_unproductive_entries(result):
             counts = np.bincount(child.parent_ptr[child.alive],
                                  minlength=len(node))
             assert counts[node.alive].all() if node.alive.any() else True
+
+
+@st.composite
+def kill_sequences(draw):
+    result = draw(random_factorized(probe_misses_killed=True))
+    return result, random_kills(draw, result, draw(st.integers(1, 6)))
+
+
+@given(case=kill_sequences(),
+       kernels=st.sampled_from([VECTORIZED, INTERPRETED]))
+@settings(max_examples=80, deadline=None)
+def test_kill_sequence_matches_two_sweep_reference(case, kernels):
+    """After each kill of a random sequence the masks equal the
+    two-sweep reference's, every ``live`` a fresh recount and every
+    ``dead`` the cleared bits — and counting and expansion agree with
+    the depth-first walk on both kernel planes."""
+    result, kills = case
+    relations = result.query.preorder()
+    expected = two_sweep_alive(result)
+    for rel in result.joined:
+        assert np.array_equal(result.node(rel).alive, expected[rel])
+    for relation, entries in kills:
+        expected[relation][entries] = False
+        expected = two_sweep_alive(result, expected)
+        result.kill(relation, entries)
+        for rel in result.joined:
+            node = result.node(rel)
+            assert np.array_equal(node.alive, expected[rel])
+            assert node.dead == int((~node.alive).sum())
+            if rel != result.query.root:
+                assert np.array_equal(node.live, live_recount(result, rel))
+        depth_first = [tuple(row[rel] for rel in relations)
+                       for row in result.expand_depth_first()]
+        assert result.count_rows() == len(depth_first)
+        batches = list(result.expand(batch_entries=2, kernels=kernels))
+        assert flat_tuples(batches, relations) == depth_first

@@ -653,3 +653,49 @@ def test_plans_checked_at_construction_fires(synthetic_repo, relative,
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["PLANS_CHECKED_AT_CONSTRUCTION"]
     assert str(path.relative_to(synthetic_repo)) in str(findings[0])
+
+
+def test_liveness_by_kill_allows_reads_and_the_owner(synthetic_repo):
+    src = synthetic_repo / "src" / "repro"
+    (src / "engine" / "factorized.py").write_text(
+        "class FactorizedResult:\n"
+        "    def _die(self, relation, entries, came_from):\n"
+        "        node = self.nodes[relation]\n"
+        "        node.alive[entries] = False\n"
+        "        node.dead += len(entries)\n"
+    )
+    (src / "engine" / "executor.py").write_text(
+        "def apply_check(result, relation, keep):\n"
+        "    alive_idx = result.node(relation).alive_indices()\n"
+        "    kept = result.node(relation).alive.copy()\n"
+        "    kept[alive_idx[~keep]] = False\n"
+        "    result.kill(relation, alive_idx[~keep])\n"
+    )
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
+@pytest.mark.parametrize("relative, source", [
+    # the probe miss cleared in place, then the whole-tree re-sweep
+    ("engine/executor.py",
+     "def probe(result, parent_node, alive_idx, matched):\n"
+     "    parent_node.alive[alive_idx[~matched]] = False\n"
+     "    result.propagate_deaths()\n"),
+    # augmented, whole-mask and unpacked writes
+    ("core/cyclic.py",
+     "def push_down(node, match):\n"
+     "    node.alive &= match\n"),
+    ("engine/wcoj.py",
+     "def reset(node, n):\n"
+     "    node.alive, node.dead = n, 0\n"),
+    # a re-sweep reintroduced under an import alias
+    ("engine/semijoin.py",
+     "from .factorized import propagate_deaths as sweep\n"),
+])
+def test_liveness_by_kill_fires(synthetic_repo, relative, source):
+    path = synthetic_repo / "src" / "repro" / relative
+    path.write_text(source)
+    findings = run_all(load_linter(synthetic_repo))
+    assert {f.rule for f in findings} == {"LIVENESS_BY_KILL"}
+    assert all(str(path.relative_to(synthetic_repo)) in str(f)
+               for f in findings)
+    assert len(findings) == (2 if "propagate_deaths()" in source else 1)

@@ -149,6 +149,16 @@ PLANS_CHECKED_AT_CONSTRUCTION
     module imports ``inspect``: reading signatures at run time is a
     check on the code repeated per request.
 
+LIVENESS_BY_KILL
+    A factorized result's liveness is bookkept, not re-derived: each
+    node's ``live`` counts and ``dead`` total are right only while
+    ``FactorizedResult.kill`` is the one writer of the ``alive`` masks
+    they count.  So under ``src/repro`` no module but
+    ``engine/factorized.py`` assigns into an ``alive`` attribute
+    (``x.alive = ...``, ``x.alive[...] = ...``, augmented or not), and
+    no module names ``propagate_deaths`` — the whole-tree re-sweep the
+    bookkeeping replaced.
+
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
@@ -813,6 +823,67 @@ def check_plans_checked_at_construction():
     return findings
 
 
+def _assigned_targets(node):
+    """Every target expression an assignment statement writes."""
+    if isinstance(node, ast.Assign):
+        pending = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        pending = [node.target]
+    else:
+        return []
+    targets = []
+    while pending:
+        target = pending.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            pending.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            pending.append(target.value)
+        else:
+            targets.append(target)
+    return targets
+
+
+def _writes_alive(target):
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr == "alive"
+
+
+def _names(node):
+    """The identifiers a node binds or reads."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.alias):
+        return {node.name.rpartition(".")[2], node.asname}
+    return set()
+
+
+def check_liveness_by_kill():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        owner = path.relative_to(SRC).as_posix() == "engine/factorized.py"
+        for node in ast.walk(_parse(path)):
+            if not owner and any(_writes_alive(target)
+                                 for target in _assigned_targets(node)):
+                message = ("assigns into .alive outside engine/factorized.py "
+                           "— kill the entries (FactorizedResult.kill), "
+                           "which keeps the live counts they feed")
+            elif "propagate_deaths" in _names(node):
+                message = ("names propagate_deaths — liveness is bookkept "
+                           "by FactorizedResult.kill, not re-swept")
+            else:
+                continue
+            findings.append(Finding("LIVENESS_BY_KILL",
+                                    path.relative_to(REPO),
+                                    getattr(node, "lineno", 0), message))
+    return findings
+
+
 def check_readme_knob_table():
     findings = []
     options = next(
@@ -858,6 +929,7 @@ CHECKS = (
     check_product_reads_no_benchmark_files,
     check_order_search_on_masks,
     check_plans_checked_at_construction,
+    check_liveness_by_kill,
     check_readme_knob_table,
 )
 
