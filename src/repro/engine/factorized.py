@@ -23,10 +23,10 @@ the probe's own match counts, scattered onto the probed entries.
 The flat result is recovered by :meth:`FactorizedResult.expand`, a
 vectorized breadth-first expansion (Section 4.3's "Result Expansion",
 breadth-first variant), or merely counted by
-:meth:`FactorizedResult.count_rows` without materialization.  Both read
-the grouping ``live`` already is instead of recounting it.  The
-expansion pays one fan-out per joined node — a lineage pointer from
-each output position to the position it extends — and composes those
+:meth:`FactorizedResult.count_rows` without materialization.  The
+expansion reads the grouping ``live`` already is instead of recounting
+it, and pays one fan-out per joined node — a lineage pointer from each
+output position to the position it extends — and composes those
 pointers at the end, so every relation's ``rows`` is written once, by
 one gather at final size, instead of re-repeating every column built
 so far at every level.
@@ -128,7 +128,7 @@ class FactorizedResult:
                 f"joined so far: {self.joined}"
             ) from None
 
-    def add_node(self, relation, rows, parent_ptr, probed=None, counts=None):
+    def add_node(self, relation, rows, parent_ptr, counts, probed=None):
         """Attach a freshly joined relation's entries.
 
         ``parent_ptr`` must be non-decreasing — entries grouped by parent
@@ -141,9 +141,7 @@ class FactorizedResult:
         the probe's own counts become the node's ``live`` without a
         recount of ``parent_ptr``.  ``probed`` names those entries
         (``None``: every parent entry, in order); they are alive and
-        the matches are exactly ``parent_ptr``'s runs.  Without
-        ``counts``, ``live`` is counted here, and entries under a dead
-        parent entry are born dead.
+        the matches are exactly ``parent_ptr``'s runs.
         """
         if relation in self.nodes:
             raise ValueError(f"relation {relation!r} already joined")
@@ -173,12 +171,7 @@ class FactorizedResult:
                 f"it spans [{ptr[0]}, {ptr[-1]}]"
             )
         node.live = np.zeros(len(parent), dtype=np.int64)
-        if counts is None:
-            if parent.dead:
-                node.alive = parent.alive.take(ptr)
-                node.dead = len(node) - int(np.count_nonzero(node.alive))
-            node.live[:] = np.bincount(ptr[node.alive], minlength=len(parent))
-        elif probed is None:
+        if probed is None:
             node.live[:] = counts
         else:
             node.live[probed] = counts
@@ -273,14 +266,12 @@ class FactorizedResult:
             w = node.alive.astype(np.float64)
             for child_rel in self._materialized_children(relation):
                 child = self.nodes[child_rel]
-                if self._materialized_children(child_rel):
-                    w *= np.bincount(child.parent_ptr,
-                                     weights=weights[child_rel],
-                                     minlength=len(node))
-                else:
-                    # a leaf entry weighs its alive bit: the sums are
-                    # the live counts
-                    w *= child.live
+                child_sums = np.bincount(
+                    child.parent_ptr,
+                    weights=weights[child_rel],
+                    minlength=len(node),
+                )
+                w *= child_sums
             weights[relation] = w
         return weights
 
@@ -353,19 +344,16 @@ class FactorizedResult:
         entry, and where each parent entry's group starts in them and
         how long it is.  ``parent_ptr`` is non-decreasing
         (:meth:`add_node`), so the alive entries already are grouped and
-        the group lengths are ``live``; ``entries`` is ``None`` for a
-        node with no dead entry, whose alive entries are its
-        positions."""
+        the group lengths are ``live``."""
         levels = []
         for relation in self._joined_preorder():
             if relation == self.query.root:
                 continue
             node = self.nodes[relation]
-            entries = node.alive_indices() if node.dead else None
             starts = np.cumsum(node.live)
             starts -= node.live
-            levels.append((relation, self.query.parent(relation), entries,
-                           starts, node.live))
+            levels.append((relation, self.query.parent(relation),
+                           node.alive_indices(), starts, node.live))
         return levels
 
     def _expand_batch(self, driver_entries, levels, kernels):
@@ -398,8 +386,7 @@ class FactorizedResult:
                 else:
                     parked.append(
                         (level, rel, self.nodes[rel].rows.take(column)))
-            carried[relation] = (positions if entries is None
-                                 else entries.take(positions))
+            carried[relation] = entries.take(positions)
             frame = carried
         out = {rel: self.nodes[rel].rows.take(column)
                for rel, column in frame.items()}

@@ -6,7 +6,11 @@ from repro.core import JoinEdge, JoinQuery
 from repro.engine import FactorizedResult, execute
 from repro.modes import ExecutionMode
 
-from tests.helpers import make_running_example_query, make_small_catalog
+from tests.helpers import (
+    attach_node,
+    make_running_example_query,
+    make_small_catalog,
+)
 
 
 def test_depth_first_matches_breadth_first_small():
@@ -16,13 +20,10 @@ def test_depth_first_matches_breadth_first_small():
         JoinEdge("A", "D", "h", "h"),
     ])
     result = FactorizedResult(query, np.asarray([0, 1]))
-    result.add_node("B", rows=np.asarray([10, 11, 12]),
-                    parent_ptr=np.asarray([0, 0, 1]))
-    result.add_node("C", rows=np.asarray([20, 21]),
-                    parent_ptr=np.asarray([0, 2]))
+    attach_node(result, "B", np.asarray([10, 11, 12]), np.asarray([0, 0, 1]))
+    attach_node(result, "C", np.asarray([20, 21]), np.asarray([0, 2]))
     result.kill("B", [1])  # the C probe's miss
-    result.add_node("D", rows=np.asarray([30, 31]),
-                    parent_ptr=np.asarray([0, 1]))
+    attach_node(result, "D", np.asarray([30, 31]), np.asarray([0, 1]))
     bf = result.expand_all()
     bf_tuples = sorted(zip(*(bf[rel].tolist() for rel in result.joined)))
     df_tuples = sorted(
@@ -50,8 +51,8 @@ def test_depth_first_on_engine_output():
 def test_depth_first_empty_result():
     query = JoinQuery("A", [JoinEdge("A", "B", "k", "k")])
     result = FactorizedResult(query, np.asarray([0, 1]))
-    result.add_node("B", rows=np.empty(0, dtype=np.int64),
-                    parent_ptr=np.empty(0, dtype=np.int64))
+    attach_node(result, "B", np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64))
     result.kill("A", [0, 1])
     assert list(result.expand_depth_first()) == []
 

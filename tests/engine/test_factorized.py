@@ -6,7 +6,7 @@ import pytest
 from repro.core import JoinEdge, JoinQuery
 from repro.engine import FactorizedResult
 
-from tests.helpers import live_recount, two_sweep_alive
+from tests.helpers import attach_node, live_recount, two_sweep_alive
 
 
 @pytest.fixture
@@ -20,8 +20,8 @@ def chain_query():
 def make_two_level(chain_query):
     """A: 3 entries; B: entries under A0 (x2) and A2 (x1); C under B."""
     result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
-    result.add_node("B", rows=np.asarray([10, 11, 12]),
-                    parent_ptr=np.asarray([0, 0, 2]))
+    attach_node(result, "B", np.asarray([10, 11, 12]),
+                np.asarray([0, 0, 2]))
     return result
 
 
@@ -31,8 +31,8 @@ def make_three_level(chain_query):
     no B match, B11 no C match."""
     result = make_two_level(chain_query)
     result.kill("A", [1])
-    result.add_node("C", rows=np.asarray([100, 101, 102]),
-                    parent_ptr=np.asarray([0, 0, 2]))
+    attach_node(result, "C", np.asarray([100, 101, 102]),
+                np.asarray([0, 0, 2]))
     result.kill("B", [1])
     return result
 
@@ -53,23 +53,25 @@ class TestStructure:
     def test_double_join_rejected(self, chain_query):
         result = make_two_level(chain_query)
         with pytest.raises(ValueError, match="already joined"):
-            result.add_node("B", np.asarray([1]), np.asarray([0]))
+            result.add_node("B", np.asarray([1]), np.asarray([0]),
+                            counts=np.asarray([1, 0, 0]))
 
     def test_decreasing_parent_ptr_rejected(self, chain_query):
         """Expansion reads each parent entry's children as one run, so
         entries must arrive grouped by parent entry in parent order."""
         result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
         with pytest.raises(ValueError, match="parent_ptr of 'B' decreases"):
-            result.add_node("B", rows=np.asarray([10, 11, 12]),
-                            parent_ptr=np.asarray([0, 2, 1]))
+            attach_node(result, "B", np.asarray([10, 11, 12]),
+                        np.asarray([0, 2, 1]))
         assert "B" not in result.nodes
-        result.add_node("B", rows=np.asarray([10, 11, 12]),
-                        parent_ptr=np.asarray([0, 2, 2]))
+        attach_node(result, "B", np.asarray([10, 11, 12]),
+                    np.asarray([0, 2, 2]))
 
     def test_relation_outside_query_rejected(self, chain_query):
         result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
         with pytest.raises(ValueError, match="'Z' is not a non-root"):
-            result.add_node("Z", np.asarray([0]), np.asarray([0]))
+            result.add_node("Z", np.asarray([0]), np.asarray([0]),
+                            counts=np.asarray([1, 0, 0]))
         assert result.joined == ["A"]
 
     def test_unjoined_parent_rejected(self, chain_query):
@@ -78,7 +80,8 @@ class TestStructure:
         result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
         with pytest.raises(ValueError,
                            match="parent 'B' of 'C' has not been joined"):
-            result.add_node("C", np.arange(2), np.asarray([0, 1]))
+            result.add_node("C", np.arange(2), np.asarray([0, 1]),
+                            counts=np.asarray([1, 1, 0]))
         assert "C" not in result.nodes
 
     @pytest.mark.parametrize("parent_ptr", [[0, 1, 5], [-1, 0, 1]])
@@ -89,7 +92,8 @@ class TestStructure:
         result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
         with pytest.raises(ValueError,
                            match=r"parent_ptr of 'B' leaves \[0, 3\)"):
-            result.add_node("B", np.arange(3), np.asarray(parent_ptr))
+            result.add_node("B", np.arange(3), np.asarray(parent_ptr),
+                            counts=np.asarray([1, 1, 1]))
         assert "B" not in result.nodes
 
     def test_live_counts_children_per_parent_entry(self, chain_query):
@@ -100,22 +104,15 @@ class TestStructure:
 
     def test_probe_counts_become_live(self, chain_query):
         """The executor hands the probe's own counts over instead of a
-        recount of ``parent_ptr``."""
+        recount of ``parent_ptr``; ``probed`` scatters them onto the
+        entries it probed."""
         result = FactorizedResult(chain_query, np.asarray([0, 1, 2]))
+        result.kill("A", [1])
         node = result.add_node("B", rows=np.asarray([10, 11, 12]),
                                parent_ptr=np.asarray([0, 0, 2]),
-                               probed=np.asarray([0, 1, 2]),
-                               counts=np.asarray([2, 0, 1]))
+                               counts=np.asarray([2, 1]),
+                               probed=np.asarray([0, 2]))
         assert node.live.tolist() == [2, 0, 1]
-
-    def test_children_of_dead_entries_born_dead(self, chain_query):
-        result = make_two_level(chain_query)
-        result.kill("B", [2])
-        node = result.add_node("C", rows=np.asarray([100, 101, 102]),
-                               parent_ptr=np.asarray([0, 1, 2]))
-        assert node.alive.tolist() == [True, True, False]
-        assert node.live.tolist() == [1, 1, 0]
-        assert node.num_alive == 2
 
     def test_total_entries(self, chain_query):
         result = make_two_level(chain_query)
@@ -145,8 +142,7 @@ class TestDeathPropagation:
     def test_cascade_through_levels(self, chain_query):
         result = make_two_level(chain_query)
         result.kill("A", [1])
-        result.add_node("C", rows=np.asarray([100]),
-                        parent_ptr=np.asarray([2]))
+        attach_node(result, "C", np.asarray([100]), np.asarray([2]))
         result.kill("B", [0, 1])
         # Only the chain A2 -> B(12) -> C(100) is fully alive; B entries
         # 10, 11 found no C match, so A0 dies too.
@@ -189,8 +185,8 @@ class TestDeathPropagation:
 
     def test_matches_two_sweep_reference(self, chain_query):
         result = make_two_level(chain_query)
-        result.add_node("C", rows=np.asarray([100, 101, 102]),
-                        parent_ptr=np.asarray([0, 0, 2]))
+        attach_node(result, "C", np.asarray([100, 101, 102]),
+                    np.asarray([0, 0, 2]))
         # the executor's protocol: probe misses die as they happen
         result.kill("A", [1])
         result.kill("B", [1])
@@ -239,8 +235,8 @@ class TestCountingAndExpansion:
 
     def test_empty_result(self, chain_query):
         result = FactorizedResult(chain_query, np.asarray([0, 1]))
-        result.add_node("B", rows=np.empty(0, dtype=np.int64),
-                        parent_ptr=np.empty(0, dtype=np.int64))
+        attach_node(result, "B", np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.int64))
         result.kill("A", [0, 1])
         assert result.count_rows() == 0
         assert list(result.expand()) == []
@@ -251,8 +247,7 @@ class TestCountingAndExpansion:
         """Counting weights childless entries as zero, so the count is
         the same before the probe misses are killed."""
         result = make_two_level(chain_query)
-        result.add_node("C", rows=np.asarray([100]),
-                        parent_ptr=np.asarray([2]))
+        attach_node(result, "C", np.asarray([100]), np.asarray([2]))
         unpropagated = result.count_rows()
         result.kill("A", [1])
         result.kill("B", [0, 1])

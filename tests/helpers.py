@@ -394,6 +394,19 @@ def two_sweep_alive(factorized, masks=None):
     return masks
 
 
+def attach_node(factorized, relation, rows, parent_ptr):
+    """``factorized.add_node`` with the per-parent-entry counts a probe
+    of every parent entry would report — how the executor attaches a
+    join's matches.  Children go under alive parent entries only: the
+    executor kills a probe's misses, it never attaches under them."""
+    parent = factorized.node(factorized.query.parent(relation))
+    parent_ptr = np.asarray(parent_ptr, dtype=np.int64)
+    assert parent.alive[parent_ptr].all(), "child under a dead parent entry"
+    return factorized.add_node(
+        relation, rows, parent_ptr,
+        counts=np.bincount(parent_ptr, minlength=len(parent)))
+
+
 def live_recount(factorized, relation):
     """``live`` of ``relation``'s node, recounted from the masks."""
     node = factorized.node(relation)

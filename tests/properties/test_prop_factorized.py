@@ -8,7 +8,7 @@ from repro.core import JoinEdge, JoinQuery
 from repro.engine import FactorizedResult
 from repro.engine.kernels import INTERPRETED, VECTORIZED
 
-from tests.helpers import live_recount, two_sweep_alive
+from tests.helpers import attach_node, live_recount, two_sweep_alive
 
 
 def kill_misses(result, relation):
@@ -44,7 +44,7 @@ def random_factorized(draw, probe_misses_killed=False):
             if parent.alive[parent_idx]:
                 parent_ptr.extend([parent_idx] * count)
         rows = np.arange(len(parent_ptr), dtype=np.int64)
-        result.add_node(relation, rows, np.asarray(parent_ptr, dtype=np.int64))
+        attach_node(result, relation, rows, parent_ptr)
         if probe_misses_killed:
             kill_misses(result, relation)
 
@@ -91,7 +91,7 @@ def chain_plus_branch(draw):
                       for _ in range(draw(st.integers(0, 3)))]
         sizes[relation] = len(parent_ptr)
         rows = 1000 * (ord(relation) - ord("A")) + np.arange(len(parent_ptr))
-        result.add_node(relation, rows, parent_ptr)
+        attach_node(result, relation, rows, parent_ptr)
     for relation in result.joined:
         node = result.node(relation)
         # about one entry in four killed

@@ -669,7 +669,11 @@ def test_liveness_by_kill_allows_reads_and_the_owner(synthetic_repo):
         "    alive_idx = result.node(relation).alive_indices()\n"
         "    kept = result.node(relation).alive.copy()\n"
         "    kept[alive_idx[~keep]] = False\n"
-        "    result.kill(relation, alive_idx[~keep])\n"
+        "    np.copyto(kept, result.node(relation).alive)\n"
+        "    kept.fill(True)\n"
+        "    starts = np.cumsum(result.node(relation).live, out=None)\n"
+        "    if result.node(relation).dead:\n"
+        "        result.kill(relation, alive_idx[~keep])\n"
     )
     assert run_all(load_linter(synthetic_repo)) == []
 
@@ -687,6 +691,26 @@ def test_liveness_by_kill_allows_reads_and_the_owner(synthetic_repo):
     ("engine/wcoj.py",
      "def reset(node, n):\n"
      "    node.alive, node.dead = n, 0\n"),
+    # the bookkeeping beside the mask: live counts and the dead total
+    ("engine/executor.py",
+     "def add(node, parent_ptr):\n"
+     "    node.live[parent_ptr] += 1\n"),
+    ("engine/executor.py",
+     "def reset(node):\n"
+     "    node.dead = 0\n"),
+    # in-place ndarray methods, NumPy writers and out= arguments
+    ("engine/semijoin.py",
+     "def clear(node):\n"
+     "    node.alive.fill(False)\n"),
+    ("engine/semijoin.py",
+     "def restore(node, saved):\n"
+     "    np.copyto(node.alive, saved)\n"),
+    ("engine/semijoin.py",
+     "def drop(node, entries):\n"
+     "    np.put(node.alive, entries, False)\n"),
+    ("core/cyclic.py",
+     "def push_down(node, match):\n"
+     "    np.logical_and(node.alive, match, out=node.alive)\n"),
     # a re-sweep reintroduced under an import alias
     ("engine/semijoin.py",
      "from .factorized import propagate_deaths as sweep\n"),

@@ -154,10 +154,13 @@ LIVENESS_BY_KILL
     node's ``live`` counts and ``dead`` total are right only while
     ``FactorizedResult.kill`` is the one writer of the ``alive`` masks
     they count.  So under ``src/repro`` no module but
-    ``engine/factorized.py`` assigns into an ``alive`` attribute
-    (``x.alive = ...``, ``x.alive[...] = ...``, augmented or not), and
-    no module names ``propagate_deaths`` — the whole-tree re-sweep the
-    bookkeeping replaced.
+    ``engine/factorized.py`` writes an ``alive``, ``live`` or ``dead``
+    attribute — by assignment (``x.alive = ...``, ``x.live[...] = ...``,
+    augmented or not), an in-place ndarray method (``x.alive.fill``,
+    ``.put``, ``.sort``, ...), a NumPy function writing its first
+    argument (``np.copyto``, ``np.put``, ``np.putmask``, ...) or an
+    ``out=`` argument — and no module names ``propagate_deaths``, the
+    whole-tree re-sweep the bookkeeping replaced.
 
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
@@ -843,10 +846,40 @@ def _assigned_targets(node):
     return targets
 
 
-def _writes_alive(target):
-    while isinstance(target, ast.Subscript):
-        target = target.value
-    return isinstance(target, ast.Attribute) and target.attr == "alive"
+#: the node attributes a factorized result's liveness keeps in step
+_LIVENESS_FIELDS = frozenset({"alive", "live", "dead"})
+#: ndarray methods that write their array in place
+_IN_PLACE_METHODS = frozenset({"fill", "put", "itemset", "sort",
+                               "partition", "resize", "setfield"})
+#: NumPy functions that write their first argument in place
+_IN_PLACE_FUNCTIONS = frozenset({"copyto", "put", "putmask", "place",
+                                 "put_along_axis", "fill_diagonal"})
+
+
+def _liveness_field(expr):
+    """The liveness attribute ``expr`` is or indexes into, else None."""
+    while isinstance(expr, ast.Subscript):
+        expr = expr.value
+    if isinstance(expr, ast.Attribute) and expr.attr in _LIVENESS_FIELDS:
+        return expr.attr
+    return None
+
+
+def _liveness_writes(node):
+    """The liveness attributes a statement or call writes: assignment
+    targets, in-place ndarray methods, NumPy functions writing their
+    first argument and ``out=`` arguments."""
+    written = [_liveness_field(target) for target in _assigned_targets(node)]
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = getattr(func, "attr", getattr(func, "id", None))
+        if isinstance(func, ast.Attribute) and name in _IN_PLACE_METHODS:
+            written.append(_liveness_field(func.value))
+        if name in _IN_PLACE_FUNCTIONS and node.args:
+            written.append(_liveness_field(node.args[0]))
+        written.extend(_liveness_field(keyword.value)
+                       for keyword in node.keywords if keyword.arg == "out")
+    return sorted({field for field in written if field})
 
 
 def _names(node):
@@ -868,11 +901,12 @@ def check_liveness_by_kill():
     for path in sorted(SRC.rglob("*.py")):
         owner = path.relative_to(SRC).as_posix() == "engine/factorized.py"
         for node in ast.walk(_parse(path)):
-            if not owner and any(_writes_alive(target)
-                                 for target in _assigned_targets(node)):
-                message = ("assigns into .alive outside engine/factorized.py "
+            written = [] if owner else _liveness_writes(node)
+            if written:
+                fields = ", ".join(f".{field}" for field in written)
+                message = (f"writes {fields} outside engine/factorized.py "
                            "— kill the entries (FactorizedResult.kill), "
-                           "which keeps the live counts they feed")
+                           "which keeps alive, live and dead in step")
             elif "propagate_deaths" in _names(node):
                 message = ("names propagate_deaths — liveness is bookkept "
                            "by FactorizedResult.kill, not re-swept")
