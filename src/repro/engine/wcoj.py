@@ -30,13 +30,13 @@ structures and kernel split:
   bit-identical results and :class:`~repro.engine.executor.ExecutionCounters`.
 
 The structures depend only on table contents and the plan's binding
-sequence, so they are built once and cached on the catalog beside its
+sequence, so they are built once and cached on the table beside its
 hash indexes (:meth:`~repro.storage.Catalog.table_structure`): per
 ``(relation, attribute)`` the sorted distinct values (the *domain*) and,
 for members probed for their rank, a
 :class:`~repro.storage.hashindex.HashIndex` over them; per ``(relation,
-binding sequence)`` the chain index.  Their keys start with the table
-name, so every write path that drops the table's hash indexes drops
+binding sequence)`` the chain index.  Every rename of the table shares
+them, and every write path that drops the table's hash indexes drops
 them too.  A warm execution builds nothing.
 
 Exactness mirrors the tree+filter strategy predicate for predicate:

@@ -96,53 +96,47 @@ def filtered_table(table, alias, predicate):
     row, so the derived relation is empty and the executor
     short-circuits to an empty join result.
 
-    The result is always in *base* row order: filtering a
+    With no selection the result is ``table.renamed(alias)``, which
+    shares the table's arrays, layout and cached indexes.  A filtered
+    result is always in *base* row order: filtering a
     hash-partitioned table goes through
     :meth:`~repro.storage.Table.original_rows` /
     :meth:`~repro.storage.Table.gather`, so planning over an already
     re-clustered catalog still reports layout-independent row ids (the
     planner re-partitions the filtered relations itself when asked).
     """
-    partitioned = getattr(table, "num_shards", 1) > 1
-    if predicate:
-        mask = np.ones(len(table), dtype=bool)
-        for column, literal in predicate.items():
-            if isinstance(literal, Contradiction):
-                mask[:] = False
-                break
-            mask &= table.column(column) == literal
-        if partitioned:
-            base_rows = np.sort(table.original_rows(np.flatnonzero(mask)))
-            columns = table.gather(base_rows)
-        else:
-            columns = {
-                name: values[mask] for name, values in table.columns.items()
-            }
-    elif partitioned:
-        # no selection: keep the caller's layout (zero-copy rename) —
-        # it is already self-describing and layout-correct
+    if not predicate:
         return table.renamed(alias)
+    mask = np.ones(len(table), dtype=bool)
+    for column, literal in predicate.items():
+        if isinstance(literal, Contradiction):
+            mask[:] = False
+            break
+        mask &= table.column(column) == literal
+    if getattr(table, "num_shards", 1) > 1:
+        base_rows = np.sort(table.original_rows(np.flatnonzero(mask)))
+        columns = table.gather(base_rows)
     else:
-        columns = dict(table.columns)
+        columns = {
+            name: values[mask] for name, values in table.columns.items()
+        }
     return Table(alias, columns)
 
 
 def push_down_selections(catalog, parsed):
     """Materialize constant selections into a derived catalog.
 
-    Returns a new :class:`Catalog` where each selected relation is
-    replaced by its filtered rows (registered under the query alias, so
-    aliased self-references of the same base table stay distinct).
+    Returns a catalog derived from ``catalog`` (:meth:`Catalog.derive`)
+    holding one table per query alias, so aliased self-references of
+    the same base table stay distinct: each selected relation's
+    filtered rows, and a zero-copy rename of every unselected one,
+    which shares the base table's indexes.
     """
-    derived = Catalog()
-    for alias, table_name in parsed.relations.items():
-        table = catalog.table(table_name)
-        predicate = parsed.selections.get(alias, {})
-        derived.add(filtered_table(table, alias, predicate))
-    # unselected aliases share the base catalog's arrays — register so
-    # an acknowledged in-place mutation invalidates this catalog's
-    # indexes too (plans pin their derived catalog and may be re-run)
-    return catalog.register_derived(derived)
+    return catalog.derive(
+        filtered_table(catalog.table(table_name), alias,
+                       parsed.selections.get(alias, {}))
+        for alias, table_name in parsed.relations.items()
+    )
 
 
 @dataclass

@@ -286,8 +286,9 @@ class QuerySession:
         fingerprint = self.catalog.fingerprint()
         if self._last_fingerprint != fingerprint:
             # Entries for superseded data are unreachable by key
-            # (plans pin their whole derived catalog, so letting
-            # them linger until LRU churn wastes real memory).
+            # (plans pin their filtered copies and, through renames,
+            # the superseded tables' indexes, so letting them linger
+            # until LRU churn wastes real memory).
             if self._last_fingerprint is not None:
                 self.plan_cache.clear()
             self._last_fingerprint = fingerprint

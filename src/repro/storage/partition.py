@@ -133,7 +133,6 @@ class PartitionedTable(Table):
         self.shard_key = shard_key
         self.num_shards = num_shards
         self._base_rows = base_rows
-        self._physical_rows = None  # inverse permutation, built lazily
         #: provenance (set by :meth:`from_table`): lets catalog
         #: invalidation re-cluster us when the source data mutates
         self._source = None
@@ -154,22 +153,6 @@ class PartitionedTable(Table):
         return (len(column) > 0
                 and np.issubdtype(column.dtype, np.integer)
                 and _float_exact(column))
-
-    def renamed(self, name):
-        """A zero-copy alias of this table under another name.
-
-        Shares the column arrays, shard layout and provenance; used by
-        selection push-down so planning SQL over an already partitioned
-        catalog keeps the caller's layout instead of flattening it.
-        """
-        clone = PartitionedTable.__new__(PartitionedTable)
-        Table.__init__(clone, name, self.columns)
-        clone.shard_key = self.shard_key
-        clone.num_shards = self.num_shards
-        clone._base_rows = self._base_rows
-        clone._physical_rows = self._physical_rows
-        clone._source = self._source
-        return clone
 
     def shares_data_with(self, other):
         """Also stale when our *source* shares data with ``other``:
@@ -217,13 +200,15 @@ class PartitionedTable(Table):
 
     def physical_rows(self, rows):
         """Map base-table row ids to this layout's physical positions."""
-        if self._physical_rows is None:
-            inverse = np.empty(len(self._base_rows), dtype=np.int64)
-            inverse[self._base_rows] = np.arange(
-                len(self._base_rows), dtype=np.int64
+        def invert(table):
+            inverse = np.empty(len(table._base_rows), dtype=np.int64)
+            inverse[table._base_rows] = np.arange(
+                len(table._base_rows), dtype=np.int64
             )
-            self._physical_rows = inverse
-        return self._physical_rows[np.asarray(rows, dtype=np.int64)]
+            return inverse
+
+        inverse = self.structure(("physical_rows",), invert)
+        return inverse[np.asarray(rows, dtype=np.int64)]
 
     def gather(self, rows, columns=None):
         """Return ``{column: values[rows]}`` for **base-table** row ids.

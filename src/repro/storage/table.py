@@ -2,8 +2,12 @@
 
 A :class:`Table` is a named collection of equal-length numpy columns.
 Row identity is positional (the implicit ID column of Section 4.2); the
-engine passes row-index arrays around instead of copying payloads.  The
-:class:`Catalog` owns tables and caches per-attribute hash indexes.
+engine passes row-index arrays around instead of copying payloads.  A
+table owns the structures built from its contents — per-attribute hash
+indexes, the wcoj operator's domains and chains — and shares them with
+every zero-copy rename (:meth:`Table.renamed`), so all catalogs, plans
+and self-join aliases over one table probe one index per attribute.
+The :class:`Catalog` maps names to tables.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ class Table:
             self.columns[col_name] = arr
         self.num_rows = n
         self._fingerprint = None
+        #: structures built from these contents, shared by every rename
+        #: (see :meth:`structure`)
+        self._structures = {}
 
     def __len__(self):
         return self.num_rows
@@ -91,21 +98,63 @@ class Table:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    def invalidate_fingerprint(self):
-        """Drop the cached content digest (after an in-place mutation).
+    def invalidate(self):
+        """Drop the cached content digest and every derived structure
+        (after an in-place mutation).
 
         Called by :meth:`Catalog.invalidate_indexes`, the acknowledged
         escape hatch for in-place column mutation, so every
         fingerprint-keyed cache (stats, plans, partitioned catalogs)
-        misses instead of serving results for the old bytes.
+        misses instead of serving results for the old bytes.  The
+        structure cache is cleared in place, so every rename sharing it
+        rebuilds — once, into the one cache they share.
         """
         self._fingerprint = None
+        self._structures.clear()
+
+    def __getstate__(self):
+        """Pickle without the structures: the copy rebuilds what it
+        probes from the contents that do travel (renames pickled
+        together each start their own cache)."""
+        state = self.__dict__.copy()
+        del state["_structures"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _structures={})
+
+    def renamed(self, name):
+        """A zero-copy alias of this table under another name.
+
+        Shares the column arrays, any physical layout and the cache of
+        derived structures, so a query alias — an unselected relation,
+        a self-join — probes the one index built on these contents.
+        Only the name, and with it the fingerprint, differ.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, name=name, _fingerprint=None)
+        return clone
+
+    def structure(self, key, build):
+        """Return (building with ``build(self)`` if necessary) a
+        structure derived from this table's contents.
+
+        A hash index's ``key`` is its attribute name; other structures
+        (the wcoj operator's value domains and chain indexes) use tuple
+        keys.  The cache belongs to the contents: renames share it, a
+        replacement table starts its own, and :meth:`invalidate`
+        clears it.  Threads racing on a miss may each build, but the
+        first to store wins and every caller gets its structure.
+        """
+        structure = self._structures.get(key)
+        if structure is None:
+            structure = self._structures.setdefault(key, build(self))
+        return structure
 
     def shares_data_with(self, other):
         """True when mutating ``other``'s arrays in place corrupts us.
 
-        Identity, shared column arrays (the planner's push-down
-        wrappers), or — for
+        Identity, shared column arrays (renames), or — for
         :class:`~repro.storage.partition.PartitionedTable`, which
         overrides this — a re-clustered *copy* of ``other``'s data.
         """
@@ -193,24 +242,23 @@ class Table:
 
 
 class Catalog:
-    """A registry of tables with cached hash indexes.
+    """A registry of tables by name.
 
-    Hash indexes are keyed by ``(table_name, attribute)`` and built
-    lazily on first use, mirroring the build phase of a hash join.  The
-    cache can be restricted to a subset of rows (used by semi-join
-    reduction, which probes reduced relations).  Other structures
-    derived from one table's contents share that cache under
-    ``(table_name, key)`` (:meth:`table_structure`).
+    Hash indexes are built lazily on first use, mirroring the build
+    phase of a hash join, and cached on the table they were built from
+    (:meth:`Table.structure`), not here: every catalog holding a table
+    or a rename of it — derived catalogs, push-down catalogs, aliases
+    of one base table — reads one index per attribute.  The semi-join
+    reduction derives row-restricted indexes from the cached full one.
     """
 
     def __init__(self):
         self._tables = {}
-        self._indexes = {}
         #: bumped on every mutation; guards the cached fingerprint
         self._version = 0
         self._fingerprint = None
         self._fingerprint_version = -1
-        #: live derivative catalogs (see :meth:`derived_with`); index
+        #: live derivative catalogs (see :meth:`derive`); index
         #: invalidation propagates to them for the tables they share
         self._derived = weakref.WeakSet()
         #: strong ref to the catalog this one was derived from — keeps
@@ -229,11 +277,11 @@ class Catalog:
         The :class:`weakref.WeakSet` of derived catalogs (and the
         deferred-refresh queue) only matter for in-process mutation
         propagation; a pickled copy (e.g. one shipped to a planning
-        worker process) starts with no derivatives.  Tables, cached
-        indexes and the content fingerprint travel as-is, so the copy
-        is content-identical — ``fingerprint()`` returns the same hex
-        string on both sides, which is what lets workers address
-        catalogs by content.
+        worker process) starts with no derivatives.  Tables and the
+        content fingerprint travel as-is — their derived structures
+        are rebuilt on first use — so the copy is content-identical:
+        ``fingerprint()`` returns the same hex string on both sides,
+        which is what lets workers address catalogs by content.
         """
         self._flush_refresh()  # the copy must see current data
         state = self.__dict__.copy()
@@ -245,16 +293,17 @@ class Catalog:
         self._derived = weakref.WeakSet()
 
     def add(self, table):
-        """Register a table (replacing any previous table of that name)."""
+        """Register a table (replacing any previous table of that name).
+
+        A replacement is a new :class:`Table` with its own, empty
+        structure cache; catalogs still holding the old table keep the
+        old table's structures, consistent with it.
+        """
         if not isinstance(table, Table):
             raise TypeError(f"expected Table, got {type(table).__name__}")
         self._tables[table.name] = table
         self._pending_refresh.pop(table.name, None)
         self._version += 1
-        # Invalidate any cached indexes for the replaced table.
-        self._indexes = {
-            key: idx for key, idx in self._indexes.items() if key[0] != table.name
-        }
         return table
 
     def add_table(self, name, columns):
@@ -330,95 +379,68 @@ class Catalog:
 
     def table_structure(self, table_name, key, build):
         """Return (building with ``build(table)`` if necessary) a
-        structure derived from one table's contents.
-
-        Cached beside the hash indexes under ``(table_name, key)`` — a
-        hash index's ``key`` is its attribute name, other structures
-        (the wcoj operator's value domains and chain indexes) use tuple
-        keys — so every write path that drops a table's hash indexes
-        (:meth:`add`, :meth:`invalidate_indexes` and its propagation to
-        derivative catalogs) drops them too, and :meth:`derived_with`
-        shares them for the tables it keeps.
+        structure derived from the contents of the table named
+        ``table_name`` — :meth:`Table.structure` on it, so the cache is
+        the table's: shared by its renames and by every catalog holding
+        it, dropped by :meth:`invalidate_indexes`, and fresh for a
+        table :meth:`add` replaced.
         """
-        full_key = (table_name, key)
-        structure = self._indexes.get(full_key)
-        if structure is None:
-            structure = build(self.table(table_name))
-            self._indexes[full_key] = structure
-        return structure
+        return self.table(table_name).structure(key, build)
 
-    def derived_with(self, replacements):
-        """A shallow derivative catalog with some tables replaced.
+    def derive(self, tables):
+        """A catalog holding exactly ``tables`` (an iterable of
+        :class:`Table`), registered with this one.
 
-        Returns a new :class:`Catalog` that shares this catalog's
-        tables *and their already-built hash indexes* (tables are
-        immutable by convention, so sharing is safe), except for the
-        given ``{name: Table}`` replacements, whose indexes are
-        rebuilt lazily.  Used by prepared statements to re-bind
-        selection constants without re-deriving the unchanged
-        relations.
-
-        The derivative stays registered with its parent:
-        :meth:`invalidate_indexes` on the parent also drops the
-        derivative's cached indexes for every table the two still
-        share, so an in-place data change acknowledged on the parent
-        can never leave a derived catalog serving a stale index over
-        the shared arrays.
+        The one derivation: selection push-down builds its per-query
+        catalog of renames and filtered copies with it, and
+        :meth:`derived_with` its snapshots.  Registration makes
+        :meth:`invalidate_indexes` here reach the derivative for every
+        table sharing data with the mutated one, so an in-place change
+        acknowledged on the parent can never leave a derived catalog
+        serving stale structures or fingerprints over shared arrays.
         """
-        self._flush_refresh()
         derived = Catalog()
-        derived._tables = dict(self._tables)
-        derived._version = 1
-        derived._indexes = {
-            key: index
-            for key, index in self._indexes.items()
-            if key[0] not in replacements
-        }
-        for table in replacements.values():
+        for table in tables:
             derived.add(table)
-        self.register_derived(derived)
-        return derived
-
-    def register_derived(self, derived):
-        """Subscribe a catalog built over (some of) our tables or arrays
-        to index-invalidation propagation.
-
-        :meth:`derived_with` registers automatically; the planner's
-        push-down catalogs (fresh alias-named tables that may *share
-        column arrays* with ours) register through this so the
-        in-place-mutation escape hatch reaches them too.
-        """
         derived._parent = self
         self._derived.add(derived)
         return derived
 
+    def derived_with(self, replacements):
+        """A derivative catalog with some tables replaced.
+
+        Shares this catalog's tables — and with them their
+        already-built structures (tables are immutable by convention)
+        — except for the given ``{name: Table}`` replacements, whose
+        structures are built lazily.  Used by prepared statements to
+        re-bind selection constants without re-deriving the unchanged
+        relations, and by hash-partitioning.  See :meth:`derive`.
+        """
+        self._flush_refresh()
+        return self.derive({**self._tables, **replacements}.values())
+
     def invalidate_indexes(self, table_name=None):
-        """Drop cached indexes (all, or for one table).
+        """Drop cached structures (all tables', or one table's).
 
         This is the escape hatch for callers that mutate a table's
         arrays in place (tables are only immutable *by convention*).
-        It also drops the affected tables' cached content fingerprints
-        and bumps the catalog version, so every fingerprint-keyed cache
-        (statistics, plans, re-clustered partitioned catalogs) misses
-        instead of serving results derived from the old bytes.  The
-        drop propagates to catalogs derived from this one — but only
-        for tables they still share with us; a derivative whose table
-        was replaced keeps its own consistent index.
+        It clears the affected tables' structure caches — shared with
+        their renames — and content fingerprints, and bumps the catalog
+        version, so every fingerprint-keyed cache (statistics, plans,
+        re-clustered partitioned catalogs) misses instead of serving
+        results derived from the old bytes.  The drop propagates to
+        catalogs derived from this one — but only for tables that
+        still share data with us; a derivative whose table was
+        replaced keeps its own consistent structures.
         """
         if table_name is None:
-            self._indexes.clear()
             affected = list(self._tables)
         else:
-            self._indexes = {
-                key: idx
-                for key, idx in self._indexes.items()
-                if key[0] != table_name
-            }
             affected = [table_name] if table_name in self._tables else []
         origins = []
         for name in affected:
             table = self._tables[name]
-            table.invalidate_fingerprint()
+            table.invalidate()
             # a directly-held partitioned table's shard layout is now
             # inconsistent with its (own, mutated) key column; refresh
             # re-clusters it lazily on next access
@@ -429,7 +451,7 @@ class Catalog:
             derived._invalidate_shared(self._tables, table_name, origins)
 
     def _invalidate_shared(self, parent_tables, table_name, origins):
-        """Drop indexes for tables sharing data with a mutated parent.
+        """Drop structures of tables sharing data with a mutated parent.
 
         ``parent_tables`` establishes *connectivity* (we are stale if
         we share data with the parent's affected table, directly or
@@ -454,15 +476,11 @@ class Catalog:
                 stale.add(name)
         if not stale:
             return
-        self._indexes = {
-            key: idx for key, idx in self._indexes.items()
-            if key[0] not in stale
-        }
         for name in stale:
             table = self._tables[name]
-            # array-sharing wrappers cache their own digest of the
-            # shared (now mutated) bytes
-            table.invalidate_fingerprint()
+            # renames and copies cache their own digest of the shared
+            # (now mutated) bytes; a partitioned copy its own indexes
+            table.invalidate()
             # the origin whose arrays this table holds directly, if
             # any — Table-level check, so a partitioned *copy* of an
             # origin correctly refreshes from its source instead

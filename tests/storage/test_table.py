@@ -1,9 +1,13 @@
 """Unit tests for Table and Catalog."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.storage import Catalog, Table
+from repro.storage import Catalog, PartitionedTable, Table
 
 
 def test_table_basic_properties():
@@ -154,3 +158,87 @@ def test_full_invalidation_propagates_through_derivation_chain():
     rebuilt = leaf.hash_index("t", "a")
     assert rebuilt is not stale
     assert rebuilt.num_distinct == 2
+
+
+# ----------------------------------------------------------------------
+# Structures belong to table contents: renames share one cache
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+def test_rename_shares_arrays_layout_and_indexes(partitioned):
+    table = Table("t", {"a": np.arange(12) % 4, "b": np.arange(12)})
+    if partitioned:
+        table = PartitionedTable.from_table(table, "a", 3)
+    alias = table.renamed("x")
+    assert type(alias) is type(table)
+    assert alias.name == "x" and table.name == "t"
+    assert alias.fingerprint() != table.fingerprint()
+    assert all(alias.column(c) is table.column(c) for c in table.columns)
+    assert alias.original_rows(np.arange(12)).tolist() \
+        == table.original_rows(np.arange(12)).tolist()
+    base = Catalog()
+    base.add(table)
+    derived = base.derive([alias, table.renamed("y")])
+    index = base.hash_index("t", "a")
+    assert derived.hash_index("x", "a") is index
+    assert derived.hash_index("y", "a") is index
+
+
+def test_invalidation_rebuilds_one_index_for_base_and_rename():
+    base = Catalog()
+    base.add_table("t", {"a": [1, 2, 2]})
+    derived = base.derive([base.table("t").renamed("alias")])
+    stale = derived.hash_index("alias", "a")
+    base.table("t").column("a")[0] = 2
+    base.invalidate_indexes("t")
+    rebuilt = derived.hash_index("alias", "a")
+    assert rebuilt is not stale
+    assert sorted(rebuilt.rows_for_key(2).tolist()) == [0, 1, 2]
+    assert base.hash_index("t", "a") is rebuilt
+
+
+def test_pickled_tables_ship_no_structures():
+    table = Table("t", {"a": np.arange(6) % 2})
+    table.structure("a", lambda t: t.build_hash_index("a"))
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy.column("a").tolist() == table.column("a").tolist()
+    assert copy.fingerprint() == table.fingerprint()
+    builds = []
+
+    def build(source):
+        builds.append(source.name)
+        return source.build_hash_index("a")
+
+    index = copy.structure("a", build)
+    assert copy.renamed("x").structure("a", build) is index
+    assert builds == ["t"]  # rebuilt once after the trip, then shared
+
+
+def test_racing_renames_agree_on_one_index():
+    base = Catalog()
+    base.add_table("t", {"a": np.arange(400_000) % 997})
+    aliases = [base.table("t").renamed(f"x{i}") for i in range(8)]
+    derived = base.derive(aliases)
+    barrier = threading.Barrier(len(aliases), timeout=10)
+    got = {}
+
+    def probe(alias):
+        barrier.wait()
+        got[alias.name] = derived.hash_index(alias.name, "a")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=probe, args=(alias,))
+                   for alias in aliases]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == len(aliases)
+    assert {id(index) for index in got.values()} \
+        == {id(base.hash_index("t", "a"))}

@@ -723,3 +723,65 @@ def test_liveness_by_kill_fires(synthetic_repo, relative, source):
     assert all(str(path.relative_to(synthetic_repo)) in str(f)
                for f in findings)
     assert len(findings) == (2 if "propagate_deaths()" in source else 1)
+
+
+def test_structures_by_content_allows_storage_and_filtered_copies(
+        synthetic_repo):
+    src = synthetic_repo / "src" / "repro"
+    (src / "storage" / "table.py").write_text(
+        "class Table:\n"
+        "    def structure(self, key, build):\n"
+        "        return self._structures.setdefault(key, build(self))\n"
+        "class Catalog:\n"
+        "    def table_structure(self, name, key, build):\n"
+        "        return self._tables[name].structure(key, build)\n"
+    )
+    (src / "planner.py").write_text(
+        "def filtered_table(table, alias, predicate):\n"
+        "    if not predicate:\n"
+        "        return table.renamed(alias)\n"
+        "    mask = table.column('a') == predicate['a']\n"
+        "    columns = {name: values[mask]\n"
+        "               for name, values in table.columns.items()}\n"
+        "    return Table(alias, columns)\n"
+    )
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
+@pytest.mark.parametrize("relative, source", [
+    # a structure cache read or written past the storage layer
+    ("engine/executor.py",
+     "def index(table, attr):\n"
+     "    return table._structures[attr]\n"),
+    ("engine/wcoj.py",
+     "def warm(table, key, chain):\n"
+     "    table._structures[key] = chain\n"),
+    # a catalog-local index cache
+    ("storage/table.py",
+     "class Catalog:\n"
+     "    def __init__(self):\n"
+     "        self._indexes = {}\n"),
+    # wrappers over another table's arrays, direct and through a name
+    ("planner.py",
+     "def alias_of(table, alias):\n"
+     "    return Table(alias, table.columns)\n"),
+    ("planner.py",
+     "def alias_of(table, alias):\n"
+     "    return Table(alias, {**table.columns})\n"),
+    ("planner.py",
+     "def filtered_table(table, alias, predicate):\n"
+     "    if predicate:\n"
+     "        columns = {n: v[predicate] for n, v in table.columns.items()}\n"
+     "    else:\n"
+     "        columns = dict(table.columns)\n"
+     "    return Table(alias, columns)\n"),
+    ("planner.py",
+     "def alias_of(table, alias):\n"
+     "    return Table(alias, {n: v for n, v in table.columns.items()})\n"),
+])
+def test_structures_by_content_fires(synthetic_repo, relative, source):
+    path = synthetic_repo / "src" / "repro" / relative
+    path.write_text(source)
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["STRUCTURES_BY_CONTENT"]
+    assert str(path.relative_to(synthetic_repo)) in str(findings[0])

@@ -162,6 +162,18 @@ LIVENESS_BY_KILL
     ``out=`` argument — and no module names ``propagate_deaths``, the
     whole-tree re-sweep the bookkeeping replaced.
 
+STRUCTURES_BY_CONTENT
+    Hash indexes and the wcoj structures belong to the table whose
+    contents they were built from (``Table.structure``), shared by its
+    zero-copy renames, so every catalog, plan and alias over one table
+    reads one index per attribute.  So no module under ``src/repro``
+    outside ``storage/`` reads or writes a ``._structures`` cache,
+    ``Catalog`` keeps no ``_indexes`` of its own, and ``planner.py``
+    builds no ``Table(...)`` over another table's column arrays
+    (``t.columns``, ``dict(t.columns)``, ``{**t.columns}``, a
+    comprehension passing its values through unchanged, or a name bound
+    to one of those) — such a wrapper forks the cache a rename shares.
+
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
@@ -918,6 +930,76 @@ def check_liveness_by_kill():
     return findings
 
 
+def _forks_columns(expr, bound):
+    """Whether ``expr`` hands a table's own column arrays on: the
+    ``.columns`` mapping, a copy of it, a comprehension passing its
+    values through unchanged, or a name ``bound`` to one of those."""
+    if isinstance(expr, ast.Attribute):
+        return expr.attr == "columns"
+    if isinstance(expr, ast.Name):
+        return any(_forks_columns(value, {}) for value in bound.get(expr.id, ()))
+    if isinstance(expr, ast.Call):
+        return _called_name(expr) in ("dict", "copy") and any(
+            _forks_columns(arg, bound) for arg in expr.args)
+    if isinstance(expr, ast.Dict):
+        return any(key is None and _forks_columns(value, bound)
+                   for key, value in zip(expr.keys, expr.values))
+    if isinstance(expr, ast.DictComp):
+        source = expr.generators[0].iter
+        if isinstance(source, ast.Call) \
+                and isinstance(source.func, ast.Attribute):
+            source = source.func.value
+        target = expr.generators[0].target
+        passed = {node.id for node in ast.walk(target)
+                  if isinstance(node, ast.Name)}
+        return (_forks_columns(source, bound)
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id in passed)
+    return False
+
+
+def _structures_finding(path, node, message):
+    return Finding("STRUCTURES_BY_CONTENT", path.relative_to(REPO),
+                   node.lineno, message)
+
+
+def check_structures_by_content():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = _attach_parents(_parse(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_structures" \
+                    and not rel.startswith("storage/"):
+                findings.append(_structures_finding(
+                    path, node, "._structures outside storage/ — go through "
+                    "Catalog.table_structure / Table.structure"))
+            elif isinstance(node, ast.ClassDef) and node.name == "Catalog":
+                findings.extend(
+                    _structures_finding(
+                        path, inner, "Catalog keeps _indexes — structures "
+                        "are cached on the table they were built from")
+                    for inner in ast.walk(node)
+                    if getattr(inner, "attr", getattr(inner, "id", None))
+                    == "_indexes")
+            elif rel == "planner.py" and isinstance(node, ast.Call) \
+                    and _called_name(node) == "Table":
+                scope = _enclosing_function(node) or tree
+                bound = {}
+                for assign in ast.walk(scope):
+                    if isinstance(assign, ast.Assign):
+                        for target in assign.targets:
+                            if isinstance(target, ast.Name):
+                                bound.setdefault(target.id, []).append(
+                                    assign.value)
+                if any(_forks_columns(arg, bound) for arg in node.args[1:2]):
+                    findings.append(_structures_finding(
+                        path, node, "Table(...) over another table's column "
+                        "arrays forks its structure cache — use "
+                        "table.renamed()"))
+    return findings
+
+
 def check_readme_knob_table():
     findings = []
     options = next(
@@ -964,6 +1046,7 @@ CHECKS = (
     check_order_search_on_masks,
     check_plans_checked_at_construction,
     check_liveness_by_kill,
+    check_structures_by_content,
     check_readme_knob_table,
 )
 
