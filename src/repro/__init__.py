@@ -69,9 +69,7 @@ from .storage import (
     Catalog,
     PartitionedTable,
     Table,
-    load_catalog,
     partitioned_catalog,
-    save_catalog,
 )
 
 __version__ = "1.1.0"
@@ -114,12 +112,10 @@ __all__ = [
     "greedy_order",
     "idp_order",
     "incremental_order_cost",
-    "load_catalog",
     "optimize_sj",
     "parse_query",
     "partitioned_catalog",
     "plan_cost",
-    "save_catalog",
     "spanning_tree_decomposition",
     "stats_from_data",
     "survival_probability",

@@ -5,8 +5,8 @@ dataset; average q-error of the naive estimator and of correlated
 samples of three sizes, split by low (< 0.05) and high match
 probability.  The paper's 0.1% / 0.5% / 1% sample fractions refer to
 multi-million-row relations; on the scaled-down stand-in the fractions
-are scaled so the *absolute* sample sizes are comparable (documented in
-EXPERIMENTS.md).
+are scaled up (:data:`SAMPLE_FRACTIONS`, floored at 60 probe tuples) so
+the *absolute* sample sizes are comparable.
 """
 
 from __future__ import annotations

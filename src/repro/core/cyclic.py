@@ -566,14 +566,8 @@ def _base_values(catalog, relation, attr, rows, kernels):
     return kernels.gather(catalog.table(relation), attr, rows)
 
 
-def _default_kernels():
-    from ..engine.kernels import get_kernels
-
-    return get_kernels("vectorized")
-
-
-def _filter_batch(catalog, residuals, batch, counters=None, collect=True,
-                  kernels=None):
+def _filter_batch(catalog, residuals, batch, kernels, counters=None,
+                  collect=True):
     """Apply the residual filters to one flat batch of base row ids.
 
     Filters are progressive: each predicate is evaluated only on the
@@ -582,11 +576,8 @@ def _filter_batch(catalog, residuals, batch, counters=None, collect=True,
     counts are additive).  Returns ``(survivors, filtered_rows)``;
     ``filtered_rows`` is ``None`` unless ``collect`` — counting a
     result must not materialize it.  ``kernels`` selects the execution
-    kernels the value gathers and equality comparisons run on
-    (defaults to the vectorized set).
+    kernels the value gathers and equality comparisons run on.
     """
-    if kernels is None:
-        kernels = _default_kernels()
     if not batch:
         return 0, ({} if collect else None)
     keep = None
@@ -613,28 +604,8 @@ def _filter_batch(catalog, residuals, batch, counters=None, collect=True,
     return len(keep), {rel: rows[keep] for rel, rows in batch.items()}
 
 
-def apply_residuals(catalog, residuals, rows_by_relation, counters=None,
-                    execution=None):
-    """Filter flat result rows (base row ids) by the residual predicates.
-
-    Progressive and exact (:func:`exact_equal`); ``counters``
-    optionally accumulates the per-filter comparison counts into
-    :attr:`~repro.engine.executor.ExecutionCounters.residual_checks`.
-    ``execution`` picks the kernel path (``None`` → vectorized).
-    """
-    kernels = None
-    if execution is not None:
-        from ..engine.kernels import get_kernels, resolve_execution
-
-        kernels = get_kernels(resolve_execution(execution))
-    _, filtered = _filter_batch(catalog, residuals, rows_by_relation,
-                                counters=counters, collect=True,
-                                kernels=kernels)
-    return filtered
-
-
-def _push_down_residuals(catalog, residuals, factorized, counters=None,
-                         kernels=None):
+def _push_down_residuals(catalog, residuals, factorized, kernels,
+                         counters=None):
     """Apply ancestor/descendant residuals *before* expansion.
 
     A residual whose two relations lie on one root-to-leaf path of the
@@ -654,8 +625,6 @@ def _push_down_residuals(catalog, residuals, factorized, counters=None,
     still be applied on expanded batches.  Self-join residuals
     (both sides one relation) are on a trivial path and push down too.
     """
-    if kernels is None:
-        kernels = _default_kernels()
     query = factorized.query
 
     def ancestors(rel):

@@ -82,11 +82,13 @@ class CardinalityMonitor:
 
         A join probed with zero keys teaches nothing (the prefix frame
         already died) and is skipped, as is a relation the monitor has
-        no estimate for.
+        no estimate for.  So is a join that matched nothing: an empty
+        intermediate already decides an inner join, and no replanned
+        order can finish it sooner.
         """
         self._position += 1
         expected = self.expected.get(relation)
-        if expected is None or probes <= 0:
+        if expected is None or probes <= 0 or matches <= 0:
             return
         self.observed[relation] = (int(probes), int(matches))
         self._running = running_q_error(

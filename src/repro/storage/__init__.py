@@ -1,9 +1,6 @@
-"""Columnar storage substrate: vectors, chunks, tables, hash indexes."""
+"""Columnar storage: tables, catalogs, hash indexes, partitioned layouts."""
 
-from .chunk import DEFAULT_CHUNK_SIZE, DataChunk, iter_chunks
-from .column import VectorColumn
 from .hashindex import HashIndex, LookupResult, concat_ranges
-from .io import load_catalog, save_catalog, table_from_csv, table_to_csv
 from .partition import (
     FLOAT_EXACT_MAX,
     PartitionedTable,
@@ -14,22 +11,14 @@ from .partition import (
 from .table import Catalog, Table
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
     "FLOAT_EXACT_MAX",
     "Catalog",
-    "DataChunk",
     "HashIndex",
     "LookupResult",
     "PartitionedTable",
     "Table",
-    "VectorColumn",
     "concat_ranges",
-    "iter_chunks",
-    "load_catalog",
     "partition_replacements",
     "partitioned_catalog",
-    "save_catalog",
     "shard_ids",
-    "table_from_csv",
-    "table_to_csv",
 ]

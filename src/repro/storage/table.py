@@ -17,7 +17,6 @@ import weakref
 
 import numpy as np
 
-from .chunk import DEFAULT_CHUNK_SIZE, iter_chunks
 from .hashindex import HashIndex
 
 __all__ = ["Table", "Catalog"]
@@ -196,10 +195,6 @@ class Table:
     def distinct_count(self, column):
         """Number of distinct values in ``column`` (V(A, R) in the paper)."""
         return int(len(np.unique(self.column(column))))
-
-    def chunks(self, chunk_size=DEFAULT_CHUNK_SIZE):
-        """Iterate over the table as DataChunks."""
-        return iter_chunks(self.columns, chunk_size)
 
     def gather(self, rows, columns=None):
         """Return {column: values[rows]} for the given row indices."""

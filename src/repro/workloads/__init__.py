@@ -1,31 +1,7 @@
 """Workload and dataset generators for the evaluation."""
 
 from .cebench import DATASET_FLAVORS, CEDataset, DatasetFlavor, build_dataset
-from .cyclic import (
-    CYCLIC_SHAPES,
-    clique_query,
-    cycle_query,
-    cyclic_catalog,
-    cyclic_scaling_suite,
-    grid_query,
-    to_sql,
-)
 from .dblp_like import EstimationDataset, JoinTask, build_estimation_dataset
-from .large_joins import (
-    LARGE_SHAPES,
-    chain_query,
-    large_join_catalog,
-    large_query_stats,
-    random_tree_query,
-    scaling_suite,
-    star_query,
-)
-from .partitioned import (
-    probe_batch,
-    scan_build_table,
-    scan_probe_catalog,
-    scan_probe_query,
-)
 from .random_trees import (
     DEFAULT_FANOUT_RANGE,
     MATCH_PROBABILITY_RANGES,
@@ -50,7 +26,6 @@ from .synthetic import (
 )
 
 __all__ = [
-    "CYCLIC_SHAPES",
     "DATASET_FLAVORS",
     "DEFAULT_FANOUT_RANGE",
     "CEDataset",
@@ -58,37 +33,20 @@ __all__ = [
     "EdgeSpec",
     "EstimationDataset",
     "JoinTask",
-    "LARGE_SHAPES",
     "MATCH_PROBABILITY_RANGES",
     "PAPER_SHAPES",
     "SyntheticDataset",
     "build_dataset",
     "build_estimation_dataset",
-    "chain_query",
-    "clique_query",
-    "cycle_query",
-    "cyclic_catalog",
-    "cyclic_scaling_suite",
     "generate_dataset",
-    "grid_query",
-    "large_join_catalog",
-    "large_query_stats",
     "paper_path11",
     "paper_snowflake_3_2",
     "paper_snowflake_5_1",
     "paper_star7",
     "path",
-    "probe_batch",
     "random_join_tree",
     "random_stats",
-    "random_tree_query",
-    "scaling_suite",
-    "scan_build_table",
-    "scan_probe_catalog",
-    "scan_probe_query",
     "snowflake",
     "specs_from_ranges",
     "star",
-    "star_query",
-    "to_sql",
 ]

@@ -7,8 +7,9 @@ real datasets are not available offline, so this module generates
 synthetic stand-ins with the same character: relations over shared
 entity domains, foreign keys with Zipf-like skew (hot entities join
 with thousands of partners, cold ones with none), and per-dataset
-flavour parameters controlling size, skew and connectivity.  See
-DESIGN.md, "Substitutions".
+flavour parameters controlling size, skew and connectivity.  The
+stand-ins reproduce that character, not the real datasets' sizes, so
+Figure 12 reports runtimes relative to COM rather than absolute times.
 """
 
 from __future__ import annotations

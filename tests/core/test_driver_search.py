@@ -15,7 +15,7 @@ from repro.core.costmodel import CostWeights, expected_output_size
 from repro.core.stats import StatsCache, StatsReader, relation_tokens
 from repro.modes import ExecutionMode
 from repro.planner import Planner
-from repro.workloads.large_joins import (
+from tests.large_joins import (
     large_join_catalog,
     large_query_stats,
     random_tree_query,
@@ -230,7 +230,7 @@ class TestIdpEarlyExit:
         # early exit disabled (the greedy block ignores its bound, as it
         # did before) must pick the same driver, order and cost float
         from repro.core import optimizer
-        from repro.workloads.large_joins import scaling_suite
+        from tests.large_joins import scaling_suite
 
         cases = scaling_suite((10, 16), seed=3)
 

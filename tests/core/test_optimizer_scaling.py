@@ -16,13 +16,13 @@ from repro.core import (
     incremental_order_cost,
 )
 from repro.planner import Planner
-from repro.workloads.large_joins import (
+from repro.workloads.random_trees import random_join_tree, random_stats
+from tests.large_joins import (
     chain_query,
     large_query_stats,
     random_tree_query,
     star_query,
 )
-from repro.workloads.random_trees import random_join_tree, random_stats
 
 
 def small_cases(max_nodes=10, seeds=range(6)):

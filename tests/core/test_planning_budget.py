@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.optimizer import PlanningBudgetExceeded, idp_order
 from repro.planner import Planner
-from repro.workloads.large_joins import (
+from tests.large_joins import (
     large_join_catalog,
     large_query_stats,
     star_query,

@@ -17,11 +17,11 @@ from repro import Planner, parse_query, stats_from_data
 from repro.core import StatsCache, StatsReader, decompose, relation_tokens
 from repro.core.cyclic import enumerate_spanning_trees
 from repro.storage import Catalog
-from repro.workloads.cyclic import cyclic_scaling_suite
-from repro.workloads.large_joins import large_join_catalog, scaling_suite
 from repro.workloads.random_trees import random_join_tree
 
+from tests.cyclic_joins import cyclic_scaling_suite
 from tests.helpers import make_small_catalog
+from tests.large_joins import large_join_catalog, scaling_suite
 
 METHODS = ("exact", "sampling")
 

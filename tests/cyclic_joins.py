@@ -1,12 +1,11 @@
-"""Cyclic join-graph generators for the joint tree+order study.
+"""Cyclic join-graph generators for the joint tree+order tests.
 
-The acyclic scaling workloads (:mod:`repro.workloads.large_joins`) stop
-where the paper does — trees.  Real graph-shaped workloads (triangle
-counting, social-network motifs, grid adjacency) are cyclic, and the
-planner's joint spanning-tree + join-order search needs data-backed
-instances to optimize against.  This module generates the three
-canonical cyclic shapes as :class:`~repro.core.parser.ParsedQuery`
-objects (trees cannot represent them) up to ~40 relations:
+The acyclic scaling generators (:mod:`tests.large_joins`) stop where
+the paper does — trees.  The planner's joint spanning-tree + join-order
+search needs data-backed cyclic instances to optimize against, so this
+module generates the three canonical cyclic shapes as
+:class:`~repro.core.parser.ParsedQuery` objects (trees cannot represent
+them) up to ~40 relations:
 
 * :func:`cycle_query` — a ring: ``n`` relations, ``n`` predicates, one
   residual whatever tree is chosen (the minimal cyclic shape);
@@ -16,10 +15,10 @@ objects (trees cannot represent them) up to ~40 relations:
 * :func:`grid_query` — a ``rows x cols`` lattice: ``(rows-1)(cols-1)``
   independent cycles, the structured middle ground.
 
-Conventions follow :mod:`repro.workloads.large_joins`: relations are
+Conventions follow :mod:`tests.large_joins`: relations are
 ``R0..R{n-1}`` and the edge between ``Ri`` and ``Rj`` joins on a shared
 column name ``k_{i}_{j}``.  :func:`cyclic_catalog` backs a query with
-data the way :func:`~repro.workloads.large_joins.large_join_catalog`
+data the way :func:`~tests.large_joins.large_join_catalog`
 does for trees — uniform integer keys — but draws each edge's key
 domain from a caller-controlled range, so edge selectivities are
 heterogeneous and spanning-tree choice is a real decision.
@@ -31,18 +30,8 @@ import math
 
 import numpy as np
 
-from ..core.parser import Contradiction, ParsedQuery, Placeholder
-from ..storage.table import Catalog
-
-__all__ = [
-    "CYCLIC_SHAPES",
-    "clique_query",
-    "cycle_query",
-    "cyclic_catalog",
-    "cyclic_scaling_suite",
-    "grid_query",
-    "to_sql",
-]
+from repro.core.parser import Contradiction, ParsedQuery, Placeholder
+from repro.storage import Catalog
 
 
 def _edge(i, j):

@@ -1,4 +1,4 @@
-"""Large join-graph generators for the optimizer-scaling study.
+"""Large join-graph generators for the optimizer-scaling tests.
 
 The paper's evaluation stops at ~20 relations — the exhaustive DP's
 practical reach — but production workloads (e.g. the PostBOUND
@@ -24,19 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.query import JoinEdge, JoinQuery
-from ..core.stats import EdgeStats, QueryStats
-from ..storage.table import Catalog
-
-__all__ = [
-    "chain_query",
-    "star_query",
-    "random_tree_query",
-    "large_join_catalog",
-    "large_query_stats",
-    "scaling_suite",
-    "LARGE_SHAPES",
-]
+from repro.core import EdgeStats, JoinEdge, JoinQuery, QueryStats
+from repro.storage import Catalog
 
 
 def _edge(parent, child):

@@ -13,13 +13,14 @@ from repro.core import (
     parse_query,
     spanning_tree_decomposition,
 )
-from repro.core.cyclic import ResidualPredicate, apply_residuals
+from repro.core.cyclic import ResidualPredicate, _filter_batch
 from repro.core.parser import ParsedQuery
+from repro.engine.kernels import get_kernels
 from repro.modes import ExecutionMode
 from repro.planner import Planner
 from repro.storage import Catalog
 from repro.storage.partition import partitioned_catalog
-from repro.workloads.cyclic import cyclic_catalog
+from tests.cyclic_joins import cyclic_catalog
 
 TRIANGLE = (
     "select * from A, B, C "
@@ -72,7 +73,7 @@ def test_triangle_matches_brute_force(seed, mode, driver):
 
 @given(seed=st.integers(0, 5_000))
 @settings(max_examples=30, deadline=None)
-def test_apply_residuals_is_a_pure_filter(seed):
+def test_residual_filter_is_a_pure_filter(seed):
     catalog = build_triangle_catalog(seed, max_rows=10)
     rng = np.random.default_rng(seed + 1)
     n = int(rng.integers(0, 20))
@@ -81,8 +82,9 @@ def test_apply_residuals_is_a_pure_filter(seed):
         "C": rng.integers(0, len(catalog.table("C")), n),
     }
     predicate = ResidualPredicate("C", "z", "A", "z")
-    filtered = apply_residuals(catalog, [predicate], dict(rows))
-    kept = len(filtered["A"])
+    kept, filtered = _filter_batch(catalog, [predicate], dict(rows),
+                                   get_kernels("vectorized"))
+    assert len(filtered["A"]) == len(filtered["C"]) == kept
     assert kept <= n
     # Every kept pair satisfies the predicate; every dropped one fails.
     a_vals = catalog.table("A").column("z")[rows["A"]]

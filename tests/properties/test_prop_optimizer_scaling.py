@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from repro.core import beam_order, exhaustive_optimal, idp_order
 from repro.core.optimizer import incremental_order_cost
-from repro.workloads.large_joins import (
+from repro.workloads.random_trees import random_join_tree, random_stats
+from tests.large_joins import (
     chain_query,
     large_query_stats,
     random_tree_query,
     star_query,
 )
-from repro.workloads.random_trees import random_join_tree, random_stats
 
 #: loose quality envelope for the default knobs on n <= 12 queries; the
 #: measured ratios are far tighter (mean ~1.0, worst ~2.0 over

@@ -32,8 +32,8 @@ from repro.modes import ExecutionMode
 from repro.planner import Planner
 from repro.storage import Catalog
 from repro.storage.partition import partitioned_catalog
-from repro.workloads.cyclic import CYCLIC_SHAPES, cyclic_catalog, to_sql
 
+from tests.cyclic_joins import CYCLIC_SHAPES, cyclic_catalog, to_sql
 from tests.helpers import predicate_coverage, stated_predicates
 
 from .test_prop_cyclic import TRIANGLE, brute_force, build_triangle_catalog

@@ -12,8 +12,8 @@ import pytest
 from repro import ExecutionMode, Planner, QuerySession
 from repro.planner import AUTO_MAX_SHARDS, AUTO_MIN_ROWS_PER_SHARD
 from repro.storage import PartitionedTable
-from repro.workloads.partitioned import scan_probe_catalog, scan_probe_query
 from tests.helpers import make_small_catalog, result_tuples
+from tests.scan_probe import scan_probe_catalog, scan_probe_query
 
 SIX_RELATION_SQL = (
     "select * from R1, R2, R3, R4, R5, R6 "

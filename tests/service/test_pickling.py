@@ -15,11 +15,8 @@ import pytest
 from repro.core.lru import LRUCache
 from repro.planner import Planner, PlanSpec
 from repro.storage import Catalog, PartitionedTable
-from repro.workloads.large_joins import (
-    large_join_catalog,
-    random_tree_query,
-)
 from tests.helpers import make_small_catalog
+from tests.large_joins import large_join_catalog, random_tree_query
 
 SIX_RELATION_SQL = (
     "select * from R1, R2, R3, R4, R5, R6 "

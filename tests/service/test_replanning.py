@@ -64,6 +64,7 @@ def test_monitor_skips_unknown_and_empty_probes():
     monitor = CardinalityMonitor({"A": 0.5}, threshold=2.0)
     monitor.observe("Z", 100, 100)  # no estimate: teaches nothing
     monitor.observe("A", 0, 0)  # dead prefix: teaches nothing
+    monitor.observe("A", 100, 0)  # empty step: the answer is decided
     assert monitor.max_q_error == 1.0
     assert monitor.observed == {}
 
@@ -227,6 +228,28 @@ def test_clean_stats_do_not_replan_on_default_threshold():
     assert report.observed_q_error >= 1.0
 
 
+@pytest.mark.parametrize("mode", ["STD", "COM"])
+def test_empty_join_step_does_not_replan(mode):
+    """Regression: a join that matched nothing fed an observed
+    selectivity of 0 to the running q-error, so an empty answer —
+    already decided by the empty intermediate — replanned up to the
+    ``max_replans`` cap."""
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 50, 200)
+    catalog = Catalog()
+    catalog.add_table("A", {"x": x, "y": x.copy()})
+    catalog.add_table("B", {"x": rng.integers(0, 25, 200)})
+    catalog.add_table("C", {"y": rng.integers(25, 50, 200)})
+    catalog.add_table("D", {"x": rng.integers(0, 50, 200)})
+    sql = ("SELECT * FROM A, B, C, D WHERE A.x = B.x AND A.y = C.y "
+           "AND A.x = D.x")
+    report = QuerySession(catalog, robustness="auto").execute(
+        sql, mode=mode, collect_output=True)
+    assert report.ok
+    assert report.replans == 0
+    assert report.result.output_size == 0
+
+
 def test_planner_refuses_to_replan_cyclic_plans():
     rng = np.random.default_rng(5)
     catalog = Catalog()
@@ -282,7 +305,7 @@ def test_replan_keeps_the_requests_planning_budget(monkeypatch):
     i.e. with no deadline, so a request planned under a tiny per-call
     budget was replanned by the unbudgeted exhaustive DP."""
     import repro.planner as planner_module
-    from repro.workloads.large_joins import chain_query, large_join_catalog
+    from tests.large_joins import chain_query, large_join_catalog
 
     query = chain_query(8)
     catalog = large_join_catalog(query, rows_per_relation=48,

@@ -11,7 +11,7 @@ from repro.storage import (
     partitioned_catalog,
     shard_ids,
 )
-from repro.workloads.partitioned import scan_probe_catalog, scan_probe_query
+from tests.scan_probe import scan_probe_catalog, scan_probe_query
 
 
 def make_partitioned(rows=500, domain=40, num_shards=4, seed=0):

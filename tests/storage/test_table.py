@@ -45,12 +45,6 @@ def test_gather_selects_rows_and_columns():
     assert got["b"].tolist() == [3, 1]
 
 
-def test_chunks_iteration():
-    table = Table("t", {"a": np.arange(5)})
-    chunks = list(table.chunks(chunk_size=2))
-    assert [len(c) for c in chunks] == [2, 2, 1]
-
-
 def test_catalog_registration_and_lookup():
     catalog = Catalog()
     catalog.add_table("t", {"a": [1, 2]})

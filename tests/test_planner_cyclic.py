@@ -20,7 +20,7 @@ from repro.core import (
 from repro.core.parser import ParseError
 from repro.planner import Planner
 from repro.storage import Catalog
-from repro.workloads.cyclic import (
+from tests.cyclic_joins import (
     clique_query,
     cycle_query,
     cyclic_catalog,

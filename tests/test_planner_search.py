@@ -33,8 +33,8 @@ from repro.core.costmodel import (
 )
 from repro.core.cyclic import residual_filter_cost
 from repro.planner import Planner, SearchTally, _Choice
-from repro.workloads.cyclic import cyclic_scaling_suite
-from repro.workloads.large_joins import (
+from tests.cyclic_joins import cyclic_scaling_suite
+from tests.large_joins import (
     large_join_catalog,
     random_tree_query,
     scaling_suite,

@@ -65,11 +65,26 @@ def synthetic_repo(tmp_path):
         "## Planner / session knobs\n\n"
         "| knob |\n|---|\n| `mode` |\n\n## Next\n"
     )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.engine.kernels import VectorizedKernels\n"
+        "from repro.options import PlanOptions\n"
+        "from repro.storage.hashindex import HashIndex\n"
+    )
     return tmp_path
 
 
 def run_all(module):
-    return [finding for check in module.CHECKS for finding in check()]
+    """Every rule's findings but reachability's: the modules the tests
+    below write to trip one rule are reached by no root, which the
+    reachability tests pin on their own."""
+    return [finding for check in module.CHECKS
+            if check is not module.check_product_modules_reachable
+            for finding in check()]
+
+
+def unreached(module):
+    return [str(f.path) for f in module.check_product_modules_reachable()]
 
 
 def test_linter_green_on_this_repo():
@@ -82,7 +97,8 @@ def test_linter_green_on_this_repo():
 
 
 def test_synthetic_repo_is_green(synthetic_repo):
-    assert run_all(load_linter(synthetic_repo)) == []
+    module = load_linter(synthetic_repo)
+    assert [finding for check in module.CHECKS for finding in check()] == []
 
 
 def test_raw_key_eq_fires(synthetic_repo):
@@ -785,3 +801,83 @@ def test_structures_by_content_fires(synthetic_repo, relative, source):
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["STRUCTURES_BY_CONTENT"]
     assert str(path.relative_to(synthetic_repo)) in str(findings[0])
+
+
+def test_product_modules_reachable_flags_reexported_modules(synthetic_repo):
+    """Re-exported by two package ``__init__``s and imported by a test,
+    but asked for by no root: the module is flagged."""
+    src = synthetic_repo / "src" / "repro"
+    (src / "storage" / "io.py").write_text(
+        "from .hashindex import HashIndex\n"
+        "def load_catalog(path):\n"
+        "    return HashIndex\n")
+    (src / "storage" / "__init__.py").write_text(
+        "from .hashindex import HashIndex\n"
+        "from .io import load_catalog\n")
+    (src / "__init__.py").write_text(
+        "from .storage import HashIndex, load_catalog\n")
+    (synthetic_repo / "tests").mkdir()
+    (synthetic_repo / "tests" / "test_io.py").write_text(
+        "from repro.storage.io import load_catalog\n")
+    (synthetic_repo / "examples" / "demo.py").write_text(
+        "from repro import HashIndex\n"
+        "from repro.engine.kernels import VectorizedKernels\n"
+        "from repro.options import PlanOptions\n")
+    module = load_linter(synthetic_repo)
+    assert unreached(module) == ["src/repro/storage/io.py"]
+    assert run_all(module) == []
+
+
+def test_product_modules_reachable_follows_benchmark_imports(synthetic_repo):
+    """A benchmark's import keeps a module, transitively; a benchmark
+    harness's own tests do not."""
+    src = synthetic_repo / "src" / "repro"
+    (src / "workloads").mkdir()
+    (src / "workloads" / "__init__.py").write_text("")
+    (src / "workloads" / "gen.py").write_text(
+        "from ..core.query import JoinQuery\n")
+    (src / "core" / "query.py").write_text("class JoinQuery:\n    pass\n")
+    (src / "workloads" / "fixtures.py").write_text("")
+    harness = synthetic_repo / "benchmarks" / "e2e"
+    (harness / "tests").mkdir(parents=True)
+    (harness / "child.py").write_text(
+        "def run():\n"
+        "    from repro.workloads.gen import JoinQuery\n"
+        "    return JoinQuery\n")
+    (harness / "tests" / "test_child.py").write_text(
+        "from repro.workloads import fixtures\n")
+    assert unreached(load_linter(synthetic_repo)) == [
+        "src/repro/workloads/fixtures.py"]
+
+
+def test_product_modules_reachable_follows_names_through_init(
+        synthetic_repo):
+    """A console script reaching a package ``__init__`` reaches only the
+    names it asks for: a re-export is followed to the defining module,
+    and a name the ``__init__`` defines reaches what it mentions."""
+    (synthetic_repo / "pyproject.toml").write_text(
+        "[project]\nname = 'demo'\n\n"
+        "[project.scripts]\n"
+        "demo-bench = \"repro.bench.__main__:main\"\n\n"
+        "[tool.pytest.ini_options]\ntestpaths = ['tests']\n")
+    src = synthetic_repo / "src" / "repro"
+    for package in ("bench", "workloads"):
+        (src / package).mkdir()
+    (src / "bench" / "__init__.py").write_text(
+        "from . import fig04\n"
+        "from .runner import run_figures\n"
+        "FIGURES = {'4': fig04}\n")
+    (src / "bench" / "__main__.py").write_text(
+        "from . import FIGURES\n"
+        "def main():\n"
+        "    return FIGURES\n")
+    (src / "bench" / "fig04.py").write_text(
+        "from ..workloads import build_dataset\n")
+    (src / "bench" / "runner.py").write_text("")
+    (src / "workloads" / "__init__.py").write_text(
+        "from .cebench import build_dataset\n"
+        "from .cyclic import cyclic_catalog\n")
+    (src / "workloads" / "cebench.py").write_text("")
+    (src / "workloads" / "cyclic.py").write_text("")
+    assert unreached(load_linter(synthetic_repo)) == [
+        "src/repro/bench/runner.py", "src/repro/workloads/cyclic.py"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import parse_query
-from repro.workloads.cyclic import (
+from tests.cyclic_joins import (
     CYCLIC_SHAPES,
     clique_query,
     cycle_query,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads.large_joins import (
+from tests.large_joins import (
     LARGE_SHAPES,
     chain_query,
     large_query_stats,
@@ -83,7 +83,7 @@ def test_scaling_suite_covers_every_shape_and_size():
 
 
 def test_large_join_catalog_backs_every_relation():
-    from repro.workloads.large_joins import large_join_catalog
+    from tests.large_joins import large_join_catalog
 
     query = random_tree_query(10, seed=4)
     catalog = large_join_catalog(query, rows_per_relation=64, seed=4)
@@ -101,7 +101,7 @@ def test_large_join_catalog_backs_every_relation():
 
 def test_large_join_catalog_is_plannable_end_to_end():
     from repro.planner import Planner
-    from repro.workloads.large_joins import large_join_catalog
+    from tests.large_joins import large_join_catalog
 
     query = chain_query(6)
     catalog = large_join_catalog(query, rows_per_relation=64, seed=5)

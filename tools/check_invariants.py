@@ -178,6 +178,17 @@ README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
     undocumented knob is indistinguishable from an unsupported one.
+
+PRODUCT_MODULES_REACHABLE
+    A module is in the product because something other than its tests
+    uses it.  So every non-``__init__`` module under ``src/repro`` is
+    reached by imports from a root: a ``[project.scripts]`` entry of
+    ``pyproject.toml`` or a ``repro`` import made by a file under
+    ``examples/`` or ``benchmarks/`` (a ``tests`` directory excepted).
+    A reached module reaches everything it imports; an import through a
+    package ``__init__`` reaches only the module defining each name it
+    asks for (a name the ``__init__`` defines itself reaches what its
+    definition names), so a re-export alone keeps nothing alive.
 """
 
 from __future__ import annotations
@@ -797,16 +808,23 @@ def check_order_search_on_masks():
     return findings
 
 
+def _from_base(node, package):
+    """The absolute module a ``from ... import`` names, relative levels
+    resolved against ``package`` (dotted parts); None without one."""
+    if not node.level:
+        return node.module
+    if package is None:
+        return None
+    parts = package[:len(package) - node.level + 1]
+    return ".".join([*parts, *([node.module] if node.module else [])])
+
+
 def _imported_modules(path, node):
     """Absolute names an import statement in ``path`` reaches: the
     module itself plus, for ``from X import y``, ``X.y``."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
-    base = node.module or ""
-    if node.level:
-        package = ["repro", *path.relative_to(SRC).parent.parts]
-        parts = package[:len(package) - node.level + 1]
-        base = ".".join(parts + ([node.module] if node.module else []))
+    base = _from_base(node, ("repro", *path.relative_to(SRC).parent.parts))
     return [base] + [f"{base}.{alias.name}" for alias in node.names]
 
 
@@ -1029,6 +1047,87 @@ def check_readme_knob_table():
     return findings
 
 
+def _import_requests(tree, package):
+    """``(module, name)`` pairs a file's import statements ask for —
+    ``name`` is None for ``import module``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = _from_base(node, package)
+            if base is not None:
+                yield from ((base, alias.name) for alias in node.names)
+
+
+def _binding_requests(tree, module, package, name):
+    """What a package ``__init__`` binds ``name`` to: the import that
+    re-exports it, or — for a definition of its own — every name the
+    definition mentions, looked up in the same ``__init__``."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if (alias.asname or alias.name.partition(".")[0]) != name:
+                    continue
+                yield (alias.name, None) if isinstance(node, ast.Import) \
+                    else (_from_base(node, package), alias.name)
+        elif name in _names(node) or any(
+                name in _names(target) for target in _assigned_targets(node)):
+            yield from ((module, used.id) for used in ast.walk(node)
+                        if isinstance(used, ast.Name))
+
+
+def _reachability_roots():
+    """Import requests of the product's users: the console scripts
+    ``pyproject.toml`` declares and every file under ``examples/`` and
+    ``benchmarks/`` outside a ``tests`` directory."""
+    pyproject = REPO / "pyproject.toml"
+    text = pyproject.read_text() if pyproject.exists() else ""
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text,
+                        re.DOTALL | re.MULTILINE)
+    for target in re.findall(r"=\s*\"([\w.]+)", scripts.group(1)
+                             if scripts else ""):
+        yield target, None
+    for folder in ("examples", "benchmarks"):
+        for path in sorted((REPO / folder).rglob("*.py")):
+            if "tests" not in path.relative_to(REPO).parts:
+                yield from _import_requests(_parse(path), None)
+
+
+def check_product_modules_reachable():
+    modules = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        package = parts[:-1]
+        if parts[-1] == "__init__":
+            parts = package
+        modules[".".join(parts)] = (path, _parse(path), package)
+    pending, seen, reached = list(_reachability_roots()), set(), set()
+    while pending:
+        request = pending.pop()
+        if request in seen:
+            continue
+        seen.add(request)
+        module, name = request
+        if name and f"{module}.{name}" in modules:
+            module, name = f"{module}.{name}", None
+        if module not in modules:
+            continue
+        path, tree, package = modules[module]
+        if path.name != "__init__.py":
+            reached.add(module)
+            pending.extend(_import_requests(tree, package))
+        elif name:
+            pending.extend(_binding_requests(tree, module, package, name))
+    return [
+        Finding("PRODUCT_MODULES_REACHABLE", path.relative_to(REPO), 0,
+                "no console script, example or benchmark reaches this "
+                "module — only tests or re-exports import it; delete it "
+                "or move it next to the tests that use it")
+        for module, (path, _, _) in sorted(modules.items())
+        if path.name != "__init__.py" and module not in reached
+    ]
+
+
 CHECKS = (
     check_raw_key_eq,
     check_unlocked_cache_mutation,
@@ -1048,6 +1147,7 @@ CHECKS = (
     check_liveness_by_kill,
     check_structures_by_content,
     check_readme_knob_table,
+    check_product_modules_reachable,
 )
 
 
