@@ -69,6 +69,21 @@ def test_monitor_skips_unknown_and_empty_probes():
     assert monitor.observed == {}
 
 
+def test_monitor_keeps_watching_after_an_empty_step():
+    """An empty step is skipped, not a stop: it keeps its position in
+    the order, and a later step that misses its estimate still trips."""
+    monitor = CardinalityMonitor({"A": 0.5, "B": 0.5, "C": 0.5},
+                                 threshold=3.0)
+    monitor.observe("A", 100, 50)  # exact
+    monitor.observe("B", 100, 0)  # empty: no trip, no q-error
+    assert monitor.max_q_error == pytest.approx(1.0)
+    with pytest.raises(ReplanSignal) as excinfo:
+        monitor.observe("C", 100, 5)  # q = 10
+    assert excinfo.value.relation == "C"
+    assert excinfo.value.position == 3
+    assert excinfo.value.observed == {"A": (100, 50), "C": (100, 5)}
+
+
 def test_monitor_rejects_sub_one_threshold():
     with pytest.raises(ValueError, match="q-error"):
         CardinalityMonitor({}, threshold=0.5)
@@ -228,12 +243,10 @@ def test_clean_stats_do_not_replan_on_default_threshold():
     assert report.observed_q_error >= 1.0
 
 
-@pytest.mark.parametrize("mode", ["STD", "COM"])
-def test_empty_join_step_does_not_replan(mode):
-    """Regression: a join that matched nothing fed an observed
-    selectivity of 0 to the running q-error, so an empty answer —
-    already decided by the empty intermediate — replanned up to the
-    ``max_replans`` cap."""
+def run_empty_four_way_join(mode):
+    """``A.x = B.x AND A.y = C.y AND A.x = D.x`` with ``A.y = A.x`` and
+    the ``B`` and ``C`` keys on disjoint halves of ``A``'s domain: the
+    answer is empty, but no single edge's statistics say so."""
     rng = np.random.default_rng(0)
     x = rng.integers(0, 50, 200)
     catalog = Catalog()
@@ -243,8 +256,28 @@ def test_empty_join_step_does_not_replan(mode):
     catalog.add_table("D", {"x": rng.integers(0, 50, 200)})
     sql = ("SELECT * FROM A, B, C, D WHERE A.x = B.x AND A.y = C.y "
            "AND A.x = D.x")
-    report = QuerySession(catalog, robustness="auto").execute(
+    return QuerySession(catalog, robustness="auto").execute(
         sql, mode=mode, collect_output=True)
+
+
+@pytest.mark.parametrize("mode", ["STD", "COM"])
+def test_empty_join_step_does_not_replan(mode):
+    """Regression: a join that matched nothing fed an observed
+    selectivity of 0 to the running q-error, so an empty answer —
+    already decided by the empty intermediate — replanned up to the
+    ``max_replans`` cap."""
+    report = run_empty_four_way_join(mode)
+    assert report.ok
+    assert report.replans == 0
+    assert report.result.output_size == 0
+
+
+@pytest.mark.parametrize("mode", ["BVP+STD", "BVP+COM"])
+def test_empty_answer_does_not_replan_in_bitvector_modes(mode):
+    """The bitvector modes run monitored too; there the same answer
+    empties at the bitvector prefilter (zero probes), which must not
+    replan either."""
+    report = run_empty_four_way_join(mode)
     assert report.ok
     assert report.replans == 0
     assert report.result.output_size == 0

@@ -236,3 +236,172 @@ def test_racing_renames_agree_on_one_index():
     assert len(got) == len(aliases)
     assert {id(index) for index in got.values()} \
         == {id(base.hash_index("t", "a"))}
+
+
+def test_table_rejects_multidimensional_column():
+    with pytest.raises(ValueError, match="1-D"):
+        Table("t", {"a": np.zeros((2, 2), dtype=np.int64)})
+
+
+@pytest.mark.parametrize("dtype, stored", [
+    (np.int8, np.int64),
+    (np.int32, np.int64),
+    (np.uint16, np.int64),
+    (np.float32, np.float32),
+    (np.float64, np.float64),
+])
+def test_integer_columns_widen_to_int64_only(dtype, stored):
+    table = Table("t", {"a": np.arange(4, dtype=dtype)})
+    assert table.column("a").dtype == stored
+    assert table.column("a").tolist() == [0, 1, 2, 3]
+
+
+def test_int64_columns_are_held_without_a_copy():
+    values = np.arange(5, dtype=np.int64)
+    assert Table("t", {"a": values}).column("a") is values
+
+
+def test_table_repr_names_rows_and_columns():
+    table = Table("t", {"a": [1, 2, 3], "b": [4, 5, 6]})
+    assert repr(table) == "Table('t', rows=3, columns=['a', 'b'])"
+
+
+def test_gather_defaults_to_every_column():
+    table = Table("t", {"a": [10, 20, 30], "b": [1, 2, 3]})
+    got = table.gather(np.array([1, 1, 0], dtype=np.int32))
+    assert list(got) == ["a", "b"]
+    assert got["a"].tolist() == [20, 20, 10]
+    assert got["b"].tolist() == [2, 2, 1]
+
+
+def test_plain_table_rows_are_base_rows():
+    table = Table("t", {"a": np.arange(5)})
+    rows = table.original_rows([3, 1, 4])
+    assert rows.dtype == np.int64 and rows.tolist() == [3, 1, 4]
+    assert table.base_row_ids() is None
+    assert table.refreshed() is table
+    assert table.refreshed(table.renamed("x")) is table
+
+
+def test_shares_data_with_tracks_arrays_not_contents():
+    table = Table("t", {"a": np.arange(4), "b": np.arange(4)})
+    copy = Table("t", {name: values.copy()
+                       for name, values in table.columns.items()})
+    partial = Table("u", {"a": table.column("a"), "c": np.arange(4)})
+    assert table.shares_data_with(table)
+    assert table.shares_data_with(table.renamed("x"))
+    assert table.renamed("x").shares_data_with(table)
+    assert partial.shares_data_with(table)
+    assert not copy.shares_data_with(table)
+    assert copy.fingerprint() == table.fingerprint()
+
+
+def test_build_hash_index_restricted_to_rows():
+    table = Table("t", {"a": [5, 6, 5, 6, 5]})
+    index = table.build_hash_index("a", rows=np.array([0, 3, 4]))
+    assert sorted(index.rows_for_key(5).tolist()) == [0, 4]
+    assert index.rows_for_key(6).tolist() == [3]
+    full = table.build_hash_index("a")
+    assert sorted(full.rows_for_key(6).tolist()) == [1, 3]
+
+
+def test_structure_builds_once_per_key_and_invalidate_clears():
+    table = Table("t", {"a": [1, 2, 3]})
+    builds = []
+
+    def build(source):
+        builds.append(source.name)
+        return object()
+
+    first = table.structure(("domain", "a"), build)
+    assert table.structure(("domain", "a"), build) is first
+    assert table.structure(("domain", "b"), build) is not first
+    assert builds == ["t", "t"]
+    fingerprint = table.fingerprint()
+    table.invalidate()
+    assert table.structure(("domain", "a"), build) is not first
+    assert builds == ["t", "t", "t"]
+    assert table.fingerprint() == fingerprint  # same bytes, same digest
+
+
+def test_invalidate_recomputes_fingerprint_after_in_place_mutation():
+    table = Table("t", {"a": np.arange(4)})
+    before = table.fingerprint()
+    table.column("a")[0] = 7
+    assert table.fingerprint() == before  # cached until invalidated
+    table.invalidate()
+    assert table.fingerprint() != before
+
+
+def test_replacement_table_starts_its_own_structure_cache():
+    catalog = Catalog()
+    catalog.add_table("t", {"a": [1, 1, 2]})
+    old = catalog.hash_index("t", "a")
+    held = catalog.table("t")
+    catalog.add_table("t", {"a": [2, 2, 2]})
+    new = catalog.hash_index("t", "a")
+    assert new is not old
+    assert new.rows_for_key(2).tolist() == [0, 1, 2]
+    assert held.structure("a", lambda t: t.build_hash_index("a")) is old
+
+
+def test_catalog_version_counts_registrations_and_invalidations():
+    catalog = Catalog()
+    assert catalog.version == 0
+    catalog.add_table("t", {"a": [1]})
+    catalog.add_table("u", {"a": [2]})
+    assert catalog.version == 2
+    catalog.add_table("t", {"a": [3]})
+    assert catalog.version == 3
+    catalog.invalidate_indexes("t")
+    assert catalog.version == 4
+    catalog.invalidate_indexes()
+    assert catalog.version == 5
+
+
+def test_invalidating_an_unknown_table_keeps_other_structures():
+    catalog = Catalog()
+    catalog.add_table("t", {"a": [1, 2]})
+    index = catalog.hash_index("t", "a")
+    fingerprint = catalog.fingerprint()
+    catalog.invalidate_indexes("missing")
+    assert catalog.hash_index("t", "a") is index
+    assert catalog.fingerprint() == fingerprint
+
+
+def test_catalog_membership_and_names_follow_registration():
+    catalog = Catalog()
+    assert "t" not in catalog and catalog.table_names == []
+    catalog.add_table("t", {"a": [1]})
+    catalog.add(Table("u", {"b": [2]}))
+    catalog.add_table("t", {"a": [3]})
+    assert catalog.table_names == ["t", "u"]
+    assert "u" in catalog and "a" not in catalog
+    assert catalog.table("t").column("a").tolist() == [3]
+
+
+def test_derive_holds_exactly_the_given_tables():
+    base = Catalog()
+    base.add_table("t", {"a": [1, 2]})
+    base.add_table("u", {"a": [3]})
+    alias = base.table("t").renamed("x")
+    derived = base.derive([alias])
+    assert derived.table_names == ["x"]
+    assert derived.table("x") is alias
+    assert "t" not in derived
+
+
+def test_pickled_catalog_keeps_contents_and_drops_derivatives():
+    base = Catalog()
+    base.add_table("t", {"a": np.arange(6) % 3})
+    derived = base.derive([base.table("t").renamed("x")])
+    derived.hash_index("x", "a")
+    copy = pickle.loads(pickle.dumps(base))
+    assert copy.fingerprint() == base.fingerprint()
+    assert copy.table_names == ["t"]
+    assert len(copy._derived) == 0
+    # the copy's in-place escape hatch reaches nothing of the original
+    copy.table("t").column("a")[0] = 9
+    copy.invalidate_indexes("t")
+    assert base.table("t").column("a")[0] == 0
+    assert derived.hash_index("x", "a").rows_for_key(0).tolist() == [0, 3]

@@ -6,6 +6,7 @@ fire), so the linter can neither rot into false positives nor silently
 stop catching the pattern it exists for.
 """
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -881,3 +882,77 @@ def test_product_modules_reachable_follows_names_through_init(
     (src / "workloads" / "cyclic.py").write_text("")
     assert unreached(load_linter(synthetic_repo)) == [
         "src/repro/bench/runner.py", "src/repro/workloads/cyclic.py"]
+
+
+def test_product_modules_reachable_follows_plain_and_relative_imports(
+        synthetic_repo):
+    """``import repro.a.b`` reaches ``a.b``; a reached module's relative
+    imports — ``from .x import y`` and ``from .. import module`` —
+    resolve against its own package."""
+    src = synthetic_repo / "src" / "repro"
+    (src / "core" / "plan.py").write_text(
+        "from .cost import price\n"
+        "from .. import analysis\n"
+        "from ..analysis import hazards\n")
+    (src / "core" / "cost.py").write_text("def price():\n    return 0\n")
+    (src / "analysis" / "hazards.py").write_text("")
+    (src / "analysis" / "report.py").write_text("")
+    (synthetic_repo / "examples" / "plans.py").write_text(
+        "import repro.core.plan\n")
+    assert unreached(load_linter(synthetic_repo)) == [
+        "src/repro/analysis/report.py"]
+
+
+def test_product_modules_reachable_follows_aliased_reexports(
+        synthetic_repo):
+    """``from .m import f as g`` in an ``__init__`` binds ``g``: asking
+    the package for ``g`` reaches ``m``; asking for another name does
+    not."""
+    src = synthetic_repo / "src" / "repro"
+    (src / "workloads").mkdir()
+    (src / "workloads" / "__init__.py").write_text(
+        "from .cebench import build as build_dataset\n"
+        "from .shapes import chain as chain_query\n")
+    (src / "workloads" / "cebench.py").write_text("def build():\n    pass\n")
+    (src / "workloads" / "shapes.py").write_text("def chain():\n    pass\n")
+    (synthetic_repo / "examples" / "data.py").write_text(
+        "from repro.workloads import build_dataset\n")
+    assert unreached(load_linter(synthetic_repo)) == [
+        "src/repro/workloads/shapes.py"]
+
+
+def test_product_modules_reachable_ignores_cycles_among_unreached(
+        synthetic_repo):
+    """Two modules importing each other keep neither alive."""
+    src = synthetic_repo / "src" / "repro"
+    (src / "core" / "left.py").write_text("from .right import b\na = 1\n")
+    (src / "core" / "right.py").write_text("from .left import a\nb = 1\n")
+    assert unreached(load_linter(synthetic_repo)) == [
+        "src/repro/core/left.py", "src/repro/core/right.py"]
+
+
+def test_product_modules_reachable_without_roots_flags_everything(
+        synthetic_repo):
+    """No console script, example or benchmark: every module but the
+    package ``__init__``s is unreached, and each finding says so."""
+    (synthetic_repo / "examples" / "demo.py").unlink()
+    module = load_linter(synthetic_repo)
+    findings = module.check_product_modules_reachable()
+    assert [str(f.path) for f in findings] == [
+        "src/repro/engine/kernels.py", "src/repro/options.py",
+        "src/repro/storage/hashindex.py"]
+    assert {f.rule for f in findings} == {"PRODUCT_MODULES_REACHABLE"}
+    assert all("only tests or re-exports" in str(f) for f in findings)
+
+
+@pytest.mark.parametrize("level, name, package, expected", [
+    (0, "repro.core", ("repro", "engine"), "repro.core"),
+    (1, "cost", ("repro", "core"), "repro.core.cost"),
+    (1, None, ("repro", "core"), "repro.core"),
+    (2, "storage", ("repro", "core"), "repro.storage"),
+    (2, None, ("repro", "core"), "repro"),
+    (1, "cost", None, None),
+])
+def test_from_base_resolves_relative_levels(level, name, package, expected):
+    node = ast.ImportFrom(module=name, names=[], level=level)
+    assert load_linter(REPO)._from_base(node, package) == expected
