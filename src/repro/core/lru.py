@@ -145,6 +145,15 @@ class LRUCache:
             self.stats.invalidations += len(self._entries)
             self._entries.clear()
 
+    def discard(self, stale):
+        """Drop every entry whose key ``stale(key)`` accepts (counted as
+        invalidations)."""
+        with self._lock:
+            doomed = [key for key in self._entries if stale(key)]
+            for key in doomed:
+                del self._entries[key]
+            self.stats.invalidations += len(doomed)
+
     def __getstate__(self):
         """Pickle as an *empty* cache of the same capacity.
 

@@ -372,10 +372,10 @@ def execute(
             mask[np.asarray(driver_rows, dtype=np.int64)] = True
             rows = rows[mask[rows]]
         driver_rows = rows
-    elif driver_rows is None:
-        driver_rows = np.arange(len(catalog.table(query.root)), dtype=np.int64)
-    else:
+    elif driver_rows is not None:
         driver_rows = np.asarray(driver_rows, dtype=np.int64)
+    elif mode.factorized or bitvectors is not None or not order:
+        driver_rows = np.arange(len(catalog.table(query.root)), dtype=np.int64)
 
     output_rows = None
     factorized = None
@@ -420,12 +420,11 @@ def execute(
                         for rel in query.relations
                     }
     else:
-        frame = _run_flat_driver(
+        frame, output_size = _run_flat_driver(
             query, catalog, order, indexes, bitvectors, checks_after,
             counters, max_intermediate_tuples, driver_rows, kernels,
-            monitor=monitor,
+            monitor=monitor, keep_rows=collect_output,
         )
-        output_size = len(next(iter(frame.values()))) if frame else 0
         if collect_output:
             # Partitioned tables re-cluster rows; translate collected
             # row ids back to base-table ids so results are
@@ -453,9 +452,22 @@ def execute(
 
 
 def _run_flat_driver(query, catalog, order, indexes, bitvectors, checks_after,
-                     counters, budget, driver_rows, kernels, monitor=None):
-    """STD pipeline starting from an explicit driver row set."""
-    frame = {query.root: np.asarray(driver_rows, dtype=np.int64)}
+                     counters, budget, driver_rows, kernels, monitor=None,
+                     keep_rows=True):
+    """STD pipeline starting from a driver row set; returns ``(frame,
+    output size)``.
+
+    ``driver_rows=None`` drives every root row without materializing
+    the identity: the first step probes the root key column itself, and
+    its lineage *is* the root's frame column (BVP runs, which filter
+    the frame before any step, pass the rows explicitly).  With
+    ``keep_rows=False`` (output rows not collected) a last step no
+    bitvector check follows only counts its matches — the frame it
+    would build is never read — and the frame returned is ``None``.
+    """
+    frame = {}
+    if driver_rows is not None:
+        frame[query.root] = np.asarray(driver_rows, dtype=np.int64)
 
     def apply_check(relation_checked):
         edge = query.edge_to(relation_checked)
@@ -472,8 +484,9 @@ def _run_flat_driver(query, catalog, order, indexes, bitvectors, checks_after,
 
     for relation in order:
         edge = query.edge_to(relation)
-        parent_rows = frame[edge.parent]
-        keys = catalog.table(edge.parent).column(edge.parent_attr)[parent_rows]
+        keys = catalog.table(edge.parent).column(edge.parent_attr)
+        if edge.parent in frame:
+            keys = keys[frame[edge.parent]]
         counters.count_hash_probes(relation, len(keys))
         lookup = kernels.lookup(indexes[relation], keys)
         total_matches = int(lookup.counts.sum())
@@ -483,12 +496,18 @@ def _run_flat_driver(query, catalog, order, indexes, bitvectors, checks_after,
             monitor.observe(relation, len(keys), total_matches)
         if total_matches > budget:
             raise BudgetExceededError("STD", relation, total_matches, budget)
+        if not keep_rows and relation == order[-1] and not (
+                bitvectors is not None and checks_after[relation]):
+            counters.tuples_generated += total_matches
+            counters.note_intermediate(total_matches, stage=relation)
+            return None, total_matches
         lineage, matches = lookup.fan_out()
         frame = {rel: rows.take(lineage) for rel, rows in frame.items()}
+        frame.setdefault(query.root, lineage)
         frame[relation] = matches
         counters.tuples_generated += len(matches)
         counters.note_intermediate(len(matches), stage=relation)
         if bitvectors is not None:
             for pending in checks_after[relation]:
                 apply_check(pending)
-    return frame
+    return frame, len(next(iter(frame.values())))

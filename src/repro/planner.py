@@ -79,7 +79,7 @@ from .options import (
     PlanOptions,
     resolve_optimizer,
 )
-from .storage.partition import partition_replacements
+from .storage.partition import partitioned_relation
 from .storage.table import Catalog, Table
 
 __all__ = ["AUTO_MAX_SHARDS", "AUTO_MIN_ROWS_PER_SHARD", "PhysicalPlan",
@@ -630,6 +630,10 @@ class _PreparedQuery:
     #: push-down catalog before any partitioning: what sampling reads
     #: and what the cyclic path partitions once its tree is known
     source_catalog: Catalog
+    #: alias -> relation token (:func:`~repro.core.stats.relation_tokens`)
+    #: against the base catalog: what the statistics store and the
+    #: partition caches key on
+    tokens: dict = None
     #: resolved hash-shard fan-out of :attr:`catalog` (1 = off)
     effective_shards: int = 1
 
@@ -665,15 +669,16 @@ class Planner:
         if stats_cache is True:
             stats_cache = StatsCache()
         self.stats_cache = stats_cache
-        # Two levels of content-addressed partitioning reuse: whole
-        # derived catalogs (so exact-repeat plan() calls share built
-        # indexes) and the re-clustered replacement tables
-        # alone, keyed only on the *partitioned* relations' content —
-        # queries differing elsewhere (e.g. a driver-side selection
-        # constant) reuse the expensive re-clustering and only pay a
-        # cheap catalog derivation.
+        # Two levels of partitioning reuse, both keyed by relation
+        # tokens: one re-clustered copy per (alias, token, probe
+        # attribute, layout), shared by every query probing that
+        # relation, and whole derived catalogs per (the query's sorted
+        # tokens, layout), so exact-repeat plan() calls share them.
+        # Entries reading a superseded table are reclaimed when the
+        # catalog version moves (see _reclaim_partitions).
+        self._relation_cache = LRUCache(16)
         self._partition_cache = LRUCache(8)
-        self._replacement_cache = LRUCache(8)
+        self._partition_version = None
 
     def __getattr__(self, name):
         # only reached for names not set on the instance: the knobs
@@ -761,58 +766,61 @@ class Planner:
         The content-addressed partitioning step shared by
         :meth:`_prepare` (acyclic queries, whose tree is the query) and
         the cyclic joint search (which partitions once its winning tree
-        is known): re-clustered replacement tables are keyed only on
-        the partitioned relations' content, whole derived catalogs on
-        the full content token, so exact repeats reuse built indexes
-        and near-repeats reuse the expensive re-clustering.
+        is known).  Both caches are keyed by relation tokens
+        (:func:`~repro.core.stats.relation_tokens`), never by the whole
+        catalog: each probe target is re-clustered once per (alias,
+        token, probe attribute, layout) and shared — with its index —
+        by every query over that relation, and whole derived catalogs
+        are keyed by the query's sorted tokens plus the layout, so
+        exact repeats reuse them.  A write re-clusters only the
+        relations that read the written table.
         """
-        query, source_catalog = prep.query, prep.source_catalog
         num_shards = options.partitioning
-        partition_floor = options.partition_floor
         if num_shards <= 1:
-            return source_catalog, 1
+            return prep.source_catalog, 1
+        self._reclaim_partitions()
+        floor = options.partition_floor
+
+        def relation(alias, attribute):
+            return self._relation_cache.get_or_compute(
+                (((alias, prep.tokens[alias]),), attribute, num_shards,
+                 floor),
+                lambda: partitioned_relation(
+                    prep.source_catalog.table(alias), attribute,
+                    num_shards, min_rows=floor,
+                ),
+            )
+
+        replacements = {}
+        for edge in join_query.edges:
+            table = relation(edge.child, edge.child_attr)
+            if table is not None:
+                replacements[edge.child] = table
+        if not replacements:
+            return prep.source_catalog, 1
         shard_spec = tuple(sorted(
             (edge.child, edge.child_attr) for edge in join_query.edges
         ))
-
-        def token(aliases):
-            """Identity + selections of ``aliases``, anchored on the
-            base-catalog fingerprint (content-cached), so any data
-            change re-partitions automatically."""
-            if not isinstance(query, ParsedQuery):
-                return (self.catalog.fingerprint(),)
-            return (
-                self.catalog.fingerprint(),
-                tuple(sorted(
-                    (alias, table_name)
-                    for alias, table_name in query.relations.items()
-                    if alias in aliases
-                )),
-                tuple(sorted(
-                    (alias, column, literal)
-                    for alias, predicate in query.selections.items()
-                    if alias in aliases
-                    for column, literal in predicate.items()
-                )),
-            )
-
-        layout = (shard_spec, num_shards, partition_floor)
-        # only the partitioned relations' identity + selections: a
-        # literal on the driver must not force a re-cluster
-        replacements = self._replacement_cache.get_or_compute(
-            token({edge.child for edge in join_query.edges}) + layout,
-            lambda: partition_replacements(
-                source_catalog, join_query, num_shards,
-                min_rows=partition_floor,
-            ),
-        )
-        if not replacements:
-            return source_catalog, 1
         catalog = self._partition_cache.get_or_compute(
-            token(set(join_query.relations)) + layout,
-            lambda: source_catalog.derived_with(replacements),
+            (tuple(sorted(prep.tokens.items())), shard_spec, num_shards,
+             floor),
+            lambda: prep.source_catalog.derived_with(replacements),
         )
         return catalog, num_shards
+
+    def _reclaim_partitions(self):
+        """Drop the cached partition layouts that read a superseded
+        table, once per catalog version: a re-clustered copy is reclaimed
+        when its relation's token moves, not pinned until LRU churn."""
+        version = self.catalog.version
+        if version == self._partition_version:
+            return
+        live = set(self.catalog.table_fingerprints().values())
+        for cache in (self._relation_cache, self._partition_cache):
+            cache.discard(lambda key: any(
+                token[0] not in live for _, token in key[0]
+            ))
+        self._partition_version = version
 
     def _prepare(self, query, options, tree=None):
         """Derive the execution catalog for a parsed query.
@@ -856,6 +864,7 @@ class Planner:
             join_query=join_query,
             catalog=catalog,
             source_catalog=catalog,
+            tokens=relation_tokens(self.catalog, query),
         )
         if join_query is not None:
             prep.catalog, prep.effective_shards = self._apply_partitioning(
@@ -887,8 +896,7 @@ class Planner:
             prep.source_catalog if options.stats == "sampling"
             else prep.catalog,
             options.stats, self.stats_cache,
-            relation_tokens(self.catalog, query)
-            if self.stats_cache is not None else None,
+            prep.tokens if self.stats_cache is not None else None,
         )
         if prep.join_query is None:
             return self._plan_cyclic(prep, reader, options)

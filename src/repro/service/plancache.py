@@ -1,4 +1,4 @@
-"""LRU plan cache keyed on normalized query structure + data fingerprint.
+"""LRU plan cache keyed on normalized query structure + the tables read.
 
 The cache key has three parts:
 
@@ -7,9 +7,12 @@ The cache key has three parts:
   and order, selection constants), so two SQL texts that differ only in
   whitespace, predicate order or join-predicate direction share one
   entry;
-* the **catalog fingerprint** (:meth:`repro.storage.Catalog.fingerprint`)
-  of the data the plan was built against, so any data change misses —
-  i.e. cache invalidation is automatic and content-based;
+* the **tables the query reads**: the sorted ``(table name,
+  Table.fingerprint())`` pairs of the data the plan was built against,
+  so a change to one of them misses while a write to any other table
+  leaves the entry servable; :meth:`PlanCache.reclaim` drops the
+  superseded entries eagerly instead of letting them pin old data
+  until LRU churn;
 * the **planning options** (mode / *resolved* optimizer algorithm /
   driver / stats method and the planner's weights and eps), since they
   change the chosen plan.  The optimizer component is the algorithm
@@ -94,10 +97,10 @@ class PlanCache:
         return len(self._cache)
 
     @staticmethod
-    def key(query, catalog_fingerprint, options=()):
-        """Build the full cache key for a query against some data."""
-        return (normalized_query_key(query), catalog_fingerprint,
-                tuple(options))
+    def key(query, tables, options=()):
+        """Build the full cache key for a query against some data;
+        ``tables`` is the sorted ``(name, fingerprint)`` pairs it reads."""
+        return (normalized_query_key(query), tuple(tables), tuple(options))
 
     def get(self, key):
         """The cached plan for ``key``, or ``None`` (counts hit/miss)."""
@@ -119,6 +122,13 @@ class PlanCache:
     def clear(self):
         """Drop all cached plans."""
         self._cache.clear()
+
+    def reclaim(self, fingerprints):
+        """Drop the plans that read a table whose fingerprint is no
+        longer ``fingerprints[name]`` (counted as invalidations)."""
+        self._cache.discard(lambda key: any(
+            fingerprints.get(name) != digest for name, digest in key[1]
+        ))
 
     def __repr__(self):
         return f"PlanCache({self._cache!r})"

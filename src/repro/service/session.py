@@ -2,13 +2,15 @@
 
 :class:`QuerySession` wraps a :class:`~repro.planner.Planner` the way a
 server would: every ``plan()`` goes through an LRU **plan cache** keyed
-on normalized query structure + catalog fingerprint (so replanning a
-repeated query is a dictionary lookup, and any data change invalidates
-automatically), every directed join predicate is measured once and
-kept in a :class:`~repro.core.stats.StatsCache` that all queries over
-the same table contents share, **prepared statements** plan a
-parameterized query once and re-execute it with fresh constants, and
-``execute_many()`` runs a batch under per-query budgets with timing.
+on normalized query structure + the fingerprints of the tables the
+query reads (so replanning a repeated query is a dictionary lookup, a
+change to a table it reads invalidates automatically, and a write to
+any other table leaves it cached), every directed join predicate is
+measured once and kept in a :class:`~repro.core.stats.StatsCache` that
+all queries over the same table contents share, **prepared
+statements** plan a parameterized query once and re-execute it with
+fresh constants, and ``execute_many()`` runs a batch under per-query
+budgets with timing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..engine import (
     corrected_stats,
 )
 from ..planner import Planner, filtered_table
-from ..storage.partition import PartitionedTable
+from ..storage.partition import PartitionedTable, partitioned_relation
 from .plancache import PlanCache
 
 __all__ = ["PreparedStatement", "QueryReport", "QuerySession"]
@@ -252,7 +254,8 @@ class QuerySession:
         self.replan_threshold = float(replan_threshold)
         self.max_replans = max_replans
         self.plan_cache = PlanCache(plan_cache_size)
-        self._last_fingerprint = None
+        #: catalog version the plan cache was last reclaimed at
+        self._seen_version = None
         # distributed execution: one lazily-started worker pool, keyed
         # by (catalog fingerprint, worker count); `_worker_pool_factory`
         # is the fault-injection seam (tests install a killing wrapper)
@@ -277,33 +280,48 @@ class QuerySession:
         return self._key(query, self.planner.options.override(**overrides))
 
     def _key(self, query, request):
-        """(normalized query, catalog fingerprint, the non-exempt fields
-        of the resolved request) — see :meth:`PlanOptions.cache_token`.
-
-        Also maintains the fingerprint guard: a catalog content change
-        clears entries pinned to superseded data.
+        """(normalized query, the sorted ``(table name, fingerprint)``
+        pairs of the tables it reads, the non-exempt fields of the
+        resolved request) — see :meth:`_read_tables` and
+        :meth:`PlanOptions.cache_token`.
         """
-        fingerprint = self.catalog.fingerprint()
-        if self._last_fingerprint != fingerprint:
-            # Entries for superseded data are unreachable by key
-            # (plans pin their filtered copies and, through renames,
-            # the superseded tables' indexes, so letting them linger
-            # until LRU churn wastes real memory).
-            if self._last_fingerprint is not None:
-                self.plan_cache.clear()
-            self._last_fingerprint = fingerprint
         return self.plan_cache.key(
-            query, fingerprint,
+            query, self._read_tables(query),
             request.resolved(self.catalog, query).cache_token(),
+        )
+
+    def _read_tables(self, query):
+        """The sorted ``(table name, Table.fingerprint())`` pairs of the
+        tables ``query`` reads (``None`` for a name the catalog lacks:
+        the key stays computable and planning reports the error).
+
+        First reclaims, once per catalog version: the cached plans that
+        read a table whose fingerprint changed are dropped, and only
+        those — they are unreachable by key, and they pin their
+        filtered copies and, through renames, the superseded tables'
+        indexes.
+        """
+        version = self.catalog.version
+        if version != self._seen_version:
+            self.plan_cache.reclaim(self.catalog.table_fingerprints())
+            self._seen_version = version
+        names = query.relations
+        if isinstance(names, dict):
+            names = names.values()
+        return tuple(
+            (name, self.catalog.table(name).fingerprint()
+             if name in self.catalog else None)
+            for name in sorted(set(names))
         )
 
     def plan(self, query, use_cache=True, **overrides):
         """A :class:`~repro.planner.PhysicalPlan`, via the plan cache.
 
         Accepts the same per-call knobs as :meth:`Planner.plan`.  Plans
-        are cached per (normalized query structure, catalog
-        fingerprint, :meth:`~repro.options.PlanOptions.cache_token` of
-        the resolved request) — so ``optimizer="auto"`` shares entries
+        are cached per (normalized query structure, fingerprints of the
+        tables it reads, :meth:`~repro.options.PlanOptions.cache_token`
+        of the resolved request) — so a write to another table keeps the
+        entry, ``optimizer="auto"`` shares entries
         with an explicit request for the algorithm it resolves to,
         while retuning ``idp_block_size`` / ``beam_width`` /
         ``partitioning`` misses instead of serving a stale plan;
@@ -632,8 +650,9 @@ class PreparedStatement:
     child orders) is optimized on the first execution and reused for
     every subsequent binding — only the selection push-down and the
     engine run are repeated.  The structural plan is tied to the
-    catalog fingerprint observed when it was built; if the data
-    changes, the next execution transparently replans.
+    fingerprints of the tables the statement reads, observed when it
+    was built; if one of them changes, the next execution transparently
+    replans (a write to any other table keeps the template).
 
     Note the reused order is the one optimal for the *first* binding's
     statistics; a binding with wildly different selectivities executes
@@ -645,7 +664,7 @@ class PreparedStatement:
     parsed: ParsedQuery
     plan_kwargs: dict = field(default_factory=dict)
     _template: object = None
-    _template_fingerprint: str = None
+    _template_tables: tuple = None
     _template_flat_output: bool = None
     executions: int = 0
 
@@ -681,27 +700,29 @@ class PreparedStatement:
                 bound.selections.get(alias, {}),
             )
             current = self._template.catalog.table(alias)
-            if isinstance(current, PartitionedTable) and \
-                    PartitionedTable.can_shard(table.column(current.shard_key)):
-                # same shardability gate as partition_replacements: a
-                # binding admitting e.g. keys >= 2**53 keeps the base
-                # layout instead of failing
-                table = PartitionedTable.from_table(
+            if isinstance(current, PartitionedTable):
+                # the planner's per-relation helper: a binding admitting
+                # e.g. keys >= 2**53 keeps the base layout instead of
+                # failing
+                sharded = partitioned_relation(
                     table, current.shard_key, current.num_shards
                 )
+                if sharded is not None:
+                    table = sharded
             replacements[alias] = table
         return self._template.catalog.derived_with(replacements)
 
     def invalidate(self):
         """Drop the structural plan; the next execution replans."""
         self._template = None
-        self._template_fingerprint = None
+        self._template_tables = None
         self._template_flat_output = None
 
     def _structural_plan(self, bound, flat_output):
         """(template plan, fresh?, served from any cache?) for the shape.
 
-        The template is keyed to the catalog fingerprint *and* the
+        The template is keyed to the fingerprints of the tables the
+        statement reads (:meth:`QuerySession._read_tables`) *and* the
         requested output shape: ``flat_output`` feeds the cost model's
         mode choice, so executing a template planned for the other
         shape would lock in a systematically suboptimal strategy.
@@ -710,10 +731,10 @@ class PreparedStatement:
         cache (e.g. a second statement prepared over the same SQL);
         that still counts as a cache hit for reporting.
         """
-        fingerprint = self.session.catalog.fingerprint()
+        tables = self.session._read_tables(self.parsed)
         if (
             self._template is None
-            or self._template_fingerprint != fingerprint
+            or self._template_tables != tables
             or self._template_flat_output != flat_output
         ):
             kwargs = dict(self.plan_kwargs)
@@ -721,7 +742,7 @@ class PreparedStatement:
             self._template, cache_hit = self.session._plan_with_hit(
                 bound, **kwargs
             )
-            self._template_fingerprint = fingerprint
+            self._template_tables = tables
             self._template_flat_output = flat_output
             return self._template, True, cache_hit
         return self._template, False, True

@@ -30,6 +30,7 @@ __all__ = [
     "PartitionedTable",
     "partition_replacements",
     "partitioned_catalog",
+    "partitioned_relation",
     "shard_ids",
 ]
 
@@ -234,36 +235,41 @@ class PartitionedTable(Table):
         )
 
 
+def partitioned_relation(table, shard_key, num_shards, min_rows=0):
+    """``table`` re-clustered into ``num_shards`` hash-shards on
+    ``shard_key``, or ``None`` when it keeps its layout.
+
+    A table keeps its layout when it cannot be hash-sharded on that
+    column — empty, non-integer key, keys at or beyond float64's exact
+    integer range (2**53, where float probes become ambiguous), or
+    already partitioned — and when it holds fewer than ``min_rows``
+    rows: the planner's ``"auto"`` mode sizes shards from *base* tables
+    (so cache keys are computable before push-down) and uses this floor
+    to avoid re-clustering a selection that kept only a handful of
+    rows.  The result depends only on ``table``'s content, so the
+    planner caches it per relation token and shares it across queries.
+    """
+    if num_shards <= 1 or len(table) < max(min_rows, 1) \
+            or isinstance(table, PartitionedTable):
+        return None
+    if not PartitionedTable.can_shard(table.column(shard_key)):
+        return None
+    return PartitionedTable.from_table(table, shard_key, num_shards)
+
+
 def partition_replacements(catalog, query, num_shards, min_rows=0):
     """``{relation: PartitionedTable}`` for the query's shardable
-    probe targets.
-
-    Every non-root relation of ``query`` whose probe attribute
-    (``edge.child_attr``) can be hash-sharded gets a replacement;
-    relations that cannot — empty, non-integer join key, keys at or
-    beyond float64's exact integer range (2**53, where float probes
-    become ambiguous), or already partitioned — are skipped and simply
-    keep their layout.  ``min_rows`` additionally skips tables below
-    that size: the planner's ``"auto"`` mode sizes shards from *base*
-    tables (so cache keys are computable before push-down) and uses
-    this floor to avoid re-clustering a selection that kept only a
-    handful of rows.  The driver is never partitioned (it is
-    scanned, not probed).  Replacements depend only on the partitioned
-    relations' content, so callers can reuse them across queries that
-    differ elsewhere (e.g. driver-side selection constants).
+    probe targets: :func:`partitioned_relation` of every non-root
+    relation on its probe attribute (``edge.child_attr``), for those
+    that re-cluster.  The driver is never partitioned (it is scanned,
+    not probed).
     """
     replacements = {}
-    if num_shards <= 1:
-        return replacements
     for edge in query.edges:
-        table = catalog.table(edge.child)
-        if len(table) < max(min_rows, 1) or isinstance(table, PartitionedTable):
-            continue
-        if not PartitionedTable.can_shard(table.column(edge.child_attr)):
-            continue
-        replacements[edge.child] = PartitionedTable.from_table(
-            table, edge.child_attr, num_shards
-        )
+        table = partitioned_relation(catalog.table(edge.child),
+                                     edge.child_attr, num_shards, min_rows)
+        if table is not None:
+            replacements[edge.child] = table
     return replacements
 
 

@@ -345,21 +345,32 @@ class Catalog:
         against the catalog :attr:`version`, so repeated calls between
         mutations are O(#tables) dictionary work, not O(data); the
         per-table content digests themselves are computed at most once
-        per table.  Statistics and plan caches key on this value to
-        invalidate automatically when the data changes.
+        per table.  Process pools key on this value (a worker holds a
+        replica of the whole catalog); the statistics, plan and
+        partition caches key on the tables they read instead
+        (:meth:`table_fingerprints`).
         """
         self._flush_refresh()
         if self._fingerprint_version != self._version:
             digest = hashlib.blake2b(digest_size=16)
-            for name in sorted(self._tables):
+            for name, table_digest in sorted(
+                    self.table_fingerprints().items()):
                 payload = name.encode()
                 digest.update(str(len(payload)).encode() + b":")
                 digest.update(payload)
                 # table fingerprints are fixed-width hex: no prefix needed
-                digest.update(self._tables[name].fingerprint().encode())
+                digest.update(table_digest.encode())
             self._fingerprint = digest.hexdigest()
             self._fingerprint_version = self._version
         return self._fingerprint
+
+    def table_fingerprints(self):
+        """``{name: Table.fingerprint()}`` of every table (each digest
+        cached on its table): what caches keyed by the tables they read
+        compare their keys against when :attr:`version` moves."""
+        self._flush_refresh()
+        return {name: table.fingerprint()
+                for name, table in sorted(self._tables.items())}
 
     def hash_index(self, table_name, attribute):
         """Return (building if necessary) the hash index on an attribute.

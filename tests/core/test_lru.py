@@ -59,6 +59,18 @@ def test_clear_counts_invalidations():
     assert cache.stats.invalidations == 2
 
 
+def test_discard_drops_only_stale_keys_and_keeps_recency():
+    cache = LRUCache(capacity=4)
+    for key in ("a1", "b1", "a2", "b2"):
+        cache.put(key, key)
+    cache.discard(lambda key: key.startswith("a"))
+    assert cache.keys() == ["b1", "b2"]
+    assert cache.stats.invalidations == 2
+    assert cache.stats.evictions == 0
+    cache.discard(lambda key: False)
+    assert len(cache) == 2 and cache.stats.invalidations == 2
+
+
 def test_unbounded_capacity():
     cache = LRUCache(capacity=None)
     for i in range(1000):

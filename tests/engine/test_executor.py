@@ -189,3 +189,36 @@ class TestEdgeCases:
         result = execute(catalog, query, ORDERS[0], "SJ+COM",
                          flat_output=False)
         assert result.mode is ExecutionMode.SJ_COM
+
+
+FLAT_MODES = [ExecutionMode.STD, ExecutionMode.BVP_STD, ExecutionMode.SJ_STD]
+
+
+@pytest.mark.parametrize("mode", FLAT_MODES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_flat_run_without_identity_driver_matches_explicit_rows(
+        catalog, query, mode, order):
+    """Driving every root row implicitly (no ``arange`` driver, the
+    first step probing the root key column itself) yields the rows and
+    counters of an explicit all-rows driver set."""
+    implicit = execute(catalog, query, order, mode, collect_output=True)
+    explicit = execute(catalog, query, order, mode, collect_output=True,
+                       driver_rows=np.arange(len(catalog.table("R1"))))
+    assert implicit.counters == explicit.counters
+    assert implicit.output_size == explicit.output_size
+    assert list(implicit.output_rows) == list(explicit.output_rows)
+    for relation, rows in explicit.output_rows.items():
+        np.testing.assert_array_equal(implicit.output_rows[relation], rows)
+
+
+@pytest.mark.parametrize("mode", FLAT_MODES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_uncollected_flat_run_counts_its_last_step(catalog, query, mode,
+                                                   order):
+    """Without collected rows the last step counts its matches instead
+    of materializing them: same output size, same counters."""
+    counted = execute(catalog, query, order, mode)
+    collected = execute(catalog, query, order, mode, collect_output=True)
+    assert counted.output_rows is None
+    assert counted.output_size == collected.output_size
+    assert counted.counters == collected.counters

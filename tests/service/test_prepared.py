@@ -59,6 +59,27 @@ def test_catalog_change_forces_replan(session):
     assert replanned.plan is not first.plan
 
 
+def test_write_to_an_unread_table_keeps_the_template(session):
+    stmt = session.prepare(TEMPLATE)
+    first = stmt.execute(1)
+    template = stmt._template
+    session.catalog.add_table("R5", {
+        "E": np.array([0, 1, 2, 3]), "F": np.array([0, 0, 1, 1]),
+    })
+    again = stmt.execute(2)
+    assert again.ok and again.cache_hit
+    assert stmt._template is template and again.plan is first.plan
+
+
+def test_missing_table_is_reported_not_raised(session):
+    stmt = session.prepare(
+        "select * from NOPE, R2 where NOPE.B = R2.B and R2.D = ?"
+    )
+    report = stmt.execute(1)
+    assert not report.ok and isinstance(report.error, KeyError)
+    assert stmt._template is None
+
+
 def test_invalidate_drops_template(session):
     stmt = session.prepare(TEMPLATE)
     stmt.execute(1)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import QuerySession
+from repro import QuerySession, parse_query
 from repro.core.stats import QueryStats
 from tests.helpers import (
     brute_force_join,
@@ -76,6 +76,35 @@ def test_catalog_change_invalidates(session):
     plan_b = session.plan(SIX_RELATION_SQL)
     assert plan_b is not plan_a
     assert session.plan_cache.stats.misses == 2
+
+
+def test_write_to_an_unread_table_keeps_the_plan(session):
+    sql = "select * from R1, R2 where R1.B = R2.B"
+    plan = session.plan(sql)
+    session.catalog.add_table("R6", {
+        "F": np.array([0, 1, 2]), "K": np.array([5, 6, 7]),
+    })
+    assert session.plan(sql) is plan
+    assert session.plan_cache.stats.invalidations == 0
+
+
+def test_write_reclaims_only_the_plans_reading_the_table(session):
+    reading = session.plan(SIX_RELATION_SQL)
+    other = session.plan("select * from R1, R2 where R1.B = R2.B")
+    session.catalog.table("R6").column("K")[0] += 1
+    session.catalog.invalidate_indexes("R6")
+    assert session.plan("select * from R1, R2 where R1.B = R2.B") is other
+    assert session.plan_cache.stats.invalidations == 1
+    assert len(session.plan_cache) == 1
+    assert session.plan(SIX_RELATION_SQL) is not reading
+
+
+def test_missing_table_is_reported_not_raised(session):
+    sql = "select * from NOPE, R2 where NOPE.B = R2.B"
+    assert session.cache_key(parse_query(sql)) is not None
+    report = session.execute(sql)
+    assert not report.ok and isinstance(report.error, KeyError)
+    assert len(session.plan_cache) == 0
 
 
 def test_cached_plan_executes_identically(session):

@@ -956,3 +956,61 @@ def test_product_modules_reachable_without_roots_flags_everything(
 def test_from_base_resolves_relative_levels(level, name, package, expected):
     node = ast.ImportFrom(module=name, names=[], level=level)
     assert load_linter(REPO)._from_base(node, package) == expected
+
+
+def test_caches_keyed_by_relation_allows_table_fingerprints(synthetic_repo):
+    """Keys built from the fingerprints of the tables read pass, and a
+    catalog fingerprint outside the three keyed methods' reach (a
+    process pool's key) is none of the rule's business."""
+    src = synthetic_repo / "src" / "repro"
+    (src / "service").mkdir()
+    (src / "service" / "session.py").write_text(
+        "class QuerySession:\n"
+        "    def _key(self, query):\n"
+        "        return (query, self._read_tables(query))\n"
+        "    def _read_tables(self, query):\n"
+        "        return tuple(self.catalog.table(name).fingerprint()\n"
+        "                     for name in sorted(query))\n"
+        "    def _worker_pool_for(self, plan):\n"
+        "        return (self.catalog.fingerprint(), plan.num_workers)\n"
+        "class PreparedStatement:\n"
+        "    def _structural_plan(self):\n"
+        "        return self.session._read_tables(self.parsed)\n"
+    )
+    (src / "planner.py").write_text(
+        "class Planner:\n"
+        "    def _apply_partitioning(self, prep):\n"
+        "        return tuple(sorted(prep.tokens.items()))\n"
+        "    def rehydrate(self, spec):\n"
+        "        return spec.catalog_fingerprint == self.catalog.fingerprint()\n"
+    )
+    assert run_all(load_linter(synthetic_repo)) == []
+
+
+@pytest.mark.parametrize("relative, source", [
+    ("service/session.py",
+     "class QuerySession:\n"
+     "    def _key(self, query):\n"
+     "        return (query, self.catalog.fingerprint())\n"),
+    # through a helper of the same module
+    ("service/session.py",
+     "class PreparedStatement:\n"
+     "    def _structural_plan(self):\n"
+     "        return self._tables()\n"
+     "    def _tables(self):\n"
+     "        return self.session.catalog.fingerprint()\n"),
+    # in a nested helper, reported once
+    ("planner.py",
+     "class Planner:\n"
+     "    def _apply_partitioning(self, prep):\n"
+     "        def token():\n"
+     "            return (prep.source_catalog.fingerprint(),)\n"
+     "        return token()\n"),
+])
+def test_caches_keyed_by_relation_fires(synthetic_repo, relative, source):
+    path = synthetic_repo / "src" / "repro" / relative
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(source)
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["CACHES_KEYED_BY_RELATION"]
+    assert str(path.relative_to(synthetic_repo)) in str(findings[0])

@@ -189,6 +189,18 @@ PRODUCT_MODULES_REACHABLE
     package ``__init__`` reaches only the module defining each name it
     asks for (a name the ``__init__`` defines itself reaches what its
     definition names), so a re-export alone keeps nothing alive.
+
+CACHES_KEYED_BY_RELATION
+    A write must rebuild only what read the written table, so the
+    write-sensitive caches are keyed by the relation tokens / table
+    fingerprints of what they read, never by the whole catalog.  So no
+    ``.fingerprint()`` call on a catalog (a name or attribute named
+    ``*catalog*``) may sit in ``QuerySession._key``,
+    ``PreparedStatement._structural_plan`` (``service/session.py``) or
+    ``Planner._apply_partitioning`` (``planner.py``), nor in any
+    function of the same module they call (by name, transitively).
+    Process pools, which hold a replica of the whole catalog, stay
+    keyed on it.
 """
 
 from __future__ import annotations
@@ -1128,6 +1140,62 @@ def check_product_modules_reachable():
     ]
 
 
+#: (file under src/repro, class, method) whose keys must not read the
+#: whole-catalog fingerprint
+_RELATION_KEYED = (
+    ("service/session.py", "QuerySession", "_key"),
+    ("service/session.py", "PreparedStatement", "_structural_plan"),
+    ("planner.py", "Planner", "_apply_partitioning"),
+)
+
+
+def _catalogish(expr):
+    name = getattr(expr, "attr", getattr(expr, "id", None))
+    return name is not None and "catalog" in name
+
+
+def check_caches_keyed_by_relation():
+    findings = []
+    for rel, class_name, method in _RELATION_KEYED:
+        path = SRC / rel
+        if not path.exists():
+            continue
+        tree = _parse(path)
+        functions = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, []).append(node)
+        pending = [
+            item for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == class_name
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == method
+        ]
+        reached, flagged = set(), set()
+        while pending:
+            function = pending.pop()
+            if function in reached:
+                continue
+            reached.add(function)
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = _called_name(node)
+                if called != "fingerprint":
+                    pending.extend(functions.get(called, ()))
+                elif isinstance(node.func, ast.Attribute) \
+                        and _catalogish(node.func.value):
+                    flagged.add(node)
+        findings.extend(
+            Finding("CACHES_KEYED_BY_RELATION", path.relative_to(REPO),
+                    node.lineno,
+                    f"a catalog fingerprint feeds {class_name}.{method} — "
+                    "key it by the relation tokens / table fingerprints "
+                    "it reads")
+            for node in sorted(flagged, key=lambda node: node.lineno))
+    return findings
+
+
 CHECKS = (
     check_raw_key_eq,
     check_unlocked_cache_mutation,
@@ -1148,6 +1216,7 @@ CHECKS = (
     check_structures_by_content,
     check_readme_knob_table,
     check_product_modules_reachable,
+    check_caches_keyed_by_relation,
 )
 
 
