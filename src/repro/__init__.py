@@ -13,112 +13,67 @@ Public API highlights
   (Sections 3.3-3.6).
 * :func:`repro.execute`, :class:`repro.ExecutionMode` — the vectorized
   engine with all six strategies (Section 4).
-* :class:`repro.Planner`, :class:`repro.PhysicalPlan`,
-  :class:`repro.PlanSpec` — SQL in, executable plan out; a plan checks
-  its own invariants when it is built.
-* :func:`repro.verify_plan` — key-hazard warnings (:class:`Diagnostic`)
-  for a plan's join predicates over its data.
-* :mod:`repro.workloads` — synthetic benchmark, simulated CE datasets.
+* :class:`repro.Planner` — SQL in, executable
+  :class:`~repro.planner.PhysicalPlan` out; a plan checks its own
+  invariants when it is built.
+* :class:`repro.QuerySession`, :class:`repro.AsyncQueryService` —
+  plan-cached serving over one catalog.
+* :func:`repro.verify_plan` — key-hazard warnings
+  (:class:`~repro.analysis.planlint.Diagnostic`) for a plan's join
+  predicates over its data.
+
+Everything else is imported from the module that defines it.
 """
 
-from .analysis import Diagnostic, verify_plan
+from .analysis import verify_plan
 from .core import (
-    Contradiction,
     CostWeights,
     EdgeStats,
     JoinEdge,
     JoinQuery,
-    OptimizedPlan,
-    ParseError,
-    ParsedQuery,
-    PlanCost,
     QueryStats,
-    StatsCache,
-    StatsReader,
     beam_order,
-    best_driver,
-    choose_optimizer,
     execute_cyclic,
     exhaustive_optimal,
-    expected_output_size,
     greedy_order,
     idp_order,
-    incremental_order_cost,
     optimize_sj,
     parse_query,
     plan_cost,
     spanning_tree_decomposition,
     stats_from_data,
-    survival_probability,
 )
-from .engine import (
-    BudgetExceededError,
-    ExecutionResult,
-    execute,
-)
+from .engine import execute
 from .modes import ExecutionMode
-from .planner import PhysicalPlan, PlanSpec, Planner
-from .service import (
-    AsyncQueryService,
-    PlanCache,
-    PreparedStatement,
-    QueryReport,
-    QuerySession,
-)
-from .storage import (
-    Catalog,
-    PartitionedTable,
-    Table,
-    partitioned_catalog,
-)
+from .planner import Planner
+from .service import AsyncQueryService, QuerySession
+from .storage import Catalog, PartitionedTable
 
 __version__ = "1.1.0"
 
 __all__ = [
     "AsyncQueryService",
-    "BudgetExceededError",
     "Catalog",
-    "Contradiction",
     "CostWeights",
-    "Diagnostic",
     "EdgeStats",
     "ExecutionMode",
-    "ExecutionResult",
     "JoinEdge",
     "JoinQuery",
-    "OptimizedPlan",
-    "ParseError",
-    "ParsedQuery",
     "PartitionedTable",
-    "PhysicalPlan",
-    "PlanCache",
-    "PlanCost",
-    "PlanSpec",
     "Planner",
-    "PreparedStatement",
-    "QueryReport",
     "QuerySession",
     "QueryStats",
-    "StatsCache",
-    "StatsReader",
-    "Table",
     "beam_order",
-    "best_driver",
-    "choose_optimizer",
     "execute",
     "execute_cyclic",
     "exhaustive_optimal",
-    "expected_output_size",
     "greedy_order",
     "idp_order",
-    "incremental_order_cost",
     "optimize_sj",
     "parse_query",
-    "partitioned_catalog",
     "plan_cost",
     "spanning_tree_decomposition",
     "stats_from_data",
-    "survival_probability",
     "verify_plan",
     "__version__",
 ]

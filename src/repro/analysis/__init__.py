@@ -4,7 +4,8 @@ Plans are valid by construction — :class:`~repro.planner.PlanSpec` and
 :class:`~repro.planner.PhysicalPlan` check their own invariants — so
 this package holds only what a constructor cannot know:
 :func:`verify_plan` warns about join predicates whose key columns make
-matching hazardous (:data:`DIAGNOSTIC_CODES`).  Nothing in the planner
+matching hazardous
+(:data:`~repro.analysis.planlint.DIAGNOSTIC_CODES`).  Nothing in the planner
 or the service calls it.
 
 The repo-invariant *linter* (AST rules run in CI) lives outside the
@@ -12,6 +13,6 @@ package at ``tools/check_invariants.py`` — it checks the source tree,
 not runtime objects, and must stay importable without the package.
 """
 
-from .planlint import DIAGNOSTIC_CODES, Diagnostic, verify_plan
+from .planlint import verify_plan
 
-__all__ = ["DIAGNOSTIC_CODES", "Diagnostic", "verify_plan"]
+__all__ = ["verify_plan"]

@@ -56,7 +56,7 @@ class Diagnostic:
         if self.code not in DIAGNOSTIC_CODES:
             raise ValueError(
                 f"unregistered diagnostic code {self.code!r}; add it to "
-                f"repro.analysis.DIAGNOSTIC_CODES"
+                f"repro.analysis.planlint.DIAGNOSTIC_CODES"
             )
 
     def __str__(self) -> str:

@@ -1,16 +1,6 @@
 """Benchmark drivers — one per figure of the paper's evaluation."""
 
 from . import fig04, fig06, fig10, fig11, fig12, fig13, fig14, fig15, fig16
-from .runner import (
-    SMOKE_PARAMS,
-    FigureResult,
-    ModeRun,
-    geometric_mean,
-    relative_to,
-    render_table,
-    run_all_modes,
-    run_figures,
-)
 
 #: figure id -> driver module
 FIGURES = {
@@ -25,14 +15,4 @@ FIGURES = {
     "16": fig16,
 }
 
-__all__ = [
-    "FIGURES",
-    "FigureResult",
-    "ModeRun",
-    "SMOKE_PARAMS",
-    "geometric_mean",
-    "relative_to",
-    "render_table",
-    "run_all_modes",
-    "run_figures",
-]
+__all__ = ["FIGURES"]

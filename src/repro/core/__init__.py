@@ -1,149 +1,34 @@
 """Core contribution: cost model, optimizers, robustness analysis."""
 
-from .costmodel import (
-    CostMemo,
-    CostWeights,
-    PlanCost,
-    bvp_plan_cost,
-    com_plan_cost,
-    com_probes_per_join,
-    expected_output_size,
-    plan_cost,
-    std_plan_cost,
-    std_probes_per_join,
-    survival_probability,
-)
-from .costmodel_sj import (
-    adjusted_fanout,
-    adjusted_match_probability,
-    reduction_ratios,
-    sj_phase1_cost,
-    sj_phase2_fanouts,
-    sj_plan_cost,
-)
-from .cyclic import (
-    CyclicPlan,
-    ResidualPredicate,
-    decompose,
-    edge_pair_selectivity,
-    enumerate_spanning_trees,
-    exact_equal,
-    execute_cyclic,
-    residual_filter_cost,
-    spanning_tree_decomposition,
-    tree_query_from_residuals,
-)
-from .bounds import (
-    ROBUSTNESS_CHOICES,
-    prefix_cardinality_bounds,
-    resolve_robustness,
-)
+from .costmodel import CostWeights, plan_cost
+from .cyclic import execute_cyclic, spanning_tree_decomposition
 from .optimizer import (
-    AUTO_EXHAUSTIVE_MAX_RELATIONS,
-    AUTO_IDP_MAX_RELATIONS,
-    GREEDY_HEURISTICS,
-    OptimizedPlan,
     beam_order,
-    best_driver,
-    choose_optimizer,
     exhaustive_optimal,
     greedy_order,
     idp_order,
-    incremental_order_cost,
     optimize_sj,
-    worst_case_cost,
 )
-from .parser import (
-    Contradiction,
-    ParsedQuery,
-    ParseError,
-    Placeholder,
-    parse_query,
-)
+from .parser import parse_query
 from .query import JoinEdge, JoinQuery
-from .robustness import (
-    best_star_order,
-    estimation_error_experiment,
-    star_query,
-    theta_fragility,
-    theta_robustness,
-)
-from .lru import CacheStats, LRUCache
-from .stats import (
-    EdgeStats,
-    QueryStats,
-    StatsCache,
-    StatsReader,
-    edge_with_selectivity,
-    query_signature,
-    relation_tokens,
-    stats_from_data,
-)
+from .robustness import theta_fragility
+from .stats import EdgeStats, QueryStats, stats_from_data
 
 __all__ = [
-    "AUTO_EXHAUSTIVE_MAX_RELATIONS",
-    "AUTO_IDP_MAX_RELATIONS",
-    "CacheStats",
-    "Contradiction",
-    "CostMemo",
     "CostWeights",
-    "CyclicPlan",
     "EdgeStats",
-    "LRUCache",
-    "StatsCache",
-    "StatsReader",
-    "GREEDY_HEURISTICS",
     "JoinEdge",
     "JoinQuery",
-    "OptimizedPlan",
-    "ParseError",
-    "ParsedQuery",
-    "PlanCost",
-    "Placeholder",
     "QueryStats",
-    "ROBUSTNESS_CHOICES",
-    "ResidualPredicate",
-    "adjusted_fanout",
-    "adjusted_match_probability",
     "beam_order",
-    "best_driver",
-    "best_star_order",
-    "bvp_plan_cost",
-    "choose_optimizer",
-    "com_plan_cost",
-    "com_probes_per_join",
-    "decompose",
-    "edge_pair_selectivity",
-    "enumerate_spanning_trees",
-    "edge_with_selectivity",
-    "estimation_error_experiment",
-    "exact_equal",
     "execute_cyclic",
     "exhaustive_optimal",
-    "expected_output_size",
     "greedy_order",
     "idp_order",
-    "incremental_order_cost",
     "optimize_sj",
     "parse_query",
     "plan_cost",
-    "prefix_cardinality_bounds",
-    "query_signature",
-    "relation_tokens",
-    "residual_filter_cost",
-    "resolve_robustness",
     "spanning_tree_decomposition",
-    "tree_query_from_residuals",
-    "reduction_ratios",
-    "sj_phase1_cost",
-    "sj_phase2_fanouts",
-    "sj_plan_cost",
-    "star_query",
     "stats_from_data",
-    "std_plan_cost",
-    "std_probes_per_join",
-    "survival_probability",
     "theta_fragility",
-    "theta_robustness",
-    "worst_case_cost",
 ]

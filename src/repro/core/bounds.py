@@ -12,7 +12,7 @@ The bound
 
 For a rooted join tree, let ``mf(R)`` be the largest number of rows of
 relation ``R`` sharing one value of its join attribute
-(:attr:`repro.storage.HashIndex.max_group_size`).  Each tuple of the
+(:attr:`repro.storage.hashindex.HashIndex.max_group_size`).  Each tuple of the
 running prefix frame probes ``R`` with a single key, so it can match at
 most ``mf(R)`` rows — no matter how skewed or correlated the data is::
 
@@ -53,6 +53,7 @@ live in.
 from __future__ import annotations
 
 __all__ = [
+    "REGRET_FACTOR",
     "ROBUSTNESS_CHOICES",
     "prefix_cardinality_bounds",
     "resolve_robustness",
@@ -64,6 +65,11 @@ __all__ = [
 #: bounded-regret order gate, ``"auto"`` additionally arms the
 #: runtime cardinality-feedback replanning loop.
 ROBUSTNESS_CHOICES = ("off", "bounded", "auto")
+
+#: Worst-case regret cap of the bounded-regret gate: under
+#: ``robustness != "off"`` the served plan's guaranteed cardinality
+#: bound cost never exceeds this multiple of the best achievable one.
+REGRET_FACTOR = 4.0
 
 
 def resolve_robustness(robustness):

@@ -39,7 +39,7 @@ impact of that simplification empirically.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -53,7 +53,6 @@ __all__ = [
     "CostMemo",
     "CostWeights",
     "PlanCost",
-    "survival_probability",
     "com_probes_per_join",
     "std_probes_per_join",
     "com_plan_cost",
@@ -307,26 +306,6 @@ def _eq1_probes(memo: CostMemo, parent: str, joined: int,
                     probes *= m_eff[child]
     memo.eq1[key] = probes
     return probes
-
-
-def survival_probability(query: JoinQuery, stats: QueryStats,
-                         members: Collection[str],
-                         subtree_root: str | None = None) -> float:
-    """``m_T`` for the connected node set ``members``.
-
-    ``members`` must form a connected subtree; ``subtree_root`` defaults
-    to the query root (so that e.g. ``m_{1,2,3,4}`` from the paper is
-    ``survival_probability(q, st, {"R1","R2","R3","R4"})``).
-    """
-    members = set(members)
-    root = subtree_root if subtree_root is not None else query.root
-    if root not in members:
-        raise ValueError(f"subtree root {root!r} not in members {sorted(members)}")
-    memo = CostMemo(query, stats)
-    mask = 0
-    for name in members:
-        mask |= memo.bit[name]
-    return _survival(memo, root, mask, 0)
 
 
 def com_probes_per_join(query: JoinQuery, stats: QueryStats,

@@ -22,7 +22,7 @@ first-class optimization problem instead of a greedy bolt-on:
   join + expansion + residual checks), not tree-join cost alone;
 * :func:`execute_cyclic` evaluates a (possibly cyclic) plan on any
   catalog — including hash-partitioned ones: residual filters compare
-  values in base-row-id space via :meth:`~repro.storage.Table.gather`,
+  values in base-row-id space via :meth:`~repro.storage.table.Table.gather`,
   which PR 3's ``original_rows`` mapping makes layout-independent.
 """
 
@@ -41,6 +41,7 @@ __all__ = [
     "ResidualPredicate",
     "CyclicPlan",
     "CYCLIC_EXECUTION_CHOICES",
+    "MAX_SPANNING_TREES",
     "decompose",
     "edge_pair_selectivity",
     "enumerate_spanning_trees",
@@ -56,6 +57,12 @@ __all__ = [
 #: valid values of the ``cyclic_execution`` planner knob: ``auto``
 #: costs both strategies per query and picks the cheaper one
 CYCLIC_EXECUTION_CHOICES = ("auto", "tree_filter", "wcoj")
+
+#: cap on the candidate spanning trees the planner's joint tree + order
+#: search evaluates for a cyclic query.  Candidates stream in ascending
+#: estimated-output order from the greedy Kruskal tree, so a larger cap
+#: only ever matches or improves the plan; 1 pins the Kruskal tree.
+MAX_SPANNING_TREES = 16
 
 #: floor for log-space tree weights (a zero-selectivity edge would
 #: otherwise produce -inf and poison heap ordering)

@@ -1,7 +1,7 @@
 """A small thread-safe LRU cache with hit/miss accounting.
 
 Shared by the statistics cache (:class:`repro.core.stats.StatsCache`)
-and the plan cache (:class:`repro.service.PlanCache`).  Keys must be
+and the plan cache (:class:`repro.service.plancache.PlanCache`).  Keys must be
 hashable; capacity ``None`` means unbounded.
 
 Every operation (including the stats counters) runs under an internal

@@ -12,9 +12,7 @@ implements:
   intermediate result appended by the next join) and ``survival``
   (minimize the survival probability of the prefix) — Section 3.4;
 * :func:`optimize_sj` — the polynomial-time optimal algorithm for the
-  semi-join full-reduction variants (Section 3.6);
-* :func:`best_driver` — re-run any optimizer for every choice of the
-  driver relation and keep the cheapest (Sections 2.1 and 3.5).
+  semi-join full-reduction variants (Section 3.6).
 
 Beyond the paper, the **optimizer-scaling subsystem** extends Algorithm
 1's reach past its ``O(n 2^n)`` wall (~15 relations on star-shaped
@@ -74,7 +72,6 @@ __all__ = [
     "greedy_order",
     "GREEDY_HEURISTICS",
     "optimize_sj",
-    "best_driver",
     "AUTO_EXHAUSTIVE_MAX_RELATIONS",
     "AUTO_IDP_MAX_RELATIONS",
 ]
@@ -713,35 +710,3 @@ def optimize_sj(query: JoinQuery, stats: QueryStats, factorized: bool,
                         reduction=reduction).total(weights)
     return OptimizedPlan(query=query, order=order, cost=cost, mode=mode,
                          child_orders=child_orders)
-
-
-# ----------------------------------------------------------------------
-# Driver choice
-# ----------------------------------------------------------------------
-
-
-def best_driver(query: JoinQuery,
-                stats_for_root: Callable[[JoinQuery], QueryStats],
-                mode: ExecutionMode | str = ExecutionMode.COM,
-                eps: float = 0.01, weights: CostWeights = CostWeights(),
-                optimizer: Callable[..., OptimizedPlan | None]
-                = exhaustive_optimal) -> OptimizedPlan | None:
-    """Optimize once per candidate driver and keep the best plan.
-
-    ``stats_for_root`` is a callable mapping a rooted
-    :class:`~repro.core.query.JoinQuery` to its :class:`QueryStats`
-    (the stats are direction-dependent, so they must be derived per
-    rooting — e.g. with :func:`repro.core.stats.stats_from_data`).
-    """
-    best_plan: OptimizedPlan | None = None
-    for relation in query.relations:
-        rooted = query.rerooted(relation)
-        stats = stats_for_root(rooted)
-        if optimizer is exhaustive_optimal:
-            plan = optimizer(rooted, stats, mode=mode, eps=eps, weights=weights)
-        else:
-            plan = optimizer(rooted, stats)
-        if plan is not None and (best_plan is None
-                                 or plan.cost < best_plan.cost):
-            best_plan = plan
-    return best_plan

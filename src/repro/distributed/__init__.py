@@ -8,20 +8,3 @@ and :class:`~repro.engine.executor.ExecutionCounters` are bit-identical
 to single-process execution by construction (property-tested in
 ``tests/properties/test_prop_distributed.py``).
 """
-
-from .placement import (
-    DEFAULT_MAX_WORKERS,
-    PLACEMENT_CHOICES,
-    ShardPlacement,
-    rendezvous_score,
-)
-from .workerpool import DistributedExecutionError, WorkerPool
-
-__all__ = [
-    "DEFAULT_MAX_WORKERS",
-    "DistributedExecutionError",
-    "PLACEMENT_CHOICES",
-    "ShardPlacement",
-    "WorkerPool",
-    "rendezvous_score",
-]

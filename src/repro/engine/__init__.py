@@ -9,41 +9,13 @@ the ``execution`` knob (``"vectorized"`` NumPy kernels or the
 pure-Python ``"interpreted"`` oracle, bit-identical by construction).
 """
 
-from .bitvector import BitvectorFilter, default_num_bits
-from .executor import (
-    BudgetExceededError,
-    ExecutionCounters,
-    ExecutionResult,
-    execute,
-)
-from .factorized import FactorizedNode, FactorizedResult
+from .executor import BudgetExceededError, execute
 from .feedback import CardinalityMonitor, ReplanSignal, corrected_stats
-from .kernels import (
-    EXECUTION_CHOICES,
-    InterpretedKernels,
-    VectorizedKernels,
-    get_kernels,
-    resolve_execution,
-)
-from .semijoin import ReductionResult, full_reduction
 
 __all__ = [
-    "BitvectorFilter",
     "BudgetExceededError",
     "CardinalityMonitor",
-    "EXECUTION_CHOICES",
-    "ExecutionCounters",
-    "ExecutionResult",
-    "FactorizedNode",
-    "FactorizedResult",
-    "InterpretedKernels",
-    "ReductionResult",
     "ReplanSignal",
-    "VectorizedKernels",
     "corrected_stats",
-    "default_num_bits",
     "execute",
-    "full_reduction",
-    "get_kernels",
-    "resolve_execution",
 ]

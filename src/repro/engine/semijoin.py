@@ -44,10 +44,10 @@ class ReductionResult:
         """Hash index on ``attribute`` over the *reduced* rows.
 
         Derived from the catalog's cached full index
-        (:meth:`~repro.storage.HashIndex.restricted`): the reduction's
-        row sets are ascending, so nothing is re-sorted per execution,
-        and an unreduced relation (every leaf) reuses the full index as
-        is.
+        (:meth:`~repro.storage.hashindex.HashIndex.restricted`): the
+        reduction's row sets are ascending, so nothing is re-sorted per
+        execution, and an unreduced relation (every leaf) reuses the
+        full index as is.
         """
         key = (relation, attribute)
         index = self._reduced_indexes.get(key)

@@ -52,7 +52,7 @@ what makes results bit-identical to tree+filter even on NaN / bool /
 ``>= 2**53`` keys.
 
 All structures are built from base-row-ordered columns
-(:meth:`~repro.storage.Table.gather`), so results and counters are
+(:meth:`~repro.storage.table.Table.gather`), so results and counters are
 independent of the catalog's physical layout (shard counts included).
 """
 

@@ -1,20 +1,12 @@
 """Match-probability and fanout estimation (Section 3.2)."""
 
-from .naive import (
-    naive_estimate,
-    naive_estimate_from_tables,
-    predicate_selectivity,
-)
-from .qerror import mean_q_error, q_error, running_q_error
+from .naive import naive_estimate_from_tables
+from .qerror import q_error
 from .sampling import CorrelatedSample, true_join_stats
 
 __all__ = [
     "CorrelatedSample",
-    "mean_q_error",
-    "naive_estimate",
     "naive_estimate_from_tables",
-    "predicate_selectivity",
     "q_error",
-    "running_q_error",
     "true_join_stats",
 ]

@@ -7,9 +7,7 @@ by bounding the impact of cardinality estimation errors").
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["q_error", "mean_q_error", "running_q_error"]
+__all__ = ["q_error", "running_q_error"]
 
 #: floor applied to both estimate and truth, avoiding division blow-ups
 _FLOOR = 1e-9
@@ -26,27 +24,6 @@ def q_error(estimate, truth, floor=_FLOOR):
     est = max(float(estimate), floor)
     tru = max(float(truth), floor)
     return max(est / tru, tru / est)
-
-
-def mean_q_error(estimates, truths, floor=_FLOOR):
-    """Average q-error over paired arrays (returns mean and std).
-
-    Vectorized: both arrays are floored elementwise and the symmetric
-    ratio is taken with :func:`numpy.maximum`, matching :func:`q_error`
-    pair for pair.
-    """
-    estimates = np.asarray(estimates, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if estimates.shape != truths.shape:
-        raise ValueError(
-            f"shape mismatch: {estimates.shape} vs {truths.shape}"
-        )
-    if estimates.size == 0:
-        return 0.0, 0.0
-    est = np.maximum(estimates, floor)
-    tru = np.maximum(truths, floor)
-    errors = np.maximum(est / tru, tru / est)
-    return float(errors.mean()), float(errors.std())
 
 
 def running_q_error(previous, estimate, truth, floor=_FLOOR):

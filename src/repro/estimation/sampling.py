@@ -24,7 +24,7 @@ class CorrelatedSample:
     Parameters
     ----------
     probe_table, build_table:
-        :class:`repro.storage.Table` instances.
+        :class:`repro.storage.table.Table` instances.
     probe_attr, build_attr:
         The equi-join columns.
     sample_fraction:

@@ -13,6 +13,8 @@ is the one record planning passes down.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -80,10 +82,22 @@ def _check_mode(value: Any) -> str:
     return "auto" if value == "auto" else str(ExecutionMode(value))
 
 
+def _is_number(value: Any) -> bool:
+    """A real number that is neither a bool nor NaN."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and not math.isnan(value)
+
+
+def _check_eps(value: Any) -> Any:
+    if not _is_number(value) or not 0 <= value < 1:
+        raise ValueError(f"eps must be a number in [0, 1), got {value!r}")
+    return value
+
+
 def _check_budget(value: Any) -> Any:
-    if value is not None and value <= 0:
+    if value is not None and (not _is_number(value) or value <= 0):
         raise ValueError(
-            f"planning_budget_ms must be positive or None, got {value}"
+            f"planning_budget_ms must be positive or None, got {value!r}"
         )
     return value
 
@@ -113,15 +127,6 @@ def _check_stats(value: Any) -> Any:
     return value
 
 
-def _check_regret_factor(value: Any) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or value < 1.0:
-        raise ValueError(
-            f"regret_factor must be a number >= 1.0, got {value!r}"
-        )
-    return float(value)
-
-
 def _knob(default: Any, key: str, check: Optional[Check] = None,
           per_call: bool = True) -> Any:
     """One row of the knob table.
@@ -141,8 +146,9 @@ def resolve_optimizer(optimizer: str, num_relations: int) -> str:
     """The concrete algorithm ``plan()`` will run for a query size.
 
     ``"auto"`` maps to ``"exhaustive"`` / ``"idp"`` / ``"beam"`` by
-    relation count alone (:func:`repro.core.choose_optimizer`); anything
-    else resolves to itself.  A ``planning_budget_ms`` does not move the
+    relation count alone
+    (:func:`repro.core.optimizer.choose_optimizer`); anything else
+    resolves to itself.  A ``planning_budget_ms`` does not move the
     crossovers — it arms the deadline that steps an overrunning search
     down the ladder on the host that runs it.
     """
@@ -168,10 +174,6 @@ class PlanOptions:
         A block of 8 is solved exactly by the Algorithm 1 recurrence
         well inside interactive latency even on stars, and beam time is
         linear in the width.
-    regret_factor:
-        Worst-case regret cap for ``robustness != "off"``: the served
-        plan's guaranteed cardinality bound never exceeds this multiple
-        of the best achievable bound.
 
     Per-call knobs (a default at construction, overridable on every
     ``plan()`` / ``cache_key()`` / ``execute()`` call; ``None`` there
@@ -216,12 +218,6 @@ class PlanOptions:
         every table is still probed through one index per attribute.
         Plans, predicted costs and result sets are identical across
         shard counts.
-    max_spanning_trees:
-        Cyclic queries only: cap on the candidate spanning trees the
-        joint tree + order search evaluates.  Candidates stream in
-        ascending estimated-output order starting from the greedy
-        Kruskal tree, so raising the cap only ever matches or improves
-        the plan; ``1`` pins the Kruskal tree.
     execution:
         Kernel path: ``"vectorized"``, ``"interpreted"`` (the
         pure-Python oracle — bit-identical results and counters) or
@@ -235,13 +231,13 @@ class PlanOptions:
     robustness:
         ``"off"``, ``"bounded"`` (swap to the bound-optimal order when
         the estimated-optimal order's worst case exceeds
-        ``regret_factor`` times the best achievable bound;
-        :mod:`repro.core.bounds`) or ``"auto"`` (bounded, plus runtime
+        :data:`~repro.core.bounds.REGRET_FACTOR` times the best
+        achievable bound) or ``"auto"`` (bounded, plus runtime
         cardinality-feedback replanning in a
         :class:`~repro.service.QuerySession`).  Keyed raw.
     placement:
         ``"local"`` or ``"distributed"`` (session executions scatter
-        driver rows across a :class:`~repro.distributed.WorkerPool`;
+        driver rows across a :class:`~repro.distributed.workerpool.WorkerPool`;
         bit-identical results and counters either way).
     num_workers:
         Worker-process count for distributed placement; ``0`` resolves
@@ -258,22 +254,18 @@ class PlanOptions:
     flat_output: bool = _knob(True, "raw", bool)
     weights: Any = _knob(None, "raw", lambda given: given or CostWeights(),
                          per_call=False)
-    eps: float = _knob(0.01, "raw", per_call=False)
+    eps: float = _knob(0.01, "raw", _check_eps, per_call=False)
     idp_block_size: int = _knob(8, "raw", _integer("idp_block_size", 1),
                                 per_call=False)
     beam_width: int = _knob(8, "raw", _integer("beam_width", 1),
                             per_call=False)
     planning_budget_ms: Optional[float] = _knob(None, "raw", _check_budget)
     partitioning: Any = _knob("off", "resolved", _check_partitioning)
-    max_spanning_trees: int = _knob(
-        16, "raw", _integer("max_spanning_trees", 1))
     execution: str = _knob("auto", "resolved",
                            _one_of("execution", EXECUTION_CHOICES))
     cyclic_execution: str = _knob(
         "auto", "raw", _one_of("cyclic_execution", CYCLIC_EXECUTION_CHOICES))
     robustness: str = _knob("off", "raw", resolve_robustness)
-    regret_factor: float = _knob(4.0, "raw", _check_regret_factor,
-                                 per_call=False)
     placement: str = _knob("local", "resolved",
                            _one_of("placement", PLACEMENT_CHOICES))
     num_workers: int = _knob(
@@ -340,7 +332,7 @@ class PlanOptions:
     def resolved(self, catalog: Any, query: Any) -> "ResolvedOptions":
         """This request with every ``"resolved"`` knob made concrete.
 
-        ``query`` is a :class:`~repro.core.ParsedQuery` or
+        ``query`` is a :class:`~repro.core.parser.ParsedQuery` or
         :class:`~repro.core.JoinQuery`.  The optimizer resolves by
         relation count, ``partitioning`` to a shard count
         (plus the size floor only ``"auto"`` applies), ``execution`` to

@@ -38,6 +38,7 @@ from .core.costmodel import (
     plan_cost,
 )
 from .core.cyclic import (
+    MAX_SPANNING_TREES,
     CyclicPlan,
     ResidualPredicate,
     _rooted_tree,
@@ -50,7 +51,11 @@ from .core.cyclic import (
     wcoj_cost,
 )
 from .core.lru import LRUCache
-from .core.bounds import ROBUSTNESS_CHOICES, prefix_cardinality_bounds
+from .core.bounds import (
+    REGRET_FACTOR,
+    ROBUSTNESS_CHOICES,
+    prefix_cardinality_bounds,
+)
 from .core.optimizer import (
     PlanningBudgetExceeded,
     beam_order,
@@ -72,19 +77,12 @@ from .distributed.placement import PLACEMENT_CHOICES
 from .engine.executor import execute
 from .engine.wcoj import execute_wcoj, plan_variable_order, variable_classes
 from .modes import ExecutionMode
-from .options import (
-    AUTO_MAX_SHARDS,
-    AUTO_MIN_ROWS_PER_SHARD,
-    OPTIMIZER_CHOICES,
-    PlanOptions,
-    resolve_optimizer,
-)
+from .options import PlanOptions, resolve_optimizer
 from .storage.partition import partitioned_relation
 from .storage.table import Catalog, Table
 
-__all__ = ["AUTO_MAX_SHARDS", "AUTO_MIN_ROWS_PER_SHARD", "PhysicalPlan",
-           "PlanSpec", "Planner", "SearchTally", "filtered_table",
-           "push_down_selections"]
+__all__ = ["PhysicalPlan", "PlanSpec", "Planner", "SearchTally",
+           "filtered_table", "push_down_selections"]
 
 
 def filtered_table(table, alias, predicate):
@@ -100,8 +98,8 @@ def filtered_table(table, alias, predicate):
     shares the table's arrays, layout and cached indexes.  A filtered
     result is always in *base* row order: filtering a
     hash-partitioned table goes through
-    :meth:`~repro.storage.Table.original_rows` /
-    :meth:`~repro.storage.Table.gather`, so planning over an already
+    :meth:`~repro.storage.table.Table.original_rows` /
+    :meth:`~repro.storage.table.Table.gather`, so planning over an already
     re-clustered catalog still reports layout-independent row ids (the
     planner re-partitions the filtered relations itself when asked).
     """
@@ -656,11 +654,10 @@ class Planner:
     **knobs:
         The fields of :class:`~repro.options.PlanOptions` — the one
         place every planning knob is declared and documented.  Held as
-        :attr:`options`; each knob also reads (and retunes, validated)
-        as a planner attribute, e.g. ``planner.beam_width``.
+        :attr:`options`; each knob also reads (read-only) as a planner
+        attribute, e.g. ``planner.beam_width``.
     """
 
-    OPTIMIZERS = OPTIMIZER_CHOICES
     resolve_optimizer = staticmethod(resolve_optimizer)
 
     def __init__(self, catalog, stats_cache=None, **knobs):
@@ -689,16 +686,14 @@ class Planner:
         )
 
     def __setattr__(self, name, value):
+        # an assignment would shadow the read-through view while
+        # planning kept reading options: refuse it instead
         if name in PlanOptions.__dataclass_fields__:
-            name, value = "options", replace(self.options, **{name: value})
+            raise AttributeError(
+                f"planner knob {name!r} is set at construction: "
+                f"Planner(catalog, {name}=...)"
+            )
         super().__setattr__(name, value)
-
-    def resolve_partitioning(self, partitioning=None, query=None):
-        """The concrete shard count a query will be planned with
-        (:meth:`PlanOptions.shard_count` of the request)."""
-        return self.options.override(partitioning=partitioning).shard_count(
-            self.catalog, query
-        )
 
     # ------------------------------------------------------------------
     # Planning
@@ -1049,7 +1044,8 @@ class Planner:
            minimizes the worst-case objective exactly (see
            :mod:`repro.core.bounds`);
         2. the bounded-regret gate: if the estimated-optimal order's
-           worst-case cost exceeds ``regret_factor`` times the
+           worst-case cost exceeds :data:`~repro.core.bounds.REGRET_FACTOR`
+           times the
            bound-optimal order's, swap to the bound-optimal order and
            re-price it under the *estimated* statistics across the
            requested non-semi-join modes (semi-join child orders are
@@ -1060,7 +1056,7 @@ class Planner:
            cardinality bounds and worst-case cost.
 
         Guarantee: the returned plan's worst-case bound cost is at most
-        ``regret_factor`` times the best achievable worst-case bound
+        ``REGRET_FACTOR`` times the best achievable worst-case bound
         cost, no matter how wrong the estimates were.  ``extra_cost``
         rides along when the caller's predicted cost includes an
         order-invariant term (a cyclic winner's residual filters).
@@ -1086,7 +1082,7 @@ class Planner:
         swapped = {}
         if (robust_order is not None and swap_modes
                 and current_bound
-                > self.options.regret_factor * optimal_bound):
+                > REGRET_FACTOR * optimal_bound):
             best_mode = best_cost = None
             memo = CostMemo(rooted, spec.stats, self.options.eps)
             for candidate_mode in swap_modes:
@@ -1272,7 +1268,7 @@ class Planner:
         best = None
         candidate_trees = enumerate_spanning_trees(
             relations, predicates, tree_weights,
-            max_trees=options.max_spanning_trees,
+            max_trees=MAX_SPANNING_TREES,
         )
         for tree_index, tree in enumerate(candidate_trees):
             if tree_index and deadline is not None \

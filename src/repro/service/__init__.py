@@ -7,21 +7,12 @@ would use instead of calling the planner directly:
 * :class:`AsyncQueryService` — the asyncio front end multiplexing many
   concurrent clients over one session (cache-hit fast path,
   process-pool planning, signal-driven admission);
-* :class:`PreparedStatement` — plan once, execute many with new
-  selection constants (``?`` placeholders);
-* :class:`PlanCache` / :func:`normalized_query_key` — the cache layer,
-  reusable on its own.
+* :class:`~repro.service.session.PreparedStatement` — plan once,
+  execute many with new selection constants (``?`` placeholders);
+* :class:`~repro.service.plancache.PlanCache` — the cache layer.
 """
 
 from .async_service import AsyncQueryService
-from .plancache import PlanCache, normalized_query_key
-from .session import PreparedStatement, QueryReport, QuerySession
+from .session import QuerySession
 
-__all__ = [
-    "AsyncQueryService",
-    "PlanCache",
-    "PreparedStatement",
-    "QueryReport",
-    "QuerySession",
-    "normalized_query_key",
-]
+__all__ = ["AsyncQueryService", "QuerySession"]

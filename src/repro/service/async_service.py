@@ -17,7 +17,7 @@ single session so the hardware stays busy:
   the *executed* path is always the session's own and results are
   bit-identical to the synchronous path by construction;
 * **signal-driven admission** — per-query ``index_build_seconds`` /
-  ``reduction_seconds`` from past :class:`~repro.service.QueryReport` s
+  ``reduction_seconds`` from past :class:`~repro.service.session.QueryReport` s
   classify each cached plan as heavy or light.  Heavy queries
   (expensive index builds and reductions) are serialized through a
   small number of slots so they don't oversubscribe the execution
@@ -387,7 +387,7 @@ class AsyncQueryService:
                       max_intermediate_tuples=DEFAULT_BUDGET, **plan_kwargs):
         """Plan (cache / worker / inline) and run one query.
 
-        Returns the same :class:`~repro.service.QueryReport` the
+        Returns the same :class:`~repro.service.session.QueryReport` the
         synchronous :meth:`QuerySession.execute` produces — failures
         and budget overruns are recorded, never raised.  Safe to call
         from many tasks concurrently.

@@ -228,7 +228,7 @@ class QuerySession:
         documentation lives there, including how each knob enters the
         plan-cache key.  ``placement="distributed"`` executions scatter
         the driver rows across a lazily-started
-        :class:`~repro.distributed.WorkerPool` (one per catalog
+        :class:`~repro.distributed.workerpool.WorkerPool` (one per catalog
         fingerprint and worker count; see :meth:`close`).
     """
 
@@ -323,7 +323,7 @@ class QuerySession:
         of the resolved request) — so a write to another table keeps the
         entry, ``optimizer="auto"`` shares entries
         with an explicit request for the algorithm it resolves to,
-        while retuning ``idp_block_size`` / ``beam_width`` /
+        while a different ``idp_block_size`` / ``beam_width`` /
         ``partitioning`` misses instead of serving a stale plan;
         prebuilt :class:`QueryStats` bypass the cache (they are caller
         state the key cannot see).

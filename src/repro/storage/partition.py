@@ -28,8 +28,6 @@ from .table import Table
 __all__ = [
     "FLOAT_EXACT_MAX",
     "PartitionedTable",
-    "partition_replacements",
-    "partitioned_catalog",
     "partitioned_relation",
     "shard_ids",
 ]
@@ -196,7 +194,7 @@ class PartitionedTable(Table):
 
     def base_row_ids(self):
         """The physical-to-base permutation (see
-        :meth:`~repro.storage.Table.base_row_ids`)."""
+        :meth:`~repro.storage.table.Table.base_row_ids`)."""
         return self._base_rows
 
     def physical_rows(self, rows):
@@ -255,31 +253,3 @@ def partitioned_relation(table, shard_key, num_shards, min_rows=0):
     if not PartitionedTable.can_shard(table.column(shard_key)):
         return None
     return PartitionedTable.from_table(table, shard_key, num_shards)
-
-
-def partition_replacements(catalog, query, num_shards, min_rows=0):
-    """``{relation: PartitionedTable}`` for the query's shardable
-    probe targets: :func:`partitioned_relation` of every non-root
-    relation on its probe attribute (``edge.child_attr``), for those
-    that re-cluster.  The driver is never partitioned (it is scanned,
-    not probed).
-    """
-    replacements = {}
-    for edge in query.edges:
-        table = partitioned_relation(catalog.table(edge.child),
-                                     edge.child_attr, num_shards, min_rows)
-        if table is not None:
-            replacements[edge.child] = table
-    return replacements
-
-
-def partitioned_catalog(catalog, query, num_shards):
-    """A derived catalog with the query's probe targets hash-partitioned.
-
-    See :func:`partition_replacements` for which relations shard;
-    returns ``catalog`` itself when nothing does.
-    """
-    replacements = partition_replacements(catalog, query, num_shards)
-    if not replacements:
-        return catalog
-    return catalog.derived_with(replacements)

@@ -15,8 +15,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import Planner, Table
-from repro.analysis import DIAGNOSTIC_CODES, Diagnostic, verify_plan
+from repro import Planner
+from repro.storage.table import Table
+from repro.analysis import verify_plan
+from repro.analysis.planlint import DIAGNOSTIC_CODES, Diagnostic
 from repro.core.cyclic import ResidualPredicate
 from repro.core.parser import parse_query
 from repro.core.query import JoinEdge, JoinQuery

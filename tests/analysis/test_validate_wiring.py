@@ -9,7 +9,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import AsyncQueryService, Planner, QuerySession, Table, verify_plan
+from repro import AsyncQueryService, Planner, QuerySession, verify_plan
+from repro.storage.table import Table
 from repro.core.parser import parse_query
 from repro.planner import PhysicalPlan
 from repro.storage import Catalog

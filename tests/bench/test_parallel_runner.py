@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench import FIGURES, SMOKE_PARAMS
-from repro.bench.runner import FigureResult, run_figures
+from repro.bench import FIGURES
+from repro.bench.runner import FigureResult, SMOKE_PARAMS, run_figures
 
 
 def test_smoke_params_cover_every_figure():

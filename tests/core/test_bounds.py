@@ -14,20 +14,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import (
-    EdgeStats,
-    JoinEdge,
-    JoinQuery,
-    QueryStats,
+from repro.core import EdgeStats, JoinEdge, JoinQuery, QueryStats
+from repro.core.bounds import (
+    REGRET_FACTOR,
     ROBUSTNESS_CHOICES,
-    StatsReader,
     prefix_cardinality_bounds,
     resolve_robustness,
-    worst_case_cost,
 )
+from repro.core.optimizer import worst_case_cost
+from repro.core.stats import StatsReader
 from repro.modes import ExecutionMode
 from repro.planner import Planner
-from repro.storage import Catalog, partitioned_catalog
+from repro.storage import Catalog
 
 from tests.helpers import (
     StatsCorruptingCatalog,
@@ -36,8 +34,8 @@ from tests.helpers import (
     make_small_catalog,
     result_tuples,
 )
+from tests.partitioning import partitioned_catalog
 
-REGRET_FACTOR = 4.0
 
 
 # ----------------------------------------------------------------------
@@ -88,14 +86,9 @@ def test_resolve_robustness_rejects_unknown():
         resolve_robustness("paranoid")
 
 
-def test_planner_validates_robustness_and_regret_factor():
-    catalog = make_small_catalog()
+def test_planner_validates_robustness():
     with pytest.raises(ValueError):
-        Planner(catalog, robustness="sometimes")
-    with pytest.raises(ValueError):
-        Planner(catalog, regret_factor=0.5)
-    with pytest.raises(ValueError):
-        Planner(catalog, regret_factor=True)
+        Planner(make_small_catalog(), robustness="sometimes")
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +206,7 @@ def test_bounded_gate_swaps_catastrophic_order():
         query, mode=ExecutionMode.STD
     )
     bounded = Planner(
-        corrupted, robustness="bounded", regret_factor=REGRET_FACTOR
+        corrupted, robustness="bounded"
     ).plan(query, mode=ExecutionMode.STD)
     assert off.order == ["H", "S"]  # the lie worked on the off planner
     assert bounded.order == ["S", "H"]  # the gate did not buy it
@@ -240,7 +233,7 @@ def test_off_mode_corrupted_plan_is_really_bad():
         query, mode=ExecutionMode.STD
     )
     bounded = Planner(
-        corrupted, robustness="bounded", regret_factor=REGRET_FACTOR
+        corrupted, robustness="bounded"
     ).plan(query, mode=ExecutionMode.STD)
     optimum_cost = executed_cost(true_optimum)
     off_regret = executed_cost(off) / optimum_cost

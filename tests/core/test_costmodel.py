@@ -6,20 +6,19 @@ checked verbatim against the implementation.
 
 import pytest
 
-from repro.core import (
-    CostWeights,
+from repro.core import CostWeights, plan_cost
+from repro.core.costmodel import (
     com_plan_cost,
     com_probes_per_join,
     expected_output_size,
-    plan_cost,
     std_plan_cost,
     std_probes_per_join,
-    survival_probability,
 )
 from repro.modes import ExecutionMode
 
 from tests.helpers import RUNNING_EXAMPLE_FO as FO
 from tests.helpers import RUNNING_EXAMPLE_M as M
+from tests.helpers import survival_probability
 
 N = 1000.0
 ORDER = ["R2", "R3", "R5", "R4", "R6"]
@@ -231,7 +230,7 @@ class TestPlanCosts:
         assert cost.tuples_generated == pytest.approx(generated)
 
     def test_weights_applied(self):
-        from repro.core import PlanCost
+        from repro.core.costmodel import PlanCost
 
         cost = PlanCost(
             hash_probes=100, bitvector_probes=10,
@@ -253,7 +252,7 @@ class TestPlanCosts:
             assert cost.total() > 0
 
     def test_plan_cost_add_accumulates(self):
-        from repro.core import PlanCost
+        from repro.core.costmodel import PlanCost
 
         a = PlanCost(hash_probes=1, hash_probes_by_relation={"X": 1})
         b = PlanCost(hash_probes=2, hash_probes_by_relation={"X": 2, "Y": 3})

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core import bvp_plan_cost, com_probes_per_join, std_probes_per_join
+from repro.core.costmodel import (
+    bvp_plan_cost,
+    com_probes_per_join,
+    std_probes_per_join,
+)
 
 from tests.helpers import RUNNING_EXAMPLE_FO as FO
 from tests.helpers import RUNNING_EXAMPLE_M as M
@@ -114,7 +118,7 @@ def test_eps_one_saturates_to_std(
 def test_bvp_com_flat_output_expansion(
     running_example_query, running_example_stats
 ):
-    from repro.core import expected_output_size
+    from repro.core.costmodel import expected_output_size
 
     q, st = running_example_query, running_example_stats
     flat = bvp_plan_cost(q, st, ORDER, eps=EPS, factorized=True,
@@ -131,7 +135,8 @@ def test_bvp_com_price_independent_of_memo_state():
     search already filled: the search multiplies pseudo children in
     declared order, so pricing must too, or a shared memo mixes two
     orders (one ulp apart on e.g. seeds 183 and 269)."""
-    from repro.core import CostMemo, exhaustive_optimal, plan_cost
+    from repro.core import exhaustive_optimal, plan_cost
+    from repro.core.costmodel import CostMemo
     from repro.modes import ExecutionMode
     from repro.workloads.random_trees import random_join_tree, random_stats
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import (
+from repro.core.costmodel_sj import (
     adjusted_fanout,
     adjusted_match_probability,
     reduction_ratios,
@@ -165,7 +165,7 @@ class TestPhase2:
     ):
         """N' * prod fo' must equal N * prod (m fo): the reduction
         changes where tuples die, never the final result size."""
-        from repro.core import expected_output_size
+        from repro.core.costmodel import expected_output_size
 
         q, st = running_example_query, running_example_stats
         ratios, _ = reduction_ratios(q, st)

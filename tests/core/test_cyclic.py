@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    execute_cyclic,
+    parse_query,
+    spanning_tree_decomposition,
+)
+from repro.core.cyclic import (
     decompose,
     enumerate_spanning_trees,
     exact_equal,
-    execute_cyclic,
-    parse_query,
     residual_filter_cost,
-    spanning_tree_decomposition,
     tree_query_from_residuals,
 )
 from repro.core.costmodel import CostWeights

@@ -7,10 +7,10 @@ from repro.core import (
     beam_order,
     exhaustive_optimal,
     idp_order,
-    incremental_order_cost,
     plan_cost,
     stats_from_data,
 )
+from repro.core.optimizer import incremental_order_cost
 from repro.core.costmodel import CostWeights, expected_output_size
 from repro.core.stats import StatsCache, StatsReader, relation_tokens
 from repro.modes import ExecutionMode

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    exhaustive_optimal,
-    greedy_order,
-    optimize_sj,
-    best_driver,
-)
+from repro.core import exhaustive_optimal, greedy_order, optimize_sj
 from repro.core.costmodel import com_probes_per_join, plan_cost
 from repro.core.optimizer import GREEDY_HEURISTICS
 from repro.modes import ExecutionMode
@@ -169,7 +164,7 @@ class TestSJOptimizer:
     def test_child_orders_sorted_by_m_prime(
         self, running_example_query, running_example_stats
     ):
-        from repro.core import reduction_ratios
+        from repro.core.costmodel_sj import reduction_ratios
 
         plan = optimize_sj(
             running_example_query, running_example_stats, factorized=True
@@ -199,7 +194,7 @@ class TestSJOptimizer:
         self, running_example_query, running_example_stats
     ):
         """Section 3.6: increasing fo' is optimal for SJ+STD."""
-        from repro.core import sj_plan_cost
+        from repro.core.costmodel_sj import sj_plan_cost
 
         plan = optimize_sj(
             running_example_query, running_example_stats, factorized=False
@@ -214,24 +209,3 @@ class TestSJOptimizer:
                 factorized=False, flat_output=False,
             ).hash_probes
             assert chosen <= other + 1e-9
-
-
-class TestBestDriver:
-    def test_tries_all_roots(self, running_example_query, running_example_stats):
-        from repro.core import EdgeStats, QueryStats
-
-        def stats_for(rooted):
-            # Direction-agnostic synthetic stats: every edge m=.5, fo=2.
-            return QueryStats(100.0, {
-                rel: EdgeStats(0.5, 2.0) for rel in rooted.non_root_relations
-            })
-
-        plan = best_driver(running_example_query, stats_for)
-        assert plan is not None
-        assert plan.query.is_valid_order(plan.order)
-        # With symmetric stats, the chosen plan's cost can't exceed the
-        # original rooting's cost.
-        original = exhaustive_optimal(
-            running_example_query, stats_for(running_example_query)
-        )
-        assert plan.cost <= original.cost + 1e-9

@@ -5,14 +5,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.core import beam_order, exhaustive_optimal, idp_order
+from repro.core.costmodel import CostMemo
+from repro.core.optimizer import (
     AUTO_EXHAUSTIVE_MAX_RELATIONS,
     AUTO_IDP_MAX_RELATIONS,
-    CostMemo,
-    beam_order,
     choose_optimizer,
-    exhaustive_optimal,
-    idp_order,
     incremental_order_cost,
 )
 from repro.planner import Planner

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import Contradiction, ParseError, parse_query
+from repro.core import parse_query
+from repro.core.parser import Contradiction, ParseError
 
 PAPER_QUERY = """
 select * from R1, R2, R3, R4, R5, R6

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.core import EdgeStats, QueryStats, theta_fragility
+from repro.core.robustness import (
+    _plan_cost_for_model,
     best_star_order,
     estimation_error_experiment,
     star_query,
-    theta_fragility,
     theta_robustness,
 )
-from repro.core.robustness import _plan_cost_for_model
-from repro.core import EdgeStats, QueryStats
 
 
 class TestClosedForms:

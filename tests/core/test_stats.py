@@ -87,7 +87,7 @@ def test_stats_from_data_no_matches():
 
 
 def test_query_signature_ignores_edge_declaration_order():
-    from repro.core import query_signature
+    from repro.core.stats import query_signature
 
     a = JoinQuery("R1", [
         JoinEdge("R1", "R2", "B", "B"), JoinEdge("R1", "R3", "E", "E"),

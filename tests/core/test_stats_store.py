@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro import Planner, parse_query, stats_from_data
-from repro.core import StatsCache, StatsReader, decompose, relation_tokens
-from repro.core.cyclic import enumerate_spanning_trees
+from repro.core.cyclic import decompose, enumerate_spanning_trees
+from repro.core.stats import StatsCache, StatsReader, relation_tokens
 from repro.storage import Catalog
 from repro.workloads.random_trees import random_join_tree
 

@@ -27,6 +27,7 @@ heterogeneous and spanning-tree choice is a real decision.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -221,3 +222,11 @@ def cyclic_scaling_suite(sizes, shapes=("cycle", "clique", "grid"), seed=0,
             )
             cases.append((shape, n, parsed, catalog))
     return cases
+
+
+def spanning_tree_cap(cap):
+    """Cap the planner's joint tree + order search at ``cap`` candidate
+    spanning trees for a ``with`` block (``1`` pins the greedy Kruskal
+    tree); :data:`repro.core.cyclic.MAX_SPANNING_TREES` is the cap
+    otherwise."""
+    return mock.patch("repro.planner.MAX_SPANNING_TREES", cap)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedExecutionError
+from repro.distributed.workerpool import DistributedExecutionError
 from repro.service.session import QuerySession
 
 from tests.helpers import (

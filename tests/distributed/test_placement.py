@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.analysis import verify_plan
-from repro.distributed import (
+from repro.distributed.placement import (
     PLACEMENT_CHOICES,
     ShardPlacement,
     rendezvous_score,

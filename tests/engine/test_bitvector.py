@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import BitvectorFilter, default_num_bits
+from repro.engine.bitvector import BitvectorFilter, default_num_bits
 
 
 def test_no_false_negatives():

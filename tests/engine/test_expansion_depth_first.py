@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.core import JoinEdge, JoinQuery
-from repro.engine import FactorizedResult, execute
+from repro.engine import execute
+from repro.engine.factorized import FactorizedResult
 from repro.modes import ExecutionMode
 
 from tests.helpers import (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import JoinEdge, JoinQuery
-from repro.engine import FactorizedResult
+from repro.engine.factorized import FactorizedResult
 
 from tests.helpers import attach_node, live_recount, two_sweep_alive
 

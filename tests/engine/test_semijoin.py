@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import JoinEdge, JoinQuery
-from repro.engine import full_reduction
+from repro.engine.semijoin import full_reduction
 from repro.storage import Catalog
 
 from tests.helpers import brute_force_join, make_running_example_query, make_small_catalog

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.estimation import naive_estimate, naive_estimate_from_tables
-from repro.estimation.naive import predicate_selectivity
-from repro.storage import Table
+from repro.estimation import naive_estimate_from_tables
+from repro.estimation.naive import naive_estimate, predicate_selectivity
+from repro.storage.table import Table
 
 
 def test_basic_formula():

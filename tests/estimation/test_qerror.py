@@ -1,9 +1,7 @@
 """Tests for the q-error metric."""
 
-import numpy as np
-import pytest
-
-from repro.estimation import mean_q_error, q_error, running_q_error
+from repro.estimation import q_error
+from repro.estimation.qerror import running_q_error
 
 
 def test_perfect_estimate():
@@ -17,34 +15,6 @@ def test_symmetric():
 def test_floor_guards_zero():
     assert q_error(0.0, 0.0) == 1.0
     assert q_error(0.0, 1.0, floor=0.1) == 10.0
-
-
-def test_mean_q_error():
-    mean, std = mean_q_error([1.0, 2.0], [1.0, 1.0])
-    assert mean == pytest.approx(1.5)
-    assert std == pytest.approx(0.5)
-
-
-def test_mean_q_error_empty():
-    assert mean_q_error([], []) == (0.0, 0.0)
-
-
-def test_mean_q_error_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        mean_q_error([1.0], [1.0, 2.0])
-
-
-def test_mean_q_error_matches_scalar_pairwise():
-    rng = np.random.default_rng(7)
-    estimates = rng.uniform(0.0, 10.0, 200)
-    truths = rng.uniform(0.0, 10.0, 200)
-    # sprinkle exact zeros to exercise the floor path
-    estimates[::17] = 0.0
-    truths[::23] = 0.0
-    errors = [q_error(e, t) for e, t in zip(estimates, truths)]
-    mean, std = mean_q_error(estimates, truths)
-    assert mean == pytest.approx(np.mean(errors))
-    assert std == pytest.approx(np.std(errors))
 
 
 def test_running_q_error_is_running_max():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.estimation import CorrelatedSample, true_join_stats
-from repro.storage import Table
+from repro.storage.table import Table
 
 
 def make_tables(seed=0, n_probe=2000, n_build=3000, domain=100):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import EdgeStats, JoinEdge, JoinQuery, QueryStats
-from repro.core.costmodel import CostWeights
+from repro.core.costmodel import CostMemo, CostWeights, _survival
 from repro.core.parser import Contradiction
 from repro.modes import ExecutionMode
 from repro.storage import Catalog
@@ -76,6 +76,26 @@ def make_running_example_stats():
             "R4": 500, "R5": 700, "R6": 400,
         },
     )
+
+
+def survival_probability(query, stats, members, subtree_root=None):
+    """``m_T`` for the connected node set ``members``, read off the cost
+    model's own memo (:func:`repro.core.costmodel._survival`).
+
+    ``members`` must form a connected subtree; ``subtree_root`` defaults
+    to the query root (so that e.g. ``m_{1,2,3,4}`` from the paper is
+    ``survival_probability(q, st, {"R1","R2","R3","R4"})``).
+    """
+    members = set(members)
+    root = subtree_root if subtree_root is not None else query.root
+    if root not in members:
+        raise ValueError(
+            f"subtree root {root!r} not in members {sorted(members)}")
+    memo = CostMemo(query, stats)
+    mask = 0
+    for name in members:
+        mask |= memo.bit[name]
+    return _survival(memo, root, mask, 0)
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +437,10 @@ def live_recount(factorized, relation):
 class KillingWorkerPool:
     """Fault-injection wrapper: a worker pool that murders chosen workers.
 
-    Behaves exactly like :class:`repro.distributed.WorkerPool` except
-    that the first time a fragment is bound for a worker in ``victims``,
-    the worker process is killed (a poison task calls ``os._exit``)
+    Behaves exactly like
+    :class:`repro.distributed.workerpool.WorkerPool` except that the
+    first time a fragment is bound for a worker in ``victims``, the
+    worker process is killed (a poison task calls ``os._exit``)
     before the fragment is submitted — so the fragment future surfaces
     ``BrokenProcessPool`` exactly as a mid-query death would.  Install
     via ``session._worker_pool_factory`` (partially applied over
@@ -427,7 +448,7 @@ class KillingWorkerPool:
     """
 
     def __init__(self, *args, victims=(), **kwargs):
-        from repro.distributed import WorkerPool
+        from repro.distributed.workerpool import WorkerPool
 
         self._pool = WorkerPool(*args, **kwargs)
         self.victims = set(victims)
@@ -451,7 +472,7 @@ class KillingWorkerPool:
     def run(self, *args, **kwargs):
         # delegate explicitly so WorkerPool.run's internal _submit calls
         # dispatch through this wrapper, not the wrapped pool
-        from repro.distributed import WorkerPool
+        from repro.distributed.workerpool import WorkerPool
 
         return WorkerPool.run.__get__(self)(*args, **kwargs)
 

@@ -60,7 +60,7 @@ def test_output_size_prediction(dataset):
 
 def test_sj_probe_prediction(dataset):
     """Phase-1 semi-join probes and phase-2 probes per the SJ model."""
-    from repro.core import sj_plan_cost
+    from repro.core.costmodel_sj import sj_plan_cost
     from repro.core.optimizer import optimize_sj
 
     data, query = dataset
@@ -82,7 +82,7 @@ def test_sj_probe_prediction(dataset):
 def test_bvp_probe_prediction(dataset):
     """BVP probe counts track the Section 3.5 model with the measured
     bitvector false-positive rate."""
-    from repro.core import bvp_plan_cost
+    from repro.core.costmodel import bvp_plan_cost
     from repro.engine.bitvector import BitvectorFilter
 
     data, query = dataset

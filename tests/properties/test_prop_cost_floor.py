@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import exhaustive_optimal, idp_order, incremental_order_cost
+from repro.core import exhaustive_optimal, idp_order
+from repro.core.optimizer import incremental_order_cost
 from repro.core.costmodel import (
     CostWeights,
     cost_lower_bound,

@@ -15,15 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
+from repro.core.costmodel import (
     bvp_plan_cost,
     com_probes_per_join,
-    sj_plan_cost,
     std_probes_per_join,
-    survival_probability,
 )
+from repro.core.costmodel_sj import sj_plan_cost
 from repro.core.stats import EdgeStats, QueryStats
 from repro.workloads.random_trees import random_join_tree
+
+from tests.helpers import survival_probability
 
 
 @st.composite
@@ -131,7 +132,10 @@ def test_theorem_35_on_random_trees(case, seeds):
 )
 @settings(max_examples=100, deadline=None)
 def test_theorem_34_identities(m, fo, ratio):
-    from repro.core import adjusted_fanout, adjusted_match_probability
+    from repro.core.costmodel_sj import (
+        adjusted_fanout,
+        adjusted_match_probability,
+    )
 
     m_prime = adjusted_match_probability(m, fo, ratio)
     fo_prime = adjusted_fanout(fo, ratio)

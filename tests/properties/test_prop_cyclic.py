@@ -7,20 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    decompose,
-    enumerate_spanning_trees,
     execute_cyclic,
     parse_query,
     spanning_tree_decomposition,
 )
-from repro.core.cyclic import ResidualPredicate, _filter_batch
+from repro.core.cyclic import (
+    ResidualPredicate,
+    _filter_batch,
+    decompose,
+    enumerate_spanning_trees,
+)
 from repro.core.parser import ParsedQuery
 from repro.engine.kernels import get_kernels
 from repro.modes import ExecutionMode
 from repro.planner import Planner
 from repro.storage import Catalog
-from repro.storage.partition import partitioned_catalog
-from tests.cyclic_joins import cyclic_catalog
+from tests.cyclic_joins import cyclic_catalog, spanning_tree_cap
+from tests.partitioning import partitioned_catalog
 
 TRIANGLE = (
     "select * from A, B, C "
@@ -200,8 +203,8 @@ def test_planner_joint_tree_never_costlier_than_greedy(seed):
                              key_domain=(2, 12), seed=seed + 1)
     planner = Planner(catalog, stats_cache=True)
     joint = planner.plan(parsed, mode="auto", optimizer="auto")
-    greedy = planner.plan(parsed, mode="auto", optimizer="auto",
-                          max_spanning_trees=1)
+    with spanning_tree_cap(1):
+        greedy = planner.plan(parsed, mode="auto", optimizer="auto")
     assert joint.predicted_cost <= greedy.predicted_cost * (1 + 1e-9)
     expected = brute_force_parsed(catalog, parsed)
     relations = list(parsed.relations)

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from repro.core import execute_cyclic, parse_query, spanning_tree_decomposition
 from repro.engine import execute
 from repro.modes import ExecutionMode
-from repro.storage import Catalog, partitioned_catalog
+from repro.storage import Catalog
 from repro.workloads.random_trees import random_join_tree
 
 from tests.helpers import result_tuples
+from tests.partitioning import partitioned_catalog
 
 from .test_prop_cyclic import TRIANGLE, build_triangle_catalog
 from .test_prop_engine import build_random_catalog

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import JoinEdge, JoinQuery
-from repro.engine import FactorizedResult
+from repro.engine.factorized import FactorizedResult
 from repro.engine.kernels import INTERPRETED, VECTORIZED
 
 from tests.helpers import attach_node, live_recount, two_sweep_alive

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import HashIndex, concat_ranges
+from repro.storage.hashindex import HashIndex, concat_ranges
 
 keys_strategy = st.lists(st.integers(-50, 50), max_size=120)
 probes_strategy = st.lists(st.integers(-60, 60), max_size=60)

@@ -18,7 +18,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import HashIndex, PartitionedTable
+from repro.storage import PartitionedTable
+from repro.storage.hashindex import HashIndex
 
 KEY_DTYPES = ("int8", "int16", "int32", "int64", "uint8", "uint32",
               "uint64", "bool", "float64")

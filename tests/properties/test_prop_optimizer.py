@@ -58,7 +58,7 @@ def test_sj_optimizer_phase1_is_minimal(case):
     child permutations (checked exhaustively per node)."""
     import itertools
 
-    from repro.core import sj_phase1_cost
+    from repro.core.costmodel_sj import sj_phase1_cost
 
     query, stats = case
     plan = optimize_sj(query, stats, factorized=False)

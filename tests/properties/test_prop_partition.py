@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from repro.engine import execute
 from repro.modes import ExecutionMode
-from repro.storage import partitioned_catalog
 from repro.workloads.random_trees import random_join_tree
 
 from tests.helpers import result_tuples
+from tests.partitioning import partitioned_catalog
 
 from .test_prop_engine import build_random_catalog
 

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ExecutionMode, Planner, Table
+from repro import ExecutionMode, Planner
+from repro.storage.table import Table
 from repro.analysis import verify_plan
 from repro.core.parser import parse_query
 from repro.storage import Catalog

@@ -31,10 +31,10 @@ from repro.engine.wcoj import execute_wcoj
 from repro.modes import ExecutionMode
 from repro.planner import Planner
 from repro.storage import Catalog
-from repro.storage.partition import partitioned_catalog
 
 from tests.cyclic_joins import CYCLIC_SHAPES, cyclic_catalog, to_sql
 from tests.helpers import predicate_coverage, stated_predicates
+from tests.partitioning import partitioned_catalog
 
 from .test_prop_cyclic import TRIANGLE, brute_force, build_triangle_catalog
 from .test_prop_execution import (

@@ -3,7 +3,7 @@
 The acceptance path: a cyclic query submitted through
 :meth:`QuerySession.execute` (and the async front end) plans via the
 joint tree+order search, caches under a key that carries the
-tree-search knobs, executes on partitioned catalogs bit-identically to
+cyclic knobs, executes on partitioned catalogs bit-identically to
 :func:`execute_cyclic` on the merged catalog, and reports the residual
 stage in its :class:`QueryReport`.
 """
@@ -18,6 +18,7 @@ from repro.core import execute_cyclic, parse_query, spanning_tree_decomposition
 from repro.service import QuerySession
 from repro.service.async_service import AsyncQueryService
 from repro.storage import Catalog
+from tests.cyclic_joins import spanning_tree_cap
 
 TRIANGLE = (
     "select * from A, B, C "
@@ -76,15 +77,21 @@ def test_report_carries_residual_fields(catalog):
     assert acyclic.residual_selectivity == 1.0
 
 
-def test_spanning_tree_cap_is_part_of_the_cache_key(catalog):
-    session = QuerySession(catalog)
-    query = parse_query(TRIANGLE)
-    joint_key = session.cache_key(query)
-    greedy_key = session.cache_key(query, max_spanning_trees=1)
-    assert joint_key != greedy_key
-    session.execute(TRIANGLE)
-    greedy = session.execute(TRIANGLE, max_spanning_trees=1)
-    assert not greedy.cache_hit  # a different search must not share plans
+def test_spanning_tree_cap_of_one_serves_the_kruskal_tree(catalog):
+    """A session whose joint search may only try the greedy Kruskal
+    tree serves a plan no cheaper than the full search's, and the same
+    rows."""
+    _, expected_rows = merged_reference(catalog)
+    joint = QuerySession(catalog).execute(TRIANGLE, collect_output=True)
+    with spanning_tree_cap(1):
+        greedy = QuerySession(catalog).execute(TRIANGLE,
+                                               collect_output=True)
+    assert joint.ok and greedy.ok
+    assert joint.plan.predicted_cost <= greedy.plan.predicted_cost
+    for report in (joint, greedy):
+        rows = report.result.output_rows
+        assert sorted(zip(rows["A"].tolist(), rows["B"].tolist(),
+                          rows["C"].tolist())) == expected_rows
 
 
 def test_session_partitioned_cyclic_matches_merged(catalog):

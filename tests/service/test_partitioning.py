@@ -10,7 +10,11 @@ count, and service reports carry the shard/per-phase timing shape.
 import pytest
 
 from repro import ExecutionMode, Planner, QuerySession
-from repro.planner import AUTO_MAX_SHARDS, AUTO_MIN_ROWS_PER_SHARD
+from repro.options import (
+    AUTO_MAX_SHARDS,
+    AUTO_MIN_ROWS_PER_SHARD,
+    PlanOptions,
+)
 from repro.storage import PartitionedTable
 from tests.helpers import make_small_catalog, result_tuples
 from tests.scan_probe import scan_probe_catalog, scan_probe_query
@@ -112,35 +116,34 @@ class TestPlannerKnob:
 
 class TestAutoResolution:
     def test_off_resolves_to_one(self, catalog):
-        assert Planner(catalog).resolve_partitioning("off") == 1
-        assert Planner(catalog).resolve_partitioning(None) == 1
+        assert PlanOptions(partitioning="off").shard_count(catalog) == 1
+        assert PlanOptions().shard_count(catalog) == 1
 
     def test_int_resolves_to_itself(self, catalog):
-        assert Planner(catalog).resolve_partitioning(6) == 6
+        assert PlanOptions(partitioning=6).shard_count(catalog) == 6
 
     def test_auto_small_tables_resolve_to_one(self, catalog):
         planner = Planner(catalog, partitioning="auto")
-        assert planner.resolve_partitioning("auto", SIX_RELATION_SQL) == 1
+        assert planner.options.shard_count(catalog, SIX_RELATION_SQL) == 1
         assert planner.plan(SIX_RELATION_SQL).num_shards == 1
 
     def test_auto_scales_with_table_size(self, monkeypatch):
         big = scan_probe_catalog(
             64, AUTO_MIN_ROWS_PER_SHARD * 3, seed=1
         )
-        planner = Planner(big)
+        auto = PlanOptions(partitioning="auto")
         monkeypatch.setattr("os.cpu_count", lambda: 8)
-        resolved = planner.resolve_partitioning("auto", scan_probe_query())
-        assert resolved == 3
+        assert auto.shard_count(big, scan_probe_query()) == 3
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        assert planner.resolve_partitioning("auto", scan_probe_query()) == 2
+        assert auto.shard_count(big, scan_probe_query()) == 2
 
     def test_auto_capped(self, monkeypatch):
         big = scan_probe_catalog(
             64, AUTO_MIN_ROWS_PER_SHARD * (AUTO_MAX_SHARDS + 5), seed=1
         )
         monkeypatch.setattr("os.cpu_count", lambda: 64)
-        resolved = Planner(big).resolve_partitioning(
-            "auto", scan_probe_query()
+        resolved = PlanOptions(partitioning="auto").shard_count(
+            big, scan_probe_query()
         )
         assert resolved == AUTO_MAX_SHARDS
 
@@ -371,7 +374,7 @@ def test_sampling_stats_are_layout_independent():
 def test_bool_probe_keys_route_like_merged_index():
     import numpy as np
 
-    from repro.storage import HashIndex
+    from repro.storage.hashindex import HashIndex
     from repro.storage.partition import _probe_shard_ids
 
     keys = np.asarray([0, 1, 1, 2, 0])
@@ -393,7 +396,9 @@ def test_keys_beyond_float_exact_range_stay_unpartitioned():
     import numpy as np
 
     from repro.core.query import JoinEdge, JoinQuery
-    from repro.storage import Catalog, HashIndex, partitioned_catalog
+    from repro.storage import Catalog
+    from repro.storage.hashindex import HashIndex
+    from tests.partitioning import partitioned_catalog
 
     big = 2**53 + 1
     assert not PartitionedTable.can_shard(np.asarray([big, 5]))
@@ -422,7 +427,8 @@ def test_keys_beyond_float_exact_range_stay_unpartitioned():
 def test_float_safe_huge_probes_still_miss_cleanly():
     import numpy as np
 
-    from repro.storage import HashIndex, shard_ids
+    from repro.storage.hashindex import HashIndex
+    from repro.storage.partition import shard_ids
     from repro.storage.partition import _probe_shard_ids
 
     keys = np.asarray([0, 5, 2**52], dtype=np.int64)
@@ -491,7 +497,7 @@ def test_report_carries_reduction_seconds_for_sj_modes():
 def test_planning_sql_over_user_partitioned_catalog_returns_base_ids():
     """push_down_selections over an already re-clustered catalog must
     rebuild relations in base row order (layout-independent results)."""
-    from repro.storage import partitioned_catalog
+    from tests.partitioning import partitioned_catalog
 
     catalog = scan_probe_catalog(300, 600, seed=12)
     pre_partitioned = partitioned_catalog(catalog, scan_probe_query(), 4)
@@ -575,7 +581,7 @@ def test_auto_mode_skips_reclustering_heavily_filtered_tables(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     catalog = scan_probe_catalog(64, AUTO_MIN_ROWS_PER_SHARD * 2, seed=15)
     planner = Planner(catalog, partitioning="auto")
-    assert planner.resolve_partitioning("auto", scan_probe_query()) == 2
+    assert planner.options.shard_count(catalog, scan_probe_query()) == 2
     sql = ("select * from driver, build "
            "where driver.key = build.key and build.payload = 7")
     plan = planner.plan(sql)
@@ -623,7 +629,7 @@ def test_auto_and_explicit_equal_resolutions_do_not_share_plans(monkeypatch):
 def test_pushdown_keeps_user_partitioned_layout():
     """Unselected aliases of a user-prepartitioned catalog keep their
     layout (zero-copy rename) instead of being flattened."""
-    from repro.storage import partitioned_catalog
+    from tests.partitioning import partitioned_catalog
 
     catalog = scan_probe_catalog(200, 500, seed=20)
     pre = partitioned_catalog(catalog, scan_probe_query(), 4)
@@ -686,7 +692,8 @@ def test_directly_held_partitioned_table_reclusters_on_invalidate():
     acknowledging it must re-cluster the layout, not just drop caches."""
     import numpy as np
 
-    from repro.storage import Catalog, PartitionedTable, Table
+    from repro.storage import Catalog, PartitionedTable
+    from repro.storage.table import Table
 
     base = Table("build", {"key": np.arange(64, dtype=np.int64) % 8,
                            "payload": np.arange(64, dtype=np.int64)})
@@ -710,7 +717,8 @@ def test_renamed_alias_refreshes_from_its_own_mutated_arrays():
     from the shared (mutated) arrays and keep its alias name."""
     import numpy as np
 
-    from repro.storage import Catalog, PartitionedTable, Table
+    from repro.storage import Catalog, PartitionedTable
+    from repro.storage.table import Table
 
     base = Table("build", {"key": np.arange(40, dtype=np.int64) % 5})
     parent = Catalog()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.parser import parse_query
 from repro.core.query import JoinEdge, JoinQuery
-from repro.service import PlanCache, normalized_query_key
+from repro.service.plancache import PlanCache, normalized_query_key
 
 SQL = ("select * from R1, R2, R3 "
        "where R1.B = R2.B and R2.C = R3.C and R1.A = 5")

@@ -128,14 +128,6 @@ def test_cache_keys_distinguish_robustness_posture():
     assert len(keys) == 3
 
 
-def test_cache_keys_distinguish_regret_factor():
-    catalog = make_small_catalog()
-    query = make_running_example_query()
-    key_a = QuerySession(catalog, regret_factor=4.0).cache_key(query)
-    key_b = QuerySession(catalog, regret_factor=16.0).cache_key(query)
-    assert key_a != key_b
-
-
 # ----------------------------------------------------------------------
 # The replan loop
 # ----------------------------------------------------------------------

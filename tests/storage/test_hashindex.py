@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.storage import HashIndex, concat_ranges
+from repro.storage.hashindex import HashIndex, concat_ranges
 
 
 def test_concat_ranges_basic():

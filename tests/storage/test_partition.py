@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.storage import (
-    Catalog,
-    HashIndex,
-    PartitionedTable,
-    Table,
-    partitioned_catalog,
-    shard_ids,
-)
+from repro.storage import Catalog, PartitionedTable
+from repro.storage.hashindex import HashIndex
+from repro.storage.partition import shard_ids
+from repro.storage.table import Table
+from tests.partitioning import partitioned_catalog
 from tests.scan_probe import scan_probe_catalog, scan_probe_query
 
 

@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.storage import Catalog, PartitionedTable, Table
+from repro.storage import Catalog, PartitionedTable
+from repro.storage.table import Table
 
 
 def test_table_basic_properties():

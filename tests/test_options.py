@@ -35,34 +35,38 @@ ALTERNATIVE = {
     "beam_width": 3,
     "planning_budget_ms": 50.0,
     "partitioning": 2,
-    "max_spanning_trees": 3,
     "execution": "interpreted",
     "cyclic_execution": "wcoj",
     "robustness": "bounded",
-    "regret_factor": 2.0,
     "placement": "distributed",
     "num_workers": 2,
 }
 
-#: per validated knob: an invalid value and the documented message
-INVALID = {
-    "mode": ("sideways", "not a valid ExecutionMode"),
-    "optimizer": ("simulated_annealing", "optimizer must be one of"),
-    "driver": ("R9", "driver must be one of"),
-    "stats": ("exat", "stats method must be 'exact', 'sampling' or a "
+#: (knob, invalid value, the documented message) rows
+INVALID = [
+    ("mode", "sideways", "not a valid ExecutionMode"),
+    ("optimizer", "simulated_annealing", "optimizer must be one of"),
+    ("driver", "R9", "driver must be one of"),
+    ("stats", "exat", "stats method must be 'exact', 'sampling' or a "
                       "QueryStats"),
-    "idp_block_size": (0, "idp_block_size must be an int >= 1"),
-    "beam_width": ("auto", "beam_width must be an int >= 1"),
-    "planning_budget_ms": (-1.0, "planning_budget_ms must be positive"),
-    "partitioning": (0, "partitioning shard count must be >= 1"),
-    "max_spanning_trees": (0, "max_spanning_trees must be an int >= 1"),
-    "execution": ("simd", "execution must be one of"),
-    "cyclic_execution": ("yannakakis", "cyclic_execution must be one of"),
-    "robustness": ("never", "robustness must be one of"),
-    "regret_factor": (0.5, "regret_factor must be a number >= 1.0"),
-    "placement": ("cloud", "placement must be one of"),
-    "num_workers": (-1, "num_workers must be an int >= 0"),
-}
+    ("eps", -0.5, "eps must be a number in"),
+    ("eps", 1.5, "eps must be a number in"),
+    ("eps", 1, "eps must be a number in"),
+    ("eps", float("nan"), "eps must be a number in"),
+    ("idp_block_size", 0, "idp_block_size must be an int >= 1"),
+    ("beam_width", "auto", "beam_width must be an int >= 1"),
+    ("planning_budget_ms", -1.0, "planning_budget_ms must be positive"),
+    ("planning_budget_ms", True, "planning_budget_ms must be positive"),
+    ("planning_budget_ms", float("nan"),
+     "planning_budget_ms must be positive"),
+    ("planning_budget_ms", "5", "planning_budget_ms must be positive"),
+    ("partitioning", 0, "partitioning shard count must be >= 1"),
+    ("execution", "simd", "execution must be one of"),
+    ("cyclic_execution", "yannakakis", "cyclic_execution must be one of"),
+    ("robustness", "never", "robustness must be one of"),
+    ("placement", "cloud", "placement must be one of"),
+    ("num_workers", -1, "num_workers must be an int >= 0"),
+]
 
 
 @pytest.fixture
@@ -73,7 +77,7 @@ def catalog():
 def test_every_knob_has_an_alternative_value():
     names = {spec.name for spec in dataclasses.fields(PlanOptions)}
     assert names == set(ALTERNATIVE)
-    assert set(INVALID) <= names
+    assert {name for name, _, _ in INVALID} <= names
 
 
 @pytest.mark.parametrize("spec", dataclasses.fields(PlanOptions),
@@ -111,24 +115,35 @@ def test_knob_is_declared_once(spec, catalog):
     finally:
         base.close()
 
-    # invalid values raise the documented error wherever they arrive
-    if name in INVALID:
-        bad, message = INVALID[name]
-        with pytest.raises(ValueError, match=message):
-            Planner(catalog, **{name: bad})
-        with pytest.raises(ValueError, match=message):
-            QuerySession(catalog, **{name: bad})
-        with pytest.raises(ValueError, match=message):
-            setattr(planner, name, bad)
-        if spec.metadata["per_call"]:
-            with pytest.raises(ValueError, match=message):
-                base.planner.plan(SQL, **{name: bad})
-
     # the plan-cache token moves iff the knob is not exempt
     resolved = PlanOptions().resolved(catalog, PARSED)
     moved = dataclasses.replace(resolved, **given).cache_token() \
         != resolved.cache_token()
     assert moved == (spec.metadata["key"] != "exempt")
+
+
+@pytest.mark.parametrize("name, bad, message", INVALID,
+                         ids=[f"{name}={bad!r}" for name, bad, _ in INVALID])
+def test_invalid_values_raise_the_documented_error(name, bad, message,
+                                                   catalog):
+    """Wherever an invalid value arrives — either constructor, or a
+    single call for a per-call knob — it raises ``ValueError``."""
+    with pytest.raises(ValueError, match=message):
+        Planner(catalog, **{name: bad})
+    with pytest.raises(ValueError, match=message):
+        QuerySession(catalog, **{name: bad})
+    if PlanOptions.__dataclass_fields__[name].metadata["per_call"]:
+        with pytest.raises(ValueError, match=message):
+            Planner(catalog).plan(SQL, **{name: bad})
+
+
+def test_knobs_are_read_only_on_the_planner(catalog):
+    """A planner's knobs are set at construction; assigning one raises
+    instead of shadowing the attribute view planning never reads."""
+    planner = Planner(catalog, beam_width=8)
+    with pytest.raises(AttributeError, match="set at construction"):
+        planner.beam_width = 32
+    assert planner.beam_width == planner.options.beam_width == 8
 
 
 def test_planner_takes_only_knob_parameters():
@@ -148,7 +163,8 @@ def test_cache_token_follows_the_knob_table():
 def test_unknown_names_are_rejected_everywhere(catalog):
     planner, session = Planner(catalog), QuerySession(catalog)
     for unknown in ({"shiny": 1}, {"tree_search": "greedy"},
-                    {"validate": "basic"}):
+                    {"validate": "basic"}, {"max_spanning_trees": 1},
+                    {"regret_factor": 4.0}):
         with pytest.raises(TypeError):
             Planner(catalog, **unknown)
         with pytest.raises(TypeError):
@@ -190,9 +206,3 @@ def test_resolution_replaces_auto_with_what_will_run(catalog):
     assert PlanOptions(planning_budget_ms=5.0).resolved(
         catalog, PARSED).deadline is not None
 
-
-def test_retuning_a_knob_on_the_planner_writes_through(catalog):
-    planner = Planner(catalog, beam_width=8)
-    planner.beam_width = 32
-    assert planner.options.beam_width == 32
-    assert planner.beam_width == 32

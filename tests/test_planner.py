@@ -9,7 +9,9 @@ import pytest
 from repro import ExecutionMode, Planner, QuerySession, stats_from_data
 from repro.planner import push_down_selections
 from repro.core import parse_query
-from repro.storage import Catalog, HashIndex, PartitionedTable, Table
+from repro.storage import Catalog, PartitionedTable
+from repro.storage.hashindex import HashIndex
+from repro.storage.table import Table
 
 from tests.helpers import (
     brute_force_join,

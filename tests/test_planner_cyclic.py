@@ -25,6 +25,7 @@ from tests.cyclic_joins import (
     cycle_query,
     cyclic_catalog,
     grid_query,
+    spanning_tree_cap,
     to_sql,
 )
 
@@ -72,7 +73,8 @@ def test_cyclic_sql_plans_directly(triangle_catalog):
 def test_joint_never_costlier_than_greedy(triangle_catalog):
     planner = Planner(triangle_catalog, stats_cache=True)
     joint = planner.plan(TRIANGLE, mode="auto")
-    greedy = planner.plan(TRIANGLE, mode="auto", max_spanning_trees=1)
+    with spanning_tree_cap(1):
+        greedy = planner.plan(TRIANGLE, mode="auto")
     assert joint.predicted_cost <= greedy.predicted_cost
     greedy_result = greedy.execute(collect_output=True)
     joint_result = joint.execute(collect_output=True)
@@ -139,13 +141,6 @@ def test_prebuilt_stats_rejected_for_cyclic(triangle_catalog):
         Planner(triangle_catalog).plan(TRIANGLE, stats=stats)
 
 
-def test_max_spanning_trees_validated(triangle_catalog):
-    with pytest.raises(ValueError, match="max_spanning_trees"):
-        Planner(triangle_catalog).plan(TRIANGLE, max_spanning_trees=0)
-    with pytest.raises(ValueError, match="max_spanning_trees"):
-        Planner(triangle_catalog, max_spanning_trees=0)
-
-
 def test_acyclic_queries_unaffected(triangle_catalog):
     plan = Planner(triangle_catalog).plan(
         "select * from A, B where A.x = B.x"
@@ -182,8 +177,8 @@ def test_larger_generated_shapes_plan_and_execute():
                                  key_domain=(4, 12), seed=1)
         planner = Planner(catalog, stats_cache=True)
         joint = planner.plan(parsed, mode="auto", optimizer="auto")
-        greedy = planner.plan(parsed, mode="auto", optimizer="auto",
-                              max_spanning_trees=1)
+        with spanning_tree_cap(1):
+            greedy = planner.plan(parsed, mode="auto", optimizer="auto")
         assert joint.predicted_cost <= greedy.predicted_cost
         assert joint.execute().output_size == greedy.execute().output_size
         # the SQL text path resolves to the same fingerprint
@@ -256,7 +251,8 @@ def test_joint_search_beats_greedy_on_some_shape():
         planner = Planner(catalog, stats_cache=True, mode="auto",
                           optimizer="auto")
         joint = planner.plan(parsed)
-        greedy = planner.plan(parsed, max_spanning_trees=1)
+        with spanning_tree_cap(1):
+            greedy = planner.plan(parsed)
         assert joint.predicted_cost <= greedy.predicted_cost
         improved.append(joint.predicted_cost < greedy.predicted_cost)
     assert any(improved)

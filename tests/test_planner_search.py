@@ -33,7 +33,7 @@ from repro.core.costmodel import (
 )
 from repro.core.cyclic import residual_filter_cost
 from repro.planner import Planner, SearchTally, _Choice
-from tests.cyclic_joins import cyclic_scaling_suite
+from tests.cyclic_joins import cyclic_scaling_suite, spanning_tree_cap
 from tests.large_joins import (
     large_join_catalog,
     random_tree_query,
@@ -162,9 +162,9 @@ def test_lazy_equals_eager_on_the_scaling_suite(knobs):
 def test_lazy_equals_eager_on_cyclic_queries(driver):
     for _, _, parsed, catalog in cyclic_scaling_suite(
             (4, 6), rows_per_relation=48, key_domain=(8, 24), seed=3):
-        plan = assert_lazy_equals_eager(
-            catalog, parsed, driver=driver, cyclic_execution="auto",
-            max_spanning_trees=12)
+        with spanning_tree_cap(12):
+            plan = assert_lazy_equals_eager(
+                catalog, parsed, driver=driver, cyclic_execution="auto")
         assert plan.is_cyclic
 
 

@@ -71,16 +71,19 @@ def synthetic_repo(tmp_path):
         "from repro.engine.kernels import VectorizedKernels\n"
         "from repro.options import PlanOptions\n"
         "from repro.storage.hashindex import HashIndex\n"
+        "options = PlanOptions(mode='auto')\n"
     )
     return tmp_path
 
 
 def run_all(module):
-    """Every rule's findings but reachability's: the modules the tests
-    below write to trip one rule are reached by no root, which the
-    reachability tests pin on their own."""
-    return [finding for check in module.CHECKS
-            if check is not module.check_product_modules_reachable
+    """Every rule's findings but those read off the roots: the modules
+    the tests below write to trip one rule are reached by no root, and
+    the reachability tests pin the root-driven rules on their own."""
+    from_roots = (module.check_product_modules_reachable,
+                  module.check_package_exports_requested,
+                  module.check_plan_knobs_used)
+    return [finding for check in module.CHECKS if check not in from_roots
             for finding in check()]
 
 
@@ -220,6 +223,27 @@ def test_readme_knob_table_fires_on_undocumented_knob(synthetic_repo):
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["README_KNOB_TABLE"]
     assert "`shiny`" in findings[0].message
+
+
+def test_readme_knob_table_fires_on_a_row_for_no_knob(synthetic_repo):
+    """A row left behind by a deleted knob documents an option that
+    raises; a row for a session-only keyword is a knob."""
+    (synthetic_repo / "README.md").write_text(
+        "## Planner / session knobs\n\n"
+        "| knob | default |\n|---|---|\n| `mode` | `auto` |\n"
+        "| `max_replans` | `2` |\n| `retired`, `mode` | `16` |\n\n"
+        "## Next\n"
+    )
+    (synthetic_repo / "src" / "repro" / "service").mkdir()
+    (synthetic_repo / "src" / "repro" / "service" / "session.py").write_text(
+        "class QuerySession:\n"
+        "    def __init__(self, catalog, max_replans=2, **knobs):\n"
+        "        self.catalog = catalog\n"
+    )
+    findings = run_all(load_linter(synthetic_repo))
+    assert [f.rule for f in findings] == ["README_KNOB_TABLE"]
+    assert "`retired`" in findings[0].message
+    assert str(findings[0]).startswith("README.md:7:")
 
 
 def _hash_index_path(repo):
@@ -371,7 +395,8 @@ def test_hash_index_has_no_layout_selector():
     the class names a layout."""
     import inspect
 
-    from repro.storage import HashIndex, hashindex
+    from repro.storage import hashindex
+    from repro.storage.hashindex import HashIndex
 
     assert list(inspect.signature(HashIndex.__init__).parameters) == [
         "self", "keys", "rows"
@@ -1014,3 +1039,176 @@ def test_caches_keyed_by_relation_fires(synthetic_repo, relative, source):
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["CACHES_KEYED_BY_RELATION"]
     assert str(path.relative_to(synthetic_repo)) in str(findings[0])
+
+
+# ----------------------------------------------------------------------
+# PACKAGE_EXPORTS_REQUESTED
+# ----------------------------------------------------------------------
+
+
+def _exporting_storage(repo):
+    """``repro.storage`` re-exports ``HashIndex`` (the fixture's example
+    asks the defining module for it) and ``probe``."""
+    src = repo / "src" / "repro"
+    (src / "storage" / "probing.py").write_text(
+        "def probe(index, keys):\n    return index\n")
+    (src / "storage" / "__init__.py").write_text(
+        "from .hashindex import HashIndex\n"
+        "from .probing import probe\n"
+        "__all__ = ['HashIndex', 'probe']\n")
+
+
+def exports_findings(module):
+    return [(f.path.as_posix(), f.line, f.message.split()[0])
+            for f in module.check_package_exports_requested()]
+
+
+def test_package_exports_requested_flags_test_only_reexports(synthetic_repo):
+    """Asked for only by a test — one under ``tests/`` and one in a
+    benchmark harness's ``tests`` directory — a re-export is flagged,
+    each name on its own ``__all__`` line."""
+    _exporting_storage(synthetic_repo)
+    (synthetic_repo / "tests").mkdir()
+    (synthetic_repo / "tests" / "test_probe.py").write_text(
+        "from repro.storage import HashIndex, probe\n")
+    harness = synthetic_repo / "benchmarks" / "e2e" / "tests"
+    harness.mkdir(parents=True)
+    (harness / "test_child.py").write_text(
+        "from repro.storage import probe\n")
+    (synthetic_repo / "examples" / "probe.py").write_text(
+        "from repro.storage.probing import probe\n")
+    module = load_linter(synthetic_repo)
+    assert exports_findings(module) == [
+        ("src/repro/storage/__init__.py", 3, "repro.storage.HashIndex"),
+        ("src/repro/storage/__init__.py", 3, "repro.storage.probe"),
+    ]
+    assert unreached(module) == []
+    assert all(f.rule == "PACKAGE_EXPORTS_REQUESTED"
+               for f in module.check_package_exports_requested())
+
+
+@pytest.mark.parametrize("relative, source", [
+    ("examples/probe.py", "from repro.storage import probe\n"),
+    ("benchmarks/bench_probe.py",
+     "def run():\n    from repro.storage import probe\n    return probe\n"),
+    ("benchmarks/e2e/child.py", "from repro import probe\n"),
+    ("src/repro/engine/kernels.py",
+     "from ..storage import probe\n"
+     "class VectorizedKernels:\n"
+     "    def lookup(self, index, keys):\n"
+     "        return probe(index, keys)\n"
+     "class InterpretedKernels:\n"
+     "    def lookup(self, index, keys):\n"
+     "        return probe(index, keys)\n"),
+])
+def test_package_exports_requested_keeps_requested_names(synthetic_repo,
+                                                         relative, source):
+    """An example, a benchmark outside its ``tests``, a reached product
+    module or another ``__init__`` on a requested name asks the package
+    for ``probe``: the re-export stays."""
+    _exporting_storage(synthetic_repo)
+    (synthetic_repo / "src" / "repro" / "__init__.py").write_text(
+        "from .storage import probe\n__all__ = ['probe']\n")
+    (synthetic_repo / "examples" / "demo.py").write_text(
+        "from repro.engine.kernels import VectorizedKernels\n"
+        "from repro.options import PlanOptions\n"
+        "from repro.storage import HashIndex\n"
+        "options = PlanOptions(mode='auto')\n")
+    path = synthetic_repo / relative
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    module = load_linter(synthetic_repo)
+    expected = [] if relative == "benchmarks/e2e/child.py" else [
+        ("src/repro/__init__.py", 2, "repro.probe")]
+    assert exports_findings(module) == expected
+    assert run_all(module) == []
+
+
+def test_package_exports_requested_exempts_dunder_names(synthetic_repo):
+    """``pyproject.toml`` reads ``repro.__version__``, which no import
+    asks for."""
+    (synthetic_repo / "src" / "repro" / "__init__.py").write_text(
+        "__version__ = '1.0'\n__all__ = ['__version__']\n")
+    assert exports_findings(load_linter(synthetic_repo)) == []
+
+
+# ----------------------------------------------------------------------
+# PLAN_KNOBS_USED
+# ----------------------------------------------------------------------
+
+
+def _two_knob_options(repo, second="beam_width"):
+    (repo / "src" / "repro" / "options.py").write_text(
+        "class PlanOptions:\n"
+        "    mode: str = 'auto'\n"
+        f"    {second}: int = 8\n")
+    (repo / "README.md").write_text(
+        "## Planner / session knobs\n\n"
+        f"| knob |\n|---|\n| `mode` |\n| `{second}` |\n\n## Next\n")
+
+
+def knob_findings(module):
+    return [f.message.split()[0] for f in module.check_plan_knobs_used()]
+
+
+def test_plan_knobs_used_flags_test_only_knobs(synthetic_repo):
+    """A knob only tests turn — and a benchmark harness's tests are
+    tests — is flagged at its field."""
+    _two_knob_options(synthetic_repo)
+    (synthetic_repo / "tests").mkdir()
+    (synthetic_repo / "tests" / "test_beam.py").write_text(
+        "def test_beam(planner):\n"
+        "    assert planner.beam_width == Planner(beam_width=4).beam_width\n")
+    harness = synthetic_repo / "benchmarks" / "e2e" / "tests"
+    harness.mkdir(parents=True)
+    (harness / "test_gen.py").write_text("SESSION = {'beam_width': 4}\n")
+    module = load_linter(synthetic_repo)
+    findings = module.check_plan_knobs_used()
+    assert knob_findings(module) == ["PlanOptions.beam_width"]
+    assert str(findings[0]).startswith(
+        "src/repro/options.py:3: PLAN_KNOBS_USED:")
+    assert run_all(module) == []
+
+
+@pytest.mark.parametrize("relative, source", [
+    ("benchmarks/e2e/child.py",
+     "def search(planner):\n    return planner.beam_width\n"),
+    ("benchmarks/e2e/child.py",
+     "def search(session):\n    return session.planner.beam_width\n"),
+    ("benchmarks/e2e/gen.py",
+     "WORKLOAD = dict(session={'beam_width': 4}, execute={})\n"),
+    ("examples/beam.py",
+     "from repro.options import PlanOptions\n"
+     "options = PlanOptions(beam_width=4)\n"),
+    ("src/repro/bench/fig10.py",
+     "def run(options):\n    return options.beam_width\n"),
+])
+def test_plan_knobs_used_keeps_named_knobs(synthetic_repo, relative, source):
+    """Read off a planner or options record, given as a keyword or as a
+    knob-dict key by a root or a figure driver: the knob is used."""
+    _two_knob_options(synthetic_repo)
+    path = synthetic_repo / relative
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    assert knob_findings(load_linter(synthetic_repo)) == []
+
+
+def test_plan_knobs_used_exemptions_state_their_reason(synthetic_repo):
+    """An exempted knob no root names passes, and every exemption says
+    which open item decides it."""
+    _two_knob_options(synthetic_repo, second="planning_budget_ms")
+    module = load_linter(synthetic_repo)
+    assert knob_findings(module) == []
+    assert all(isinstance(reason, str) and len(reason.split()) >= 3
+               for reason in module.PLAN_KNOBS_EXEMPT.values())
+
+
+def test_plan_knobs_used_exempts_only_live_knobs():
+    """The real table: the four fields no root names yet, each still a
+    ``PlanOptions`` field — an exemption outliving its knob is stale."""
+    from repro.options import PlanOptions
+
+    exempt = load_linter(REPO).PLAN_KNOBS_EXEMPT
+    assert sorted(exempt) == [
+        "execution", "planning_budget_ms", "robustness", "stats"]
+    assert set(exempt) <= set(PlanOptions.__dataclass_fields__)

@@ -1,12 +1,16 @@
-"""Every Markdown file a ``src/repro`` docstring names exists.
+"""Every reference a ``src/repro`` docstring makes resolves.
 
 A docstring that sends the reader to a document the repository does
-not have states nothing; the fact belongs in the docstring itself.
+not have, or to a ``repro`` name that no longer exists there, states
+nothing; the fact belongs in the docstring itself.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
@@ -14,15 +18,42 @@ SRC = REPO / "src" / "repro"
 _MARKDOWN_PATH = re.compile(r"[\w./-]*\w\.md\b")
 
 
-def docstring_references():
+#: a Sphinx cross-reference to a ``repro`` name, ``~`` prefix allowed
+_CROSS_REFERENCE = re.compile(
+    r":(?:func|class|data|meth|attr|mod):`~?(repro(?:\.\w+)+)`")
+
+
+def _docstrings():
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.Module, ast.ClassDef,
-                                     ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for name in _MARKDOWN_PATH.findall(ast.get_docstring(node) or ""):
-                yield path.relative_to(REPO).as_posix(), name
+            if isinstance(node, (ast.Module, ast.ClassDef,
+                                 ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield (path.relative_to(REPO).as_posix(),
+                       ast.get_docstring(node) or "")
+
+
+def docstring_references(pattern=_MARKDOWN_PATH):
+    for module, docstring in _docstrings():
+        for name in pattern.findall(docstring):
+            yield module, name
+
+
+def resolves(target):
+    """Whether a dotted ``repro`` name imports: its longest importable
+    module prefix, then one attribute per remaining part."""
+    parts = target.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(found, attribute):
+                return False
+            found = getattr(found, attribute)
+        return True
+    return False
 
 
 def test_the_pattern_finds_markdown_paths():
@@ -35,3 +66,28 @@ def test_docstring_markdown_references_exist():
     missing = sorted({(module, name) for module, name in docstring_references()
                       if not (REPO / name).is_file()})
     assert missing == []
+
+
+def test_the_pattern_finds_cross_references():
+    assert _CROSS_REFERENCE.findall(
+        "see :func:`repro.core.cyclic.wcoj_cost`, :class:`~repro.Planner`"
+        " and :meth:`Table.gather`"
+    ) == ["repro.core.cyclic.wcoj_cost", "repro.Planner"]
+
+
+@pytest.mark.parametrize("target, expected", [
+    ("repro.planner.Planner.plan", True),
+    ("repro.core.bounds.REGRET_FACTOR", True),
+    ("repro.engine.wcoj", True),
+    ("repro.planner.Planner.replan_everything", False),
+    ("repro.no_such_module.name", False),
+])
+def test_resolves(target, expected):
+    assert resolves(target) is expected
+
+
+def test_docstring_cross_references_resolve():
+    targets = set(docstring_references(_CROSS_REFERENCE))
+    assert len({name for _, name in targets}) > 50
+    assert sorted((module, name) for module, name in targets
+                  if not resolves(name)) == []

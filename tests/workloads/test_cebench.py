@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.workloads import DATASET_FLAVORS, build_dataset
+from repro.workloads import build_dataset
+from repro.workloads.cebench import DATASET_FLAVORS
 
 
 def test_all_five_flavors_present():

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.estimation import true_join_stats
-from repro.workloads import build_estimation_dataset
+from repro.workloads.dblp_like import build_estimation_dataset
 
 
 def test_schema_and_columns():

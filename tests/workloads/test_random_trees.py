@@ -1,8 +1,11 @@
 """Tests for the random join-tree generator (Figure 10 setup)."""
 
 
-from repro.workloads import random_join_tree, random_stats
-from repro.workloads.random_trees import MATCH_PROBABILITY_RANGES
+from repro.workloads.random_trees import (
+    MATCH_PROBABILITY_RANGES,
+    random_join_tree,
+    random_stats,
+)
 
 
 def test_respects_node_cap():

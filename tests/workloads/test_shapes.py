@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.workloads import (
+from repro.workloads import snowflake
+from repro.workloads.shapes import (
     PAPER_SHAPES,
     paper_path11,
     paper_snowflake_3_2,
     paper_snowflake_5_1,
     paper_star7,
     path,
-    snowflake,
     star,
 )
 

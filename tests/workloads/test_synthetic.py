@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import stats_from_data
-from repro.workloads import EdgeSpec, generate_dataset, specs_from_ranges, star
-from repro.workloads.shapes import snowflake
+from repro.workloads import generate_dataset, specs_from_ranges
+from repro.workloads.shapes import snowflake, star
+from repro.workloads.synthetic import EdgeSpec
 
 
 def test_edge_spec_validation():

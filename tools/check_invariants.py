@@ -177,7 +177,10 @@ STRUCTURES_BY_CONTENT
 README_KNOB_TABLE
     Every planner knob (field of ``repro.options.PlanOptions``) must
     appear in README's "Planner / session knobs" table — an
-    undocumented knob is indistinguishable from an unsupported one.
+    undocumented knob is indistinguishable from an unsupported one —
+    and every row of the table must name a knob that exists: a
+    ``PlanOptions`` field or a ``QuerySession`` constructor keyword.
+    A row for a deleted knob documents an option that raises.
 
 PRODUCT_MODULES_REACHABLE
     A module is in the product because something other than its tests
@@ -189,6 +192,27 @@ PRODUCT_MODULES_REACHABLE
     package ``__init__`` reaches only the module defining each name it
     asks for (a name the ``__init__`` defines itself reaches what its
     definition names), so a re-export alone keeps nothing alive.
+
+PACKAGE_EXPORTS_REQUESTED
+    A name is in a package's surface because something other than its
+    tests asks the package for it.  So every name in a package
+    ``__init__``'s ``__all__`` is requested from that package by a
+    root or a reached module, along the walk
+    ``PRODUCT_MODULES_REACHABLE`` makes (a re-export another
+    ``__init__`` follows on a requested name counts).  Dunder names are
+    exempt: ``pyproject.toml`` reads ``repro.__version__``.  A test
+    imports what it checks from the module that defines it.
+
+PLAN_KNOBS_USED
+    A knob is in ``PlanOptions`` because a user sets or reads it.  So
+    every field is named by a root (a file under ``examples/`` or
+    non-test ``benchmarks/``) or a figure driver under
+    ``src/repro/bench``: as a keyword argument, a string key of a dict
+    literal (the knob dicts a workload hands ``QuerySession`` and
+    ``execute``), or an attribute read off a ``planner`` / ``options``.
+    ``PLAN_KNOBS_EXEMPT`` lists the fields no root names yet, each with
+    the open item that decides it.  A knob only tests turn is a module
+    constant.
 
 CACHES_KEYED_BY_RELATION
     A write must rebuild only what read the written table, so the
@@ -1030,16 +1054,30 @@ def check_structures_by_content():
     return findings
 
 
+def _plan_option_fields():
+    """``{name: AnnAssign}`` of ``repro.options.PlanOptions``'s fields."""
+    path = SRC / "options.py"
+    return _class_fields(_parse(path), "PlanOptions") if path.exists() \
+        else {}
+
+
+def _session_keywords():
+    """The keyword parameters of ``QuerySession.__init__`` (the
+    session-only knobs the README table documents beside the fields)."""
+    path = SRC / "service" / "session.py"
+    if not path.exists():
+        return set()
+    return {argument.arg
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.ClassDef) and node.name == "QuerySession"
+            for init in node.body if isinstance(init, ast.FunctionDef)
+            and init.name == "__init__"
+            for argument in init.args.args + init.args.kwonlyargs}
+
+
 def check_readme_knob_table():
     findings = []
-    options = next(
-        node for node in ast.walk(_parse(SRC / "options.py"))
-        if isinstance(node, ast.ClassDef) and node.name == "PlanOptions"
-    )
-    knobs = [
-        item.target.id for item in options.body
-        if isinstance(item, ast.AnnAssign)
-    ]
+    knobs = _plan_option_fields()
     readme = REPO / "README.md"
     text = readme.read_text()
     match = re.search(
@@ -1049,13 +1087,25 @@ def check_readme_knob_table():
         return [Finding("README_KNOB_TABLE", readme.relative_to(REPO), 0,
                         'section "## Planner / session knobs" not found')]
     section = match.group(1)
+    line = text[:match.start()].count("\n") + 1
     for knob in knobs:
         if f"`{knob}`" not in section:
             findings.append(Finding(
-                "README_KNOB_TABLE", readme.relative_to(REPO),
-                text[:match.start()].count("\n") + 1,
+                "README_KNOB_TABLE", readme.relative_to(REPO), line,
                 f"planner knob `{knob}` missing from the knob table",
             ))
+    known = set(knobs) | _session_keywords()
+    for offset, row in enumerate(section.split("\n"), start=line + 1):
+        cells = row.split("|")
+        if not row.startswith("|") or len(cells) < 3:
+            continue
+        for knob in re.findall(r"`(\w+)`", cells[1]):
+            if knob not in known:
+                findings.append(Finding(
+                    "README_KNOB_TABLE", readme.relative_to(REPO), offset,
+                    f"the knob table documents `{knob}`, which is neither "
+                    "a PlanOptions field nor a QuerySession keyword",
+                ))
     return findings
 
 
@@ -1088,10 +1138,19 @@ def _binding_requests(tree, module, package, name):
                         if isinstance(used, ast.Name))
 
 
+def _root_files():
+    """Every file under ``examples/`` and ``benchmarks/`` outside a
+    ``tests`` directory: the product's users besides its console
+    scripts."""
+    for folder in ("examples", "benchmarks"):
+        for path in sorted((REPO / folder).rglob("*.py")):
+            if "tests" not in path.relative_to(REPO).parts:
+                yield path
+
+
 def _reachability_roots():
     """Import requests of the product's users: the console scripts
-    ``pyproject.toml`` declares and every file under ``examples/`` and
-    ``benchmarks/`` outside a ``tests`` directory."""
+    ``pyproject.toml`` declares and every :func:`_root_files` file."""
     pyproject = REPO / "pyproject.toml"
     text = pyproject.read_text() if pyproject.exists() else ""
     scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text,
@@ -1099,13 +1158,15 @@ def _reachability_roots():
     for target in re.findall(r"=\s*\"([\w.]+)", scripts.group(1)
                              if scripts else ""):
         yield target, None
-    for folder in ("examples", "benchmarks"):
-        for path in sorted((REPO / folder).rglob("*.py")):
-            if "tests" not in path.relative_to(REPO).parts:
-                yield from _import_requests(_parse(path), None)
+    for path in _root_files():
+        yield from _import_requests(_parse(path), None)
 
 
-def check_product_modules_reachable():
+def _reachability():
+    """The walk from the roots: ``(modules, requests, reached)`` —
+    every module under ``src/repro`` by dotted name (``(path, tree,
+    package)``), every ``(module, name)`` request the walk followed and
+    the non-``__init__`` modules it reached."""
     modules = {}
     for path in sorted(SRC.rglob("*.py")):
         parts = path.relative_to(SRC.parent).with_suffix("").parts
@@ -1130,6 +1191,11 @@ def check_product_modules_reachable():
             pending.extend(_import_requests(tree, package))
         elif name:
             pending.extend(_binding_requests(tree, module, package, name))
+    return modules, seen, reached
+
+
+def check_product_modules_reachable():
+    modules, _, reached = _reachability()
     return [
         Finding("PRODUCT_MODULES_REACHABLE", path.relative_to(REPO), 0,
                 "no console script, example or benchmark reaches this "
@@ -1137,6 +1203,80 @@ def check_product_modules_reachable():
                 "or move it next to the tests that use it")
         for module, (path, _, _) in sorted(modules.items())
         if path.name != "__init__.py" and module not in reached
+    ]
+
+
+def _exported(tree):
+    """The string constants of a module-level ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            yield from (element for element in ast.walk(node.value)
+                        if isinstance(element, ast.Constant)
+                        and isinstance(element.value, str))
+
+
+def check_package_exports_requested():
+    modules, seen, _ = _reachability()
+    return [
+        Finding("PACKAGE_EXPORTS_REQUESTED", path.relative_to(REPO),
+                element.lineno,
+                f"{module}.{element.value} is asked for by no console "
+                "script, example, benchmark or reached module — drop the "
+                "re-export and import it from its defining module")
+        for module, (path, tree, _) in sorted(modules.items())
+        if path.name == "__init__.py"
+        for element in _exported(tree)
+        if not (element.value.startswith("__")
+                and element.value.endswith("__"))
+        and (module, element.value) not in seen
+    ]
+
+
+#: ``PlanOptions`` fields no root names yet -> the open item (ROADMAP)
+#: that decides whether each gets a user or becomes a constant
+PLAN_KNOBS_EXEMPT = {
+    "execution": "the kernel-oracle item: whether the interpreted plane "
+                 "stays a knob or becomes a test-only oracle",
+    "robustness": "runtime replanning: the item that gives bounded "
+                  "planning and feedback replanning a workload",
+    "planning_budget_ms": "product deadlines and the concurrent cold "
+                          "workload of benchmark upkeep",
+    "stats": "section 3.2 sampled statistics: whether sampling gets a "
+             "workload, decided in a follow-up",
+}
+
+_KNOB_OWNERS = frozenset({"planner", "options"})
+
+
+def _knob_mentions(tree):
+    """Names a file gives as a keyword argument, a string key of a dict
+    literal, or an attribute of a ``planner`` / ``options``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Dict):
+            yield from (key.value for key in node.keys
+                        if isinstance(key, ast.Constant)
+                        and isinstance(key.value, str))
+        elif isinstance(node, ast.Attribute) and getattr(
+                node.value, "attr", getattr(node.value, "id", None)) \
+                in _KNOB_OWNERS:
+            yield node.attr
+
+
+def check_plan_knobs_used():
+    path = SRC / "options.py"
+    users = [*_root_files(), *sorted((SRC / "bench").rglob("*.py"))]
+    named = {name for file in users for name in _knob_mentions(_parse(file))}
+    return [
+        Finding("PLAN_KNOBS_USED", path.relative_to(REPO), item.lineno,
+                f"PlanOptions.{name} is named by no example, benchmark or "
+                "figure driver — only tests turn it; make it a module "
+                "constant or give it a user")
+        for name, item in _plan_option_fields().items()
+        if name not in named and name not in PLAN_KNOBS_EXEMPT
     ]
 
 
@@ -1216,6 +1356,8 @@ CHECKS = (
     check_structures_by_content,
     check_readme_knob_table,
     check_product_modules_reachable,
+    check_package_exports_requested,
+    check_plan_knobs_used,
     check_caches_keyed_by_relation,
 )
 
