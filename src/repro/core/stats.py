@@ -10,9 +10,9 @@ stats, plus the driver cardinality and per-operator probe costs.
 
 This is also the one module that knows how statistics are *measured*
 and *keyed*.  Both numbers belong to a directed join predicate: they
-depend on the two relations' contents, the two join attributes and the
-measurement method — not on the query, rooting, spanning tree or shard
-count the predicate shows up in.  :class:`StatsCache` therefore stores
+depend on the two relations' contents and the two join attributes —
+not on the query, rooting, spanning tree or shard count the predicate
+shows up in.  :class:`StatsCache` therefore stores
 one entry per directed predicate (and one per column statistic), and a
 :class:`StatsReader` *assembles* what each consumer needs — the
 :class:`QueryStats` of a rooting or candidate spanning tree, the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Hashable, Mapping, Optional, Tuple,
-                    TypeVar, Union)
+                    TypeVar)
 
 import numpy as np
 
@@ -41,13 +41,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-
-#: how a directed predicate is measured: ``"exact"`` (probe every
-#: parent key) or ``("sampling", sample_fraction, seed)``
-Method = Union[str, Tuple[str, float, int]]
-
-#: the measurement ``stats="sampling"`` stands for
-DEFAULT_SAMPLING: Method = ("sampling", 0.05, 0)
 
 
 @dataclass(frozen=True)
@@ -206,7 +199,7 @@ class StatsCache:
     One entry is one *measurement*, keyed on the data it read:
 
     * a directed predicate ``(parent token, parent_attr, child token,
-      child_attr, method)`` -> :class:`EdgeStats`;
+      child_attr)`` -> :class:`EdgeStats`;
     * a column statistic ``(relation token, attr, statistic)`` -> ``int``
       (``"max_frequency"`` or ``"distinct"``).
 
@@ -270,30 +263,15 @@ def relation_tokens(catalog: Any, query: Any) -> Dict[str, Hashable]:
 
 
 def _measure_edge(catalog: Any, parent: str, parent_attr: str, child: str,
-                  child_attr: str, method: Method = "exact") -> EdgeStats:
+                  child_attr: str) -> EdgeStats:
     """``EdgeStats`` for probing ``parent`` into ``child``.
 
-    The single producer of planning statistics.  ``"exact"`` goes
-    through ``probe_stats``, which returns the two integer summaries
-    (keys matched, total matches) without materializing match rows.
-    Both are counts over key groups, which re-clustering a
-    hash-partitioned relation does not change, so statistics never
-    depend on the physical layout.  Sampling draws row
-    *positions*, so callers hand it the unpartitioned source catalog.
+    The single producer of planning statistics.  ``probe_stats``
+    returns the two integer summaries (keys matched, total matches)
+    without materializing match rows.  Both are counts over key groups,
+    which re-clustering a hash-partitioned relation does not change, so
+    statistics never depend on the physical layout.
     """
-    if isinstance(method, tuple):
-        from ..estimation.sampling import CorrelatedSample
-
-        _, sample_fraction, seed = method
-        estimate = CorrelatedSample(
-            catalog.table(parent),
-            catalog.table(child),
-            parent_attr,
-            child_attr,
-            sample_fraction=sample_fraction,
-            seed=seed,
-        ).estimate()
-        return EdgeStats(m=estimate.m, fo=max(estimate.fo, 1e-9))
     parent_keys = catalog.table(parent).column(parent_attr)
     index = catalog.hash_index(child, child_attr)
     num_parents = len(parent_keys)
@@ -311,10 +289,6 @@ class StatsReader:
     catalog:
         The catalog measurements read: selections already pushed down,
         relations registered under the names the query uses.
-    method:
-        ``"exact"``, ``"sampling"`` (:data:`DEFAULT_SAMPLING`), an
-        explicit ``("sampling", sample_fraction, seed)``, or a prebuilt
-        :class:`QueryStats`, which :meth:`rooted_stats` returns as is.
     store, tokens:
         An optional shared :class:`StatsCache` and the
         :func:`relation_tokens` of the query, which key it.  With or
@@ -323,11 +297,9 @@ class StatsReader:
         and the store's counters count reuse *across* plans.
     """
 
-    def __init__(self, catalog: Any, method: Any = "exact",
-                 store: Optional[StatsCache] = None,
+    def __init__(self, catalog: Any, store: Optional[StatsCache] = None,
                  tokens: Optional[Mapping[str, Hashable]] = None) -> None:
         self._catalog = catalog
-        self._method = DEFAULT_SAMPLING if method == "sampling" else method
         self._store = store
         self._tokens = tokens
         self._seen: Dict[Hashable, Any] = {}
@@ -352,9 +324,9 @@ class StatsReader:
              child_attr: str) -> EdgeStats:
         """``(m, fo)`` of the directed predicate ``parent -> child``."""
         return self._read(
-            (parent, parent_attr, child, child_attr, self._method),
+            (parent, parent_attr, child, child_attr),
             lambda: _measure_edge(self._catalog, parent, parent_attr, child,
-                                  child_attr, self._method),
+                                  child_attr),
             relation_slots=(0, 2),
         )
 
@@ -384,8 +356,6 @@ class StatsReader:
         swapping a tree edge only changes *which* directed predicates
         are read, never how one is measured.
         """
-        if isinstance(self._method, QueryStats):
-            return self._method
         edge_stats = {
             edge.child: self.edge(edge.parent, edge.parent_attr, edge.child,
                                   edge.child_attr)
@@ -413,18 +383,16 @@ class StatsReader:
                           relation_sizes=sizes)
 
 
-def stats_from_data(catalog: Any, query: Any,
-                    method: Any = "exact") -> QueryStats:
+def stats_from_data(catalog: Any, query: Any) -> QueryStats:
     """Measure the true ``(m, fo)`` for every edge of ``query``.
 
     For each edge ``p -> c``, every tuple of ``p`` is (conceptually)
     probed into ``c``: ``m`` is the fraction that find at least one
     match and ``fo`` the average match count among those that do.
     This is the ground truth that estimators (Section 3.2) approximate
-    and that the cost-model validation (Figure 14) uses.  ``method``
-    selects a sampled measurement instead (see :class:`StatsReader`).
+    and that the cost-model validation (Figure 14) uses.
 
     The uncached entry point: the same assembly the planner runs
     through its :class:`StatsCache`, with no store behind it.
     """
-    return StatsReader(catalog, method).rooted_stats(query)
+    return StatsReader(catalog).rooted_stats(query)

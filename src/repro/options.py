@@ -20,13 +20,14 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Optional, Tuple
 
+import numpy as np
+
 from .core.bounds import resolve_robustness
 from .core.costmodel import CostWeights
 from .core.cyclic import CYCLIC_EXECUTION_CHOICES
 from .core.optimizer import choose_optimizer
 from .core.parser import ParsedQuery, parse_query
 from .core.query import JoinQuery
-from .core.stats import QueryStats
 from .distributed.placement import DEFAULT_MAX_WORKERS, PLACEMENT_CHOICES
 from .engine.kernels import EXECUTION_CHOICES, resolve_execution
 from .modes import ExecutionMode
@@ -117,12 +118,18 @@ def _check_partitioning(value: Any) -> Any:
     )
 
 
-def _check_stats(value: Any) -> Any:
-    if not isinstance(value, QueryStats) \
-            and value not in ("exact", "sampling"):
+def _check_flat_output(value: Any) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"flat_output must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _check_weights(value: Any) -> CostWeights:
+    if value is None:
+        return CostWeights()
+    if not isinstance(value, CostWeights):
         raise ValueError(
-            f"stats method must be 'exact', 'sampling' or a QueryStats; "
-            f"got {value!r}"
+            f"weights must be a CostWeights or None, got {value!r}"
         )
     return value
 
@@ -192,13 +199,9 @@ class PlanOptions:
         relation as the driver and keeps the cheapest plan (shared
         both-direction statistics, proxy-ranked rootings, each
         rooting's DP pruned against the incumbent).
-    stats:
-        ``"exact"``, ``"sampling"``, or a prebuilt
-        :class:`~repro.core.QueryStats` (which bypasses the plan cache
-        — it is caller state the key cannot see).
     flat_output:
-        Whether the caller wants flat tuples (the expansion step is
-        priced in) or accepts factorized output.
+        A bool: whether the caller wants flat tuples (the expansion
+        step is priced in) or accepts factorized output.
     planning_budget_ms:
         Optional wall-time budget per ``plan()``.  Order searches run
         under a deadline measured on this host's clock, falling down the
@@ -250,10 +253,8 @@ class PlanOptions:
     optimizer: str = _knob("exhaustive", "resolved",
                            _one_of("optimizer", OPTIMIZER_CHOICES))
     driver: str = _knob("fixed", "raw", _one_of("driver", DRIVER_CHOICES))
-    stats: Any = _knob("exact", "raw", _check_stats)
-    flat_output: bool = _knob(True, "raw", bool)
-    weights: Any = _knob(None, "raw", lambda given: given or CostWeights(),
-                         per_call=False)
+    flat_output: bool = _knob(True, "raw", _check_flat_output)
+    weights: Any = _knob(None, "raw", _check_weights, per_call=False)
     eps: float = _knob(0.01, "raw", _check_eps, per_call=False)
     idp_block_size: int = _knob(8, "raw", _integer("idp_block_size", 1),
                                 per_call=False)
@@ -370,11 +371,7 @@ class PlanOptions:
     def cache_token(self) -> tuple:
         """The non-exempt fields, in field order — the options part of a
         plan-cache key when called on a :meth:`resolved` record."""
-        return tuple(
-            str(getattr(self, name)) if name == "stats"
-            else getattr(self, name)
-            for name in _KEYED[type(self)]
-        )
+        return tuple(getattr(self, name) for name in _KEYED[type(self)])
 
     def planner_config(self) -> dict:
         """Keyword arguments that rebuild an equal record in another

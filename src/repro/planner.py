@@ -5,8 +5,8 @@ it:
 
 1. parse the query (:mod:`repro.core.parser`) and push constant
    selections down to the relations (Section 2.1's assumption);
-2. read statistics — exact or via correlated sampling (Section 3.2) —
-   one directed join predicate at a time through
+2. measure statistics (Section 3.1's ``m`` and ``fo``) one directed
+   join predicate at a time through
    :class:`repro.core.stats.StatsReader`, which finds a predicate
    measured for any earlier query in the planner's
    :class:`~repro.core.stats.StatsCache`;
@@ -624,10 +624,9 @@ class _PreparedQuery:
     #: the joint search chooses (partitioning is deferred until then)
     join_query: JoinQuery
     #: execution catalog: selections pushed down, partitioning applied
+    #: (a cyclic query's stays unpartitioned here: the joint search
+    #: partitions the tree it picks)
     catalog: Catalog
-    #: push-down catalog before any partitioning: what sampling reads
-    #: and what the cyclic path partitions once its tree is known
-    source_catalog: Catalog
     #: alias -> relation token (:func:`~repro.core.stats.relation_tokens`)
     #: against the base catalog: what the statistics store and the
     #: partition caches key on
@@ -647,7 +646,7 @@ class Planner:
         Optional :class:`~repro.core.stats.StatsCache` (or ``True`` for
         a default-sized one).  When set, every directed join predicate
         (and column statistic) is measured once per (the two tables'
-        contents, pushed-down selections, method) and found again by
+        contents, pushed-down selections) and found again by
         any later ``plan()`` — whatever its query, rooting, spanning
         tree or shard count; a changed table re-measures only the
         predicates touching it.
@@ -768,11 +767,13 @@ class Planner:
         by every query over that relation, and whole derived catalogs
         are keyed by the query's sorted tokens plus the layout, so
         exact repeats reuse them.  A write re-clusters only the
-        relations that read the written table.
+        relations that read the written table.  ``prep.catalog`` is
+        still the unpartitioned push-down catalog here: both callers
+        run before anything reassigns it.
         """
         num_shards = options.partitioning
         if num_shards <= 1:
-            return prep.source_catalog, 1
+            return prep.catalog, 1
         self._reclaim_partitions()
         floor = options.partition_floor
 
@@ -781,7 +782,7 @@ class Planner:
                 (((alias, prep.tokens[alias]),), attribute, num_shards,
                  floor),
                 lambda: partitioned_relation(
-                    prep.source_catalog.table(alias), attribute,
+                    prep.catalog.table(alias), attribute,
                     num_shards, min_rows=floor,
                 ),
             )
@@ -792,14 +793,14 @@ class Planner:
             if table is not None:
                 replacements[edge.child] = table
         if not replacements:
-            return prep.source_catalog, 1
+            return prep.catalog, 1
         shard_spec = tuple(sorted(
             (edge.child, edge.child_attr) for edge in join_query.edges
         ))
         catalog = self._partition_cache.get_or_compute(
             (tuple(sorted(prep.tokens.items())), shard_spec, num_shards,
              floor),
-            lambda: prep.source_catalog.derived_with(replacements),
+            lambda: prep.catalog.derived_with(replacements),
         )
         return catalog, num_shards
 
@@ -858,7 +859,6 @@ class Planner:
             query=query,
             join_query=join_query,
             catalog=catalog,
-            source_catalog=catalog,
             tokens=relation_tokens(self.catalog, query),
         )
         if join_query is not None:
@@ -880,17 +880,8 @@ class Planner:
         query = _parsed(query)
         options = request.resolved(self.catalog, query)
         prep = self._prepare(query, options)
-        # Sampling draws row *positions*, so it must see the layout-
-        # independent source rows or the fixed-seed sample (and hence
-        # the plan) would vary with the shard count; exact measurement
-        # counts the same key groups in any layout and runs on the
-        # partitioned catalog to use (and warm) its indexes.
-        # Either way statistics are layout-independent, so store keys
-        # carry no shard count.
         reader = StatsReader(
-            prep.source_catalog if options.stats == "sampling"
-            else prep.catalog,
-            options.stats, self.stats_cache,
+            prep.catalog, self.stats_cache,
             prep.tokens if self.stats_cache is not None else None,
         )
         if prep.join_query is None:
@@ -1169,14 +1160,6 @@ class Planner:
         """
         rootings = [prep.join_query]
         if options.driver == "auto" and prep.join_query.num_relations > 1:
-            if isinstance(options.stats, QueryStats):
-                # Edge statistics are directional: a prebuilt QueryStats
-                # only describes the rooting it was derived for.
-                raise ValueError(
-                    'driver="auto" needs per-rooting statistics; pass '
-                    'stats="exact" or "sampling" (prebuilt QueryStats are '
-                    "valid only for their own rooting)"
-                )
             rootings = [prep.join_query.rerooted(root)
                         for root in prep.join_query.relations]
         best = self._search(
@@ -1234,12 +1217,6 @@ class Planner:
         """
         parsed = prep.query
         deadline, weights = options.deadline, self.options.weights
-        if isinstance(options.stats, QueryStats):
-            raise ValueError(
-                "cyclic planning derives per-tree statistics; pass "
-                'stats="exact" or "sampling" (a prebuilt QueryStats only '
-                "describes one rooting of one spanning tree)"
-            )
         predicates = list(parsed.join_predicates)
         relations = list(parsed.relations)
         sizes = reader.sizes(relations)

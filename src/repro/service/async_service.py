@@ -37,7 +37,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 from ..core.parser import ParsedQuery, parse_query
 from ..core.query import JoinQuery
-from ..core.stats import QueryStats
 from .session import DEFAULT_BUDGET, QueryReport, QuerySession
 
 __all__ = ["AsyncQueryService"]
@@ -322,12 +321,10 @@ class AsyncQueryService:
                 self._planning_pool_fingerprint = fingerprint
             return self._planning_pool
 
-    def _offloadable(self, query, plan_kwargs):
+    def _offloadable(self, query):
         """Whether a cold plan is worth a worker-process round trip."""
         if self.planning_workers < 1:
             return False
-        if isinstance(plan_kwargs.get("stats"), QueryStats):
-            return False  # caller state: not content-addressable
         num_relations = (
             len(query.relations) if isinstance(query, ParsedQuery)
             else query.num_relations
@@ -346,7 +343,7 @@ class AsyncQueryService:
         loop = asyncio.get_running_loop()
         pool = (
             self._planning_pool_for(self.session.catalog.fingerprint())
-            if self._offloadable(query, plan_kwargs) else None
+            if self._offloadable(query) else None
         )
         if pool is not None:
             try:
@@ -410,23 +407,21 @@ class AsyncQueryService:
                         cache_stats=self.session.cache_stats(),
                     )
             key = None
-            cacheable = (
-                isinstance(query, (ParsedQuery, JoinQuery))
-                and not isinstance(plan_kwargs.get("stats"), QueryStats)
-                and plan_kwargs.get("use_cache", True)
-            )
-            if cacheable:
-                key_kwargs = {
-                    name: value for name, value in plan_kwargs.items()
-                    if name != "use_cache"
-                }
+            if isinstance(query, (ParsedQuery, JoinQuery)):
                 # session.execute recomputes this key internally (it
                 # stays self-contained for sync callers); the ~10 us of
                 # duplicate key work is noise next to an execution, and
                 # routing genuinely needs the key up front.
-                key = self.session.cache_key(
-                    query, flat_output=flat_output, **key_kwargs
-                )
+                try:
+                    key = self.session.cache_key(
+                        query, flat_output=flat_output, **plan_kwargs
+                    )
+                except Exception:  # noqa: BLE001 - reported below
+                    # e.g. an invalid knob: run unrouted, so
+                    # session.execute records the error in the report
+                    # like the synchronous path
+                    pass
+            if key is not None:
                 if self.session.plan_cache.peek(key):
                     self._bump("cache_hit_fast_path")
                 else:
@@ -439,7 +434,7 @@ class AsyncQueryService:
                         try:
                             await self._plan_into_cache(
                                 query, key,
-                                dict(key_kwargs, flat_output=flat_output),
+                                dict(plan_kwargs, flat_output=flat_output),
                             )
                         finally:
                             del inflight[key]

@@ -14,8 +14,8 @@ The cache key has three parts:
   superseded entries eagerly instead of letting them pin old data
   until LRU churn;
 * the **planning options** (mode / *resolved* optimizer algorithm /
-  driver / stats method and the planner's weights and eps), since they
-  change the chosen plan.  The optimizer component is the algorithm
+  driver and the planner's weights and eps), since they change the
+  chosen plan.  The optimizer component is the algorithm
   that actually runs — ``"auto"`` is resolved by relation count before
   keying (:meth:`repro.planner.Planner.resolve_optimizer`), so an
   auto-planned query shares its entry with an explicit request for the

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from ..core.parser import ParsedQuery, Placeholder, parse_query
-from ..core.stats import QueryStats, StatsCache
+from ..core.stats import StatsCache
 from ..engine import (
     BudgetExceededError,
     CardinalityMonitor,
@@ -314,7 +314,7 @@ class QuerySession:
             for name in sorted(set(names))
         )
 
-    def plan(self, query, use_cache=True, **overrides):
+    def plan(self, query, **overrides):
         """A :class:`~repro.planner.PhysicalPlan`, via the plan cache.
 
         Accepts the same per-call knobs as :meth:`Planner.plan`.  Plans
@@ -324,13 +324,11 @@ class QuerySession:
         entry, ``optimizer="auto"`` shares entries
         with an explicit request for the algorithm it resolves to,
         while a different ``idp_block_size`` / ``beam_width`` /
-        ``partitioning`` misses instead of serving a stale plan;
-        prebuilt :class:`QueryStats` bypass the cache (they are caller
-        state the key cannot see).
+        ``partitioning`` misses instead of serving a stale plan.
         """
-        return self._plan_with_hit(query, use_cache, **overrides)[0]
+        return self._plan_with_hit(query, **overrides)[0]
 
-    def _plan_with_hit(self, query, use_cache=True, **overrides):
+    def _plan_with_hit(self, query, **overrides):
         """``(plan, cache_hit)`` — :meth:`plan` plus a race-free hit flag.
 
         The flag comes from *this call's own* cache lookup, never from
@@ -341,10 +339,7 @@ class QuerySession:
         if isinstance(query, str):
             # parse once: the cache key and the planner share the result
             query = parse_query(query)
-        request = self.planner.options.override(**overrides)
-        if not use_cache or isinstance(request.stats, QueryStats):
-            return self.planner.plan(query, **overrides), False
-        key = self._key(query, request)
+        key = self._key(query, self.planner.options.override(**overrides))
         plan = self.plan_cache.get(key)
         if plan is not None:
             return plan, True
@@ -425,9 +420,7 @@ class QuerySession:
                 max_intermediate_tuples=max_intermediate_tuples,
             )
         request = self.planner.options.override(
-            flat_output=flat_output,
-            **{name: value for name, value in plan_kwargs.items()
-               if name != "use_cache"},
+            flat_output=flat_output, **plan_kwargs
         )
         current = plan
         replans = 0
@@ -472,14 +465,10 @@ class QuerySession:
             result.observed_q_error = observed_q
             if replans and current is not plan:
                 result.served_plan = current
-                # same caching conditions as _plan_with_hit: requests
-                # that never touched the cache must not seed it
-                if plan_kwargs.get("use_cache", True) \
-                        and not isinstance(request.stats, QueryStats):
-                    if isinstance(query, str):
-                        query = parse_query(query)
-                    # future warm traffic serves the corrected plan
-                    self.plan_cache.put(self._key(query, request), current)
+                if isinstance(query, str):
+                    query = parse_query(query)
+                # future warm traffic serves the corrected plan
+                self.plan_cache.put(self._key(query, request), current)
             return result
 
     def _execute_plan(self, plan, query, flat_output, collect_output,

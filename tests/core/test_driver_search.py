@@ -154,25 +154,6 @@ class TestDriverAutoSearch:
         auto_result = auto.execute(collect_output=True)
         assert auto_result.output_size == fixed_result.output_size
 
-    def test_prebuilt_stats_rejected_with_clear_error(self):
-        # A prebuilt QueryStats is directional (valid for one rooting
-        # only); probing other drivers with it used to KeyError deep in
-        # the optimizer — now it is rejected up front.
-        query = star_query(6)
-        catalog = large_join_catalog(query, rows_per_relation=100, seed=13)
-        stats = stats_from_data(catalog, query)
-        with pytest.raises(ValueError, match="per-rooting statistics"):
-            Planner(catalog).plan(query, mode="COM", driver="auto",
-                                  stats=stats)
-
-    def test_sampling_stats_driver_auto(self):
-        query = random_tree_query(5, seed=14)
-        catalog = large_join_catalog(query, rows_per_relation=400, seed=14)
-        plan = Planner(catalog, stats_cache=True).plan(
-            query, mode="COM", driver="auto", stats="sampling"
-        )
-        assert plan.query.is_valid_order(plan.order)
-
     def test_directed_derivation_shared_across_plans(self):
         query = random_tree_query(7, seed=15)
         catalog = large_join_catalog(query, rows_per_relation=150, seed=15)

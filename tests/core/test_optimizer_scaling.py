@@ -142,13 +142,14 @@ def test_planner_resolve_optimizer():
 
 
 # ----------------------------------------------------------------------
-# Planner integration (prebuilt stats: no catalog data needed)
+# Planner integration (synthetic stats: no catalog data needed)
 # ----------------------------------------------------------------------
 
 
 def _plan_with(optimizer, query, stats, mode="COM"):
-    """Plan ``query`` from prebuilt ``stats``: no row is read, but the
-    plan's catalog must hold every relation and join column (a plan
+    """Search ``query``'s order and mode under synthetic ``stats``
+    (:meth:`Planner.replan` of a cheap greedy plan): no row is read, but
+    the plan's catalog must hold every relation and join column (a plan
     checks that when it is built), so one-row tables stand in."""
     from repro.storage import Catalog
 
@@ -160,8 +161,8 @@ def _plan_with(optimizer, query, stats, mode="COM"):
     for relation, names in columns.items():
         catalog.add_table(relation, {name: np.zeros(1, dtype=np.int64)
                                      for name in sorted(names)})
-    planner = Planner(catalog)
-    return planner.plan(query, mode=mode, optimizer=optimizer, stats=stats)
+    planner = Planner(catalog, mode=mode, optimizer=optimizer)
+    return planner.replan(planner.plan(query, optimizer="rank"), stats)
 
 
 def test_planner_accepts_idp_beam_and_auto():

@@ -23,8 +23,6 @@ from tests.cyclic_joins import cyclic_scaling_suite
 from tests.helpers import make_small_catalog
 from tests.large_joins import large_join_catalog, scaling_suite
 
-METHODS = ("exact", "sampling")
-
 
 def _acyclic_cases():
     cases = [
@@ -76,7 +74,7 @@ def _assert_same_stats(assembled, reference):
     assert assembled.relation_sizes == reference.relation_sizes
 
 
-def _assert_assembly_matches(catalog, query, rootings, method):
+def _assert_assembly_matches(catalog, query, rootings):
     """Cold store, warm store and no store all assemble each rooting to
     what measuring that rooting alone gives."""
     store = StatsCache()
@@ -84,13 +82,13 @@ def _assert_assembly_matches(catalog, query, rootings, method):
     rootings = list(rootings)
     for label in ("cold", "warm", "none"):
         reader = StatsReader(
-            catalog, method, *(() if label == "none" else (store, tokens))
+            catalog, *(() if label == "none" else (store, tokens))
         )
         misses = store.stats.misses
         for rooted in rootings:
             _assert_same_stats(
                 reader.rooted_stats(rooted),
-                stats_from_data(catalog, rooted, method),
+                stats_from_data(catalog, rooted),
             )
         if label == "warm":
             assert store.stats.misses == misses
@@ -101,22 +99,17 @@ def _assert_assembly_matches(catalog, query, rootings, method):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("query, catalog", ACYCLIC)
-def test_every_rooting_assembles_to_its_own_measurement(query, catalog,
-                                                        method):
+def test_every_rooting_assembles_to_its_own_measurement(query, catalog):
     _assert_assembly_matches(
-        catalog, query,
-        (query.rerooted(root) for root in query.relations), method,
+        catalog, query, (query.rerooted(root) for root in query.relations),
     )
 
 
-@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("parsed, catalog", CYCLIC)
-def test_every_candidate_tree_assembles_to_its_own_measurement(
-        parsed, catalog, method):
-    _assert_assembly_matches(catalog, parsed, _candidate_rootings(parsed),
-                             method)
+def test_every_candidate_tree_assembles_to_its_own_measurement(parsed,
+                                                               catalog):
+    _assert_assembly_matches(catalog, parsed, _candidate_rootings(parsed))
 
 
 def test_bound_and_column_statistics_are_store_independent():
@@ -173,6 +166,17 @@ def test_plans_identical_cold_warm_uncached_and_across_shards(query,
             assert cold.num_shards == 4
             assert stored.stats_cache.stats.misses == misses
     assert len(decisions) == 1
+
+
+@pytest.mark.parametrize("partitioning", ["off", 4])
+@pytest.mark.parametrize("query, catalog", ACYCLIC + CYCLIC)
+def test_plan_stats_are_the_measurement_of_its_tree(query, catalog,
+                                                    partitioning):
+    """A plan carries exactly what measuring its planned tree (the
+    winning rooting, or spanning tree) on its catalog gives."""
+    plan = Planner(catalog, stats_cache=True, **PLAN_KNOBS).plan(
+        query, partitioning=partitioning)
+    _assert_same_stats(plan.stats, stats_from_data(plan.catalog, plan.query))
 
 
 def test_two_aliases_of_one_table_share_entries():

@@ -289,9 +289,7 @@ def test_planner_strategies_agree_and_lint_clean(case, data_seed):
     relations = sorted(parsed.relations)
     plans, tuples = {}, {}
     for strategy in STRATEGIES:
-        plan = Planner(catalog, cyclic_execution=strategy).plan(
-            sql, stats="exact"
-        )
+        plan = Planner(catalog, cyclic_execution=strategy).plan(sql)
         assert plan.cyclic_strategy == strategy
         assert predicate_coverage(plan) == stated_predicates(parsed)
         assert verify_plan(plan, source=sql, level="full") == (), strategy
@@ -299,9 +297,7 @@ def test_planner_strategies_agree_and_lint_clean(case, data_seed):
         plans[strategy] = plan
         tuples[strategy] = _row_tuples(result.output_rows, relations)
     assert tuples["wcoj"] == tuples["tree_filter"]
-    auto = Planner(catalog, cyclic_execution="auto").plan(
-        sql, stats="exact"
-    )
+    auto = Planner(catalog, cyclic_execution="auto").plan(sql)
     cheaper = min(STRATEGIES,
                   key=lambda s: plans[s].predicted_cost)
     assert auto.cyclic_strategy == cheaper
@@ -329,9 +325,7 @@ def test_residual_round_trip_never_double_applies(case, data_seed):
                              key_domain=(2, 4), seed=data_seed)
     sql = to_sql(parsed)
     for strategy in STRATEGIES:
-        plan = Planner(catalog, cyclic_execution=strategy).plan(
-            sql, stats="exact"
-        )
+        plan = Planner(catalog, cyclic_execution=strategy).plan(sql)
         rebuilt = tree_query_from_residuals(
             parsed, plan.residuals, plan.query.root
         )

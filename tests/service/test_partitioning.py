@@ -362,15 +362,6 @@ def test_factorized_expansion_speaks_base_row_ids():
     assert (np.asarray(values["key"]) == probes).all()
 
 
-def test_sampling_stats_are_layout_independent():
-    catalog = scan_probe_catalog(2000, 4000, seed=8)
-    query = scan_probe_query()
-    base = Planner(catalog).plan(query, stats="sampling")
-    part = Planner(catalog, partitioning=4).plan(query, stats="sampling")
-    assert part.predicted_cost == base.predicted_cost
-    assert part.order == base.order and part.mode is base.mode
-
-
 def test_bool_probe_keys_route_like_merged_index():
     import numpy as np
 
@@ -561,18 +552,6 @@ def test_held_plan_sees_parent_invalidation_through_pushdown():
     catalog.table("b").column("key")[:] = -1  # in-place, out of domain
     catalog.invalidate_indexes("b")
     assert plan.execute().output_size == 0
-
-
-def test_sampling_stats_cache_shared_across_shard_counts():
-    from repro.core.stats import StatsCache
-
-    catalog = scan_probe_catalog(2000, 4000, seed=14)
-    cache = StatsCache()
-    planner = Planner(catalog, stats_cache=cache)
-    planner.plan(scan_probe_query(), stats="sampling", partitioning="off")
-    misses = cache.stats.misses
-    planner.plan(scan_probe_query(), stats="sampling", partitioning=4)
-    assert cache.stats.misses == misses  # second derivation is a hit
 
 
 def test_auto_mode_skips_reclustering_heavily_filtered_tables(monkeypatch):

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from repro import QuerySession, parse_query
-from repro.core.stats import QueryStats
 from tests.helpers import (
     brute_force_join,
-    make_running_example_stats,
     make_small_catalog,
     result_tuples,
 )
@@ -56,16 +54,6 @@ def test_different_options_miss(session):
     session.plan(SIX_RELATION_SQL, mode="auto")
     session.plan(SIX_RELATION_SQL, mode="COM")
     assert session.plan_cache.stats.misses == 2
-
-
-def test_prebuilt_stats_bypass_cache(session):
-    stats = make_running_example_stats()
-    query = session.plan(SIX_RELATION_SQL).query  # rooted JoinQuery
-    session.plan(query, stats=stats)
-    session.plan(query, stats=stats)
-    # only the initial SQL plan populated the cache
-    assert len(session.plan_cache) == 1
-    assert isinstance(stats, QueryStats)
 
 
 def test_catalog_change_invalidates(session):

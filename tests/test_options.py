@@ -6,11 +6,15 @@ a knob added as a field is exercised here without touching this file
 anywhere else fails.
 """
 
+import asyncio
 import dataclasses
+import re
 
 import pytest
 
-from repro import CostWeights, Planner, QuerySession, parse_query
+from repro import (
+    AsyncQueryService, CostWeights, Planner, QuerySession, parse_query,
+)
 from repro.options import PlanOptions, ResolvedOptions
 
 from tests.helpers import (
@@ -27,7 +31,6 @@ ALTERNATIVE = {
     "mode": "COM",
     "optimizer": "beam",
     "driver": "auto",
-    "stats": "sampling",
     "flat_output": False,
     "weights": CostWeights(hash_probe=2.0),
     "eps": 0.05,
@@ -47,8 +50,12 @@ INVALID = [
     ("mode", "sideways", "not a valid ExecutionMode"),
     ("optimizer", "simulated_annealing", "optimizer must be one of"),
     ("driver", "R9", "driver must be one of"),
-    ("stats", "exat", "stats method must be 'exact', 'sampling' or a "
-                      "QueryStats"),
+    ("flat_output", "false", "flat_output must be a bool"),
+    ("flat_output", 0, "flat_output must be a bool"),
+    ("flat_output", None, "flat_output must be a bool"),
+    ("weights", "x", "weights must be a CostWeights or None"),
+    ("weights", 0, "weights must be a CostWeights or None"),
+    ("weights", "", "weights must be a CostWeights or None"),
     ("eps", -0.5, "eps must be a number in"),
     ("eps", 1.5, "eps must be a number in"),
     ("eps", 1, "eps must be a number in"),
@@ -72,6 +79,19 @@ INVALID = [
 @pytest.fixture
 def catalog():
     return make_small_catalog()
+
+
+def served_async(catalog, calls):
+    """Each of ``calls`` (keyword dicts) as a two-query
+    ``execute_many`` batch through one :class:`AsyncQueryService`:
+    the reports, and the service's counters afterwards."""
+    async def go():
+        async with AsyncQueryService(QuerySession(catalog)) as service:
+            reports = [report for kwargs in calls for report in
+                       await service.execute_many([SQL, SQL], **kwargs)]
+            return reports, service.stats()
+
+    return asyncio.run(go())
 
 
 def test_every_knob_has_an_alternative_value():
@@ -127,14 +147,23 @@ def test_knob_is_declared_once(spec, catalog):
 def test_invalid_values_raise_the_documented_error(name, bad, message,
                                                    catalog):
     """Wherever an invalid value arrives — either constructor, or a
-    single call for a per-call knob — it raises ``ValueError``."""
+    single call for a per-call knob — it raises ``ValueError``; an
+    ``execute()``, sync or async, reports it.  (``None`` on a call
+    keeps the configured default.)"""
     with pytest.raises(ValueError, match=message):
         Planner(catalog, **{name: bad})
     with pytest.raises(ValueError, match=message):
         QuerySession(catalog, **{name: bad})
-    if PlanOptions.__dataclass_fields__[name].metadata["per_call"]:
+    if PlanOptions.__dataclass_fields__[name].metadata["per_call"] \
+            and bad is not None:
         with pytest.raises(ValueError, match=message):
             Planner(catalog).plan(SQL, **{name: bad})
+        sync = QuerySession(catalog).execute(SQL, **{name: bad})
+        reports, counters = served_async(catalog, [{name: bad}])
+        for report in [sync, *reports]:
+            assert isinstance(report.error, ValueError)
+            assert re.search(message, str(report.error))
+        assert counters["completed"] == counters["submitted"] == 2
 
 
 def test_knobs_are_read_only_on_the_planner(catalog):
@@ -162,9 +191,11 @@ def test_cache_token_follows_the_knob_table():
 
 def test_unknown_names_are_rejected_everywhere(catalog):
     planner, session = Planner(catalog), QuerySession(catalog)
-    for unknown in ({"shiny": 1}, {"tree_search": "greedy"},
-                    {"validate": "basic"}, {"max_spanning_trees": 1},
-                    {"regret_factor": 4.0}):
+    unknowns = ({"shiny": 1}, {"tree_search": "greedy"},
+                {"validate": "basic"}, {"max_spanning_trees": 1},
+                {"regret_factor": 4.0}, {"stats": "exact"},
+                {"use_cache": False})
+    for unknown in unknowns:
         with pytest.raises(TypeError):
             Planner(catalog, **unknown)
         with pytest.raises(TypeError):
@@ -176,6 +207,10 @@ def test_unknown_names_are_rejected_everywhere(catalog):
         with pytest.raises(TypeError):
             session.cache_key(PARSED, **unknown)
         assert isinstance(session.execute(SQL, **unknown).error, TypeError)
+    reports, counters = served_async(catalog, unknowns)
+    assert all(isinstance(report.error, TypeError) for report in reports)
+    assert counters["completed"] == counters["submitted"] \
+        == 2 * len(unknowns)
 
 
 def test_none_override_keeps_the_configured_default(catalog):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import ExecutionMode, Planner, QuerySession, stats_from_data
+from repro import ExecutionMode, Planner, QuerySession
 from repro.planner import push_down_selections
 from repro.core import parse_query
 from repro.storage import Catalog, PartitionedTable
@@ -216,40 +216,6 @@ class TestWritesReachSharedIndexes:
             assert rebuilt is catalog.hash_index(name, "B")
             base = id(catalog.table(name).column("B"))
             assert index_builds["Table", base] == 1
-
-
-class TestStatsMethods:
-    def test_sampling_stats(self, catalog):
-        query = make_running_example_query()
-        exact = stats_from_data(catalog, query)
-        sampled = stats_from_data(catalog, query, ("sampling", 1.0, 0))
-        for rel in query.non_root_relations:
-            assert sampled.m(rel) == pytest.approx(exact.m(rel), abs=0.02)
-        # the planner's stats="sampling" is the default-parameter sample
-        planned = Planner(catalog).plan(query, stats="sampling").stats
-        default = stats_from_data(catalog, query, "sampling")
-        assert planned.edge_stats == default.edge_stats
-
-    def test_prebuilt_stats_passthrough(self, catalog):
-        query = make_running_example_query()
-        stats = stats_from_data(catalog, query)
-        assert stats_from_data(catalog, query, stats) is stats
-        assert Planner(catalog).plan(query, stats=stats).stats is stats
-
-    @pytest.mark.parametrize("query", [
-        SQL,                                        # acyclic, fixed driver
-        "select * from R1, R2, R5 where R1.B = R2.B and R1.E = R5.E "
-        "and R2.B = R5.E",                          # cyclic
-    ])
-    def test_unknown_method_rejected(self, catalog, query):
-        # once, at construction — not per query shape at the first plan()
-        with pytest.raises(ValueError, match="stats method"):
-            Planner(catalog, stats="bogus")
-        with pytest.raises(ValueError, match="stats method"):
-            QuerySession(catalog, stats="bogus")
-        for driver in ("fixed", "auto"):
-            with pytest.raises(ValueError, match="stats method"):
-                Planner(catalog).plan(query, driver=driver, stats="bogus")
 
 
 class TestExplain:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    QueryStats,
     execute_cyclic,
     parse_query,
     spanning_tree_decomposition,
@@ -133,12 +132,6 @@ def test_cyclic_rehydrate_round_trip(triangle_catalog):
                                    partitioning=2)
     assert rehydrated.fingerprint() == plan.fingerprint()
     assert rehydrated.execute().output_size == plan.execute().output_size
-
-
-def test_prebuilt_stats_rejected_for_cyclic(triangle_catalog):
-    stats = QueryStats(10.0, {})
-    with pytest.raises(ValueError, match="per-tree statistics"):
-        Planner(triangle_catalog).plan(TRIANGLE, stats=stats)
 
 
 def test_acyclic_queries_unaffected(triangle_catalog):

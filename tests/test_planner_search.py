@@ -255,9 +255,9 @@ def test_bounded_search_is_sound_with_probe_costs():
                             float(rng.uniform(1, 4))) for rel in relations},
             probe_costs={rel: float(rng.uniform(1, 5)) for rel in relations},
         )
-        planner = Planner(large_join_catalog(query, rows_per_relation=4))
-        plan = planner.plan(query, stats=stats, driver="fixed",
-                            optimizer="exhaustive")
+        planner = Planner(large_join_catalog(query, rows_per_relation=4),
+                          optimizer="exhaustive")
+        plan = planner.replan(planner.plan(query), stats)
         unbounded = None
         for mode in ExecutionMode.all_modes():
             if mode.uses_semijoin:

@@ -339,6 +339,11 @@ def test_no_module_executor_allows_owned_pools(synthetic_repo):
      "def measure(index, keys):\n    return index.probe_stats(keys)\n"),
     ("service/sidecar.py",
      "def sample(a, b):\n    return CorrelatedSample(a, b, 'x', 'x')\n"),
+    # planning measures exactly: the stats producer samples no more
+    ("core/stats.py",
+     "def sample(a, b):\n    return CorrelatedSample(a, b, 'x', 'x')\n"),
+    ("storage/partition.py",
+     "def sample(a, b):\n    return CorrelatedSample(a, b, 'x', 'x')\n"),
     ("planner.py", "def guess():\n    return EdgeStats(m=1.0, fo=1.0)\n"),
 ])
 def test_stats_single_producer_fires(synthetic_repo, relative, source):
@@ -349,18 +354,20 @@ def test_stats_single_producer_fires(synthetic_repo, relative, source):
     assert rules == ["STATS_SINGLE_PRODUCER"]
 
 
-@pytest.mark.parametrize("relative", [
-    "core/stats.py", "estimation/sampling.py", "storage/partition.py",
-    "bench/fig04.py",
+@pytest.mark.parametrize("relative, samples", [
+    ("core/stats.py", False), ("storage/partition.py", False),
+    ("estimation/sampling.py", True), ("bench/fig04.py", True),
 ])
 def test_stats_single_producer_exempts_the_producers(synthetic_repo,
-                                                     relative):
+                                                     relative, samples):
+    """``probe_stats`` is called by the stats producer and the storage
+    layer; estimators are also sampled where they are evaluated."""
     path = synthetic_repo / "src" / "repro" / relative
     path.parent.mkdir(exist_ok=True)
     path.write_text(
         "def measure(index, keys, a, b):\n"
-        "    CorrelatedSample(a, b, 'x', 'x')\n"
-        "    return index.probe_stats(keys)\n"
+        + ("    CorrelatedSample(a, b, 'x', 'x')\n" if samples else "")
+        + "    return index.probe_stats(keys)\n"
     )
     assert run_all(load_linter(synthetic_repo)) == []
 
@@ -1029,7 +1036,7 @@ def test_caches_keyed_by_relation_allows_table_fingerprints(synthetic_repo):
      "class Planner:\n"
      "    def _apply_partitioning(self, prep):\n"
      "        def token():\n"
-     "            return (prep.source_catalog.fingerprint(),)\n"
+     "            return (prep.catalog.fingerprint(),)\n"
      "        return token()\n"),
 ])
 def test_caches_keyed_by_relation_fires(synthetic_repo, relative, source):
@@ -1204,11 +1211,10 @@ def test_plan_knobs_used_exemptions_state_their_reason(synthetic_repo):
 
 
 def test_plan_knobs_used_exempts_only_live_knobs():
-    """The real table: the four fields no root names yet, each still a
+    """The real table: the three fields no root names yet, each still a
     ``PlanOptions`` field — an exemption outliving its knob is stale."""
     from repro.options import PlanOptions
 
     exempt = load_linter(REPO).PLAN_KNOBS_EXEMPT
-    assert sorted(exempt) == [
-        "execution", "planning_budget_ms", "robustness", "stats"]
+    assert sorted(exempt) == ["execution", "planning_budget_ms", "robustness"]
     assert set(exempt) <= set(PlanOptions.__dataclass_fields__)

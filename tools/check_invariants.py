@@ -65,14 +65,16 @@ NO_MODULE_EXECUTOR
 
 STATS_SINGLE_PRODUCER
     Planning statistics have one producer, ``core/stats.py``: it alone
-    measures a directed join predicate (``index.probe_stats(...)`` or a
-    ``CorrelatedSample(...)``) and keys the result in the statistics
-    store, so a measurement made anywhere else is one the store cannot
-    share or invalidate.  No other module under ``src/repro`` may make
-    either call (the estimator's own package, the storage layer that
-    implements ``probe_stats`` and the figure drivers that *evaluate*
-    estimators are exempt), and ``planner.py`` may not construct
-    ``EdgeStats`` — it assembles what the reader hands it.
+    measures a directed join predicate (``index.probe_stats(...)``) and
+    keys the result in the statistics store, so a measurement made
+    anywhere else is one the store cannot share or invalidate.  No other
+    module under ``src/repro`` may call ``probe_stats`` (the storage
+    layer that implements it is exempt).  Planning measures exactly, so
+    a ``CorrelatedSample(...)`` is constructed only where estimators are
+    implemented or *evaluated* (``estimation/`` and the figure drivers,
+    exempt from both calls), ``core/stats.py`` included.  ``planner.py``
+    may not construct ``EdgeStats`` — it assembles what the reader
+    hands it.
 
 COST_FLOOR_SINGLE_PRODUCER
     What no join order can avoid paying is computed in one place,
@@ -601,18 +603,22 @@ def check_stats_single_producer():
     findings = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        if rel == "core/stats.py" or rel.startswith(
-                ("estimation/", "storage/", "bench/fig")):
+        if rel.startswith(("estimation/", "bench/fig")):
             continue
-        banned = {"probe_stats", "CorrelatedSample"} \
-            | ({"EdgeStats"} if rel == "planner.py" else set())
+        banned = {"CorrelatedSample"}
+        if rel != "core/stats.py" and not rel.startswith("storage/"):
+            banned.add("probe_stats")
+        if rel == "planner.py":
+            banned.add("EdgeStats")
         for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Call) and _called_name(node) in banned:
+            name = _called_name(node) if isinstance(node, ast.Call) else None
+            if name in banned:
                 findings.append(Finding(
                     "STATS_SINGLE_PRODUCER", path.relative_to(REPO),
                     node.lineno,
-                    f"{_called_name(node)}(...) outside core/stats.py — "
-                    "read statistics through repro.core.stats.StatsReader",
+                    f"{name}(...) here — planning statistics are "
+                    "measured exactly in core/stats.py; read them through "
+                    "repro.core.stats.StatsReader",
                 ))
     return findings
 
@@ -1243,8 +1249,6 @@ PLAN_KNOBS_EXEMPT = {
                   "planning and feedback replanning a workload",
     "planning_budget_ms": "product deadlines and the concurrent cold "
                           "workload of benchmark upkeep",
-    "stats": "section 3.2 sampled statistics: whether sampling gets a "
-             "workload, decided in a follow-up",
 }
 
 _KNOB_OWNERS = frozenset({"planner", "options"})
