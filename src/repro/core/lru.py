@@ -1,8 +1,11 @@
 """A small thread-safe LRU cache with hit/miss accounting.
 
-Shared by the statistics cache (:class:`repro.core.stats.StatsCache`)
-and the plan cache (:class:`repro.service.plancache.PlanCache`).  Keys must be
-hashable; capacity ``None`` means unbounded.
+The one cache type of the package: the statistics store, the plan
+cache, the partition layouts and a worker's rehydrated plans are each
+an :class:`LRUCache`.  Keys must be hashable; capacity ``None`` means
+unbounded.  A cache whose entries read table contents keys each entry
+by the fingerprints of the tables it read, first
+(:meth:`LRUCache.reclaim`).
 
 Every operation (including the stats counters) runs under an internal
 re-entrant lock, so one cache instance can back several concurrently
@@ -145,14 +148,22 @@ class LRUCache:
             self.stats.invalidations += len(self._entries)
             self._entries.clear()
 
-    def discard(self, stale):
-        """Drop every entry whose key ``stale(key)`` accepts (counted as
-        invalidations)."""
+    def reclaim(self, live):
+        """Drop every entry that read table contents the catalog no
+        longer holds (counted as invalidations).
+
+        The rule of every table-keyed cache: a key's first element is
+        the tuple of the :meth:`~repro.storage.table.Table.fingerprint`
+        s of the tables the entry read, and the entry is stale once one
+        of them is not in ``live`` — unreachable by key, it would only
+        pin superseded data until LRU churn.
+        """
         with self._lock:
-            doomed = [key for key in self._entries if stale(key)]
-            for key in doomed:
+            stale = [key for key in self._entries
+                     if not live.issuperset(key[0])]
+            for key in stale:
                 del self._entries[key]
-            self.stats.invalidations += len(doomed)
+            self.stats.invalidations += len(stale)
 
     def __getstate__(self):
         """Pickle as an *empty* cache of the same capacity.

@@ -12,8 +12,9 @@ This is also the one module that knows how statistics are *measured*
 and *keyed*.  Both numbers belong to a directed join predicate: they
 depend on the two relations' contents and the two join attributes —
 not on the query, rooting, spanning tree or shard count the predicate
-shows up in.  :class:`StatsCache` therefore stores
-one entry per directed predicate (and one per column statistic), and a
+shows up in.  The statistics store (an
+:class:`~repro.core.lru.LRUCache`) therefore holds one entry per
+directed predicate (and one per column statistic), and a
 :class:`StatsReader` *assembles* what each consumer needs — the
 :class:`QueryStats` of a rooting or candidate spanning tree, the
 pessimistic bound statistics, distinct counts — from those entries.
@@ -27,12 +28,11 @@ from typing import (Any, Callable, Dict, Hashable, Mapping, Optional, Tuple,
 
 import numpy as np
 
-from .lru import CacheStats, LRUCache
+from .lru import LRUCache
 
 __all__ = [
     "EdgeStats",
     "QueryStats",
-    "StatsCache",
     "StatsReader",
     "edge_with_selectivity",
     "query_signature",
@@ -193,52 +193,6 @@ def query_signature(query: Any) -> Tuple[Any, ...]:
     )
 
 
-class StatsCache:
-    """The statistics store: measurements that outlive one ``plan()``.
-
-    One entry is one *measurement*, keyed on the data it read:
-
-    * a directed predicate ``(parent token, parent_attr, child token,
-      child_attr)`` -> :class:`EdgeStats`;
-    * a column statistic ``(relation token, attr, statistic)`` -> ``int``
-      (``"max_frequency"`` or ``"distinct"``).
-
-    A relation token (:func:`relation_tokens`) is the base table's
-    content fingerprint plus the selections pushed into that alias, so
-    an entry is found again by any query, rooting, spanning tree, alias
-    or shard count over the same two table contents, and a write to one
-    table strands only the entries that read it (they age out of the
-    LRU).  ``capacity`` counts measurements, not queries: an
-    ``n``-relation ``driver="auto"`` plan reads ``2 * (n - 1)`` of them.
-
-    Shared by concurrently planning threads: every mutation goes
-    through the locked, single-flight
-    :meth:`~repro.core.lru.LRUCache.get_or_compute`.
-    """
-
-    def __init__(self, capacity: Optional[int] = 4096) -> None:
-        self._cache = LRUCache(capacity)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss/eviction counters (:class:`repro.core.lru.CacheStats`)."""
-        return self._cache.stats
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def lookup(self, key: Hashable, measure: Callable[[], T]) -> T:
-        """The entry under ``key``, measured via ``measure()`` on a miss."""
-        value: T = self._cache.get_or_compute(key, measure)
-        return value
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def __repr__(self) -> str:
-        return f"StatsCache({self._cache!r})"
-
-
 def relation_tokens(catalog: Any, query: Any) -> Dict[str, Hashable]:
     """The store-key component of each relation of ``query``.
 
@@ -290,14 +244,28 @@ class StatsReader:
         The catalog measurements read: selections already pushed down,
         relations registered under the names the query uses.
     store, tokens:
-        An optional shared :class:`StatsCache` and the
+        An optional shared statistics store (an
+        :class:`~repro.core.lru.LRUCache`) and the
         :func:`relation_tokens` of the query, which key it.  With or
         without a store, each value is read at most once per reader, so
         the rootings and candidate trees of one ``plan()`` share work
         and the store's counters count reuse *across* plans.
+
+    One store entry is one *measurement*, keyed on the data it read:
+    a directed predicate ``(parent token, parent_attr, child token,
+    child_attr)`` -> :class:`EdgeStats`, or a column statistic
+    ``(relation token, attr, statistic)`` -> ``int``
+    (``"max_frequency"`` or ``"distinct"``), prefixed by the
+    fingerprints of the tables read, so a write to one table reclaims
+    exactly the entries that read it
+    (:meth:`~repro.core.lru.LRUCache.reclaim`).  A token is found
+    again by any query, rooting, spanning tree, alias or shard count
+    over the same table contents.  The store's capacity counts
+    measurements, not queries: an ``n``-relation ``driver="auto"``
+    plan reads ``2 * (n - 1)`` of them.
     """
 
-    def __init__(self, catalog: Any, store: Optional[StatsCache] = None,
+    def __init__(self, catalog: Any, store: Optional[LRUCache] = None,
                  tokens: Optional[Mapping[str, Hashable]] = None) -> None:
         self._catalog = catalog
         self._store = store
@@ -316,7 +284,9 @@ class StatsReader:
                 shared = list(key)
                 for slot in relation_slots:
                     shared[slot] = self._tokens[key[slot]]
-                value = self._store.lookup(tuple(shared), measure)
+                reads = tuple(shared[slot][0] for slot in relation_slots)
+                value = self._store.get_or_compute((reads, tuple(shared)),
+                                                   measure)
             self._seen[key] = value
         return value
 
@@ -393,6 +363,6 @@ def stats_from_data(catalog: Any, query: Any) -> QueryStats:
     and that the cost-model validation (Figure 14) uses.
 
     The uncached entry point: the same assembly the planner runs
-    through its :class:`StatsCache`, with no store behind it.
+    through its statistics store, with no store behind it.
     """
     return StatsReader(catalog).rooted_stats(query)

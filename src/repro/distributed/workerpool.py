@@ -53,6 +53,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
+from ..core.lru import LRUCache
 from ..engine.executor import (
     BudgetExceededError,
     ExecutionCounters,
@@ -82,11 +83,10 @@ class DistributedExecutionError(RuntimeError):
 # ----------------------------------------------------------------------
 
 _worker_planner = None
-_worker_plans: dict = {}
-
-#: rehydrated plans cached per plan fingerprint inside each worker —
-#: small, since the driver's plan cache already bounds live plans
-_WORKER_PLAN_CACHE = 8
+#: rehydrated plans cached per plan fingerprint inside each worker
+#: (an ``LRUCache(8)``, built by the initializer) — small, since the
+#: driver's plan cache already bounds live plans
+_worker_plans = None
 
 
 def _init_exec_worker(catalog, planner_config):
@@ -102,18 +102,16 @@ def _init_exec_worker(catalog, planner_config):
     from ..planner import Planner
 
     _worker_planner = Planner(catalog, stats_cache=True, **planner_config)
-    _worker_plans = {}
+    _worker_plans = LRUCache(8)
 
 
 def _plan_for(token, spec, query, partitioning):
     """Rehydrate (or fetch the cached) plan for a fingerprint token."""
-    plan = _worker_plans.get(token)
-    if plan is None:
-        plan = _worker_planner.rehydrate(spec, query, partitioning=partitioning)
-        if len(_worker_plans) >= _WORKER_PLAN_CACHE:
-            _worker_plans.pop(next(iter(_worker_plans)))
-        _worker_plans[token] = plan
-    return plan
+    return _worker_plans.get_or_compute(
+        token,
+        lambda: _worker_planner.rehydrate(spec, query,
+                                          partitioning=partitioning),
+    )
 
 
 def _execute_fragment(token, spec, query, partitioning, driver_rows, options):

@@ -280,7 +280,9 @@ class PlanOptions:
         """The request record for one ``plan()`` / ``execute()`` call.
 
         ``None`` values keep the configured default; anything but a
-        per-call knob name raises :class:`TypeError`.
+        per-call knob name raises :class:`TypeError`.  Every other value
+        passes its knob's check, also one that compares equal to the
+        configured value (``flat_output=1`` raises like ``0`` does).
         """
         unknown = sorted(overrides.keys() - _PER_CALL)
         if unknown:
@@ -288,9 +290,13 @@ class PlanOptions:
                 f"{unknown} are not per-call planning knobs "
                 f"(see repro.options.PlanOptions)"
             )
+        checked = {
+            name: _CHECK_OF[name](value) for name, value in overrides.items()
+            if value is not None
+        }
         changed = {
-            name: value for name, value in overrides.items()
-            if value is not None and value != getattr(self, name)
+            name: value for name, value in checked.items()
+            if value != getattr(self, name)
         }
         return replace(self, **changed) if changed else self
 
@@ -400,6 +406,7 @@ _CHECKS = tuple(
     (spec.name, spec.metadata["check"]) for spec in fields(PlanOptions)
     if spec.metadata["check"] is not None
 )
+_CHECK_OF = dict(_CHECKS)
 _PER_CALL = frozenset(
     spec.name for spec in fields(PlanOptions) if spec.metadata["per_call"]
 )

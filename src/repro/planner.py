@@ -8,8 +8,7 @@ it:
 2. measure statistics (Section 3.1's ``m`` and ``fo``) one directed
    join predicate at a time through
    :class:`repro.core.stats.StatsReader`, which finds a predicate
-   measured for any earlier query in the planner's
-   :class:`~repro.core.stats.StatsCache`;
+   measured for any earlier query in the planner's statistics store;
 3. pick the driver, the join order (Algorithm 1 or a greedy heuristic)
    and the execution strategy (the cost model prices all six; the
    paper: "our cost model ... can be used for making optimization
@@ -69,7 +68,6 @@ from .core.parser import Contradiction, ParsedQuery, parse_query
 from .core.query import JoinQuery
 from .core.stats import (
     QueryStats,
-    StatsCache,
     StatsReader,
     relation_tokens,
 )
@@ -643,13 +641,14 @@ class Planner:
     catalog:
         The :class:`~repro.storage.Catalog` holding base tables.
     stats_cache:
-        Optional :class:`~repro.core.stats.StatsCache` (or ``True`` for
-        a default-sized one).  When set, every directed join predicate
-        (and column statistic) is measured once per (the two tables'
-        contents, pushed-down selections) and found again by
+        Optional statistics store: an :class:`~repro.core.lru.LRUCache`
+        (or ``True`` for one of 4096 entries).  When set, every directed
+        join predicate (and column statistic) is measured once per (the
+        two tables' contents, pushed-down selections) and found again by
         any later ``plan()`` — whatever its query, rooting, spanning
         tree or shard count; a changed table re-measures only the
-        predicates touching it.
+        predicates touching it, and :meth:`reclaim` drops the
+        measurements it superseded.
     **knobs:
         The fields of :class:`~repro.options.PlanOptions` — the one
         place every planning knob is declared and documented.  Held as
@@ -663,18 +662,24 @@ class Planner:
         self.catalog = catalog
         self.options = PlanOptions(**knobs)
         if stats_cache is True:
-            stats_cache = StatsCache()
+            stats_cache = LRUCache(4096)
         self.stats_cache = stats_cache
         # Two levels of partitioning reuse, both keyed by relation
         # tokens: one re-clustered copy per (alias, token, probe
         # attribute, layout), shared by every query probing that
         # relation, and whole derived catalogs per (the query's sorted
         # tokens, layout), so exact-repeat plan() calls share them.
-        # Entries reading a superseded table are reclaimed when the
-        # catalog version moves (see _reclaim_partitions).
         self._relation_cache = LRUCache(16)
         self._partition_cache = LRUCache(8)
-        self._partition_version = None
+        #: every cache whose keys lead with the fingerprints of the
+        #: tables an entry read; :meth:`reclaim` sweeps them all (a
+        #: QuerySession registers its plan cache here)
+        self.table_caches = [
+            cache for cache in (stats_cache, self._relation_cache,
+                                self._partition_cache)
+            if cache is not None
+        ]
+        self._reclaimed_version = None
 
     def __getattr__(self, name):
         # only reached for names not set on the instance: the knobs
@@ -774,13 +779,12 @@ class Planner:
         num_shards = options.partitioning
         if num_shards <= 1:
             return prep.catalog, 1
-        self._reclaim_partitions()
         floor = options.partition_floor
 
         def relation(alias, attribute):
+            token = prep.tokens[alias]
             return self._relation_cache.get_or_compute(
-                (((alias, prep.tokens[alias]),), attribute, num_shards,
-                 floor),
+                ((token[0],), alias, token, attribute, num_shards, floor),
                 lambda: partitioned_relation(
                     prep.catalog.table(alias), attribute,
                     num_shards, min_rows=floor,
@@ -797,26 +801,31 @@ class Planner:
         shard_spec = tuple(sorted(
             (edge.child, edge.child_attr) for edge in join_query.edges
         ))
+        tokens = tuple(sorted(prep.tokens.items()))
         catalog = self._partition_cache.get_or_compute(
-            (tuple(sorted(prep.tokens.items())), shard_spec, num_shards,
-             floor),
+            (tuple(token[0] for _, token in tokens), tokens, shard_spec,
+             num_shards, floor),
             lambda: prep.catalog.derived_with(replacements),
         )
         return catalog, num_shards
 
-    def _reclaim_partitions(self):
-        """Drop the cached partition layouts that read a superseded
-        table, once per catalog version: a re-clustered copy is reclaimed
-        when its relation's token moves, not pinned until LRU churn."""
+    def reclaim(self):
+        """The one reclaim gate: once per catalog version, drop from
+        every cache of ``table_caches`` the entries that read a
+        table the catalog no longer holds
+        (:meth:`~repro.core.lru.LRUCache.reclaim`).
+
+        One gate for all of them, so no cache sees a version move
+        another skips.  Runs before every :meth:`plan` /
+        :meth:`rehydrate` and before a session builds a plan-cache key.
+        """
         version = self.catalog.version
-        if version == self._partition_version:
+        if version == self._reclaimed_version:
             return
         live = set(self.catalog.table_fingerprints().values())
-        for cache in (self._relation_cache, self._partition_cache):
-            cache.discard(lambda key: any(
-                token[0] not in live for _, token in key[0]
-            ))
-        self._partition_version = version
+        for cache in self.table_caches:
+            cache.reclaim(live)
+        self._reclaimed_version = version
 
     def _prepare(self, query, options, tree=None):
         """Derive the execution catalog for a parsed query.
@@ -838,6 +847,7 @@ class Planner:
         :class:`PlanSpec` resolved, and preparation proceeds exactly
         like the acyclic path.
         """
+        self.reclaim()
         catalog = self.catalog
         if isinstance(query, ParsedQuery):
             if query.num_placeholders:

@@ -37,6 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from ..core.parser import ParsedQuery, parse_query
 from ..core.query import JoinQuery
+from ..options import _integer, _is_number
 from .session import DEFAULT_BUDGET, QueryReport, QuerySession
 
 __all__ = ["AsyncQueryService"]
@@ -171,29 +172,28 @@ class AsyncQueryService:
                 f"expected a QuerySession, got {type(session).__name__}"
             )
         self.session = session
-        cpus = os.cpu_count() or 1
         if executor_workers is None:
-            executor_workers = min(cpus, 16)
-        if executor_workers < 1:
+            executor_workers = min(os.cpu_count() or 1, 16)
+        _integer("executor_workers", 1)(executor_workers)
+        if max_concurrency is None:
+            max_concurrency = 4 * executor_workers
+        if heavy_slots is None:
+            heavy_slots = max(1, executor_workers // 2)
+        self.max_concurrency = _integer("max_concurrency", 1)(max_concurrency)
+        self.heavy_slots = _integer("heavy_slots", 1)(heavy_slots)
+        self.planning_workers = _integer("planning_workers", 0)(
+            planning_workers)
+        self.process_min_relations = _integer("process_min_relations", 1)(
+            process_min_relations)
+        if not _is_number(heavy_build_seconds) or heavy_build_seconds < 0:
             raise ValueError(
-                f"executor_workers must be >= 1, got {executor_workers}"
+                "heavy_build_seconds must be a number >= 0, got "
+                f"{heavy_build_seconds!r}"
             )
         self._executor = ThreadPoolExecutor(
             max_workers=executor_workers,
             thread_name_prefix="repro-exec",
         )
-        if max_concurrency is None:
-            max_concurrency = 4 * executor_workers
-        if max_concurrency < 1:
-            raise ValueError(
-                f"max_concurrency must be >= 1, got {max_concurrency}"
-            )
-        self.max_concurrency = max_concurrency
-        if heavy_slots is None:
-            heavy_slots = max(1, executor_workers // 2)
-        self.heavy_slots = heavy_slots
-        self.process_min_relations = process_min_relations
-        self.planning_workers = planning_workers
         self._planning_pool = None
         self._planning_pool_fingerprint = None
         self._pool_lock = threading.Lock()
@@ -422,7 +422,7 @@ class AsyncQueryService:
                     # like the synchronous path
                     pass
             if key is not None:
-                if self.session.plan_cache.peek(key):
+                if key in self.session.plan_cache:
                     self._bump("cache_hit_fast_path")
                 else:
                     # Single-flight per key: concurrent cold arrivals of

@@ -6,11 +6,12 @@ on normalized query structure + the fingerprints of the tables the
 query reads (so replanning a repeated query is a dictionary lookup, a
 change to a table it reads invalidates automatically, and a write to
 any other table leaves it cached), every directed join predicate is
-measured once and kept in a :class:`~repro.core.stats.StatsCache` that
-all queries over the same table contents share, **prepared
-statements** plan a parameterized query once and re-execute it with
-fresh constants, and ``execute_many()`` runs a batch under per-query
-budgets with timing.
+measured once and kept in a statistics store that all queries over the
+same table contents share (both caches drop what a write superseded on
+one catalog version move, :meth:`~repro.planner.Planner.reclaim`),
+**prepared statements** plan a parameterized query once and re-execute
+it with fresh constants, and ``execute_many()`` runs a batch under
+per-query budgets with timing.
 """
 
 from __future__ import annotations
@@ -19,16 +20,17 @@ import time
 from dataclasses import dataclass, field, replace
 
 from ..core.parser import ParsedQuery, Placeholder, parse_query
-from ..core.stats import StatsCache
+from ..core.lru import LRUCache
 from ..engine import (
     BudgetExceededError,
     CardinalityMonitor,
     ReplanSignal,
     corrected_stats,
 )
+from ..options import _is_number
 from ..planner import Planner, filtered_table
 from ..storage.partition import PartitionedTable, partitioned_relation
-from .plancache import PlanCache
+from .plancache import normalized_query_key
 
 __all__ = ["PreparedStatement", "QueryReport", "QuerySession"]
 
@@ -203,16 +205,19 @@ class QuerySession:
     catalog:
         The :class:`~repro.storage.Catalog` to serve queries against.
     plan_cache_size:
-        LRU capacity of the plan cache (``None`` for unbounded).
+        LRU capacity of the plan cache (``None`` for unbounded).  The
+        plan cache is registered on the planner's ``table_caches``, so
+        a write reclaims its plans over the written table together with
+        the statistics and partition layouts that read it
+        (:meth:`~repro.planner.Planner.reclaim`).
     stats_cache_size:
-        LRU capacity of the statistics store
-        (:class:`~repro.core.stats.StatsCache`), counted in
-        *measurements*: one entry per directed join predicate
-        ``(m, fo)`` or column statistic, shared by every query,
-        rooting, spanning tree and shard count over the same table
-        contents.  An ``n``-relation ``driver="auto"`` plan reads
-        ``2 * (n - 1)`` entries; the default holds about the bytes 256
-        whole-query entries of a 24-relation join used to.
+        LRU capacity of the statistics store (the planner's
+        ``stats_cache``), counted in *measurements*: one entry per
+        directed join predicate ``(m, fo)`` or column statistic, shared
+        by every query, rooting, spanning tree and shard count over the
+        same table contents.  An ``n``-relation ``driver="auto"`` plan
+        reads ``2 * (n - 1)`` entries; the default holds about the bytes
+        256 whole-query entries of a 24-relation join used to.
     replan_threshold:
         Running q-error (>= 1.0) at which a monitored execution
         (``robustness="auto"``) aborts and replans with corrected
@@ -236,11 +241,9 @@ class QuerySession:
                  replan_threshold=8.0, max_replans=2, **knobs):
         self.catalog = catalog
         self.planner = Planner(
-            catalog, stats_cache=StatsCache(stats_cache_size), **knobs
+            catalog, stats_cache=LRUCache(stats_cache_size), **knobs
         )
-        if isinstance(replan_threshold, bool) or not isinstance(
-            replan_threshold, (int, float)
-        ) or replan_threshold < 1.0:
+        if not _is_number(replan_threshold) or replan_threshold < 1.0:
             raise ValueError(
                 "replan_threshold is a q-error (a number >= 1.0), got "
                 f"{replan_threshold!r}"
@@ -253,9 +256,8 @@ class QuerySession:
             )
         self.replan_threshold = float(replan_threshold)
         self.max_replans = max_replans
-        self.plan_cache = PlanCache(plan_cache_size)
-        #: catalog version the plan cache was last reclaimed at
-        self._seen_version = None
+        self.plan_cache = LRUCache(plan_cache_size)
+        self.planner.table_caches.append(self.plan_cache)
         # distributed execution: one lazily-started worker pool, keyed
         # by (catalog fingerprint, worker count); `_worker_pool_factory`
         # is the fault-injection seam (tests install a killing wrapper)
@@ -271,8 +273,9 @@ class QuerySession:
         """The plan-cache key :meth:`plan` would use for this request.
 
         Exposed for front ends that manage cache population themselves
-        — the async service peeks with it to route cache hits straight
-        to execution and inserts worker-planned specs under it.
+        — the async service tests it with ``in`` (which touches no
+        counter) to route cache hits straight to execution and inserts
+        worker-planned specs under it.
         ``query`` must already be parsed (a :class:`ParsedQuery` or
         :class:`~repro.core.query.JoinQuery`); ``overrides`` are
         per-call :class:`~repro.options.PlanOptions` knobs.
@@ -280,37 +283,33 @@ class QuerySession:
         return self._key(query, self.planner.options.override(**overrides))
 
     def _key(self, query, request):
-        """(normalized query, the sorted ``(table name, fingerprint)``
-        pairs of the tables it reads, the non-exempt fields of the
-        resolved request) — see :meth:`_read_tables` and
+        """(the fingerprints of the tables it reads, normalized query,
+        the non-exempt fields of the resolved request) — see
+        :meth:`_read_tables`, :mod:`repro.service.plancache` and
         :meth:`PlanOptions.cache_token`.
         """
-        return self.plan_cache.key(
-            query, self._read_tables(query),
+        return (
+            self._read_tables(query), normalized_query_key(query),
             request.resolved(self.catalog, query).cache_token(),
         )
 
     def _read_tables(self, query):
-        """The sorted ``(table name, Table.fingerprint())`` pairs of the
-        tables ``query`` reads (``None`` for a name the catalog lacks:
-        the key stays computable and planning reports the error).
+        """The ``Table.fingerprint()`` s of the tables ``query`` reads,
+        in table-name order (``None`` for a name the catalog lacks: the
+        key stays computable and planning reports the error).
 
-        First reclaims, once per catalog version: the cached plans that
-        read a table whose fingerprint changed are dropped, and only
-        those — they are unreachable by key, and they pin their
-        filtered copies and, through renames, the superseded tables'
-        indexes.
+        First runs the planner's reclaim gate: after a write, the cached
+        plans, statistics and layouts that read a superseded table are
+        dropped, and only those — they are unreachable by key, and they
+        pin their filtered copies and the superseded tables' indexes.
         """
-        version = self.catalog.version
-        if version != self._seen_version:
-            self.plan_cache.reclaim(self.catalog.table_fingerprints())
-            self._seen_version = version
+        self.planner.reclaim()
         names = query.relations
         if isinstance(names, dict):
             names = names.values()
         return tuple(
-            (name, self.catalog.table(name).fingerprint()
-             if name in self.catalog else None)
+            self.catalog.table(name).fingerprint()
+            if name in self.catalog else None
             for name in sorted(set(names))
         )
 

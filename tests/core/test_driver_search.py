@@ -12,7 +12,8 @@ from repro.core import (
 )
 from repro.core.optimizer import incremental_order_cost
 from repro.core.costmodel import CostWeights, expected_output_size
-from repro.core.stats import StatsCache, StatsReader, relation_tokens
+from repro.core.lru import LRUCache
+from repro.core.stats import StatsReader, relation_tokens
 from repro.modes import ExecutionMode
 from repro.planner import Planner
 from tests.large_joins import (
@@ -91,7 +92,7 @@ class TestDirectedStats:
     def test_both_directions_match_per_rooting_derivation(self):
         query = random_tree_query(7, seed=2)
         catalog = large_join_catalog(query, rows_per_relation=200, seed=3)
-        store = StatsCache()
+        store = LRUCache(4096)
         reader = StatsReader(catalog, store=store,
                              tokens=relation_tokens(catalog, query))
         for root in query.relations:
@@ -108,7 +109,7 @@ class TestDirectedStats:
     def test_store_keys_rooting_invariant(self):
         query = random_tree_query(7, seed=4)
         catalog = large_join_catalog(query, rows_per_relation=50, seed=4)
-        store = StatsCache()
+        store = LRUCache(4096)
         for root in query.relations:
             rooted = query.rerooted(root)
             # a fresh reader per rooting: only the store is shared

@@ -59,15 +59,17 @@ def test_clear_counts_invalidations():
     assert cache.stats.invalidations == 2
 
 
-def test_discard_drops_only_stale_keys_and_keeps_recency():
+def test_reclaim_drops_only_stale_keys_and_keeps_recency():
+    """An entry is stale once one fingerprint its key leads with is not
+    live; the survivors keep their order, and no lookup is counted."""
     cache = LRUCache(capacity=4)
-    for key in ("a1", "b1", "a2", "b2"):
+    for key in [(("a",), 1), (("b",), 1), (("a", "b"), 2), (("b",), 2)]:
         cache.put(key, key)
-    cache.discard(lambda key: key.startswith("a"))
-    assert cache.keys() == ["b1", "b2"]
+    cache.reclaim({"b"})
+    assert cache.keys() == [(("b",), 1), (("b",), 2)]
     assert cache.stats.invalidations == 2
-    assert cache.stats.evictions == 0
-    cache.discard(lambda key: False)
+    assert cache.stats.evictions == cache.stats.lookups == 0
+    cache.reclaim({"b", "c"})
     assert len(cache) == 2 and cache.stats.invalidations == 2
 
 
@@ -91,8 +93,9 @@ def test_cache_stats_repr_and_empty_rate():
 
 
 # ----------------------------------------------------------------------
-# Thread safety (ISSUE 2 bugfix): concurrent QuerySession use shares
-# the StatsCache/PlanCache, so the LRU must survive parallel mutation.
+# Thread safety: concurrent QuerySession use shares the statistics
+# store and plan cache (both LRUCaches), so the LRU must survive
+# parallel mutation.
 # ----------------------------------------------------------------------
 
 

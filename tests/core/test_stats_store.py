@@ -4,7 +4,7 @@ Statistics belong to directed join predicates, so whatever shape a
 consumer asks for — a rooting, a candidate spanning tree, bound
 statistics — must assemble to exactly what measuring that shape from
 scratch gives, plans must not depend on whether (or how warm) a store
-sits behind the reader, and a write must strand only the entries that
+sits behind the reader, and a write must reclaim only the entries that
 read the written table.
 """
 
@@ -15,7 +15,8 @@ import pytest
 
 from repro import Planner, parse_query, stats_from_data
 from repro.core.cyclic import decompose, enumerate_spanning_trees
-from repro.core.stats import StatsCache, StatsReader, relation_tokens
+from repro.core.lru import LRUCache
+from repro.core.stats import StatsReader, relation_tokens
 from repro.storage import Catalog
 from repro.workloads.random_trees import random_join_tree
 
@@ -77,7 +78,7 @@ def _assert_same_stats(assembled, reference):
 def _assert_assembly_matches(catalog, query, rootings):
     """Cold store, warm store and no store all assemble each rooting to
     what measuring that rooting alone gives."""
-    store = StatsCache()
+    store = LRUCache(4096)
     tokens = relation_tokens(catalog, query)
     rootings = list(rootings)
     for label in ("cold", "warm", "none"):
@@ -115,7 +116,7 @@ def test_every_candidate_tree_assembles_to_its_own_measurement(parsed,
 def test_bound_and_column_statistics_are_store_independent():
     query = random_join_tree(max_nodes=6, seed=4)
     catalog = large_join_catalog(query, rows_per_relation=64, seed=4)
-    store = StatsCache()
+    store = LRUCache(4096)
     stored = StatsReader(catalog, store=store,
                          tokens=relation_tokens(catalog, query))
     plain = StatsReader(catalog)
@@ -215,7 +216,7 @@ FOUR_WAY = ("select * from R1, R2, R3, R5 "
             "where R1.B = R2.B and R2.C = R3.C and R1.E = R5.E")
 
 
-def test_write_strands_only_the_edges_touching_the_written_table():
+def test_write_reclaims_only_the_edges_touching_the_written_table():
     catalog = make_small_catalog()
     planner = Planner(catalog, stats_cache=True, driver="auto")
     stats = planner.stats_cache.stats
@@ -238,6 +239,8 @@ def test_write_strands_only_the_edges_touching_the_written_table():
     after = planner.plan(FOUR_WAY)
     # R2 -> R3 and R3 -> R2 re-measured; the R1-R2 and R1-R5 edges hit
     assert (stats.hits - hits, stats.misses - misses) == (4, 2)
+    # ... and the two pre-write measurements were reclaimed, not kept
+    assert (len(planner.stats_cache), stats.invalidations) == (6, 2)
     assert stored_r2_into_r3(after).m == 0.0
 
     fresh = Planner(catalog, driver="auto").plan(FOUR_WAY)

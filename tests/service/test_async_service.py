@@ -33,6 +33,43 @@ def sync_report(catalog):
                                          collect_output=True)
 
 
+#: (constructor, keyword arguments, the message) a service or session
+#: rejects at construction, before any query could hang or fail on it
+BAD_ARGUMENTS = [
+    ("service", dict(heavy_slots=0, heavy_build_seconds=-1.0),
+     "heavy_slots must be an int >= 1"),
+    ("service", dict(heavy_slots=-1), "heavy_slots must be an int >= 1"),
+    ("service", dict(heavy_slots=1.0), "heavy_slots must be an int >= 1"),
+    ("service", dict(heavy_build_seconds=-1.0),
+     "heavy_build_seconds must be a number >= 0"),
+    ("service", dict(heavy_build_seconds=float("nan")),
+     "heavy_build_seconds must be a number >= 0"),
+    ("service", dict(heavy_build_seconds="0.1"),
+     "heavy_build_seconds must be a number >= 0"),
+    ("service", dict(planning_workers=-1),
+     "planning_workers must be an int >= 0"),
+    ("service", dict(process_min_relations="x"),
+     "process_min_relations must be an int >= 1"),
+    ("service", dict(max_concurrency=0), "max_concurrency must be an int"),
+    ("service", dict(executor_workers=0), "executor_workers must be an int"),
+    ("session", dict(replan_threshold=float("nan")),
+     "replan_threshold is a q-error"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, kwargs, message", BAD_ARGUMENTS,
+    ids=[f"{target}-{'-'.join(f'{k}={v!r}' for k, v in kwargs.items())}"
+         for target, kwargs, _ in BAD_ARGUMENTS])
+def test_bad_arguments_are_rejected_at_construction(catalog, target, kwargs,
+                                                    message):
+    with pytest.raises(ValueError, match=message):
+        if target == "session":
+            QuerySession(catalog, **kwargs)
+        else:
+            AsyncQueryService(QuerySession(catalog), **kwargs)
+
+
 class TestEquivalence:
     def test_single_query_matches_sync(self, catalog, sync_report):
         async def go():

@@ -655,10 +655,10 @@ def test_prepared_rebind_with_unshardable_binding_falls_back():
 
 
 def test_exact_stats_cache_shared_across_shard_counts():
-    from repro.core.stats import StatsCache
+    from repro.core.lru import LRUCache
 
     catalog = scan_probe_catalog(2000, 4000, seed=24)
-    cache = StatsCache()
+    cache = LRUCache(4096)
     planner = Planner(catalog, stats_cache=cache)
     planner.plan(scan_probe_query(), partitioning="off")
     misses = cache.stats.misses

@@ -1,10 +1,11 @@
-"""PlanCache keys: structural normalization + fingerprint + options."""
+"""Plan-cache keys: fingerprints read + structural normalization + options."""
 
 import pytest
 
 from repro.core.parser import parse_query
 from repro.core.query import JoinEdge, JoinQuery
-from repro.service.plancache import PlanCache, normalized_query_key
+from repro.core.lru import LRUCache
+from repro.service.plancache import normalized_query_key
 
 SQL = ("select * from R1, R2, R3 "
        "where R1.B = R2.B and R2.C = R3.C and R1.A = 5")
@@ -71,23 +72,31 @@ def test_rejects_unknown_types():
         normalized_query_key(42)
 
 
+def key(fingerprints, options=()):
+    """A plan-cache key as :class:`repro.QuerySession` builds one."""
+    return (tuple(fingerprints), normalized_query_key(SQL), options)
+
+
 def test_cache_keys_include_fingerprint_and_options():
-    cache = PlanCache(capacity=8)
-    key_a = cache.key(SQL, "fp-1", ("COM",))
-    key_b = cache.key(SQL, "fp-2", ("COM",))
-    key_c = cache.key(SQL, "fp-1", ("STD",))
+    cache = LRUCache(capacity=8)
+    key_a = key(["fp-1"], ("COM",))
+    key_b = key(["fp-2"], ("COM",))
+    key_c = key(["fp-1"], ("STD",))
     assert len({key_a, key_b, key_c}) == 3
     cache.put(key_a, "plan")
     assert cache.get(key_a) == "plan"
     assert cache.get(key_b) is None
     assert cache.stats.hits == 1 and cache.stats.misses == 1
+    # membership routes without counting, as the async fast path needs
+    assert key_a in cache and key_b not in cache
+    assert cache.stats.lookups == 2
 
 
 def test_cache_lru_eviction():
-    cache = PlanCache(capacity=2)
-    keys = [cache.key(SQL, f"fp-{i}") for i in range(3)]
-    for key in keys:
-        cache.put(key, key)
+    cache = LRUCache(capacity=2)
+    keys = [key([f"fp-{i}"]) for i in range(3)]
+    for each in keys:
+        cache.put(each, each)
     assert len(cache) == 2
     assert cache.get(keys[0]) is None
     assert cache.stats.evictions == 1

@@ -1,9 +1,10 @@
 """A write rebuilds only what read the written table.
 
-The session's plan cache, prepared-statement templates and the
-planner's partition layouts are keyed by the tables each entry reads,
-so a write re-clusters, re-indexes and replans only the entries over
-the written table — and a read after a write answers exactly what a
+The session's plan cache, prepared-statement templates, the planner's
+statistics store and partition layouts are keyed by the tables each
+entry reads, so a write re-clusters, re-indexes, re-measures and
+replans only the entries over the written table, and one catalog
+version move reclaims every superseded entry — and a read after a write answers exactly what a
 fresh session over the post-write data answers.
 """
 
@@ -133,6 +134,36 @@ def test_append_to_another_table_keeps_the_plan(counted):
     assert dict(clusters) == {"R3": 1}
     invalidations = session.cache_stats()["plan_cache"]["invalidations"]
     assert invalidations == 2
+
+
+def table_caches(session):
+    """The session's four table-keyed caches, by name."""
+    planner = session.planner
+    return {"statistics": planner.stats_cache, "plans": session.plan_cache,
+            "relations": planner._relation_cache,
+            "layouts": planner._partition_cache}
+
+
+@pytest.mark.parametrize("kind", ["update", "append"])
+def test_a_write_reclaims_every_cache_over_the_written_table(kind):
+    """One catalog version move sweeps all four caches: afterwards each
+    holds only entries over tables the catalog still holds, and each
+    dropped entry is counted as an invalidation."""
+    catalog = mutation_catalog(14)
+    session = warm_session(catalog)
+    before = {name: len(cache)
+              for name, cache in table_caches(session).items()}
+    assert all(before.values())
+    write(catalog, kind, "R2", np.random.default_rng(0))
+    for sql in POOL:
+        assert session.execute(sql).ok
+    live = set(catalog.table_fingerprints().values())
+    for name, cache in table_caches(session).items():
+        stale = [key for key in cache.keys() if not live.issuperset(key[0])]
+        assert stale == [], name
+        assert cache.stats.invalidations > 0, name
+    # every query reads R2: all three plans were replanned, none kept
+    assert session.cache_stats()["plan_cache"]["invalidations"] == 3
 
 
 def test_superseded_layout_is_reclaimed_not_pinned():

@@ -52,6 +52,8 @@ INVALID = [
     ("driver", "R9", "driver must be one of"),
     ("flat_output", "false", "flat_output must be a bool"),
     ("flat_output", 0, "flat_output must be a bool"),
+    # equal to the default (True), still not a bool
+    ("flat_output", 1, "flat_output must be a bool"),
     ("flat_output", None, "flat_output must be a bool"),
     ("weights", "x", "weights must be a CostWeights or None"),
     ("weights", 0, "weights must be a CostWeights or None"),
@@ -73,6 +75,8 @@ INVALID = [
     ("robustness", "never", "robustness must be one of"),
     ("placement", "cloud", "placement must be one of"),
     ("num_workers", -1, "num_workers must be an int >= 0"),
+    # equal to the default (0), still not an int
+    ("num_workers", 0.0, "num_workers must be an int >= 0"),
 ]
 
 

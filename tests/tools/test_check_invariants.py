@@ -29,6 +29,13 @@ HASH_INDEX_SOURCE = (
 )
 
 
+#: the one function reading ``Catalog.version`` (ONE_RECLAIM_GATE)
+RECLAIM_GATE = (
+    "def reclaim(planner):\n"
+    "    return planner.catalog.version\n"
+)
+
+
 def load_linter(repo_root):
     """Import the linter module rebased onto ``repo_root``."""
     spec = importlib.util.spec_from_file_location(
@@ -61,6 +68,7 @@ def synthetic_repo(tmp_path):
     (src / "options.py").write_text(
         "class PlanOptions:\n"
         "    mode: str = 'auto'\n"
+        + RECLAIM_GATE
     )
     (tmp_path / "README.md").write_text(
         "## Planner / session knobs\n\n"
@@ -77,13 +85,16 @@ def synthetic_repo(tmp_path):
 
 
 def run_all(module):
-    """Every rule's findings but those read off the roots: the modules
-    the tests below write to trip one rule are reached by no root, and
-    the reachability tests pin the root-driven rules on their own."""
-    from_roots = (module.check_product_modules_reachable,
+    """Every rule's findings but those read off the roots and the
+    one-gate count: the modules the tests below write to trip one rule
+    are reached by no root, and some overwrite ``options.py``, which
+    holds the fixture's reclaim gate; the reachability and gate tests
+    pin those rules on their own."""
+    whole_tree = (module.check_product_modules_reachable,
                   module.check_package_exports_requested,
-                  module.check_plan_knobs_used)
-    return [finding for check in module.CHECKS if check not in from_roots
+                  module.check_plan_knobs_used,
+                  module.check_one_reclaim_gate)
+    return [finding for check in module.CHECKS if check not in whole_tree
             for finding in check()]
 
 
@@ -1046,6 +1057,59 @@ def test_caches_keyed_by_relation_fires(synthetic_repo, relative, source):
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["CACHES_KEYED_BY_RELATION"]
     assert str(path.relative_to(synthetic_repo)) in str(findings[0])
+
+
+# ----------------------------------------------------------------------
+# ONE_RECLAIM_GATE
+# ----------------------------------------------------------------------
+
+
+def gate_findings(module):
+    return [(str(f.path), f.line) for f in module.check_one_reclaim_gate()]
+
+
+def test_one_reclaim_gate_fires_on_a_second_reader(synthetic_repo):
+    """A cache reclaimed behind its own version check is a second gate:
+    both readers are named."""
+    (synthetic_repo / "src" / "repro" / "core" / "session.py").write_text(
+        "class Session:\n"
+        "    def _read_tables(self):\n"
+        "        if self.catalog.version != self._seen_version:\n"
+        "            self.plan_cache.reclaim(self.catalog)\n"
+    )
+    findings = load_linter(synthetic_repo).check_one_reclaim_gate()
+    assert {f.rule for f in findings} == {"ONE_RECLAIM_GATE"}
+    assert sorted((str(f.path), f.line) for f in findings) == [
+        ("src/repro/core/session.py", 3), ("src/repro/options.py", 4)]
+    assert "one of 2 readers" in str(findings[0])
+
+
+def test_one_reclaim_gate_fires_without_a_reader(synthetic_repo):
+    (synthetic_repo / "src" / "repro" / "options.py").write_text(
+        "class PlanOptions:\n    mode: str = 'auto'\n")
+    findings = load_linter(synthetic_repo).check_one_reclaim_gate()
+    assert [f.rule for f in findings] == ["ONE_RECLAIM_GATE"]
+    assert "never reclaimed" in str(findings[0])
+
+
+def test_one_reclaim_gate_ignores_storage_and_writes(synthetic_repo):
+    """The storage layer maintains the version, and one function reading
+    it twice is still one gate."""
+    src = synthetic_repo / "src" / "repro"
+    (src / "storage" / "table.py").write_text(
+        "class Catalog:\n"
+        "    @property\n"
+        "    def version(self):\n"
+        "        return self._version\n"
+        "    def bump(self, other):\n"
+        "        return other.version + 1\n"
+    )
+    (src / "options.py").write_text(
+        "def reclaim(planner):\n"
+        "    planner.version = 0\n"
+        "    return planner.catalog.version, planner.catalog.version\n"
+    )
+    assert gate_findings(load_linter(synthetic_repo)) == []
 
 
 # ----------------------------------------------------------------------

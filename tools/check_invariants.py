@@ -227,6 +227,15 @@ CACHES_KEYED_BY_RELATION
     function of the same module they call (by name, transitively).
     Process pools, which hold a replica of the whole catalog, stay
     keyed on it.
+
+ONE_RECLAIM_GATE
+    A write is reclaimed on one path: every cache keyed by the
+    fingerprints of the tables it read is swept from one gate
+    (``Planner.reclaim``) when ``Catalog.version`` moves.  So exactly
+    one function under ``src/repro``, outside ``storage/`` (which
+    maintains the version), reads a ``.version`` attribute.  A second
+    reader is a second gate, and a cache behind it can see a version
+    move the other skips; none leaves superseded entries to LRU churn.
 """
 
 from __future__ import annotations
@@ -1340,6 +1349,35 @@ def check_caches_keyed_by_relation():
     return findings
 
 
+def check_one_reclaim_gate():
+    readers = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).parts[0] == "storage":
+            continue
+        tree = _attach_parents(_parse(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "version" \
+                    and isinstance(node.ctx, ast.Load):
+                function = _enclosing_function(node)
+                name = function.name if function else "<module>"
+                readers.setdefault((path, name), node.lineno)
+    if len(readers) == 1:
+        return []
+    if not readers:
+        return [Finding(
+            "ONE_RECLAIM_GATE", SRC.relative_to(REPO), 0,
+            "no function reads Catalog.version — superseded cache "
+            "entries are never reclaimed",
+        )]
+    return [
+        Finding("ONE_RECLAIM_GATE", path.relative_to(REPO), line,
+                f"{name}() is one of {len(readers)} readers of "
+                "Catalog.version — reclaim every table-keyed cache from "
+                "one gate")
+        for (path, name), line in readers.items()
+    ]
+
+
 CHECKS = (
     check_raw_key_eq,
     check_unlocked_cache_mutation,
@@ -1363,6 +1401,7 @@ CHECKS = (
     check_package_exports_requested,
     check_plan_knobs_used,
     check_caches_keyed_by_relation,
+    check_one_reclaim_gate,
 )
 
 
