@@ -172,7 +172,7 @@ class LRUCache:
         boundaries: a cache shipped to a planning worker (see
         :mod:`repro.service.async_service`) re-derives entries on demand
         from the content-addressed keys, which is both correct and far
-        cheaper than serializing plans or partitioned catalogs.
+        cheaper than serializing plans or re-clustered tables.
         """
         return {"capacity": self.capacity}
 

@@ -627,7 +627,7 @@ class _PreparedQuery:
     catalog: Catalog
     #: alias -> relation token (:func:`~repro.core.stats.relation_tokens`)
     #: against the base catalog: what the statistics store and the
-    #: partition caches key on
+    #: re-clustered relation cache key on
     tokens: dict = None
     #: resolved hash-shard fan-out of :attr:`catalog` (1 = off)
     effective_shards: int = 1
@@ -664,19 +664,15 @@ class Planner:
         if stats_cache is True:
             stats_cache = LRUCache(4096)
         self.stats_cache = stats_cache
-        # Two levels of partitioning reuse, both keyed by relation
-        # tokens: one re-clustered copy per (alias, token, probe
-        # attribute, layout), shared by every query probing that
-        # relation, and whole derived catalogs per (the query's sorted
-        # tokens, layout), so exact-repeat plan() calls share them.
+        # Partitioning reuse, keyed by relation tokens: one re-clustered
+        # copy per (alias, token, probe attribute, layout), shared by
+        # every query probing that relation.
         self._relation_cache = LRUCache(16)
-        self._partition_cache = LRUCache(8)
         #: every cache whose keys lead with the fingerprints of the
         #: tables an entry read; :meth:`reclaim` sweeps them all (a
         #: QuerySession registers its plan cache here)
         self.table_caches = [
-            cache for cache in (stats_cache, self._relation_cache,
-                                self._partition_cache)
+            cache for cache in (stats_cache, self._relation_cache)
             if cache is not None
         ]
         self._reclaimed_version = None
@@ -765,16 +761,14 @@ class Planner:
         The content-addressed partitioning step shared by
         :meth:`_prepare` (acyclic queries, whose tree is the query) and
         the cyclic joint search (which partitions once its winning tree
-        is known).  Both caches are keyed by relation tokens
-        (:func:`~repro.core.stats.relation_tokens`), never by the whole
-        catalog: each probe target is re-clustered once per (alias,
-        token, probe attribute, layout) and shared — with its index —
-        by every query over that relation, and whole derived catalogs
-        are keyed by the query's sorted tokens plus the layout, so
-        exact repeats reuse them.  A write re-clusters only the
-        relations that read the written table.  ``prep.catalog`` is
-        still the unpartitioned push-down catalog here: both callers
-        run before anything reassigns it.
+        is known).  Each probe target is re-clustered once per (alias,
+        relation token (:func:`~repro.core.stats.relation_tokens`),
+        probe attribute, layout), never per whole catalog, and shared
+        — with its index — by every query over that relation; the
+        derived catalog around those shared tables is built per call.
+        A write re-clusters only the relations that read the written
+        table.  ``prep.catalog`` is still the unpartitioned push-down
+        catalog here: both callers run before anything reassigns it.
         """
         num_shards = options.partitioning
         if num_shards <= 1:
@@ -798,16 +792,7 @@ class Planner:
                 replacements[edge.child] = table
         if not replacements:
             return prep.catalog, 1
-        shard_spec = tuple(sorted(
-            (edge.child, edge.child_attr) for edge in join_query.edges
-        ))
-        tokens = tuple(sorted(prep.tokens.items()))
-        catalog = self._partition_cache.get_or_compute(
-            (tuple(token[0] for _, token in tokens), tokens, shard_spec,
-             num_shards, floor),
-            lambda: prep.catalog.derived_with(replacements),
-        )
-        return catalog, num_shards
+        return prep.catalog.derived_with(replacements), num_shards
 
     def reclaim(self):
         """The one reclaim gate: once per catalog version, drop from
@@ -831,13 +816,12 @@ class Planner:
         """Derive the execution catalog for a parsed query.
 
         Shared by :meth:`plan` and :meth:`rehydrate`: selection
-        push-down and hash-partitioning (both content-addressed and
-        LRU-reused).  Returns a
-        :class:`_PreparedQuery`; the expensive steps hit the same
-        caches from every entry point, which is what makes rehydrating
-        a :class:`PlanSpec` cheap — the worker only ships decisions,
-        the local catalog derivation is a cache lookup after the first
-        query of a shape.
+        push-down and hash-partitioning.  Returns a
+        :class:`_PreparedQuery`; the expensive step, re-clustering,
+        hits the same relation cache from every entry point, which is
+        what makes rehydrating a :class:`PlanSpec` cheap — the worker
+        only ships decisions, and each re-clustered relation is a
+        cache lookup after the first query over it.
 
         A *cyclic* :class:`ParsedQuery` prepares with
         ``join_query=None`` — its spanning tree is an optimizer

@@ -16,13 +16,9 @@ single session so the hardware stays busy:
   is rehydrated locally and inserted into the session's plan cache, so
   the *executed* path is always the session's own and results are
   bit-identical to the synchronous path by construction;
-* **signal-driven admission** — per-query ``index_build_seconds`` /
-  ``reduction_seconds`` from past :class:`~repro.service.session.QueryReport` s
-  classify each cached plan as heavy or light.  Heavy queries
-  (expensive index builds and reductions) are serialized through a
-  small number of slots so they don't oversubscribe the execution
-  threads; light queries flow freely up to the global concurrency
-  limit.
+* **one admission limit** — every query, warm or cold, takes a slot
+  of the global concurrency limit; concurrent cold arrivals of one
+  query are single-flighted onto one planning pass.
 """
 
 from __future__ import annotations
@@ -31,13 +27,12 @@ import asyncio
 import os
 import threading
 import weakref
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from ..core.parser import ParsedQuery, parse_query
 from ..core.query import JoinQuery
-from ..options import _integer, _is_number
+from ..options import _integer
 from .session import DEFAULT_BUDGET, QueryReport, QuerySession
 
 __all__ = ["AsyncQueryService"]
@@ -45,10 +40,6 @@ __all__ = ["AsyncQueryService"]
 #: queries below this relation count plan faster than a round trip to a
 #: worker process costs — they are planned inline on a thread instead
 DEFAULT_PROCESS_MIN_RELATIONS = 8
-
-#: a cached plan whose observed per-execution index build + reduction
-#: time exceeds this is treated as heavy for admission
-DEFAULT_HEAVY_BUILD_SECONDS = 0.05
 
 
 # ----------------------------------------------------------------------
@@ -79,54 +70,6 @@ def _plan_spec_in_worker(query, plan_kwargs):
     return plan.to_spec(_worker_planner.catalog.fingerprint())
 
 
-# ----------------------------------------------------------------------
-# Admission signals
-# ----------------------------------------------------------------------
-
-
-class _AdmissionSignals:
-    """Per-plan-key heaviness classification from past reports.
-
-    A sustained (EWMA) index-build + reduction time above the
-    threshold marks a plan heavy.  Unknown keys are light — the first
-    execution measures them.  Bounded LRU: cold traffic mints a fresh
-    plan-cache key per distinct literal, so an unbounded map would leak
-    one entry per query ever served.
-    """
-
-    __slots__ = ("_entries", "_lock", "threshold", "alpha", "max_entries")
-
-    def __init__(self, threshold=DEFAULT_HEAVY_BUILD_SECONDS, alpha=0.3,
-                 max_entries=4096):
-        #: key -> build-seconds EWMA, LRU-ordered
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self.threshold = threshold
-        self.alpha = alpha
-        self.max_entries = max_entries
-
-    def is_heavy(self, key):
-        with self._lock:
-            ewma = self._entries.get(key)
-            if ewma is None:
-                return False
-            self._entries.move_to_end(key)
-            return ewma > self.threshold
-
-    def observe(self, key, report):
-        if report.result is None:
-            return
-        build = report.index_build_seconds + report.reduction_seconds
-        with self._lock:
-            previous = self._entries.get(key)
-            if previous is not None:
-                build = self.alpha * build + (1.0 - self.alpha) * previous
-            self._entries[key] = build
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-
 class AsyncQueryService:
     """Async multiplexer for one :class:`~repro.service.QuerySession`.
 
@@ -143,7 +86,7 @@ class AsyncQueryService:
         semaphore.  The usual deployment is one loop per service; an
         unusual setup driving one service from several concurrent
         loops gets the limit per loop, not summed across them (asyncio
-        semaphores are loop-bound).  Same for ``heavy_slots``.
+        semaphores are loop-bound).
     executor_workers:
         Threads executing queries (default: CPU count, capped at 16).
     planning_workers:
@@ -154,19 +97,11 @@ class AsyncQueryService:
     process_min_relations:
         Only offload queries at least this large to the process pool
         (below it, IPC costs more than the DP).
-    heavy_build_seconds:
-        Admission threshold on the per-query EWMA of index build +
-        reduction seconds.
-    heavy_slots:
-        Concurrent heavy-query executions (default: half the execution
-        workers, at least 1).
     """
 
     def __init__(self, session, max_concurrency=None, executor_workers=None,
                  planning_workers=0,
-                 process_min_relations=DEFAULT_PROCESS_MIN_RELATIONS,
-                 heavy_build_seconds=DEFAULT_HEAVY_BUILD_SECONDS,
-                 heavy_slots=None):
+                 process_min_relations=DEFAULT_PROCESS_MIN_RELATIONS):
         if not isinstance(session, QuerySession):
             raise TypeError(
                 f"expected a QuerySession, got {type(session).__name__}"
@@ -177,19 +112,11 @@ class AsyncQueryService:
         _integer("executor_workers", 1)(executor_workers)
         if max_concurrency is None:
             max_concurrency = 4 * executor_workers
-        if heavy_slots is None:
-            heavy_slots = max(1, executor_workers // 2)
         self.max_concurrency = _integer("max_concurrency", 1)(max_concurrency)
-        self.heavy_slots = _integer("heavy_slots", 1)(heavy_slots)
         self.planning_workers = _integer("planning_workers", 0)(
             planning_workers)
         self.process_min_relations = _integer("process_min_relations", 1)(
             process_min_relations)
-        if not _is_number(heavy_build_seconds) or heavy_build_seconds < 0:
-            raise ValueError(
-                "heavy_build_seconds must be a number >= 0, got "
-                f"{heavy_build_seconds!r}"
-            )
         self._executor = ThreadPoolExecutor(
             max_workers=executor_workers,
             thread_name_prefix="repro-exec",
@@ -197,7 +124,6 @@ class AsyncQueryService:
         self._planning_pool = None
         self._planning_pool_fingerprint = None
         self._pool_lock = threading.Lock()
-        self._signals = _AdmissionSignals(threshold=heavy_build_seconds)
         #: loop id -> (weakref-to-loop, limits); asyncio primitives are
         #: loop-bound, so each serving loop gets its own set
         self._loop_limits = {}
@@ -211,6 +137,7 @@ class AsyncQueryService:
             "planned_in_process_pool": 0,
             "planned_inline": 0,
             "process_pool_fallbacks": 0,
+            # always 0; read by benchmarks/e2e/metrics.py, retired by benchmark upkeep
             "heavy_admissions": 0,
             "replans": 0,
             "distributed_executions": 0,
@@ -250,13 +177,13 @@ class AsyncQueryService:
             return dict(self._counters)
 
     def _limits(self):
-        """The current loop's (global, heavy, single-flight) state.
+        """The current loop's (global limit, single-flight) state.
 
         asyncio primitives bind to the loop they were created on, so
         each serving loop gets its own set — concurrent loops (e.g.
         one per thread over a shared service) coexist without evicting
-        each other's live semaphores, which would silently double the
-        admission limits.  Entries are keyed by loop id with a weakref
+        each other's live semaphore, which would silently double the
+        admission limit.  Entries are keyed by loop id with a weakref
         guard (a dead loop's id can be reused by a new loop) and
         pruned once their loop is garbage collected.
         """
@@ -270,7 +197,6 @@ class AsyncQueryService:
                     return limits
             limits = (
                 asyncio.Semaphore(self.max_concurrency),
-                asyncio.Semaphore(self.heavy_slots),
                 {},  # single-flight planning futures, by plan key
             )
             self._loop_limits = {
@@ -393,7 +319,7 @@ class AsyncQueryService:
             raise RuntimeError("AsyncQueryService is closed")
         self._bump("submitted")
         loop = asyncio.get_running_loop()
-        global_limit, heavy_limit, inflight = self._limits()
+        global_limit, inflight = self._limits()
         async with global_limit:
             if isinstance(query, str):
                 try:
@@ -441,26 +367,16 @@ class AsyncQueryService:
                             pending.set_result(None)
                     else:
                         await pending
-            heavy = key is not None and self._signals.is_heavy(key)
-            if heavy:
-                self._bump("heavy_admissions")
-
-            def run():
-                return self.session.execute(
+            report = await loop.run_in_executor(
+                self._executor,
+                lambda: self.session.execute(
                     query,
                     flat_output=flat_output,
                     collect_output=collect_output,
                     max_intermediate_tuples=max_intermediate_tuples,
                     **plan_kwargs,
-                )
-
-            if heavy:
-                async with heavy_limit:
-                    report = await loop.run_in_executor(self._executor, run)
-            else:
-                report = await loop.run_in_executor(self._executor, run)
-            if key is not None:
-                self._signals.observe(key, report)
+                ),
+            )
             if report.replans:
                 self._bump("replans", report.replans)
             if report.workers_used:

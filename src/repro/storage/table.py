@@ -103,7 +103,7 @@ class Table:
 
         Called by :meth:`Catalog.invalidate_indexes`, the acknowledged
         escape hatch for in-place column mutation, so every
-        fingerprint-keyed cache (stats, plans, partitioned catalogs)
+        fingerprint-keyed cache (stats, plans, re-clustered relations)
         misses instead of serving results for the old bytes.  The
         structure cache is cleared in place, so every rename sharing it
         rebuilds — once, into the one cache they share.
@@ -347,7 +347,7 @@ class Catalog:
         per-table content digests themselves are computed at most once
         per table.  Process pools key on this value (a worker holds a
         replica of the whole catalog); the statistics, plan and
-        partition caches key on the tables they read instead
+        re-clustered relation caches key on the tables they read instead
         (:meth:`table_fingerprints`).
         """
         self._flush_refresh()
@@ -433,7 +433,7 @@ class Catalog:
         It clears the affected tables' structure caches — shared with
         their renames — and content fingerprints, and bumps the catalog
         version, so every fingerprint-keyed cache (statistics, plans,
-        re-clustered partitioned catalogs) misses instead of serving
+        re-clustered relations) misses instead of serving
         results derived from the old bytes.  The drop propagates to
         catalogs derived from this one — but only for tables that
         still share data with us; a derivative whose table was

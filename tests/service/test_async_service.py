@@ -1,13 +1,13 @@
 """AsyncQueryService: equivalence with the sync session, admission,
 process-pool planning, failure isolation."""
 
+import ast
 import asyncio
+from pathlib import Path
 
 import pytest
 
 from repro import AsyncQueryService, QuerySession
-from repro.service.async_service import _AdmissionSignals
-from repro.service.session import QueryReport
 from tests.helpers import make_small_catalog, result_tuples
 
 SIX_RELATION_SQL = (
@@ -36,16 +36,6 @@ def sync_report(catalog):
 #: (constructor, keyword arguments, the message) a service or session
 #: rejects at construction, before any query could hang or fail on it
 BAD_ARGUMENTS = [
-    ("service", dict(heavy_slots=0, heavy_build_seconds=-1.0),
-     "heavy_slots must be an int >= 1"),
-    ("service", dict(heavy_slots=-1), "heavy_slots must be an int >= 1"),
-    ("service", dict(heavy_slots=1.0), "heavy_slots must be an int >= 1"),
-    ("service", dict(heavy_build_seconds=-1.0),
-     "heavy_build_seconds must be a number >= 0"),
-    ("service", dict(heavy_build_seconds=float("nan")),
-     "heavy_build_seconds must be a number >= 0"),
-    ("service", dict(heavy_build_seconds="0.1"),
-     "heavy_build_seconds must be a number >= 0"),
     ("service", dict(planning_workers=-1),
      "planning_workers must be an int >= 0"),
     ("service", dict(process_min_relations="x"),
@@ -148,36 +138,19 @@ class TestAdmission:
         assert stats["planned_inline"] == 1
         assert cache_misses == 1
 
-    def test_heavy_signal_classification(self):
-        signals = _AdmissionSignals(threshold=0.01)
-        light = QueryReport(query=None, result=object())
-        light.shards_used = 1
-        light.index_build_seconds = 0.001
-        signals.observe("k", light)
-        assert not signals.is_heavy("k")
-        heavy = QueryReport(query=None, result=object())
-        heavy.shards_used = 4
-        heavy.index_build_seconds = 0.5
-        signals.observe("k", heavy)
-        assert signals.is_heavy("k")
-
-    def test_heavy_queries_still_complete(self, catalog, sync_report):
+    def test_repeated_concurrent_batches_complete(self, catalog,
+                                                  sync_report):
         async def go():
-            session = QuerySession(catalog)
-            # threshold 0 marks everything observed as heavy, forcing
-            # the heavy-slot path on the second wave
-            async with AsyncQueryService(session, heavy_build_seconds=0.0,
-                                         heavy_slots=1) as service:
+            async with AsyncQueryService(QuerySession(catalog)) as service:
                 await service.execute_many([SIX_RELATION_SQL] * 3)
-                reports = await service.execute_many(
+                return await service.execute_many(
                     [SIX_RELATION_SQL] * 3, collect_output=True
                 )
-                return reports, service.stats()
 
-        reports, stats = run(go())
+        reports = run(go())
         assert all(report.ok for report in reports)
-        assert stats["heavy_admissions"] >= 1
-        assert reports[0].result.output_size == sync_report.result.output_size
+        assert all(report.result.output_size
+                   == sync_report.result.output_size for report in reports)
 
 
 class TestFailureIsolation:
@@ -290,3 +263,25 @@ class TestReportObservability:
                           "size", "hit_rate"):
                 assert field in stats[cache], (cache, field)
         assert stats["plan_cache"]["size"] == 1
+
+
+def _benchmark_service_keys():
+    """The ``service["..."]`` keys ``benchmarks/e2e/metrics.py`` reads
+    off ``AsyncQueryService.stats()`` in the traced benchmark run."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks/e2e/metrics.py"
+    return {node.slice.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == "service"
+            and isinstance(node.slice, ast.Constant)}
+
+
+def test_stats_serve_every_key_the_benchmark_reads(catalog):
+    """Deleting a counter from the product must not crash the traced
+    benchmark run that indexes it."""
+    keys = _benchmark_service_keys()
+    assert "submitted" in keys
+    service = AsyncQueryService(QuerySession(catalog))
+    try:
+        assert keys <= set(service.stats())
+    finally:
+        service.close()

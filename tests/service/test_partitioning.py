@@ -79,12 +79,18 @@ class TestPlannerKnob:
         assert planner.plan(SIX_RELATION_SQL, partitioning="off").num_shards == 1
         assert planner.plan(SIX_RELATION_SQL).num_shards == 4
 
-    def test_partitioned_catalog_reused_across_plan_calls(self, catalog):
+    def test_partitioned_relations_reused_across_plan_calls(self, catalog):
         planner = Planner(catalog, partitioning=2)
         first = planner.plan(SIX_RELATION_SQL)
         second = planner.plan(SIX_RELATION_SQL)
-        # content-addressed reuse: one re-clustered catalog, not one per call
-        assert first.catalog is second.catalog
+        # content-addressed reuse: one re-clustered copy per relation,
+        # not one per call
+        relations = first.query.non_root_relations
+        assert relations
+        for relation in relations:
+            table = first.catalog.table(relation)
+            assert isinstance(table, PartitionedTable)
+            assert second.catalog.table(relation) is table
 
     def test_driver_auto_with_partitioning_is_correct(self, catalog):
         baseline = Planner(catalog).plan(

@@ -137,16 +137,15 @@ def test_append_to_another_table_keeps_the_plan(counted):
 
 
 def table_caches(session):
-    """The session's four table-keyed caches, by name."""
+    """The session's three table-keyed caches, by name."""
     planner = session.planner
     return {"statistics": planner.stats_cache, "plans": session.plan_cache,
-            "relations": planner._relation_cache,
-            "layouts": planner._partition_cache}
+            "relations": planner._relation_cache}
 
 
 @pytest.mark.parametrize("kind", ["update", "append"])
 def test_a_write_reclaims_every_cache_over_the_written_table(kind):
-    """One catalog version move sweeps all four caches: afterwards each
+    """One catalog version move sweeps all three caches: afterwards each
     holds only entries over tables the catalog still holds, and each
     dropped entry is counted as an invalidation."""
     catalog = mutation_catalog(14)

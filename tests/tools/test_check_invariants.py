@@ -1275,10 +1275,56 @@ def test_plan_knobs_used_exemptions_state_their_reason(synthetic_repo):
 
 
 def test_plan_knobs_used_exempts_only_live_knobs():
-    """The real table: the three fields no root names yet, each still a
-    ``PlanOptions`` field — an exemption outliving its knob is stale."""
+    """The real table: the three fields and eight constructor keywords
+    no root names yet, each still a knob — an exemption outliving its
+    knob is stale."""
     from repro.options import PlanOptions
 
-    exempt = load_linter(REPO).PLAN_KNOBS_EXEMPT
-    assert sorted(exempt) == ["execution", "planning_budget_ms", "robustness"]
-    assert set(exempt) <= set(PlanOptions.__dataclass_fields__)
+    module = load_linter(REPO)
+    exempt = module.PLAN_KNOBS_EXEMPT
+    assert sorted(exempt) == [
+        "execution", "executor_workers", "max_concurrency", "max_replans",
+        "plan_cache_size", "planning_budget_ms", "planning_workers",
+        "process_min_relations", "replan_threshold", "robustness",
+        "stats_cache_size"]
+    sites = module._knob_sites()
+    assert set(exempt) <= set(sites)
+    assert {name for name, (owner, _, _) in sites.items()
+            if owner == "PlanOptions"} == set(PlanOptions.__dataclass_fields__)
+
+
+def _serving_constructors(repo, service_keywords):
+    """A session taking ``plan_cache_size`` and a service taking
+    ``service_keywords`` (each defaulted), beside one positional."""
+    service = repo / "src" / "repro" / "service"
+    service.mkdir()
+    (service / "__init__.py").write_text("")
+    (service / "session.py").write_text(
+        "class QuerySession:\n"
+        "    def __init__(self, catalog, plan_cache_size=128, **knobs):\n"
+        "        self.catalog = catalog\n")
+    (service / "async_service.py").write_text(
+        "class AsyncQueryService:\n"
+        "    def __init__(self, session, "
+        + "".join(f"{name}=None, " for name in service_keywords)
+        + "*, planning_workers=0):\n"
+        "        self.session = session\n")
+
+
+def test_plan_knobs_used_flags_unused_constructor_keywords(synthetic_repo):
+    """A service or session keyword no root names is flagged at its
+    parameter; exempt keywords and positionals pass."""
+    _serving_constructors(synthetic_repo, ["max_concurrency", "spare_slots"])
+    module = load_linter(synthetic_repo)
+    findings = module.check_plan_knobs_used()
+    assert knob_findings(module) == ["AsyncQueryService.spare_slots"]
+    assert str(findings[0]).startswith(
+        "src/repro/service/async_service.py:2: PLAN_KNOBS_USED:")
+
+
+def test_plan_knobs_used_keeps_named_constructor_keywords(synthetic_repo):
+    _serving_constructors(synthetic_repo, ["spare_slots"])
+    (synthetic_repo / "examples" / "serve.py").write_text(
+        "def serve(service_type, session):\n"
+        "    return service_type(session, spare_slots=2)\n")
+    assert knob_findings(load_linter(synthetic_repo)) == []

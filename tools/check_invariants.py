@@ -20,7 +20,7 @@ RAW_KEY_EQ
 
 UNLOCKED_CACHE_MUTATION
     ``_entries`` / ``_inflight`` mark lock-guarded shared state (the
-    ``LRUCache`` convention, also followed by the heavy-plan tracker).
+    ``LRUCache`` convention).
     Only methods of the owning class may touch them (``self._...``),
     and any method doing so must hold ``self._lock`` in a ``with``
     block.  Reaching into another object's ``_entries`` bypasses its
@@ -206,15 +206,17 @@ PACKAGE_EXPORTS_REQUESTED
     imports what it checks from the module that defines it.
 
 PLAN_KNOBS_USED
-    A knob is in ``PlanOptions`` because a user sets or reads it.  So
-    every field is named by a root (a file under ``examples/`` or
+    A knob is in the surface because a user sets or reads it.  The
+    knobs are the ``PlanOptions`` fields and the keyword parameters of
+    ``QuerySession.__init__`` and ``AsyncQueryService.__init__``.
+    Every one is named by a root (a file under ``examples/`` or
     non-test ``benchmarks/``) or a figure driver under
     ``src/repro/bench``: as a keyword argument, a string key of a dict
     literal (the knob dicts a workload hands ``QuerySession`` and
     ``execute``), or an attribute read off a ``planner`` / ``options``.
-    ``PLAN_KNOBS_EXEMPT`` lists the fields no root names yet, each with
-    the open item that decides it.  A knob only tests turn is a module
-    constant.
+    ``PLAN_KNOBS_EXEMPT`` lists the knobs no root names yet, each with
+    the reason or open item that keeps it.  A knob only tests turn is
+    a module constant or gone.
 
 CACHES_KEYED_BY_RELATION
     A write must rebuild only what read the written table, so the
@@ -1076,18 +1078,39 @@ def _plan_option_fields():
         else {}
 
 
-def _session_keywords():
-    """The keyword parameters of ``QuerySession.__init__`` (the
-    session-only knobs the README table documents beside the fields)."""
-    path = SRC / "service" / "session.py"
+#: (file under src/repro, class) whose ``__init__`` keyword parameters
+#: are knobs beside the ``PlanOptions`` fields
+_KNOB_CONSTRUCTORS = (
+    ("service/session.py", "QuerySession"),
+    ("service/async_service.py", "AsyncQueryService"),
+)
+
+
+def _init_keywords(relative, class_name):
+    """``{name: arg}`` of the parameters with a default (or keyword-only)
+    of ``class_name.__init__`` in ``src/repro/<relative>``."""
+    path = SRC / relative
     if not path.exists():
-        return set()
-    return {argument.arg
+        return {}
+    return {argument.arg: argument
             for node in ast.walk(_parse(path))
-            if isinstance(node, ast.ClassDef) and node.name == "QuerySession"
+            if isinstance(node, ast.ClassDef) and node.name == class_name
             for init in node.body if isinstance(init, ast.FunctionDef)
             and init.name == "__init__"
-            for argument in init.args.args + init.args.kwonlyargs}
+            for argument in (init.args.args[len(init.args.args)
+                                            - len(init.args.defaults):]
+                             + init.args.kwonlyargs)}
+
+
+def _knob_sites():
+    """``{name: (owner, path, line)}`` of every knob: the
+    ``PlanOptions`` fields and the :data:`_KNOB_CONSTRUCTORS` keywords."""
+    sites = {name: ("PlanOptions", SRC / "options.py", item.lineno)
+             for name, item in _plan_option_fields().items()}
+    for relative, class_name in _KNOB_CONSTRUCTORS:
+        for name, argument in _init_keywords(relative, class_name).items():
+            sites[name] = (class_name, SRC / relative, argument.lineno)
+    return sites
 
 
 def check_readme_knob_table():
@@ -1109,7 +1132,9 @@ def check_readme_knob_table():
                 "README_KNOB_TABLE", readme.relative_to(REPO), line,
                 f"planner knob `{knob}` missing from the knob table",
             ))
-    known = set(knobs) | _session_keywords()
+    # the session-only knobs the table documents beside the fields
+    known = set(knobs) | set(_init_keywords("service/session.py",
+                                            "QuerySession"))
     for offset, row in enumerate(section.split("\n"), start=line + 1):
         cells = row.split("|")
         if not row.startswith("|") or len(cells) < 3:
@@ -1249,8 +1274,8 @@ def check_package_exports_requested():
     ]
 
 
-#: ``PlanOptions`` fields no root names yet -> the open item (ROADMAP)
-#: that decides whether each gets a user or becomes a constant
+#: knobs no root names yet -> why each stays: the deployment it sizes
+#: or the open item (ROADMAP) that decides whether it gets a user
 PLAN_KNOBS_EXEMPT = {
     "execution": "the kernel-oracle item: whether the interpreted plane "
                  "stays a knob or becomes a test-only oracle",
@@ -1258,6 +1283,18 @@ PLAN_KNOBS_EXEMPT = {
                   "planning and feedback replanning a workload",
     "planning_budget_ms": "product deadlines and the concurrent cold "
                           "workload of benchmark upkeep",
+    **dict.fromkeys(
+        ("max_concurrency", "executor_workers", "plan_cache_size",
+         "stats_cache_size"),
+        "deployment sizing: set per host and client count, not per query"),
+    **dict.fromkeys(
+        ("planning_workers", "process_min_relations"),
+        "the process-workers item and the concurrent cold workload of "
+        "benchmark upkeep"),
+    **dict.fromkeys(
+        ("replan_threshold", "max_replans"),
+        "runtime replanning: the item that gives feedback replanning a "
+        "workload"),
 }
 
 _KNOB_OWNERS = frozenset({"planner", "options"})
@@ -1280,15 +1317,14 @@ def _knob_mentions(tree):
 
 
 def check_plan_knobs_used():
-    path = SRC / "options.py"
     users = [*_root_files(), *sorted((SRC / "bench").rglob("*.py"))]
     named = {name for file in users for name in _knob_mentions(_parse(file))}
     return [
-        Finding("PLAN_KNOBS_USED", path.relative_to(REPO), item.lineno,
-                f"PlanOptions.{name} is named by no example, benchmark or "
+        Finding("PLAN_KNOBS_USED", path.relative_to(REPO), line,
+                f"{owner}.{name} is named by no example, benchmark or "
                 "figure driver — only tests turn it; make it a module "
-                "constant or give it a user")
-        for name, item in _plan_option_fields().items()
+                "constant, delete it or give it a user")
+        for name, (owner, path, line) in _knob_sites().items()
         if name not in named and name not in PLAN_KNOBS_EXEMPT
     ]
 
