@@ -42,8 +42,16 @@ BAD_ARGUMENTS = [
      "process_min_relations must be an int >= 1"),
     ("service", dict(max_concurrency=0), "max_concurrency must be an int"),
     ("service", dict(executor_workers=0), "executor_workers must be an int"),
+    ("service", dict(executor_workers=1.0), "executor_workers must be an int"),
+    ("service", dict(max_concurrency=True), "max_concurrency must be an int"),
+    ("service", dict(planning_workers="2"),
+     "planning_workers must be an int >= 0"),
     ("session", dict(replan_threshold=float("nan")),
      "replan_threshold is a q-error"),
+    ("session", dict(replan_threshold=0.5), "replan_threshold is a q-error"),
+    ("session", dict(replan_threshold="8"), "replan_threshold is a q-error"),
+    ("session", dict(max_replans=-1), "max_replans must be an integer >= 0"),
+    ("session", dict(plan_cache_size=0), "capacity must be >= 1"),
 ]
 
 
