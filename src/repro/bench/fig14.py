@@ -13,11 +13,10 @@ import numpy as np
 
 from ..core.costmodel import CostWeights, plan_cost
 from ..core.stats import stats_from_data
-from ..engine import execute
 from ..modes import ExecutionMode
 from ..workloads.shapes import PAPER_SHAPES
 from ..workloads.synthetic import generate_dataset, specs_from_ranges
-from .runner import render_table
+from .runner import render_table, timed_execute
 
 __all__ = ["run", "main"]
 
@@ -62,7 +61,7 @@ def run(
             ).total(weights)
             times = []
             for _ in range(repeats):
-                result = execute(
+                result = timed_execute(
                     dataset.catalog, query, order, ExecutionMode.COM,
                     flat_output=True,
                 )

@@ -707,7 +707,6 @@ def execute_cyclic(
     mode=ExecutionMode.COM,
     order=None,
     collect_output=False,
-    expansion_batch=8192,
     max_intermediate_tuples=50_000_000,
     child_orders=None,
     execution="auto",
@@ -741,6 +740,7 @@ def execute_cyclic(
     driver partition).
     """
     from ..engine.executor import BudgetExceededError, execute
+    from ..engine.factorized import EXPANSION_BATCH_ENTRIES, concat_batches
     from ..engine.kernels import get_kernels, resolve_execution
 
     mode = ExecutionMode(mode)
@@ -752,7 +752,6 @@ def execute_cyclic(
             catalog, query, order, mode,
             flat_output=True, collect_output=collect_output,
             child_orders=child_orders,
-            expansion_batch=expansion_batch,
             max_intermediate_tuples=max_intermediate_tuples,
             execution=execution,
             driver_rows=driver_rows,
@@ -785,10 +784,7 @@ def execute_cyclic(
         # Same accounting as the acyclic expansion step: every expanded
         # (pre-filter) tuple is generated work.
         result.counters.tuples_generated += pre_filter
-        batches = result.factorized.expand(
-            batch_entries=expansion_batch, max_rows=4_000_000,
-            kernels=kernels, weights=weights,
-        )
+        batches = result.factorized.expand(kernels=kernels, weights=weights)
     else:
         # Flat pipelines materialize the full frame at their last join
         # regardless (and count it as tuples_generated there); the
@@ -798,14 +794,14 @@ def execute_cyclic(
             catalog, query, order, mode,
             flat_output=True, collect_output=True,
             child_orders=child_orders,
-            expansion_batch=expansion_batch,
             max_intermediate_tuples=max_intermediate_tuples,
             execution=execution,
             driver_rows=driver_rows,
         )
         residuals = list(plan.residuals)
         pre_filter = result.output_size
-        batches = _row_batches(result.output_rows or {}, expansion_batch)
+        batches = _row_batches(result.output_rows or {},
+                               EXPANSION_BATCH_ENTRIES)
 
     result.counters.residual_input_tuples += pre_filter
     result.counters.note_intermediate(pre_filter, stage="<residuals>")
@@ -821,17 +817,8 @@ def execute_cyclic(
         if collected is not None and batch_size:
             collected.append(filtered)
 
-    output_rows = None
-    if collect_output:
-        if collected:
-            output_rows = {
-                rel: np.concatenate([b[rel] for b in collected])
-                for rel in collected[0]
-            }
-        else:
-            output_rows = {
-                rel: np.empty(0, dtype=np.int64) for rel in query.relations
-            }
+    output_rows = (None if collected is None
+                   else concat_batches(collected, query.relations))
     result.output_size = total
     result.output_rows = output_rows
     return total, result, output_rows

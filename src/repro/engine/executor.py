@@ -22,7 +22,7 @@ import numpy as np
 from ..core.costmodel import CostWeights
 from ..modes import ExecutionMode
 from .bitvector import BitvectorFilter
-from .factorized import FactorizedResult
+from .factorized import FactorizedResult, concat_batches
 from .kernels import get_kernels, resolve_execution
 from .semijoin import full_reduction
 
@@ -288,7 +288,6 @@ def execute(
     collect_output=False,
     child_orders=None,
     bitvector_bits=None,
-    expansion_batch=8192,
     max_intermediate_tuples=50_000_000,
     execution="auto",
     monitor=None,
@@ -302,11 +301,13 @@ def execute(
         A precedence-respecting permutation of the non-root relations
         (default: the query's declaration order).
     flat_output:
-        If True, COM variants pay the final expansion step (the flat
-        result is generated batch-wise and counted; kept only when
-        ``collect_output``).  STD variants always produce flat output.
+        If True, COM variants pay the final expansion step: the flat
+        tuples are budgeted and counted (``tuples_generated``), and
+        generated only when ``collect_output`` keeps them.  STD
+        variants always produce flat output.
     collect_output:
-        Keep the output row indices on the result (memory permitting).
+        Keep the output row indices on the result (memory permitting);
+        the counters and ``output_size`` do not depend on it.
     child_orders:
         SJ variants: per-internal-relation semi-join child order
         (default: query declaration order; the optimizer supplies the
@@ -391,34 +392,20 @@ def execute(
         output_size = factorized.count_rows(weights)
         _remap_factorized_rows(factorized, catalog, kernels)
         if flat_output:
-            # Expansion step: generate the flat result batch-at-a-time
-            # (kept only if requested); each generated tuple is work.
+            # Expansion step: every flat tuple is budgeted and counted
+            # as work, but generated only when kept — a count-only run
+            # stops at the count, as the flat driver's last step does.
             if output_size > max_intermediate_tuples:
                 raise BudgetExceededError(
                     str(mode), "<expansion>", output_size,
                     max_intermediate_tuples,
                 )
             counters.tuples_generated += output_size
-            collected = [] if collect_output else None
-            for batch in factorized.expand(
-                batch_entries=expansion_batch,
-                max_rows=4_000_000,
-                kernels=kernels,
-                weights=weights,
-            ):
-                if collected is not None:
-                    collected.append(batch)
-            if collected is not None:
-                if collected:
-                    output_rows = {
-                        rel: np.concatenate([b[rel] for b in collected])
-                        for rel in collected[0]
-                    }
-                else:
-                    output_rows = {
-                        rel: np.empty(0, dtype=np.int64)
-                        for rel in query.relations
-                    }
+            if collect_output:
+                output_rows = concat_batches(
+                    list(factorized.expand(kernels=kernels, weights=weights)),
+                    query.relations,
+                )
     else:
         frame, output_size = _run_flat_driver(
             query, catalog, order, indexes, bitvectors, checks_after,

@@ -40,6 +40,20 @@ from ..storage.hashindex import fan_out
 
 __all__ = ["FactorizedNode", "FactorizedResult"]
 
+#: the engine's expansion bounds: alive driver entries per batch, and
+#: flat output rows per batch (one entry above the cap gets its own)
+EXPANSION_BATCH_ENTRIES = 8192
+EXPANSION_MAX_ROWS = 4_000_000
+
+
+def concat_batches(batches, relations):
+    """One ``{relation: rows}`` from flat batches; empty ``int64`` rows
+    per relation of ``relations`` when there are none."""
+    if not batches:
+        return {rel: np.empty(0, dtype=np.int64) for rel in relations}
+    return {rel: np.concatenate([batch[rel] for batch in batches])
+            for rel in batches[0]}
+
 
 def _weight_bounded_batches(weights, batch_entries, max_rows):
     """``(begin, end)`` entry ranges capped by entry count and by weight.
@@ -286,9 +300,12 @@ class FactorizedResult:
         """Total factorized entries (the compressed size)."""
         return sum(len(node) for node in self.nodes.values())
 
-    def expand(self, batch_entries=None, max_rows=None, kernels=None,
-               weights=None):
+    def expand(self, batch_entries=EXPANSION_BATCH_ENTRIES,
+               max_rows=EXPANSION_MAX_ROWS, kernels=None, weights=None):
         """Yield flat result batches as ``{relation: row_index_array}``.
+
+        The executor calls this only for a run that collects rows; a
+        run keeping no rows takes its size from :meth:`count_rows`.
 
         Breadth-first expansion: driver entries are processed in batches
         (``batch_entries`` alive driver entries per batch) and each
@@ -303,7 +320,8 @@ class FactorizedResult:
         ``max_rows`` additionally caps the *output rows* per batch:
         driver entries are grouped so that each batch expands to at most
         ``max_rows`` tuples (single entries exceeding the cap get a
-        batch of their own), bounding peak memory during expansion.
+        batch of their own), bounding peak memory during expansion;
+        ``None`` lifts the cap.  Both default to the engine's bounds.
         ``weights`` optionally supplies a current
         :meth:`subtree_weights` result for that grouping.
 
@@ -319,8 +337,6 @@ class FactorizedResult:
         alive_driver = driver.alive_indices()
         if len(alive_driver) == 0:
             return
-        if batch_entries is None:
-            batch_entries = max(1, len(alive_driver))
         if max_rows is None:
             bounds = (
                 (begin, begin + batch_entries)
@@ -401,13 +417,7 @@ class FactorizedResult:
 
     def expand_all(self):
         """Materialize the full flat result as ``{relation: rows}``."""
-        batches = list(self.expand())
-        if not batches:
-            return {rel: np.empty(0, dtype=np.int64) for rel in self.joined}
-        return {
-            rel: np.concatenate([batch[rel] for batch in batches])
-            for rel in batches[0]
-        }
+        return concat_batches(list(self.expand()), self.joined)
 
     def expand_depth_first(self):
         """Yield flat result tuples one at a time, depth-first.

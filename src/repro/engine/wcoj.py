@@ -65,7 +65,12 @@ import numpy as np
 from ..modes import ExecutionMode
 from ..storage.hashindex import HashIndex
 from .executor import BudgetExceededError, ExecutionCounters, ExecutionResult
-from .factorized import _weight_bounded_batches
+from .factorized import (
+    EXPANSION_BATCH_ENTRIES,
+    EXPANSION_MAX_ROWS,
+    _weight_bounded_batches,
+    concat_batches,
+)
 from .kernels import get_kernels, resolve_execution
 
 __all__ = [
@@ -370,7 +375,6 @@ def execute_wcoj(
     mode=ExecutionMode.COM,
     order=None,
     collect_output=False,
-    expansion_batch=8192,
     max_intermediate_tuples=50_000_000,
     variable_order=None,
     execution="auto",
@@ -606,8 +610,8 @@ def execute_wcoj(
 
     output_size = 0
     collected = [] if collect_output else None
-    for begin, end in _weight_bounded_batches(weights, expansion_batch,
-                                              4_000_000):
+    for begin, end in _weight_bounded_batches(
+            weights, EXPANSION_BATCH_ENTRIES, EXPANSION_MAX_ROWS):
         frame = {}
         pointer = np.arange(end - begin, dtype=np.int64)
         for rel in expansion_order:
@@ -626,17 +630,8 @@ def execute_wcoj(
         if collected is not None and len(pointer):
             collected.append(frame)
 
-    output_rows = None
-    if collect_output:
-        if collected:
-            output_rows = {
-                rel: np.concatenate([batch[rel] for batch in collected])
-                for rel in collected[0]
-            }
-        else:
-            output_rows = {
-                rel: np.empty(0, dtype=np.int64) for rel in query.relations
-            }
+    output_rows = (None if collected is None
+                   else concat_batches(collected, query.relations))
 
     shards_used = max(
         (getattr(catalog.table(rel), "num_shards", 1)

@@ -201,7 +201,9 @@ class PlanOptions:
         rooting's DP pruned against the incumbent).
     flat_output:
         A bool: whether the caller wants flat tuples (the expansion
-        step is priced in) or accepts factorized output.
+        step is priced in) or accepts factorized output.  The tuples
+        are generated only when rows are collected; a count-only run
+        still counts and prices them.
     planning_budget_ms:
         Optional wall-time budget per ``plan()``.  Order searches run
         under a deadline measured on this host's clock, falling down the
