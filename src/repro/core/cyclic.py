@@ -739,7 +739,7 @@ def execute_cyclic(
     path — residual filtering is per-tuple, so it decomposes over any
     driver partition).
     """
-    from ..engine.executor import BudgetExceededError, execute
+    from ..engine.executor import BudgetExceededError, _run_pipeline, execute
     from ..engine.factorized import EXPANSION_BATCH_ENTRIES, concat_batches
     from ..engine.kernels import get_kernels, resolve_execution
 
@@ -759,14 +759,11 @@ def execute_cyclic(
         return result.output_size, result, result.output_rows
 
     if mode.factorized:
-        # Run the tree join factorized, then filter during expansion.
-        result = execute(
-            catalog, query, order, mode,
-            flat_output=False, collect_output=False,
-            child_orders=child_orders,
-            max_intermediate_tuples=max_intermediate_tuples,
-            execution=execution,
-            driver_rows=driver_rows,
+        # Run the tree join factorized, then filter during expansion;
+        # the result is counted once, after the push-down below.
+        result = _run_pipeline(
+            catalog, query, order, mode, False, child_orders, None,
+            max_intermediate_tuples, execution, None, driver_rows,
         )
         # Root-to-leaf residuals filter factorized entries before they
         # multiply out; only cross-branch residuals still need the

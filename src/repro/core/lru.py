@@ -169,10 +169,9 @@ class LRUCache:
         """Pickle as an *empty* cache of the same capacity.
 
         Locks, in-flight events and cached values never cross process
-        boundaries: a cache shipped to a planning worker (see
-        :mod:`repro.service.async_service`) re-derives entries on demand
-        from the content-addressed keys, which is both correct and far
-        cheaper than serializing plans or re-clustered tables.
+        boundaries: a cache pickled with its planner re-derives entries
+        on demand from the content-addressed keys, which is both correct
+        and far cheaper than serializing plans or re-clustered tables.
         """
         return {"capacity": self.capacity}
 

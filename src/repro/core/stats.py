@@ -242,7 +242,8 @@ class StatsReader:
     ----------
     catalog:
         The catalog measurements read: selections already pushed down,
-        relations registered under the names the query uses.
+        relations registered under the names the query uses.  ``None``:
+        a *frozen* reader, raising :class:`LookupError` beyond ``values``.
     store, tokens:
         An optional shared statistics store (an
         :class:`~repro.core.lru.LRUCache`) and the
@@ -250,6 +251,9 @@ class StatsReader:
         without a store, each value is read at most once per reader, so
         the rootings and candidate trees of one ``plan()`` share work
         and the store's counters count reuse *across* plans.
+    values:
+        Values already known, keyed as the reader keys them (a directed
+        predicate, ``(relation, attr, statistic)`` or ``(relation,)``).
 
     One store entry is one *measurement*, keyed on the data it read:
     a directed predicate ``(parent token, parent_attr, child token,
@@ -262,15 +266,34 @@ class StatsReader:
     again by any query, rooting, spanning tree, alias or shard count
     over the same table contents.  The store's capacity counts
     measurements, not queries: an ``n``-relation ``driver="auto"``
-    plan reads ``2 * (n - 1)`` of them.
+    plan reads ``2 * (n - 1)`` of them.  Sizes are read per reader,
+    never stored.
     """
 
-    def __init__(self, catalog: Any, store: Optional[LRUCache] = None,
-                 tokens: Optional[Mapping[str, Hashable]] = None) -> None:
+    def __init__(self, catalog: Any = None, store: Optional[LRUCache] = None,
+                 tokens: Optional[Mapping[str, Hashable]] = None,
+                 values: Optional[Mapping[Hashable, Any]] = None) -> None:
         self._catalog = catalog
         self._store = store
         self._tokens = tokens
-        self._seen: Dict[Hashable, Any] = {}
+        self._seen: Dict[Hashable, Any] = dict(values or {})
+
+    @classmethod
+    def holding(cls, rooted: Any, stats: QueryStats,
+                catalog: Any = None) -> "StatsReader":
+        """A reader whose :meth:`rooted_stats` of ``rooted`` assembles
+        ``stats`` (edges and sizes; probe costs are not a reader's), e.g.
+        corrected ones; anything else is read over ``catalog``."""
+        values: Dict[Hashable, Any] = {
+            (relation,): stats.relation_size(relation)
+            for relation in rooted.relations}
+        values.update(((e.parent, e.parent_attr, e.child, e.child_attr),
+                       stats.stats(e.child)) for e in rooted.edges)
+        return cls(catalog, values=values)
+
+    def frozen(self) -> "StatsReader":
+        """A picklable copy holding exactly what this reader has read."""
+        return StatsReader(values=self._seen)
 
     def _read(self, key: Tuple[Any, ...], measure: Callable[[], T],
               relation_slots: Tuple[int, ...] = (0,)) -> T:
@@ -278,6 +301,8 @@ class StatsReader:
         the store the aliases at ``relation_slots`` become tokens."""
         value: Optional[T] = self._seen.get(key)
         if value is None:
+            if self._catalog is None:
+                raise LookupError(f"frozen statistics hold no {key!r}")
             if self._store is None or self._tokens is None:
                 value = measure()
             else:
@@ -315,8 +340,16 @@ class StatsReader:
 
     def sizes(self, relations: Any) -> Dict[str, int]:
         """Cardinality (after selections) of each of ``relations``."""
-        return {relation: len(self._catalog.table(relation))
-                for relation in relations}
+        seen, sizes = self._seen, {}
+        for relation in relations:
+            size = seen.get((relation,))
+            if size is None:
+                if self._catalog is None:
+                    raise LookupError(
+                        f"frozen statistics hold no size of {relation!r}")
+                size = seen[relation,] = len(self._catalog.table(relation))
+            sizes[relation] = size
+        return sizes
 
     def rooted_stats(self, rooted: Any) -> QueryStats:
         """The :class:`QueryStats` of one rooted join tree.

@@ -2,9 +2,10 @@
 
 A :class:`WorkerPool` owns ``num_workers`` single-process executors.
 Each worker process is initialized exactly once per catalog fingerprint
-with the content-addressed pickled catalog (the same shipping layer the
-async service's planning pool uses) and builds its hash indexes
-worker-locally on first use; after that, queries ship only a picklable
+with the content-addressed pickled catalog (execution needs the data;
+planning workers, deciding from shipped statistics, hold none) and
+builds its hash indexes worker-locally on first use; after that,
+queries ship only a picklable
 :class:`~repro.planner.PlanSpec`, the (parsed) query, and a driver-row
 subset.
 
@@ -92,11 +93,11 @@ _worker_plans = None
 def _init_exec_worker(catalog, planner_config):
     """Process-pool initializer: one planner per worker, created once.
 
-    Mirrors the async service's ``_init_planning_worker``: the catalog
-    crosses the process boundary exactly once (content-addressed by the
-    fingerprint inside every shipped ``PlanSpec``), and everything
-    derived from it — partitioned layouts, hash indexes, stats — is
-    built worker-locally and reused across queries.
+    The catalog crosses the process boundary exactly once
+    (content-addressed by the fingerprint inside every shipped
+    ``PlanSpec``), and everything derived from it — partitioned layouts,
+    hash indexes, stats — is built worker-locally and reused across
+    queries.
     """
     global _worker_planner, _worker_plans
     from ..planner import Planner
@@ -206,11 +207,11 @@ class WorkerPool:
     """A pool of persistent execution workers for one catalog snapshot.
 
     ``planner_config`` is forwarded to each worker's
-    :class:`~repro.planner.Planner` (the same knob dict the async
-    planning pool ships) so rehydrated plans resolve identically to the
-    driver's.  ``_submit`` is the single seam every worker-bound task
-    goes through — the fault-injection test helper overrides it to kill
-    a chosen worker mid-query.
+    :class:`~repro.planner.Planner` (the session planner's
+    ``options.planner_config()``) so rehydrated plans resolve
+    identically to the driver's.  ``_submit`` is the single seam every
+    worker-bound task goes through — the fault-injection test helper
+    overrides it to kill a chosen worker mid-query.
     """
 
     def __init__(self, catalog, planner_config=None, num_workers=2,

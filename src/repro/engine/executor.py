@@ -337,6 +337,44 @@ def execute(
         disjoint subset and merging is exactly equivalent to one run
         over the union.
     """
+    start = time.perf_counter()
+    result = _run_pipeline(
+        catalog, query, order, mode, collect_output, child_orders,
+        bitvector_bits, max_intermediate_tuples, execution, monitor,
+        driver_rows,
+    )
+    factorized = result.factorized
+    if factorized is not None:
+        # one bottom-up pass serves the count and the row-capped expansion
+        weights = factorized.subtree_weights()
+        result.output_size = factorized.count_rows(weights)
+        if flat_output:
+            # Expansion step: every flat tuple is budgeted and counted
+            # as work, but generated only when kept — a count-only run
+            # stops at the count, as the flat driver's last step does.
+            if result.output_size > max_intermediate_tuples:
+                raise BudgetExceededError(
+                    str(result.mode), "<expansion>", result.output_size,
+                    max_intermediate_tuples,
+                )
+            result.counters.tuples_generated += result.output_size
+            if collect_output:
+                result.output_rows = concat_batches(
+                    list(factorized.expand(
+                        kernels=get_kernels(result.execution),
+                        weights=weights)),
+                    query.relations,
+                )
+    result.wall_time = time.perf_counter() - start
+    return result
+
+
+def _run_pipeline(catalog, query, order, mode, collect_output, child_orders,
+                  bitvector_bits, max_intermediate_tuples, execution,
+                  monitor, driver_rows):
+    """:func:`execute` up to the output.  A factorized run is returned
+    uncounted (``output_size`` ``None``): a cyclic run counts it once,
+    after pushing residuals into it."""
     mode = ExecutionMode(mode)
     execution = resolve_execution(execution)
     kernels = get_kernels(execution)
@@ -386,26 +424,9 @@ def execute(
             counters, max_intermediate_tuples, driver_rows, kernels,
             monitor=monitor,
         )
-        # one bottom-up pass serves the count and the row-capped
-        # expansion (the remap below rewrites row ids, not liveness)
-        weights = factorized.subtree_weights()
-        output_size = factorized.count_rows(weights)
+        # rewrites row ids, not liveness: the caller's count is the same
         _remap_factorized_rows(factorized, catalog, kernels)
-        if flat_output:
-            # Expansion step: every flat tuple is budgeted and counted
-            # as work, but generated only when kept — a count-only run
-            # stops at the count, as the flat driver's last step does.
-            if output_size > max_intermediate_tuples:
-                raise BudgetExceededError(
-                    str(mode), "<expansion>", output_size,
-                    max_intermediate_tuples,
-                )
-            counters.tuples_generated += output_size
-            if collect_output:
-                output_rows = concat_batches(
-                    list(factorized.expand(kernels=kernels, weights=weights)),
-                    query.relations,
-                )
+        output_size = None
     else:
         frame, output_size = _run_flat_driver(
             query, catalog, order, indexes, bitvectors, checks_after,

@@ -149,6 +149,11 @@ def _knob(default: Any, key: str, check: Optional[Check] = None,
     })
 
 
+def _deadline(budget_ms: Optional[float]) -> Optional[float]:
+    """When a planning budget started now runs out (``perf_counter``)."""
+    return time.perf_counter() + budget_ms / 1e3 if budget_ms else None
+
+
 def resolve_optimizer(optimizer: str, num_relations: int) -> str:
     """The concrete algorithm ``plan()`` will run for a query size.
 
@@ -357,7 +362,6 @@ class PlanOptions:
             num_workers = self.num_workers or max(
                 1, min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
             )
-        budget = self.planning_budget_ms
         values = dict(vars(self))
         values.update(
             optimizer=resolve_optimizer(self.optimizer, num_relations),
@@ -371,8 +375,7 @@ class PlanOptions:
                              if self.partitioning == "auto" else 0),
             execution=resolve_execution(self.execution),
             num_workers=num_workers,
-            deadline=(time.perf_counter() + budget / 1e3
-                      if budget else None),
+            deadline=_deadline(self.planning_budget_ms),
         )
         return ResolvedOptions(**values)
 
@@ -402,6 +405,10 @@ class ResolvedOptions(PlanOptions):
 
     def __post_init__(self) -> None:
         """Built only from an already-validated record."""
+
+    def restarted(self) -> "ResolvedOptions":
+        """This record, its planning deadline armed now on this clock."""
+        return replace(self, deadline=_deadline(self.planning_budget_ms))
 
 
 _CHECKS = tuple(

@@ -1,20 +1,16 @@
 """End-to-end planner: SQL (or JoinQuery) in, executable plan out.
 
-Ties the whole system together the way a downstream user would consume
-it:
-
-1. parse the query (:mod:`repro.core.parser`) and push constant
-   selections down to the relations (Section 2.1's assumption);
-2. measure statistics (Section 3.1's ``m`` and ``fo``) one directed
-   join predicate at a time through
-   :class:`repro.core.stats.StatsReader`, which finds a predicate
-   measured for any earlier query in the planner's statistics store;
-3. pick the driver, the join order (Algorithm 1 or a greedy heuristic)
-   and the execution strategy (the cost model prices all six; the
-   paper: "our cost model ... can be used for making optimization
-   decisions among the competing approaches");
-4. return a :class:`PhysicalPlan` that executes on the engine and can
-   ``explain()`` itself.
+1. :class:`Planner` parses the query, pushes constant selections down
+   (Section 2.1's assumption) and opens a
+   :class:`repro.core.stats.StatsReader`, which measures each directed
+   predicate's ``m`` and ``fo`` (Section 3.1) once per statistics store;
+2. :func:`decide` — a function of those statistics alone — picks the
+   driver, the join order (Algorithm 1 or a greedy heuristic) and the
+   strategy (the cost model prices all six: "our cost model ... can be
+   used for making optimization decisions among the competing
+   approaches") and returns a catalog-free :class:`PlanSpec`;
+3. :meth:`Planner.bind` binds it to the data as a :class:`PhysicalPlan`
+   that executes on the engine and can ``explain()`` itself.
 """
 
 from __future__ import annotations
@@ -87,19 +83,14 @@ def filtered_table(table, alias, predicate):
     """A :class:`Table` named ``alias`` holding the rows matching
     ``predicate`` ({column: literal} constant selections).
 
-    A :class:`~repro.core.parser.Contradiction` literal (conjunctive
-    selections requiring distinct constants on one column) matches no
-    row, so the derived relation is empty and the executor
-    short-circuits to an empty join result.
-
-    With no selection the result is ``table.renamed(alias)``, which
-    shares the table's arrays, layout and cached indexes.  A filtered
-    result is always in *base* row order: filtering a
-    hash-partitioned table goes through
+    A :class:`~repro.core.parser.Contradiction` literal (distinct
+    constants required of one column) matches no row.  With no selection
+    the result is ``table.renamed(alias)``, which shares the table's
+    arrays, layout and cached indexes.  A filtered result is always in
+    *base* row order (a hash-partitioned table is filtered through
     :meth:`~repro.storage.table.Table.original_rows` /
-    :meth:`~repro.storage.table.Table.gather`, so planning over an already
-    re-clustered catalog still reports layout-independent row ids (the
-    planner re-partitions the filtered relations itself when asked).
+    :meth:`~repro.storage.table.Table.gather`), so row ids stay
+    layout-independent.
     """
     if not predicate:
         return table.renamed(alias)
@@ -138,7 +129,7 @@ def push_down_selections(catalog, parsed):
 @dataclass
 class SearchTally:
     """What finding a plan took and what spared it the rest: exact
-    counts from :meth:`Planner._search`, summed over a cyclic plan's
+    counts from :func:`_search`, summed over a cyclic plan's
     candidate trees.  Observational — never fingerprinted, shipped in a
     :class:`PlanSpec` or cache-keyed."""
 
@@ -201,17 +192,15 @@ class PlanSpec(_RoleDeclared):
     """Everything the optimizer decided for one query — the one
     declaration of a plan; picklable and catalog-free.
 
-    A :class:`PhysicalPlan` is a spec bound to its derived catalog and
-    rooted join tree; a planning worker ships only the spec and
-    :meth:`Planner.rehydrate` binds it to a locally derived (cached)
-    catalog.  Each field declares its role once (:func:`_spec_field`).
-    Construction checks knob legality — an illegal mode, execution
-    path, cyclic strategy, robustness, shard count or placement /
-    worker combination cannot exist — plus the facts a spec states
-    alone: residual selectivities aligned with the residuals, one finite
-    non-negative bound per join step exactly when robust, and a wcoj
-    plan with residuals and a variable order.  It stores ``order`` and
-    ``child_orders`` canonically (tuples, sorted by relation).
+    :func:`decide` returns one; a :class:`PhysicalPlan` is a spec bound
+    to its derived catalog and rooted join tree (:meth:`Planner.bind`).
+    Each field declares its role once (:func:`_spec_field`).
+    Construction checks knob legality (mode, execution path, cyclic
+    strategy, robustness, shard count, placement / workers) plus the
+    facts a spec states alone: residual selectivities aligned with the
+    residuals, one finite non-negative bound per join step exactly when
+    robust, and a wcoj plan with residuals and a variable order.
+    ``order`` and ``child_orders`` are stored canonically.
 
     ``catalog_fingerprint`` is the base-catalog digest a shipped spec
     was planned against (``None`` until :meth:`PhysicalPlan.to_spec`):
@@ -326,25 +315,19 @@ class PhysicalPlan:
     """An optimized, executable plan: a :class:`PlanSpec` bound to the
     derived ``catalog`` it executes against and the rooted ``query``.
 
-    Every non-anchor spec field reads as a plan attribute (``plan.mode``,
-    ``plan.stats``, ...; ``order`` / ``child_orders`` as the list / dict
-    the engine takes), through an explicit read-only property.
-    Decisions are immutable — a changed plan is a new plan
-    (``dataclasses.replace`` on its spec) — so a cached plan can be
-    served to any number of callers.  ``search_tally`` (what the search
-    ran and pruned; ``None`` on a rehydrated plan) is observational:
-    never fingerprinted or shipped.
+    Every non-anchor spec field reads as a read-only plan attribute
+    (``order`` / ``child_orders`` as the list / dict the engine takes).
+    Decisions are immutable — a changed plan is a new plan — so a cached
+    plan serves any number of callers.  ``search_tally`` (``None`` on a
+    rehydrated plan) is observational: never fingerprinted or shipped.
 
     Construction checks the spec against the tree and the catalog: the
     order respects precedence, ``child_orders`` permute each relation's
     children, a wcoj variable order covers exactly the endpoints of the
     tree edges and residuals, and every relation and predicate column
-    exists in ``catalog``.
-
-    A cyclic plan's ``query`` is the spanning tree the joint search
-    selected, ``residuals`` the predicates left to filter (applied in
-    ascending estimated selectivity) and ``predicted_cost`` includes
-    the residual-filter term, comparable with acyclic plans.
+    exists.  A cyclic plan's ``query`` is the spanning tree the joint
+    search selected, ``residuals`` the predicates left to filter (most
+    selective first); ``predicted_cost`` includes their filter cost.
     """
 
     spec: PlanSpec
@@ -425,29 +408,17 @@ class PhysicalPlan:
     def execute(self, flat_output=True, collect_output=False,
                 max_intermediate_tuples=50_000_000, monitor=None,
                 driver_rows=None):
-        """Run the plan on the engine.
+        """Run the plan on the engine, always in-process (the session
+        routes distributed plans; its workers call this).
 
-        Cyclic plans route by ``cyclic_strategy``: ``tree_filter``
-        runs :func:`~repro.core.cyclic.execute_cyclic` (tree join +
-        residual filters, with root-to-leaf residuals pushed into
-        factorized expansion), ``wcoj`` runs
-        :func:`~repro.engine.wcoj.execute_wcoj` (attribute-at-a-time
-        variable elimination over the costed
-        ``wcoj_variable_order``).  Either way cyclic output is
-        always flat — residual predicates break factorization, so
-        ``flat_output`` is moot for them.
-
-        ``monitor`` (a
-        :class:`~repro.engine.feedback.CardinalityMonitor`) is
-        forwarded to the acyclic pipelines only — cyclic execution
-        interleaves residual filtering with the tree join, so its
-        per-join counters do not measure a single edge selectivity.
-
-        ``driver_rows`` restricts the run to a subset of root rows (the
-        distributed scatter path).  Always executes in-process — even on
-        a ``placement="distributed"`` plan — so the worker side of the
-        pool can call it without recursing; the session layer is what
-        routes distributed plans to the pool.
+        Cyclic plans route by ``cyclic_strategy``: ``tree_filter`` runs
+        :func:`~repro.core.cyclic.execute_cyclic` (tree join + residual
+        filters), ``wcoj`` :func:`~repro.engine.wcoj.execute_wcoj` over
+        ``wcoj_variable_order``; their output is always flat.  A
+        ``monitor`` (:class:`~repro.engine.feedback.CardinalityMonitor`)
+        observes acyclic pipelines only — cyclic per-join counters do not
+        measure single edges.  ``driver_rows`` restricts the run to a
+        subset of root rows (the distributed scatter path).
         """
         shared = dict(collect_output=collect_output, execution=self.execution,
                       max_intermediate_tuples=max_intermediate_tuples)
@@ -598,8 +569,8 @@ def _parsed(query):
 
 @dataclass
 class _Choice:
-    """:meth:`Planner._search`'s incumbent, priced; becomes a
-    :class:`PlanSpec` once the search is over."""
+    """:func:`_search`'s incumbent, priced; becomes a :class:`PlanSpec`
+    once the search is over."""
 
     predicted_cost: float
     query: JoinQuery
@@ -612,25 +583,413 @@ class _Choice:
     residual_selectivities: tuple = ()
 
 
+# ----------------------------------------------------------------------
+# Deciding: statistics in, a PlanSpec out
+# ----------------------------------------------------------------------
+
+#: anytime fallback order per starting algorithm: an order search that
+#: overruns its deadline falls to the next rung; beam search is the
+#: floor (linear time, never deadline-checked)
+_LADDER = {
+    "exhaustive": ("exhaustive", "idp", "beam"),
+    "idp": ("idp", "beam"),
+    "beam": ("beam",),
+}
+
+
+def _order_for_mode(query, stats, mode, options, memo=None, upper_bound=None):
+    """Best order for one non-semi-join strategy.
+
+    ``options.optimizer`` picks the algorithm, ``options.deadline`` arms
+    the anytime ladder (an overrunning DP falls to the next cheaper
+    rung).  ``memo`` is a shared :class:`~repro.core.costmodel.CostMemo`
+    for this (query, stats, eps).  ``upper_bound`` (in the search
+    objective's units) prunes against an incumbent: ``None`` is returned
+    when every candidate order was pruned.
+    """
+    shared = dict(mode=mode, eps=options.eps, weights=options.weights)
+    rungs = _LADDER.get(options.optimizer)
+    if rungs is None:
+        return greedy_order(query, stats, options.optimizer, **shared).order
+    shared.update(memo=memo, upper_bound=upper_bound)
+    deadline = options.deadline
+    if deadline is None:
+        rungs = rungs[:1]  # nothing can overrun: no fallback needed
+    searches = {
+        "exhaustive": (exhaustive_optimal, {"deadline": deadline}),
+        "idp": (idp_order, {"deadline": deadline,
+                            "block_size": options.idp_block_size}),
+        "beam": (beam_order, {"beam_width": options.beam_width}),
+    }
+    for rung in rungs:
+        search, own = searches[rung]
+        try:
+            plan = search(query, stats, **shared, **own)
+        except PlanningBudgetExceeded:
+            continue  # fall down the ladder
+        # None: pruned out, the incumbent is at least as good
+        return plan.order if plan is not None else None
+
+
+def _cost(query, stats, order, mode, flat_output, options, memo=None):
+    return plan_cost(query, stats, order, mode, eps=options.eps,
+                     flat_output=flat_output,
+                     memo=memo).total(options.weights)
+
+
+def _search(rootings, stats_for, options, flat_output, best=None,
+            incumbent=math.inf, residual_selectivities=(), residuals=()):
+    """The cheapest (rooting, mode, order) among ``rootings``.
+
+    The one search behind a fixed driver, the ``driver="auto"`` sweep
+    and every candidate spanning tree of a cyclic query (whose
+    ``residuals`` ride on its :class:`_Choice`); ``stats_for(rooted)``
+    supplies a rooting's statistics.  Returns a :class:`_Choice`, or the
+    ``best`` handed in when nothing beats both its cost and
+    ``incumbent`` (e.g. another operator's price); the first of equally
+    cheap choices wins.
+
+    *Floor -> lazy proxy -> bounded search.*  Rootings wait in a heap
+    keyed by the least ``costmodel.cost_lower_bound`` over the requested
+    strategies; one popped while that bound reaches the incumbent is
+    dropped (the incumbent only gets cheaper).  Otherwise it gets its
+    :class:`~repro.core.costmodel.CostMemo` and a width-1 beam proxy and
+    re-enters keyed by the proxy's full cost, which is never below the
+    bound — so rootings are searched exactly as if all had been ranked
+    by ``(proxy cost, position)`` up front.  Each strategy's search is
+    bounded by the incumbent minus ``costmodel.order_invariant_floor``
+    (times the largest probe cost, which only the search objective
+    multiplies in); a floor that alone reaches the incumbent skips the
+    strategy.  One rooting, or SJ-only strategies, are searched in the
+    given order.  A cyclic tree's ``residual_selectivities`` add the
+    residual-filter cost of the first-ranked rooting's expected output
+    to every candidate.
+    """
+    eps, weights = options.eps, options.weights
+    tally = best.search_tally if best is not None else SearchTally()
+    if best is not None:
+        incumbent = min(incumbent, best.predicted_cost)
+    tally.rootings += len(rootings)
+    proxy_mode = None
+    if len(rootings) > 1:
+        proxy_mode = next(
+            (mode for mode in options.modes if not mode.uses_semijoin), None)
+    heap = []
+    for position, rooted in enumerate(rootings):
+        stats = stats_for(rooted)
+        expected = expected_output_size(rooted, stats)
+        if proxy_mode is None:
+            key, memo = 0.0, CostMemo(rooted, stats, eps)
+        else:
+            key, memo = min(
+                cost_lower_bound(rooted, stats, mode, weights, flat_output,
+                                 expected)
+                for mode in options.modes
+            ), None
+        heap.append((key, position, rooted, stats, expected, memo))
+    heapq.heapify(heap)
+    fixed_cost = None  # known once the first-ranked rooting is
+    while heap:
+        key, position, rooted, stats, expected, memo = heapq.heappop(heap)
+        if memo is None:
+            if fixed_cost is not None and key + fixed_cost >= incumbent:
+                tally.rootings_floored += 1
+                continue
+            memo = CostMemo(rooted, stats, eps)
+            greedy = beam_order(rooted, stats, mode=proxy_mode, eps=eps,
+                                weights=weights, beam_width=1, memo=memo)
+            tally.proxies += 1
+            key = _cost(rooted, stats, greedy.order, proxy_mode, flat_output,
+                        options, memo)
+            heapq.heappush(heap, (key, position, rooted, stats, expected, memo))
+            continue
+        if fixed_cost is None:
+            fixed_cost = residual_filter_cost(
+                expected, residual_selectivities, weights)
+        probe_scale = max([1.0, *stats.probe_costs.values()])
+        for mode in options.modes:
+            upper_bound = None
+            if incumbent < math.inf:
+                upper_bound = incumbent - (
+                    fixed_cost + order_invariant_floor(
+                        rooted, stats, mode, weights, flat_output, expected))
+                if upper_bound <= 0.0:
+                    tally.modes_floored += 1
+                    continue
+                upper_bound *= probe_scale
+            if mode.uses_semijoin:
+                found = optimize_sj(rooted, stats, mode.factorized, weights,
+                                    flat_output, memo)
+                tally.sj_pricings += 1
+                order, cost = found.order, found.cost
+                child_orders = found.child_orders
+            else:
+                order = _order_for_mode(rooted, stats, mode, options, memo,
+                                        upper_bound)
+                if order is None:
+                    tally.searches_pruned += 1
+                    continue
+                tally.searches_completed += 1
+                cost = _cost(rooted, stats, order, mode, flat_output, options,
+                             memo)
+                child_orders = {}
+            cost += fixed_cost
+            if cost < incumbent or best is None and incumbent == math.inf:
+                incumbent = cost
+                best = _Choice(cost, rooted, stats, order, mode, child_orders,
+                               tally, residuals, residual_selectivities)
+    return best
+
+
+def _spec(choice, options):
+    """The :class:`PlanSpec` of a search winner — built once per
+    decision, after the search; its shard count is left to binding."""
+    return PlanSpec(
+        root=choice.query.root, order=choice.order, mode=choice.mode,
+        child_orders=choice.child_orders, residuals=choice.residuals,
+        execution=options.execution, placement=options.placement,
+        num_workers=options.num_workers, stats=choice.stats,
+        predicted_cost=choice.predicted_cost, weights=options.weights,
+        residual_selectivities=choice.residual_selectivities,
+    )
+
+
+def _apply_robustness(spec, rooted, reader, options, flat_output,
+                      extra_cost=0.0, regret_gate=True):
+    """Annotate and (possibly) re-order a winning plan's spec over the
+    rooted tree ``rooted``; ``robustness="off"`` leaves it untouched.
+
+    1. Read bound statistics and find the **bound-optimal** order (the
+       order search under ``ExecutionMode.STD`` minimizes the worst-case
+       objective exactly, see :mod:`repro.core.bounds`).
+    2. The bounded-regret gate: if the estimated-optimal order's
+       worst-case cost exceeds :data:`~repro.core.bounds.REGRET_FACTOR`
+       times the bound-optimal one's, swap to the bound-optimal order,
+       re-priced under the *estimated* statistics across the requested
+       non-semi-join modes (SJ-only requests keep their plan: their
+       child orders come from their own phase-1 search).
+    3. Annotate the final order with its per-prefix cardinality bounds
+       and worst-case cost.
+
+    So the worst-case cost is at most ``REGRET_FACTOR`` times the best
+    achievable, however wrong the estimates.  ``extra_cost`` is an
+    order-invariant term of the predicted cost (a cyclic winner's
+    residual filters); ``regret_gate=False`` skips steps 1-2.
+    """
+    if options.robustness == "off":
+        return spec
+    eps, weights = options.eps, options.weights
+    bound_stats = reader.bound_stats(rooted)
+    memo_bound = CostMemo(rooted, bound_stats, eps)
+    current_bound = worst_case_cost(rooted, bound_stats, spec.order, eps=eps,
+                                    weights=weights, memo=memo_bound)
+    robust_order = None
+    if regret_gate:
+        robust_order = _order_for_mode(rooted, bound_stats, ExecutionMode.STD,
+                                       options, memo_bound)
+    optimal_bound = current_bound
+    if robust_order is not None:
+        optimal_bound = min(current_bound, worst_case_cost(
+            rooted, bound_stats, robust_order, eps=eps, weights=weights,
+            memo=memo_bound,
+        ))
+    swap_modes = [m for m in options.modes if not m.uses_semijoin]
+    swapped = {}
+    if (robust_order is not None and swap_modes
+            and current_bound > REGRET_FACTOR * optimal_bound):
+        best_mode = best_cost = None
+        memo = CostMemo(rooted, spec.stats, eps)
+        for candidate_mode in swap_modes:
+            cost = _cost(rooted, spec.stats, robust_order, candidate_mode,
+                         flat_output, options, memo)
+            if best_cost is None or cost < best_cost:
+                best_mode, best_cost = candidate_mode, cost
+        swapped = dict(order=robust_order, mode=best_mode, child_orders=(),
+                       predicted_cost=best_cost + extra_cost)
+        current_bound = optimal_bound
+    return replace(
+        spec, **swapped, robustness=options.robustness,
+        prefix_bounds=prefix_cardinality_bounds(
+            bound_stats, swapped.get("order", spec.order)),
+        worst_case_bound=current_bound,
+    )
+
+
+def decide(query, reader, options, regret_gate=True):
+    """The optimizer: ``(PlanSpec, rooted tree, SearchTally)`` for
+    ``query`` from the statistics ``reader`` serves.
+
+    A pure function of statistics, as the paper's cost model and
+    Algorithm 1 are: it holds no catalog and reads data only through
+    the :class:`~repro.core.stats.StatsReader` methods ``sizes``,
+    ``edge``, ``distinct``, ``rooted_stats``, ``bound_stats`` and
+    ``max_frequency`` — so a frozen reader decides in a process that
+    holds no data.  ``query`` is a rooted :class:`JoinQuery`, or a
+    cyclic :class:`ParsedQuery`, whose spanning tree the joint search
+    picks (:attr:`_PreparedQuery.searched`); ``options`` the request's
+    :meth:`~repro.options.PlanOptions.resolved` record, whose
+    ``deadline`` is an instant on this process's ``perf_counter``.
+
+    The spec's shard count stays 1: shards are a binding fact, set by
+    :meth:`Planner.bind`.  ``regret_gate=False`` keeps the searched
+    order of a robust plan and only annotates its bounds
+    (:meth:`Planner.replan`).
+    """
+    if isinstance(query, ParsedQuery):
+        return _decide_cyclic(query, reader, options, regret_gate)
+    return _decide_acyclic(query, reader, options, regret_gate)
+
+
+def _decide_acyclic(join_query, reader, options, regret_gate):
+    """Order + strategy search over the query's given rooting or, with
+    ``driver="auto"``, over every relation as the driver: rerooting only
+    flips edge directions, so the reader assembles each rooting's
+    statistics from predicates measured once, and :func:`_search`
+    searches few of them."""
+    rootings = [join_query]
+    if options.driver == "auto" and join_query.num_relations > 1:
+        rootings = [join_query.rerooted(root)
+                    for root in join_query.relations]
+    best = _search(rootings, reader.rooted_stats, options, options.flat_output)
+    spec = _apply_robustness(_spec(best, options), best.query, reader,
+                             options, options.flat_output,
+                             regret_gate=regret_gate)
+    return spec, best.query, best.search_tally
+
+
+def _decide_cyclic(parsed, reader, options, regret_gate):
+    """Joint spanning-tree + join-order search for a cyclic query.
+
+    :func:`_decide_acyclic` one level up: tree edges and residuals are
+    directed predicates the reader measures once each; spanning trees
+    stream in approximately ascending estimated tree-output order (the
+    greedy Kruskal minimum first, so the search only matches or beats
+    greedy); one incumbent runs through every tree's :func:`_search`,
+    where the tree's residual-filter term rides on the cost floor.
+    Every tree is priced by the *total* cost model — tree join (flat
+    output) plus :func:`~repro.core.cyclic.residual_filter_cost`.
+    ``driver="auto"`` re-roots each tree; a ``deadline`` bounds the
+    sweep after the greedy tree, which is always evaluated.
+
+    ``cyclic_execution`` arbitrates the *strategy*: ``"auto"`` keeps the
+    cheaper of the winning tree+filter plan and the worst-case-optimal
+    operator (:func:`~repro.core.cyclic.wcoj_cost` over the greedy
+    variable order); ``"wcoj"`` / ``"tree_filter"`` force one side.
+    Unless ``tree_filter`` is forced, that price is computed once,
+    *before* the sweep, and is an incumbent from the second tree on — a
+    floored tree costs more than the price, so it could only have won
+    the sweep to lose the arbitration.  A wcoj plan records the greedy
+    tree unless some tree beat the price (its residual split is what
+    rehydration keys on) but executes every predicate
+    attribute-at-a-time.
+    """
+    deadline, weights = options.deadline, options.weights
+    predicates = list(parsed.join_predicates)
+    relations = list(parsed.relations)
+    sizes = reader.sizes(relations)
+    pair_sels = [
+        edge_pair_selectivity(reader.edge(*predicate), sizes[predicate[2]])
+        for predicate in predicates
+    ]
+    tree_weights = [log_pair_weight(s) for s in pair_sels]
+    roots = (
+        relations if options.driver == "auto" and len(relations) > 1
+        else relations[:1]
+    )
+    wcoj_bound = math.inf
+    if options.cyclic_execution != "tree_filter":
+        classes = variable_classes(predicates)
+        distincts = {member: reader.distinct(*member)
+                     for members in classes for member in members}
+        variable_order = plan_variable_order(classes, distincts)
+        strategy_cost = wcoj_cost(variable_order, distincts, sizes, weights)
+        # the arbitration below keeps a tree that exactly ties the price
+        # (strict <), so such a tree must survive the sweep: only a tree
+        # costing *more* than the price may be floored
+        wcoj_bound = math.nextafter(strategy_cost, math.inf)
+    best = None
+    candidate_trees = enumerate_spanning_trees(
+        relations, predicates, tree_weights, max_trees=MAX_SPANNING_TREES,
+    )
+    for tree_index, tree in enumerate(candidate_trees):
+        if tree_index and deadline is not None \
+                and time.perf_counter() > deadline:
+            break  # anytime: the greedy tree is always evaluated
+        in_tree = set(tree)
+        tree_predicates = [predicates[index] for index in tree]
+        # applied most-reducing first, matching residual_filter_cost
+        residual_pairs = sorted(
+            (pair_sels[index], index)
+            for index in range(len(predicates))
+            if index not in in_tree
+        )
+        residual_sels = tuple(sel for sel, _ in residual_pairs)
+        # root the already-materialized tree edges directly; the
+        # predicate-multiset subtraction behind tree_query_from_residuals
+        # is root-independent and would be redone once per rooting
+        # (cyclic output is always flat)
+        searched = best.search_tally.order_searches if tree_index else -1
+        best = _search(
+            [_rooted_tree(relations, tree_predicates, root) for root in roots],
+            reader.rooted_stats, options, True, best,
+            wcoj_bound if tree_index else math.inf, residual_sels,
+            tuple(ResidualPredicate(*predicates[index])
+                  for _, index in residual_pairs),
+        )
+        if best.search_tally.order_searches == searched \
+                and wcoj_bound < best.predicted_cost:
+            best.search_tally.trees_floored += 1
+    # Gate the winning *tree* order before strategy arbitration (wcoj
+    # keeps the tree order; only the strategy flag and cost change after
+    # this).  The residual-filter term is order-invariant for the
+    # winning tree, so it rides along as extra cost when the gate
+    # re-prices a swapped order.
+    spec = _apply_robustness(
+        _spec(best, options), best.query, reader, options, True,
+        extra_cost=residual_filter_cost(
+            expected_output_size(best.query, best.stats),
+            best.residual_selectivities, weights,
+        ),
+        regret_gate=regret_gate,
+    )
+    if options.cyclic_execution != "tree_filter" and spec.residuals and (
+            options.cyclic_execution == "wcoj"
+            or strategy_cost < spec.predicted_cost):
+        spec = replace(spec, cyclic_strategy="wcoj",
+                       wcoj_variable_order=variable_order,
+                       predicted_cost=strategy_cost)
+    return spec, best.query, best.search_tally
+
+
+# ----------------------------------------------------------------------
+# Binding: a decision on this planner's data
+# ----------------------------------------------------------------------
+
+
 @dataclass
 class _PreparedQuery:
-    """Everything :meth:`Planner._prepare` derives for one query."""
+    """One request as :meth:`Planner._prepare` derives it: what
+    :func:`decide` reads and what :meth:`Planner.bind` binds to."""
 
-    #: the parsed query (or the JoinQuery as given)
-    query: object
-    #: the rooted join tree — ``None`` for a cyclic query, whose tree
-    #: the joint search chooses (partitioning is deferred until then)
+    query: object  #: the parsed query (or the JoinQuery as given)
+    #: the rooted tree; ``None`` for a cyclic query until decide picks it
     join_query: JoinQuery
-    #: execution catalog: selections pushed down, partitioning applied
-    #: (a cyclic query's stays unpartitioned here: the joint search
-    #: partitions the tree it picks)
+    #: selections pushed down; partitioned once the tree is known
     catalog: Catalog
+    options: object  #: the request's resolved options
     #: alias -> relation token (:func:`~repro.core.stats.relation_tokens`)
-    #: against the base catalog: what the statistics store and the
-    #: re-clustered relation cache key on
+    #: against the base catalog, which the caches key on
     tokens: dict = None
-    #: resolved hash-shard fan-out of :attr:`catalog` (1 = off)
-    effective_shards: int = 1
+    effective_shards: int = 1  #: hash-shard fan-out of :attr:`catalog`
+    reader: StatsReader = None  #: the statistics decide reads
+    #: base-catalog digest a :meth:`Planner.measure` d request was read
+    #: against (``None``: decided and bound in one call)
+    fingerprint: str | None = None
+
+    @property
+    def searched(self):
+        """What :func:`decide` takes: the tree, or the cyclic query."""
+        return self.query if self.join_query is None else self.join_query
 
 
 class Planner:
@@ -654,6 +1013,9 @@ class Planner:
         place every planning knob is declared and documented.  Held as
         :attr:`options`; each knob also reads (read-only) as a planner
         attribute, e.g. ``planner.beam_width``.
+
+    The planner owns the data side — push-down, partitioning, the
+    statistics store — and leaves the decision to :func:`decide`.
     """
 
     resolve_optimizer = staticmethod(resolve_optimizer)
@@ -695,85 +1057,38 @@ class Planner:
             )
         super().__setattr__(name, value)
 
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
+    def reclaim(self):
+        """The one reclaim gate: once per catalog version, drop from
+        every cache of ``table_caches`` the entries that read a
+        table the catalog no longer holds
+        (:meth:`~repro.core.lru.LRUCache.reclaim`).
 
-    #: anytime fallback order per starting algorithm: an order search
-    #: that overruns its deadline falls to the next rung; beam search is
-    #: the floor (linear time, never deadline-checked)
-    _LADDER = {
-        "exhaustive": ("exhaustive", "idp", "beam"),
-        "idp": ("idp", "beam"),
-        "beam": ("beam",),
-    }
-
-    def _order_for_mode(self, query, stats, mode, options, memo=None,
-                        upper_bound=None):
-        """Best order for one non-semi-join strategy.
-
-        ``options`` is the request's resolved
-        :class:`~repro.options.PlanOptions`: its ``optimizer`` picks the
-        algorithm, its ``deadline`` activates the anytime ladder (a DP
-        that overruns falls down to the next cheaper algorithm instead
-        of failing).  ``memo`` is an optional shared
-        :class:`~repro.core.costmodel.CostMemo` for this (query, stats,
-        eps) so every strategy's optimization and costing reuse one set
-        of subset tables.
-
-        ``upper_bound`` (in the search objective's units) enables
-        branch-and-bound pruning against an incumbent plan; the return
-        is ``None`` when every candidate order was pruned — the
-        incumbent cannot be beaten from here.
+        One gate for all of them, so no cache sees a version move
+        another skips.  Runs before every :meth:`plan` /
+        :meth:`rehydrate` and before a session builds a plan-cache key.
         """
-        shared = dict(mode=mode, eps=options.eps, weights=options.weights)
-        rungs = self._LADDER.get(options.optimizer)
-        if rungs is None:
-            return greedy_order(query, stats, options.optimizer,
-                                **shared).order
-        shared.update(memo=memo, upper_bound=upper_bound)
-        deadline = options.deadline
-        if deadline is None:
-            rungs = rungs[:1]  # nothing can overrun: no fallback needed
-        searches = {
-            "exhaustive": (exhaustive_optimal, {"deadline": deadline}),
-            "idp": (idp_order, {"deadline": deadline,
-                                "block_size": options.idp_block_size}),
-            "beam": (beam_order, {"beam_width": options.beam_width}),
-        }
-        for rung in rungs:
-            search, own = searches[rung]
-            try:
-                plan = search(query, stats, **shared, **own)
-            except PlanningBudgetExceeded:
-                continue  # fall down the ladder
-            # None: pruned out, the incumbent is at least as good
-            return plan.order if plan is not None else None
+        version = self.catalog.version
+        if version == self._reclaimed_version:
+            return
+        live = set(self.catalog.table_fingerprints().values())
+        for cache in self.table_caches:
+            cache.reclaim(live)
+        self._reclaimed_version = version
 
-    def _cost(self, query, stats, order, mode, flat_output, memo=None):
-        return plan_cost(query, stats, order, mode, eps=self.options.eps,
-                         flat_output=flat_output,
-                         memo=memo).total(self.options.weights)
+    def _apply_partitioning(self, prep, join_query):
+        """``(execution catalog, effective shards)`` for a rooted tree
+        over ``prep``'s push-down catalog.
 
-    def _apply_partitioning(self, prep, join_query, options):
-        """``(execution catalog, effective shards)`` for a rooted tree.
-
-        The content-addressed partitioning step shared by
-        :meth:`_prepare` (acyclic queries, whose tree is the query) and
-        the cyclic joint search (which partitions once its winning tree
-        is known).  Each probe target is re-clustered once per (alias,
-        relation token (:func:`~repro.core.stats.relation_tokens`),
-        probe attribute, layout), never per whole catalog, and shared
-        — with its index — by every query over that relation; the
-        derived catalog around those shared tables is built per call.
-        A write re-clusters only the relations that read the written
-        table.  ``prep.catalog`` is still the unpartitioned push-down
-        catalog here: both callers run before anything reassigns it.
+        Each probe target is re-clustered once per (alias, relation
+        token, probe attribute, layout), never per whole catalog, and
+        shared — with its index — by every query over that relation, so
+        a write re-clusters only the relations that read the written
+        table.
         """
-        num_shards = options.partitioning
+        num_shards = prep.options.partitioning
         if num_shards <= 1:
             return prep.catalog, 1
-        floor = options.partition_floor
+        floor = prep.options.partition_floor
 
         def relation(alias, attribute):
             token = prep.tokens[alias]
@@ -794,43 +1109,20 @@ class Planner:
             return prep.catalog, 1
         return prep.catalog.derived_with(replacements), num_shards
 
-    def reclaim(self):
-        """The one reclaim gate: once per catalog version, drop from
-        every cache of ``table_caches`` the entries that read a
-        table the catalog no longer holds
-        (:meth:`~repro.core.lru.LRUCache.reclaim`).
-
-        One gate for all of them, so no cache sees a version move
-        another skips.  Runs before every :meth:`plan` /
-        :meth:`rehydrate` and before a session builds a plan-cache key.
-        """
-        version = self.catalog.version
-        if version == self._reclaimed_version:
-            return
-        live = set(self.catalog.table_fingerprints().values())
-        for cache in self.table_caches:
-            cache.reclaim(live)
-        self._reclaimed_version = version
-
-    def _prepare(self, query, options, tree=None):
-        """Derive the execution catalog for a parsed query.
-
-        Shared by :meth:`plan` and :meth:`rehydrate`: selection
-        push-down and hash-partitioning.  Returns a
-        :class:`_PreparedQuery`; the expensive step, re-clustering,
-        hits the same relation cache from every entry point, which is
-        what makes rehydrating a :class:`PlanSpec` cheap — the worker
-        only ships decisions, and each re-clustered relation is a
-        cache lookup after the first query over it.
+    def _prepare(self, query, overrides, tree=None):
+        """The :class:`_PreparedQuery` of every entry point: the request
+        resolved, selections pushed down, then hash-partitioning through
+        the relation cache (what makes rehydration cheap) and a
+        statistics reader over the result.
 
         A *cyclic* :class:`ParsedQuery` prepares with
-        ``join_query=None`` — its spanning tree is an optimizer
-        decision, so partitioning (whose layout follows the tree's
-        probe attributes) is deferred until the joint search picks one.
-        ``tree`` short-circuits that: rehydration passes the tree a
-        :class:`PlanSpec` resolved, and preparation proceeds exactly
-        like the acyclic path.
+        ``join_query=None``: its spanning tree is decide's to pick, and
+        the layout follows the tree's probe attributes, so :meth:`bind`
+        partitions.  Rehydration passes the ``tree`` a spec resolved.
         """
+        request = self.options.override(**overrides)
+        query = _parsed(query)
+        options = request.resolved(self.catalog, query)
         self.reclaim()
         catalog = self.catalog
         if isinstance(query, ParsedQuery):
@@ -850,19 +1142,23 @@ class Planner:
         else:
             join_query = query
         prep = _PreparedQuery(
-            query=query,
-            join_query=join_query,
-            catalog=catalog,
-            tokens=relation_tokens(self.catalog, query),
+            query=query, join_query=join_query, catalog=catalog,
+            options=options, tokens=relation_tokens(self.catalog, query),
         )
         if join_query is not None:
+            # acyclic: statistics read the partitioned catalog, so the
+            # indexes they build are the ones execution probes
             prep.catalog, prep.effective_shards = self._apply_partitioning(
-                prep, join_query, options
-            )
+                prep, join_query)
+        prep.reader = StatsReader(
+            prep.catalog, self.stats_cache,
+            prep.tokens if self.stats_cache is not None else None,
+        )
         return prep
 
     def plan(self, query, **overrides):
-        """Build a :class:`PhysicalPlan`.
+        """Build a :class:`PhysicalPlan`: resolve, prepare, read,
+        :func:`decide`, :meth:`bind`.
 
         ``query`` is SQL text, a :class:`ParsedQuery`, or a rooted
         :class:`JoinQuery`.  ``overrides`` are per-call
@@ -870,243 +1166,73 @@ class Planner:
         ``optimizer``, ``driver``, ...); anything not given keeps the
         planner's configured value.
         """
-        request = self.options.override(**overrides)
-        query = _parsed(query)
-        options = request.resolved(self.catalog, query)
-        prep = self._prepare(query, options)
-        reader = StatsReader(
-            prep.catalog, self.stats_cache,
-            prep.tokens if self.stats_cache is not None else None,
-        )
-        if prep.join_query is None:
-            return self._plan_cyclic(prep, reader, options)
-        return self._plan_acyclic(prep, reader, options)
+        prep = self._prepare(query, overrides)
+        return self.bind(prep, *decide(prep.searched, prep.reader,
+                                       prep.options))
 
-    def _spec(self, choice, options, num_shards):
-        """The :class:`PlanSpec` of a search winner — built once per
-        :meth:`plan`, after the search."""
-        return PlanSpec(
-            root=choice.query.root, order=choice.order, mode=choice.mode,
-            child_orders=choice.child_orders, residuals=choice.residuals,
-            num_shards=num_shards, execution=options.execution,
-            placement=options.placement,
-            num_workers=options.num_workers, stats=choice.stats,
-            predicted_cost=choice.predicted_cost,
-            weights=self.options.weights,
-            residual_selectivities=choice.residual_selectivities,
-        )
-
-    def _search(self, rootings, stats_for, options, flat_output, best=None,
-                incumbent=math.inf, residual_selectivities=(), residuals=()):
-        """The cheapest (rooting, mode, order) among ``rootings``.
-
-        The one order + strategy search behind a fixed driver (one
-        rooting), the ``driver="auto"`` sweep, every candidate spanning
-        tree of a cyclic query (whose ``residuals`` ride on its
-        :class:`_Choice`) and :meth:`replan`.  ``stats_for(rooted)``
-        supplies a rooting's statistics.  Returns a :class:`_Choice`, or
-        ``best`` — the choice handed in — when nothing beats both its
-        cost and ``incumbent`` (a plain cost to beat, e.g. another
-        operator's price); the first of equally cheap choices wins.
-
-        *Floor -> lazy proxy -> bounded search.*  Rootings wait in a
-        heap keyed by the least ``costmodel.cost_lower_bound`` over the
-        requested strategies.  One popped while that bound reaches the
-        incumbent is dropped: the incumbent only gets cheaper, so at its
-        turn every strategy would have been skipped or pruned out.
-        Otherwise it gets its :class:`~repro.core.costmodel.CostMemo`
-        and a width-1 beam plan and re-enters keyed by that proxy's full
-        cost; no proxy is below its rooting's bound, so a popped entry
-        *with* a proxy is next in ``(proxy cost, given position)`` order
-        — rootings are searched exactly as if all had been ranked up
-        front.  Each strategy's search is then bounded by the incumbent
-        minus ``costmodel.order_invariant_floor`` (times the largest
-        probe cost, which only the search objective multiplies in); a
-        floor that alone reaches the incumbent skips the strategy — the
-        SJ variants' only exit.
-
-        One rooting, or SJ-only strategies (polynomial: nothing to
-        prune), are searched in the given order.  A cyclic tree's
-        ``residual_selectivities`` add the residual-filter cost of the
-        first-ranked rooting's expected output to every candidate;
-        nothing is dropped before that rooting is known.
+    def measure(self, query, **overrides):
+        """A :meth:`plan` request with everything :func:`decide` may read
+        measured up front, to decide where no data is: every size, both
+        directions of every predicate, each endpoint's distinct count
+        when a cyclic query may be priced for wcoj and its max frequency
+        when robust.  It carries a frozen (catalog-free, picklable)
+        reader and no deadline, which
+        :meth:`~repro.options.ResolvedOptions.restarted` arms where
+        decide runs; :meth:`bind` refuses the decision after a write.
         """
-        eps, weights = self.options.eps, self.options.weights
-        tally = best.search_tally if best is not None else SearchTally()
-        if best is not None:
-            incumbent = min(incumbent, best.predicted_cost)
-        tally.rootings += len(rootings)
-        proxy_mode = None
-        if len(rootings) > 1:
-            proxy_mode = next(
-                (mode for mode in options.modes if not mode.uses_semijoin),
-                None,
+        fingerprint = self.catalog.fingerprint()
+        prep = self._prepare(query, overrides)
+        reader, options = prep.reader, prep.options
+        cyclic = prep.join_query is None
+        predicates = prep.query.join_predicates if cyclic else [
+            (edge.parent, edge.parent_attr, edge.child, edge.child_attr)
+            for edge in prep.join_query.edges]
+        reader.sizes(prep.searched.relations)
+        for parent, parent_attr, child, child_attr in predicates:
+            reader.edge(parent, parent_attr, child, child_attr)
+            reader.edge(child, child_attr, parent, parent_attr)
+            for endpoint in ((parent, parent_attr), (child, child_attr)):
+                if cyclic and options.cyclic_execution != "tree_filter":
+                    reader.distinct(*endpoint)
+                if options.robustness != "off":
+                    reader.max_frequency(*endpoint)
+        prep.reader, prep.options = reader.frozen(), replace(options,
+                                                             deadline=None)
+        prep.fingerprint = fingerprint
+        return prep
+
+    def bind(self, prep, spec, rooted, search_tally=None):
+        """``spec``, decided for ``prep`` over the tree ``rooted``, as a
+        :class:`PhysicalPlan` on its data.
+
+        A cyclic query's catalog is partitioned only now, for the tree
+        decide picked.  The shard count is a binding fact: the spec takes
+        the count its catalog was partitioned to.  A :meth:`measure` d
+        request refuses to bind (``ValueError``) after a write.
+        """
+        if prep.fingerprint is not None \
+                and prep.fingerprint != self.catalog.fingerprint():
+            raise ValueError(
+                "stale decision: the catalog content changed since its "
+                "statistics were measured"
             )
-        heap = []
-        for position, rooted in enumerate(rootings):
-            stats = stats_for(rooted)
-            expected = expected_output_size(rooted, stats)
-            if proxy_mode is None:
-                key, memo = 0.0, CostMemo(rooted, stats, eps)
-            else:
-                key, memo = min(
-                    cost_lower_bound(rooted, stats, mode, weights,
-                                     flat_output, expected)
-                    for mode in options.modes
-                ), None
-            heap.append((key, position, rooted, stats, expected, memo))
-        heapq.heapify(heap)
-        fixed_cost = None  # known once the first-ranked rooting is
-        while heap:
-            key, position, rooted, stats, expected, memo = heapq.heappop(heap)
-            if memo is None:
-                if fixed_cost is not None and key + fixed_cost >= incumbent:
-                    tally.rootings_floored += 1
-                    continue
-                memo = CostMemo(rooted, stats, eps)
-                greedy = beam_order(rooted, stats, mode=proxy_mode, eps=eps,
-                                    weights=weights, beam_width=1, memo=memo)
-                tally.proxies += 1
-                key = self._cost(rooted, stats, greedy.order, proxy_mode,
-                                 flat_output, memo)
-                heapq.heappush(
-                    heap, (key, position, rooted, stats, expected, memo))
-                continue
-            if fixed_cost is None:
-                fixed_cost = residual_filter_cost(
-                    expected, residual_selectivities, weights)
-            probe_scale = max([1.0, *stats.probe_costs.values()])
-            for mode in options.modes:
-                upper_bound = None
-                if incumbent < math.inf:
-                    upper_bound = incumbent - (
-                        fixed_cost + order_invariant_floor(
-                            rooted, stats, mode, weights, flat_output,
-                            expected))
-                    if upper_bound <= 0.0:
-                        tally.modes_floored += 1
-                        continue
-                    upper_bound *= probe_scale
-                if mode.uses_semijoin:
-                    found = optimize_sj(rooted, stats, mode.factorized,
-                                        weights, flat_output, memo)
-                    tally.sj_pricings += 1
-                    order, cost = found.order, found.cost
-                    child_orders = found.child_orders
-                else:
-                    order = self._order_for_mode(
-                        rooted, stats, mode, options, memo, upper_bound)
-                    if order is None:
-                        tally.searches_pruned += 1
-                        continue
-                    tally.searches_completed += 1
-                    cost = self._cost(rooted, stats, order, mode,
-                                      flat_output, memo)
-                    child_orders = {}
-                cost += fixed_cost
-                if cost < incumbent or best is None and incumbent == math.inf:
-                    incumbent = cost
-                    best = _Choice(cost, rooted, stats, order, mode,
-                                   child_orders, tally, residuals,
-                                   residual_selectivities)
-        return best
-
-    # ------------------------------------------------------------------
-    # Pessimistic bounded-regret planning (the robustness knob)
-    # ------------------------------------------------------------------
-
-    def _apply_robustness(self, spec, rooted, reader, options, flat_output,
-                          extra_cost=0.0):
-        """Annotate and (possibly) re-order a winning plan's spec (over
-        the rooted tree ``rooted``); returns the replacement spec.
-
-        ``options.robustness == "off"`` returns the spec untouched (a
-        spec is built off-mode: the posture arrives with its bounds).
-        Otherwise:
-
-        1. read bound statistics and find the **bound-optimal** order
-           — the existing order search under ``ExecutionMode.STD``
-           minimizes the worst-case objective exactly (see
-           :mod:`repro.core.bounds`);
-        2. the bounded-regret gate: if the estimated-optimal order's
-           worst-case cost exceeds :data:`~repro.core.bounds.REGRET_FACTOR`
-           times the
-           bound-optimal order's, swap to the bound-optimal order and
-           re-price it under the *estimated* statistics across the
-           requested non-semi-join modes (semi-join child orders are
-           entangled with their own phase-1 search, and full reduction
-           already discards doomed tuples before the join, so SJ-only
-           mode requests keep their plan and only gain annotations);
-        3. annotate the final order with its guaranteed per-prefix
-           cardinality bounds and worst-case cost.
-
-        Guarantee: the returned plan's worst-case bound cost is at most
-        ``REGRET_FACTOR`` times the best achievable worst-case bound
-        cost, no matter how wrong the estimates were.  ``extra_cost``
-        rides along when the caller's predicted cost includes an
-        order-invariant term (a cyclic winner's residual filters).
-        """
-        if options.robustness == "off":
-            return spec
-        bound_stats = reader.bound_stats(rooted)
-        memo_bound = CostMemo(rooted, bound_stats, self.options.eps)
-        current_bound = worst_case_cost(
-            rooted, bound_stats, spec.order, eps=self.options.eps,
-            weights=self.options.weights, memo=memo_bound,
-        )
-        robust_order = self._order_for_mode(
-            rooted, bound_stats, ExecutionMode.STD, options, memo_bound,
-        )
-        optimal_bound = current_bound
-        if robust_order is not None:
-            optimal_bound = min(current_bound, worst_case_cost(
-                rooted, bound_stats, robust_order, eps=self.options.eps,
-                weights=self.options.weights, memo=memo_bound,
-            ))
-        swap_modes = [m for m in options.modes if not m.uses_semijoin]
-        swapped = {}
-        if (robust_order is not None and swap_modes
-                and current_bound
-                > REGRET_FACTOR * optimal_bound):
-            best_mode = best_cost = None
-            memo = CostMemo(rooted, spec.stats, self.options.eps)
-            for candidate_mode in swap_modes:
-                cost = self._cost(rooted, spec.stats, robust_order,
-                                  candidate_mode, flat_output, memo)
-                if best_cost is None or cost < best_cost:
-                    best_mode, best_cost = candidate_mode, cost
-            swapped = dict(order=robust_order, mode=best_mode,
-                           child_orders=(),
-                           predicted_cost=best_cost + extra_cost)
-            current_bound = optimal_bound
-        return replace(
-            spec, **swapped, robustness=options.robustness,
-            prefix_bounds=prefix_cardinality_bounds(
-                bound_stats, swapped.get("order", spec.order)),
-            worst_case_bound=current_bound,
-        )
+        catalog, shards = prep.catalog, prep.effective_shards
+        if prep.join_query is None:
+            catalog, shards = self._apply_partitioning(prep, rooted)
+        if spec.num_shards != shards:
+            spec = replace(spec, num_shards=shards)
+        return PhysicalPlan(spec, catalog, rooted, search_tally=search_tally)
 
     def replan(self, plan, corrected, options=None):
         """Re-optimize an acyclic plan against corrected statistics.
 
         The cold half of runtime cardinality feedback
-        (:mod:`repro.engine.feedback`): keeps the plan's derived
-        catalog (selections already pushed down, partitioning already
-        applied) and its tree edges, and re-runs the order + mode
-        search with ``corrected`` — typically
-        :func:`~repro.engine.feedback.corrected_stats` output built
-        from a :class:`~repro.engine.feedback.ReplanSignal`'s
-        observations.  ``options`` is the original request's
-        :meth:`~repro.options.PlanOptions.resolved` record, so the
-        replan honours what the cold plan did: a forced ``mode`` stays
-        forced, the optimizer rung is the request's, and the anytime
-        deadline comes from its ``planning_budget_ms`` (``None``: the
-        planner's configured options).
-
-        Robustness bound annotations are recomputed when the original
-        plan carried them, so a replanned plan passes the same BOUND
-        construction checks (the max-frequency read hits the catalog's
-        index cache — the executed plan already built those indexes).
+        (:mod:`repro.engine.feedback`): :func:`decide` on the plan's own
+        rooting over ``corrected`` (max frequencies read off the plan's
+        catalog, which it keeps), under the original request's
+        :meth:`~repro.options.PlanOptions.resolved` ``options`` (a fresh
+        deadline; ``None``: the planner's).  A robust plan's bounds are
+        re-annotated for the new order; no regret swap runs.
         """
         if plan.is_cyclic:
             raise ValueError(
@@ -1114,216 +1240,29 @@ class Planner:
                 "interleaves residual filters, so per-join feedback does "
                 "not measure single edges)"
             )
-        rooted = plan.query
-        if options is None:
-            options = self.options.resolved(self.catalog, rooted)
-        best = self._search(
-            [rooted], lambda _: corrected, options, options.flat_output,
-        )
-        prefix_bounds, worst_case_bound = (), 0.0
-        if plan.robustness != "off":
-            bound_stats = StatsReader(plan.catalog).bound_stats(rooted)
-            prefix_bounds = prefix_cardinality_bounds(bound_stats, best.order)
-            worst_case_bound = worst_case_cost(
-                rooted, bound_stats, best.order, eps=self.options.eps,
-                weights=self.options.weights,
-            )
-        spec = replace(
-            plan.spec, order=best.order, mode=best.mode,
-            child_orders=best.child_orders, stats=corrected,
-            predicted_cost=best.predicted_cost, prefix_bounds=prefix_bounds,
-            worst_case_bound=worst_case_bound,
-        )
-        return replace(plan, spec=spec, search_tally=best.search_tally)
-
-    # ------------------------------------------------------------------
-    # Acyclic queries: fixed driver, or the cross-rooting driver search
-    # ------------------------------------------------------------------
-
-    def _plan_acyclic(self, prep, reader, options):
-        """Order + strategy search over the query's given rooting or,
-        with ``driver="auto"``, over every relation as the driver.
-
-        Every relation is a candidate driver, but few are searched:
-        rerooting only flips edge directions and the reader measures
-        each directed predicate once, so per-rooting statistics are
-        assembled, not re-derived; and :meth:`_search` drops a rooting
-        whose cost lower bound already loses, ranks the rest lazily by
-        a greedy proxy and bounds each real order search by the
-        incumbent (floor -> lazy proxy -> bounded search).
-        """
-        rootings = [prep.join_query]
-        if options.driver == "auto" and prep.join_query.num_relations > 1:
-            rootings = [prep.join_query.rerooted(root)
-                        for root in prep.join_query.relations]
-        best = self._search(
-            rootings, reader.rooted_stats, options, options.flat_output,
-        )
-        spec = self._apply_robustness(
-            self._spec(best, options, prep.effective_shards), best.query,
-            reader, options, options.flat_output,
-        )
-        return PhysicalPlan(spec, prep.catalog, best.query,
-                            search_tally=best.search_tally)
-
-    # ------------------------------------------------------------------
-    # Cyclic queries: joint spanning-tree + join-order search
-    # ------------------------------------------------------------------
-
-    def _plan_cyclic(self, prep, reader, options):
-        """Joint spanning-tree + join-order search for a cyclic query.
-
-        :meth:`_plan_acyclic` one level up: tree edges and residuals
-        are all directed predicates the reader measures once each;
-        spanning trees stream in approximately ascending estimated
-        tree-output order (the greedy Kruskal minimum first, so the
-        search can only match or beat greedy); and one incumbent runs
-        through every tree's :meth:`_search`, where the tree's
-        residual-filter term (order- and rooting-invariant) rides on
-        the per-strategy cost floor — a tree whose floor alone reaches
-        the incumbent runs no order search.
-
-        Every candidate tree is priced by the *total* cost model —
-        tree-join cost (flat output: residual filtering always pays the
-        expansion) plus :func:`~repro.core.cyclic.residual_filter_cost`
-        — so a tree with a slightly larger join output still wins when
-        its probe structure or residuals are cheaper.  ``driver="auto"``
-        re-roots each candidate tree; a ``deadline`` bounds the
-        candidate sweep after the greedy tree, which is always fully
-        evaluated.
-
-        ``cyclic_execution`` arbitrates the execution *strategy* on top
-        of the winning tree: ``"auto"`` prices the worst-case-optimal
-        operator (:func:`~repro.core.cyclic.wcoj_cost` over the greedy
-        variable order) against the winning tree+filter plan and keeps
-        the cheaper; ``"wcoj"`` / ``"tree_filter"`` force one side.
-        Unless ``tree_filter`` is forced, that price is computed once,
-        *before* the sweep: the greedy tree is searched unbounded, and
-        from the second tree on the price is an incumbent, so a tree
-        whose floor cannot beat it runs no order search.  A wcoj plan
-        records the greedy tree unless some tree beat the price — its
-        residual split is what the edge-XOR-residual invariant and
-        rehydration key on — but executes the full cyclic predicate
-        set attribute-at-a-time instead.  The strategy decision is the
-        one an unbounded sweep makes: a floored tree costs more than
-        the price, so it could only have won the sweep to lose the
-        arbitration, and a tree that ties the price is never floored.
-        """
-        parsed = prep.query
-        deadline, weights = options.deadline, self.options.weights
-        predicates = list(parsed.join_predicates)
-        relations = list(parsed.relations)
-        sizes = reader.sizes(relations)
-        pair_sels = [
-            edge_pair_selectivity(reader.edge(*predicate),
-                                  sizes[predicate[2]])
-            for predicate in predicates
-        ]
-        tree_weights = [log_pair_weight(s) for s in pair_sels]
-        roots = (
-            relations if options.driver == "auto" and len(relations) > 1
-            else relations[:1]
-        )
-        wcoj_bound = math.inf
-        if options.cyclic_execution != "tree_filter":
-            classes = variable_classes(predicates)
-            distincts = {member: reader.distinct(*member)
-                         for members in classes for member in members}
-            variable_order = plan_variable_order(classes, distincts)
-            strategy_cost = wcoj_cost(variable_order, distincts, sizes,
-                                      weights)
-            # the arbitration below keeps a tree that exactly ties the
-            # price (strict <), so such a tree must survive the sweep:
-            # only a tree costing *more* than the price may be floored
-            wcoj_bound = math.nextafter(strategy_cost, math.inf)
-        best = None
-        candidate_trees = enumerate_spanning_trees(
-            relations, predicates, tree_weights,
-            max_trees=MAX_SPANNING_TREES,
-        )
-        for tree_index, tree in enumerate(candidate_trees):
-            if tree_index and deadline is not None \
-                    and time.perf_counter() > deadline:
-                break  # anytime: the greedy tree is always evaluated
-            in_tree = set(tree)
-            tree_predicates = [predicates[index] for index in tree]
-            # applied most-reducing first, matching residual_filter_cost
-            residual_pairs = sorted(
-                (pair_sels[index], index)
-                for index in range(len(predicates))
-                if index not in in_tree
-            )
-            residual_sels = tuple(sel for sel, _ in residual_pairs)
-            # root the already-materialized tree edges directly; the
-            # predicate-multiset subtraction behind
-            # tree_query_from_residuals is root-independent and would
-            # be redone once per rooting (cyclic output is always flat)
-            searched = best.search_tally.order_searches if tree_index else -1
-            best = self._search(
-                [_rooted_tree(relations, tree_predicates, root)
-                 for root in roots],
-                reader.rooted_stats, options, True, best,
-                wcoj_bound if tree_index else math.inf, residual_sels,
-                tuple(ResidualPredicate(*predicates[index])
-                      for _, index in residual_pairs),
-            )
-            if best.search_tally.order_searches == searched \
-                    and wcoj_bound < best.predicted_cost:
-                best.search_tally.trees_floored += 1
-        # Partitioning follows the winning tree's probe attributes, so
-        # it is applied only now (content-addressed, like every plan).
-        catalog, num_shards = self._apply_partitioning(
-            prep, best.query, options
-        )
-        # Gate the winning *tree* order before strategy arbitration
-        # (wcoj keeps the tree order; only the strategy flag and cost
-        # change after this).  The residual-filter term is
-        # order-invariant for the winning tree, so it rides along as
-        # extra cost when the gate re-prices a swapped order.
-        spec = self._apply_robustness(
-            self._spec(best, options, num_shards), best.query, reader,
-            options, True,
-            extra_cost=residual_filter_cost(
-                expected_output_size(best.query, best.stats),
-                best.residual_selectivities, weights,
-            ),
-        )
-        if options.cyclic_execution != "tree_filter" and spec.residuals and (
-                options.cyclic_execution == "wcoj"
-                or strategy_cost < spec.predicted_cost):
-            spec = replace(spec, cyclic_strategy="wcoj",
-                           wcoj_variable_order=variable_order,
-                           predicted_cost=strategy_cost)
-        return PhysicalPlan(spec, catalog, best.query,
-                            search_tally=best.search_tally)
-
-    # ------------------------------------------------------------------
-    # Plan-spec rehydration (process-pool planning)
-    # ------------------------------------------------------------------
+        spec, _, tally = decide(
+            plan.query, StatsReader.holding(plan.query, corrected,
+                                            plan.catalog),
+            replace(options or self.options.resolved(self.catalog,
+                                                     plan.query),
+                    driver="fixed"), regret_gate=False)
+        return replace(plan, spec=replace(spec, num_shards=plan.num_shards),
+                       search_tally=tally)
 
     def rehydrate(self, spec, query, **overrides):
-        """A :class:`PhysicalPlan` from a :class:`PlanSpec` planned
-        elsewhere (typically a planning-worker process).
-
-        ``query`` must be the same query the spec was planned for and
-        this planner's catalog must hold the same content the spec was
-        planned against (checked via the spec's pinned fingerprint).
-        The execution catalog is derived locally through the same
-        content-addressed caches :meth:`plan` uses, so rehydration costs
-        a push-down plus cache lookups — never an order search.
+        """A :class:`PhysicalPlan` from a :class:`PlanSpec` pinned
+        elsewhere (:meth:`PhysicalPlan.to_spec`; a distributed worker
+        rehydrates the driver's plan): the fingerprint check, then
+        :meth:`bind` — a push-down plus cache lookups, never a search.
         ``overrides`` are the request's per-call knobs (only
         ``partitioning`` matters here).
 
-        A spec that does not fit ``query`` raises ``ValueError`` before
-        anything runs: its residuals must identify a spanning tree of
-        the query (:func:`~repro.core.cyclic.tree_query_from_residuals`
-        rejects a residual the query lacks and a predicate set that is
-        not a spanning tree), its shard count must be the one this
-        planner derives, and the rebuilt :class:`PhysicalPlan` checks
-        the order, child orders, wcoj variables and catalog columns
-        against that tree.
+        A spec that does not fit raises ``ValueError``: a stale
+        fingerprint, residuals that do not identify a spanning tree of
+        ``query`` (:func:`~repro.core.cyclic.tree_query_from_residuals`),
+        a shard count this planner does not derive, and whatever the
+        rebuilt :class:`PhysicalPlan` checks against that tree.
         """
-        request = self.options.override(**overrides)
         if spec.catalog_fingerprint != self.catalog.fingerprint():
             raise ValueError(
                 "stale PlanSpec: the catalog content changed since it "
@@ -1343,14 +1282,11 @@ class Planner:
                 "a cyclic PlanSpec (with residuals) can only be "
                 "rehydrated against the ParsedQuery it was planned for"
             )
-        prep = self._prepare(
-            query, request.resolved(self.catalog, query), tree=tree
-        )
-        rooted = tree if tree is not None \
-            else prep.join_query.rerooted(spec.root)
+        prep = self._prepare(query, overrides, tree=tree)
         if prep.effective_shards != spec.num_shards:
             raise ValueError(
                 f"PlanSpec was planned for {spec.num_shards} shard(s) "
                 f"but this planner derives {prep.effective_shards}"
             )
-        return PhysicalPlan(spec, prep.catalog, rooted)
+        return self.bind(prep, spec, tree if tree is not None
+                         else prep.join_query.rerooted(spec.root))

@@ -10,12 +10,13 @@ single session so the hardware stays busy:
   numpy's GIL-releasing kernels overlap across in-flight queries;
 * **process-pool planning** — cold, CPU-bound planning (the optimizer
   DP) is offloaded to a :class:`~concurrent.futures.ProcessPoolExecutor`
-  whose workers hold a content-addressed copy of the catalog (shipped
-  once per worker, not per query).  Workers return a picklable
-  :class:`~repro.planner.PlanSpec` — decisions only, no catalog — which
-  is rehydrated locally and inserted into the session's plan cache, so
-  the *executed* path is always the session's own and results are
-  bit-identical to the synchronous path by construction;
+  whose workers hold no data: an execution thread measures the
+  request's statistics (:meth:`~repro.planner.Planner.measure`), a
+  worker runs :func:`~repro.planner.decide` over the frozen reader, and
+  the decision is bound locally (:meth:`~repro.planner.Planner.bind`)
+  and inserted into the session's plan cache, so the *executed* path is
+  always the session's own and results are bit-identical to the
+  synchronous path by construction; writes never restart the pool;
 * **one admission limit** — every query, warm or cold, takes a slot
   of the global concurrency limit; concurrent cold arrivals of one
   query are single-flighted onto one planning pass.
@@ -33,6 +34,7 @@ from concurrent.futures.process import BrokenProcessPool
 from ..core.parser import ParsedQuery, parse_query
 from ..core.query import JoinQuery
 from ..options import _integer
+from ..planner import decide
 from .session import DEFAULT_BUDGET, QueryReport, QuerySession
 
 __all__ = ["AsyncQueryService"]
@@ -46,28 +48,11 @@ DEFAULT_PROCESS_MIN_RELATIONS = 8
 # Planning-worker process plumbing
 # ----------------------------------------------------------------------
 
-#: the worker process's planner, built once by the pool initializer
-_worker_planner = None
 
-
-def _init_planning_worker(catalog, planner_config):
-    """Process-pool initializer: build this worker's planner once.
-
-    The catalog is pickled once per worker (content-addressed: its
-    fingerprint survives the trip), not once per query — per-query
-    traffic is just (query, planning options) out, a
-    :class:`~repro.planner.PlanSpec` back.
-    """
-    global _worker_planner
-    from ..planner import Planner
-
-    _worker_planner = Planner(catalog, stats_cache=True, **planner_config)
-
-
-def _plan_spec_in_worker(query, plan_kwargs):
-    """Plan in the worker and return the picklable spec."""
-    plan = _worker_planner.plan(query, **plan_kwargs)
-    return plan.to_spec(_worker_planner.catalog.fingerprint())
+def _decide_in_worker(query, reader, options):
+    """:func:`~repro.planner.decide` over shipped, frozen statistics;
+    the planning deadline starts here, on the clock the search runs on."""
+    return decide(query, reader, options.restarted())
 
 
 class AsyncQueryService:
@@ -93,7 +78,9 @@ class AsyncQueryService:
         Process-pool workers for cold planning.  ``0`` (default) plans
         inline on execution threads, which is right for single-core
         hosts and small queries; services planning large queries on
-        multi-core hosts should set it to 1-4.
+        multi-core hosts should set it to 1-4.  Workers receive
+        measured statistics per query and hold no catalog, so they
+        outlive every write.
     process_min_relations:
         Only offload queries at least this large to the process pool
         (below it, IPC costs more than the DP).
@@ -122,7 +109,6 @@ class AsyncQueryService:
             thread_name_prefix="repro-exec",
         )
         self._planning_pool = None
-        self._planning_pool_fingerprint = None
         self._pool_lock = threading.Lock()
         #: loop id -> (weakref-to-loop, limits); asyncio primitives are
         #: loop-bound, so each serving loop gets its own set
@@ -212,39 +198,17 @@ class AsyncQueryService:
     # Planning-pool management
     # ------------------------------------------------------------------
 
-    def _planning_pool_for(self, fingerprint):
-        """The live planning pool, (re)spawned for the catalog content.
-
-        Workers hold a pickled copy of the catalog; a content change
-        (fingerprint mismatch) retires the pool and spawns a fresh one,
-        mirroring how the plan cache invalidates.  Returns ``None``
-        when process planning is disabled.
-        """
-        if self.planning_workers < 1:
-            return None
+    def _live_planning_pool(self):
+        """The planning pool, started on first use; ``None`` once the
+        service is closed."""
         with self._pool_lock:
             if self._closed:
                 return None
-            if (
-                self._planning_pool is not None
-                and self._planning_pool_fingerprint != fingerprint
-            ):
-                self._planning_pool.shutdown(wait=False)
-                self._planning_pool = None
             if self._planning_pool is None:
                 from concurrent.futures import ProcessPoolExecutor
 
-                # workers plan under the session's full knob record, or
-                # their specs would land under the wrong cache key
                 self._planning_pool = ProcessPoolExecutor(
-                    max_workers=self.planning_workers,
-                    initializer=_init_planning_worker,
-                    initargs=(
-                        self.session.catalog,
-                        self.session.planner.options.planner_config(),
-                    ),
-                )
-                self._planning_pool_fingerprint = fingerprint
+                    max_workers=self.planning_workers)
             return self._planning_pool
 
     def _offloadable(self, query):
@@ -260,35 +224,33 @@ class AsyncQueryService:
     async def _plan_into_cache(self, query, key, plan_kwargs):
         """Ensure ``key`` is populated, planning wherever is cheapest.
 
-        Process-pool path: the worker returns a spec, rehydration and
-        cache insertion happen here.  Any pool failure (broken pool,
-        pickling surprise, stale spec after a concurrent data change)
-        falls back to inline planning on an execution thread — the
-        session's ``plan()`` is the correctness backstop either way.
+        Process-pool path: an execution thread measures the request's
+        statistics, a worker decides from them, an execution thread binds
+        and caches the plan.  Any pool failure (broken pool, pickling
+        surprise, a write since the measurement) falls back to inline
+        planning — the session's ``plan()`` is the backstop either way.
         """
         loop = asyncio.get_running_loop()
-        pool = (
-            self._planning_pool_for(self.session.catalog.fingerprint())
-            if self._offloadable(query) else None
-        )
+        pool = self._live_planning_pool() if self._offloadable(query) \
+            else None
         if pool is not None:
+            planner = self.session.planner
             try:
-                spec = await loop.run_in_executor(
-                    None,
-                    lambda: pool.submit(
-                        _plan_spec_in_worker, query, plan_kwargs
-                    ).result(),
-                )
-                plan = self.session.planner.rehydrate(
-                    spec, query,
-                    partitioning=plan_kwargs.get("partitioning"),
-                )
-                self.session.plan_cache.put(key, plan)
+                prep = await loop.run_in_executor(
+                    self._executor,
+                    lambda: planner.measure(query, **plan_kwargs))
+                decided = await asyncio.wrap_future(pool.submit(
+                    _decide_in_worker, prep.searched, prep.reader,
+                    prep.options))
+                await loop.run_in_executor(
+                    self._executor,
+                    lambda: self.session.plan_cache.put(
+                        key, planner.bind(prep, *decided)))
                 self._bump("planned_in_process_pool")
                 return
             except (BrokenProcessPool, ValueError, TypeError,
                     AttributeError, EOFError, OSError):
-                # includes stale-spec rejection and pickling failures
+                # includes stale-decision rejection and pickling failures
                 self._bump("process_pool_fallbacks")
         try:
             await loop.run_in_executor(

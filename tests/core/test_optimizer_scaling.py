@@ -2,7 +2,6 @@
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.core import beam_order, exhaustive_optimal, idp_order
@@ -13,7 +12,9 @@ from repro.core.optimizer import (
     choose_optimizer,
     incremental_order_cost,
 )
-from repro.planner import Planner
+from repro.core.stats import StatsReader
+from repro.options import PlanOptions
+from repro.planner import Planner, decide
 from repro.workloads.random_trees import random_join_tree, random_stats
 from tests.large_joins import (
     chain_query,
@@ -142,27 +143,17 @@ def test_planner_resolve_optimizer():
 
 
 # ----------------------------------------------------------------------
-# Planner integration (synthetic stats: no catalog data needed)
+# decide() on synthetic stats: no catalog data needed
 # ----------------------------------------------------------------------
 
 
 def _plan_with(optimizer, query, stats, mode="COM"):
-    """Search ``query``'s order and mode under synthetic ``stats``
-    (:meth:`Planner.replan` of a cheap greedy plan): no row is read, but
-    the plan's catalog must hold every relation and join column (a plan
-    checks that when it is built), so one-row tables stand in."""
-    from repro.storage import Catalog
-
-    columns = {relation: {"id"} for relation in query.relations}
-    for edge in query.edges:
-        columns[edge.parent].add(edge.parent_attr)
-        columns[edge.child].add(edge.child_attr)
-    catalog = Catalog()
-    for relation, names in columns.items():
-        catalog.add_table(relation, {name: np.zeros(1, dtype=np.int64)
-                                     for name in sorted(names)})
-    planner = Planner(catalog, mode=mode, optimizer=optimizer)
-    return planner.replan(planner.plan(query, optimizer="rank"), stats)
+    """Decide ``query``'s order and mode from synthetic ``stats``: a
+    frozen reader holds them, and no row is read."""
+    options = PlanOptions(mode=mode, optimizer=optimizer).resolved(None,
+                                                                   query)
+    spec, _, _ = decide(query, StatsReader.holding(query, stats), options)
+    return spec
 
 
 def test_planner_accepts_idp_beam_and_auto():

@@ -3,6 +3,8 @@ process-pool planning, failure isolation."""
 
 import ast
 import asyncio
+import io
+import pickle
 from pathlib import Path
 
 import pytest
@@ -232,23 +234,69 @@ class TestProcessPoolPlanning:
         assert stats["planned_in_process_pool"] == 0
         assert stats["planned_inline"] == 1
 
-    def test_catalog_change_respawns_pool(self, catalog):
+    def test_a_write_keeps_the_pool(self, catalog):
+        """Workers decide from shipped statistics and hold no catalog,
+        so a write neither retires the pool nor stales its plans."""
         async def go():
             session = QuerySession(catalog)
             async with AsyncQueryService(
                 session, planning_workers=1, process_min_relations=2
             ) as service:
                 first = await service.execute(SIX_RELATION_SQL)
-                # change a table's data: the fingerprint changes, the
-                # old worker pool holds stale bytes and must be retired
+                pool = service._planning_pool
                 table = catalog.table("R4")
                 catalog.add_table("R4", {"D": table.column("D")[:-1]})
                 second = await service.execute(SIX_RELATION_SQL)
-                return first, second, service.stats()
+                return first, second, pool, service._planning_pool, \
+                    service.stats()
 
-        first, second, stats = run(go())
+        first, second, pool, kept, stats = run(go())
         assert first.ok and second.ok
+        assert pool is not None and kept is pool
         assert stats["planned_in_process_pool"] == 2
+        assert stats["process_pool_fallbacks"] == 0
+        assert second.plan.fingerprint() == \
+            QuerySession(catalog).plan(SIX_RELATION_SQL).fingerprint()
+
+    def test_pool_ships_no_catalog(self, catalog, monkeypatch):
+        """Nothing the planning pool is started with or sent per query
+        pickles a ``Catalog`` or a ``Table``."""
+        import concurrent.futures
+
+        from repro.storage.table import Catalog, Table
+
+        shipped, real = [], concurrent.futures.ProcessPoolExecutor
+
+        class Recording(real):
+            def __init__(self, *args, **kwargs):
+                shipped.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, *args, **kwargs):
+                shipped.append((args, kwargs))
+                return super().submit(fn, *args, **kwargs)
+
+        class Refusing(pickle.Pickler):
+            def reducer_override(self, obj):
+                assert not isinstance(obj, (Catalog, Table)), type(obj)
+                return NotImplemented
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+
+        async def go():
+            async with AsyncQueryService(
+                QuerySession(catalog), planning_workers=1,
+                process_min_relations=2,
+            ) as service:
+                await service.execute(SIX_RELATION_SQL, robustness="bounded")
+                return service.stats()
+
+        stats = run(go())
+        assert stats["planned_in_process_pool"] == 1
+        assert len(shipped) == 2  # the pool's start, one decision
+        for payload in shipped:
+            Refusing(io.BytesIO()).dump(payload)
 
 
 class TestReportObservability:

@@ -1,7 +1,7 @@
-"""Pickling round-trips for the process-pool planning path.
+"""Pickling round-trips for the process-pool paths.
 
-Workers receive a pickled catalog (+ planner config) once and return
-:class:`~repro.planner.PlanSpec` objects; these tests pin the
+Execution workers receive a pickled catalog (+ planner config) once and
+rehydrate :class:`~repro.planner.PlanSpec` objects; these tests pin the
 content-addressing contract: fingerprints survive the trip, caches
 reset instead of shipping state, and a rehydrated spec is the same
 plan the local planner would have produced.

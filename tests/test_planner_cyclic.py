@@ -8,6 +8,8 @@ alike, rehydrates from a :class:`PlanSpec`, and never costs more than
 the greedy Kruskal baseline.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,46 @@ def test_rehydrate_refuses_a_spec_that_drops_a_residual():
     with pytest.raises(ValueError, match="^PRED001: 4 tree predicates over "
                                          "4 relations"):
         planner.rehydrate(spec, sql)
+
+
+#: the triangle's factorized runs, per mode: (output size, hash probes,
+#: tuples generated, residual checks, semi-join probes, bitvector probes,
+#: peak intermediate tuples) — the same on either kernel plane and any
+#: shard count
+FACTORIZED_TRIANGLE = {
+    "COM": (70, 60, 672, 441, 0, 0, 441),
+    "BVP+COM": (70, 60, 672, 441, 0, 60, 441),
+    "SJ+COM": (70, 60, 672, 441, 60, 0, 441),
+}
+
+
+@pytest.mark.parametrize("shards", [1, 2, 8])
+@pytest.mark.parametrize("execution", ["vectorized", "interpreted"])
+@pytest.mark.parametrize("mode", sorted(FACTORIZED_TRIANGLE))
+def test_factorized_cyclic_run_weighs_subtrees_once(triangle_catalog, mode,
+                                                    execution, shards):
+    """The tree join is counted once, after the residual push-down: one
+    ``subtree_weights`` pass serves the count and the expansion (the
+    run weighed twice, once for a count it then overwrote)."""
+    from repro.engine.factorized import FactorizedResult
+
+    plan = Planner(triangle_catalog, partitioning=shards,
+                   execution=execution).plan(
+        TRIANGLE, mode=mode, cyclic_execution="tree_filter")
+    assert plan.is_cyclic and plan.num_shards == shards
+    expected = reference_rows(triangle_catalog, parse_query(TRIANGLE))
+    for collect in (True, False):
+        with mock.patch.object(
+                FactorizedResult, "subtree_weights", autospec=True,
+                side_effect=FactorizedResult.subtree_weights) as weigh:
+            result = plan.execute(collect_output=collect)
+        assert weigh.call_count == 1
+        counters = result.counters
+        assert (result.output_size, counters.hash_probes,
+                counters.tuples_generated, counters.residual_checks,
+                counters.semijoin_probes, counters.bitvector_probes,
+                counters.peak_intermediate_tuples) \
+            == FACTORIZED_TRIANGLE[mode]
+        if collect:
+            assert sorted_rows(result.output_rows, ["A", "B", "C"]) \
+                == expected

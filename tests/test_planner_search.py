@@ -1,4 +1,4 @@
-"""``Planner._search``: floor -> lazy proxy -> bounded search.
+"""``repro.planner._search``: floor -> lazy proxy -> bounded search.
 
 The lazy best-first rooting loop must pick exactly the plan an eager
 "rank every rooting, then search them in order" loop picks — same
@@ -32,7 +32,17 @@ from repro.core.costmodel import (
     order_invariant_floor,
 )
 from repro.core.cyclic import residual_filter_cost
-from repro.planner import Planner, SearchTally, _Choice
+import repro.planner as planner_module
+from repro.core.stats import StatsReader
+from repro.options import PlanOptions
+from repro.planner import (
+    Planner,
+    SearchTally,
+    _Choice,
+    _cost,
+    _order_for_mode,
+    decide,
+)
 from tests.cyclic_joins import cyclic_scaling_suite, spanning_tree_cap
 from tests.large_joins import (
     large_join_catalog,
@@ -41,12 +51,12 @@ from tests.large_joins import (
 )
 
 
-def eager_search(self, rootings, stats_for, options, flat_output, best=None,
+def eager_search(rootings, stats_for, options, flat_output, best=None,
                  incumbent=math.inf, residual_selectivities=(), residuals=()):
     """The reference: PR 14's ``_candidates`` + ``_search`` — proxy every
     rooting up front, search them all in (proxy cost, position) order,
     bounded by the cheaper of ``best`` and the ``incumbent`` cost."""
-    eps, weights = self.options.eps, self.options.weights
+    eps, weights = options.eps, options.weights
     tally = best.search_tally if best is not None else SearchTally()
     if best is not None:
         incumbent = min(incumbent, best.predicted_cost)
@@ -61,8 +71,8 @@ def eager_search(self, rootings, stats_for, options, flat_output, best=None,
         if proxy_mode is not None:
             greedy = beam_order(rooted, stats, mode=proxy_mode, eps=eps,
                                 weights=weights, beam_width=1, memo=memo)
-            proxy = self._cost(rooted, stats, greedy.order, proxy_mode,
-                               flat_output, memo)
+            proxy = _cost(rooted, stats, greedy.order, proxy_mode,
+                          flat_output, options, memo)
         ranked.append((proxy, position, rooted, stats, memo))
     ranked.sort(key=lambda entry: entry[:2])
     fixed_cost = residual_filter_cost(
@@ -86,12 +96,12 @@ def eager_search(self, rootings, stats_for, options, flat_output, best=None,
                 order, cost = found.order, found.cost
                 child_orders = found.child_orders
             else:
-                order = self._order_for_mode(rooted, stats, mode, options,
-                                             memo, upper_bound)
+                order = _order_for_mode(rooted, stats, mode, options, memo,
+                                        upper_bound)
                 if order is None:
                     continue
-                cost = self._cost(rooted, stats, order, mode, flat_output,
-                                  memo)
+                cost = _cost(rooted, stats, order, mode, flat_output, options,
+                             memo)
             cost += fixed_cost
             if cost < incumbent or best is None and incumbent == math.inf:
                 incumbent = cost
@@ -108,7 +118,7 @@ def decided(plan):
 
 def assert_lazy_equals_eager(catalog, query, **knobs):
     lazy = Planner(catalog).plan(query, **knobs)
-    with mock.patch.object(Planner, "_search", eager_search):
+    with mock.patch.object(planner_module, "_search", eager_search):
         eager = Planner(catalog).plan(query, **knobs)
     assert decided(lazy) == decided(eager), knobs
     return lazy
@@ -239,6 +249,18 @@ def test_sj_strategies_are_priced_once_per_rooting():
     assert_lazy_equals_eager(catalog, sql, driver="auto")
 
 
+class GivenStats(StatsReader):
+    """A frozen reader serving one synthetic :class:`QueryStats` whole —
+    probe costs included, which a reader's values do not hold."""
+
+    def __init__(self, stats):
+        super().__init__()
+        self.given = stats
+
+    def rooted_stats(self, rooted):
+        return self.given
+
+
 def test_bounded_search_is_sound_with_probe_costs():
     """Regression: the search objective multiplies each probe by its
     ``probe_cost`` while the full plan cost does not, so an incumbent's
@@ -255,20 +277,18 @@ def test_bounded_search_is_sound_with_probe_costs():
                             float(rng.uniform(1, 4))) for rel in relations},
             probe_costs={rel: float(rng.uniform(1, 5)) for rel in relations},
         )
-        planner = Planner(large_join_catalog(query, rows_per_relation=4),
-                          optimizer="exhaustive")
-        plan = planner.replan(planner.plan(query), stats)
+        options = PlanOptions(optimizer="exhaustive").resolved(None, query)
+        spec, _, _ = decide(query, GivenStats(stats), options)
         unbounded = None
         for mode in ExecutionMode.all_modes():
             if mode.uses_semijoin:
                 order = optimize_sj(query, stats, mode.factorized).order
             else:
                 order = exhaustive_optimal(query, stats, mode=mode).order
-            cost = plan_cost(query, stats, order, mode).total(
-                planner.weights)
+            cost = plan_cost(query, stats, order, mode).total(options.weights)
             if unbounded is None or cost < unbounded[0]:
                 unbounded = (cost, mode)
-        assert (plan.predicted_cost, plan.mode) == unbounded, trial
+        assert (spec.predicted_cost, spec.mode) == unbounded, trial
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -7,6 +7,7 @@ stop catching the pattern it exists for.
 """
 
 import ast
+import re
 import importlib.util
 import subprocess
 import sys
@@ -34,6 +35,64 @@ RECLAIM_GATE = (
     "def reclaim(planner):\n"
     "    return planner.catalog.version\n"
 )
+
+
+#: the named targets of the rules scoped to a file, class or method, by
+#: module; :func:`write` keeps them beside what a test writes there
+TARGETS = {
+    "planner.py": (
+        "def decide(query, reader, options):\n"
+        "    return query\n"
+        "def filtered_table(table, alias, predicate):\n"
+        "    return table.renamed(alias)\n"
+        "class PlanSpec:\n"
+        "    root: str = _spec_field('anchor')\n"
+        "class PhysicalPlan:\n"
+        "    def fingerprint(self):\n"
+        "        return digest(self.spec)\n"
+        "class Planner:\n"
+        "    def _apply_partitioning(self, prep, join_query):\n"
+        "        return prep.catalog\n"
+    ),
+    "service/session.py": (
+        "class QuerySession:\n"
+        "    def __init__(self, catalog):\n"
+        "        self.catalog = catalog\n"
+        "    def _key(self, query):\n"
+        "        return query\n"
+        "class PreparedStatement:\n"
+        "    def _structural_plan(self):\n"
+        "        return self.parsed\n"
+    ),
+    "service/async_service.py": (
+        "class AsyncQueryService:\n"
+        "    def __init__(self, session):\n"
+        "        self.session = session\n"
+    ),
+    "engine/wcoj.py": (
+        "def execute_wcoj(catalog, plan, binding_sequence):\n"
+        "    return catalog.table_structure(plan, binding_sequence)\n"
+    ),
+    "core/optimizer.py": (
+        "def _exact_block_order(memo, block):\n"
+        "    return block\n"
+        "def _greedy_block(memo, block):\n"
+        "    return block\n"
+        "def beam_order(memo, beam_width):\n"
+        "    return beam_width\n"
+    ),
+    "core/costmodel.py": "class CostMemo:\n    bit = None\n",
+}
+
+
+def write(repo, relative, source):
+    """Write ``source`` as ``src/repro/<relative>``, that module's
+    :data:`TARGETS` appended: a test trips one rule, not the others'
+    target checks (its own lines keep their numbers)."""
+    path = repo / "src" / "repro" / relative
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(source + TARGETS.get(relative, ""))
+    return path
 
 
 def load_linter(repo_root):
@@ -74,7 +133,14 @@ def synthetic_repo(tmp_path):
         "## Planner / session knobs\n\n"
         "| knob |\n|---|\n| `mode` |\n\n## Next\n"
     )
+    (src / "service").mkdir()
+    (src / "service" / "__init__.py").write_text("")
+    for relative in TARGETS:
+        write(tmp_path, relative, "")
     (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "targets.py").write_text("".join(
+        f"import repro.{relative[:-3].replace('/', '.')}\n"
+        for relative in TARGETS))
     (tmp_path / "examples" / "demo.py").write_text(
         "from repro.engine.kernels import VectorizedKernels\n"
         "from repro.options import PlanOptions\n"
@@ -245,12 +311,10 @@ def test_readme_knob_table_fires_on_a_row_for_no_knob(synthetic_repo):
         "| `max_replans` | `2` |\n| `retired`, `mode` | `16` |\n\n"
         "## Next\n"
     )
-    (synthetic_repo / "src" / "repro" / "service").mkdir()
-    (synthetic_repo / "src" / "repro" / "service" / "session.py").write_text(
-        "class QuerySession:\n"
-        "    def __init__(self, catalog, max_replans=2, **knobs):\n"
-        "        self.catalog = catalog\n"
-    )
+    write(synthetic_repo, "service/session.py",
+          "class QuerySession:\n"
+          "    def __init__(self, catalog, max_replans=2, **knobs):\n"
+          "        self.catalog = catalog\n")
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["README_KNOB_TABLE"]
     assert "`retired`" in findings[0].message
@@ -360,7 +424,7 @@ def test_no_module_executor_allows_owned_pools(synthetic_repo):
 def test_stats_single_producer_fires(synthetic_repo, relative, source):
     path = synthetic_repo / "src" / "repro" / relative
     path.parent.mkdir(exist_ok=True)
-    path.write_text(source)
+    write(synthetic_repo, relative, source)
     rules = [f.rule for f in run_all(load_linter(synthetic_repo))]
     assert rules == ["STATS_SINGLE_PRODUCER"]
 
@@ -394,13 +458,13 @@ def test_stats_single_producer_exempts_the_producers(synthetic_repo,
     "    return size * self.options.weights.tuple_generation\n",
 ])
 def test_cost_floor_single_producer_fires(synthetic_repo, source):
-    (synthetic_repo / "src" / "repro" / "planner.py").write_text(source)
+    write(synthetic_repo, "planner.py", source)
     rules = [f.rule for f in run_all(load_linter(synthetic_repo))]
     assert rules == ["COST_FLOOR_SINGLE_PRODUCER"]
 
 
 def test_cost_floor_single_producer_allows_the_producer(synthetic_repo):
-    (synthetic_repo / "src" / "repro" / "planner.py").write_text(
+    write(synthetic_repo, "planner.py",
         "def search(rooted, stats, mode, weights, partition_floor):\n"
         "    return order_invariant_floor(rooted, stats, mode, weights)\n"
     )
@@ -445,8 +509,7 @@ PLANNER_SOURCE = (
 
 def test_plan_field_single_declaration_allows_declared_fields(
         synthetic_repo):
-    (synthetic_repo / "src" / "repro" / "planner.py").write_text(
-        PLANNER_SOURCE)
+    write(synthetic_repo, "planner.py", PLANNER_SOURCE)
     assert run_all(load_linter(synthetic_repo)) == []
 
 
@@ -470,8 +533,8 @@ def test_plan_field_single_declaration_allows_declared_fields(
 def test_plan_field_single_declaration_fires(synthetic_repo, relative,
                                              source, named):
     planner = synthetic_repo / "src" / "repro" / "planner.py"
-    planner.write_text(PLANNER_SOURCE)
-    (synthetic_repo / "src" / "repro" / relative).write_text(source)
+    write(synthetic_repo, "planner.py", PLANNER_SOURCE)
+    write(synthetic_repo, relative, source)
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["PLAN_FIELD_SINGLE_DECLARATION"]
     assert named in findings[0].message
@@ -486,8 +549,7 @@ WCOJ_PLANNER_SOURCE = (
 
 
 def test_wcoj_priced_once_allows_one_pricing(synthetic_repo):
-    (synthetic_repo / "src" / "repro" / "planner.py").write_text(
-        WCOJ_PLANNER_SOURCE)
+    write(synthetic_repo, "planner.py", WCOJ_PLANNER_SOURCE)
     assert run_all(load_linter(synthetic_repo)) == []
 
 
@@ -507,14 +569,14 @@ def test_wcoj_priced_once_allows_one_pricing(synthetic_repo):
      "plan_variable_order"),
 ])
 def test_wcoj_priced_once_fires(synthetic_repo, source, named):
-    (synthetic_repo / "src" / "repro" / "planner.py").write_text(source)
+    write(synthetic_repo, "planner.py", source)
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["WCOJ_PRICED_ONCE"]
     assert findings[0].message.startswith(named)
 
 
 def _write_wcoj(repo, body):
-    (repo / "src" / "repro" / "engine" / "wcoj.py").write_text(
+    write(repo, "engine/wcoj.py",
         "import numpy as np\n"
         "def _build_chain(table, binding):\n"
         "    codes = np.unique(table)\n"
@@ -566,13 +628,13 @@ def test_product_reads_no_benchmark_files_fires(synthetic_repo, relative,
                                                 source):
     path = synthetic_repo / "src" / "repro" / relative
     path.parent.mkdir(exist_ok=True)
-    path.write_text(source)
+    write(synthetic_repo, relative, source)
     rules = [f.rule for f in run_all(load_linter(synthetic_repo))]
     assert rules == ["PRODUCT_READS_NO_BENCHMARK_FILES"]
 
 
 def test_product_reads_no_benchmark_files_exempts_docstrings(synthetic_repo):
-    (synthetic_repo / "src" / "repro" / "core" / "optimizer.py").write_text(
+    write(synthetic_repo, "core/optimizer.py",
         '"""Crossovers once measured into benchmarks/results/."""\n'
         "def choose(n):\n"
         '    """Not read from BENCH_optimizer_scaling.json."""\n'
@@ -629,7 +691,7 @@ def test_one_fanout_per_step_fires_on_repeat_all(synthetic_repo):
 
 def test_order_search_on_masks_allows_mask_states(synthetic_repo):
     core = synthetic_repo / "src" / "repro" / "core"
-    (core / "optimizer.py").write_text(
+    write(synthetic_repo, "core/optimizer.py",
         "def _exact_block_order(memo, committed_order, block, mode, weights):\n"
         "    best = {memo.bit[memo.root]: (0.0, '', 0)}\n"
         "    for prefix in list(best):\n"
@@ -641,7 +703,7 @@ def test_order_search_on_masks_allows_mask_states(synthetic_repo):
         "def greedy_order(query, stats):\n"
         "    return query.eligible_next([])\n"
     )
-    (core / "costmodel.py").write_text(
+    write(synthetic_repo, "core/costmodel.py",
         '"""Pseudo nodes were once named "~bv:R"; now they are bits."""\n'
         "class CostMemo:\n"
         "    def __init__(self, query):\n"
@@ -654,7 +716,7 @@ def test_order_search_on_masks_allows_mask_states(synthetic_repo):
 def test_order_search_on_masks_fires_on_set_states(synthetic_repo):
     # the frozenset DP, the name-set memo translation and the pseudo names
     core = synthetic_repo / "src" / "repro" / "core"
-    (core / "optimizer.py").write_text(
+    write(synthetic_repo, "core/optimizer.py",
         "def _exact_block_order(query, committed_order, block, memo):\n"
         "    block_set = frozenset(block)\n"
         "    best = {frozenset([query.root]): (0.0, [])}\n"
@@ -665,7 +727,7 @@ def test_order_search_on_masks_fires_on_set_states(synthetic_repo):
         "def _frontier_pseudo(relation):\n"
         "    return f'~bv:{relation}'\n"
     )
-    (core / "costmodel.py").write_text(
+    write(synthetic_repo, "core/costmodel.py",
         "class CostMemo:\n"
         "    def mask_of(self, names):\n"
         "        return sum(self.bit[name] for name in names)\n"
@@ -687,8 +749,8 @@ def test_plans_checked_at_construction_allows_the_reexport(synthetic_repo):
     (src / "analysis" / "planlint.py").write_text(
         "from ..core.parser import parse_query\n"
         "from repro.analysis import planlint\n")
-    (src / "planner.py").write_text(
-        "from .core.cyclic import tree_query_from_residuals\n")
+    write(synthetic_repo, "planner.py",
+          "from .core.cyclic import tree_query_from_residuals\n")
     assert run_all(load_linter(synthetic_repo)) == []
 
 
@@ -709,7 +771,7 @@ def test_plans_checked_at_construction_fires(synthetic_repo, relative,
                                              source):
     path = synthetic_repo / "src" / "repro" / relative
     path.parent.mkdir(exist_ok=True)
-    path.write_text(source)
+    write(synthetic_repo, relative, source)
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["PLANS_CHECKED_AT_CONSTRUCTION"]
     assert str(path.relative_to(synthetic_repo)) in str(findings[0])
@@ -777,7 +839,7 @@ def test_liveness_by_kill_allows_reads_and_the_owner(synthetic_repo):
 ])
 def test_liveness_by_kill_fires(synthetic_repo, relative, source):
     path = synthetic_repo / "src" / "repro" / relative
-    path.write_text(source)
+    write(synthetic_repo, relative, source)
     findings = run_all(load_linter(synthetic_repo))
     assert {f.rule for f in findings} == {"LIVENESS_BY_KILL"}
     assert all(str(path.relative_to(synthetic_repo)) in str(f)
@@ -796,7 +858,7 @@ def test_structures_by_content_allows_storage_and_filtered_copies(
         "    def table_structure(self, name, key, build):\n"
         "        return self._tables[name].structure(key, build)\n"
     )
-    (src / "planner.py").write_text(
+    write(synthetic_repo, "planner.py",
         "def filtered_table(table, alias, predicate):\n"
         "    if not predicate:\n"
         "        return table.renamed(alias)\n"
@@ -841,7 +903,7 @@ def test_structures_by_content_allows_storage_and_filtered_copies(
 ])
 def test_structures_by_content_fires(synthetic_repo, relative, source):
     path = synthetic_repo / "src" / "repro" / relative
-    path.write_text(source)
+    write(synthetic_repo, relative, source)
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["STRUCTURES_BY_CONTENT"]
     assert str(path.relative_to(synthetic_repo)) in str(findings[0])
@@ -1005,9 +1067,7 @@ def test_caches_keyed_by_relation_allows_table_fingerprints(synthetic_repo):
     """Keys built from the fingerprints of the tables read pass, and a
     catalog fingerprint outside the three keyed methods' reach (a
     process pool's key) is none of the rule's business."""
-    src = synthetic_repo / "src" / "repro"
-    (src / "service").mkdir()
-    (src / "service" / "session.py").write_text(
+    write(synthetic_repo, "service/session.py",
         "class QuerySession:\n"
         "    def _key(self, query):\n"
         "        return (query, self._read_tables(query))\n"
@@ -1020,7 +1080,7 @@ def test_caches_keyed_by_relation_allows_table_fingerprints(synthetic_repo):
         "    def _structural_plan(self):\n"
         "        return self.session._read_tables(self.parsed)\n"
     )
-    (src / "planner.py").write_text(
+    write(synthetic_repo, "planner.py",
         "class Planner:\n"
         "    def _apply_partitioning(self, prep):\n"
         "        return tuple(sorted(prep.tokens.items()))\n"
@@ -1053,7 +1113,7 @@ def test_caches_keyed_by_relation_allows_table_fingerprints(synthetic_repo):
 def test_caches_keyed_by_relation_fires(synthetic_repo, relative, source):
     path = synthetic_repo / "src" / "repro" / relative
     path.parent.mkdir(exist_ok=True)
-    path.write_text(source)
+    write(synthetic_repo, relative, source)
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["CACHES_KEYED_BY_RELATION"]
     assert str(path.relative_to(synthetic_repo)) in str(findings[0])
@@ -1297,7 +1357,7 @@ def _serving_constructors(repo, service_keywords):
     """A session taking ``plan_cache_size`` and a service taking
     ``service_keywords`` (each defaulted), beside one positional."""
     service = repo / "src" / "repro" / "service"
-    service.mkdir()
+    service.mkdir(exist_ok=True)
     (service / "__init__.py").write_text("")
     (service / "session.py").write_text(
         "class QuerySession:\n"
@@ -1328,3 +1388,66 @@ def test_plan_knobs_used_keeps_named_constructor_keywords(synthetic_repo):
         "def serve(service_type, session):\n"
         "    return service_type(session, spare_slots=2)\n")
     assert knob_findings(load_linter(synthetic_repo)) == []
+
+
+# ----------------------------------------------------------------------
+# Scoped rules report a missing target
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule, relative, target", [
+    ("KERNEL_SURFACE", "engine/kernels.py", "InterpretedKernels"),
+    ("INDEX_LAYOUT_SELECTOR", "storage/hashindex.py", "HashIndex.__init__"),
+    ("STATS_SINGLE_PRODUCER", "planner.py", "decide"),
+    ("COST_FLOOR_SINGLE_PRODUCER", "planner.py", "decide"),
+    ("WCOJ_PRICED_ONCE", "planner.py", "decide"),
+    ("WCOJ_BUILD_ONCE", "engine/wcoj.py", "execute_wcoj"),
+    ("PLAN_FIELD_SINGLE_DECLARATION", "planner.py", "PlanSpec"),
+    ("PLAN_FIELD_SINGLE_DECLARATION", "planner.py",
+     "PhysicalPlan.fingerprint"),
+    ("ORDER_SEARCH_ON_MASKS", "core/optimizer.py", "_greedy_block"),
+    ("ORDER_SEARCH_ON_MASKS", "core/costmodel.py", "CostMemo"),
+    ("STRUCTURES_BY_CONTENT", "planner.py", "filtered_table"),
+    ("README_KNOB_TABLE", "options.py", "PlanOptions"),
+    ("PLAN_KNOBS_USED", "service/async_service.py",
+     "AsyncQueryService.__init__"),
+    ("CACHES_KEYED_BY_RELATION", "planner.py", "Planner._apply_partitioning"),
+    ("CACHES_KEYED_BY_RELATION", "service/session.py", "QuerySession._key"),
+    ("CACHES_KEYED_BY_RELATION", "service/session.py",
+     "PreparedStatement._structural_plan"),
+])
+def test_scoped_rule_reports_its_renamed_target(synthetic_repo, rule,
+                                                relative, target):
+    """A rule scoped to a class, function or method does not go quiet
+    when its target is renamed: it names the target it lost."""
+    path = synthetic_repo / "src" / "repro" / relative
+    name = target.rpartition(".")[2]
+    path.write_text(re.sub(rf"\b{name}\b", f"{name}_renamed",
+                           path.read_text()))
+    findings = getattr(load_linter(synthetic_repo), f"check_{rule.lower()}")()
+    assert [str(f) for f in findings if f.line == 0 and "not found" in str(f)] \
+        == [f"src/repro/{relative}: {rule}: {target} not found — the rule's "
+            "target moved; point it there"]
+
+
+@pytest.mark.parametrize("relative, rules", [
+    ("planner.py", {"STATS_SINGLE_PRODUCER", "COST_FLOOR_SINGLE_PRODUCER",
+                    "WCOJ_PRICED_ONCE", "PLAN_FIELD_SINGLE_DECLARATION",
+                    "STRUCTURES_BY_CONTENT", "CACHES_KEYED_BY_RELATION"}),
+    ("engine/wcoj.py", {"WCOJ_BUILD_ONCE"}),
+    ("core/costmodel.py", {"ORDER_SEARCH_ON_MASKS"}),
+])
+def test_scoped_rules_report_a_moved_body(synthetic_repo, relative, rules):
+    """The whole module moved elsewhere — with a second wcoj pricing and
+    a floor function in the planner's case — leaves every rule scoped
+    to the old file naming it."""
+    src = synthetic_repo / "src" / "repro"
+    moved = (src / relative).read_text()
+    (src / relative).unlink()
+    (src / "core" / "moved.py").write_text(
+        moved + "def _floor(rooted):\n    return wcoj_cost(rooted)\n"
+        "def price(rooted):\n    return wcoj_cost(rooted)\n")
+    findings = run_all(load_linter(synthetic_repo))
+    assert {f.rule for f in findings
+            if f.message.startswith("file not found")
+            and str(f.path) == f"src/repro/{relative}"} == rules

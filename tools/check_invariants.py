@@ -7,7 +7,9 @@ Pure stdlib (``ast`` + ``pathlib``); run from the repo root::
 
 Exit status 0 when every invariant holds, 1 with one line per finding
 otherwise.  The rules encode contracts the engine relies on but which
-live across files, so no single diff review sees them break:
+live across files, so no single diff review sees them break.  A rule
+scoped to a named file, class or method reports that target missing
+when it moves, so no rule passes vacuously on a renamed target:
 
 RAW_KEY_EQ
     Join-key comparisons must route through the exactness layer
@@ -72,25 +74,26 @@ STATS_SINGLE_PRODUCER
     layer that implements it is exempt).  Planning measures exactly, so
     a ``CorrelatedSample(...)`` is constructed only where estimators are
     implemented or *evaluated* (``estimation/`` and the figure drivers,
-    exempt from both calls), ``core/stats.py`` included.  ``planner.py``
-    may not construct ``EdgeStats`` — it assembles what the reader
-    hands it.
+    exempt from both calls), ``core/stats.py`` included.  The module
+    defining ``decide`` (``DECIDE``) may not construct ``EdgeStats`` —
+    it decides from what the reader hands it.
 
 COST_FLOOR_SINGLE_PRODUCER
     What no join order can avoid paying is computed in one place,
     ``core/costmodel.order_invariant_floor`` (and ``cost_lower_bound``
-    on top of it); the incumbent pruning in ``Planner._search`` is only
-    sound while every floor it subtracts is that function's.  So
-    ``planner.py`` defines no function or lambda named ``floor`` /
+    on top of it); the incumbent pruning in ``_search`` is only sound
+    while every floor it subtracts is that function's.  So the module
+    defining ``decide`` defines no function or lambda named ``floor`` /
     ``*_floor``, passes no ``floor=`` argument, and never reads the
     operation weights floors are made of (``tuple_generation``,
     ``bitvector_probe``, ``semijoin_probe``).
 
 WCOJ_PRICED_ONCE
-    ``planner.py`` calls ``wcoj_cost`` and ``plan_variable_order`` (each
-    one it names) exactly once: wcoj is priced before the spanning-tree
-    sweep, whose incumbent the price is, on the one path ``auto`` and a
-    forced ``"wcoj"`` share — a second site is a second, unbounded path.
+    The module defining ``decide`` calls ``wcoj_cost`` and
+    ``plan_variable_order`` (each one it names) exactly once: wcoj is
+    priced before the spanning-tree sweep, whose incumbent the price is,
+    on the one path ``auto`` and a forced ``"wcoj"`` share — a second
+    site is a second, unbounded path.
 
 WCOJ_BUILD_ONCE
     ``engine/wcoj.py``'s ``execute_wcoj`` builds no structure: its body
@@ -292,6 +295,33 @@ def _attach_parents(tree):
     return tree
 
 
+#: the module defining ``decide``, the optimizer: the rules on how a
+#: plan is decided read it
+DECIDE = "planner.py"
+
+
+_DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _target(rule, relative, *names):
+    """``(path, tree, findings)`` of a rule scoped to
+    ``src/repro/<relative>``, ``findings`` naming the file or each of
+    ``names`` (``"function"``, ``"Class"``, ``"Class.method"``) missing."""
+    path, tree = SRC / relative, ast.Module(body=[], type_ignores=[])
+    if path.exists():
+        tree = _attach_parents(_parse(path))
+    else:
+        names = ("file",)
+    defined = {node.name if item is node else f"{node.name}.{item.name}"
+               for node in tree.body if isinstance(node, _DEFINITIONS)
+               for item in (node, *node.body)
+               if isinstance(item, _DEFINITIONS)}
+    return path, tree, [
+        Finding(rule, path.relative_to(REPO), 0,
+                f"{name} not found — the rule's target moved; point it there")
+        for name in names if name not in defined]
+
+
 def _enclosing_function(node):
     while node is not None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -462,7 +492,7 @@ def _class_methods(tree, class_name):
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
-    raise SystemExit(f"kernel class {class_name} not found")
+    return {}
 
 
 def _counter_updates(function):
@@ -476,9 +506,10 @@ def _counter_updates(function):
 
 
 def check_kernel_surface():
-    findings = []
-    path = SRC / "engine" / "kernels.py"
-    tree = _parse(path)
+    path, tree, findings = _target("KERNEL_SURFACE", "engine/kernels.py",
+                                   "VectorizedKernels", "InterpretedKernels")
+    if findings:
+        return findings
     vectorized = _class_methods(tree, "VectorizedKernels")
     interpreted = _class_methods(tree, "InterpretedKernels")
     def public(methods):
@@ -511,9 +542,8 @@ _HASH_INDEX_PARAMETERS = ["self", "keys", "rows"]
 
 
 def check_index_layout_selector():
-    findings = []
-    path = SRC / "storage" / "hashindex.py"
-    tree = _parse(path)
+    path, tree, findings = _target("INDEX_LAYOUT_SELECTOR",
+                                   "storage/hashindex.py", "HashIndex.__init__")
 
     def finding(node, message):
         findings.append(Finding("INDEX_LAYOUT_SELECTOR",
@@ -539,9 +569,7 @@ def check_index_layout_selector():
                     "the environment")
     init = _class_methods(tree, "HashIndex").get("__init__")
     if init is None:
-        return findings + [Finding(
-            "INDEX_LAYOUT_SELECTOR", path.relative_to(REPO), 0,
-            "HashIndex.__init__ not found")]
+        return findings
     arguments = init.args
     parameters = [a.arg for a in (*arguments.posonlyargs, *arguments.args,
                                   *arguments.kwonlyargs)]
@@ -611,7 +639,7 @@ def _called_name(call):
 
 
 def check_stats_single_producer():
-    findings = []
+    findings = _target("STATS_SINGLE_PRODUCER", DECIDE, "decide")[2]
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         if rel.startswith(("estimation/", "bench/fig")):
@@ -619,7 +647,7 @@ def check_stats_single_producer():
         banned = {"CorrelatedSample"}
         if rel != "core/stats.py" and not rel.startswith("storage/"):
             banned.add("probe_stats")
-        if rel == "planner.py":
+        if rel == DECIDE:
             banned.add("EdgeStats")
         for node in ast.walk(_parse(path)):
             name = _called_name(node) if isinstance(node, ast.Call) else None
@@ -635,9 +663,9 @@ def check_stats_single_producer():
 
 
 def check_cost_floor_single_producer():
-    path = SRC / "planner.py"
-    findings = []
-    for node in ast.walk(_parse(path)) if path.exists() else ():
+    path, tree, findings = _target("COST_FLOOR_SINGLE_PRODUCER", DECIDE,
+                                   "decide")
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             bad = node.attr in ("tuple_generation", "bitvector_probe",
                                 "semijoin_probe")
@@ -655,32 +683,32 @@ def check_cost_floor_single_producer():
             findings.append(Finding(
                 "COST_FLOOR_SINGLE_PRODUCER", path.relative_to(REPO),
                 node.lineno,
-                "a cost floor built in planner.py — use "
+                f"a cost floor built in {DECIDE} — use "
                 "repro.core.costmodel.order_invariant_floor",
             ))
     return findings
 
 
 def check_wcoj_priced_once():
-    path = SRC / "planner.py"
+    path, tree, findings = _target("WCOJ_PRICED_ONCE", DECIDE, "decide")
     source = path.read_text() if path.exists() else ""
-    calls = [_called_name(node) for node in ast.walk(ast.parse(source))
+    calls = [_called_name(node) for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
-    return [Finding("WCOJ_PRICED_ONCE", path.relative_to(REPO), 0,
-                    f"{name}(...) is called {calls.count(name)} times in "
-                    "planner.py — price wcoj exactly once, before the tree "
-                    "sweep")
-            for name in ("wcoj_cost", "plan_variable_order")
-            if name in source and calls.count(name) != 1]
+    return findings + [
+        Finding("WCOJ_PRICED_ONCE", path.relative_to(REPO), 0,
+                f"{name}(...) is called {calls.count(name)} times in "
+                f"{DECIDE} — price wcoj exactly once, before the tree sweep")
+        for name in ("wcoj_cost", "plan_variable_order")
+        if name in source and calls.count(name) != 1]
 
 
 _WCOJ_BUILDS = ("unique", "searchsorted", "HashIndex", "_base_column")
 
 
 def check_wcoj_build_once():
-    path = SRC / "engine" / "wcoj.py"
-    tree = _parse(path) if path.exists() else ast.Module(body=[])
-    return [
+    path, tree, findings = _target("WCOJ_BUILD_ONCE", "engine/wcoj.py",
+                                   "execute_wcoj")
+    return findings + [
         Finding("WCOJ_BUILD_ONCE", path.relative_to(REPO), node.lineno,
                 f"{_called_name(node)}(...) in execute_wcoj() — build wcoj "
                 "structures in the cached builders Catalog.table_structure "
@@ -753,10 +781,9 @@ def _class_fields(tree, class_name):
 
 
 def check_plan_field_single_declaration():
-    path = SRC / "planner.py"
-    tree = _attach_parents(_parse(path)) if path.exists() \
-        else ast.Module(body=[])
-    findings = []
+    path, tree, findings = _target("PLAN_FIELD_SINGLE_DECLARATION",
+                                   "planner.py", "PlanSpec",
+                                   "PhysicalPlan.fingerprint")
 
     def finding(file, node, message):
         findings.append(Finding("PLAN_FIELD_SINGLE_DECLARATION",
@@ -830,8 +857,10 @@ def check_order_search_on_masks():
         findings.append(Finding("ORDER_SEARCH_ON_MASKS",
                                 path.relative_to(REPO), node.lineno, message))
 
-    optimizer = SRC / "core" / "optimizer.py"
-    for function in ast.walk(_parse(optimizer)) if optimizer.exists() else ():
+    optimizer, tree, missing = _target("ORDER_SEARCH_ON_MASKS",
+                                       "core/optimizer.py", *_MASK_SEARCHES)
+    findings.extend(missing)
+    for function in ast.walk(tree):
         if not isinstance(function, ast.FunctionDef) \
                 or function.name not in _MASK_SEARCHES:
             continue
@@ -846,8 +875,10 @@ def check_order_search_on_masks():
             finding(optimizer, node, f"{built} in {function.name}() — keep "
                     "search states, candidates and pseudo nodes as "
                     "integer masks over CostMemo.bit")
-    costmodel = SRC / "core" / "costmodel.py"
-    for node in ast.walk(_parse(costmodel)) if costmodel.exists() else ():
+    costmodel, tree, missing = _target("ORDER_SEARCH_ON_MASKS",
+                                       "core/costmodel.py", "CostMemo")
+    findings.extend(missing)
+    for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "mask_of":
             finding(costmodel, node, "mask_of() turns name sets back into "
                     "masks — translate at the entry point, once per plan")
@@ -1035,7 +1066,8 @@ def _structures_finding(path, node, message):
 
 
 def check_structures_by_content():
-    findings = []
+    findings = _target("STRUCTURES_BY_CONTENT", "planner.py",
+                       "filtered_table")[2]
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         tree = _attach_parents(_parse(path))
@@ -1078,6 +1110,16 @@ def _plan_option_fields():
         else {}
 
 
+def _knob_targets(rule):
+    """Findings for each knob declaration a knob rule reads that is gone:
+    ``PlanOptions`` and the :data:`_KNOB_CONSTRUCTORS`."""
+    return [finding for relative, name in (
+                ("options.py", "PlanOptions"),
+                *((relative, f"{class_name}.__init__")
+                  for relative, class_name in _KNOB_CONSTRUCTORS))
+            for finding in _target(rule, relative, name)[2]]
+
+
 #: (file under src/repro, class) whose ``__init__`` keyword parameters
 #: are knobs beside the ``PlanOptions`` fields
 _KNOB_CONSTRUCTORS = (
@@ -1114,7 +1156,7 @@ def _knob_sites():
 
 
 def check_readme_knob_table():
-    findings = []
+    findings = _knob_targets("README_KNOB_TABLE")
     knobs = _plan_option_fields()
     readme = REPO / "README.md"
     text = readme.read_text()
@@ -1319,7 +1361,7 @@ def _knob_mentions(tree):
 def check_plan_knobs_used():
     users = [*_root_files(), *sorted((SRC / "bench").rglob("*.py"))]
     named = {name for file in users for name in _knob_mentions(_parse(file))}
-    return [
+    return _knob_targets("PLAN_KNOBS_USED") + [
         Finding("PLAN_KNOBS_USED", path.relative_to(REPO), line,
                 f"{owner}.{name} is named by no example, benchmark or "
                 "figure driver — only tests turn it; make it a module "
@@ -1346,10 +1388,9 @@ def _catalogish(expr):
 def check_caches_keyed_by_relation():
     findings = []
     for rel, class_name, method in _RELATION_KEYED:
-        path = SRC / rel
-        if not path.exists():
-            continue
-        tree = _parse(path)
+        path, tree, missing = _target("CACHES_KEYED_BY_RELATION", rel,
+                                      f"{class_name}.{method}")
+        findings.extend(missing)
         functions = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
