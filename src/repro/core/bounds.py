@@ -62,12 +62,11 @@ __all__ = [
 #: Valid values of the ``robustness`` Planner / QuerySession knob:
 #: ``"off"`` trusts estimates unconditionally (the historical
 #: behavior), ``"bounded"`` adds pessimistic bound annotations and the
-#: bounded-regret order gate, ``"auto"`` additionally arms the
-#: runtime cardinality-feedback replanning loop.
-ROBUSTNESS_CHOICES = ("off", "bounded", "auto")
+#: bounded-regret order gate.
+ROBUSTNESS_CHOICES = ("off", "bounded")
 
 #: Worst-case regret cap of the bounded-regret gate: under
-#: ``robustness != "off"`` the served plan's guaranteed cardinality
+#: ``robustness="bounded"`` the served plan's guaranteed cardinality
 #: bound cost never exceeds this multiple of the best achievable one.
 REGRET_FACTOR = 4.0
 

@@ -763,7 +763,7 @@ def execute_cyclic(
         # the result is counted once, after the push-down below.
         result = _run_pipeline(
             catalog, query, order, mode, False, child_orders, None,
-            max_intermediate_tuples, execution, None, driver_rows,
+            max_intermediate_tuples, execution, driver_rows,
         )
         # Root-to-leaf residuals filter factorized entries before they
         # multiply out; only cross-branch residuals still need the

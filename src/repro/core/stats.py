@@ -34,7 +34,6 @@ __all__ = [
     "EdgeStats",
     "QueryStats",
     "StatsReader",
-    "edge_with_selectivity",
     "query_signature",
     "relation_tokens",
     "stats_from_data",
@@ -160,22 +159,6 @@ class QueryStats:
         )
 
 
-def edge_with_selectivity(edge: EdgeStats, observed: float) -> EdgeStats:
-    """``EdgeStats`` corrected to an observed selectivity ``s``.
-
-    The runtime-feedback loop measures only the *combined* selectivity
-    (matches per probe); this keeps the estimated fanout when the
-    observation is compatible with it (``m = s / fo`` stays a valid
-    probability) and otherwise attributes everything to fanout
-    (``m = 1, fo = s``) — either way ``m * fo`` equals the observation,
-    which is what the cost model consumes.
-    """
-    observed = max(float(observed), 0.0)
-    if edge.fo > 0.0 and observed <= edge.fo:
-        return EdgeStats(m=observed / edge.fo, fo=edge.fo)
-    return EdgeStats(m=1.0, fo=observed)
-
-
 def query_signature(query: Any) -> Tuple[Any, ...]:
     """A hashable structural signature of a rooted join query.
 
@@ -279,17 +262,17 @@ class StatsReader:
         self._seen: Dict[Hashable, Any] = dict(values or {})
 
     @classmethod
-    def holding(cls, rooted: Any, stats: QueryStats,
-                catalog: Any = None) -> "StatsReader":
-        """A reader whose :meth:`rooted_stats` of ``rooted`` assembles
-        ``stats`` (edges and sizes; probe costs are not a reader's), e.g.
-        corrected ones; anything else is read over ``catalog``."""
+    def holding(cls, rooted: Any, stats: QueryStats) -> "StatsReader":
+        """A frozen reader whose :meth:`rooted_stats` of ``rooted``
+        assembles ``stats`` (edges and sizes; probe costs are not a
+        reader's), e.g. hand-built ones, to decide over given statistics;
+        anything else raises ``LookupError``."""
         values: Dict[Hashable, Any] = {
             (relation,): stats.relation_size(relation)
             for relation in rooted.relations}
         values.update(((e.parent, e.parent_attr, e.child, e.child_attr),
                        stats.stats(e.child)) for e in rooted.edges)
-        return cls(catalog, values=values)
+        return cls(values=values)
 
     def frozen(self) -> "StatsReader":
         """A picklable copy holding exactly what this reader has read."""

@@ -10,12 +10,5 @@ pure-Python ``"interpreted"`` oracle, bit-identical by construction).
 """
 
 from .executor import BudgetExceededError, execute
-from .feedback import CardinalityMonitor, ReplanSignal, corrected_stats
 
-__all__ = [
-    "BudgetExceededError",
-    "CardinalityMonitor",
-    "ReplanSignal",
-    "corrected_stats",
-    "execute",
-]
+__all__ = ["BudgetExceededError", "execute"]

@@ -214,7 +214,7 @@ def _shards_used(query, catalog):
 
 
 def _run_factorized(query, catalog, order, indexes, bitvectors, checks_after,
-                    counters, budget, driver_rows, kernels, monitor=None):
+                    counters, budget, driver_rows, kernels):
     result = FactorizedResult(query, driver_rows)
 
     def probe_keys(edge):
@@ -252,10 +252,6 @@ def _run_factorized(query, catalog, order, indexes, bitvectors, checks_after,
         counters.count_hash_probes(relation, len(keys))
         lookup = kernels.lookup(indexes[relation], keys)
         total_matches = int(lookup.counts.sum())
-        if monitor is not None:
-            # before the budget check: a blown-up join should trigger a
-            # replan (which may avoid the explosion) before a hard abort
-            monitor.observe(relation, len(keys), total_matches)
         if total_matches > budget:
             raise BudgetExceededError("COM", relation, total_matches, budget)
         lineage, matches = lookup.fan_out()
@@ -290,7 +286,6 @@ def execute(
     bitvector_bits=None,
     max_intermediate_tuples=50_000_000,
     execution="auto",
-    monitor=None,
     driver_rows=None,
 ):
     """Execute ``query`` in the given join ``order`` under ``mode``.
@@ -323,11 +318,6 @@ def execute(
         ``"auto"`` (the :data:`~repro.engine.kernels.REPRO_EXECUTION`
         environment override, else vectorized).  Both paths produce
         bit-identical results and :class:`ExecutionCounters`.
-    monitor:
-        Optional :class:`~repro.engine.feedback.CardinalityMonitor`;
-        each join step reports its probe/match counters to it (an O(1)
-        check), and the monitor may abort the run by raising
-        :class:`~repro.engine.feedback.ReplanSignal`.
     driver_rows:
         Optional subset of root-relation row ids to drive the pipeline
         with (default: every root row).  Semi-join variants intersect
@@ -340,8 +330,7 @@ def execute(
     start = time.perf_counter()
     result = _run_pipeline(
         catalog, query, order, mode, collect_output, child_orders,
-        bitvector_bits, max_intermediate_tuples, execution, monitor,
-        driver_rows,
+        bitvector_bits, max_intermediate_tuples, execution, driver_rows,
     )
     factorized = result.factorized
     if factorized is not None:
@@ -371,7 +360,7 @@ def execute(
 
 def _run_pipeline(catalog, query, order, mode, collect_output, child_orders,
                   bitvector_bits, max_intermediate_tuples, execution,
-                  monitor, driver_rows):
+                  driver_rows):
     """:func:`execute` up to the output.  A factorized run is returned
     uncounted (``output_size`` ``None``): a cyclic run counts it once,
     after pushing residuals into it."""
@@ -422,7 +411,6 @@ def _run_pipeline(catalog, query, order, mode, collect_output, child_orders,
         factorized = _run_factorized(
             query, catalog, order, indexes, bitvectors, checks_after,
             counters, max_intermediate_tuples, driver_rows, kernels,
-            monitor=monitor,
         )
         # rewrites row ids, not liveness: the caller's count is the same
         _remap_factorized_rows(factorized, catalog, kernels)
@@ -431,7 +419,7 @@ def _run_pipeline(catalog, query, order, mode, collect_output, child_orders,
         frame, output_size = _run_flat_driver(
             query, catalog, order, indexes, bitvectors, checks_after,
             counters, max_intermediate_tuples, driver_rows, kernels,
-            monitor=monitor, keep_rows=collect_output,
+            keep_rows=collect_output,
         )
         if collect_output:
             # Partitioned tables re-cluster rows; translate collected
@@ -460,8 +448,7 @@ def _run_pipeline(catalog, query, order, mode, collect_output, child_orders,
 
 
 def _run_flat_driver(query, catalog, order, indexes, bitvectors, checks_after,
-                     counters, budget, driver_rows, kernels, monitor=None,
-                     keep_rows=True):
+                     counters, budget, driver_rows, kernels, keep_rows=True):
     """STD pipeline starting from a driver row set; returns ``(frame,
     output size)``.
 
@@ -498,10 +485,6 @@ def _run_flat_driver(query, catalog, order, indexes, bitvectors, checks_after,
         counters.count_hash_probes(relation, len(keys))
         lookup = kernels.lookup(indexes[relation], keys)
         total_matches = int(lookup.counts.sum())
-        if monitor is not None:
-            # before the budget check: a blown-up join should trigger a
-            # replan (which may avoid the explosion) before a hard abort
-            monitor.observe(relation, len(keys), total_matches)
         if total_matches > budget:
             raise BudgetExceededError("STD", relation, total_matches, budget)
         if not keep_rows and relation == order[-1] and not (

@@ -7,7 +7,7 @@ by bounding the impact of cardinality estimation errors").
 
 from __future__ import annotations
 
-__all__ = ["q_error", "running_q_error"]
+__all__ = ["q_error"]
 
 #: floor applied to both estimate and truth, avoiding division blow-ups
 _FLOOR = 1e-9
@@ -25,12 +25,3 @@ def q_error(estimate, truth, floor=_FLOOR):
     tru = max(float(truth), floor)
     return max(est / tru, tru / est)
 
-
-def running_q_error(previous, estimate, truth, floor=_FLOOR):
-    """Running maximum q-error, one O(1) scalar update per observation.
-
-    The executor's cardinality-feedback loop calls this once per join
-    step with the estimated and observed edge selectivities; no arrays
-    are materialized.  Seed with ``1.0`` (an empty prefix is exact).
-    """
-    return max(float(previous), q_error(estimate, truth, floor))

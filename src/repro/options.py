@@ -239,12 +239,11 @@ class PlanOptions:
         ``"auto"`` (price both, keep the cheaper).  Keyed raw: ``"auto"``
         resolves per query by data-dependent cost.
     robustness:
-        ``"off"``, ``"bounded"`` (swap to the bound-optimal order when
-        the estimated-optimal order's worst case exceeds
+        ``"off"`` or ``"bounded"`` (swap to the bound-optimal order
+        when the estimated-optimal order's worst case exceeds
         :data:`~repro.core.bounds.REGRET_FACTOR` times the best
-        achievable bound) or ``"auto"`` (bounded, plus runtime
-        cardinality-feedback replanning in a
-        :class:`~repro.service.QuerySession`).  Keyed raw.
+        achievable bound, and annotate the plan with its bounds).
+        Keyed raw.
     placement:
         ``"local"`` or ``"distributed"`` (session executions scatter
         driver rows across a :class:`~repro.distributed.workerpool.WorkerPool`;

@@ -406,19 +406,16 @@ class PhysicalPlan:
         return bool(self.residuals)
 
     def execute(self, flat_output=True, collect_output=False,
-                max_intermediate_tuples=50_000_000, monitor=None,
-                driver_rows=None):
+                max_intermediate_tuples=50_000_000, driver_rows=None):
         """Run the plan on the engine, always in-process (the session
         routes distributed plans; its workers call this).
 
         Cyclic plans route by ``cyclic_strategy``: ``tree_filter`` runs
         :func:`~repro.core.cyclic.execute_cyclic` (tree join + residual
         filters), ``wcoj`` :func:`~repro.engine.wcoj.execute_wcoj` over
-        ``wcoj_variable_order``; their output is always flat.  A
-        ``monitor`` (:class:`~repro.engine.feedback.CardinalityMonitor`)
-        observes acyclic pipelines only — cyclic per-join counters do not
-        measure single edges.  ``driver_rows`` restricts the run to a
-        subset of root rows (the distributed scatter path).
+        ``wcoj_variable_order``; their output is always flat.
+        ``driver_rows`` restricts the run to a subset of root rows (the
+        distributed scatter path).
         """
         shared = dict(collect_output=collect_output, execution=self.execution,
                       max_intermediate_tuples=max_intermediate_tuples)
@@ -445,7 +442,7 @@ class PhysicalPlan:
         return execute(
             self.catalog, self.query, self.order, self.mode,
             flat_output=flat_output, child_orders=self.child_orders or None,
-            monitor=monitor, driver_rows=driver_rows, **shared,
+            driver_rows=driver_rows, **shared,
         )
 
     def fingerprint(self):
@@ -755,7 +752,7 @@ def _spec(choice, options):
 
 
 def _apply_robustness(spec, rooted, reader, options, flat_output,
-                      extra_cost=0.0, regret_gate=True):
+                      extra_cost=0.0):
     """Annotate and (possibly) re-order a winning plan's spec over the
     rooted tree ``rooted``; ``robustness="off"`` leaves it untouched.
 
@@ -774,7 +771,7 @@ def _apply_robustness(spec, rooted, reader, options, flat_output,
     So the worst-case cost is at most ``REGRET_FACTOR`` times the best
     achievable, however wrong the estimates.  ``extra_cost`` is an
     order-invariant term of the predicted cost (a cyclic winner's
-    residual filters); ``regret_gate=False`` skips steps 1-2.
+    residual filters).
     """
     if options.robustness == "off":
         return spec
@@ -783,20 +780,15 @@ def _apply_robustness(spec, rooted, reader, options, flat_output,
     memo_bound = CostMemo(rooted, bound_stats, eps)
     current_bound = worst_case_cost(rooted, bound_stats, spec.order, eps=eps,
                                     weights=weights, memo=memo_bound)
-    robust_order = None
-    if regret_gate:
-        robust_order = _order_for_mode(rooted, bound_stats, ExecutionMode.STD,
-                                       options, memo_bound)
-    optimal_bound = current_bound
-    if robust_order is not None:
-        optimal_bound = min(current_bound, worst_case_cost(
-            rooted, bound_stats, robust_order, eps=eps, weights=weights,
-            memo=memo_bound,
-        ))
+    robust_order = _order_for_mode(rooted, bound_stats, ExecutionMode.STD,
+                                   options, memo_bound)
+    optimal_bound = min(current_bound, worst_case_cost(
+        rooted, bound_stats, robust_order, eps=eps, weights=weights,
+        memo=memo_bound,
+    ))
     swap_modes = [m for m in options.modes if not m.uses_semijoin]
     swapped = {}
-    if (robust_order is not None and swap_modes
-            and current_bound > REGRET_FACTOR * optimal_bound):
+    if swap_modes and current_bound > REGRET_FACTOR * optimal_bound:
         best_mode = best_cost = None
         memo = CostMemo(rooted, spec.stats, eps)
         for candidate_mode in swap_modes:
@@ -815,7 +807,7 @@ def _apply_robustness(spec, rooted, reader, options, flat_output,
     )
 
 
-def decide(query, reader, options, regret_gate=True):
+def decide(query, reader, options):
     """The optimizer: ``(PlanSpec, rooted tree, SearchTally)`` for
     ``query`` from the statistics ``reader`` serves.
 
@@ -831,16 +823,14 @@ def decide(query, reader, options, regret_gate=True):
     ``deadline`` is an instant on this process's ``perf_counter``.
 
     The spec's shard count stays 1: shards are a binding fact, set by
-    :meth:`Planner.bind`.  ``regret_gate=False`` keeps the searched
-    order of a robust plan and only annotates its bounds
-    (:meth:`Planner.replan`).
+    :meth:`Planner.bind`.
     """
     if isinstance(query, ParsedQuery):
-        return _decide_cyclic(query, reader, options, regret_gate)
-    return _decide_acyclic(query, reader, options, regret_gate)
+        return _decide_cyclic(query, reader, options)
+    return _decide_acyclic(query, reader, options)
 
 
-def _decide_acyclic(join_query, reader, options, regret_gate):
+def _decide_acyclic(join_query, reader, options):
     """Order + strategy search over the query's given rooting or, with
     ``driver="auto"``, over every relation as the driver: rerooting only
     flips edge directions, so the reader assembles each rooting's
@@ -852,12 +842,11 @@ def _decide_acyclic(join_query, reader, options, regret_gate):
                     for root in join_query.relations]
     best = _search(rootings, reader.rooted_stats, options, options.flat_output)
     spec = _apply_robustness(_spec(best, options), best.query, reader,
-                             options, options.flat_output,
-                             regret_gate=regret_gate)
+                             options, options.flat_output)
     return spec, best.query, best.search_tally
 
 
-def _decide_cyclic(parsed, reader, options, regret_gate):
+def _decide_cyclic(parsed, reader, options):
     """Joint spanning-tree + join-order search for a cyclic query.
 
     :func:`_decide_acyclic` one level up: tree edges and residuals are
@@ -950,7 +939,6 @@ def _decide_cyclic(parsed, reader, options, regret_gate):
             expected_output_size(best.query, best.stats),
             best.residual_selectivities, weights,
         ),
-        regret_gate=regret_gate,
     )
     if options.cyclic_execution != "tree_filter" and spec.residuals and (
             options.cyclic_execution == "wcoj"
@@ -1175,8 +1163,8 @@ class Planner:
         measured up front, to decide where no data is: every size, both
         directions of every predicate, each endpoint's distinct count
         when a cyclic query may be priced for wcoj and its max frequency
-        when robust.  It carries a frozen (catalog-free, picklable)
-        reader and no deadline, which
+        under ``robustness="bounded"``.  It carries a frozen
+        (catalog-free, picklable) reader and no deadline, which
         :meth:`~repro.options.ResolvedOptions.restarted` arms where
         decide runs; :meth:`bind` refuses the decision after a write.
         """
@@ -1222,32 +1210,6 @@ class Planner:
         if spec.num_shards != shards:
             spec = replace(spec, num_shards=shards)
         return PhysicalPlan(spec, catalog, rooted, search_tally=search_tally)
-
-    def replan(self, plan, corrected, options=None):
-        """Re-optimize an acyclic plan against corrected statistics.
-
-        The cold half of runtime cardinality feedback
-        (:mod:`repro.engine.feedback`): :func:`decide` on the plan's own
-        rooting over ``corrected`` (max frequencies read off the plan's
-        catalog, which it keeps), under the original request's
-        :meth:`~repro.options.PlanOptions.resolved` ``options`` (a fresh
-        deadline; ``None``: the planner's).  A robust plan's bounds are
-        re-annotated for the new order; no regret swap runs.
-        """
-        if plan.is_cyclic:
-            raise ValueError(
-                "replan() supports acyclic plans only (cyclic execution "
-                "interleaves residual filters, so per-join feedback does "
-                "not measure single edges)"
-            )
-        spec, _, tally = decide(
-            plan.query, StatsReader.holding(plan.query, corrected,
-                                            plan.catalog),
-            replace(options or self.options.resolved(self.catalog,
-                                                     plan.query),
-                    driver="fixed"), regret_gate=False)
-        return replace(plan, spec=replace(spec, num_shards=plan.num_shards),
-                       search_tally=tally)
 
     def rehydrate(self, spec, query, **overrides):
         """A :class:`PhysicalPlan` from a :class:`PlanSpec` pinned

@@ -125,7 +125,6 @@ class AsyncQueryService:
             "process_pool_fallbacks": 0,
             # always 0; read by benchmarks/e2e/metrics.py, retired by benchmark upkeep
             "heavy_admissions": 0,
-            "replans": 0,
             "distributed_executions": 0,
             "worker_retries": 0,
         }
@@ -339,8 +338,6 @@ class AsyncQueryService:
                     **plan_kwargs,
                 ),
             )
-            if report.replans:
-                self._bump("replans", report.replans)
             if report.workers_used:
                 self._bump("distributed_executions")
             if report.worker_retries:

@@ -21,13 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from ..core.parser import ParsedQuery, Placeholder, parse_query
 from ..core.lru import LRUCache
-from ..engine import (
-    BudgetExceededError,
-    CardinalityMonitor,
-    ReplanSignal,
-    corrected_stats,
-)
-from ..options import _is_number
+from ..engine import BudgetExceededError
 from ..planner import Planner, filtered_table
 from ..storage.partition import PartitionedTable, partitioned_relation
 from .plancache import normalized_query_key
@@ -89,13 +83,6 @@ class QueryReport:
     #: ``output_size / residual_input_tuples`` (1.0 when the query had
     #: no residuals or nothing reached them)
     residual_selectivity: float = 1.0
-    #: runtime-feedback replans performed during this execution
-    #: (``robustness="auto"`` only; 0 otherwise)
-    replans: int = 0
-    #: largest observed-vs-estimated per-join cardinality q-error seen
-    #: across this execution's (possibly replanned) runs — 0.0 when the
-    #: run was unmonitored, 1.0 means every estimate was exact
-    observed_q_error: float = 0.0
     timed_out: bool = False
     error: Exception = None
 
@@ -178,14 +165,6 @@ def _reported_run(query, plan_phase, session=None):
             getattr(report.result, "worker_events", ())
         )
         report.residual_predicates = tuple(plan.residuals)
-        report.replans = getattr(report.result, "replans", 0)
-        report.observed_q_error = getattr(
-            report.result, "observed_q_error", 0.0
-        )
-        if report.replans:
-            # the served plan is the replanned one the execution ended
-            # on, not the optimistic plan the phase produced
-            report.plan = getattr(report.result, "served_plan", report.plan)
         counters = getattr(report.result, "counters", None)
         residual_input = getattr(counters, "residual_input_tuples", 0)
         if residual_input:
@@ -218,15 +197,6 @@ class QuerySession:
         same table contents.  An ``n``-relation ``driver="auto"`` plan
         reads ``2 * (n - 1)`` entries; the default holds about the bytes
         256 whole-query entries of a 24-relation join used to.
-    replan_threshold:
-        Running q-error (>= 1.0) at which a monitored execution
-        (``robustness="auto"``) aborts and replans with corrected
-        statistics.  Runtime behaviour only — never part of the
-        plan-cache key.
-    max_replans:
-        Replan budget per execution; after this many trips the original
-        signal's plan finishes unmonitored (no livelock).  Runtime
-        behaviour only — never part of the plan-cache key.
     **knobs:
         The fields of :class:`~repro.options.PlanOptions`, forwarded to
         the underlying :class:`~repro.planner.Planner` — the knob
@@ -238,24 +208,11 @@ class QuerySession:
     """
 
     def __init__(self, catalog, plan_cache_size=128, stats_cache_size=4096,
-                 replan_threshold=8.0, max_replans=2, **knobs):
+                 **knobs):
         self.catalog = catalog
         self.planner = Planner(
             catalog, stats_cache=LRUCache(stats_cache_size), **knobs
         )
-        if not _is_number(replan_threshold) or replan_threshold < 1.0:
-            raise ValueError(
-                "replan_threshold is a q-error (a number >= 1.0), got "
-                f"{replan_threshold!r}"
-            )
-        if isinstance(max_replans, bool) or not isinstance(
-            max_replans, int
-        ) or max_replans < 0:
-            raise ValueError(
-                f"max_replans must be an integer >= 0, got {max_replans!r}"
-            )
-        self.replan_threshold = float(replan_threshold)
-        self.max_replans = max_replans
         self.plan_cache = LRUCache(plan_cache_size)
         self.planner.table_caches.append(self.plan_cache)
         # distributed execution: one lazily-started worker pool, keyed
@@ -356,11 +313,7 @@ class QuerySession:
 
     def execute(self, query, flat_output=True, collect_output=False,
                 max_intermediate_tuples=DEFAULT_BUDGET, **plan_kwargs):
-        """Plan (through the cache) and run one query; returns a report.
-
-        Plans carrying ``robustness="auto"`` run under runtime
-        cardinality feedback: see :meth:`_run_with_feedback`.
-        """
+        """Plan (through the cache) and run one query; returns a report."""
 
         def plan_phase():
             plan, cache_hit = self._plan_with_hit(
@@ -368,7 +321,7 @@ class QuerySession:
             )
 
             def run():
-                return self._run_with_feedback(
+                return self._execute_plan(
                     plan, query, flat_output, collect_output,
                     max_intermediate_tuples, plan_kwargs,
                 )
@@ -376,99 +329,6 @@ class QuerySession:
             return plan, cache_hit, run
 
         return _reported_run(query, plan_phase, session=self)
-
-    def _run_with_feedback(self, plan, query, flat_output, collect_output,
-                           max_intermediate_tuples, plan_kwargs):
-        """Execute a plan, replanning on runtime cardinality feedback.
-
-        Acyclic plans carrying ``robustness="auto"`` run monitored: the
-        pipelines report each join step's (probes, matches) to a
-        :class:`~repro.engine.CardinalityMonitor`, and when the running
-        observed-vs-estimated q-error crosses ``replan_threshold`` the
-        execution aborts with a :class:`~repro.engine.ReplanSignal`.
-        The loop then folds the observations into corrected statistics
-        (:func:`~repro.engine.corrected_stats`), asks the planner for a
-        fresh order under them (:meth:`Planner.replan`) and re-executes
-        — at most ``max_replans`` times; the attempt after the last
-        trip runs unmonitored, so pathological data degrades to
-        finishing a plan rather than looping.  When a replanned
-        execution succeeds, the corrected plan replaces the optimistic
-        one in the plan cache (same key), so future warm traffic serves
-        the corrected order directly.
-
-        Everything else (``robustness`` off/bounded, cyclic plans,
-        empty orders) takes the plain single-execution path untouched.
-        Semijoin-mode executions run unmonitored too: they probe
-        *reduced* indexes, so the observed per-join selectivity is a
-        post-reduction fanout the ``m * fo`` edge estimate is not
-        comparable against — a monitor there would manufacture
-        q-errors out of the reduction itself.
-
-        Distributed plans route first, always unmonitored: the
-        cardinality monitor lives in the driver process and cannot
-        observe fragments executing in workers.
-        """
-        if plan.placement == "distributed":
-            return self._execute_plan(
-                plan, query, flat_output, collect_output,
-                max_intermediate_tuples, plan_kwargs,
-            )
-        if plan.robustness != "auto" or plan.is_cyclic or not plan.order:
-            return plan.execute(
-                flat_output=flat_output, collect_output=collect_output,
-                max_intermediate_tuples=max_intermediate_tuples,
-            )
-        request = self.planner.options.override(
-            flat_output=flat_output, **plan_kwargs
-        )
-        current = plan
-        replans = 0
-        observed_q = 1.0
-        budget = self.max_replans
-        while True:
-            monitor = None
-            if replans < budget and not current.mode.uses_semijoin:
-                monitor = CardinalityMonitor(
-                    {
-                        relation: current.stats.selectivity(relation)
-                        for relation in current.order
-                    },
-                    threshold=self.replan_threshold,
-                )
-            try:
-                result = current.execute(
-                    flat_output=flat_output, collect_output=collect_output,
-                    max_intermediate_tuples=max_intermediate_tuples,
-                    monitor=monitor,
-                )
-            except ReplanSignal as signal:
-                replans += 1
-                observed_q = max(observed_q, signal.q_error)
-                try:
-                    current = self.planner.replan(
-                        current,
-                        corrected_stats(current.stats, signal.observed),
-                        # resolved now: the request's budget starts a
-                        # fresh deadline for this replan
-                        request.resolved(self.catalog, current.query),
-                    )
-                except Exception:
-                    # replanning itself failed (e.g. a budget deadline):
-                    # finish the plan we have, unmonitored, rather than
-                    # dropping the query
-                    budget = replans
-                continue
-            if monitor is not None:
-                observed_q = max(observed_q, monitor.max_q_error)
-            result.replans = replans
-            result.observed_q_error = observed_q
-            if replans and current is not plan:
-                result.served_plan = current
-                if isinstance(query, str):
-                    query = parse_query(query)
-                # future warm traffic serves the corrected plan
-                self.plan_cache.put(self._key(query, request), current)
-            return result
 
     def _execute_plan(self, plan, query, flat_output, collect_output,
                       max_intermediate_tuples, plan_kwargs):

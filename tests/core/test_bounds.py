@@ -25,6 +25,7 @@ from repro.core.optimizer import worst_case_cost
 from repro.core.stats import StatsReader
 from repro.modes import ExecutionMode
 from repro.planner import Planner
+from repro.service import QuerySession
 from repro.storage import Catalog
 
 from tests.helpers import (
@@ -89,6 +90,22 @@ def test_resolve_robustness_rejects_unknown():
 def test_planner_validates_robustness():
     with pytest.raises(ValueError):
         Planner(make_small_catalog(), robustness="sometimes")
+
+
+#: the message naming the two postures that remain
+TWO_POSTURES = r"robustness must be one of \('off', 'bounded'\), got 'auto'"
+
+
+def test_retired_auto_posture_is_rejected():
+    """There is no runtime-replanning posture: ``"auto"`` is refused by
+    the planner and by a per-call override alike (the session's
+    constructor is a row of the service tests' ``BAD_ARGUMENTS``)."""
+    catalog = make_small_catalog()
+    with pytest.raises(ValueError, match=TWO_POSTURES):
+        Planner(catalog, robustness="auto")
+    with pytest.raises(ValueError, match=TWO_POSTURES):
+        Planner(catalog).plan(make_running_example_query(),
+                              robustness="auto")
 
 
 # ----------------------------------------------------------------------
@@ -260,16 +277,34 @@ def test_bounded_keeps_order_when_regret_is_small():
     ) == brute_force_join(catalog, query)
 
 
-def test_results_identical_across_postures():
+@pytest.mark.parametrize("num_shards", [1, 2, 8])
+@pytest.mark.parametrize("execution", ["vectorized", "interpreted"])
+def test_results_identical_across_postures(num_shards, execution):
+    """A posture changes the order, never the answer: on every shard
+    count and kernel plane the gate swaps the corrupted statistics'
+    order, and both postures return the brute-force rows."""
     catalog = make_adversarial_catalog()
     corrupted = StatsCorruptingCatalog(catalog, CORRUPTION)
     query = adversarial_query()
     expected = brute_force_join(catalog, query)
+    orders = {}
     for robustness in ROBUSTNESS_CHOICES:
-        plan = Planner(corrupted, robustness=robustness).plan(query)
+        plan = Planner(corrupted, robustness=robustness,
+                       partitioning=num_shards, execution=execution,
+                       ).plan(query, mode="STD")
+        assert plan.num_shards == num_shards, robustness
         assert result_tuples(
             plan.execute(collect_output=True), query
         ) == expected, robustness
+        orders[robustness] = plan.order
+    assert orders["off"] != orders["bounded"]
+
+
+def test_cache_keys_distinguish_robustness_posture():
+    session = QuerySession(make_small_catalog())
+    query = make_running_example_query()
+    assert session.cache_key(query, robustness="off") \
+        != session.cache_key(query, robustness="bounded")
 
 
 # ----------------------------------------------------------------------

@@ -35,35 +35,43 @@ def sync_report(catalog):
                                          collect_output=True)
 
 
-#: (constructor, keyword arguments, the message) a service or session
-#: rejects at construction, before any query could hang or fail on it
+#: (constructor, keyword arguments, the error and its message) a service
+#: or session rejects at construction, before any query could hang or
+#: fail on it
 BAD_ARGUMENTS = [
     ("service", dict(planning_workers=-1),
-     "planning_workers must be an int >= 0"),
+     ValueError, "planning_workers must be an int >= 0"),
     ("service", dict(process_min_relations="x"),
-     "process_min_relations must be an int >= 1"),
-    ("service", dict(max_concurrency=0), "max_concurrency must be an int"),
-    ("service", dict(executor_workers=0), "executor_workers must be an int"),
-    ("service", dict(executor_workers=1.0), "executor_workers must be an int"),
-    ("service", dict(max_concurrency=True), "max_concurrency must be an int"),
+     ValueError, "process_min_relations must be an int >= 1"),
+    ("service", dict(max_concurrency=0),
+     ValueError, "max_concurrency must be an int"),
+    ("service", dict(executor_workers=0),
+     ValueError, "executor_workers must be an int"),
+    ("service", dict(executor_workers=1.0),
+     ValueError, "executor_workers must be an int"),
+    ("service", dict(max_concurrency=True),
+     ValueError, "max_concurrency must be an int"),
     ("service", dict(planning_workers="2"),
-     "planning_workers must be an int >= 0"),
-    ("session", dict(replan_threshold=float("nan")),
-     "replan_threshold is a q-error"),
-    ("session", dict(replan_threshold=0.5), "replan_threshold is a q-error"),
-    ("session", dict(replan_threshold="8"), "replan_threshold is a q-error"),
-    ("session", dict(max_replans=-1), "max_replans must be an integer >= 0"),
-    ("session", dict(plan_cache_size=0), "capacity must be >= 1"),
+     ValueError, "planning_workers must be an int >= 0"),
+    # the runtime-replanning surface is gone, with no alias
+    ("session", dict(replan_threshold=8.0),
+     TypeError, "unexpected keyword argument 'replan_threshold'"),
+    ("session", dict(max_replans=2),
+     TypeError, "unexpected keyword argument 'max_replans'"),
+    ("session", dict(robustness="auto"),
+     ValueError, r"robustness must be one of \('off', 'bounded'\)"),
+    ("session", dict(plan_cache_size=0),
+     ValueError, "capacity must be >= 1"),
 ]
 
 
 @pytest.mark.parametrize(
-    "target, kwargs, message", BAD_ARGUMENTS,
+    "target, kwargs, error, message", BAD_ARGUMENTS,
     ids=[f"{target}-{'-'.join(f'{k}={v!r}' for k, v in kwargs.items())}"
-         for target, kwargs, _ in BAD_ARGUMENTS])
+         for target, kwargs, _, _ in BAD_ARGUMENTS])
 def test_bad_arguments_are_rejected_at_construction(catalog, target, kwargs,
-                                                    message):
-    with pytest.raises(ValueError, match=message):
+                                                    error, message):
+    with pytest.raises(error, match=message):
         if target == "session":
             QuerySession(catalog, **kwargs)
         else:
@@ -180,6 +188,26 @@ class TestFailureIsolation:
         assert not reports[1].ok and reports[1].error is not None
         assert not reports[2].ok and reports[2].error is not None
         assert reports[3].timed_out and reports[3].error is None
+
+    def test_retired_auto_posture_is_reported_not_raised(self, catalog):
+        """``robustness="auto"`` is an invalid knob like any other: the
+        session and the service record it in the report, and the next
+        request is served."""
+        session = QuerySession(catalog)
+
+        async def go():
+            async with AsyncQueryService(QuerySession(catalog)) as service:
+                return await asyncio.gather(
+                    service.execute(SIX_RELATION_SQL, robustness="auto"),
+                    service.execute(SIX_RELATION_SQL),
+                )
+
+        reports = [session.execute(SIX_RELATION_SQL, robustness="auto"),
+                   session.execute(SIX_RELATION_SQL), *run(go())]
+        for bad, good in (reports[:2], reports[2:]):
+            assert isinstance(bad.error, ValueError)
+            assert "('off', 'bounded')" in str(bad.error)
+            assert good.ok
 
     def test_budget_arity_still_checked(self, catalog):
         async def go():

@@ -10,7 +10,6 @@ in-process path keeps reading each measurement once.
 
 import pickle
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -123,21 +122,3 @@ def test_measure_refuses_a_decision_after_a_write():
     catalog.add_table("R4", {"D": catalog.table("R4").column("D")[:-1]})
     with pytest.raises(ValueError, match="stale decision"):
         planner.bind(prep, *decision)
-
-
-def test_replan_is_decide_on_the_plans_own_rooting():
-    """Corrected statistics decide on the plan's rooting, whatever the
-    request's driver knob: a held reader serves them."""
-    planner = Planner(make_small_catalog(), driver="auto")
-    plan = planner.plan(SIX_RELATION_SQL)
-    corrected = plan.stats.with_edge(
-        plan.order[0], plan.stats.stats(plan.order[0]).scaled(0.01))
-    replanned = planner.replan(plan, corrected)
-    options = planner.options.resolved(planner.catalog, plan.query)
-    spec, rooted, _ = decide(
-        plan.query, StatsReader.holding(plan.query, corrected),
-        replace(options, driver="fixed"))
-    assert rooted is plan.query
-    assert (replanned.spec.order, replanned.spec.mode,
-            repr(replanned.predicted_cost)) \
-        == (spec.order, spec.mode, repr(spec.predicted_cost))

@@ -95,8 +95,13 @@ def write(repo, relative, source):
     return path
 
 
-def load_linter(repo_root):
-    """Import the linter module rebased onto ``repo_root``."""
+def load_linter(repo_root, exempt=None):
+    """Import the linter module rebased onto ``repo_root``.
+
+    A synthetic tree lints under the knob exemptions ``exempt`` (default
+    none): the real ``PLAN_KNOBS_EXEMPT`` names this repository's knobs,
+    and in a tree that lacks them each would be a stale exemption.
+    """
     spec = importlib.util.spec_from_file_location(
         "check_invariants_under_test", SCRIPT
     )
@@ -104,6 +109,8 @@ def load_linter(repo_root):
     spec.loader.exec_module(module)
     module.REPO = Path(repo_root)
     module.SRC = Path(repo_root) / "src" / "repro"
+    if Path(repo_root) != REPO:
+        module.PLAN_KNOBS_EXEMPT = dict(exempt or {})
     return module
 
 
@@ -308,12 +315,12 @@ def test_readme_knob_table_fires_on_a_row_for_no_knob(synthetic_repo):
     (synthetic_repo / "README.md").write_text(
         "## Planner / session knobs\n\n"
         "| knob | default |\n|---|---|\n| `mode` | `auto` |\n"
-        "| `max_replans` | `2` |\n| `retired`, `mode` | `16` |\n\n"
+        "| `plan_cache_size` | `128` |\n| `retired`, `mode` | `16` |\n\n"
         "## Next\n"
     )
     write(synthetic_repo, "service/session.py",
           "class QuerySession:\n"
-          "    def __init__(self, catalog, max_replans=2, **knobs):\n"
+          "    def __init__(self, catalog, plan_cache_size=128, **knobs):\n"
           "        self.catalog = catalog\n")
     findings = run_all(load_linter(synthetic_repo))
     assert [f.rule for f in findings] == ["README_KNOB_TABLE"]
@@ -1328,14 +1335,30 @@ def test_plan_knobs_used_exemptions_state_their_reason(synthetic_repo):
     """An exempted knob no root names passes, and every exemption says
     which open item decides it."""
     _two_knob_options(synthetic_repo, second="planning_budget_ms")
-    module = load_linter(synthetic_repo)
+    module = load_linter(synthetic_repo, exempt={
+        "planning_budget_ms": "product deadlines and a cold workload"})
     assert knob_findings(module) == []
     assert all(isinstance(reason, str) and len(reason.split()) >= 3
-               for reason in module.PLAN_KNOBS_EXEMPT.values())
+               for reason in load_linter(REPO).PLAN_KNOBS_EXEMPT.values())
+
+
+def test_plan_knobs_used_flags_stale_exemptions(synthetic_repo):
+    """An exemption for a name that is neither a ``PlanOptions`` field
+    nor a constructor keyword outlived its knob: it is a finding, while
+    live exemptions of either kind still pass."""
+    _two_knob_options(synthetic_repo, second="planning_budget_ms")
+    _serving_constructors(synthetic_repo, ["max_concurrency"])
+    module = load_linter(synthetic_repo, exempt=dict.fromkeys(
+        ("planning_budget_ms", "plan_cache_size", "max_concurrency",
+         "planning_workers", "max_replans"), "an open item decides it"))
+    findings = module.check_plan_knobs_used()
+    assert knob_findings(module) == ["PLAN_KNOBS_EXEMPT.max_replans"]
+    assert str(findings[0]).startswith(
+        "tools/check_invariants.py: PLAN_KNOBS_USED:")
 
 
 def test_plan_knobs_used_exempts_only_live_knobs():
-    """The real table: the three fields and eight constructor keywords
+    """The real table: the three fields and six constructor keywords
     no root names yet, each still a knob — an exemption outliving its
     knob is stale."""
     from repro.options import PlanOptions
@@ -1343,10 +1366,9 @@ def test_plan_knobs_used_exempts_only_live_knobs():
     module = load_linter(REPO)
     exempt = module.PLAN_KNOBS_EXEMPT
     assert sorted(exempt) == [
-        "execution", "executor_workers", "max_concurrency", "max_replans",
+        "execution", "executor_workers", "max_concurrency",
         "plan_cache_size", "planning_budget_ms", "planning_workers",
-        "process_min_relations", "replan_threshold", "robustness",
-        "stats_cache_size"]
+        "process_min_relations", "robustness", "stats_cache_size"]
     sites = module._knob_sites()
     assert set(exempt) <= set(sites)
     assert {name for name, (owner, _, _) in sites.items()
@@ -1371,11 +1393,18 @@ def _serving_constructors(repo, service_keywords):
         "        self.session = session\n")
 
 
+#: the exemptions of the deployment-sizing keywords every serving pair
+#: below declares
+SERVING_EXEMPT = dict.fromkeys(("plan_cache_size", "planning_workers"),
+                               "deployment sizing: set per host")
+
+
 def test_plan_knobs_used_flags_unused_constructor_keywords(synthetic_repo):
     """A service or session keyword no root names is flagged at its
     parameter; exempt keywords and positionals pass."""
     _serving_constructors(synthetic_repo, ["max_concurrency", "spare_slots"])
-    module = load_linter(synthetic_repo)
+    module = load_linter(synthetic_repo, exempt=dict(
+        SERVING_EXEMPT, max_concurrency="deployment sizing: set per host"))
     findings = module.check_plan_knobs_used()
     assert knob_findings(module) == ["AsyncQueryService.spare_slots"]
     assert str(findings[0]).startswith(
@@ -1387,7 +1416,8 @@ def test_plan_knobs_used_keeps_named_constructor_keywords(synthetic_repo):
     (synthetic_repo / "examples" / "serve.py").write_text(
         "def serve(service_type, session):\n"
         "    return service_type(session, spare_slots=2)\n")
-    assert knob_findings(load_linter(synthetic_repo)) == []
+    assert knob_findings(
+        load_linter(synthetic_repo, exempt=SERVING_EXEMPT)) == []
 
 
 # ----------------------------------------------------------------------

@@ -218,8 +218,9 @@ PLAN_KNOBS_USED
     literal (the knob dicts a workload hands ``QuerySession`` and
     ``execute``), or an attribute read off a ``planner`` / ``options``.
     ``PLAN_KNOBS_EXEMPT`` lists the knobs no root names yet, each with
-    the reason or open item that keeps it.  A knob only tests turn is
-    a module constant or gone.
+    the reason or open item that keeps it; an exemption for a name that
+    is no longer a knob is stale.  A knob only tests turn is a module
+    constant or gone.
 
 CACHES_KEYED_BY_RELATION
     A write must rebuild only what read the written table, so the
@@ -1321,8 +1322,8 @@ def check_package_exports_requested():
 PLAN_KNOBS_EXEMPT = {
     "execution": "the kernel-oracle item: whether the interpreted plane "
                  "stays a knob or becomes a test-only oracle",
-    "robustness": "runtime replanning: the item that gives bounded "
-                  "planning and feedback replanning a workload",
+    "robustness": "the bound posture: the item that gives bounded "
+                  "planning a workload",
     "planning_budget_ms": "product deadlines and the concurrent cold "
                           "workload of benchmark upkeep",
     **dict.fromkeys(
@@ -1333,10 +1334,6 @@ PLAN_KNOBS_EXEMPT = {
         ("planning_workers", "process_min_relations"),
         "the process-workers item and the concurrent cold workload of "
         "benchmark upkeep"),
-    **dict.fromkeys(
-        ("replan_threshold", "max_replans"),
-        "runtime replanning: the item that gives feedback replanning a "
-        "workload"),
 }
 
 _KNOB_OWNERS = frozenset({"planner", "options"})
@@ -1361,13 +1358,19 @@ def _knob_mentions(tree):
 def check_plan_knobs_used():
     users = [*_root_files(), *sorted((SRC / "bench").rglob("*.py"))]
     named = {name for file in users for name in _knob_mentions(_parse(file))}
+    sites = _knob_sites()
     return _knob_targets("PLAN_KNOBS_USED") + [
         Finding("PLAN_KNOBS_USED", path.relative_to(REPO), line,
                 f"{owner}.{name} is named by no example, benchmark or "
                 "figure driver — only tests turn it; make it a module "
                 "constant, delete it or give it a user")
-        for name, (owner, path, line) in _knob_sites().items()
+        for name, (owner, path, line) in sites.items()
         if name not in named and name not in PLAN_KNOBS_EXEMPT
+    ] + [
+        Finding("PLAN_KNOBS_USED", Path("tools/check_invariants.py"), 0,
+                f"PLAN_KNOBS_EXEMPT.{name} excuses no knob — a stale "
+                "exemption; delete it")
+        for name in PLAN_KNOBS_EXEMPT if name not in sites
     ]
 
 
