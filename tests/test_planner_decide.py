@@ -10,6 +10,7 @@ in-process path keeps reading each measurement once.
 
 import pickle
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -122,3 +123,18 @@ def test_measure_refuses_a_decision_after_a_write():
     catalog.add_table("R4", {"D": catalog.table("R4").column("D")[:-1]})
     with pytest.raises(ValueError, match="stale decision"):
         planner.bind(prep, *decision)
+
+
+def test_decide_over_held_statistics_reproduces_the_plan():
+    """A held reader serves a plan's own statistics: deciding over them
+    on the plan's rooting (``driver="fixed"``) returns the plan's order,
+    mode and predicted cost, whatever the request's driver knob was."""
+    planner = Planner(make_small_catalog(), driver="auto")
+    plan = planner.plan(SIX_RELATION_SQL)
+    options = planner.options.resolved(planner.catalog, plan.query)
+    spec, rooted, _ = decide(
+        plan.query, StatsReader.holding(plan.query, plan.stats),
+        replace(options, driver="fixed"))
+    assert rooted is plan.query
+    assert (spec.order, spec.mode, repr(spec.predicted_cost)) \
+        == (plan.spec.order, plan.spec.mode, repr(plan.predicted_cost))
