@@ -178,10 +178,11 @@ def _remap_factorized_rows(result, catalog, kernels):
     ``original_rows`` (the identity for ordinary tables) makes every
     expansion path — ``expand``, ``expand_all``,
     ``expand_depth_first`` — yield the same layout-independent ids as
-    ``output_rows``.
+    ``output_rows``.  A leaf still holding its probe maps its rows when
+    it builds them.
     """
     for relation, node in result.nodes.items():
-        node.rows = kernels.original_rows(catalog.table(relation), node.rows)
+        node.to_base_rows(kernels, catalog.table(relation))
 
 
 def _build_indexes(query, catalog, reduction=None):
@@ -254,14 +255,19 @@ def _run_factorized(query, catalog, order, indexes, bitvectors, checks_after,
         total_matches = int(lookup.counts.sum())
         if total_matches > budget:
             raise BudgetExceededError("COM", relation, total_matches, budget)
-        lineage, matches = lookup.fan_out()
-        result.add_node(
-            relation, matches,
-            lineage if probed is None else probed.take(lineage),
-            probed=probed, counts=lookup.counts,
-        )
-        counters.tuples_generated += len(matches)
-        counters.note_intermediate(len(matches), stage=relation)
+        if query.is_leaf(relation):
+            # no later step probes from a leaf: it stays the probe's
+            # ranges until something reads its entries
+            result.add_leaf(relation, lookup, probed=probed)
+        else:
+            lineage, matches = lookup.fan_out()
+            result.add_node(
+                relation, matches,
+                lineage if probed is None else probed.take(lineage),
+                probed=probed, counts=lookup.counts,
+            )
+        counters.tuples_generated += total_matches
+        counters.note_intermediate(total_matches, stage=relation)
         kill_failed(edge, probed, lookup.matched_mask)
         if bitvectors is not None:
             for pending in checks_after[relation]:

@@ -20,6 +20,11 @@ exactly the entries that Eq. (1) prices, and a join step where nothing
 dies pays nothing for liveness.  A freshly joined node's ``live`` is
 the probe's own match counts, scattered onto the probed entries.
 
+A query leaf holds ranges until first read
+(:meth:`FactorizedResult.add_leaf`): no later join probes from it, so
+a count-only run pays a leaf its probes, as Eq. (1) prices it, and
+never lists its matches.
+
 The flat result is recovered by :meth:`FactorizedResult.expand`, a
 vectorized breadth-first expansion (Section 4.3's "Result Expansion",
 breadth-first variant), or merely counted by
@@ -78,25 +83,102 @@ def _weight_bounded_batches(weights, batch_entries, max_rows):
         begin = end
 
 
+def _check_parent_ptr(relation, ptr, parent_len):
+    """Raise unless ``ptr`` is non-decreasing and inside
+    ``[0, parent_len)``."""
+    if (ptr[1:] < ptr[:-1]).any():
+        raise ValueError(
+            f"parent_ptr of {relation!r} decreases: entries must be "
+            "grouped by parent entry, in parent order"
+        )
+    # non-decreasing: the ends bound every pointer
+    if len(ptr) and (ptr[0] < 0 or ptr[-1] >= parent_len):
+        raise ValueError(
+            f"parent_ptr of {relation!r} leaves [0, {parent_len}): "
+            f"it spans [{ptr[0]}, {ptr[-1]}]"
+        )
+
+
+def _built(name):
+    """A property reading slot ``name``, built first on a deferred
+    leaf."""
+    def read(self):
+        if self._probe is not None:
+            self._build()
+        return getattr(self, name)
+    return property(read)
+
+
 class FactorizedNode:
     """Entries of one relation inside a factorized result.
 
     ``live`` (``None`` for the driver) counts the alive children of
     each parent entry; ``dead`` counts the cleared ``alive`` bits.
+
+    A query leaf (:meth:`FactorizedResult.add_leaf`) holds ranges until
+    first read: it keeps its ``probe`` — a lookup of the probed parent
+    entries, whose counts already are ``live`` — and builds ``rows``,
+    ``parent_ptr`` and ``alive`` from it once, when one is first read.
     """
 
-    __slots__ = ("relation", "rows", "parent_ptr", "alive", "live", "dead")
+    __slots__ = ("relation", "_rows", "_parent_ptr", "_alive", "live",
+                 "dead", "_size", "_probe", "_remap")
 
-    def __init__(self, relation, rows, parent_ptr):
+    def __init__(self, relation, rows, parent_ptr, probe=None):
         self.relation = relation
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.parent_ptr = np.asarray(parent_ptr, dtype=np.int64)
-        self.alive = np.ones(len(self.rows), dtype=bool)
         self.live = None
         self.dead = 0
+        #: a deferred leaf's ``(lookup, probed, parent length)``, and the
+        #: ``(kernels, table)`` whose base-row map its build applies
+        self._probe = probe
+        self._remap = None
+        if probe is None:
+            self._set_entries(rows, parent_ptr)
+        else:
+            self._size = probe[0].total_matches()
+
+    def _set_entries(self, rows, parent_ptr):
+        self._rows = np.asarray(rows, dtype=np.int64)
+        self._parent_ptr = np.asarray(parent_ptr, dtype=np.int64)
+        self._alive = np.ones(len(self._rows), dtype=bool)
+        self._size = len(self._rows)
+
+    rows = _built("_rows")
+    parent_ptr = _built("_parent_ptr")
+    alive = _built("_alive")
+
+    @property
+    def is_deferred(self):
+        """Whether the entries are still only the probe's ranges."""
+        return self._probe is not None
+
+    def _build(self):
+        """Fan the probe out.  A deferred entry dies only with its
+        parent entry, so it is alive while that entry's ``live`` is not
+        zero."""
+        lookup, probed, parent_len = self._probe
+        lineage, matches = lookup.fan_out()
+        ptr = lineage if probed is None else probed.take(lineage)
+        _check_parent_ptr(self.relation, ptr, parent_len)
+        if self._remap is not None:
+            kernels, table = self._remap
+            matches = kernels.original_rows(table, matches)
+        self._set_entries(matches, ptr)
+        if self.dead:
+            self._alive = self.live.take(ptr) > 0
+        self._probe = self._remap = None
+
+    def to_base_rows(self, kernels, table):
+        """Map ``rows`` from ``table``'s physical row ids to its base
+        ids (``kernels.original_rows``); a deferred leaf maps them when
+        it builds them."""
+        if self._probe is not None:
+            self._remap = (kernels, table)
+        else:
+            self._rows = kernels.original_rows(table, self._rows)
 
     def __len__(self):
-        return len(self.rows)
+        return self._size
 
     @property
     def num_alive(self):
@@ -157,6 +239,28 @@ class FactorizedResult:
         (``None``: every parent entry, in order); they are alive and
         the matches are exactly ``parent_ptr``'s runs.
         """
+        parent = self._parent_for(relation)
+        node = FactorizedNode(relation, rows, parent_ptr)
+        _check_parent_ptr(relation, node.parent_ptr, len(parent))
+        return self._attach(node, parent, counts, probed)
+
+    def add_leaf(self, relation, lookup, probed=None):
+        """Attach a query leaf as its probe, ``lookup`` of the ``probed``
+        parent entries (as in :meth:`add_node`): the relation is checked
+        now, the pointer when the entries are built, on first read."""
+        parent = self._parent_for(relation)
+        if not self.query.is_leaf(relation):
+            raise ValueError(
+                f"relation {relation!r} has children in the query: only a "
+                "leaf can stay a probe"
+            )
+        node = FactorizedNode(relation, None, None,
+                              probe=(lookup, probed, len(parent)))
+        return self._attach(node, parent, lookup.counts, probed)
+
+    def _parent_for(self, relation):
+        """The joined parent node of ``relation``, which must be a
+        non-root relation not joined yet."""
         if relation in self.nodes:
             raise ValueError(f"relation {relation!r} already joined")
         if relation not in self.query.non_root_relations:
@@ -170,27 +274,16 @@ class FactorizedResult:
                 f"parent {parent_rel!r} of {relation!r} has not been joined "
                 f"yet; joined so far: {self.joined}"
             )
-        parent = self.nodes[parent_rel]
-        node = FactorizedNode(relation, rows, parent_ptr)
-        ptr = node.parent_ptr
-        if (ptr[1:] < ptr[:-1]).any():
-            raise ValueError(
-                f"parent_ptr of {relation!r} decreases: entries must be "
-                "grouped by parent entry, in parent order"
-            )
-        # non-decreasing: the ends bound every pointer
-        if len(ptr) and (ptr[0] < 0 or ptr[-1] >= len(parent)):
-            raise ValueError(
-                f"parent_ptr of {relation!r} leaves [0, {len(parent)}): "
-                f"it spans [{ptr[0]}, {ptr[-1]}]"
-            )
+        return self.nodes[parent_rel]
+
+    def _attach(self, node, parent, counts, probed):
         node.live = np.zeros(len(parent), dtype=np.int64)
         if probed is None:
             node.live[:] = counts
         else:
             node.live[probed] = counts
-        self.nodes[relation] = node
-        self.joined.append(relation)
+        self.nodes[node.relation] = node
+        self.joined.append(node.relation)
         return node
 
     # ------------------------------------------------------------------
@@ -249,6 +342,12 @@ class FactorizedResult:
             if child_rel == came_from:
                 continue
             child = self.nodes[child_rel]
+            if child.is_deferred:
+                # a deferred leaf's entries die only with their parent
+                # entry: ``live`` counts them, and zeroing it kills them
+                child.dead += int(child.live[entries].sum())
+                child.live[entries] = 0
+                continue
             begins = np.searchsorted(child.parent_ptr, entries, side="left")
             ends = np.searchsorted(child.parent_ptr, entries, side="right")
             child.live[entries] = 0
@@ -269,17 +368,25 @@ class FactorizedResult:
         """Per-entry count of flat result tuples below each entry.
 
         ``weights[rel][i]`` is the number of flat tuples the subtree of
-        entry ``i`` of node ``rel`` represents (0 for dead entries).
+        entry ``i`` of node ``rel`` represents (0 for dead entries), for
+        the root and every joined relation with children in the query;
+        a leaf entry weighs its ``alive`` bit, so a parent multiplies by
+        the leaf's ``live`` instead, and the leaf stays unbuilt.
         One bottom-up pass over every node; :meth:`count_rows` and a
         row-capped :meth:`expand` both need it, so a caller doing both
         computes it once and hands it to each.
         """
         weights = {}
         for relation in reversed(self._joined_preorder()):
+            if relation != self.query.root and self.query.is_leaf(relation):
+                continue
             node = self.nodes[relation]
             w = node.alive.astype(np.float64)
             for child_rel in self._materialized_children(relation):
                 child = self.nodes[child_rel]
+                if child_rel not in weights:  # a query leaf
+                    w *= child.live
+                    continue
                 child_sums = np.bincount(
                     child.parent_ptr,
                     weights=weights[child_rel],

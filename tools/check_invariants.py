@@ -107,7 +107,10 @@ WCOJ_BUILD_ONCE
 ONE_FANOUT_PER_STEP
     A join step or expansion level pays one ``np.repeat``, into a
     lineage pointer (``kernels.fan_out`` / ``LookupResult.fan_out``);
-    every other column at that step is a gather through it.  So under
+    every other column at that step is a gather through it.  A query
+    leaf's one fan-out moves to its first read: the factorized pipeline
+    attaches the leaf as its probe, and the node fans it out once, when
+    its entries are first read.  So under
     ``src/repro/engine`` (``kernels.py``, which implements the planes,
     exempt) no ``repeat_rows(...)`` call sits inside a comprehension or
     a loop body — that is one repeat per column — and no module but
