@@ -24,20 +24,27 @@ structures and kernel split:
   scans; indexed by code, they answer membership probes — the
   intersection work of the generic join, vectorized and by direct
   address (one take per probe, no binary search);
-* every per-candidate step routes through the kernel object, so the
-  operator has the same two data planes as the rest of the engine: the
-  NumPy path and the pure-Python interpreted oracle produce
+* a member valued from another member of the same variable needs its
+  value's rank in its own domain.  Between two members of one integer
+  or bool dtype that rank is a take on a *rank map* (each source-domain
+  rank → its target-domain rank, or ``-1``), so a candidate the level
+  already holds as a rank is never hashed again;
+* every other per-candidate step routes through the kernel object, so
+  the operator has the same two data planes as the rest of the engine:
+  the NumPy path and the pure-Python interpreted oracle produce
   bit-identical results and :class:`~repro.engine.executor.ExecutionCounters`.
 
 The structures depend only on table contents and the plan's binding
 sequence, so they are built once and cached on the table beside its
 hash indexes (:meth:`~repro.storage.Catalog.table_structure`): per
 ``(relation, attribute)`` the sorted distinct values (the *domain*) and,
-for members probed for their rank, a
-:class:`~repro.storage.hashindex.HashIndex` over them; per ``(relation,
-binding sequence)`` the chain index.  Every rename of the table shares
-them, and every write path that drops the table's hash indexes drops
-them too.  A warm execution builds nothing.
+for members still probed by value for their rank, a
+:class:`~repro.storage.hashindex.HashIndex` over them; per pair of
+same-dtype members the rank map, under the target's table and keyed on
+the source table's content fingerprint, so a write to either table
+misses it; per ``(relation, binding sequence)`` the chain index.  Every
+rename of the table shares them, and every write path that drops the
+table's hash indexes drops them too.  A warm execution builds nothing.
 
 Exactness mirrors the tree+filter strategy predicate for predicate:
 a predicate the spanning tree covers compares keys with hash-index
@@ -49,7 +56,17 @@ lookup when both sides are integers, ``find_positions_exact`` /
 *propagate* — a membership hit assigns the matched relation its own
 stored value, which is what later predicates compare against.  That is
 what makes results bit-identical to tree+filter even on NaN / bool /
-``>= 2**53`` keys.
+``>= 2**53`` keys.  A rank map changes none of it: in one integer or
+bool dtype a probe compares in that dtype with no lossy cast, so probe
+semantics and exact equality are the same relation, and the target
+rank a value probes to depends only on the value's own rank.  Mixed
+dtypes and floats keep the probe or the exact search.
+
+A run that keeps no rows (``collect_output=False``) prices the final
+expansion instead of listing it: after the last variable each frontier
+entry stands for the product of its relations' group row counts, so
+the output size and the counters the listing would add follow from
+prefix sums of those products (:func:`_price_expansion`).
 
 All structures are built from base-row-ordered columns
 (:meth:`~repro.storage.table.Table.gather`), so results and counters are
@@ -348,6 +365,63 @@ def _rank_index(catalog, rel, attr):
     )
 
 
+def _build_rank_map(source_domain, target_domain):
+    """Per position of ``source_domain``, the position of the same value
+    in ``target_domain`` (two sorted-unique arrays of one dtype), ``-1``
+    where it has none."""
+    ranks = np.full(len(source_domain), -1, dtype=np.int64)
+    if len(target_domain):
+        found = np.minimum(np.searchsorted(target_domain, source_domain),
+                           len(target_domain) - 1)
+        hit = target_domain[found] == source_domain
+        ranks[hit] = found[hit]
+    return ranks
+
+
+def _rank_map(catalog, source, target):
+    """The :func:`_build_rank_map` from member ``source``'s domain to
+    member ``target``'s, for two members of one integer or bool dtype
+    (the module docstring says why that is exact).  Cached under the
+    target's table and keyed on the source table's content fingerprint,
+    so a write to either table misses it."""
+    return catalog.table_structure(
+        target[0],
+        ("wcoj.rank_map", target[1],
+         catalog.table(source[0]).fingerprint(), source[1]),
+        lambda _: _build_rank_map(_domain(catalog, *source),
+                                  _domain(catalog, *target)),
+    )
+
+
+def _rank_finder(catalog, kind, source, target, domains):
+    """How an ``assign`` or tree ``check`` finds a candidate's rank in
+    ``target``'s domain, as ``(how, structure)``: ``"map"`` reads a
+    :func:`_rank_map` between members of one integer or bool dtype,
+    ``"exact"`` searches the domain under exact numeric semantics (a
+    residual int/float mix, where the probe's common-dtype compare is
+    lossy), and ``"probe"`` probes the target's :func:`_rank_index`."""
+    source_dtype, target_dtype = domains[source].dtype, domains[target].dtype
+    if source_dtype == target_dtype and target_dtype.kind in "biu":
+        return "map", _rank_map(catalog, source, target)
+    if kind == "residual" and not (source_dtype.kind in "biu"
+                                   and target_dtype.kind in "biu"):
+        return "exact", None
+    return "probe", _rank_index(catalog, *target)
+
+
+def _find_ranks(kernels, finder, source_domain, target_domain, ranks):
+    """Per candidate, the rank in ``target_domain`` of its value — rank
+    ``ranks`` in ``source_domain`` — ``-1`` on a miss; ``finder`` is a
+    :func:`_rank_finder` result."""
+    how, structure = finder
+    if how == "map":
+        return structure.take(ranks)
+    if how == "exact":
+        return kernels.find_positions_exact(target_domain,
+                                            source_domain[ranks])
+    return _positions(kernels, structure, source_domain[ranks])
+
+
 def _chain(catalog, rel, binding):
     """The cached :class:`_Chain` of ``rel`` for ``binding``, its
     ``(attribute, "expand" | "assign")`` pairs in binding order."""
@@ -367,6 +441,59 @@ def _positions(kernels, index, keys):
     positions = np.full(len(lookup), -1, dtype=np.int64)
     positions[lookup.matched_mask] = lookup.matching_rows()
     return positions
+
+
+def _price_expansion(counters, batches, row_counts, width):
+    """Count the final expansion without listing it; returns its size.
+
+    Adds exactly what listing the ``batches`` adds: per relation, one
+    hash probe per partial tuple before it, its matches as
+    ``tuples_generated``, and each batch's matches to the peak.  A
+    partial tuple's matches are its frontier group's row count
+    (``row_counts``: ``(relation, count per frontier entry)`` pairs in
+    expansion order), so an entry's partial sizes are cumulative
+    products of those counts and a batch's totals are differences of
+    their prefix sums at the batch bounds.  Every group holds a row, so
+    each partial product is at most the entry's weight, which the
+    budget check bounded: int64 cannot overflow.
+    """
+    if not width:
+        return 0
+    bounds = np.array([0] + [end for _, end in batches], dtype=np.int64)
+    partial = np.ones(width, dtype=np.int64)
+    for rel, counts in row_counts:
+        counters.count_hash_probes(rel, int(partial.sum()))
+        partial = partial * counts
+        per_batch = np.diff(np.concatenate(([0], np.cumsum(partial)))[bounds])
+        counters.tuples_generated += int(per_batch.sum())
+        counters.note_intermediate(int(per_batch.max()))
+    return int(partial.sum())
+
+
+def _list_expansion(kernels, counters, batches, expansion_order, frontier,
+                    chains, relations):
+    """List the final expansion, batch by batch: ``(size, rows)``."""
+    output_size = 0
+    collected = []
+    for begin, end in batches:
+        frame = {}
+        pointer = np.arange(end - begin, dtype=np.int64)
+        for rel in expansion_order:
+            group_keys = frontier[rel][begin:end][pointer]
+            counters.count_hash_probes(rel, len(group_keys))
+            lineage, matches = kernels.lookup(
+                chains[rel].rows, group_keys
+            ).fan_out()
+            frame = {other: rows.take(lineage)
+                     for other, rows in frame.items()}
+            frame[rel] = matches
+            pointer = pointer.take(lineage)
+            counters.tuples_generated += len(matches)
+            counters.note_intermediate(len(matches))
+        output_size += len(pointer)
+        if len(pointer):
+            collected.append(frame)
+    return output_size, concat_batches(collected, relations)
 
 
 def execute_wcoj(
@@ -400,10 +527,14 @@ def execute_wcoj(
     ``tuples_generated``; membership checks count per candidate —
     ``semijoin_probes`` for tree-covered predicates, ``residual_checks``
     for residual predicates (each predicate applied exactly once, same
-    as tree+filter).  The final expansion mirrors the flat driver's
-    accounting.  ``peak_intermediate_tuples`` tracks the widest
-    candidate pool / frontier / expansion batch — the quantity the
-    strategy exists to shrink.
+    as tree+filter), whether the rank comes from a rank map or a probe.
+    The final expansion mirrors the flat driver's accounting — per
+    relation one ``hash_probe`` per partial tuple and its matches as
+    ``tuples_generated`` — and a count-only run adds exactly those
+    counts from chain row counts without listing a tuple.
+    ``peak_intermediate_tuples`` tracks the widest candidate pool /
+    frontier / expansion batch — the quantity the strategy exists to
+    shrink.
 
     Value domains and chain indexes come from the catalog's cache and
     are built only on a miss; ``index_build_seconds`` is the time spent
@@ -448,24 +579,23 @@ def execute_wcoj(
     levels = _plan_levels(resolved_order, predicates, distincts)
 
     # each relation binds its attributes in the order the levels value
-    # them; its chain index is keyed by that binding sequence.  Assigned
-    # members and tree-checked children are probed for their rank.
+    # them; its chain index is keyed by that binding sequence.  Assigns
+    # and tree checks find their target's rank (see _rank_finder).
     bindings = {}
-    probed = set()
     for level in levels:
         for op in level.ops:
             if op[0] != "check":
                 rel, attr = op[1] if op[0] == "expand" else op[3]
                 bindings.setdefault(rel, []).append((attr, op[0]))
-            if op[0] == "assign" or op[:2] == ("check", "tree"):
-                probed.add(op[3])
     build_start = time.perf_counter()
     chains = {
         rel: _chain(catalog, rel, tuple(binding))
         for rel, binding in bindings.items()
     }
-    rank_indexes = {
-        member: _rank_index(catalog, *member) for member in probed
+    finders = {
+        op: _rank_finder(catalog, op[1], op[2], op[3], domains)
+        for level in levels for op in level.ops
+        if op[0] == "assign" or op[:2] == ("check", "tree")
     }
     index_build_seconds += time.perf_counter() - build_start
     steps = {
@@ -480,8 +610,7 @@ def execute_wcoj(
     for level in levels:
         parent = np.arange(width, dtype=np.int64)
         new_groups = {}
-        values = {}
-        value_ranks = {}
+        value_ranks = {}  # member -> its value's rank in its domain
 
         def current_group(rel):
             if rel in new_groups:
@@ -510,12 +639,10 @@ def execute_wcoj(
                 new_groups = {
                     r: g[spread] for r, g in new_groups.items()
                 }
-                values = {m: v[spread] for m, v in values.items()}
                 value_ranks = {
                     m: r[spread] for m, r in value_ranks.items()
                 }
                 new_groups[rel] = positions
-                values[member] = domains[member][rank]
                 value_ranks[member] = rank
                 counters.tuples_generated += len(parent)
                 counters.note_intermediate(len(parent))
@@ -525,21 +652,12 @@ def execute_wcoj(
                     )
             elif op[0] == "assign":
                 _, kind, source, target = op
-                source_values = values[source]
-                domain = domains[target]
                 if kind == "tree":
-                    counters.semijoin_probes += len(source_values)
+                    counters.semijoin_probes += len(parent)
                 else:
-                    counters.residual_checks += len(source_values)
-                if kind == "residual" and not (
-                        domain.dtype.kind in "biu"
-                        and source_values.dtype.kind in "biu"):
-                    # an int/float mix: the probe's common-dtype compare
-                    # is lossy where exact numeric equality is not
-                    rank = kernels.find_positions_exact(domain, source_values)
-                else:
-                    rank = _positions(kernels, rank_indexes[target],
-                                      source_values)
+                    counters.residual_checks += len(parent)
+                rank = _find_ranks(kernels, finders[op], domains[source],
+                                   domains[target], value_ranks[source])
                 target_rel = target[0]
                 previous = current_group(target_rel)
                 if previous is None:
@@ -551,12 +669,10 @@ def execute_wcoj(
                 new_groups = {
                     r: g[keep] for r, g in new_groups.items()
                 }
-                values = {m: v[keep] for m, v in values.items()}
                 value_ranks = {
                     m: r[keep] for m, r in value_ranks.items()
                 }
                 new_groups[target_rel] = support[keep]
-                values[target] = domain[rank[keep]]
                 value_ranks[target] = rank[keep]
             else:
                 _, kind, parent_member, child_member = op
@@ -566,9 +682,9 @@ def execute_wcoj(
                     # rank (a lossy-upcast collision resolves leftmost,
                     # exactly as a HashIndex probe would)
                     counters.semijoin_probes += len(parent)
-                    probe = _positions(
-                        kernels, rank_indexes[child_member],
-                        values[parent_member],
+                    probe = _find_ranks(
+                        kernels, finders[op], domains[parent_member],
+                        domains[child_member], value_ranks[parent_member],
                     )
                     keep = np.flatnonzero(
                         probe == value_ranks[child_member]
@@ -576,14 +692,14 @@ def execute_wcoj(
                 else:
                     counters.residual_checks += len(parent)
                     match = kernels.equal_mask(
-                        values[parent_member], values[child_member]
+                        domains[parent_member][value_ranks[parent_member]],
+                        domains[child_member][value_ranks[child_member]],
                     )
                     keep = np.flatnonzero(match)
                 parent = parent[keep]
                 new_groups = {
                     r: g[keep] for r, g in new_groups.items()
                 }
-                values = {m: v[keep] for m, v in values.items()}
                 value_ranks = {
                     m: r[keep] for m, r in value_ranks.items()
                 }
@@ -598,40 +714,25 @@ def execute_wcoj(
 
     # -- final expansion (mirrors the flat driver's accounting) --------
     expansion_order = sorted(frontier)
+    row_counts = [chains[rel].counts[frontier[rel]] for rel in expansion_order]
     weights = np.ones(width, dtype=np.float64)
-    for rel in expansion_order:
-        weights *= chains[rel].counts[frontier[rel]]
+    for counts in row_counts:
+        weights *= counts
     total_estimate = float(weights.sum())
     if total_estimate > max_intermediate_tuples:
         raise BudgetExceededError(
             "WCOJ", "<expansion>", int(total_estimate),
             max_intermediate_tuples,
         )
-
-    output_size = 0
-    collected = [] if collect_output else None
-    for begin, end in _weight_bounded_batches(
-            weights, EXPANSION_BATCH_ENTRIES, EXPANSION_MAX_ROWS):
-        frame = {}
-        pointer = np.arange(end - begin, dtype=np.int64)
-        for rel in expansion_order:
-            group_keys = frontier[rel][begin:end][pointer]
-            counters.count_hash_probes(rel, len(group_keys))
-            lineage, matches = kernels.lookup(
-                chains[rel].rows, group_keys
-            ).fan_out()
-            frame = {other: rows.take(lineage)
-                     for other, rows in frame.items()}
-            frame[rel] = matches
-            pointer = pointer.take(lineage)
-            counters.tuples_generated += len(matches)
-            counters.note_intermediate(len(matches))
-        output_size += len(pointer)
-        if collected is not None and len(pointer):
-            collected.append(frame)
-
-    output_rows = (None if collected is None
-                   else concat_batches(collected, query.relations))
+    batches = _weight_bounded_batches(
+        weights, EXPANSION_BATCH_ENTRIES, EXPANSION_MAX_ROWS)
+    if collect_output:
+        output_size, output_rows = _list_expansion(
+            kernels, counters, batches, expansion_order, frontier, chains,
+            query.relations)
+    else:
+        output_size, output_rows = _price_expansion(
+            counters, batches, zip(expansion_order, row_counts), width), None
 
     shards_used = max(
         (getattr(catalog.table(rel), "num_shards", 1)

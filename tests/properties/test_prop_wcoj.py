@@ -14,6 +14,7 @@ strategies' plans cover the parsed predicate multiset exactly once.
 """
 
 import collections
+import contextlib
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from .test_prop_execution import (
 )
 
 STRATEGIES = ("tree_filter", "wcoj")
+TRIANGLE_ATTRS = {"A": ("x", "z"), "B": ("x", "y"), "C": ("y", "z")}
 KERNELS = ("vectorized", "interpreted")
 
 # the smallest instance of each shape with at least one residual
@@ -159,31 +161,36 @@ def _fresh_copy(catalog):
 
 
 @pytest.mark.parametrize("execution", KERNELS)
+@pytest.mark.parametrize("written", ["A", "B", "C"])
 @pytest.mark.parametrize("write", ["update_in_place", "add_table",
                                    "parent_of_derived"])
 @given(seed=st.integers(0, 2_000))
 @settings(max_examples=10, deadline=None)
-def test_cached_structures_follow_every_write_path(write, execution, seed):
+def test_cached_structures_follow_every_write_path(write, written, execution,
+                                                   seed):
     """After a write, the next read of a warmed wcoj plan returns the
     rows, row order and counters a fresh catalog returns: the chain
-    indexes and value domains cached beside the hash indexes are
-    dropped by the same write paths — an acknowledged in-place update,
-    a table replacement, and a mutation on the parent of a derivative
-    catalog the plan reads."""
+    indexes, value domains and rank maps cached beside the hash indexes
+    are dropped by the same write paths — an acknowledged in-place
+    update, a table replacement, and a mutation on the parent of a
+    derivative catalog the plan reads.  Each triangle table is written
+    alone in turn: a rank map cached under one table is keyed on the
+    other's contents, so writing only the other must miss it too."""
     rng = np.random.default_rng(seed)
     base = build_triangle_catalog(seed)
     reader = base.derived_with({}) if write == "parent_of_derived" else base
     plan = spanning_tree_decomposition(parse_query(TRIANGLE), driver="A")
     _wcoj_run(reader, plan, execution)  # warm the cache
+    columns = base.table(written).column_names
     if write == "add_table":
         size = int(rng.integers(1, 13))
-        base.add_table("C", {"y": rng.integers(0, 4, size),
-                             "z": rng.integers(0, 4, size)})
+        base.add_table(written, {column: rng.integers(0, 4, size)
+                                 for column in columns})
     else:
-        for column in ("y", "z"):
-            values = base.table("C").column(column)
+        for column in columns:
+            values = base.table(written).column(column)
             values[:] = rng.integers(0, 4, len(values))
-        base.invalidate_indexes("C")
+        base.invalidate_indexes(written)
     got = _wcoj_run(reader, plan, execution)
     want = _wcoj_run(_fresh_copy(reader), plan, execution)
     assert_rows_identical(got[1], want[1], (write, execution))
@@ -206,18 +213,141 @@ def test_warm_execution_builds_nothing(monkeypatch, execution):
 
         monkeypatch.setattr(wcoj, name, counted)
 
-    for name in ("_build_chain", "_base_column", "HashIndex"):
+    for name in ("_build_chain", "_build_rank_map", "_base_column",
+                 "HashIndex"):
         count(name)
     catalog = build_triangle_catalog(7)
     plan = spanning_tree_decomposition(parse_query(TRIANGLE), driver="A")
     first = _wcoj_run(catalog, plan, execution)
     assert calls["_build_chain"] == 3  # one chain per relation
+    assert calls["_build_rank_map"] > 0  # int64 keys throughout
     built = dict(calls)
     second = _wcoj_run(catalog, plan, execution)
     assert dict(calls) == built
     assert_rows_identical(second[1], first[1], execution)
     assert_counters_identical(second[0].counters, first[0].counters,
                               execution)
+
+
+# ----------------------------------------------------------------------
+# Rank maps between same-dtype members, probes everywhere else
+# ----------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _recorded_rank_finds():
+    """Every ``(source dtype, target dtype, how)`` the executions inside
+    resolve for their assigns and tree checks, and every member whose
+    rank index they fetch."""
+    finds, fetched = [], []
+    finder, rank_index = wcoj._rank_finder, wcoj._rank_index
+
+    def recording_finder(catalog, kind, source, target, domains):
+        found = finder(catalog, kind, source, target, domains)
+        finds.append((domains[source].dtype, domains[target].dtype,
+                      found[0]))
+        return found
+
+    def recording_rank_index(catalog, rel, attr):
+        fetched.append((rel, attr))
+        return rank_index(catalog, rel, attr)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wcoj, "_rank_finder", recording_finder)
+        patch.setattr(wcoj, "_rank_index", recording_rank_index)
+        yield finds, fetched
+
+
+@pytest.mark.parametrize("execution", KERNELS)
+@pytest.mark.parametrize("case", SHAPE_SIZES + (("triangle", 3),),
+                         ids=lambda case: f"{case[0]}{case[1]}")
+def test_same_dtype_members_never_probe_a_rank_index(case, execution):
+    """Integer keys throughout: every assign and tree check reads a rank
+    map, no rank index is fetched, and the answer is unchanged."""
+    shape, n = case
+    if shape == "triangle":
+        catalog = build_triangle_catalog(11)
+        parsed = parse_query(TRIANGLE)
+        driver = "A"
+    else:
+        parsed = CYCLIC_SHAPES[shape](n)
+        catalog = cyclic_catalog(parsed, rows_per_relation=20,
+                                 key_domain=(2, 5), seed=n)
+        driver = "R0"
+    plan = spanning_tree_decomposition(parsed, driver=driver)
+    with _recorded_rank_finds() as (finds, fetched):
+        outputs = _strategy_outputs(catalog, plan, ExecutionMode.COM,
+                                    execution=execution)
+    assert finds and {how for *_, how in finds} == {"map"}
+    assert fetched == []
+    assert outputs["wcoj"][2] == outputs["tree_filter"][2]
+
+
+#: casts of one raw key column pair, each a dtype mix with no lossy
+#: collision, so brute force is exact on them and it, the tree+filter
+#: strategy and wcoj must all return the same rows.  A table stores
+#: every integer column as int64, so the uint64 side arrives as int64:
+#: that pair takes the rank map, exact where a float64 cast of these
+#: keys beyond 2**53 would collide.
+_MIXED = {
+    "int64_uint64_beyond_2**53": (
+        lambda a: a.astype(np.int64) + 2**53,
+        lambda a: a.astype(np.uint64) + np.uint64(2**53),
+    ),
+    "int_float": (lambda a: a.astype(np.int64),
+                  lambda a: a.astype(np.float64)),
+    "bool_int": (lambda a: a.astype(bool),
+                 lambda a: (a % 2).astype(np.int64)),
+    "nan_float": (lambda a: np.where(a == 0, np.nan, a.astype(np.float64)),
+                  lambda a: np.where(a == 1, np.nan, a.astype(np.float64))),
+}
+
+
+@given(
+    seed=st.integers(0, 2_000),
+    mix=st.sampled_from(sorted(_MIXED)),
+    pair=st.sampled_from([("x", "B"), ("z", "C")]),
+    driver=st.sampled_from(["A", "B", "C"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_mixed_dtype_members_keep_the_probe_path(seed, mix, pair, driver):
+    """A key pair of two dtypes — ``A.x = B.x`` or ``C.z = A.z``, a tree
+    edge or the residual depending on the root — or of one float dtype
+    (NaN included): its ops probe or search by value, and only members
+    of one integer or bool dtype read a rank map.  wcoj agrees with
+    tree+filter and brute force on rows, and with itself across kernel
+    planes on every counter."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 10, 3)
+    column, other = pair
+    casts = dict(zip(("A", other), _MIXED[mix]))
+    catalog = Catalog()
+    for rel, size in zip("ABC", sizes):
+        attrs = TRIANGLE_ATTRS[rel]
+        catalog.add_table(rel, {
+            attr: (casts[rel] if attr == column and rel in casts
+                   else np.asarray)(rng.integers(0, 3, size))
+            for attr in attrs
+        })
+    plan = spanning_tree_decomposition(parse_query(TRIANGLE), driver=driver)
+    expected = brute_force(catalog)
+    baseline = None
+    for execution in KERNELS:
+        with _recorded_rank_finds() as (finds, _):
+            outputs = _strategy_outputs(catalog, plan, ExecutionMode.COM,
+                                        execution=execution)
+        context = (mix, pair, driver, execution)
+        for source_dtype, target_dtype, how in finds:
+            one_dtype = (source_dtype == target_dtype
+                         and source_dtype.kind in "biu")
+            assert (how == "map") == one_dtype, context
+        assert outputs["wcoj"][2] == outputs["tree_filter"][2] == expected, \
+            context
+        counters = outputs["wcoj"][1].counters
+        if baseline is None:
+            baseline = counters
+        else:
+            assert_counters_identical(baseline, counters, context)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Every reference a ``src/repro`` docstring makes resolves.
+"""Every reference a ``src/repro`` docstring or a project document
+makes resolves.
 
 A docstring that sends the reader to a document the repository does
 not have, or to a ``repro`` name that no longer exists there, states
-nothing; the fact belongs in the docstring itself.
+nothing; the fact belongs in the docstring itself.  Likewise a project
+document citing a source or test file that was deleted.
 """
 
 import ast
@@ -16,6 +18,13 @@ REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
 
 _MARKDOWN_PATH = re.compile(r"[\w./-]*\w\.md\b")
+
+#: a repo-relative Python path under one of the source trees
+_SOURCE_PATH = re.compile(
+    r"(?<![\w./-])(?:tests|src/repro|tools|benchmarks)/[\w./-]*\.py\b")
+
+#: the project documents whose file citations must resolve
+DOCUMENTS = ("README.md", "ARCHITECTURE.md", "docs/*.md")
 
 
 #: a Sphinx cross-reference to a ``repro`` name, ``~`` prefix allowed
@@ -91,3 +100,24 @@ def test_docstring_cross_references_resolve():
     assert len({name for _, name in targets}) > 50
     assert sorted((module, name) for module, name in targets
                   if not resolves(name)) == []
+
+
+def test_the_pattern_finds_source_paths():
+    assert _SOURCE_PATH.findall(
+        "`tests/service/test_postures.py`, tools/check_invariants.py and "
+        "benchmarks/e2e/run.py; not tests/engine/test_*.py or "
+        "vendor/tests/x.py"
+    ) == ["tests/service/test_postures.py", "tools/check_invariants.py",
+          "benchmarks/e2e/run.py"]
+
+
+def test_document_source_paths_exist():
+    documents = sorted({path for pattern in DOCUMENTS
+                        for path in REPO.glob(pattern)})
+    assert len(documents) >= 3
+    cited = {(path.relative_to(REPO).as_posix(), name)
+             for path in documents
+             for name in _SOURCE_PATH.findall(path.read_text())}
+    assert len(cited) > 20
+    assert sorted((document, name) for document, name in cited
+                  if not (REPO / name).is_file()) == []
