@@ -25,10 +25,9 @@ structures and kernel split:
   intersection work of the generic join, vectorized and by direct
   address (one take per probe, no binary search);
 * a member valued from another member of the same variable needs its
-  value's rank in its own domain.  Between two members of one integer
-  or bool dtype that rank is a take on a *rank map* (each source-domain
-  rank → its target-domain rank, or ``-1``), so a candidate the level
-  already holds as a rank is never hashed again;
+  value's rank in its own domain.  That rank is a take on a *rank map*
+  (each source-domain rank → its target-domain rank, or ``-1``), so a
+  candidate the level already holds as a rank is never hashed again;
 * every other per-candidate step routes through the kernel object, so
   the operator has the same two data planes as the rest of the engine:
   the NumPy path and the pure-Python interpreted oracle produce
@@ -37,14 +36,14 @@ structures and kernel split:
 The structures depend only on table contents and the plan's binding
 sequence, so they are built once and cached on the table beside its
 hash indexes (:meth:`~repro.storage.Catalog.table_structure`): per
-``(relation, attribute)`` the sorted distinct values (the *domain*) and,
-for members still probed by value for their rank, a
-:class:`~repro.storage.hashindex.HashIndex` over them; per pair of
-same-dtype members the rank map, under the target's table and keyed on
-the source table's content fingerprint, so a write to either table
-misses it; per ``(relation, binding sequence)`` the chain index.  Every
-rename of the table shares them, and every write path that drops the
-table's hash indexes drops them too.  A warm execution builds nothing.
+``(relation, attribute)`` the sorted distinct values (the *domain*);
+per ``(relation, binding sequence)`` the chain index; per pair of
+members an assign or tree check joins, the rank map, in one slot under
+the target's table that also holds the source table's content
+fingerprint, so a write to the target drops it and a write to the
+source rebuilds it in place.  Every rename of the table shares them,
+and every write path that drops the table's hash indexes drops them
+too.  A warm execution builds nothing.
 
 Exactness mirrors the tree+filter strategy predicate for predicate:
 a predicate the spanning tree covers compares keys with hash-index
@@ -56,11 +55,12 @@ lookup when both sides are integers, ``find_positions_exact`` /
 *propagate* — a membership hit assigns the matched relation its own
 stored value, which is what later predicates compare against.  That is
 what makes results bit-identical to tree+filter even on NaN / bool /
-``>= 2**53`` keys.  A rank map changes none of it: in one integer or
-bool dtype a probe compares in that dtype with no lossy cast, so probe
-semantics and exact equality are the same relation, and the target
-rank a value probes to depends only on the value's own rank.  Mixed
-dtypes and floats keep the probe or the exact search.
+``>= 2**53`` keys.  A rank map changes none of it: the target rank a
+candidate's value finds, by probe or by exact search, depends only on
+that value, so only on its source rank, and the map is built by
+applying the op's own semantics once to the whole source domain.  (In
+one integer or bool dtype the probe compares with no lossy cast, so
+there probe semantics and exact equality are the same relation.)
 
 A run that keeps no rows (``collect_output=False``) prices the final
 expansion instead of listing it: after the last variable each frontier
@@ -356,70 +356,43 @@ def _domain(catalog, rel, attr):
     )
 
 
-def _rank_index(catalog, rel, attr):
-    """A :class:`HashIndex` over the domain of ``rel.attr`` (cached),
-    built only for members whose values are probed for their rank."""
-    return catalog.table_structure(
-        rel, ("wcoj.ranks", attr),
-        lambda table: HashIndex(_domain(catalog, rel, attr)),
-    )
-
-
-def _build_rank_map(source_domain, target_domain):
+def _build_rank_map(kernels, exact, source_domain, target_domain):
     """Per position of ``source_domain``, the position of the same value
-    in ``target_domain`` (two sorted-unique arrays of one dtype), ``-1``
-    where it has none."""
-    ranks = np.full(len(source_domain), -1, dtype=np.int64)
-    if len(target_domain):
-        found = np.minimum(np.searchsorted(target_domain, source_domain),
-                           len(target_domain) - 1)
-        hit = target_domain[found] == source_domain
-        ranks[hit] = found[hit]
-    return ranks
+    in ``target_domain``, ``-1`` where it has none: under exact numeric
+    semantics (``exact``) or hash-index probe semantics."""
+    if exact:
+        return kernels.find_positions_exact(target_domain, source_domain)
+    return _positions(kernels, HashIndex(target_domain), source_domain)
 
 
-def _rank_map(catalog, source, target):
-    """The :func:`_build_rank_map` from member ``source``'s domain to
-    member ``target``'s, for two members of one integer or bool dtype
-    (the module docstring says why that is exact).  Cached under the
-    target's table and keyed on the source table's content fingerprint,
-    so a write to either table misses it."""
-    return catalog.table_structure(
-        target[0],
-        ("wcoj.rank_map", target[1],
-         catalog.table(source[0]).fingerprint(), source[1]),
-        lambda _: _build_rank_map(_domain(catalog, *source),
-                                  _domain(catalog, *target)),
+def _rank_map(catalog, kernels, kind, source, target):
+    """The rank map an ``assign`` or tree ``check`` of ``kind`` reads to
+    find a ``source`` candidate's rank in ``target``'s domain: per
+    source-domain rank, the rank its value finds in the target domain,
+    ``-1`` on a miss.  A residual int/float mix searches exactly (the
+    probe's common-dtype compare is lossy there); every other pair
+    probes, which in one integer or bool dtype is exact equality.
+
+    Cached in one slot per ``(semantics, target attribute, source
+    member)`` under the target's table, beside the source table's
+    content fingerprint it was built from: a write to the target drops
+    the slot, and a write to the source (or another binding of a
+    filtered source) rebuilds the map in place, so superseded maps
+    never pile up."""
+    source_domain, target_domain = (_domain(catalog, *source),
+                                    _domain(catalog, *target))
+    exact = kind == "residual" and not (source_domain.dtype.kind in "biu"
+                                        and target_domain.dtype.kind in "biu")
+    slot = catalog.table_structure(
+        target[0], ("wcoj.rank_map", exact, target[1], *source),
+        lambda _: [None],
     )
-
-
-def _rank_finder(catalog, kind, source, target, domains):
-    """How an ``assign`` or tree ``check`` finds a candidate's rank in
-    ``target``'s domain, as ``(how, structure)``: ``"map"`` reads a
-    :func:`_rank_map` between members of one integer or bool dtype,
-    ``"exact"`` searches the domain under exact numeric semantics (a
-    residual int/float mix, where the probe's common-dtype compare is
-    lossy), and ``"probe"`` probes the target's :func:`_rank_index`."""
-    source_dtype, target_dtype = domains[source].dtype, domains[target].dtype
-    if source_dtype == target_dtype and target_dtype.kind in "biu":
-        return "map", _rank_map(catalog, source, target)
-    if kind == "residual" and not (source_dtype.kind in "biu"
-                                   and target_dtype.kind in "biu"):
-        return "exact", None
-    return "probe", _rank_index(catalog, *target)
-
-
-def _find_ranks(kernels, finder, source_domain, target_domain, ranks):
-    """Per candidate, the rank in ``target_domain`` of its value — rank
-    ``ranks`` in ``source_domain`` — ``-1`` on a miss; ``finder`` is a
-    :func:`_rank_finder` result."""
-    how, structure = finder
-    if how == "map":
-        return structure.take(ranks)
-    if how == "exact":
-        return kernels.find_positions_exact(target_domain,
-                                            source_domain[ranks])
-    return _positions(kernels, structure, source_domain[ranks])
+    fingerprint = catalog.table(source[0]).fingerprint()
+    entry = slot[0]
+    if entry is None or entry[0] != fingerprint:
+        entry = slot[0] = (fingerprint, _build_rank_map(
+            kernels, exact, source_domain, target_domain))
+    return entry[1]
 
 
 def _chain(catalog, rel, binding):
@@ -527,7 +500,7 @@ def execute_wcoj(
     ``tuples_generated``; membership checks count per candidate —
     ``semijoin_probes`` for tree-covered predicates, ``residual_checks``
     for residual predicates (each predicate applied exactly once, same
-    as tree+filter), whether the rank comes from a rank map or a probe.
+    as tree+filter), though each reads its rank off a rank map.
     The final expansion mirrors the flat driver's accounting — per
     relation one ``hash_probe`` per partial tuple and its matches as
     ``tuples_generated`` — and a count-only run adds exactly those
@@ -536,8 +509,8 @@ def execute_wcoj(
     frontier / expansion batch — the quantity the strategy exists to
     shrink.
 
-    Value domains and chain indexes come from the catalog's cache and
-    are built only on a miss; ``index_build_seconds`` is the time spent
+    Value domains, chain indexes and rank maps come from the catalog's
+    cache and are built only on a miss; ``index_build_seconds`` is the time spent
     fetching them — that miss's build time, and next to nothing on a
     warm execution.
     """
@@ -580,7 +553,7 @@ def execute_wcoj(
 
     # each relation binds its attributes in the order the levels value
     # them; its chain index is keyed by that binding sequence.  Assigns
-    # and tree checks find their target's rank (see _rank_finder).
+    # and tree checks read their target's rank off a rank map.
     bindings = {}
     for level in levels:
         for op in level.ops:
@@ -592,8 +565,8 @@ def execute_wcoj(
         rel: _chain(catalog, rel, tuple(binding))
         for rel, binding in bindings.items()
     }
-    finders = {
-        op: _rank_finder(catalog, op[1], op[2], op[3], domains)
+    rank_maps = {
+        op: _rank_map(catalog, kernels, *op[1:])
         for level in levels for op in level.ops
         if op[0] == "assign" or op[:2] == ("check", "tree")
     }
@@ -656,8 +629,7 @@ def execute_wcoj(
                     counters.semijoin_probes += len(parent)
                 else:
                     counters.residual_checks += len(parent)
-                rank = _find_ranks(kernels, finders[op], domains[source],
-                                   domains[target], value_ranks[source])
+                rank = rank_maps[op].take(value_ranks[source])
                 target_rel = target[0]
                 previous = current_group(target_rel)
                 if previous is None:
@@ -682,10 +654,7 @@ def execute_wcoj(
                     # rank (a lossy-upcast collision resolves leftmost,
                     # exactly as a HashIndex probe would)
                     counters.semijoin_probes += len(parent)
-                    probe = _find_ranks(
-                        kernels, finders[op], domains[parent_member],
-                        domains[child_member], value_ranks[parent_member],
-                    )
+                    probe = rank_maps[op].take(value_ranks[parent_member])
                     keep = np.flatnonzero(
                         probe == value_ranks[child_member]
                     )

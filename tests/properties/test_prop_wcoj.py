@@ -143,6 +143,11 @@ def test_counters_identical_across_shards_and_kernels(seed):
 # ----------------------------------------------------------------------
 
 
+def _structure_counts(catalog):
+    return {name: len(catalog.table(name)._structures)
+            for name in catalog.table_names}
+
+
 def _wcoj_run(catalog, plan, execution):
     _, result, rows = execute_wcoj(catalog, plan, collect_output=True,
                                    execution=execution)
@@ -174,8 +179,8 @@ def test_cached_structures_follow_every_write_path(write, written, execution,
     are dropped by the same write paths — an acknowledged in-place
     update, a table replacement, and a mutation on the parent of a
     derivative catalog the plan reads.  Each triangle table is written
-    alone in turn: a rank map cached under one table is keyed on the
-    other's contents, so writing only the other must miss it too."""
+    alone in turn: a rank map cached under one table is built from the
+    other's contents, so writing only the other must rebuild it."""
     rng = np.random.default_rng(seed)
     base = build_triangle_catalog(seed)
     reader = base.derived_with({}) if write == "parent_of_derived" else base
@@ -230,40 +235,48 @@ def test_warm_execution_builds_nothing(monkeypatch, execution):
 
 
 # ----------------------------------------------------------------------
-# Rank maps between same-dtype members, probes everywhere else
+# Rank maps: every assign and tree check reads one, built once
 # ----------------------------------------------------------------------
 
 
 @contextlib.contextmanager
-def _recorded_rank_finds():
-    """Every ``(source dtype, target dtype, how)`` the executions inside
-    resolve for their assigns and tree checks, and every member whose
-    rank index they fetch."""
-    finds, fetched = [], []
-    finder, rank_index = wcoj._rank_finder, wcoj._rank_index
+def _value_probes(steps):
+    """Every index the executions inside probe through
+    ``wcoj._positions`` that is none of ``steps``' code indexes — a
+    probe by value that a rank map should have answered — and every
+    rank map they build."""
+    by_value, built = [], []
+    positions, build = wcoj._positions, wcoj._build_rank_map
 
-    def recording_finder(catalog, kind, source, target, domains):
-        found = finder(catalog, kind, source, target, domains)
-        finds.append((domains[source].dtype, domains[target].dtype,
-                      found[0]))
-        return found
+    def recording_positions(kernels, index, keys):
+        if not any(index is step.codes for step in steps):
+            by_value.append(index)
+        return positions(kernels, index, keys)
 
-    def recording_rank_index(catalog, rel, attr):
-        fetched.append((rel, attr))
-        return rank_index(catalog, rel, attr)
+    def recording_build(*args):
+        built.append(args)
+        return build(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wcoj, "_rank_finder", recording_finder)
-        patch.setattr(wcoj, "_rank_index", recording_rank_index)
-        yield finds, fetched
+        patch.setattr(wcoj, "_positions", recording_positions)
+        patch.setattr(wcoj, "_build_rank_map", recording_build)
+        yield by_value, built
+
+
+def _chain_steps(catalog):
+    return [step for name in catalog.table_names
+            for structure in catalog.table(name)._structures.values()
+            if isinstance(structure, wcoj._Chain)
+            for step in structure.steps]
 
 
 @pytest.mark.parametrize("execution", KERNELS)
 @pytest.mark.parametrize("case", SHAPE_SIZES + (("triangle", 3),),
                          ids=lambda case: f"{case[0]}{case[1]}")
-def test_same_dtype_members_never_probe_a_rank_index(case, execution):
-    """Integer keys throughout: every assign and tree check reads a rank
-    map, no rank index is fetched, and the answer is unchanged."""
+def test_warm_assigns_never_probe_by_value(case, execution):
+    """Once the rank maps are built, no assign or tree check probes an
+    index by value: the only probes left are the chain steps' code
+    probes, and the answer is unchanged."""
     shape, n = case
     if shape == "triangle":
         catalog = build_triangle_catalog(11)
@@ -275,20 +288,22 @@ def test_same_dtype_members_never_probe_a_rank_index(case, execution):
                                  key_domain=(2, 5), seed=n)
         driver = "R0"
     plan = spanning_tree_decomposition(parsed, driver=driver)
-    with _recorded_rank_finds() as (finds, fetched):
+    cold = _wcoj_run(catalog, plan, execution)
+    steps = _chain_steps(catalog)
+    with _value_probes(steps) as (by_value, built):
         outputs = _strategy_outputs(catalog, plan, ExecutionMode.COM,
                                     execution=execution)
-    assert finds and {how for *_, how in finds} == {"map"}
-    assert fetched == []
+    assert steps and by_value == [] and built == []
     assert outputs["wcoj"][2] == outputs["tree_filter"][2]
+    assert_counters_identical(outputs["wcoj"][1].counters, cold[0].counters,
+                              execution)
 
 
 #: casts of one raw key column pair, each a dtype mix with no lossy
 #: collision, so brute force is exact on them and it, the tree+filter
 #: strategy and wcoj must all return the same rows.  A table stores
-#: every integer column as int64, so the uint64 side arrives as int64:
-#: that pair takes the rank map, exact where a float64 cast of these
-#: keys beyond 2**53 would collide.
+#: every integer column as int64, so the uint64 side arrives as int64,
+#: where a float64 cast of these keys beyond 2**53 would collide.
 _MIXED = {
     "int64_uint64_beyond_2**53": (
         lambda a: a.astype(np.int64) + 2**53,
@@ -310,13 +325,14 @@ _MIXED = {
     driver=st.sampled_from(["A", "B", "C"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_mixed_dtype_members_keep_the_probe_path(seed, mix, pair, driver):
+def test_mixed_dtype_members_agree_with_tree_filter(seed, mix, pair, driver):
     """A key pair of two dtypes — ``A.x = B.x`` or ``C.z = A.z``, a tree
     edge or the residual depending on the root — or of one float dtype
-    (NaN included): its ops probe or search by value, and only members
-    of one integer or bool dtype read a rank map.  wcoj agrees with
-    tree+filter and brute force on rows, and with itself across kernel
-    planes on every counter."""
+    (NaN included): the rank map built once over the source domain
+    carries each op's own semantics, lossy probe on a tree edge and
+    exact search on a residual.  wcoj agrees with tree+filter and brute
+    force on rows, and each plane — building its own maps on a fresh
+    catalog, then reading them warm — returns the same counters."""
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 10, 3)
     column, other = pair
@@ -333,22 +349,74 @@ def test_mixed_dtype_members_keep_the_probe_path(seed, mix, pair, driver):
     expected = brute_force(catalog)
     baseline = None
     for execution in KERNELS:
-        with _recorded_rank_finds() as (finds, _):
-            outputs = _strategy_outputs(catalog, plan, ExecutionMode.COM,
+        fresh = _fresh_copy(catalog)
+        for run in ("cold", "warm"):
+            outputs = _strategy_outputs(fresh, plan, ExecutionMode.COM,
                                         execution=execution)
-        context = (mix, pair, driver, execution)
-        for source_dtype, target_dtype, how in finds:
-            one_dtype = (source_dtype == target_dtype
-                         and source_dtype.kind in "biu")
-            assert (how == "map") == one_dtype, context
-        assert outputs["wcoj"][2] == outputs["tree_filter"][2] == expected, \
-            context
-        counters = outputs["wcoj"][1].counters
-        if baseline is None:
-            baseline = counters
-        else:
-            assert_counters_identical(baseline, counters, context)
+            context = (mix, pair, driver, execution, run)
+            assert outputs["wcoj"][2] == outputs["tree_filter"][2] \
+                == expected, context
+            assert outputs["wcoj"][0] == len(expected), context
+            counters = outputs["wcoj"][1].counters
+            if baseline is None:
+                baseline = counters
+            else:
+                assert_counters_identical(baseline, counters, context)
 
+
+@pytest.mark.parametrize("write", ["update_in_place", "add_table"])
+@pytest.mark.parametrize("written", ["A", "B", "C"])
+def test_writes_replace_rank_maps_instead_of_adding(write, written):
+    """Each write to one table rebuilds the maps other tables hold for
+    it in their slots: over repeated writes every table keeps as many
+    cached structures as the first run left, and each read matches a
+    fresh catalog.  A write permutes each column, which keeps every
+    distinct count and so the variable order and the plan's ops."""
+    rng = np.random.default_rng(5)
+    catalog = build_triangle_catalog(5)
+    plan = spanning_tree_decomposition(parse_query(TRIANGLE), driver="A")
+    _wcoj_run(catalog, plan, "vectorized")
+    warm = _structure_counts(catalog)
+    for _ in range(4):
+        table = catalog.table(written)
+        permuted = {column: rng.permutation(table.column(column))
+                    for column in table.column_names}
+        if write == "add_table":
+            catalog.add_table(written, permuted)
+        else:
+            for column, values in permuted.items():
+                table.column(column)[:] = values
+            catalog.invalidate_indexes(written)
+        got = _wcoj_run(catalog, plan, "vectorized")
+        want = _wcoj_run(_fresh_copy(catalog), plan, "vectorized")
+        assert_rows_identical(got[1], want[1], written)
+        assert_counters_identical(got[0].counters, want[0].counters,
+                                  written)
+        assert _structure_counts(catalog) == warm, written
+
+
+def test_selection_bindings_replace_rank_maps_instead_of_adding():
+    """Each constant bound to a selection on ``A`` filters a new copy of
+    ``A``, so the maps ``B`` and ``C`` hold for it go stale with every
+    binding: they are rebuilt in their slot, and the structures cached
+    on the base tables stay as many as the first binding left."""
+    catalog = build_triangle_catalog(3, max_rows=12, domain=4)
+    catalog.add_table("A", {"x": np.repeat(np.arange(4), 3),
+                            "z": np.tile(np.arange(3), 4)})
+    planner = Planner(catalog, cyclic_execution="wcoj")
+    counts = []
+    for constant in range(4):
+        sql = TRIANGLE + f" and A.x = {constant}"
+        plan = planner.plan(sql)
+        assert plan.cyclic_strategy == "wcoj"
+        result = plan.execute(collect_output=True)
+        a_x = catalog.table("A").column("x")
+        expected = [row for row in brute_force(catalog)
+                    if a_x[row[0]] == constant]
+        assert result.output_size == len(expected), constant
+        counts.append(_structure_counts(catalog))
+    assert counts[0]["B"] > 0 and counts[0]["C"] > 0
+    assert all(count == counts[0] for count in counts[1:])
 
 # ----------------------------------------------------------------------
 # Exact-key edge cases on the residual attribute

@@ -99,10 +99,10 @@ WCOJ_BUILD_ONCE
     ``engine/wcoj.py``'s ``execute_wcoj`` builds no structure: its body
     calls no ``np.unique`` / ``searchsorted``, constructs no
     ``HashIndex`` and gathers no base column (``_base_column``).  The
-    value domains, rank indexes, rank maps and chain indexes depend
-    only on table contents and the plan's binding sequence, so they are
-    built by the builders ``Catalog.table_structure`` runs on a cache
-    miss — a build in the body runs again on every execution.
+    value domains, rank maps and chain indexes depend only on table
+    contents and the plan's binding sequence, so they are built by
+    cached builders on a miss of ``Catalog.table_structure`` — a build
+    in the body runs again on every execution.
 
 ONE_FANOUT_PER_STEP
     A join step or expansion level pays one ``np.repeat``, into a
