@@ -5,9 +5,9 @@ Each worker process is initialized exactly once per catalog fingerprint
 with the content-addressed pickled catalog (execution needs the data;
 planning workers, deciding from shipped statistics, hold none) and
 builds its hash indexes worker-locally on first use; after that,
-queries ship only a picklable
-:class:`~repro.planner.PlanSpec`, the (parsed) query, and a driver-row
-subset.
+queries ship only a picklable :class:`~repro.planner.PlanSpec`, the
+(parsed) query, the request's per-call knobs (which bind the spec) and
+a driver-row subset.
 
 The scatter model partitions the *driver row set*, not the plan: every
 worker holds a full catalog replica, routes its driver subset through
@@ -84,9 +84,9 @@ class DistributedExecutionError(RuntimeError):
 # ----------------------------------------------------------------------
 
 _worker_planner = None
-#: rehydrated plans cached per plan fingerprint inside each worker
-#: (an ``LRUCache(8)``, built by the initializer) — small, since the
-#: driver's plan cache already bounds live plans
+#: rehydrated plans cached per ``(plan fingerprint, kernel plane)``
+#: inside each worker (an ``LRUCache(8)``, built by the initializer) —
+#: small, since the driver's plan cache already bounds live plans
 _worker_plans = None
 
 
@@ -106,16 +106,22 @@ def _init_exec_worker(catalog, planner_config):
     _worker_plans = LRUCache(8)
 
 
-def _plan_for(token, spec, query, partitioning):
-    """Rehydrate (or fetch the cached) plan for a fingerprint token."""
-    return _worker_plans.get_or_compute(
-        token,
-        lambda: _worker_planner.rehydrate(spec, query,
-                                          partitioning=partitioning),
-    )
+def _plan_for(token, spec, query, overrides):
+    """Rehydrate (or fetch the cached) plan for ``token``, the driver
+    plan's ``(fingerprint, execution)``, under the request's per-call
+    ``overrides``: a worker binds as the driver did, or refuses."""
+
+    def rehydrate():
+        plan = _worker_planner.rehydrate(spec, query, **overrides)
+        if (plan.fingerprint(), plan.execution) != token:
+            raise ValueError(f"rehydrated plan {plan.fingerprint()} "
+                             f"differs from the driver's {token}")
+        return plan
+
+    return _worker_plans.get_or_compute(token, rehydrate)
 
 
-def _execute_fragment(token, spec, query, partitioning, driver_rows, options):
+def _execute_fragment(token, spec, query, overrides, driver_rows, options):
     """Run one driver-row fragment; returns a picklable payload dict.
 
     Failures are returned as data rather than raised: exceptions with
@@ -123,7 +129,7 @@ def _execute_fragment(token, spec, query, partitioning, driver_rows, options):
     pickle, and an unpicklable exception would break the whole pool.
     """
     try:
-        plan = _plan_for(token, spec, query, partitioning)
+        plan = _plan_for(token, spec, query, overrides)
         result = plan.execute(
             flat_output=True,
             collect_output=options["collect_output"],
@@ -307,13 +313,16 @@ class WorkerPool:
 
     # -- execute --------------------------------------------------------
 
-    def run(self, plan, spec, query, *, partitioning=None,
+    def run(self, plan, spec, query, *, overrides=None,
             collect_output=False, max_intermediate_tuples=50_000_000):
-        """Scatter a plan across the pool and gather the merged result."""
+        """Scatter a plan across the pool and gather the merged result;
+        each worker rehydrates ``spec`` under ``plan``'s per-call knobs,
+        ``overrides``."""
         start = time.perf_counter()
         placement, shard_rows = self._scatter(plan)
         placement.validate()
-        task_args = (plan.fingerprint(), spec, query, partitioning)
+        task_args = ((plan.fingerprint(), plan.execution), spec, query,
+                     overrides or {})
         options = {
             "collect_output": collect_output,
             "max_intermediate_tuples": int(max_intermediate_tuples),

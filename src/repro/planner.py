@@ -67,11 +67,10 @@ from .core.stats import (
     StatsReader,
     relation_tokens,
 )
-from .distributed.placement import PLACEMENT_CHOICES
 from .engine.executor import execute
 from .engine.wcoj import execute_wcoj, plan_variable_order, variable_classes
 from .modes import ExecutionMode
-from .options import PlanOptions, resolve_optimizer
+from .options import PlanOptions, ResolvedOptions, resolve_optimizer
 from .storage.partition import partitioned_relation
 from .storage.table import Catalog, Table
 
@@ -180,10 +179,8 @@ class _RoleDeclared:
 
 #: legal values of a spec's enumerated knobs (resolved: never "auto")
 _KNOB_CHOICES = (
-    ("execution", ("vectorized", "interpreted")),
     ("cyclic_strategy", ("tree_filter", "wcoj")),
     ("robustness", ROBUSTNESS_CHOICES),
-    ("placement", PLACEMENT_CHOICES),
 )
 
 
@@ -193,11 +190,12 @@ class PlanSpec(_RoleDeclared):
     declaration of a plan; picklable and catalog-free.
 
     :func:`decide` returns one; a :class:`PhysicalPlan` is a spec bound
-    to its derived catalog and rooted join tree (:meth:`Planner.bind`).
-    Each field declares its role once (:func:`_spec_field`).
-    Construction checks knob legality (mode, execution path, cyclic
-    strategy, robustness, shard count, placement / workers) plus the
-    facts a spec states alone: residual selectivities aligned with the
+    to its derived catalog, rooted join tree and request
+    (:meth:`Planner.bind`), which supply the binding facts — shard
+    count, kernel plane, placement, workers — no spec holds.  Each field
+    declares its role once (:func:`_spec_field`).  Construction checks
+    knob legality (mode, cyclic strategy, robustness) plus the facts a
+    spec states alone: residual selectivities aligned with the
     residuals, one finite non-negative bound per join step exactly when
     robust, and a wcoj plan with residuals and a variable order.
     ``order`` and ``child_orders`` are stored canonically.
@@ -219,9 +217,6 @@ class PlanSpec(_RoleDeclared):
     residuals: tuple = _spec_field(
         "decision", lambda residuals: tuple(r.key for r in residuals),
         default=())
-    #: hash-shard fan-out of the plan's catalog (1 = off)
-    num_shards: int = _spec_field("decision", default=1)
-    execution: str = _spec_field("decision", default="vectorized")
     #: always "tree_filter" for acyclic plans
     cyclic_strategy: str = _spec_field("decision", default="tree_filter")
     #: a wcoj plan's variables, each a tuple of (relation, attribute)
@@ -229,9 +224,6 @@ class PlanSpec(_RoleDeclared):
         "decision", lambda order: tuple(tuple(var) for var in order),
         default=())
     robustness: str = _spec_field("decision", default="off")
-    placement: str = _spec_field("decision", default="local")
-    #: worker processes of a distributed plan (0 for local plans)
-    num_workers: int = _spec_field("decision", default=0)
     stats: QueryStats = _spec_field("derived")
     predicted_cost: float = _spec_field("derived")
     weights: CostWeights = _spec_field("derived", default_factory=CostWeights)
@@ -256,15 +248,6 @@ class PlanSpec(_RoleDeclared):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got "
                                  f"{getattr(self, name)!r}")
-        shards, workers = self.num_shards, self.num_workers
-        if any(isinstance(n, bool) or not isinstance(n, int)
-               for n in (shards, workers)) or shards < 1 or workers < 0 \
-                or (self.placement == "distributed") != (workers >= 1):
-            raise ValueError(
-                f"illegal {self.placement} plan with num_shards={shards!r}, "
-                f"num_workers={workers!r} (shards >= 1; workers 0 local, "
-                f">= 1 distributed)"
-            )
         if self.cyclic_strategy == "tree_filter" and self.wcoj_variable_order:
             raise ValueError("a tree_filter plan has no wcoj variable order")
         if self.cyclic_strategy == "wcoj" and not (
@@ -313,10 +296,13 @@ _DECISIONS = tuple(
 @dataclass(frozen=True)
 class PhysicalPlan:
     """An optimized, executable plan: a :class:`PlanSpec` bound to the
-    derived ``catalog`` it executes against and the rooted ``query``.
+    derived ``catalog`` it executes against, the rooted ``query`` and
+    the request's resolved ``options``.
 
     Every non-anchor spec field reads as a read-only plan attribute
-    (``order`` / ``child_orders`` as the list / dict the engine takes).
+    (``order`` / ``child_orders`` as the list / dict the engine takes),
+    as do the binding facts: ``num_shards`` (``catalog``'s fan-out) and,
+    from ``options``, ``execution``, ``placement`` and ``num_workers``.
     Decisions are immutable — a changed plan is a new plan — so a cached
     plan serves any number of callers.  ``search_tally`` (``None`` on a
     rehydrated plan) is observational: never fingerprinted or shipped.
@@ -333,6 +319,8 @@ class PhysicalPlan:
     spec: PlanSpec
     catalog: Catalog
     query: JoinQuery
+    options: ResolvedOptions
+    num_shards: int = 1  #: hash-shard fan-out of ``catalog`` (1 = off)
     search_tally: SearchTally | None = None
 
     def __post_init__(self):
@@ -377,13 +365,9 @@ class PhysicalPlan:
     # this list complete); order / child_orders as the engine takes them
     mode = property(attrgetter("spec.mode"))
     residuals = property(attrgetter("spec.residuals"))
-    num_shards = property(attrgetter("spec.num_shards"))
-    execution = property(attrgetter("spec.execution"))
     cyclic_strategy = property(attrgetter("spec.cyclic_strategy"))
     wcoj_variable_order = property(attrgetter("spec.wcoj_variable_order"))
     robustness = property(attrgetter("spec.robustness"))
-    placement = property(attrgetter("spec.placement"))
-    num_workers = property(attrgetter("spec.num_workers"))
     stats = property(attrgetter("spec.stats"))
     predicted_cost = property(attrgetter("spec.predicted_cost"))
     weights = property(attrgetter("spec.weights"))
@@ -391,6 +375,10 @@ class PhysicalPlan:
         attrgetter("spec.residual_selectivities"))
     prefix_bounds = property(attrgetter("spec.prefix_bounds"))
     worst_case_bound = property(attrgetter("spec.worst_case_bound"))
+    # and the request's binding facts
+    execution = property(attrgetter("options.execution"))
+    placement = property(attrgetter("options.placement"))
+    num_workers = property(attrgetter("options.num_workers"))
 
     @property
     def order(self):
@@ -450,10 +438,11 @@ class PhysicalPlan:
 
         Covers the rooted tree (driver and edges), every decision field
         of the spec (:data:`_DECISIONS`, in declaration order) and the
-        catalog content it was planned against, so two planning passes
-        that resolved identically (e.g. a cache hit and the plan it was
-        seeded from, or a worker-planned spec and its rehydration)
-        fingerprint identically.
+        bound catalog's content, so two planning passes that resolved
+        identically (e.g. a cache hit and the plan it was seeded from,
+        or a worker-planned spec and its rehydration) fingerprint
+        identically.  No binding fact is covered: a shard layout shows
+        in the catalog digest, and the rest decide nothing.
         """
         spec = self.spec
         payload = (
@@ -740,13 +729,12 @@ def _search(rootings, stats_for, options, flat_output, best=None,
 
 def _spec(choice, options):
     """The :class:`PlanSpec` of a search winner — built once per
-    decision, after the search; its shard count is left to binding."""
+    decision, after the search."""
     return PlanSpec(
         root=choice.query.root, order=choice.order, mode=choice.mode,
         child_orders=choice.child_orders, residuals=choice.residuals,
-        execution=options.execution, placement=options.placement,
-        num_workers=options.num_workers, stats=choice.stats,
-        predicted_cost=choice.predicted_cost, weights=options.weights,
+        stats=choice.stats, predicted_cost=choice.predicted_cost,
+        weights=options.weights,
         residual_selectivities=choice.residual_selectivities,
     )
 
@@ -821,9 +809,6 @@ def decide(query, reader, options):
     picks (:attr:`_PreparedQuery.searched`); ``options`` the request's
     :meth:`~repro.options.PlanOptions.resolved` record, whose
     ``deadline`` is an instant on this process's ``perf_counter``.
-
-    The spec's shard count stays 1: shards are a binding fact, set by
-    :meth:`Planner.bind`.
     """
     if isinstance(query, ParsedQuery):
         return _decide_cyclic(query, reader, options)
@@ -1194,8 +1179,8 @@ class Planner:
         :class:`PhysicalPlan` on its data.
 
         A cyclic query's catalog is partitioned only now, for the tree
-        decide picked.  The shard count is a binding fact: the spec takes
-        the count its catalog was partitioned to.  A :meth:`measure` d
+        decide picked; the plan takes that shard count and ``prep``'s
+        resolved options as its binding facts.  A :meth:`measure` d
         request refuses to bind (``ValueError``) after a write.
         """
         if prep.fingerprint is not None \
@@ -1207,23 +1192,23 @@ class Planner:
         catalog, shards = prep.catalog, prep.effective_shards
         if prep.join_query is None:
             catalog, shards = self._apply_partitioning(prep, rooted)
-        if spec.num_shards != shards:
-            spec = replace(spec, num_shards=shards)
-        return PhysicalPlan(spec, catalog, rooted, search_tally=search_tally)
+        return PhysicalPlan(spec, catalog, rooted, prep.options, shards,
+                            search_tally=search_tally)
 
     def rehydrate(self, spec, query, **overrides):
         """A :class:`PhysicalPlan` from a :class:`PlanSpec` pinned
         elsewhere (:meth:`PhysicalPlan.to_spec`; a distributed worker
         rehydrates the driver's plan): the fingerprint check, then
         :meth:`bind` — a push-down plus cache lookups, never a search.
-        ``overrides`` are the request's per-call knobs (only
-        ``partitioning`` matters here).
+        ``overrides`` are the request's per-call knobs, which bind it:
+        under other ones it keeps every decision and fingerprints apart
+        only by its bound catalog.
 
         A spec that does not fit raises ``ValueError``: a stale
         fingerprint, residuals that do not identify a spanning tree of
         ``query`` (:func:`~repro.core.cyclic.tree_query_from_residuals`),
-        a shard count this planner does not derive, and whatever the
-        rebuilt :class:`PhysicalPlan` checks against that tree.
+        and whatever the rebuilt :class:`PhysicalPlan` checks against
+        that tree.
         """
         if spec.catalog_fingerprint != self.catalog.fingerprint():
             raise ValueError(
@@ -1245,10 +1230,5 @@ class Planner:
                 "rehydrated against the ParsedQuery it was planned for"
             )
         prep = self._prepare(query, overrides, tree=tree)
-        if prep.effective_shards != spec.num_shards:
-            raise ValueError(
-                f"PlanSpec was planned for {spec.num_shards} shard(s) "
-                f"but this planner derives {prep.effective_shards}"
-            )
         return self.bind(prep, spec, tree if tree is not None
                          else prep.join_query.rerooted(spec.root))

@@ -351,7 +351,7 @@ class QuerySession:
             spec = plan.to_spec(self.catalog.fingerprint())
             return pool.run(
                 plan, spec, query,
-                partitioning=plan_kwargs.get("partitioning"),
+                overrides=plan_kwargs,
                 collect_output=collect_output,
                 max_intermediate_tuples=max_intermediate_tuples,
             )

@@ -33,6 +33,10 @@ class Table:
         n = None
         for col_name, values in columns.items():
             arr = np.asarray(values)
+            if arr.dtype.kind == "u" and arr.size \
+                    and arr.max() > np.iinfo(np.int64).max:
+                raise ValueError(f"table {name!r} column {col_name!r}: an "
+                                 f"unsigned value above int64 would wrap")
             if np.issubdtype(arr.dtype, np.integer):
                 arr = arr.astype(np.int64, copy=False)
             if arr.ndim != 1:

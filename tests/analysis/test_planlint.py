@@ -134,9 +134,13 @@ def test_misaligned_residual_selectivities(cyclic_plan):
             cyclic_plan.residual_selectivities + (0.5,)))
 
 
-def test_unresolved_execution_knob(acyclic_plan):
-    with pytest.raises(ValueError, match="execution"):
-        with_spec(acyclic_plan, execution="auto")
+def test_kernel_plane_binds_resolved(catalog):
+    """A plan's kernel plane is its request's, resolved: ``"auto"``
+    never reaches a plan, and the plane is no part of the spec."""
+    plan = Planner(catalog, execution="auto").plan(ACYCLIC_SQL)
+    assert plan.execution == plan.options.execution
+    assert plan.execution in ("vectorized", "interpreted")
+    assert "execution" not in {f.name for f in dataclasses.fields(plan.spec)}
 
 
 def test_dropped_residual(catalog, cyclic_plan):
@@ -200,21 +204,19 @@ def test_missing_relation(acyclic_plan):
         dataclasses.replace(acyclic_plan, catalog=sparse)
 
 
-def test_shard_count_lie(catalog, acyclic_plan):
-    """A spec claiming shards its planner does not derive is refused
-    at rehydration."""
-    spec = shipped(catalog, acyclic_plan, num_shards=4)
-    with pytest.raises(ValueError, match="planned for 4 shard"):
-        Planner(catalog).rehydrate(spec, ACYCLIC_SQL)
-
-
-def test_shard_count_mismatch(catalog):
+def test_shard_count_binds_on_rehydration(catalog):
+    """A spec carries no shard count to lie about: the planner that
+    rehydrates it binds its own, and the fingerprint tells them apart
+    through the bound catalog."""
     planner = Planner(catalog, partitioning=2)
     plan = planner.plan(ACYCLIC_SQL)
     assert plan.num_shards == 2
-    spec = shipped(catalog, plan, num_shards=8)
-    with pytest.raises(ValueError, match="planned for 8 shard"):
-        planner.rehydrate(spec, ACYCLIC_SQL)
+    spec = shipped(catalog, plan)
+    assert planner.rehydrate(spec, ACYCLIC_SQL).fingerprint() \
+        == plan.fingerprint()
+    other = planner.rehydrate(spec, ACYCLIC_SQL, partitioning=8)
+    assert other.num_shards == 8
+    assert other.fingerprint() != plan.fingerprint()
 
 
 def test_stripped_fingerprint_component(acyclic_plan, monkeypatch):
@@ -226,8 +228,8 @@ def test_stripped_fingerprint_component(acyclic_plan, monkeypatch):
     assert fingerprint_blind_fields(acyclic_plan) == []
     monkeypatch.setattr(planner, "_DECISIONS", tuple(
         (name, canonical) for name, canonical in planner._DECISIONS
-        if name != "execution"))
-    assert fingerprint_blind_fields(acyclic_plan) == ["execution"]
+        if name != "robustness"))
+    assert fingerprint_blind_fields(acyclic_plan) == ["robustness"]
 
 
 def test_unregistered_plan_field():
@@ -342,14 +344,9 @@ def test_spec_with_foreign_residual(catalog, cyclic_plan):
 
 ILLEGAL_KNOBS = (
     {"mode": "WAT"},
-    {"execution": "auto"},
-    {"num_shards": 0},
-    {"num_shards": True},
     {"cyclic_strategy": "auto"},
     {"wcoj_variable_order": ((("r", "a"),),)},  # on a tree_filter plan
     {"robustness": "paranoid"},
-    {"placement": "sharded"},
-    {"num_workers": -1},
 )
 
 

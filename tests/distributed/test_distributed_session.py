@@ -232,3 +232,77 @@ class TestPreparedStatements:
                     result_tuples(want.result, want.plan.query)
         finally:
             dist_session.close()
+
+
+class TestWorkersBindLikeTheDriver:
+    """A worker rehydrates the driver's spec under the request's
+    per-call knobs, so it binds the kernel plane and shard count the
+    driver bound."""
+
+    def test_per_call_kernel_plane_reaches_the_workers(self, catalog):
+        local = QuerySession(catalog, execution="vectorized")
+        dist = QuerySession(catalog, placement="distributed", num_workers=2,
+                            execution="vectorized")
+        try:
+            want = local.execute(FOUR_RELATION_SQL, collect_output=True)
+            plain = dist.execute(FOUR_RELATION_SQL, collect_output=True)
+            got = dist.execute(FOUR_RELATION_SQL, collect_output=True,
+                               execution="interpreted")
+            assert got.workers_used == 2
+            assert want.result.execution == "vectorized"
+            # one pool served both planes: its cache kept them apart
+            assert plain.result.execution == "vectorized"
+            assert got.result.execution == "interpreted"
+            assert got.plan.fingerprint() == plain.plan.fingerprint()
+            assert_reports_identical(want, plain)
+            assert_reports_identical(want, got)
+        finally:
+            dist.close()
+
+
+@pytest.fixture
+def worker(catalog, monkeypatch):
+    """This process set up as an execution worker over ``catalog``."""
+    from repro.distributed import workerpool
+
+    monkeypatch.setattr(workerpool, "_worker_planner", None)
+    monkeypatch.setattr(workerpool, "_worker_plans", None)
+    workerpool._init_exec_worker(catalog, {})
+    return workerpool
+
+
+def shipped(catalog, **knobs):
+    """``(token, spec, parsed query)`` as the driver sends them."""
+    from repro.core import parse_query
+
+    parsed = parse_query(FOUR_RELATION_SQL)
+    plan = QuerySession(catalog).plan(parsed, **knobs)
+    return ((plan.fingerprint(), plan.execution),
+            plan.to_spec(catalog.fingerprint()), parsed)
+
+
+def test_worker_cache_keeps_planes_and_shard_counts_apart(catalog, worker):
+    bound = {}
+    for execution in ("vectorized", "interpreted"):
+        for partitioning in (2, 8):
+            knobs = dict(execution=execution, partitioning=partitioning)
+            token, spec, parsed = shipped(catalog, **knobs)
+            plan = worker._plan_for(token, spec, parsed, knobs)
+            assert (plan.execution, plan.num_shards) \
+                == (execution, partitioning)
+            assert worker._plan_for(token, spec, parsed, knobs) is plan
+            bound[token] = plan
+    assert len(bound) == len(worker._worker_plans) == 4
+    assert len({fp for fp, _ in bound}) == 2  # one per shard layout
+
+
+def test_worker_refuses_a_fingerprint_mismatch(catalog, worker):
+    token, spec, parsed = shipped(catalog, partitioning=2)
+    with pytest.raises(ValueError, match="differs from the driver's"):
+        worker._plan_for(token, spec, parsed, {"partitioning": 8})
+    forged = ("0" * 32, token[1])
+    payload = worker._execute_fragment(
+        forged, spec, parsed, {"partitioning": 2}, [0],
+        {"collect_output": False, "max_intermediate_tuples": 1000})
+    assert not payload["ok"] and "differs" in payload["error"]
+    assert len(worker._worker_plans) == 0

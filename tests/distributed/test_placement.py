@@ -10,6 +10,7 @@ from repro.distributed.placement import (
     ShardPlacement,
     rendezvous_score,
 )
+from repro.planner import Planner
 from repro.service.session import QuerySession
 
 from tests.helpers import make_small_catalog
@@ -101,34 +102,30 @@ class TestPlanlintPlacement:
         assert plan.num_workers == 2
         assert verify_plan(plan, source=SQL, level="full") == ()
 
-    def test_bogus_placement_cannot_be_constructed(self):
-        plan = QuerySession(make_small_catalog()).plan(SQL)
-        with pytest.raises(ValueError, match="placement"):
-            dataclasses.replace(plan.spec, placement="sharded")
+    def test_placement_binds_from_the_resolved_request(self):
+        """Placement and workers are the request's, bound on the plan:
+        ``num_workers=0`` resolves to a count under distributed
+        placement and to 0 under local placement."""
+        auto = QuerySession(make_small_catalog(), placement="distributed",
+                            num_workers=0).plan(SQL)
+        assert auto.num_workers >= 1
+        assert auto.num_workers == auto.options.num_workers
+        local = QuerySession(make_small_catalog(), num_workers=3).plan(SQL)
+        assert (local.placement, local.num_workers) == ("local", 0)
 
-    def test_unresolved_worker_count_cannot_be_constructed(self):
-        plan = QuerySession(make_small_catalog()).plan(SQL)
-        with pytest.raises(ValueError, match="num_workers=0"):
-            dataclasses.replace(plan.spec, placement="distributed",
-                                num_workers=0)
-
-    def test_local_plan_with_workers_cannot_be_constructed(self):
-        plan = QuerySession(make_small_catalog()).plan(SQL)
-        with pytest.raises(ValueError, match="num_workers=3"):
-            dataclasses.replace(plan.spec, num_workers=3)
-
-    def test_spec_carries_and_checks_placement(self):
+    def test_spec_leaves_placement_to_binding(self):
         session = QuerySession(
             make_small_catalog(), placement="distributed", num_workers=2
         )
         plan = session.plan(SQL)
         spec = plan.to_spec(session.catalog.fingerprint())
-        assert spec.placement == "distributed"
-        assert spec.num_workers == 2
-        assert session.planner.rehydrate(spec, SQL).fingerprint() \
-            == plan.fingerprint()
-        with pytest.raises(ValueError, match="num_workers"):
-            dataclasses.replace(spec, num_workers=-1)
+        field_names = {f.name for f in dataclasses.fields(spec)}
+        assert not field_names & {"placement", "num_workers"}
+        back = session.planner.rehydrate(spec, SQL)
+        assert (back.placement, back.num_workers) == ("distributed", 2)
+        local = Planner(session.catalog).rehydrate(spec, SQL)
+        assert (local.placement, local.num_workers) == ("local", 0)
+        assert back.fingerprint() == local.fingerprint() == plan.fingerprint()
 
     def test_placement_choices_are_closed(self):
         assert PLACEMENT_CHOICES == ("local", "distributed")

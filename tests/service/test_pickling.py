@@ -7,6 +7,7 @@ reset instead of shipping state, and a rehydrated spec is the same
 plan the local planner would have produced.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -151,15 +152,26 @@ class TestPlanSpec:
             sorted(plan.to_spec(fp).child_orders)
         )
 
-    def test_partitioned_spec_pins_shard_count(self):
+    def test_spec_rehydrated_under_other_partitioning_keeps_decisions(self):
+        """The shard count is bound, not shipped: a spec rehydrated
+        under another ``partitioning`` keeps every decision field, and
+        only the bound-catalog part of its fingerprint moves."""
         query = random_tree_query(5, seed=22)
         catalog = large_join_catalog(query, rows_per_relation=200, seed=22)
-        sharded = Planner(catalog, partitioning=2)
-        plan = sharded.plan(query, mode="COM")
+        plan = Planner(catalog, partitioning=2).plan(query, mode="COM")
         assert plan.num_shards == 2
         spec = roundtrip(plan.to_spec(catalog.fingerprint()))
-        rehydrated = sharded.rehydrate(spec, query)
-        assert rehydrated.num_shards == 2
-        unsharded = Planner(catalog, partitioning="off")
-        with pytest.raises(ValueError, match="shard"):
-            unsharded.rehydrate(spec, query)
+        decisions = [f.name for f in dataclasses.fields(PlanSpec)
+                     if f.metadata["role"] == "decision"]
+        for partitioning, shards in (("off", 1), (2, 2), (8, 8)):
+            rehydrated = Planner(catalog, partitioning=partitioning) \
+                .rehydrate(spec, query)
+            assert rehydrated.num_shards == shards
+            for name in decisions:
+                assert getattr(rehydrated.spec, name) \
+                    == getattr(plan.spec, name), name
+            assert (rehydrated.fingerprint() == plan.fingerprint()) \
+                == (shards == 2)
+            assert dataclasses.replace(
+                rehydrated, catalog=plan.catalog).fingerprint() \
+                == plan.fingerprint()

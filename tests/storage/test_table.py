@@ -257,6 +257,16 @@ def test_integer_columns_widen_to_int64_only(dtype, stored):
     assert table.column("a").tolist() == [0, 1, 2, 3]
 
 
+def test_uint64_above_int64_range_is_refused_not_wrapped():
+    top = np.iinfo(np.int64).max
+    fits = Table("t", {"a": np.array([0, top], dtype=np.uint64)})
+    assert fits.column("a").dtype == np.int64
+    assert fits.column("a").tolist() == [0, top]
+    wide = np.array([1, 2**63, 2**64 - 1], dtype=np.uint64)
+    with pytest.raises(ValueError, match="table 'big' column 'k'"):
+        Table("big", {"a": np.arange(3), "k": wide})
+
+
 def test_int64_columns_are_held_without_a_copy():
     values = np.arange(5, dtype=np.int64)
     assert Table("t", {"a": values}).column("a") is values

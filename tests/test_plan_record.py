@@ -26,6 +26,7 @@ from repro.core.parser import parse_query
 
 from tests.helpers import (
     fingerprint_blind_fields,
+    make_small_catalog,
     predicate_coverage,
     stated_predicates,
     unpushed_selections,
@@ -144,3 +145,43 @@ def test_plan_fields_read_through_from_the_spec(workloads):
                 == plan.spec.child_orders
         else:
             assert value is getattr(plan.spec, spec_field.name)
+
+
+FOUR_RELATION_SQL = ("select * from R1, R2, R3, R5 "
+                     "where R1.B = R2.B and R2.C = R3.C and R1.E = R5.E")
+TRIANGLE_SQL = ("select * from R1, R2, R5 "
+                "where R1.B = R2.B and R1.E = R5.E and R2.C = R5.F")
+
+
+@pytest.mark.parametrize("sql, knobs", [
+    (FOUR_RELATION_SQL, {}),
+    # a cyclic catalog is partitioned at binding, for the tree decided
+    (TRIANGLE_SQL, {"cyclic_execution": "tree_filter"}),
+])
+def test_a_fresh_sharded_plan_builds_its_spec_once(sql, knobs, monkeypatch):
+    """The shard count binds on the plan, so a ``partitioning=4``
+    session constructs one :class:`PlanSpec` per fresh plan."""
+    from repro.planner import PlanSpec
+
+    session = QuerySession(make_small_catalog(), partitioning=4, **knobs)
+    built, checks = [], PlanSpec.__post_init__
+
+    def counting(spec):
+        built.append(spec)
+        checks(spec)
+
+    monkeypatch.setattr(PlanSpec, "__post_init__", counting)
+    plan = session.plan(sql)
+    assert plan.num_shards == 4
+    assert built == [plan.spec]
+
+
+def test_the_kernel_plane_moves_no_fingerprint():
+    catalog = make_small_catalog()
+    vectorized = QuerySession(catalog, execution="vectorized") \
+        .plan(FOUR_RELATION_SQL)
+    interpreted = QuerySession(catalog, execution="interpreted") \
+        .plan(FOUR_RELATION_SQL)
+    assert (vectorized.execution, interpreted.execution) \
+        == ("vectorized", "interpreted")
+    assert vectorized.fingerprint() == interpreted.fingerprint()

@@ -529,6 +529,12 @@ def test_plan_field_single_declaration_allows_declared_fields(
     # a role that is not one of the three
     ("planner.py", PLANNER_SOURCE.replace("'derived'", "'observed'"),
      "PlanSpec.stats"),
+    # a binding fact declared as a decision
+    ("planner.py", PLANNER_SOURCE.replace(
+        "    stats: object = _spec_field('derived')\n",
+        "    stats: object = _spec_field('derived')\n"
+        "    execution: str = _spec_field('decision', default='auto')\n"),
+     "PlanSpec.execution is a binding fact"),
     # the hand-written fingerprint payload
     ("planner.py", PLANNER_SOURCE.replace(
         "return repr(payload)",

@@ -125,7 +125,9 @@ PLAN_FIELD_SINGLE_DECLARATION
     construction checks derive from it.  So no ``PlanSpec`` field lacks
     a literal role, ``planner.py``'s ``fingerprint`` ``repr`` s no
     hand-written tuple, and ``src/repro/analysis`` keeps no module-level
-    ``frozenset`` of plan field names.
+    ``frozenset`` of plan field names.  A spec holds only the decision:
+    no ``PlanSpec`` field is a binding fact ``Planner.bind`` supplies
+    (``num_shards``, ``execution``, ``placement``, ``num_workers``).
 
 PRODUCT_READS_NO_BENCHMARK_FILES
     The library's behaviour is stated by its code, never loaded from a
@@ -795,6 +797,9 @@ def check_plan_field_single_declaration():
 
     spec_fields = _class_fields(tree, "PlanSpec")
     for name, item in spec_fields.items():
+        if name in ("num_shards", "execution", "placement", "num_workers"):
+            finding(path, item, f"PlanSpec.{name} is a binding fact, not "
+                    "a decision — PhysicalPlan takes it from bind")
         call = item.value
         role = call.args[0] if isinstance(call, ast.Call) and call.args \
             and _called_name(call) == "_spec_field" else None
