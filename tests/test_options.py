@@ -70,6 +70,7 @@ INVALID = [
      "planning_budget_ms must be positive"),
     ("planning_budget_ms", "5", "planning_budget_ms must be positive"),
     ("partitioning", 0, "partitioning shard count must be >= 1"),
+    ("partitioning", True, "partitioning must be"),
     ("execution", "simd", "execution must be one of"),
     ("cyclic_execution", "yannakakis", "cyclic_execution must be one of"),
     ("robustness", "never", "robustness must be one of"),
