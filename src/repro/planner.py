@@ -67,7 +67,7 @@ from .core.stats import (
     StatsReader,
     relation_tokens,
 )
-from .engine.executor import execute
+from .engine.executor import _shards_used, execute
 from .engine.wcoj import execute_wcoj, plan_variable_order, variable_classes
 from .modes import ExecutionMode
 from .options import PlanOptions, ResolvedOptions, resolve_optimizer
@@ -301,7 +301,7 @@ class PhysicalPlan:
 
     Every non-anchor spec field reads as a read-only plan attribute
     (``order`` / ``child_orders`` as the list / dict the engine takes),
-    as do the binding facts: ``num_shards`` (``catalog``'s fan-out) and,
+    as do the binding facts: ``num_shards``, read off ``catalog``, and,
     from ``options``, ``execution``, ``placement`` and ``num_workers``.
     Decisions are immutable — a changed plan is a new plan — so a cached
     plan serves any number of callers.  ``search_tally`` (``None`` on a
@@ -320,7 +320,6 @@ class PhysicalPlan:
     catalog: Catalog
     query: JoinQuery
     options: ResolvedOptions
-    num_shards: int = 1  #: hash-shard fan-out of ``catalog`` (1 = off)
     search_tally: SearchTally | None = None
 
     def __post_init__(self):
@@ -392,6 +391,11 @@ class PhysicalPlan:
     @property
     def is_cyclic(self):
         return bool(self.residuals)
+
+    @property
+    def num_shards(self):
+        """Hash-shard fan-out of ``catalog``'s probe targets (1 = off)."""
+        return _shards_used(self.query, self.catalog)
 
     def execute(self, flat_output=True, collect_output=False,
                 max_intermediate_tuples=50_000_000, driver_rows=None):
@@ -953,7 +957,6 @@ class _PreparedQuery:
     #: alias -> relation token (:func:`~repro.core.stats.relation_tokens`)
     #: against the base catalog, which the caches key on
     tokens: dict = None
-    effective_shards: int = 1  #: hash-shard fan-out of :attr:`catalog`
     reader: StatsReader = None  #: the statistics decide reads
     #: base-catalog digest a :meth:`Planner.measure` d request was read
     #: against (``None``: decided and bound in one call)
@@ -1048,9 +1051,10 @@ class Planner:
             cache.reclaim(live)
         self._reclaimed_version = version
 
-    def _apply_partitioning(self, prep, join_query):
-        """``(execution catalog, effective shards)`` for a rooted tree
-        over ``prep``'s push-down catalog.
+    def _apply_partitioning(self, prep, join_query, aliases=None):
+        """The execution catalog for a rooted tree over ``prep``'s
+        push-down catalog: every probe target of ``join_query`` (of it,
+        those in ``aliases`` when given) laid out for the request.
 
         Each probe target is re-clustered once per (alias, relation
         token, probe attribute, layout), never per whole catalog, and
@@ -1060,7 +1064,7 @@ class Planner:
         """
         num_shards = prep.options.partitioning
         if num_shards <= 1:
-            return prep.catalog, 1
+            return prep.catalog
         floor = prep.options.partition_floor
 
         def relation(alias, attribute):
@@ -1075,12 +1079,14 @@ class Planner:
 
         replacements = {}
         for edge in join_query.edges:
+            if aliases is not None and edge.child not in aliases:
+                continue
             table = relation(edge.child, edge.child_attr)
             if table is not None:
                 replacements[edge.child] = table
         if not replacements:
-            return prep.catalog, 1
-        return prep.catalog.derived_with(replacements), num_shards
+            return prep.catalog
+        return prep.catalog.derived_with(replacements)
 
     def _prepare(self, query, overrides, tree=None):
         """The :class:`_PreparedQuery` of every entry point: the request
@@ -1121,8 +1127,7 @@ class Planner:
         if join_query is not None:
             # acyclic: statistics read the partitioned catalog, so the
             # indexes they build are the ones execution probes
-            prep.catalog, prep.effective_shards = self._apply_partitioning(
-                prep, join_query)
+            prep.catalog = self._apply_partitioning(prep, join_query)
         prep.reader = StatsReader(
             prep.catalog, self.stats_cache,
             prep.tokens if self.stats_cache is not None else None,
@@ -1179,7 +1184,7 @@ class Planner:
         :class:`PhysicalPlan` on its data.
 
         A cyclic query's catalog is partitioned only now, for the tree
-        decide picked; the plan takes that shard count and ``prep``'s
+        decide picked; the plan takes that catalog and ``prep``'s
         resolved options as its binding facts.  A :meth:`measure` d
         request refuses to bind (``ValueError``) after a write.
         """
@@ -1189,11 +1194,40 @@ class Planner:
                 "stale decision: the catalog content changed since its "
                 "statistics were measured"
             )
-        catalog, shards = prep.catalog, prep.effective_shards
+        catalog = prep.catalog
         if prep.join_query is None:
-            catalog, shards = self._apply_partitioning(prep, rooted)
-        return PhysicalPlan(spec, catalog, rooted, prep.options, shards,
+            catalog = self._apply_partitioning(prep, rooted)
+        return PhysicalPlan(spec, catalog, rooted, prep.options,
                             search_tally=search_tally)
+
+    def rebind(self, plan, query, aliases):
+        """``plan`` bound to ``query``, another binding of the
+        ``?``-parameterized query it was planned for
+        (:meth:`~repro.service.session.QuerySession.prepare`).
+
+        Only the relations in ``aliases`` (whose selection the binding
+        changes) are filtered again and laid out by the rule every bind
+        applies, so the plan equals what :meth:`rehydrate` binds for
+        ``query`` under ``plan``'s options; every other relation, with
+        its built indexes, is shared from ``plan.catalog``.
+        """
+        replacements = {
+            alias: filtered_table(
+                self.catalog.table(query.relations[alias]), alias,
+                query.selections.get(alias, {}))
+            for alias in aliases
+        }
+        prep = _PreparedQuery(
+            query=query, join_query=None, options=plan.options,
+            catalog=plan.catalog.derived_with(replacements),
+            tokens=relation_tokens(self.catalog, query),
+        )
+        # the tree _prepare partitions for: the acyclic query as given,
+        # a cyclic one's spanning tree as decided
+        tree = plan.query if plan.residuals or not query.is_acyclic() \
+            else query.to_join_query()
+        return replace(plan, catalog=self._apply_partitioning(prep, tree,
+                                                              aliases))
 
     def rehydrate(self, spec, query, **overrides):
         """A :class:`PhysicalPlan` from a :class:`PlanSpec` pinned

@@ -17,13 +17,12 @@ per-query budgets with timing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..core.parser import ParsedQuery, Placeholder, parse_query
 from ..core.lru import LRUCache
 from ..engine import BudgetExceededError
-from ..planner import Planner, filtered_table
-from ..storage.partition import PartitionedTable, partitioned_relation
+from ..planner import Planner
 from .plancache import normalized_query_key
 
 __all__ = ["PreparedStatement", "QueryReport", "QuerySession"]
@@ -529,37 +528,6 @@ class PreparedStatement:
             if any(isinstance(v, Placeholder) for v in predicate.values())
         ]
 
-    def _rebind_catalog(self, bound):
-        """Derived catalog for a new binding, re-filtering only the
-        placeholder-bearing relations.
-
-        Unchanged relations (and their already-built hash indexes) are
-        shared from the template's catalog, so re-execution cost is
-        proportional to the parameterized tables only.  A re-filtered
-        relation the template holds hash-partitioned is re-clustered
-        into the same layout, so every binding — not just the first —
-        keeps the plan's shard layout.
-        """
-        replacements = {}
-        for alias in self._dynamic_aliases:
-            table = filtered_table(
-                self.session.catalog.table(self.parsed.relations[alias]),
-                alias,
-                bound.selections.get(alias, {}),
-            )
-            current = self._template.catalog.table(alias)
-            if isinstance(current, PartitionedTable):
-                # the planner's per-relation helper: a binding admitting
-                # e.g. keys >= 2**53 keeps the base layout instead of
-                # failing
-                sharded = partitioned_relation(
-                    table, current.shard_key, current.num_shards
-                )
-                if sharded is not None:
-                    table = sharded
-            replacements[alias] = table
-        return self._template.catalog.derived_with(replacements)
-
     def invalidate(self):
         """Drop the structural plan; the next execution replans."""
         self._template = None
@@ -611,21 +579,16 @@ class PreparedStatement:
             template, fresh, cache_hit = self._structural_plan(
                 bound, flat_output
             )
-            if fresh:
-                # The template was planned against exactly this binding;
-                # its derived catalog already has the selections pushed
-                # down.
-                catalog = template.catalog
-            else:
-                catalog = self._rebind_catalog(bound)
+            # a fresh template was planned against exactly this binding
+            plan = template if fresh else self.session.planner.rebind(
+                template, bound, self._dynamic_aliases)
 
             def run():
-                # Same plan, re-bound catalog: the session helper keeps
-                # the engine / worker-pool invocation in one place.
+                # the session helper keeps the engine / worker-pool
+                # invocation in one place
                 return self.session._execute_plan(
-                    replace(template, catalog=catalog), bound,
-                    flat_output, collect_output, max_intermediate_tuples,
-                    self.plan_kwargs,
+                    plan, bound, flat_output, collect_output,
+                    max_intermediate_tuples, self.plan_kwargs,
                 )
 
             return template, cache_hit, run

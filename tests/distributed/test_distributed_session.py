@@ -233,6 +233,55 @@ class TestPreparedStatements:
         finally:
             dist_session.close()
 
+    @staticmethod
+    def assert_bindings_match_local(catalog, sql, constants, **knobs):
+        """Each binding of ``sql``, prepared on a distributed session
+        with ``knobs``, answers what a local plan of the literal SQL
+        answers."""
+        local = QuerySession(catalog, **knobs)
+        dist = QuerySession(catalog, placement="distributed", num_workers=2,
+                            **knobs)
+        statement = dist.prepare(sql)
+        try:
+            for constant in constants:
+                want = local.execute(sql.replace("?", str(constant)),
+                                     collect_output=True)
+                got = statement.execute(constant, collect_output=True)
+                assert want.ok and got.ok, (constant, want.error, got.error)
+                # hash routing may place every shard on one worker
+                assert got.workers_used >= 1
+                assert result_tuples(got.result, got.plan.query) == \
+                    result_tuples(want.result, want.plan.query)
+        finally:
+            dist.close()
+
+    def test_partitioned_binding_after_an_empty_one(self, catalog):
+        # the first binding selects no R2 row, so its template holds R2
+        # unpartitioned; the next bindings select rows that partition
+        self.assert_bindings_match_local(
+            catalog, "select * from R1, R2 where R1.B = R2.B and R2.C = ?",
+            (99, 3, 5), partitioning=4)
+
+    def test_auto_partitioning_across_its_floor(self):
+        from repro.core import parse_query
+        from repro.options import AUTO_MIN_ROWS_PER_SHARD, PlanOptions
+        from repro.storage.table import Catalog
+
+        big = AUTO_MIN_ROWS_PER_SHARD + 600  # rows of R2 with C = 0
+        catalog = Catalog()
+        catalog.add_table("R1", {"A": np.arange(20), "B": np.arange(20) % 10})
+        catalog.add_table("R2", {
+            "B": np.concatenate([np.arange(2 * big) % 10, [3, 4, 5]]),
+            "C": np.concatenate([np.repeat([0, 1], big), [2, 2, 2]]),
+        })
+        sql = "select * from R1, R2 where R1.B = R2.B and R2.C = ?"
+        if PlanOptions(partitioning="auto").shard_count(
+                catalog, parse_query(sql)) < 2:
+            pytest.skip("'auto' resolves to one shard on a single core")
+        # C = 2 keeps 3 rows, under the floor; C = 0 keeps `big`, over it
+        self.assert_bindings_match_local(catalog, sql, (2, 0, 2),
+                                         partitioning="auto")
+
 
 class TestWorkersBindLikeTheDriver:
     """A worker rehydrates the driver's spec under the request's

@@ -660,6 +660,25 @@ def test_prepared_rebind_with_unshardable_binding_falls_back():
     assert second.result.output_size == direct.result.output_size
 
 
+def test_prepared_rebind_lays_out_as_rehydration_does(catalog):
+    """A binding decides its layout afresh, as a worker rehydrating the
+    plan for it does: a template whose first binding emptied R2 holds
+    it unpartitioned, the next binding's R2 is partitioned."""
+    session = QuerySession(catalog, partitioning=4)
+    statement = session.prepare(
+        "select * from R1, R2 where R1.B = R2.B and R2.C = ?")
+    assert statement.execute(99).result.output_size == 0
+    template = statement._template
+    bound = statement.parsed.bind(3)
+    rebound = session.planner.rebind(template, bound, ["R2"])
+    rehydrated = session.planner.rehydrate(
+        template.to_spec(catalog.fingerprint()), bound)
+    assert (template.num_shards, rebound.num_shards) == (1, 4)
+    assert rebound.fingerprint() == rehydrated.fingerprint()
+    report = statement.execute(3)
+    assert report.ok and report.shards_used == 4
+
+
 def test_exact_stats_cache_shared_across_shard_counts():
     from repro.core.lru import LRUCache
 
