@@ -269,9 +269,9 @@ class WorkerPool:
     # -- scatter --------------------------------------------------------
 
     @staticmethod
-    def _routing_edge(plan, num_shards):
+    def _routing_edge(plan):
         """The root-attached join edge driver rows can shard-route on."""
-        if num_shards <= 1:
+        if plan.num_shards <= 1:
             return None
         query = plan.query
         for edge in query.edges:
@@ -279,7 +279,7 @@ class WorkerPool:
                 continue
             child = plan.catalog.table(edge.child)
             if (
-                getattr(child, "num_shards", 1) == num_shards
+                getattr(child, "num_shards", 1) == plan.num_shards
                 and getattr(child, "shard_key", None) == edge.child_attr
             ):
                 return edge
@@ -290,17 +290,16 @@ class WorkerPool:
         root_table = plan.catalog.table(plan.query.root)
         num_rows = len(root_table)
         workers = tuple(range(self.num_workers))
-        num_shards = plan.num_shards
-        edge = self._routing_edge(plan, num_shards)
+        edge = self._routing_edge(plan)
         if edge is not None:
             placement = ShardPlacement.rendezvous(
-                num_shards, workers,
+                plan.num_shards, workers,
                 routing="hash",
                 routing_relation=edge.child,
                 routing_attr=edge.child_attr,
             )
             keys = root_table.column(edge.parent_attr)
-            shard_of_row = _probe_shard_ids(keys, num_shards)
+            shard_of_row = _probe_shard_ids(keys, plan.num_shards)
         else:
             placement = ShardPlacement.striped(self.num_workers)
             shard_of_row = (

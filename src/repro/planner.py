@@ -20,6 +20,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -392,7 +393,7 @@ class PhysicalPlan:
     def is_cyclic(self):
         return bool(self.residuals)
 
-    @property
+    @cached_property
     def num_shards(self):
         """Hash-shard fan-out of ``catalog``'s probe targets (1 = off)."""
         return _shards_used(self.query, self.catalog)
