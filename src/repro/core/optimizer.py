@@ -68,7 +68,6 @@ __all__ = [
     "beam_order",
     "choose_optimizer",
     "incremental_order_cost",
-    "worst_case_cost",
     "greedy_order",
     "GREEDY_HEURISTICS",
     "optimize_sj",
@@ -326,28 +325,6 @@ def incremental_order_cost(query: JoinQuery, stats: QueryStats,
         total += _delta_cost(memo, joined, relation, mode, weights)
         joined |= memo.bit[relation]
     return total
-
-
-def worst_case_cost(query: JoinQuery, bound_stats: QueryStats,
-                    order: Sequence[str], eps: float = 0.01,
-                    weights: CostWeights = CostWeights(),
-                    memo: CostMemo | None = None) -> float:
-    """Pessimistic (UES-style) objective: worst-case probe work.
-
-    ``bound_stats`` must come from
-    :meth:`repro.core.stats.StatsReader.bound_stats` — per-edge
-    ``m = 1, fo = max_frequency`` — which makes each STD prefix product
-    a *guaranteed* cardinality upper bound, and this sum of per-join
-    delta costs the guaranteed worst-case work of running ``order``.
-    The deltas are set-determined, so :func:`exhaustive_optimal`,
-    :func:`idp_order` and :func:`beam_order` minimize exactly this
-    objective when handed bound stats with ``ExecutionMode.STD`` — the
-    pessimistic second objective needs no new search code.
-    """
-    return incremental_order_cost(
-        query, bound_stats, order, mode=ExecutionMode.STD, eps=eps,
-        weights=weights, memo=memo,
-    )
 
 
 def _greedy_block(memo: CostMemo, order: Sequence[str], block_size: int,

@@ -241,8 +241,7 @@ class StatsReader:
     One store entry is one *measurement*, keyed on the data it read:
     a directed predicate ``(parent token, parent_attr, child token,
     child_attr)`` -> :class:`EdgeStats`, or a column statistic
-    ``(relation token, attr, statistic)`` -> ``int``
-    (``"max_frequency"`` or ``"distinct"``), prefixed by the
+    ``(relation token, attr, "distinct")`` -> ``int``, prefixed by the
     fingerprints of the tables read, so a write to one table reclaims
     exactly the entries that read it
     (:meth:`~repro.core.lru.LRUCache.reclaim`).  A token is found
@@ -308,13 +307,6 @@ class StatsReader:
             relation_slots=(0, 2),
         )
 
-    def max_frequency(self, relation: str, attr: str) -> int:
-        """Largest number of ``relation`` rows sharing one ``attr`` value
-        (read off the catalog-cached hash index execution probes)."""
-        return self._read((relation, attr, "max_frequency"), lambda: int(
-            self._catalog.hash_index(relation, attr).max_group_size
-        ))
-
     def distinct(self, relation: str, attr: str) -> int:
         """Number of distinct ``attr`` values in ``relation``."""
         return self._read((relation, attr, "distinct"), lambda: int(
@@ -347,23 +339,6 @@ class StatsReader:
                                   edge.child_attr)
             for edge in rooted.edges
         }
-        sizes = self.sizes(rooted.relations)
-        return QueryStats(sizes[rooted.root], edge_stats,
-                          relation_sizes=sizes)
-
-    def bound_stats(self, rooted: Any) -> QueryStats:
-        """The rooting's *bound statistics* (:mod:`repro.core.bounds`).
-
-        Per-edge selectivity is the guaranteed worst case: ``m = 1``
-        (every probe may match), ``fo = mf`` (each match may fan out to
-        the child's heaviest key group).  Prefix products of these under
-        the STD cost model are guaranteed cardinality upper bounds.
-        """
-        edge_stats = {}
-        for edge in rooted.edges:
-            mf = self.max_frequency(edge.child, edge.child_attr)
-            edge_stats[edge.child] = EdgeStats(m=1.0 if mf else 0.0,
-                                               fo=float(mf))
         sizes = self.sizes(rooted.relations)
         return QueryStats(sizes[rooted.root], edge_stats,
                           relation_sizes=sizes)

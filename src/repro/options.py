@@ -22,7 +22,6 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from .core.bounds import resolve_robustness
 from .core.costmodel import CostWeights
 from .core.cyclic import CYCLIC_EXECUTION_CHOICES
 from .core.optimizer import choose_optimizer
@@ -224,7 +223,7 @@ class PlanOptions:
         ``"auto"`` (shard count from the largest probe target and the
         core count; 1 when tables are small).  When the resolved count
         exceeds 1, each non-root relation is re-clustered into hash
-        shards on its probe attribute for the query's given rooting;
+        shards on its probe attribute for the plan's rooting;
         every table is still probed through one index per attribute.
         Plans, predicted costs and result sets are identical across
         shard counts.
@@ -238,12 +237,6 @@ class PlanOptions:
         residual filters), ``"wcoj"`` (:mod:`repro.engine.wcoj`) or
         ``"auto"`` (price both, keep the cheaper).  Keyed raw: ``"auto"``
         resolves per query by data-dependent cost.
-    robustness:
-        ``"off"`` or ``"bounded"`` (swap to the bound-optimal order
-        when the estimated-optimal order's worst case exceeds
-        :data:`~repro.core.bounds.REGRET_FACTOR` times the best
-        achievable bound, and annotate the plan with its bounds).
-        Keyed raw.
     placement:
         ``"local"`` or ``"distributed"`` (session executions scatter
         driver rows across a :class:`~repro.distributed.workerpool.WorkerPool`;
@@ -272,7 +265,6 @@ class PlanOptions:
                            _one_of("execution", EXECUTION_CHOICES))
     cyclic_execution: str = _knob(
         "auto", "raw", _one_of("cyclic_execution", CYCLIC_EXECUTION_CHOICES))
-    robustness: str = _knob("off", "raw", resolve_robustness)
     placement: str = _knob("local", "resolved",
                            _one_of("placement", PLACEMENT_CHOICES))
     num_workers: int = _knob(

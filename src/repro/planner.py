@@ -47,11 +47,6 @@ from .core.cyclic import (
     wcoj_cost,
 )
 from .core.lru import LRUCache
-from .core.bounds import (
-    REGRET_FACTOR,
-    ROBUSTNESS_CHOICES,
-    prefix_cardinality_bounds,
-)
 from .core.optimizer import (
     PlanningBudgetExceeded,
     beam_order,
@@ -59,7 +54,6 @@ from .core.optimizer import (
     greedy_order,
     idp_order,
     optimize_sj,
-    worst_case_cost,
 )
 from .core.parser import Contradiction, ParsedQuery, parse_query
 from .core.query import JoinQuery
@@ -178,11 +172,8 @@ class _RoleDeclared:
                                 f"a role (one of {_ROLES})")
 
 
-#: legal values of a spec's enumerated knobs (resolved: never "auto")
-_KNOB_CHOICES = (
-    ("cyclic_strategy", ("tree_filter", "wcoj")),
-    ("robustness", ROBUSTNESS_CHOICES),
-)
+#: legal values of a spec's cyclic strategy (resolved: never "auto")
+_CYCLIC_STRATEGIES = ("tree_filter", "wcoj")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -195,10 +186,9 @@ class PlanSpec(_RoleDeclared):
     (:meth:`Planner.bind`), which supply the binding facts — shard
     count, kernel plane, placement, workers — no spec holds.  Each field
     declares its role once (:func:`_spec_field`).  Construction checks
-    knob legality (mode, cyclic strategy, robustness) plus the facts a
-    spec states alone: residual selectivities aligned with the
-    residuals, one finite non-negative bound per join step exactly when
-    robust, and a wcoj plan with residuals and a variable order.
+    knob legality (mode, cyclic strategy) plus the facts a spec states
+    alone: residual selectivities aligned with the residuals, and a wcoj
+    plan with residuals and a variable order.
     ``order`` and ``child_orders`` are stored canonically.
 
     ``catalog_fingerprint`` is the base-catalog digest a shipped spec
@@ -224,16 +214,11 @@ class PlanSpec(_RoleDeclared):
     wcoj_variable_order: tuple = _spec_field(
         "decision", lambda order: tuple(tuple(var) for var in order),
         default=())
-    robustness: str = _spec_field("decision", default="off")
     stats: QueryStats = _spec_field("derived")
     predicted_cost: float = _spec_field("derived")
     weights: CostWeights = _spec_field("derived", default_factory=CostWeights)
     #: estimated selectivity per residual
     residual_selectivities: tuple = _spec_field("derived", default=())
-    #: robust plans: guaranteed cardinality bound after each join of
-    #: ``order`` and the guaranteed worst-case probe work of running it
-    prefix_bounds: tuple = _spec_field("derived", default=())
-    worst_case_bound: float = _spec_field("derived", default=0.0)
     catalog_fingerprint: str | None = _spec_field("anchor", default=None)
 
     def __post_init__(self):
@@ -245,10 +230,10 @@ class PlanSpec(_RoleDeclared):
         pin(self, "child_orders", tuple(sorted(
             (relation, tuple(children)) for relation, children in child_orders
         )))
-        for name, choices in _KNOB_CHOICES:
-            if getattr(self, name) not in choices:
-                raise ValueError(f"{name} must be one of {choices}, got "
-                                 f"{getattr(self, name)!r}")
+        if self.cyclic_strategy not in _CYCLIC_STRATEGIES:
+            raise ValueError(f"cyclic_strategy must be one of "
+                             f"{_CYCLIC_STRATEGIES}, got "
+                             f"{self.cyclic_strategy!r}")
         if self.cyclic_strategy == "tree_filter" and self.wcoj_variable_order:
             raise ValueError("a tree_filter plan has no wcoj variable order")
         if self.cyclic_strategy == "wcoj" and not (
@@ -260,19 +245,6 @@ class PlanSpec(_RoleDeclared):
             raise ValueError(
                 f"PLAN004: {len(self.residual_selectivities)} residual "
                 f"selectivities for {len(self.residuals)} residuals")
-        bounds = self.prefix_bounds
-        if self.robustness == "off" and (bounds or self.worst_case_bound):
-            raise ValueError("BOUND002: an off-mode plan carries no bound "
-                             "annotations")
-        if self.robustness != "off" and len(bounds) != len(self.order):
-            raise ValueError(
-                f"BOUND002: a robust plan carries one prefix bound per "
-                f"join step: {len(bounds)} for {len(self.order)} joins")
-        if not all(math.isfinite(bound) and bound >= 0
-                   for bound in (*bounds, self.worst_case_bound)):
-            raise ValueError(
-                f"BOUND003: bounds must be finite and non-negative, got "
-                f"{bounds!r} and worst case {self.worst_case_bound!r}")
 
     def __repr__(self):
         residuals = (
@@ -367,14 +339,11 @@ class PhysicalPlan:
     residuals = property(attrgetter("spec.residuals"))
     cyclic_strategy = property(attrgetter("spec.cyclic_strategy"))
     wcoj_variable_order = property(attrgetter("spec.wcoj_variable_order"))
-    robustness = property(attrgetter("spec.robustness"))
     stats = property(attrgetter("spec.stats"))
     predicted_cost = property(attrgetter("spec.predicted_cost"))
     weights = property(attrgetter("spec.weights"))
     residual_selectivities = property(
         attrgetter("spec.residual_selectivities"))
-    prefix_bounds = property(attrgetter("spec.prefix_bounds"))
-    worst_case_bound = property(attrgetter("spec.worst_case_bound"))
     # and the request's binding facts
     execution = property(attrgetter("options.execution"))
     placement = property(attrgetter("options.placement"))
@@ -485,20 +454,12 @@ class PhysicalPlan:
         for position, relation in enumerate(self.order, start=1):
             edge = self.query.edge_to(relation)
             stats = self.stats.stats(relation)
-            bound = ""
-            if position <= len(self.prefix_bounds):
-                bound = f" ub={self.prefix_bounds[position - 1]:,.0f}"
             lines.append(
                 f"  {position}. JOIN {relation} ON "
                 f"{edge.parent}.{edge.parent_attr} = "
                 f"{edge.child}.{edge.child_attr}  "
                 f"[m={stats.m:.3f} fo={stats.fo:.2f} "
-                f"est_probes={probes[relation]:,.0f}{bound}]"
-            )
-        if self.robustness != "off":
-            lines.append(
-                f"  ROBUSTNESS {self.robustness} "
-                f"worst_case_bound={self.worst_case_bound:,.0f}"
+                f"est_probes={probes[relation]:,.0f}]"
             )
         if self.child_orders:
             lines.append(f"  semi-join child orders: {self.child_orders}")
@@ -572,6 +533,8 @@ class _Choice:
     search_tally: SearchTally
     residuals: tuple = ()
     residual_selectivities: tuple = ()
+    cyclic_strategy: str = "tree_filter"
+    wcoj_variable_order: tuple = ()
 
 
 # ----------------------------------------------------------------------
@@ -741,62 +704,8 @@ def _spec(choice, options):
         stats=choice.stats, predicted_cost=choice.predicted_cost,
         weights=options.weights,
         residual_selectivities=choice.residual_selectivities,
-    )
-
-
-def _apply_robustness(spec, rooted, reader, options, flat_output,
-                      extra_cost=0.0):
-    """Annotate and (possibly) re-order a winning plan's spec over the
-    rooted tree ``rooted``; ``robustness="off"`` leaves it untouched.
-
-    1. Read bound statistics and find the **bound-optimal** order (the
-       order search under ``ExecutionMode.STD`` minimizes the worst-case
-       objective exactly, see :mod:`repro.core.bounds`).
-    2. The bounded-regret gate: if the estimated-optimal order's
-       worst-case cost exceeds :data:`~repro.core.bounds.REGRET_FACTOR`
-       times the bound-optimal one's, swap to the bound-optimal order,
-       re-priced under the *estimated* statistics across the requested
-       non-semi-join modes (SJ-only requests keep their plan: their
-       child orders come from their own phase-1 search).
-    3. Annotate the final order with its per-prefix cardinality bounds
-       and worst-case cost.
-
-    So the worst-case cost is at most ``REGRET_FACTOR`` times the best
-    achievable, however wrong the estimates.  ``extra_cost`` is an
-    order-invariant term of the predicted cost (a cyclic winner's
-    residual filters).
-    """
-    if options.robustness == "off":
-        return spec
-    eps, weights = options.eps, options.weights
-    bound_stats = reader.bound_stats(rooted)
-    memo_bound = CostMemo(rooted, bound_stats, eps)
-    current_bound = worst_case_cost(rooted, bound_stats, spec.order, eps=eps,
-                                    weights=weights, memo=memo_bound)
-    robust_order = _order_for_mode(rooted, bound_stats, ExecutionMode.STD,
-                                   options, memo_bound)
-    optimal_bound = min(current_bound, worst_case_cost(
-        rooted, bound_stats, robust_order, eps=eps, weights=weights,
-        memo=memo_bound,
-    ))
-    swap_modes = [m for m in options.modes if not m.uses_semijoin]
-    swapped = {}
-    if swap_modes and current_bound > REGRET_FACTOR * optimal_bound:
-        best_mode = best_cost = None
-        memo = CostMemo(rooted, spec.stats, eps)
-        for candidate_mode in swap_modes:
-            cost = _cost(rooted, spec.stats, robust_order, candidate_mode,
-                         flat_output, options, memo)
-            if best_cost is None or cost < best_cost:
-                best_mode, best_cost = candidate_mode, cost
-        swapped = dict(order=robust_order, mode=best_mode, child_orders=(),
-                       predicted_cost=best_cost + extra_cost)
-        current_bound = optimal_bound
-    return replace(
-        spec, **swapped, robustness=options.robustness,
-        prefix_bounds=prefix_cardinality_bounds(
-            bound_stats, swapped.get("order", spec.order)),
-        worst_case_bound=current_bound,
+        cyclic_strategy=choice.cyclic_strategy,
+        wcoj_variable_order=choice.wcoj_variable_order,
     )
 
 
@@ -807,13 +716,13 @@ def decide(query, reader, options):
     A pure function of statistics, as the paper's cost model and
     Algorithm 1 are: it holds no catalog and reads data only through
     the :class:`~repro.core.stats.StatsReader` methods ``sizes``,
-    ``edge``, ``distinct``, ``rooted_stats``, ``bound_stats`` and
-    ``max_frequency`` — so a frozen reader decides in a process that
-    holds no data.  ``query`` is a rooted :class:`JoinQuery`, or a
-    cyclic :class:`ParsedQuery`, whose spanning tree the joint search
-    picks (:attr:`_PreparedQuery.searched`); ``options`` the request's
-    :meth:`~repro.options.PlanOptions.resolved` record, whose
-    ``deadline`` is an instant on this process's ``perf_counter``.
+    ``edge``, ``distinct`` and ``rooted_stats`` — so a frozen reader
+    decides in a process that holds no data.  ``query`` is a rooted
+    :class:`JoinQuery`, or a cyclic :class:`ParsedQuery`, whose spanning
+    tree the joint search picks (:attr:`_PreparedQuery.searched`);
+    ``options`` the request's :meth:`~repro.options.PlanOptions.resolved`
+    record, whose ``deadline`` is an instant on this process's
+    ``perf_counter``.
     """
     if isinstance(query, ParsedQuery):
         return _decide_cyclic(query, reader, options)
@@ -831,9 +740,7 @@ def _decide_acyclic(join_query, reader, options):
         rootings = [join_query.rerooted(root)
                     for root in join_query.relations]
     best = _search(rootings, reader.rooted_stats, options, options.flat_output)
-    spec = _apply_robustness(_spec(best, options), best.query, reader,
-                             options, options.flat_output)
-    return spec, best.query, best.search_tally
+    return _spec(best, options), best.query, best.search_tally
 
 
 def _decide_cyclic(parsed, reader, options):
@@ -918,25 +825,13 @@ def _decide_cyclic(parsed, reader, options):
         if best.search_tally.order_searches == searched \
                 and wcoj_bound < best.predicted_cost:
             best.search_tally.trees_floored += 1
-    # Gate the winning *tree* order before strategy arbitration (wcoj
-    # keeps the tree order; only the strategy flag and cost change after
-    # this).  The residual-filter term is order-invariant for the
-    # winning tree, so it rides along as extra cost when the gate
-    # re-prices a swapped order.
-    spec = _apply_robustness(
-        _spec(best, options), best.query, reader, options, True,
-        extra_cost=residual_filter_cost(
-            expected_output_size(best.query, best.stats),
-            best.residual_selectivities, weights,
-        ),
-    )
-    if options.cyclic_execution != "tree_filter" and spec.residuals and (
+    if options.cyclic_execution != "tree_filter" and best.residuals and (
             options.cyclic_execution == "wcoj"
-            or strategy_cost < spec.predicted_cost):
-        spec = replace(spec, cyclic_strategy="wcoj",
-                       wcoj_variable_order=variable_order,
-                       predicted_cost=strategy_cost)
-    return spec, best.query, best.search_tally
+            or strategy_cost < best.predicted_cost):
+        best = replace(best, predicted_cost=strategy_cost,
+                       cyclic_strategy="wcoj",
+                       wcoj_variable_order=variable_order)
+    return _spec(best, options), best.query, best.search_tally
 
 
 # ----------------------------------------------------------------------
@@ -950,9 +845,9 @@ class _PreparedQuery:
     :func:`decide` reads and what :meth:`Planner.bind` binds to."""
 
     query: object  #: the parsed query (or the JoinQuery as given)
-    #: the rooted tree; ``None`` for a cyclic query until decide picks it
+    #: the tree; ``None`` for a cyclic query until decide picks it
     join_query: JoinQuery
-    #: selections pushed down; partitioned once the tree is known
+    #: selections pushed down; partitioned once the rooting is known
     catalog: Catalog
     options: object  #: the request's resolved options
     #: alias -> relation token (:func:`~repro.core.stats.relation_tokens`)
@@ -962,6 +857,10 @@ class _PreparedQuery:
     #: base-catalog digest a :meth:`Planner.measure` d request was read
     #: against (``None``: decided and bound in one call)
     fingerprint: str | None = None
+    #: ``catalog`` is laid out for ``join_query``'s rooting; ``False``
+    #: while the rooting is decide's to pick, so :meth:`Planner.bind`
+    #: lays out the one it picked
+    laid_out: bool = False
 
     @property
     def searched(self):
@@ -1095,10 +994,13 @@ class Planner:
         the relation cache (what makes rehydration cheap) and a
         statistics reader over the result.
 
-        A *cyclic* :class:`ParsedQuery` prepares with
-        ``join_query=None``: its spanning tree is decide's to pick, and
-        the layout follows the tree's probe attributes, so :meth:`bind`
-        partitions.  Rehydration passes the ``tree`` a spec resolved.
+        The layout follows the probe attributes of the rooted tree the
+        plan runs, so only a rooting known now — a fixed driver, or the
+        ``tree`` rehydration passes — is laid out here.  A *cyclic*
+        :class:`ParsedQuery` prepares with ``join_query=None`` (its
+        spanning tree is decide's to pick) and ``driver="auto"`` leaves
+        the root to decide: :meth:`bind` partitions for the rooting
+        decide picked.
         """
         request = self.options.override(**overrides)
         query = _parsed(query)
@@ -1113,22 +1015,24 @@ class Planner:
                     "QuerySession.prepare(...)"
                 )
             catalog = push_down_selections(catalog, query)
-            if tree is not None:
-                join_query = tree
-            elif query.is_connected() and not query.is_acyclic():
-                join_query = None  # cyclic: the joint search picks the tree
-            else:
-                join_query = query.to_join_query()
-        else:
+        if tree is not None:
+            join_query = tree
+        elif isinstance(query, JoinQuery):
             join_query = query
+        elif query.is_connected() and not query.is_acyclic():
+            join_query = None  # cyclic: the joint search picks the tree
+        else:
+            join_query = query.to_join_query()
         prep = _PreparedQuery(
             query=query, join_query=join_query, catalog=catalog,
             options=options, tokens=relation_tokens(self.catalog, query),
         )
-        if join_query is not None:
-            # acyclic: statistics read the partitioned catalog, so the
-            # indexes they build are the ones execution probes
+        if join_query is not None and (tree is not None
+                                       or options.driver != "auto"):
+            # a known rooting: statistics read the partitioned catalog,
+            # so the indexes they build are the ones execution probes
             prep.catalog = self._apply_partitioning(prep, join_query)
+            prep.laid_out = True
         prep.reader = StatsReader(
             prep.catalog, self.stats_cache,
             prep.tokens if self.stats_cache is not None else None,
@@ -1152,10 +1056,9 @@ class Planner:
     def measure(self, query, **overrides):
         """A :meth:`plan` request with everything :func:`decide` may read
         measured up front, to decide where no data is: every size, both
-        directions of every predicate, each endpoint's distinct count
-        when a cyclic query may be priced for wcoj and its max frequency
-        under ``robustness="bounded"``.  It carries a frozen
-        (catalog-free, picklable) reader and no deadline, which
+        directions of every predicate and, when a cyclic query may be
+        priced for wcoj, each endpoint's distinct count.  It carries a
+        frozen (catalog-free, picklable) reader and no deadline, which
         :meth:`~repro.options.ResolvedOptions.restarted` arms where
         decide runs; :meth:`bind` refuses the decision after a write.
         """
@@ -1170,11 +1073,9 @@ class Planner:
         for parent, parent_attr, child, child_attr in predicates:
             reader.edge(parent, parent_attr, child, child_attr)
             reader.edge(child, child_attr, parent, parent_attr)
-            for endpoint in ((parent, parent_attr), (child, child_attr)):
-                if cyclic and options.cyclic_execution != "tree_filter":
-                    reader.distinct(*endpoint)
-                if options.robustness != "off":
-                    reader.max_frequency(*endpoint)
+            if cyclic and options.cyclic_execution != "tree_filter":
+                reader.distinct(parent, parent_attr)
+                reader.distinct(child, child_attr)
         prep.reader, prep.options = reader.frozen(), replace(options,
                                                              deadline=None)
         prep.fingerprint = fingerprint
@@ -1184,9 +1085,10 @@ class Planner:
         """``spec``, decided for ``prep`` over the tree ``rooted``, as a
         :class:`PhysicalPlan` on its data.
 
-        A cyclic query's catalog is partitioned only now, for the tree
-        decide picked; the plan takes that catalog and ``prep``'s
-        resolved options as its binding facts.  A :meth:`measure` d
+        A catalog whose rooting decide picked (a cyclic query's, or one
+        planned under ``driver="auto"``) is partitioned only now, for
+        ``rooted``; the plan takes that catalog and ``prep``'s resolved
+        options as its binding facts.  A :meth:`measure` d
         request refuses to bind (``ValueError``) after a write.
         """
         if prep.fingerprint is not None \
@@ -1196,7 +1098,7 @@ class Planner:
                 "statistics were measured"
             )
         catalog = prep.catalog
-        if prep.join_query is None:
+        if not prep.laid_out:
             catalog = self._apply_partitioning(prep, rooted)
         return PhysicalPlan(spec, catalog, rooted, prep.options,
                             search_tally=search_tally)
@@ -1223,12 +1125,8 @@ class Planner:
             catalog=plan.catalog.derived_with(replacements),
             tokens=relation_tokens(self.catalog, query),
         )
-        # the tree _prepare partitions for: the acyclic query as given,
-        # a cyclic one's spanning tree as decided
-        tree = plan.query if plan.residuals or not query.is_acyclic() \
-            else query.to_join_query()
-        return replace(plan, catalog=self._apply_partitioning(prep, tree,
-                                                              aliases))
+        return replace(plan, catalog=self._apply_partitioning(
+            prep, plan.query, aliases))
 
     def rehydrate(self, spec, query, **overrides):
         """A :class:`PhysicalPlan` from a :class:`PlanSpec` pinned
@@ -1251,19 +1149,20 @@ class Planner:
                 "was planned (fingerprint mismatch)"
             )
         query = _parsed(query)
-        tree = None
-        if isinstance(query, ParsedQuery):
-            if spec.residuals or not query.is_acyclic():
-                # The spec's residuals identify the resolved spanning
-                # tree: the query's predicate multiset minus them,
-                # rooted at the spec's driver.
-                tree = tree_query_from_residuals(query, spec.residuals,
-                                                 spec.root)
+        parsed = isinstance(query, ParsedQuery)
+        if parsed and (spec.residuals or not query.is_acyclic()):
+            # The spec's residuals identify the resolved spanning tree:
+            # the query's predicate multiset minus them, rooted at the
+            # spec's driver.
+            tree = tree_query_from_residuals(query, spec.residuals,
+                                             spec.root)
         elif spec.residuals:
             raise ValueError(
                 "a cyclic PlanSpec (with residuals) can only be "
                 "rehydrated against the ParsedQuery it was planned for"
             )
-        prep = self._prepare(query, overrides, tree=tree)
-        return self.bind(prep, spec, tree if tree is not None
-                         else prep.join_query.rerooted(spec.root))
+        else:
+            tree = (query.to_join_query() if parsed else query).rerooted(
+                spec.root)
+        return self.bind(self._prepare(query, overrides, tree=tree), spec,
+                         tree)

@@ -266,7 +266,6 @@ class HashIndex:
         self._offsets = offsets
         self._unique_keys = self._starts = self._counts = None
         self._num_distinct = distinct
-        self._max_group_size = int(table.max())
 
     def _store_groups(self, unique_keys, counts):
         """Adopt groups given as ascending distinct keys + row counts."""
@@ -289,7 +288,6 @@ class HashIndex:
         self._starts = np.cumsum(counts) - counts
         self._counts = counts
         self._num_distinct = len(unique_keys)
-        self._max_group_size = int(counts.max()) if len(counts) else 0
 
     def _sorted_groups(self):
         """``(distinct keys, group starts, group counts)``, keys
@@ -365,17 +363,6 @@ class HashIndex:
     @property
     def num_distinct(self):
         return self._num_distinct
-
-    @property
-    def max_group_size(self):
-        """Largest number of rows sharing one key value.
-
-        The guaranteed per-probe match ceiling: no probe key can ever
-        return more rows than the heaviest key group.  This is the
-        max-frequency statistic the pessimistic bound derivation
-        (:mod:`repro.core.bounds`) is built on.
-        """
-        return self._max_group_size
 
     def distinct_keys(self):
         """The distinct key values, ascending."""

@@ -228,8 +228,8 @@ def test_stripped_fingerprint_component(acyclic_plan, monkeypatch):
     assert fingerprint_blind_fields(acyclic_plan) == []
     monkeypatch.setattr(planner, "_DECISIONS", tuple(
         (name, canonical) for name, canonical in planner._DECISIONS
-        if name != "robustness"))
-    assert fingerprint_blind_fields(acyclic_plan) == ["robustness"]
+        if name != "cyclic_strategy"))
+    assert fingerprint_blind_fields(acyclic_plan) == ["cyclic_strategy"]
 
 
 def test_unregistered_plan_field():
@@ -253,7 +253,7 @@ def test_unregistered_planner_knob(monkeypatch):
     assert unkeyed_planner_parameters() == ["shiny_new_knob"]
 
 
-@pytest.mark.parametrize("knob, keyed", [("robustness", False),
+@pytest.mark.parametrize("knob, keyed", [("cyclic_execution", False),
                                          ("deadline", True)])
 def test_cache_token_disagreeing_with_the_knob_table(monkeypatch, knob,
                                                      keyed):
@@ -346,7 +346,6 @@ ILLEGAL_KNOBS = (
     {"mode": "WAT"},
     {"cyclic_strategy": "auto"},
     {"wcoj_variable_order": ((("r", "a"),),)},  # on a tree_filter plan
-    {"robustness": "paranoid"},
 )
 
 
@@ -405,62 +404,6 @@ def test_verifier_raises_and_caches(acyclic_plan, catalog, monkeypatch):
     assert built == []
     session.plan(CYCLIC_SQL)  # a cold plan is built, and checked, once
     assert len(built) == 1
-
-
-# ----------------------------------------------------------------------
-# Pessimistic-bound annotations (BOUND002-003)
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture()
-def bounded_plan(catalog):
-    return Planner(catalog, robustness="bounded").plan(ACYCLIC_SQL)
-
-
-def test_clean_bounded_plan_verifies_clean(bounded_plan):
-    assert bounded_plan.robustness == "bounded"
-    assert len(bounded_plan.prefix_bounds) == len(bounded_plan.order)
-    assert verify_plan(bounded_plan, source=ACYCLIC_SQL) == ()
-
-
-def test_invalid_robustness_posture(acyclic_plan):
-    with pytest.raises(ValueError, match="robustness"):
-        with_spec(acyclic_plan, robustness="paranoid")
-
-
-def test_off_plan_carrying_bounds(acyclic_plan):
-    with pytest.raises(ValueError, match="^BOUND002"):
-        with_spec(acyclic_plan, prefix_bounds=(10.0,), worst_case_bound=5.0)
-
-
-def test_robust_plan_missing_a_bound(bounded_plan):
-    with pytest.raises(ValueError, match="^BOUND002"):
-        with_spec(bounded_plan,
-                  prefix_bounds=bounded_plan.prefix_bounds[:-1])
-
-
-def test_non_finite_bound(bounded_plan):
-    with pytest.raises(ValueError, match="^BOUND003"):
-        with_spec(bounded_plan, worst_case_bound=float("inf"))
-    with pytest.raises(ValueError, match="^BOUND003"):
-        with_spec(bounded_plan, prefix_bounds=(
-            (-1.0,) + bounded_plan.prefix_bounds[1:]))
-
-
-def test_fingerprint_sensitive_to_robustness(bounded_plan):
-    flipped = with_spec(bounded_plan, robustness="off", prefix_bounds=(),
-                        worst_case_bound=0.0)
-    assert flipped.fingerprint() != bounded_plan.fingerprint()
-
-
-def test_spec_bound_checks(catalog, bounded_plan):
-    spec = bounded_plan.to_spec(catalog.fingerprint())
-    back = Planner(catalog, robustness="bounded").rehydrate(spec,
-                                                            ACYCLIC_SQL)
-    assert back.prefix_bounds == bounded_plan.prefix_bounds
-    with pytest.raises(ValueError, match="^BOUND002"):
-        dataclasses.replace(
-            spec, prefix_bounds=tuple(spec.prefix_bounds)[:-1])
 
 
 def test_distinct_corruption_codes_covered():

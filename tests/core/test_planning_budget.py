@@ -5,6 +5,7 @@ import pytest
 from repro.core.optimizer import PlanningBudgetExceeded, idp_order
 from repro.planner import Planner
 from tests.large_joins import (
+    chain_query,
     large_join_catalog,
     large_query_stats,
     star_query,
@@ -68,6 +69,27 @@ class TestBudgetLadder:
             for budget in (None, 0.001, 60_000.0)
         }
         assert rungs == {"idp"}
+
+    def test_session_keeps_the_requests_planning_budget(self, monkeypatch):
+        """Every order search a session request runs is bounded by the
+        request's deadline, never by the planner's unbudgeted
+        default."""
+        import repro.planner as planner_module
+        from repro.service import QuerySession
+
+        query = chain_query(8)
+        catalog = large_join_catalog(query, rows_per_relation=48,
+                                     key_domain=32, seed=3)
+        deadlines = []
+        for name in ("exhaustive_optimal", "idp_order"):
+            def spy(*args, _search=getattr(planner_module, name), **kwargs):
+                deadlines.append(kwargs.get("deadline"))
+                return _search(*args, **kwargs)
+            monkeypatch.setattr(planner_module, name, spy)
+        report = QuerySession(catalog).execute(
+            query, mode="STD", optimizer="auto", planning_budget_ms=0.001)
+        assert report.ok
+        assert deadlines and None not in deadlines
 
     def test_session_budget_in_cache_key(self):
         from repro.service import QuerySession

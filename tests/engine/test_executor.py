@@ -175,6 +175,31 @@ class TestEdgeCases:
                              flat_output=True, collect_output=True)
             assert result.output_size == 0
 
+    @pytest.mark.parametrize("mode", ["STD", "COM", "BVP+STD", "BVP+COM"])
+    def test_empty_answer_of_a_planned_four_way_join(self, mode):
+        """``A.x = B.x AND A.y = C.y AND A.x = D.x`` with ``A.y = A.x``
+        and the ``B`` and ``C`` keys on disjoint halves of ``A``'s
+        domain: the answer is empty, but no single edge's statistics say
+        so.  An intermediate that empties part-way (a join step that
+        matches nothing, or a bitvector prefilter that passes nothing)
+        ends the planned run with an empty, well-formed answer."""
+        from repro import QuerySession
+
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 50, 200)
+        catalog = Catalog()
+        catalog.add_table("A", {"x": x, "y": x.copy()})
+        catalog.add_table("B", {"x": rng.integers(0, 25, 200)})
+        catalog.add_table("C", {"y": rng.integers(25, 50, 200)})
+        catalog.add_table("D", {"x": rng.integers(0, 50, 200)})
+        report = QuerySession(catalog).execute(
+            "SELECT * FROM A, B, C, D WHERE A.x = B.x AND A.y = C.y "
+            "AND A.x = D.x", mode=mode, collect_output=True)
+        assert report.ok
+        assert report.result.output_size == 0
+        assert all(len(rows) == 0
+                   for rows in report.result.output_rows.values())
+
     def test_single_join_cross_like_fanout(self):
         catalog = Catalog()
         catalog.add_table("A", {"k": [7, 7]})

@@ -171,9 +171,6 @@ def assert_index_matches(index, reference, probes, context):
     assert index.distinct_keys().dtype == reference.dtype, context
     assert index.key_dtype == reference.dtype, context
     assert index.num_distinct == len(groups), context
-    assert index.max_group_size == max(
-        (len(rows) for _, rows in groups), default=0
-    ), context
     assert len(index) == sum(len(rows) for _, rows in groups), context
 
     answers = reference.answers(probes)
@@ -272,9 +269,6 @@ def assert_partitioned_matches(index, table, reference, probes, context):
             for k, rows in index.iter_groups()] == groups, context
     assert index.distinct_keys().tolist() == [k for k, _ in groups], context
     assert index.num_distinct == len(groups), context
-    assert index.max_group_size == max(
-        (len(rows) for _, rows in groups), default=0
-    ), context
     answers = reference.answers(probes)
     counts = [len(rows) for rows in answers]
     result = index.lookup(probes)

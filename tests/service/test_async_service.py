@@ -58,8 +58,8 @@ BAD_ARGUMENTS = [
      TypeError, "unexpected keyword argument 'replan_threshold'"),
     ("session", dict(max_replans=2),
      TypeError, "unexpected keyword argument 'max_replans'"),
-    ("session", dict(robustness="auto"),
-     ValueError, r"robustness must be one of \('off', 'bounded'\)"),
+    ("session", dict(robustness="bounded"),
+     TypeError, "unexpected keyword argument 'robustness'"),
     ("session", dict(plan_cache_size=0),
      ValueError, "capacity must be >= 1"),
 ]
@@ -189,26 +189,6 @@ class TestFailureIsolation:
         assert not reports[2].ok and reports[2].error is not None
         assert reports[3].timed_out and reports[3].error is None
 
-    def test_retired_auto_posture_is_reported_not_raised(self, catalog):
-        """``robustness="auto"`` is an invalid knob like any other: the
-        session and the service record it in the report, and the next
-        request is served."""
-        session = QuerySession(catalog)
-
-        async def go():
-            async with AsyncQueryService(QuerySession(catalog)) as service:
-                return await asyncio.gather(
-                    service.execute(SIX_RELATION_SQL, robustness="auto"),
-                    service.execute(SIX_RELATION_SQL),
-                )
-
-        reports = [session.execute(SIX_RELATION_SQL, robustness="auto"),
-                   session.execute(SIX_RELATION_SQL), *run(go())]
-        for bad, good in (reports[:2], reports[2:]):
-            assert isinstance(bad.error, ValueError)
-            assert "('off', 'bounded')" in str(bad.error)
-            assert good.ok
-
     def test_budget_arity_still_checked(self, catalog):
         async def go():
             async with AsyncQueryService(QuerySession(catalog)) as service:
@@ -317,7 +297,7 @@ class TestProcessPoolPlanning:
                 QuerySession(catalog), planning_workers=1,
                 process_min_relations=2,
             ) as service:
-                await service.execute(SIX_RELATION_SQL, robustness="bounded")
+                await service.execute(SIX_RELATION_SQL)
                 return service.stats()
 
         stats = run(go())

@@ -7,9 +7,10 @@ only the physical layout, the plan cache keys on the *resolved* shard
 count, and service reports carry the shard/per-phase timing shape.
 """
 
+import numpy as np
 import pytest
 
-from repro import ExecutionMode, Planner, QuerySession
+from repro import Catalog, ExecutionMode, Planner, QuerySession
 from repro.options import (
     AUTO_MAX_SHARDS,
     AUTO_MIN_ROWS_PER_SHARD,
@@ -106,6 +107,34 @@ class TestPlannerKnob:
         ) == result_tuples(
             baseline.execute(collect_output=True), baseline.query
         )
+
+    def test_driver_auto_lays_out_the_rooting_it_picks(self):
+        """The cost picks the small relation as the driver, so the big
+        one is the probe target re-clustered into shards: the layout
+        follows the rooting decide picks, not the query's first
+        relation."""
+        rng = np.random.default_rng(5)
+        skewed = Catalog()
+        skewed.add_table("big", {"k": rng.integers(0, 400, 5_000),
+                                 "p": np.arange(5_000)})
+        skewed.add_table("small", {"k": rng.integers(0, 400, 20)})
+        sql = "select * from big, small where big.k = small.k"
+        planner = Planner(skewed, partitioning=4, driver="auto")
+        plan = planner.plan(sql)
+        assert plan.query.root == "small"
+        assert isinstance(plan.catalog.table("big"), PartitionedTable)
+        assert not isinstance(plan.catalog.table("small"), PartitionedTable)
+        assert plan.num_shards == 4
+        unsharded = planner.plan(sql, partitioning="off")
+        assert unsharded.query.root == "small"
+        assert result_tuples(
+            plan.execute(collect_output=True), plan.query
+        ) == result_tuples(
+            unsharded.execute(collect_output=True), unsharded.query
+        )
+        back = planner.rehydrate(plan.to_spec(skewed.fingerprint()), sql)
+        assert back.num_shards == 4
+        assert back.fingerprint() == plan.fingerprint()
 
     def test_explain_mentions_shards(self, catalog):
         plan = Planner(catalog, partitioning=2).plan(SIX_RELATION_SQL)

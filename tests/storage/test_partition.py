@@ -143,7 +143,6 @@ def test_sharded_structure_aggregates():
     index, _, merged = physical_and_base(keys, 4)
     assert len(index) == len(merged) == 240
     assert index.num_distinct == merged.num_distinct
-    assert index.max_group_size == merged.max_group_size
     assert (index.distinct_keys() == merged.distinct_keys()).all()
 
 

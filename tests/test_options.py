@@ -40,7 +40,6 @@ ALTERNATIVE = {
     "partitioning": 2,
     "execution": "interpreted",
     "cyclic_execution": "wcoj",
-    "robustness": "bounded",
     "placement": "distributed",
     "num_workers": 2,
 }
@@ -73,7 +72,6 @@ INVALID = [
     ("partitioning", True, "partitioning must be"),
     ("execution", "simd", "execution must be one of"),
     ("cyclic_execution", "yannakakis", "cyclic_execution must be one of"),
-    ("robustness", "never", "robustness must be one of"),
     ("placement", "cloud", "placement must be one of"),
     ("num_workers", -1, "num_workers must be an int >= 0"),
     # equal to the default (0), still not an int
@@ -199,7 +197,7 @@ def test_unknown_names_are_rejected_everywhere(catalog):
     unknowns = ({"shiny": 1}, {"tree_search": "greedy"},
                 {"validate": "basic"}, {"max_spanning_trees": 1},
                 {"regret_factor": 4.0}, {"stats": "exact"},
-                {"use_cache": False})
+                {"use_cache": False}, {"robustness": "bounded"})
     for unknown in unknowns:
         with pytest.raises(TypeError):
             Planner(catalog, **unknown)

@@ -153,14 +153,18 @@ TRIANGLE_SQL = ("select * from R1, R2, R5 "
                 "where R1.B = R2.B and R1.E = R5.E and R2.C = R5.F")
 
 
-@pytest.mark.parametrize("sql, knobs", [
-    (FOUR_RELATION_SQL, {}),
+@pytest.mark.parametrize("sql, knobs, strategy", [
+    (FOUR_RELATION_SQL, {}, "tree_filter"),
     # a cyclic catalog is partitioned at binding, for the tree decided
-    (TRIANGLE_SQL, {"cyclic_execution": "tree_filter"}),
+    (TRIANGLE_SQL, {"cyclic_execution": "tree_filter"}, "tree_filter"),
+    # the wcoj arbitration runs on the search winner, before its spec
+    (TRIANGLE_SQL, {"cyclic_execution": "auto"}, "wcoj"),
 ])
-def test_a_fresh_sharded_plan_builds_its_spec_once(sql, knobs, monkeypatch):
+def test_a_fresh_sharded_plan_builds_its_spec_once(sql, knobs, strategy,
+                                                   monkeypatch):
     """The shard count binds on the plan, so a ``partitioning=4``
-    session constructs one :class:`PlanSpec` per fresh plan."""
+    session constructs one :class:`PlanSpec` per fresh plan, whichever
+    strategy it runs."""
     from repro.planner import PlanSpec
 
     session = QuerySession(make_small_catalog(), partitioning=4, **knobs)
@@ -173,6 +177,7 @@ def test_a_fresh_sharded_plan_builds_its_spec_once(sql, knobs, monkeypatch):
     monkeypatch.setattr(PlanSpec, "__post_init__", counting)
     plan = session.plan(sql)
     assert plan.num_shards == 4
+    assert plan.cyclic_strategy == strategy
     assert built == [plan.spec]
 
 

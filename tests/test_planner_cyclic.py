@@ -198,7 +198,7 @@ def skewed_case(shape):
 
 def test_wcoj_explain_presents_the_tree_as_recorded_not_run():
     parsed, catalog = skewed_case("clique")
-    plan = Planner(catalog, robustness="bounded").plan(parsed)
+    plan = Planner(catalog).plan(parsed)
     assert plan.cyclic_strategy == "wcoj"
     lines = plan.explain().splitlines()
     assert lines[0] == (f"PhysicalPlan strategy=wcoj "
@@ -206,7 +206,6 @@ def test_wcoj_explain_presents_the_tree_as_recorded_not_run():
     assert lines[1] == ("  recorded spanning tree (the residual split, not "
                         f"executed): mode={plan.mode} driver={plan.query.root}")
     assert lines[2].startswith("  SCAN ") and "JOIN" in lines[3]
-    assert any(line.startswith("  ROBUSTNESS bounded") for line in lines)
     assert lines[-1].endswith(" trees_floored=15")
     tree = Planner(catalog, cyclic_execution="tree_filter").plan(parsed)
     assert tree.explain().startswith(

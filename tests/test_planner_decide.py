@@ -77,25 +77,18 @@ def test_decide_over_frozen_statistics_plans_like_plan(name):
     session.close()
 
 
-@pytest.mark.parametrize("driver, robustness, misses", [
-    ("fixed", "off", 5), ("fixed", "bounded", 10),
-    ("auto", "off", 10), ("auto", "bounded", 15),
-])
-def test_in_process_plan_measures_what_it_reads_once(driver, robustness,
-                                                     misses):
+@pytest.mark.parametrize("driver, misses", [("fixed", 5), ("auto", 10)])
+def test_in_process_plan_measures_what_it_reads_once(driver, misses):
     """Five predicates: one direction each for a fixed driver, both for
-    ``auto``; a bounded plan adds one max frequency per child endpoint
-    of its tree (``auto``: of either tree direction it may pick)."""
+    ``auto``."""
     planner = Planner(make_small_catalog(), stats_cache=True)
-    plan = planner.plan(SIX_RELATION_SQL, driver=driver,
-                        robustness=robustness)
+    plan = planner.plan(SIX_RELATION_SQL, driver=driver)
     store = planner.stats_cache.stats
     assert (store.misses, store.hits) == (misses, 0)
-    planner.plan(SIX_RELATION_SQL, driver=driver, robustness=robustness)
+    planner.plan(SIX_RELATION_SQL, driver=driver)
     assert (store.misses, store.hits) == (misses, misses)
     assert signature(decided_in_a_worker(
-        planner, SIX_RELATION_SQL, driver=driver, robustness=robustness)) \
-        == signature(plan)
+        planner, SIX_RELATION_SQL, driver=driver)) == signature(plan)
 
 
 def test_a_frozen_reader_never_measures():
@@ -107,7 +100,6 @@ def test_a_frozen_reader_never_measures():
     for predicate in (("R1", "B", "R2", "B"), ("R2", "B", "R1", "B")):
         assert reader.edge(*predicate) == live.edge(*predicate)
     for ask in (lambda: reader.edge("R1", "E", "R2", "B"),
-                lambda: reader.max_frequency("R2", "B"),
                 lambda: reader.distinct("R2", "B"),
                 lambda: reader.sizes(["R7"])):
         with pytest.raises(LookupError, match="frozen statistics"):

@@ -1364,7 +1364,7 @@ def test_plan_knobs_used_flags_stale_exemptions(synthetic_repo):
 
 
 def test_plan_knobs_used_exempts_only_live_knobs():
-    """The real table: the three fields and six constructor keywords
+    """The real table: the two fields and six constructor keywords
     no root names yet, each still a knob — an exemption outliving its
     knob is stale."""
     from repro.options import PlanOptions
@@ -1374,7 +1374,7 @@ def test_plan_knobs_used_exempts_only_live_knobs():
     assert sorted(exempt) == [
         "execution", "executor_workers", "max_concurrency",
         "plan_cache_size", "planning_budget_ms", "planning_workers",
-        "process_min_relations", "robustness", "stats_cache_size"]
+        "process_min_relations", "stats_cache_size"]
     sites = module._knob_sites()
     assert set(exempt) <= set(sites)
     assert {name for name, (owner, _, _) in sites.items()

@@ -1330,8 +1330,6 @@ def check_package_exports_requested():
 PLAN_KNOBS_EXEMPT = {
     "execution": "the kernel-oracle item: whether the interpreted plane "
                  "stays a knob or becomes a test-only oracle",
-    "robustness": "the bound posture: the item that gives bounded "
-                  "planning a workload",
     "planning_budget_ms": "product deadlines and the concurrent cold "
                           "workload of benchmark upkeep",
     **dict.fromkeys(

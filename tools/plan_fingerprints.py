@@ -24,7 +24,7 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "data" / "plan_fingerprints.json"
 SEED, OPS = 11, 400
 VARIANTS = (("cyclic_execution", "wcoj"), ("cyclic_execution", "tree_filter"),
-            ("driver", "auto"), ("robustness", "bounded"))
+            ("driver", "auto"))
 
 
 def collect():
