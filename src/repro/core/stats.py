@@ -16,8 +16,8 @@ shows up in.  The statistics store (an
 :class:`~repro.core.lru.LRUCache`) therefore holds one entry per
 directed predicate (and one per column statistic), and a
 :class:`StatsReader` *assembles* what each consumer needs — the
-:class:`QueryStats` of a rooting or candidate spanning tree, the
-pessimistic bound statistics, distinct counts — from those entries.
+:class:`QueryStats` of a rooting or candidate spanning tree, distinct
+counts — from those entries.
 """
 
 from __future__ import annotations
