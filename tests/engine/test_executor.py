@@ -175,8 +175,9 @@ class TestEdgeCases:
                              flat_output=True, collect_output=True)
             assert result.output_size == 0
 
+    @pytest.mark.parametrize("execution", ["vectorized", "interpreted"])
     @pytest.mark.parametrize("mode", ["STD", "COM", "BVP+STD", "BVP+COM"])
-    def test_empty_answer_of_a_planned_four_way_join(self, mode):
+    def test_empty_answer_of_a_planned_four_way_join(self, mode, execution):
         """``A.x = B.x AND A.y = C.y AND A.x = D.x`` with ``A.y = A.x``
         and the ``B`` and ``C`` keys on disjoint halves of ``A``'s
         domain: the answer is empty, but no single edge's statistics say
@@ -192,7 +193,7 @@ class TestEdgeCases:
         catalog.add_table("B", {"x": rng.integers(0, 25, 200)})
         catalog.add_table("C", {"y": rng.integers(25, 50, 200)})
         catalog.add_table("D", {"x": rng.integers(0, 50, 200)})
-        report = QuerySession(catalog).execute(
+        report = QuerySession(catalog, execution=execution).execute(
             "SELECT * FROM A, B, C, D WHERE A.x = B.x AND A.y = C.y "
             "AND A.x = D.x", mode=mode, collect_output=True)
         assert report.ok

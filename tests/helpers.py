@@ -125,6 +125,98 @@ def make_small_catalog(seed=42, driver_rows=60):
 
 
 # ----------------------------------------------------------------------
+# Fault injection: a catalog whose statistics lie
+# ----------------------------------------------------------------------
+
+
+class _LyingIndex:
+    """Index proxy that lies to statistics derivation only.
+
+    ``probe_stats`` — the seam :func:`repro.core.stats.stats_from_data`
+    measures edge selectivities through — reports counts scaled by the
+    corruption factor.  Everything execution touches (``lookup``,
+    ``iter_groups``, ``key_dtype``) delegates truthfully, so plans built
+    from the lies still compute correct results: only the order the
+    planner picks moves.
+    """
+
+    def __init__(self, index, factor):
+        self._index = index
+        self._factor = float(factor)
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+    def probe_stats(self, keys):
+        matched, total = self._index.probe_stats(keys)
+        scaled_matched = int(round(matched * self._factor))
+        if matched > 0:
+            # a lie must not claim an empty edge (the planner would
+            # prune it outright instead of mis-ordering it)
+            scaled_matched = max(1, scaled_matched)
+        scaled_matched = min(len(keys), scaled_matched)
+        scaled_total = max(scaled_matched, int(round(total * self._factor)))
+        return scaled_matched, scaled_total
+
+
+class StatsCorruptingCatalog:
+    """Catalog wrapper whose derived statistics are off by factor ``k``.
+
+    ``factors`` maps relation name -> multiplicative corruption of the
+    edge measurements statistics derivation makes against that
+    relation's indexes: ``k < 1`` makes the relation look *more*
+    selective than it is (the classic underestimate that explodes at
+    runtime), ``k > 1`` less.  Only planning beliefs are corrupted —
+    execution probes the truthful indexes underneath, so results stay
+    bit-identical to the clean catalog's.
+
+    ``fingerprint`` is salted with the corruption so plan/stats caches
+    never alias corrupted entries with clean ones, and ``derived_with``
+    re-wraps so the corruption survives the planner's partitioning
+    rewrite.  Works for :class:`~repro.core.JoinQuery` planning (parsed
+    queries with selections build their own pushed-down catalog).
+    """
+
+    def __init__(self, catalog, factors):
+        self._catalog = catalog
+        self._factors = {name: float(k) for name, k in factors.items()}
+        # one proxy per (relation, attribute): the interpreted kernels
+        # key per-index view caches on object identity
+        self._proxies = {}
+
+    def __getattr__(self, name):
+        return getattr(self._catalog, name)
+
+    def __contains__(self, name):
+        return name in self._catalog
+
+    def hash_index(self, table_name, attribute):
+        factor = self._factors.get(table_name, 1.0)
+        if factor == 1.0:
+            return self._catalog.hash_index(table_name, attribute)
+        key = (table_name, attribute)
+        proxy = self._proxies.get(key)
+        if proxy is None:
+            proxy = _LyingIndex(
+                self._catalog.hash_index(table_name, attribute), factor
+            )
+            self._proxies[key] = proxy
+        return proxy
+
+    def fingerprint(self):
+        salt = ",".join(
+            f"{name}:{factor}"
+            for name, factor in sorted(self._factors.items())
+        )
+        return f"{self._catalog.fingerprint()}|corrupted[{salt}]"
+
+    def derived_with(self, replacements):
+        return StatsCorruptingCatalog(
+            self._catalog.derived_with(replacements), self._factors
+        )
+
+
+# ----------------------------------------------------------------------
 # Reference order objective: the optimizer's delta costs, unmemoized
 # ----------------------------------------------------------------------
 #

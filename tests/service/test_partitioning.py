@@ -108,7 +108,8 @@ class TestPlannerKnob:
             baseline.execute(collect_output=True), baseline.query
         )
 
-    def test_driver_auto_lays_out_the_rooting_it_picks(self):
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_driver_auto_lays_out_the_rooting_it_picks(self, num_shards):
         """The cost picks the small relation as the driver, so the big
         one is the probe target re-clustered into shards: the layout
         follows the rooting decide picks, not the query's first
@@ -119,12 +120,12 @@ class TestPlannerKnob:
                                  "p": np.arange(5_000)})
         skewed.add_table("small", {"k": rng.integers(0, 400, 20)})
         sql = "select * from big, small where big.k = small.k"
-        planner = Planner(skewed, partitioning=4, driver="auto")
+        planner = Planner(skewed, partitioning=num_shards, driver="auto")
         plan = planner.plan(sql)
         assert plan.query.root == "small"
         assert isinstance(plan.catalog.table("big"), PartitionedTable)
         assert not isinstance(plan.catalog.table("small"), PartitionedTable)
-        assert plan.num_shards == 4
+        assert plan.num_shards == num_shards
         unsharded = planner.plan(sql, partitioning="off")
         assert unsharded.query.root == "small"
         assert result_tuples(
@@ -133,7 +134,7 @@ class TestPlannerKnob:
             unsharded.execute(collect_output=True), unsharded.query
         )
         back = planner.rehydrate(plan.to_spec(skewed.fingerprint()), sql)
-        assert back.num_shards == 4
+        assert back.num_shards == num_shards
         assert back.fingerprint() == plan.fingerprint()
 
     def test_explain_mentions_shards(self, catalog):
